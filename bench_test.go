@@ -420,9 +420,10 @@ func BenchmarkVerifyAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHBAlgorithms compares the five happens-before algorithms of
-// §IV-D on one mid-size trace — the data behind the paper's future-work
-// dynamic algorithm selection.
+// BenchmarkHBAlgorithms compares the happens-before algorithms of §IV-D on
+// one mid-size trace under all five names (transitive-closure and segment
+// build the same skeleton closure) — the data behind the paper's
+// future-work dynamic algorithm selection.
 func BenchmarkHBAlgorithms(b *testing.B) {
 	tr := corpusTrace(b, "nc4perf")
 	model := semantics.MPIIOModel()

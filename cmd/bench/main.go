@@ -567,15 +567,11 @@ func benchQueries(tr *trace.Trace, g *hbgraph.Graph, edges []match.Edge, iters i
 	if err != nil {
 		return nil, 0, err
 	}
-	tc, err := g.TransitiveClosure()
-	if err != nil {
-		return nil, 0, err
-	}
 	seg, err := g.SegReachability(hbgraph.SegOptions{})
 	if err != nil {
 		return nil, 0, err
 	}
-	oracles := []hbgraph.Oracle{vc, g.Reachability(), tc, seg, hbgraph.NewOnTheFly(tr, edges)}
+	oracles := []hbgraph.Oracle{vc, g.Reachability(), seg, hbgraph.NewOnTheFly(tr, edges)}
 
 	rng := rand.New(rand.NewSource(17))
 	nranks := tr.NumRanks()
@@ -1178,8 +1174,8 @@ func checkFile(path string) error {
 			return fmt.Errorf("trace %q: segment reachability matrix %d bytes outside (0, %d budget]",
 				tb.Name, tb.SegReachBytes, hbgraph.DefaultSegReachBudget)
 		}
-		if len(tb.QueryRuns) < 5 {
-			return fmt.Errorf("trace %q: %d query runs, want all five oracles", tb.Name, len(tb.QueryRuns))
+		if len(tb.QueryRuns) < 4 {
+			return fmt.Errorf("trace %q: %d query runs, want all four oracles", tb.Name, len(tb.QueryRuns))
 		}
 		seen := map[string]bool{}
 		for _, qr := range tb.QueryRuns {
@@ -1188,7 +1184,7 @@ func checkFile(path string) error {
 			}
 			seen[qr.Oracle] = true
 		}
-		for _, name := range []string{"vector-clock", "reachability", "transitive-closure", "segment", "on-the-fly"} {
+		for _, name := range []string{"vector-clock", "reachability", "segment", "on-the-fly"} {
 			if !seen[name] {
 				return fmt.Errorf("trace %q: query cell for oracle %q missing", tb.Name, name)
 			}

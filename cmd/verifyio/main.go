@@ -68,7 +68,7 @@ func run() int {
 	var (
 		traceDir  = flag.String("trace", "", "trace directory (written by verifyio-trace)")
 		model     = flag.String("model", "all", "consistency model: posix, commit, session, mpi-io, or all")
-		algorithm = flag.String("algorithm", "auto", "happens-before algorithm")
+		algorithm = flag.String("algorithm", "auto", "happens-before algorithm: auto|segment|transitive-closure (skeleton closure; vector-clock when over budget), vector-clock, reachability|on-the-fly (per-query references)")
 		noPrune   = flag.Bool("no-pruning", false, "disable conflict-group pruning (Fig. 3)")
 		workers   = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
 		maxRaces  = flag.Int("max-races", 16, "maximum races reported in detail")

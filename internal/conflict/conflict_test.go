@@ -255,8 +255,11 @@ func TestGroupsSortedByProgramOrder(t *testing.T) {
 	if g == nil {
 		t.Fatal("no group for rank 0's write")
 	}
-	lst := g.ByRank(res.Ops)[1]
-	if len(lst) != 3 {
+	if g.NumRuns() != 1 {
+		t.Fatalf("runs = %d, want one (rank 1's)", g.NumRuns())
+	}
+	lst := g.RunAt(0)
+	if len(lst) != 3 || res.Ops[lst[0]].Ref.Rank != 1 {
 		t.Fatalf("ζ[1] = %v", lst)
 	}
 	for i := 1; i < len(lst); i++ {

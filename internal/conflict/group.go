@@ -49,24 +49,6 @@ func (g *Group) RunAt(k int) []int32 {
 	return g.ys[g.runs[k]:g.runs[k+1]]
 }
 
-// ByRank materializes the associative view the CSR layout replaced: process
-// rank -> indices (into ops, which must be the Result.Ops slice the group
-// indexes) of the operations on that rank conflicting with X, in program
-// order. It exists for tests and external consumers; hot paths iterate
-// RunAt directly.
-func (g *Group) ByRank(ops []Op) map[int][]int {
-	out := make(map[int][]int, g.NumRuns())
-	for k := 0; k < g.NumRuns(); k++ {
-		run := g.RunAt(k)
-		lst := make([]int, len(run))
-		for i, y := range run {
-			lst[i] = int(y)
-		}
-		out[ops[run[0]].Ref.Rank] = lst
-	}
-	return out
-}
-
 // Intra-file sharding parameters. Slice boundaries are a function of the op
 // count alone — never of the worker count — so the task list, the spans it
 // emits, and every byte of the merged output are determined by the trace.

@@ -41,8 +41,8 @@ func synthGraph(nranks, n int, density float64, seed int64) (*trace.Trace, []mat
 	return tr, edges
 }
 
-// BenchmarkOracleConstruction compares building the three graph-based
-// oracles (the fixed cost the on-the-fly algorithm avoids).
+// BenchmarkOracleConstruction compares building the two production oracles
+// (the fixed cost the BFS and on-the-fly references avoid).
 func BenchmarkOracleConstruction(b *testing.B) {
 	tr, edges := synthGraph(8, 2000, 0.1, 7)
 	g, err := Build(tr, edges)
@@ -56,36 +56,13 @@ func BenchmarkOracleConstruction(b *testing.B) {
 			}
 		}
 	})
-	b.Run("transitive-closure", func(b *testing.B) {
+	b.Run("segment", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := g.TransitiveClosure(); err != nil {
+			if _, err := g.SegReachability(SegOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("reachability(lazy)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = g.Reachability()
-		}
-	})
-}
-
-// BenchmarkTopoOrder measures the full-graph topological sort; the indegree
-// pass iterates per rank so program-order successors come from the rank
-// cursor instead of a per-node binary search.
-func BenchmarkTopoOrder(b *testing.B) {
-	tr, edges := synthGraph(8, 2000, 0.1, 7)
-	g, err := Build(tr, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.TopoOrder(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkVectorClocks measures skeleton clock construction on a
@@ -119,7 +96,7 @@ func BenchmarkVectorClocks(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleQueries compares per-query cost across the five algorithms
+// BenchmarkOracleQueries compares per-query cost across the four oracles
 // on the same graph and query set.
 func BenchmarkOracleQueries(b *testing.B) {
 	tr, edges := synthGraph(8, 1000, 0.1, 11)
@@ -131,15 +108,11 @@ func BenchmarkOracleQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
-	if err != nil {
-		b.Fatal(err)
-	}
 	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracles := []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, edges)}
+	oracles := []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, edges)}
 	rng := rand.New(rand.NewSource(3))
 	queries := make([][2]trace.Ref, 512)
 	for i := range queries {

@@ -36,7 +36,8 @@ func edges(pairs ...[4]int) []match.Edge {
 	return out
 }
 
-// allOracles builds the four graph-based oracles plus the on-the-fly one.
+// allOracles builds the four implementations: the two production oracles
+// and the two plain references.
 func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
 	t.Helper()
 	g, err := Build(tr, es)
@@ -47,15 +48,11 @@ func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
 	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, es)}
+	return []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
 }
 
 func TestProgramOrderIsHB(t *testing.T) {
@@ -114,11 +111,16 @@ func TestCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.TopoOrder(); err == nil {
-		t.Fatal("cycle not detected")
-	}
+	// The skeleton's Kahn pass records the cycle; both production builders
+	// surface it.
 	if _, err := g.VectorClocks(); err == nil {
 		t.Fatal("vector clocks accepted a cyclic graph")
+	}
+	if _, err := g.SegReachability(SegOptions{}); err == nil {
+		t.Fatal("segment reachability accepted a cyclic graph")
+	}
+	if lv := g.SkeletonLevels(); lv != 0 {
+		t.Fatalf("SkeletonLevels = %d on a cyclic skeleton, want 0", lv)
 	}
 }
 
@@ -132,10 +134,12 @@ func TestBuildRejectsOutOfRangeEdges(t *testing.T) {
 	}
 }
 
-func TestTransitiveClosureBudget(t *testing.T) {
-	// The budget is on skeleton nodes: a sync-dense graph whose skeleton
-	// exceeds it is refused...
-	per := maxTCNodes/2 + 1
+// TestSegReachabilityDefaultBudget pins the default 64 MiB cap and what it
+// is a cap on: skeleton nodes, not records.
+func TestSegReachabilityDefaultBudget(t *testing.T) {
+	// A sync-dense graph whose skeleton matrix exceeds the default budget is
+	// refused...
+	per := 1<<14 + 1
 	tr := mkTrace(per, per)
 	es := make([]match.Edge, 0, per-1)
 	for i := 0; i+1 < per; i++ {
@@ -145,22 +149,23 @@ func TestTransitiveClosureBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.SkeletonNodes() <= maxTCNodes {
-		t.Fatalf("test graph skeleton %d nodes, need > %d", g.SkeletonNodes(), maxTCNodes)
+	n := g.SkeletonNodes()
+	if size := n * ((n + 63) / 64) * 8; size <= DefaultSegReachBudget {
+		t.Fatalf("test graph matrix %d bytes, need > %d", size, DefaultSegReachBudget)
 	}
-	if _, err := g.TransitiveClosure(); err == nil {
-		t.Fatal("transitive closure ignored its memory budget")
+	if _, err := g.SegReachability(SegOptions{}); err == nil {
+		t.Fatal("segment reachability ignored its default byte budget")
 	}
-	// ...while a sync-sparse trace with even more records now qualifies: its
+	// ...while a sync-sparse trace with as many records qualifies: its
 	// skeleton is just the sentinels.
-	sparse := mkTrace(maxTCNodes + 1)
+	sparse := mkTrace(2 * per)
 	g2, err := Build(sparse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.TransitiveClosure(); err != nil {
-		t.Fatalf("transitive closure refused a %d-record trace with a %d-node skeleton: %v",
-			maxTCNodes+1, g2.SkeletonNodes(), err)
+	if _, err := g2.SegReachability(SegOptions{}); err != nil {
+		t.Fatalf("segment reachability refused a %d-record trace with a %d-node skeleton: %v",
+			2*per, g2.SkeletonNodes(), err)
 	}
 }
 
@@ -202,8 +207,8 @@ func TestSegReachabilityBudget(t *testing.T) {
 	}
 }
 
-// TestOracleQueriesOutsideTrace covers the shared bounds check of all five
-// algorithms: refs with out-of-range ranks or sequences (high and negative)
+// TestOracleQueriesOutsideTrace covers the bounds check of all four
+// implementations: refs with out-of-range ranks or sequences (high and negative)
 // are never hb-related in either direction.
 func TestOracleQueriesOutsideTrace(t *testing.T) {
 	tr := mkTrace(2, 2)
@@ -342,7 +347,7 @@ func (b *bruteOracle) HB(x, y trace.Ref) bool {
 }
 
 // TestPropertyAllAlgorithmsAgree is the §IV-D cross-validation: on random
-// acyclic executions, all five oracles and the brute-force reference answer
+// acyclic executions, all four oracles and the brute-force reference answer
 // every query identically.
 func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64) bool {
@@ -392,15 +397,11 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		tc, err := g.TransitiveClosure()
-		if err != nil {
-			return false
-		}
 		seg, err := g.SegReachability(SegOptions{})
 		if err != nil {
 			return false
 		}
-		oracles := []Oracle{vc, g.Reachability(), tc, seg, NewOnTheFly(tr, es)}
+		oracles := []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
 		brute := newBrute(tr, es)
 		for i := 0; i < len(nodes); i++ {
 			for j := 0; j < len(nodes); j++ {
@@ -430,23 +431,6 @@ func TestGraphStats(t *testing.T) {
 	}
 	if g.Nodes() != 5 || g.SyncEdges() != 1 {
 		t.Errorf("nodes=%d edges=%d", g.Nodes(), g.SyncEdges())
-	}
-}
-
-func TestDeterministicTopoOrder(t *testing.T) {
-	tr := mkTrace(4, 4)
-	es := edges([4]int{0, 1, 1, 2}, [4]int{1, 0, 0, 3})
-	g, err := Build(tr, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := g.TopoOrder()
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Error("topological order is not deterministic")
 	}
 }
 
@@ -505,36 +489,6 @@ func TestVectorClockConstructionAllocsFlat(t *testing.T) {
 	}
 }
 
-func TestBFSOracleEvictionStaysCorrect(t *testing.T) {
-	// A memo budget too small for even one row per stripe forces constant
-	// eviction; answers must not change.
-	tr := mkTrace(6, 6, 6)
-	es := edges([4]int{0, 1, 1, 2}, [4]int{1, 3, 2, 4}, [4]int{2, 0, 0, 4})
-	g, err := Build(tr, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref16 := g.Reachability()
-	tiny := g.reachabilityWithBudget(1)
-	for i := range tiny.stripes {
-		if tiny.stripes[i].max < 1 {
-			t.Fatalf("stripe capacity %d, want >= 1", tiny.stripes[i].max)
-		}
-	}
-	for r1 := 0; r1 < 3; r1++ {
-		for s1 := 0; s1 < 6; s1++ {
-			for r2 := 0; r2 < 3; r2++ {
-				for s2 := 0; s2 < 6; s2++ {
-					a, b := ref(r1, s1), ref(r2, s2)
-					if got, want := tiny.HB(a, b), ref16.HB(a, b); got != want {
-						t.Fatalf("evicting oracle HB(%v,%v) = %v, want %v", a, b, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestOraclesConcurrentQueries hammers every oracle from many goroutines and
 // cross-checks against serial answers — the thread-safety contract the
 // parallel verifier depends on (run under -race).
@@ -548,11 +502,11 @@ func TestOraclesConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := g.TransitiveClosure()
+	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Oracle{vc, g.Reachability(), tc, NewOnTheFly(tr, es)} {
+	for _, o := range []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)} {
 		o := o
 		t.Run(o.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))

@@ -1,10 +1,7 @@
 package hbgraph
 
 import (
-	"container/list"
-	"fmt"
 	"sort"
-	"sync"
 
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
@@ -12,14 +9,14 @@ import (
 	"verifyio/internal/trace"
 )
 
-// All oracles are safe for concurrent HB queries once constructed: VCOracle
-// and TCOracle are immutable, BFSOracle guards its memo with striped locks,
-// and OTFOracle keeps per-query state in a sync.Pool. The parallel verifier
-// (internal/verify) relies on this contract.
+// All oracles are immutable once constructed (per-query scratch is local to
+// the call), so they are safe for concurrent HB queries. The parallel
+// verifier (internal/verify) relies on this contract.
 //
-// The three graph-based oracles compute over the sync skeleton (skeleton.go)
-// and map query refs through it, so their state is O(S·P) / O(S²) instead of
-// O(V·P) / O(V²).
+// The graph-based oracles compute over the sync skeleton (skeleton.go) and
+// map query refs through it, so their state is O(S·P) / O(S²) instead of
+// O(V·P) / O(V²). The transitive closure of §IV-D3 is SegOracle
+// (segreach.go).
 
 // ---------------------------------------------------------------------------
 // 1. Vector clocks (§IV-D1)
@@ -148,61 +145,16 @@ func (o *VCOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
 // ---------------------------------------------------------------------------
 // 2. Graph reachability (§IV-D2)
 
-// bfsMemoBudget bounds the memory held by BFSOracle's memoized reachability
-// rows (bitsets, not the O(V) []bool rows of the naive memo).
-const bfsMemoBudget = 32 << 20
-
-// bfsStripes is the lock-striping factor: queries for different source nodes
-// contend only within their stripe.
-const bfsStripes = 16
-
-// BFSOracle answers hb queries by forward breadth-first search over the sync
-// skeleton, memoizing reachability bitsets per source skeleton node in a
-// bounded, mutex-striped LRU.
+// BFSOracle answers each hb query with one forward breadth-first search over
+// the sync skeleton. It is the plain reference implementation of §IV-D2 —
+// no precomputation, no state between queries — kept for the ablation
+// benchmark and as a cross-check of the production oracles.
 type BFSOracle struct {
-	g       *Graph
-	words   int // bitset words per row: ceil(S/64)
-	stripes [bfsStripes]bfsStripe
+	g *Graph
 }
 
-type bfsStripe struct {
-	mu   sync.Mutex
-	max  int                     // row capacity of this stripe
-	by   map[int32]*list.Element // source skeleton node -> LRU element
-	lru  *list.List              // front = most recently used; values are *bfsRow
-	hits int64                   // memo hits, under mu
-	miss int64                   // memo misses (rows computed), under mu
-}
-
-type bfsRow struct {
-	id   int32
-	bits []uint64
-}
-
-// Reachability returns a BFS-based oracle with the default memo budget.
-func (g *Graph) Reachability() *BFSOracle {
-	return g.reachabilityWithBudget(bfsMemoBudget)
-}
-
-// reachabilityWithBudget is the constructor with an explicit memo budget in
-// bytes (tests shrink it to force eviction).
-func (g *Graph) reachabilityWithBudget(budget int) *BFSOracle {
-	o := &BFSOracle{g: g, words: (g.skel.n + 63) / 64}
-	rowBytes := 8 * o.words
-	if rowBytes == 0 {
-		rowBytes = 8
-	}
-	maxRows := budget / rowBytes
-	if maxRows < bfsStripes {
-		maxRows = bfsStripes
-	}
-	for i := range o.stripes {
-		o.stripes[i].max = maxRows / bfsStripes
-		o.stripes[i].by = make(map[int32]*list.Element)
-		o.stripes[i].lru = list.New()
-	}
-	return o
-}
+// Reachability returns the BFS-based oracle.
+func (g *Graph) Reachability() *BFSOracle { return &BFSOracle{g: g} }
 
 // HB reports whether a happens-before b. Cross-rank queries reduce to
 // skeleton reachability: a reaches b in the full graph iff next(a) reaches
@@ -215,160 +167,37 @@ func (o *BFSOracle) HB(a, b trace.Ref) bool {
 	if !o.g.inRange(a) || !o.g.inRange(b) {
 		return false
 	}
-	src := o.g.skelNext(a)
+	s := &o.g.skel
 	dst := o.g.skelPrev(b)
-	bits := o.row(src)
-	return bits[int(dst)/64]&(1<<(uint(dst)%64)) != 0
-}
-
-// row returns the reachability bitset for skeleton source id, computing and
-// caching it on a miss. Two goroutines missing on the same source may both
-// run the BFS; the duplicate work is bounded and the cached result is
-// identical.
-func (o *BFSOracle) row(id int32) []uint64 {
-	s := &o.stripes[int(id)%bfsStripes]
-	s.mu.Lock()
-	if el, ok := s.by[id]; ok {
-		s.hits++
-		s.lru.MoveToFront(el)
-		bits := el.Value.(*bfsRow).bits
-		s.mu.Unlock()
-		return bits
+	seen := make([]uint64, (s.n+63)/64)
+	queue := []int32{o.g.skelNext(a)}
+	// visit enqueues w once; it reports whether w is the target.
+	visit := func(w int32) bool {
+		if w == dst {
+			return true
+		}
+		if word, mask := int(w)/64, uint64(1)<<(uint(w)%64); seen[word]&mask == 0 {
+			seen[word] |= mask
+			queue = append(queue, w)
+		}
+		return false
 	}
-	s.miss++
-	s.mu.Unlock()
-
-	bits := o.computeRow(id)
-
-	s.mu.Lock()
-	if el, ok := s.by[id]; ok {
-		// Lost the race to another goroutine; keep its row.
-		s.lru.MoveToFront(el)
-		bits = el.Value.(*bfsRow).bits
-	} else {
-		s.by[id] = s.lru.PushFront(&bfsRow{id: id, bits: bits})
-		for s.lru.Len() > s.max {
-			old := s.lru.Remove(s.lru.Back()).(*bfsRow)
-			delete(s.by, old.id)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		if w := s.poSucc(v); w >= 0 && visit(w) {
+			return true
+		}
+		for _, w := range s.succAdj[s.succOff[v]:s.succOff[v+1]] {
+			if visit(w) {
+				return true
+			}
 		}
 	}
-	s.mu.Unlock()
-	return bits
-}
-
-// computeRow runs the forward BFS from skeleton node id into a fresh bitset.
-func (o *BFSOracle) computeRow(id int32) []uint64 {
-	bits := make([]uint64, o.words)
-	queue := make([]int32, 1, 64)
-	queue[0] = id
-	for head := 0; head < len(queue); head++ {
-		o.g.skel.forEachSkelSucc(queue[head], func(s int32) {
-			w, m := int(s)/64, uint64(1)<<(uint(s)%64)
-			if bits[w]&m == 0 {
-				bits[w] |= m
-				queue = append(queue, s)
-			}
-		})
-	}
-	return bits
+	return false
 }
 
 // Name identifies the algorithm.
 func (o *BFSOracle) Name() string { return "reachability" }
-
-// SegGraph returns the graph whose skeleton coordinates ProbeSeg accepts.
-func (o *BFSOracle) SegGraph() *Graph { return o.g }
-
-// ProbeSeg answers a pre-resolved cross-rank query from the memoized row of
-// next(a) — O(1) on a memo hit, one skeleton BFS on a miss.
-func (o *BFSOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
-	bits := o.row(aNext)
-	return bits[int(bPrev)/64]&(1<<(uint(bPrev)%64)) != 0
-}
-
-// MemoStats sums the memo hit/miss counts across stripes. The split is
-// scheduling-dependent under concurrent queries (two goroutines can both
-// miss on one source), so consumers record it as a volatile metric.
-func (o *BFSOracle) MemoStats() (hits, misses int64) {
-	for i := range o.stripes {
-		s := &o.stripes[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.miss
-		s.mu.Unlock()
-	}
-	return hits, misses
-}
-
-// ---------------------------------------------------------------------------
-// 3. Transitive closure (§IV-D3)
-
-// TCOracle answers hb queries from a full skeleton transitive-closure bitset.
-type TCOracle struct {
-	g     *Graph
-	words int
-	bits  []uint64 // S * words
-}
-
-// maxTCNodes bounds the transitive closure's O(S²) memory (64 MiB of
-// bitsets ≈ 23k nodes). The budget is on skeleton nodes: sync-sparse traces
-// of millions of records still qualify when their skeleton is small.
-const maxTCNodes = 1 << 15
-
-// TransitiveClosure materializes skeleton reachability bitsets in reverse
-// topological order. It refuses graphs whose closure would not fit in
-// memory; callers fall back to another oracle (the dynamic selection of
-// §VII).
-func (g *Graph) TransitiveClosure() (*TCOracle, error) {
-	s := &g.skel
-	if s.n > maxTCNodes {
-		return nil, fmt.Errorf("hbgraph: transitive closure over %d skeleton nodes exceeds the %d-node budget", s.n, maxTCNodes)
-	}
-	if s.cycleErr != nil {
-		return nil, s.cycleErr
-	}
-	words := (s.n + 63) / 64
-	bits := make([]uint64, s.n*words)
-	row := func(id int32) []uint64 { return bits[int(id)*words : (int(id)+1)*words] }
-	// levelOrder is a topological order (every node's predecessors sit in
-	// earlier levels), so its reverse processes successors first.
-	for i := len(s.levelOrder) - 1; i >= 0; i-- {
-		id := s.levelOrder[i]
-		r := row(id)
-		s.forEachSkelSucc(id, func(sc int32) {
-			r[sc/64] |= 1 << (uint(sc) % 64)
-			for w, v := range row(sc) {
-				r[w] |= v
-			}
-		})
-	}
-	return &TCOracle{g: g, words: words, bits: bits}, nil
-}
-
-// HB reports whether a happens-before b, via the same skeleton mapping as
-// BFSOracle.
-func (o *TCOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	if !o.g.inRange(a) || !o.g.inRange(b) {
-		return false
-	}
-	src := o.g.skelNext(a)
-	dst := o.g.skelPrev(b)
-	return o.bits[int(src)*o.words+int(dst)/64]&(1<<(uint(dst)%64)) != 0
-}
-
-// Name identifies the algorithm.
-func (o *TCOracle) Name() string { return "transitive-closure" }
-
-// SegGraph returns the graph whose skeleton coordinates ProbeSeg accepts.
-func (o *TCOracle) SegGraph() *Graph { return o.g }
-
-// ProbeSeg answers a pre-resolved cross-rank query in one bit probe.
-func (o *TCOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
-	return o.bits[int(aNext)*o.words+int(bPrev)/64]&(1<<(uint(bPrev)%64)) != 0
-}
 
 // ---------------------------------------------------------------------------
 // 4. On-the-fly (§IV-D4)
@@ -376,42 +205,28 @@ func (o *TCOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
 // OTFOracle answers hb queries straight from the matched synchronization
 // edges, without building the happens-before graph: per query it propagates
 // a per-rank "earliest reachable sequence" frontier across the edge list
-// until fixpoint. Frontier buffers are pooled across queries, and each
-// relaxation pass binary-searches the seq-sorted per-rank edge list instead
-// of scanning edges below the frontier.
+// until fixpoint. Like BFSOracle it is a plain reference implementation.
 type OTFOracle struct {
-	nranks int
 	counts []int
 	// edgesByRank[r] holds the sync edges originating on rank r, sorted
 	// by source sequence.
 	edgesByRank [][]match.Edge
-	frontiers   sync.Pool // *[]int scratch, len nranks
 }
 
 // NewOnTheFly builds the on-the-fly oracle from the matcher output alone.
 func NewOnTheFly(tr *trace.Trace, edges []match.Edge) *OTFOracle {
-	counts := make([]int, tr.NumRanks())
-	for rank, recs := range tr.Ranks {
-		counts[rank] = len(recs)
-	}
-	return NewOnTheFlyCounts(counts, edges)
+	return NewOnTheFlyCounts(rankCounts(tr), edges)
 }
 
 // NewOnTheFlyCounts builds the oracle from per-rank record counts, for
 // streaming callers that never materialize the trace.
 func NewOnTheFlyCounts(counts []int, edges []match.Edge) *OTFOracle {
 	o := &OTFOracle{
-		nranks:      len(counts),
-		counts:      make([]int, len(counts)),
+		counts:      append([]int(nil), counts...),
 		edgesByRank: make([][]match.Edge, len(counts)),
 	}
-	o.frontiers.New = func() any {
-		buf := make([]int, o.nranks)
-		return &buf
-	}
-	copy(o.counts, counts)
 	for _, e := range edges {
-		if e.From.Rank >= 0 && e.From.Rank < o.nranks {
+		if e.From.Rank >= 0 && e.From.Rank < len(counts) {
 			o.edgesByRank[e.From.Rank] = append(o.edgesByRank[e.From.Rank], e)
 		}
 	}
@@ -431,15 +246,15 @@ func (o *OTFOracle) HB(a, b trace.Ref) bool {
 	if res, ok := sameRankHB(a, b); ok {
 		return res
 	}
-	if a.Rank < 0 || a.Rank >= o.nranks || b.Rank < 0 || b.Rank >= o.nranks ||
+	nranks := len(o.counts)
+	if a.Rank < 0 || a.Rank >= nranks || b.Rank < 0 || b.Rank >= nranks ||
 		a.Seq < 0 || a.Seq >= o.counts[a.Rank] || b.Seq < 0 || b.Seq >= o.counts[b.Rank] {
 		return false
 	}
 	// earliest[r]: smallest sequence on rank r known to be hb-after a
 	// (math.MaxInt when none).
 	const inf = int(^uint(0) >> 1)
-	ep := o.frontiers.Get().(*[]int)
-	earliest := *ep
+	earliest := make([]int, nranks)
 	for i := range earliest {
 		earliest[i] = inf
 	}
@@ -450,7 +265,7 @@ func (o *OTFOracle) HB(a, b trace.Ref) bool {
 	// only the sorted suffix starting at the frontier can apply.
 	for changed := true; changed; {
 		changed = false
-		for r := 0; r < o.nranks; r++ {
+		for r := 0; r < nranks; r++ {
 			if earliest[r] == inf {
 				continue
 			}
@@ -465,9 +280,7 @@ func (o *OTFOracle) HB(a, b trace.Ref) bool {
 			}
 		}
 	}
-	res := earliest[b.Rank] <= b.Seq
-	o.frontiers.Put(ep)
-	return res
+	return earliest[b.Rank] <= b.Seq
 }
 
 // Name identifies the algorithm.

@@ -16,15 +16,15 @@ import (
 // traces S ≪ V, so the whole matrix is a few kilobytes — cheap enough to
 // precompute once and share across every model pass and verification chunk.
 //
-// Unlike TCOracle (bounded by a node count), SegReachability is bounded by
-// an explicit byte budget and its rows are filled level-parallel: the
-// reverse wavefront processes one topological level at a time, and within a
-// level no node's row depends on another's (every skeleton edge goes to a
-// strictly later level), so the rows fill concurrently via internal/par.
+// This is the transitive closure of §IV-D3, and the only S×S bitset builder
+// in the package. It is bounded by an explicit byte budget and its rows are
+// filled level-parallel: the reverse wavefront processes one topological
+// level at a time, and within a level no node's row depends on another's
+// (every skeleton edge goes to a strictly later level), so the rows fill
+// concurrently via internal/par.
 
 // DefaultSegReachBudget bounds the S²-bit reachability matrix (64 MiB ≈ 23k
-// skeleton nodes). Callers over budget fall back to the vector-clock oracle,
-// mirroring the transitive-closure node budget.
+// skeleton nodes). Callers over budget fall back to the vector-clock oracle.
 const DefaultSegReachBudget = 64 << 20
 
 // segMinParallelWidth is the level width below which the wavefront stays on
@@ -136,10 +136,10 @@ func (o *SegOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
 	return o.bits[int(aNext)*o.words+int(bPrev)/64]&(1<<(uint(bPrev)%64)) != 0
 }
 
-// SegProber is the resolved-query fast path implemented by the graph-based
-// oracles: the caller maps each query operand to its skeleton fringe once
-// (SegCoords) and probes with the precomputed coordinates, skipping the
-// per-query bounds check and prev/next resolution of Oracle.HB.
+// SegProber is the resolved-query fast path implemented by the two
+// production oracles: the caller maps each query operand to its skeleton
+// fringe once (SegCoords) and probes with the precomputed coordinates,
+// skipping the per-query bounds check and prev/next resolution of Oracle.HB.
 //
 // The contract mirrors the skeleton query mapping: ProbeSeg answers
 // HB(a, b) for a.Rank ≠ b.Rank, where aNext = next(a) and bPrev = prev(b)
@@ -157,18 +157,11 @@ func (g *Graph) SegCoords(ref trace.Ref) (prev, next int32, ok bool) {
 	if !g.inRange(ref) {
 		return 0, 0, false
 	}
-	prev = g.skelPrev(ref)
-	next = prev
-	if int(g.skel.seqs[prev]) != ref.Seq {
-		next = prev + 1
-	}
-	return prev, next, true
+	return g.skelPrev(ref), g.skelNext(ref), true
 }
 
-// Compile-time check: every graph-based oracle offers the resolved probe.
+// Compile-time check: both production oracles offer the resolved probe.
 var (
 	_ SegProber = (*VCOracle)(nil)
-	_ SegProber = (*BFSOracle)(nil)
-	_ SegProber = (*TCOracle)(nil)
 	_ SegProber = (*SegOracle)(nil)
 )

@@ -58,8 +58,8 @@ type skeleton struct {
 	cycleErr   error // set when po ∪ so is cyclic; reported by clock/closure construction
 }
 
-// buildSkeleton populates g.skel from the validated edge list. Called once
-// from Build, after the full-graph CSR exists.
+// buildSkeleton populates g.skel from the range-checked edge list. Called
+// once from BuildCounts.
 func (g *Graph) buildSkeleton(edges []match.Edge) {
 	s := &g.skel
 	nranks := len(g.counts)

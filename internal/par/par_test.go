@@ -62,19 +62,38 @@ func explodingTask(err error) { panic(err) }
 
 func TestDoPanicDrainsPool(t *testing.T) {
 	// After the first panic the pool must stop claiming new indices (drain),
-	// not run the remaining thousands of tasks.
-	var ran atomic.Int64
+	// not run the remaining tasks. Non-panicking tasks block until the panic
+	// has been recorded, so the claimed count does not depend on which
+	// worker the scheduler favours: each worker claims at most one index.
+	// The pool counts a task completed only after its recover handler ran,
+	// and only the panicking task can complete while the others are blocked.
+	const workers, n = 2, 1000
+	r := obs.NewRegistry()
+	completed := r.Counter("par.drain.tasks_completed")
+	recorded := make(chan struct{})
+	go func() {
+		for completed.Value() == 0 {
+			runtime.Gosched()
+		}
+		close(recorded)
+	}()
+	var claimed atomic.Int64
 	func() {
-		defer func() { recover() }()
-		Do(2, 100000, func(i int) {
-			ran.Add(1)
+		defer func() {
+			if recover() == nil {
+				t.Error("panic was swallowed")
+			}
+		}()
+		DoObs(obs.Ctx{R: r}, "drain", workers, n, func(i int) {
+			claimed.Add(1)
 			if i == 0 {
 				panic("stop")
 			}
+			<-recorded
 		})
 	}()
-	if got := ran.Load(); got >= 100000 {
-		t.Fatalf("pool ran all %d tasks after panic", got)
+	if got := claimed.Load(); got < 1 || got > workers {
+		t.Fatalf("pool claimed %d of %d tasks around the panic, want 1..%d", got, n, workers)
 	}
 }
 

@@ -43,7 +43,10 @@ import (
 // canonical record/group/skeleton encodings, or the verdict layout change:
 // the new build then misses cleanly against caches written by the old one
 // instead of replaying stale verdicts.
-const CodeVersion = "verifyio-vcache-v1"
+//
+// v2: default pruning searches a mixed read/write run as two subsequences;
+// v1 verdicts under-counted races on such runs.
+const CodeVersion = "verifyio-vcache-v2"
 
 // Digest is a SHA-256 content digest.
 type Digest = [sha256.Size]byte

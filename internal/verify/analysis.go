@@ -28,12 +28,14 @@ type Algo int
 
 // Algorithms.
 const (
-	// AlgoAuto picks dynamically from the conflict count and graph size —
-	// the paper's future-work "dynamic selection of the verification
-	// algorithm".
+	// AlgoAuto is AlgoSegment; it never selects a reference algorithm.
 	AlgoAuto Algo = iota
 	AlgoVectorClock
+	// AlgoReachability and AlgoOnTheFly are plain per-query references
+	// (§IV-D2, §IV-D4), kept for the ablation and the equivalence tests.
 	AlgoReachability
+	// AlgoTransitiveClosure builds what AlgoSegment builds (§IV-D3 is the
+	// closure of the sync skeleton); only the reported name differs.
 	AlgoTransitiveClosure
 	AlgoOnTheFly
 	// AlgoSegment precomputes the dense segment×segment reachability matrix
@@ -157,11 +159,6 @@ type Analysis struct {
 	// and the segment prober); model independent, shared by every pass.
 	planMu sync.Mutex
 	plan   *opPlan
-
-	// idxMemo memoizes sync indexes across VerifyAll model passes, keyed by
-	// the model's sync-op specification (syncSpecKey).
-	idxMu   sync.Mutex
-	idxMemo map[string]*syncIndex
 }
 
 // NumRanks returns the number of ranks analyzed.
@@ -260,13 +257,6 @@ func (a *Analysis) prefetchRecords(refs []trace.Ref) error {
 	return nil
 }
 
-// autoThresholds: with few conflicts but a huge graph, building clocks costs
-// more than it saves; otherwise vector clocks win (O(1) queries).
-const (
-	autoFewConflicts = 512
-	autoBigGraph     = 200_000
-)
-
 // AnalyzeOptions tunes Analyze.
 type AnalyzeOptions struct {
 	// Workers bounds the goroutines used inside steps 2–3: conflict.Detect
@@ -347,21 +337,14 @@ func AnalyzeOpts(tr *trace.Trace, algo Algo, opts AnalyzeOptions) (*Analysis, er
 	return a, nil
 }
 
-// buildOracle runs auto algorithm selection and happens-before construction
-// for an analysis whose Conflicts, Match and counts are already set — the
-// shared tail of AnalyzeOpts and AnalyzeStream. Only positional facts (the
+// buildOracle resolves AlgoAuto and runs happens-before construction for an
+// analysis whose Conflicts, Match and counts are already set — the shared
+// tail of AnalyzeOpts and AnalyzeStream. Only positional facts (the
 // per-rank counts) are consumed, never the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
 	if algo == AlgoAuto {
-		if a.Conflicts.Pairs < autoFewConflicts && a.NumRecords() > autoBigGraph {
-			algo = AlgoOnTheFly
-		} else {
-			// Graph-backed default: the segment-reachability matrix gives
-			// O(1) bit-probe queries; buildOracle degrades to vector clocks
-			// if the matrix exceeds its byte budget.
-			algo = AlgoSegment
-		}
+		algo = AlgoSegment
 	}
 	a.Algorithm = algo
 
@@ -411,17 +394,7 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		return buildVC()
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
-	case AlgoTransitiveClosure:
-		tc, err := g.TransitiveClosure()
-		if err != nil {
-			// Graph too large for the closure: degrade to BFS
-			// reachability rather than failing the run.
-			a.Oracle = g.Reachability()
-			a.Algorithm = AlgoReachability
-		} else {
-			a.Oracle = tc
-		}
-	case AlgoSegment:
+	case AlgoSegment, AlgoTransitiveClosure:
 		_, segSpan := oc.Start("seg-reach",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
 			obs.Int("levels", g.SkeletonLevels()))
@@ -429,9 +402,8 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		segSpan.End()
 		if err != nil {
 			// Matrix over its byte budget (or skeleton not orderable):
-			// degrade to vector clocks rather than failing the run —
-			// mirroring the transitive-closure fallback above. A cyclic
-			// skeleton still fails, in the clock pass.
+			// degrade to vector clocks rather than failing the run. A
+			// cyclic skeleton still fails, in the clock pass.
 			a.Algorithm = AlgoVectorClock
 			return buildVC()
 		}

@@ -3,7 +3,6 @@ package verify
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/hbgraph"
@@ -20,9 +19,8 @@ import (
 // load), and same-rank queries are a sequence compare.
 //
 // The op plan is model independent and shared by every model pass of
-// VerifyAll (and every warm/dirty vcache chunk); the sync index is keyed by
-// the model's sync-op specification, so models sharing the same spec share
-// one index.
+// VerifyAll (and every warm/dirty vcache chunk); the sync index depends on
+// the model's sync-op classes and is built once per model pass.
 
 // resolvedRef is a pre-resolved query operand: a record's identity plus its
 // skeleton fringe coordinates. next < 0 marks an unresolved operand (no
@@ -36,11 +34,9 @@ type resolvedRef struct {
 // opPlan carries the resolved conflict-op operands and the segment prober
 // for one analysis.
 type opPlan struct {
-	// prober is the oracle's O(1) resolved-probe interface; nil when the
-	// oracle does not expose one (on-the-fly).
+	// prober is the oracle's O(1) resolved-probe interface; nil for the
+	// reference oracles (reachability, on-the-fly), which expose none.
 	prober hbgraph.SegProber
-	// g is the prober's graph, used to resolve operands; nil iff prober is.
-	g *hbgraph.Graph
 	// res holds one resolved operand per op, aligned with Conflicts.Ops.
 	res []resolvedRef
 }
@@ -48,8 +44,8 @@ type opPlan struct {
 // resolve maps one ref onto the plan's coordinate space.
 func (p *opPlan) resolve(ref trace.Ref) resolvedRef {
 	rr := resolvedRef{rank: int32(ref.Rank), seq: int32(ref.Seq), next: -1}
-	if p.g != nil {
-		if prev, next, ok := p.g.SegCoords(ref); ok {
+	if p.prober != nil {
+		if prev, next, ok := p.prober.SegGraph().SegCoords(ref); ok {
 			rr.prev, rr.next = prev, next
 		}
 	}
@@ -65,9 +61,7 @@ func (a *Analysis) queryPlan() *opPlan {
 		return a.plan
 	}
 	p := &opPlan{}
-	if sp, ok := a.Oracle.(hbgraph.SegProber); ok {
-		p.prober, p.g = sp, sp.SegGraph()
-	}
+	p.prober, _ = a.Oracle.(hbgraph.SegProber)
 	ops := a.Conflicts.Ops
 	p.res = make([]resolvedRef, len(ops))
 	for i := range ops {
@@ -134,38 +128,6 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, plan *opPlan) 
 			idx.ranks[c][fid] = ranks
 		}
 	}
-	return idx
-}
-
-// syncSpecKey canonicalizes the part of a model the sync index depends on:
-// the ordered MSC op classes and their function sets. Models with equal keys
-// index the same candidates.
-func syncSpecKey(msc semantics.MSC) string {
-	var b strings.Builder
-	for _, c := range msc.Ops {
-		for _, fn := range c.Funcs {
-			b.WriteString(fn)
-			b.WriteByte(',')
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// syncIndexFor returns the sync index for the model, memoized across the
-// VerifyAll model passes by the model's sync-op specification.
-func (a *Analysis) syncIndexFor(model semantics.Model, plan *opPlan) *syncIndex {
-	key := syncSpecKey(model.MSC)
-	a.idxMu.Lock()
-	defer a.idxMu.Unlock()
-	if idx, ok := a.idxMemo[key]; ok {
-		return idx
-	}
-	idx := buildSyncIndex(a.Conflicts, model, plan)
-	if a.idxMemo == nil {
-		a.idxMemo = make(map[string]*syncIndex)
-	}
-	a.idxMemo[key] = idx
 	return idx
 }
 

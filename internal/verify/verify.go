@@ -3,13 +3,13 @@ package verify
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"verifyio/internal/conflict"
-	"verifyio/internal/hbgraph"
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
@@ -22,7 +22,7 @@ type Options struct {
 	// Model is the consistency model to verify against.
 	Model semantics.Model
 	// Algo selects the happens-before algorithm (Run only; Analysis
-	// carries its own).
+	// carries its own); see the Algo constants for which are references.
 	Algo Algo
 	// DisablePruning turns the Fig. 3 group pruning off (ablation).
 	DisablePruning bool
@@ -187,7 +187,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	start := time.Now()
 	_, idxSpan := oc.Start("sync-index")
 	plan := a.queryPlan()
-	v := &verifier{a: a, opts: opts, oc: oc, idx: a.syncIndexFor(opts.Model, plan), plan: plan}
+	v := &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, plan), plan: plan}
 	v.initGroupState()
 	idxSpan.End()
 	var cs *cacheSession
@@ -236,27 +236,18 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		r.Counter("verify.races").Add(v.raceCount)
 		// Oracle pressure, split out of verify.checks: hb_queries counts
 		// happens-before evaluations actually performed (cache-served chunks
-		// perform none; per-group memo hits re-use earlier evaluations),
+		// perform none),
 		// hb_fast_hits the subset answered by the O(1) resolved segment
 		// probe, hb_fallbacks the subset that took the general Oracle.HB
 		// path. All three are deterministic at any fixed worker count.
 		r.Counter("verify.hb_queries").Add(v.hbQueries)
 		r.Counter("verify.hb_fast_hits").Add(v.hbFast)
 		r.Counter("verify.hb_fallbacks").Add(v.hbFall)
-		// The memo hit/miss split under concurrent queries is
-		// scheduling-dependent; Set (not Add) keeps re-snapshotting after
-		// several model passes idempotent — the gauge always holds the
-		// oracle's cumulative totals.
-		if bfs, ok := a.Oracle.(*hbgraph.BFSOracle); ok {
-			hits, misses := bfs.MemoStats()
-			r.GaugeS("hb.memo_hits", obs.Volatile).Set(hits)
-			r.GaugeS("hb.memo_misses", obs.Volatile).Set(misses)
-		}
 		if opts.Cache != nil {
 			// Volatile: the values depend on cross-run cache state, the
-			// quantity the CI warm gate asserts on. Set (not Add) for the
-			// same idempotence reason as the memo gauges above — the store
-			// carries the cumulative totals across model passes.
+			// quantity the CI warm gate asserts on. Set (not Add) keeps
+			// re-snapshotting after several model passes idempotent — the
+			// store carries the cumulative totals across model passes.
 			hits, misses, dirty := opts.Cache.Stats()
 			r.GaugeS("vcache.hits", obs.Volatile).Set(hits)
 			r.GaugeS("vcache.misses", obs.Volatile).Set(misses)
@@ -309,14 +300,6 @@ type verifier struct {
 	// the binary-search probes.
 	runC0, runCk []resolvedRef
 
-	// Per-(X, candidate) edge memo, version-stamped so a group switch is
-	// O(1): memoFrom caches the MSC's first edge X → candidate_j, memoTo
-	// its last edge candidate_j → X. Within one group sweep those verdicts
-	// recur across every paired Y.
-	memoVer  int32
-	memoFrom []memoCell
-	memoTo   []memoCell
-
 	// Accumulators: merged into the Report after verification. Pairs
 	// carry no call-chain detail — that is materialized once, for the
 	// merged prefix only, so shards never pay for details the cap will
@@ -327,13 +310,6 @@ type verifier struct {
 	hbFall    int64 // …of which answered by the general Oracle.HB path
 	raceCount int64
 	pairs     []racePair // first opts.MaxRaceDetails races, discovery order
-}
-
-// memoCell is one version-stamped memo slot; valid when ver matches the
-// verifier's current group version.
-type memoCell struct {
-	ver int32
-	val bool
 }
 
 // racePair is a raced conflict pair awaiting detail materialization.
@@ -350,7 +326,7 @@ func (v *verifier) initGroupState() {
 }
 
 // setGroup hoists the group-invariant lookups — the file's candidate lists
-// per class — and invalidates the per-group memos.
+// per class — and invalidates the per-group extremes and witness sets.
 func (v *verifier) setGroup(g *conflict.Group) {
 	v.curXi = int32(g.X)
 	fid := v.a.Conflicts.Ops[g.X].FID
@@ -364,7 +340,6 @@ func (v *verifier) setGroup(g *conflict.Group) {
 	}
 	v.xS1set, v.xS2set = false, false
 	v.wFromSet, v.wToSet = false, false
-	v.memoVer++
 }
 
 // buildWFrom computes the forward witness set for the group's X: per rank,
@@ -412,8 +387,14 @@ func (v *verifier) setRun(rank int) {
 // ps implements Def. 6: X properly-synchronizes-before Y. xi and yi are the
 // ops' indices in Conflicts.Ops — the plan's operand space.
 func (v *verifier) ps(x, y *conflict.Op, xi, yi int32) bool {
+	return v.psAs(x.Write, x, y, xi, yi)
+}
+
+// psAs is ps with X judged as a write or as a read whatever its kind; both
+// tests depend on X's position alone.
+func (v *verifier) psAs(asWrite bool, x, y *conflict.Op, xi, yi int32) bool {
 	v.checks++
-	if !x.Write {
+	if !asWrite {
 		// Case 1: a read followed in happens-before order by the
 		// conflicting (write) operation.
 		return v.hbRes(v.plan.res[xi], v.plan.res[yi])
@@ -447,34 +428,6 @@ func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b resolvedRef) bool {
 	return v.hbRes(a, b)
 }
 
-// memoFromAt returns the memoized verdict of the MSC's first edge
-// X → candidate_j, computing it on first use within the current group.
-func (v *verifier) memoFromAt(j int, kind semantics.EdgeKind, x, cand resolvedRef) bool {
-	if j >= len(v.memoFrom) {
-		v.memoFrom = append(v.memoFrom, make([]memoCell, j+1-len(v.memoFrom))...)
-	}
-	c := &v.memoFrom[j]
-	if c.ver != v.memoVer {
-		c.ver = v.memoVer
-		c.val = v.edgeRes(kind, x, cand)
-	}
-	return c.val
-}
-
-// memoToAt returns the memoized verdict of the MSC's last edge
-// candidate_j → X, computing it on first use within the current group.
-func (v *verifier) memoToAt(j int, kind semantics.EdgeKind, cand, x resolvedRef) bool {
-	if j >= len(v.memoTo) {
-		v.memoTo = append(v.memoTo, make([]memoCell, j+1-len(v.memoTo))...)
-	}
-	c := &v.memoTo[j]
-	if c.ver != v.memoVer {
-		c.ver = v.memoVer
-		c.val = v.edgeRes(kind, cand, x)
-	}
-	return c.val
-}
-
 // mscExists searches for an instance of the model's MSC between x and y,
 // with every synchronization operation acting on the conflicting file.
 func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
@@ -486,7 +439,7 @@ func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
 		return v.edgeRes(msc.Edges[0], xr, yr)
 	}
 	if v.opts.DisableFastPaths {
-		return v.mscDFS(msc, 0, xr, xi, yi, yr)
+		return v.mscDFS(msc, 0, xr, yr)
 	}
 	// Fast path for the Table I shapes.
 	switch {
@@ -564,37 +517,17 @@ func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
 		return v.hbRes(s1, s2)
 	}
 	// Generic DFS for custom models.
-	return v.mscDFS(msc, 0, xr, xi, yi, yr)
+	return v.mscDFS(msc, 0, xr, yr)
 }
 
 // mscDFS anchors MSC element pos (0-based sync-op position) given the
-// previously anchored operand. The first- and last-edge verdicts touching
-// the group's X share the fast paths' per-group memos.
-func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev resolvedRef, xi, yi int32, yr resolvedRef) bool {
-	k := msc.K()
-	if pos == k {
-		return v.edgeRes(msc.Edges[k], prev, yr)
+// previously anchored operand.
+func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr resolvedRef) bool {
+	if pos == msc.K() {
+		return v.edgeRes(msc.Edges[pos], prev, yr)
 	}
-	cands := v.gFile[pos]
-	useFrom := pos == 0 && xi == v.curXi
-	useTo := pos == k-1 && yi == v.curXi
-	for j := range cands {
-		var ok bool
-		if useFrom {
-			ok = v.memoFromAt(j, msc.Edges[0], prev, cands[j])
-		} else {
-			ok = v.edgeRes(msc.Edges[pos], prev, cands[j])
-		}
-		if !ok {
-			continue
-		}
-		if useTo {
-			if v.memoToAt(j, msc.Edges[k], cands[j], yr) {
-				return true
-			}
-			continue
-		}
-		if v.mscDFS(msc, pos+1, cands[j], xi, yi, yr) {
+	for _, cand := range v.gFile[pos] {
+		if v.edgeRes(msc.Edges[pos], prev, cand) && v.mscDFS(msc, pos+1, cand, yr) {
 			return true
 		}
 	}
@@ -633,7 +566,7 @@ func (v *verifier) verifyGroups(lo, hi int) {
 }
 
 // verifyRun applies the Fig. 3 pruning to one (X, ζ_r) run, generalized to
-// a pair of binary searches over the two monotone predicates:
+// binary searches over monotone predicates:
 //
 //   - X ps Y_i is monotone non-decreasing in i (rules 1 and 3): an MSC to
 //     Y_i extends to any later Y_j by program order.
@@ -645,16 +578,39 @@ func (v *verifier) verifyGroups(lo, hi int) {
 // Each of the paper's four scenarios is the degenerate case where a search
 // terminates after one probe; in general the run costs O(log n) checks
 // instead of n.
+//
+// The second predicate is monotone only among Ys of one kind: a read Y needs
+// Y hb X, a write Y a whole MSC, so a synchronized read may follow an
+// unsynchronized write. Both tests depend on Y's position alone, so a run
+// mixing kinds is searched once per test, each over the whole run. Kinds
+// face different tests only when X is a write (a read X conflicts with
+// writes only) and the MSC is more than plain hb (POSIX's is not).
 func (v *verifier) verifyRun(x *conflict.Op, xi int32, ys []int32) {
 	ops := v.a.Conflicts.Ops
 	n := len(ys)
 	// iF: first index with X ps Y_i (n when none).
 	iF := sort.Search(n, func(i int) bool { return v.ps(x, &ops[ys[i]], xi, ys[i]) })
-	// iG: first index where Y_i ps X stops holding; indices < iG hold.
-	iG := sort.Search(n, func(i int) bool { return !v.ps(&ops[ys[i]], x, ys[i], xi) })
-	// Pairs in [iG, iF) are synchronized in neither direction.
-	for i := iG; i < iF; i++ {
-		v.recordRace(x, &ops[ys[i]])
+	// firstNot: first index where Y_i ps X stops holding, every Y judged as
+	// a write or as a read; indices below it hold.
+	firstNot := func(asWrite bool) int {
+		return sort.Search(n, func(i int) bool { return !v.psAs(asWrite, &ops[ys[i]], x, ys[i], xi) })
+	}
+	kind := ops[ys[0]].Write
+	msc := v.opts.Model.MSC
+	if !x.Write || (msc.K() == 0 && msc.Edges[0] == semantics.HB) ||
+		!slices.ContainsFunc(ys, func(yi int32) bool { return ops[yi].Write != kind }) {
+		// One kind: pairs in [iG, iF) are synchronized in neither direction.
+		for i := firstNot(kind); i < iF; i++ {
+			v.recordRace(x, &ops[ys[i]])
+		}
+		return
+	}
+	// An MSC implies hb, so iW <= iR: writes race from iW, reads from iR.
+	iW, iR := firstNot(true), firstNot(false)
+	for i := iW; i < iF; i++ {
+		if y := &ops[ys[i]]; y.Write || i >= iR {
+			v.recordRace(x, y)
+		}
 	}
 }
 

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"verifyio/internal/conflict"
+	"verifyio/internal/hbgraph"
+	"verifyio/internal/match"
+	"verifyio/internal/obs"
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
 	"verifyio/internal/sim/mpiio"
@@ -246,59 +250,6 @@ func TestUnmatchedMPIAbortsVerification(t *testing.T) {
 	}
 }
 
-func TestPruningMatchesExhaustive(t *testing.T) {
-	// A group with many conflicting ops on the other rank: pruning must
-	// give identical races with far fewer checks.
-	prog := func(r *recorder.Rank) error {
-		c := r.Proc().CommWorld()
-		fd, err := r.Open("big.dat", posixfs.ORdwr|posixfs.OCreate)
-		if err != nil {
-			return err
-		}
-		if r.Rank() == 0 {
-			if _, err := r.Pwrite(fd, make([]byte, 1024), 0); err != nil {
-				return err
-			}
-			if err := r.Fsync(fd); err != nil {
-				return err
-			}
-		}
-		if err := r.Barrier(c); err != nil {
-			return err
-		}
-		if r.Rank() == 1 {
-			for i := int64(0); i < 40; i++ {
-				if _, err := r.Pread(fd, 16, i*16); err != nil {
-					return err
-				}
-			}
-		}
-		return r.Close(fd)
-	}
-	tr := runTraced(t, 2, prog)
-	for _, model := range semantics.All() {
-		a, err := Analyze(tr, AlgoVectorClock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := a.Verify(Options{Model: model})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exhaustive, err := a.Verify(Options{Model: model, DisablePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pruned.RaceCount != exhaustive.RaceCount {
-			t.Errorf("%s: pruned %d races vs exhaustive %d", model.Name, pruned.RaceCount, exhaustive.RaceCount)
-		}
-		if pruned.ChecksPerformed >= exhaustive.ChecksPerformed {
-			t.Errorf("%s: pruning performed %d checks, exhaustive %d — no reduction",
-				model.Name, pruned.ChecksPerformed, exhaustive.ChecksPerformed)
-		}
-	}
-}
-
 func TestRaceReportCarriesCallChains(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	rep, err := Run(tr, Options{Model: semantics.MPIIOModel(), Algo: AlgoVectorClock})
@@ -360,9 +311,44 @@ func TestAutoAlgorithmSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Graph-backed traces: auto picks the segment-reachability oracle.
+	// Auto picks the segment-reachability oracle...
 	if a.Algorithm != AlgoSegment {
 		t.Errorf("auto picked %v, want segment", a.Algorithm)
+	}
+	// ...also on a huge trace with no conflicts: it never selects a
+	// reference algorithm.
+	big := trace.New(1)
+	for i := 0; i < 200_001; i++ {
+		big.Append(trace.Record{Rank: 0, Func: "op", Layer: trace.LayerPOSIX,
+			Tick: int64(2*i + 1), Ret: int64(2*i + 2)})
+	}
+	if a, err = Analyze(big, AlgoAuto); err != nil {
+		t.Fatal(err)
+	}
+	if a.Algorithm != AlgoSegment {
+		t.Errorf("auto picked %v on a conflict-free %d-record trace, want segment", a.Algorithm, big.NumRecords())
+	}
+}
+
+// TestClosureOverBudgetFallsBackToVectorClocks: every name that builds the
+// skeleton closure degrades to vector clocks, and says so, when the matrix
+// exceeds its byte budget.
+func TestClosureOverBudgetFallsBackToVectorClocks(t *testing.T) {
+	// 2 × 16 385 chained sync endpoints: a 32 770-node skeleton, ~134 MB of
+	// closure against the 64 MiB default budget.
+	const per = 1<<14 + 1
+	edges := make([]match.Edge, 0, per-1)
+	for i := 0; i+1 < per; i++ {
+		edges = append(edges, match.Edge{From: trace.Ref{Rank: 0, Seq: i}, To: trace.Ref{Rank: 1, Seq: i + 1}})
+	}
+	for _, algo := range []Algo{AlgoAuto, AlgoSegment, AlgoTransitiveClosure} {
+		a := &Analysis{counts: []int{per, per}, Conflicts: &conflict.Result{}, Match: &match.Result{Edges: edges}}
+		if err := a.buildOracle(algo, 1, obs.Ctx{}); err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if _, ok := a.Oracle.(*hbgraph.VCOracle); !ok || a.Algorithm != AlgoVectorClock {
+			t.Errorf("%v over budget: oracle %T reported as %v, want vector clocks", algo, a.Oracle, a.Algorithm)
+		}
 	}
 }
 

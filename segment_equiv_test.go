@@ -29,7 +29,7 @@ func algoFreeFingerprint(t *testing.T, rep *verify.Report) []byte {
 // TestSegmentOracleReportEquivalenceCorpus is the acceptance gate for the
 // segment-reachability oracle and the resolved query plan: on every corpus
 // trace, verification through the segment oracle must produce byte-identical
-// reports to all four pre-existing oracles, across all models, at every
+// reports to every other algorithm name, across all models, at every
 // worker count, and with the Table I fast paths disabled (which exercises the
 // generic DFS over the same resolved plan).
 func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {

@@ -355,9 +355,12 @@ func RunCorpusTest(name string) (*Trace, error) {
 type Options struct {
 	// Algorithm selects the happens-before algorithm: "auto" (default),
 	// "vector-clock", "reachability", "transitive-closure", "on-the-fly",
-	// "segment". Auto prefers the segment-reachability oracle (O(1) probes
-	// over the skeleton's segment×segment closure) and falls back to
-	// vector clocks when the closure exceeds its byte budget.
+	// "segment". "auto", "segment" and "transitive-closure" all build the
+	// segment-reachability oracle (O(1) probes over the sync skeleton's
+	// transitive closure) and fall back to vector clocks — reporting
+	// "vector-clock" — when the closure exceeds its byte budget; auto never
+	// picks another algorithm. "reachability" and "on-the-fly" are plain
+	// per-query reference implementations, kept for the §IV-D ablation.
 	Algorithm string
 	// DisablePruning turns off the conflict-group pruning (Fig. 3).
 	DisablePruning bool

@@ -121,8 +121,11 @@ type sweepCell struct {
 // base trace cold, re-verify it fully warm, then re-verify the same trace
 // with ~1% of operations appended — the incremental case the cache exists
 // for. Cells time the verification stage only (all four models, serial);
-// analysis is shared and excluded. -check enforces the contract: a warm run
-// never misses, and the append run costs at most 10% of cold.
+// analysis is shared and excluded. -check enforces the contract on chunk
+// counts: a warm run never misses, and the append run re-verifies at most 5%
+// of the plan (wall time is only a coarse bound here; the end-to-end cost
+// of an append is vcache.append_ms against vcache.nocache_ms on the reverify
+// workload of BENCHMARK.json).
 type cacheBench struct {
 	Ranks         int         `json:"ranks"`
 	BaseRecords   int         `json:"base_records"`
@@ -1260,7 +1263,9 @@ func checkSweep(sb *sweepBench, gomaxprocs int) error {
 
 // checkCache enforces the incremental-verification contract on the cache
 // cells: all three present, a warm run never misses, a cold run never hits,
-// and re-verifying after a ~1% append costs at most 10% of a cold run.
+// and re-verifying after a ~1% append misses on at most 5% of the chunks
+// (the end-to-end cost of an append is measured elsewhere: vcache.append_ms
+// against vcache.nocache_ms on the reverify workload of BENCHMARK.json).
 func checkCache(cb *cacheBench) error {
 	if cb == nil {
 		return fmt.Errorf("missing cache cells")

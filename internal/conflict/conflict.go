@@ -65,6 +65,11 @@ type SyncPoint struct {
 type Result struct {
 	// Ops are all data operations, ordered by (rank, seq).
 	Ops []Op
+	// Sigs holds each distinct call signature of a data operation once, in
+	// order of first use (rank-major); OpSig[i] indexes the signature of
+	// Ops[i].
+	Sigs  []Sig
+	OpSig []int32
 	// Files maps fid -> path.
 	Files []string
 	// Syncs are the synchronization-relevant records, ordered by
@@ -135,6 +140,7 @@ func finishShards(shards []*rankShard, workers int, oc obs.Ctx) (*Result, error)
 	detectPairs(res, workers, oc)
 	if r := oc.R; r != nil {
 		r.Counter("conflict.ops").Add(int64(len(res.Ops)))
+		r.Gauge("conflict.signatures").Set(int64(len(res.Sigs)))
 		r.Counter("conflict.syncs").Add(int64(len(res.Syncs)))
 		r.Counter("conflict.skipped").Add(int64(res.Skipped))
 		r.Counter("conflict.files").Add(int64(len(res.Files)))
@@ -206,6 +212,8 @@ type localKey struct {
 // rewrites them to canonical file ids.
 type rankShard struct {
 	ops     []Op
+	sigs    *sigTable // the rank's signatures
+	opSig   []int32   // parallel to ops, into sigs
 	syncs   []SyncPoint
 	keys    []localKey     // local fid -> identity, in first-use order
 	unlinks map[string]int // path -> total unlinks on this rank
@@ -225,7 +233,7 @@ type rankReplayer struct {
 
 func newRankReplayer() *rankReplayer {
 	return &rankReplayer{
-		sh:      &rankShard{unlinks: make(map[string]int)},
+		sh:      &rankShard{unlinks: make(map[string]int), sigs: newSigTable()},
 		fids:    make(map[localKey]int),
 		handles: make(map[string]*handleState),
 		eof:     make(map[int]int64),
@@ -259,6 +267,8 @@ func (rp *rankReplayer) addOp(rec *trace.Record, fid int, write bool, start, n i
 		Ref: trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
 		FID: fid, Write: write, Start: start, End: start + n,
 	})
+	rp.sh.opSig = append(rp.sh.opSig, rp.sh.sigs.intern(
+		Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain}))
 	if write {
 		rp.growEOF(fid, start+n)
 	}
@@ -529,7 +539,9 @@ func mergeShards(shards []*rankShard) *Result {
 		res.Skipped += sh.skipped
 	}
 	res.Ops = make([]Op, 0, nops)
+	res.OpSig = make([]int32, 0, nops)
 	res.Syncs = make([]SyncPoint, 0, nsyncs)
+	sigs := newSigTable()
 
 	canon := make(map[localKey]int)
 	genBefore := make(map[string]int)
@@ -556,7 +568,17 @@ func mergeShards(shards []*rankShard) *Result {
 			sp.FID = remap[sp.FID]
 			res.Syncs = append(res.Syncs, sp)
 		}
+		// Signatures canonicalize like file ids: numbered on first sight in
+		// the rank-major walk.
+		sigMap := make([]int32, len(sh.sigs.sigs))
+		for i, sg := range sh.sigs.sigs {
+			sigMap[i] = sigs.intern(sg)
+		}
+		for _, si := range sh.opSig {
+			res.OpSig = append(res.OpSig, sigMap[si])
+		}
 	}
+	res.Sigs = sigs.sigs
 	return res
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -185,6 +186,11 @@ type decoder struct {
 	rank    int
 	record  int
 
+	// slab is the unused tail of the current string-slice slab; records'
+	// Args and Chain are carved from it (see strSlice).
+	slab    []string
+	slabCap int
+
 	spans bool // record layout spans (Layout)
 	marks []Span
 }
@@ -227,7 +233,20 @@ func (d *decoder) byteField() (byte, error) {
 	return b, nil
 }
 
+// uvarint reads one varint. When a whole maximum-length varint is already
+// buffered it is decoded straight from the buffer; anything the fast path
+// cannot accept (a short buffer, an over-long varint) takes the byte-at-a-time
+// path, which alone produces errors — so offsets and error classes do not
+// depend on which path ran.
 func (d *decoder) uvarint() (uint64, error) {
+	if d.br.Buffered() >= binary.MaxVarintLen64 {
+		p, _ := d.br.Peek(binary.MaxVarintLen64)
+		if v, n := binary.Uvarint(p); n > 0 {
+			d.br.Discard(n)
+			d.off += int64(n)
+			return v, nil
+		}
+	}
 	v, err := binary.ReadUvarint(d)
 	if err != nil {
 		// EOF mid-stream means truncation; a >64-bit varint is corruption.
@@ -244,24 +263,109 @@ func (d *decoder) charge(n int64) error {
 	return nil
 }
 
-func (d *decoder) str() (string, error) {
+// strLen reads, bounds and charges the length prefix of one string.
+func (d *decoder) strLen() (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.lim.MaxStringLen) {
+		return 0, d.fail(LimitExceeded, fmt.Errorf("string length %d exceeds limit %d", n, d.lim.MaxStringLen))
+	}
+	if err := d.charge(int64(n) + stringOverhead); err != nil {
+		return 0, err
+	}
+	return int(n), nil
+}
+
+// strBody fills buf with the next len(buf) payload bytes.
+func (d *decoder) strBody(buf []byte) error {
+	if _, err := io.ReadFull(d.br, buf); err != nil {
+		return d.fail(classifyIO(err), fmt.Errorf("string body: %w", err))
+	}
+	d.off += int64(len(buf))
+	return nil
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.strLen()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(d.lim.MaxStringLen) {
-		return "", d.fail(LimitExceeded, fmt.Errorf("string length %d exceeds limit %d", n, d.lim.MaxStringLen))
-	}
-	if err := d.charge(int64(n) + stringOverhead); err != nil {
+	buf := make([]byte, n)
+	if err := d.strBody(buf); err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.br, buf); err != nil {
-		return "", d.fail(classifyIO(err), fmt.Errorf("string body: %w", err))
-	}
-	d.off += int64(n)
 	return string(buf), nil
 }
+
+// String-table entries are read into chunks of at most strChunk bytes; each
+// chunk becomes one string and its entries substrings of it, so the table
+// costs one allocation per chunk instead of two per entry. The chunk is also
+// what a retained entry keeps alive, hence the small size. Longer strings
+// get a chunk of their own.
+const strChunk = 4 << 10
+
+// strTable decodes n string-table entries.
+func (d *decoder) strTable(n int) ([]string, error) {
+	strs := make([]string, 0, capHint(uint64(n), d.hintMax(stringOverhead, 1<<16)))
+	var chunk []byte
+	var ends []int // end offset in chunk of each entry since the last seal
+	seal := func() {
+		whole, start := string(chunk), 0
+		for _, end := range ends {
+			strs = append(strs, whole[start:end])
+			start = end
+		}
+		chunk, ends = chunk[:0], ends[:0]
+	}
+	for i := 0; i < n; i++ {
+		sz, err := d.strLen()
+		if err != nil {
+			return nil, err
+		}
+		if len(chunk)+sz > strChunk {
+			seal()
+		}
+		at := len(chunk)
+		chunk = slices.Grow(chunk, sz)[:at+sz]
+		if err := d.strBody(chunk[at:]); err != nil {
+			return nil, err
+		}
+		ends = append(ends, at+sz)
+	}
+	seal()
+	return strs, nil
+}
+
+// strAt resolves a string-table index.
+func (d *decoder) strAt(strs []string, i uint64) (string, error) {
+	if i >= uint64(len(strs)) {
+		return "", d.fail(Corrupt, fmt.Errorf("string index %d out of table (%d entries)", i, len(strs)))
+	}
+	return strs[i], nil
+}
+
+// strSlice returns a zeroed []string of length n for one record's Args or
+// Chain, carved from a slab so a record costs no allocation of its own. The
+// slab is never reused — a carved slice stays valid for as long as anything
+// references it, whatever happens to the batch buffer its record sat in —
+// and the three-index slice keeps an append from running into a neighbour.
+// Slabs double up to slabMax strings, so a short trace pays for a short slab.
+func (d *decoder) strSlice(n int) []string {
+	if n > slabMax/4 {
+		return make([]string, n)
+	}
+	if len(d.slab) < n {
+		d.slabCap = min(max(2*d.slabCap, 64, n), slabMax)
+		d.slab = make([]string, d.slabCap)
+	}
+	out := d.slab[:n:n]
+	d.slab = d.slab[n:]
+	return out
+}
+
+const slabMax = 4096
 
 func (d *decoder) span(name string, rank, index int, start int64) {
 	if d.spans {
@@ -418,84 +522,83 @@ func (d *decoder) decodeTrace(tolerate bool) (*Trace, *DecodeStats, error) {
 	return t, stats, nil
 }
 
-func (d *decoder) decodeRecord(str func(uint64) (string, error), rank, seq int, lastRet *int64) (Record, error) {
-	var rec Record
+// decodeRecord decodes the next record into *rec, overwriting every field
+// (rec may be a recycled batch slot). On error *rec is garbage.
+func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRet *int64) error {
 	rec.Rank, rec.Seq = rank, seq
 	fi, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
-	if rec.Func, err = str(fi); err != nil {
-		return rec, err
+	if rec.Func, err = d.strAt(strs, fi); err != nil {
+		return err
 	}
 	lb, err := d.byteField()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	rec.Layer = Layer(lb)
 	depthStart := d.off
 	depth, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	if depth > uint64(d.lim.MaxDepth) {
-		return rec, d.fail(LimitExceeded, fmt.Errorf("call depth %d exceeds limit %d", depth, d.lim.MaxDepth))
+		return d.fail(LimitExceeded, fmt.Errorf("call depth %d exceeds limit %d", depth, d.lim.MaxDepth))
 	}
-	d.span("depth", rank, seq, depthStart)
+	d.span("depth", d.rank, seq, depthStart)
 	rec.Depth = int(depth)
 	dt, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	rec.Ret = *lastRet + int64(dt)
 	dr, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	rec.Tick = rec.Ret - int64(dr)
 	*lastRet = rec.Ret
 	si, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
-	if rec.Site, err = str(si); err != nil {
-		return rec, err
+	if rec.Site, err = d.strAt(strs, si); err != nil {
+		return err
 	}
 	nargs, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	if nargs > uint64(d.lim.MaxArgs) {
-		return rec, d.fail(LimitExceeded, fmt.Errorf("arg count %d exceeds limit %d", nargs, d.lim.MaxArgs))
+		return d.fail(LimitExceeded, fmt.Errorf("arg count %d exceeds limit %d", nargs, d.lim.MaxArgs))
 	}
 	if err := d.charge(recordOverhead + int64(nargs+depth)*sliceEntryOverhead); err != nil {
-		return rec, err
+		return err
 	}
-	if nargs > 0 {
-		rec.Args = make([]string, nargs)
-		for a := range rec.Args {
-			ai, err := d.uvarint()
-			if err != nil {
-				return rec, err
-			}
-			if rec.Args[a], err = str(ai); err != nil {
-				return rec, err
-			}
+	if rec.Args, err = d.strRefs(strs, int(nargs)); err != nil {
+		return err
+	}
+	rec.Chain, err = d.strRefs(strs, rec.Depth)
+	return err
+}
+
+// strRefs decodes n string-table references; nil when n is zero.
+func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	out := d.strSlice(n)
+	for i := range out {
+		si, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = d.strAt(strs, si); err != nil {
+			return nil, err
 		}
 	}
-	if rec.Depth > 0 {
-		rec.Chain = make([]string, rec.Depth)
-		for c := range rec.Chain {
-			ci, err := d.uvarint()
-			if err != nil {
-				return rec, err
-			}
-			if rec.Chain[c], err = str(ci); err != nil {
-				return rec, err
-			}
-		}
-	}
-	return rec, nil
+	return out, nil
 }
 
 // validRecordPrefix returns the length of the longest prefix of rs that
@@ -554,7 +657,7 @@ func WriteDir(dir string, t *Trace, opts EncodeOptions) error {
 		}
 		sub.Meta["verifyio.rank"] = fmt.Sprint(rank)
 		sub.Meta["verifyio.nranks"] = fmt.Sprint(len(t.Ranks))
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("rank-%d.viot", rank)))
+		f, err := os.Create(filepath.Join(dir, rankFileName(rank)))
 		if err != nil {
 			return err
 		}
@@ -568,6 +671,9 @@ func WriteDir(dir string, t *Trace, opts EncodeOptions) error {
 	}
 	return nil
 }
+
+// rankFileName is the name of a rank's file inside a trace directory.
+func rankFileName(rank int) string { return fmt.Sprintf("rank-%d.viot", rank) }
 
 // ReadDir loads a trace directory written by WriteDir, with default options.
 func ReadDir(dir string) (*Trace, error) {

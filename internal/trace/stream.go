@@ -36,8 +36,8 @@ import (
 const DefaultWindowBytes = 4 << 20
 
 // WindowUnbounded disables batch windowing: each rank arrives as a single
-// batch (the materializing wrapper uses this to preserve its one-allocation-
-// per-rank profile).
+// batch (the materializing wrapper keeps that batch's buffer as the rank's
+// record slice, so it never copies a decoded rank).
 const WindowUnbounded = -1
 
 // StreamOptions controls streaming ingestion. DecodeOptions (Limits,
@@ -80,9 +80,7 @@ func (b *Batch) Release() {
 	}
 	s := b.s
 	s.resident -= b.cost
-	if cap(b.Recs) > 0 {
-		s.pool = append(s.pool, b.Recs[:0])
-	}
+	s.putBuf(b.Recs)
 	b.s = nil
 	b.Recs = nil
 }
@@ -99,7 +97,7 @@ type Stream struct {
 
 	// Directory mode (OpenStream): one single-rank file per world rank.
 	dir      string
-	names    map[int]string // world rank -> file name (parseable names only)
+	names    map[int]string // world rank -> file name (exactly the names WriteDir gives)
 	order    []int          // ranks with readable files, ascending
 	idx      int            // next index into order
 	failed   map[int]error  // tolerate: files that salvaged nothing
@@ -220,8 +218,13 @@ func (s *Stream) scanDir() error {
 	}
 	maxRank := -1
 	for _, e := range entries {
+		// Only the exact name WriteDir gives a rank counts. Sscanf alone
+		// accepts any suffix and non-canonical digits, and a backup or a
+		// partial copy ("rank-3.viot~", "rank-03.viot") must never stand in
+		// for the rank's file.
 		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil {
+		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil ||
+			rank < 0 || e.Name() != rankFileName(rank) {
 			continue
 		}
 		s.names[rank] = e.Name()
@@ -249,9 +252,7 @@ func (s *Stream) scanDir() error {
 			continue
 		}
 		readable++
-		if rank >= 0 {
-			s.order = append(s.order, rank)
-		}
+		s.order = append(s.order, rank)
 		if n := meta["verifyio.nranks"]; n != "" {
 			fmt.Sscanf(n, "%d", &nranks)
 		}
@@ -398,8 +399,10 @@ func (s *Stream) Next() (*Batch, error) {
 func (s *Stream) nextSingle() (*Batch, error) {
 	src := s.single
 	for {
-		b, err := src.ps.nextBatch(s.takeBuf(), s.window)
+		buf := s.takeBuf()
+		b, err := src.ps.nextBatch(buf, s.window)
 		if err == io.EOF {
+			s.putBuf(buf)
 			stats, ferr := src.ps.finish()
 			if ferr == nil && !s.opts.Tolerate {
 				ferr = src.d.checkTrailer(src.fr)
@@ -436,8 +439,10 @@ func (s *Stream) nextDir() (*Batch, error) {
 				continue // recorded in failed[rank]
 			}
 		}
-		b, err := s.cur.ps.nextBatch(s.takeBuf(), s.window)
+		buf := s.takeBuf()
+		b, err := s.cur.ps.nextBatch(buf, s.window)
 		if err == io.EOF {
+			s.putBuf(buf) // the end of a payload uses no buffer
 			if err := s.closeRank(); err != nil {
 				return nil, err
 			}
@@ -453,19 +458,14 @@ func (s *Stream) nextDir() (*Batch, error) {
 		// Each file is a single-rank trace; batches for any other in-file
 		// rank are decoded (for error fidelity) but not part of the world
 		// trace.
-		if b.rank != 0 {
-			if cap(b.recs) > 0 {
-				s.pool = append(s.pool, b.recs[:0])
-			}
+		if b.rank != s.curRank {
+			s.putBuf(b.recs)
 			continue
 		}
 		if len(b.recs) == 0 {
 			continue
 		}
-		for i := range b.recs {
-			b.recs[i].Rank = s.curRank
-		}
-		return &Batch{Rank: s.curRank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
+		return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
 	}
 }
 
@@ -495,6 +495,7 @@ func (s *Stream) openRank(rank int) error {
 		return fmt.Errorf("trace: %s: %w", name, err)
 	}
 	src.f = f
+	src.ps.rankOff = rank
 	s.cur, s.curRank, s.rankSpan = src, rank, rankSpan
 	return nil
 }
@@ -617,6 +618,12 @@ func (s *Stream) Close() error {
 	return nil
 }
 
+func (s *Stream) putBuf(buf []Record) {
+	if cap(buf) > 0 {
+		s.pool = append(s.pool, buf[:0])
+	}
+}
+
 func (s *Stream) takeBuf() []Record {
 	if n := len(s.pool); n > 0 {
 		buf := s.pool[n-1]
@@ -650,8 +657,11 @@ type payloadStream struct {
 
 	meta   map[string]string
 	strs   []string
-	str    func(uint64) (string, error)
 	nranks int
+	// rankOff is added to the in-file rank to give Record.Rank and the batch
+	// rank: a directory's single-rank files decode straight to their world
+	// rank. Errors and salvage entries keep the in-file rank.
+	rankOff int
 
 	// Cursor state for the records section.
 	rank    int  // current rank; nranks once the section is exhausted
@@ -699,22 +709,10 @@ func newPayloadStream(d *decoder, tolerate bool) (*payloadStream, error) {
 		return nil, d.fail(LimitExceeded, fmt.Errorf("string table size %d exceeds limit %d", nstrs, d.lim.MaxStrings))
 	}
 	d.span("string-count", -1, -1, sectionStart)
-	strs := make([]string, 0, capHint(nstrs, d.hintMax(stringOverhead, 1<<16)))
-	for i := uint64(0); i < nstrs; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		strs = append(strs, s)
+	if ps.strs, err = d.strTable(int(nstrs)); err != nil {
+		return nil, err
 	}
 	d.span("string-table", -1, -1, sectionStart)
-	ps.strs = strs
-	ps.str = func(i uint64) (string, error) {
-		if i >= uint64(len(strs)) {
-			return "", d.fail(Corrupt, fmt.Errorf("string index %d out of table (%d entries)", i, len(strs)))
-		}
-		return strs[i], nil
-	}
 
 	d.section = "records"
 	sectionStart = d.off
@@ -784,25 +782,26 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 			ps.validRet = -1
 			ps.cut = -1
 		}
-		b := rawBatch{rank: ps.rank, start: ps.next}
-		if buf != nil {
-			b.recs = buf[:0]
-			buf = nil
-		} else if left := ps.nrec - ps.next; left > 0 {
-			hint := capHint(uint64(left), d.hintMax(recordOverhead, 1<<14))
-			if maxCost > 0 {
-				if w := int(maxCost/recordOverhead) + 1; w < hint {
-					hint = w
-				}
-			}
-			b.recs = make([]Record, 0, hint)
+		b := rawBatch{rank: ps.rank + ps.rankOff, start: ps.next, recs: buf[:0]}
+		buf = nil
+		// room is the most records this batch can take: each costs at least
+		// recordOverhead, and the batch closes once its cost reaches maxCost.
+		room := ps.nrec - ps.next
+		if maxCost > 0 {
+			room = min(room, int(maxCost/recordOverhead)+1)
 		}
 		for ps.next < ps.nrec {
 			d.record = ps.next
 			recStart := d.off
 			budget0 := d.budget
-			rec, err := d.decodeRecord(ps.str, ps.rank, ps.next, &ps.lastRet)
-			if err != nil {
+			// Decode in place into the slot past the batch's tail; the slot
+			// joins the batch only if the record decodes and is valid.
+			n := len(b.recs)
+			if n == cap(b.recs) {
+				b.recs = d.growRecs(b.recs, room)
+			}
+			rec := &b.recs[:n+1][n]
+			if err := d.decodeRecord(rec, ps.strs, b.rank, ps.next, &ps.lastRet); err != nil {
 				if !ps.tolerate {
 					return rawBatch{}, err
 				}
@@ -829,11 +828,11 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 				if rec.Ret <= ps.validRet || rec.Ret < rec.Tick || rec.Tick < 0 {
 					ps.cut = ps.next - 1
 					if !ps.tolerate && ps.violation == nil {
-						ps.violation = invariantError(ps.rank, ps.next-1, &rec, ps.validRet)
+						ps.violation = invariantError(ps.rank, ps.next-1, rec, ps.validRet)
 					}
 				} else {
 					ps.validRet = rec.Ret
-					b.recs = append(b.recs, rec)
+					b.recs = b.recs[:n+1]
 					b.cost += cost
 				}
 			}
@@ -857,6 +856,33 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 			return b, nil
 		}
 	}
+}
+
+// A record buffer starts at no more than minRecCap records and grows by
+// recGrowth: an honest rank allocates about recGrowth/(recGrowth-1) times its
+// records in total, and a count field promising records the stream does not
+// hold costs at most recGrowth times what was actually decoded (plus one
+// minimal buffer) — never a buffer sized by the promise.
+const (
+	minRecCap = 64
+	recGrowth = 4
+)
+
+// growRecs returns recs with spare capacity: recGrowth times the old one,
+// clamped to want — the most records the batch can come to hold — and to
+// what the remaining payload budget could still pay for. The first capacity
+// is want divided down to minRecCap, so growth lands on want exactly.
+func (d *decoder) growRecs(recs []Record, want int) []Record {
+	n := recGrowth * cap(recs)
+	if n == 0 {
+		for n = want; n > minRecCap; n = (n + recGrowth - 1) / recGrowth {
+		}
+	}
+	n = min(n, want, len(recs)+int(d.budget/recordOverhead))
+	n = max(n, len(recs)+1)
+	out := make([]Record, len(recs), n)
+	copy(out, recs)
+	return out
 }
 
 // finish completes the payload decode: strict mode reports the deferred

@@ -355,3 +355,52 @@ func TestBatchReleaseIdempotent(t *testing.T) {
 	var nb *Batch
 	nb.Release()
 }
+
+// TestStrayFilesNeverReplaceARank: only the exact name WriteDir gives a rank
+// is that rank's file. An editor backup, an interrupted copy or a
+// zero-padded twin sitting next to it must not be read in its place — it
+// used to be, silently, because the name was parsed with Sscanf alone and
+// the directory listing put the stray after the real file.
+func TestStrayFilesNeverReplaceARank(t *testing.T) {
+	tr := streamTestTrace(t, 3, 60)
+	dir := t.TempDir()
+	if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	for stray, from := range map[string]string{
+		"rank-0.viot.bak": "rank-0.viot",
+		"rank-01.viot":    "rank-1.viot",
+		"rank-+1.viot":    "rank-1.viot",
+		"rank-2.viot~":    "rank-2.viot",
+		"rank-2.viotx":    "rank-2.viot",
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, stray), data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tolerate := range []bool{false, true} {
+		got, stats, err := ReadDirWithOptions(dir, DecodeOptions{Tolerate: tolerate})
+		if err != nil {
+			t.Fatalf("tolerate=%v: ReadDir with strays present: %v", tolerate, err)
+		}
+		if !stats.Clean() {
+			t.Errorf("tolerate=%v: strays were salvaged as rank files: %+v", tolerate, stats.Ranks)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Errorf("tolerate=%v: trace read with strays present differs from the one written", tolerate)
+		}
+	}
+	s, err := OpenStream(dir, StreamOptions{WindowBytes: 1 << 12})
+	if err != nil {
+		t.Fatalf("OpenStream with strays present: %v", err)
+	}
+	defer s.Close()
+	ranks, _ := drainStream(t, s)
+	if !reflect.DeepEqual(ranks, tr.Ranks) {
+		t.Error("stream with strays present differs from the trace written")
+	}
+}

@@ -11,7 +11,6 @@ package verify
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -135,19 +134,11 @@ type Analysis struct {
 	// evidence: the verdict cache salts its epoch with the salvage extents
 	// and publishes no incremental manifest (see cache.go).
 	salvage *trace.DecodeStats
-	// Streaming-only state (Trace == nil): the trace directory and decode
-	// options for re-fetching race-detail records, the per-rank block
-	// chains and unlink positions digested during the single pass (what
-	// cacheArtifacts reads instead of the records).
-	streamDir  string
-	streamOpts trace.DecodeOptions
+	// Streaming-only state (Trace == nil): the per-rank block chains and
+	// unlink positions digested during the single pass (what cacheArtifacts
+	// reads instead of the records).
 	chains     [][][32]byte
 	unlinkSeqs [][]int32
-
-	// raceRecs memoizes records re-decoded for race details on streaming
-	// analyses; model passes share it.
-	raceMu   sync.Mutex
-	raceRecs map[trace.Ref]trace.Record
 
 	// cacheArt memoizes the verdict-cache digests (chunk plan, content
 	// digests, sync epoch, block chains): they are model independent, so
@@ -188,73 +179,6 @@ func (a *Analysis) SetSalvage(stats *trace.DecodeStats) { a.salvage = stats }
 // damage — the analysis ran on partial evidence.
 func (a *Analysis) salvaged() bool {
 	return a.salvage != nil && !a.salvage.Clean()
-}
-
-// record resolves one record for race-detail materialization. Streaming
-// analyses serve it from the prefetched memo (see prefetchRecords); the
-// ref must have been prefetched.
-func (a *Analysis) record(ref trace.Ref) *trace.Record {
-	if a.Trace != nil {
-		return a.Trace.Record(ref)
-	}
-	a.raceMu.Lock()
-	rec, ok := a.raceRecs[ref]
-	a.raceMu.Unlock()
-	if !ok {
-		// Contract violation (prefetchRecords not called); fail soft with
-		// an empty record rather than panicking inside report assembly.
-		return &trace.Record{Rank: ref.Rank, Seq: ref.Seq}
-	}
-	return &rec
-}
-
-// prefetchRecords re-decodes the given records from the stream source into
-// the race-detail memo. No-op for materialized analyses. The set is bounded
-// by MaxRaceDetails, so the re-decode is a single cheap windowed pass.
-func (a *Analysis) prefetchRecords(refs []trace.Ref) error {
-	if a.Trace != nil || len(refs) == 0 {
-		return nil
-	}
-	a.raceMu.Lock()
-	defer a.raceMu.Unlock()
-	need := make(map[trace.Ref]bool)
-	for _, ref := range refs {
-		if _, ok := a.raceRecs[ref]; !ok {
-			need[ref] = true
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	s, err := trace.OpenStream(a.streamDir, trace.StreamOptions{DecodeOptions: a.streamOpts})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	if a.raceRecs == nil {
-		a.raceRecs = make(map[trace.Ref]trace.Record, len(need))
-	}
-	for len(need) > 0 {
-		b, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for i := range b.Recs {
-			ref := trace.Ref{Rank: b.Rank, Seq: b.Start + i}
-			if need[ref] {
-				a.raceRecs[ref] = b.Recs[i]
-				delete(need, ref)
-			}
-		}
-		b.Release()
-	}
-	if len(need) > 0 {
-		return fmt.Errorf("verify: %d race records missing from re-decoded trace %s", len(need), a.streamDir)
-	}
-	return nil
 }
 
 // AnalyzeOptions tunes Analyze.

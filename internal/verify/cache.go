@@ -500,7 +500,6 @@ func (cs *cacheSession) apply(v vcache.Verdict, sh *verifier) bool {
 		return false
 	}
 	idx := cs.art.refIndex(cs.a)
-	ops := cs.a.Conflicts.Ops
 	var pairs []racePair
 	for _, p := range v.Pairs {
 		xi, okx := idx[trace.Ref{Rank: int(p.XRank), Seq: int(p.XSeq)}]
@@ -508,7 +507,7 @@ func (cs *cacheSession) apply(v vcache.Verdict, sh *verifier) bool {
 		if !okx || !oky {
 			return false
 		}
-		pairs = append(pairs, racePair{x: &ops[xi], y: &ops[yi]})
+		pairs = append(pairs, racePair{x: xi, y: yi})
 	}
 	sh.checks, sh.raceCount, sh.pairs = v.Checks, v.Races, pairs
 	return true
@@ -517,10 +516,12 @@ func (cs *cacheSession) apply(v vcache.Verdict, sh *verifier) bool {
 // seal stores the freshly computed verdict for chunk c.
 func (cs *cacheSession) seal(c int, sh *verifier) {
 	var pairs []vcache.RefPair
+	ops := cs.a.Conflicts.Ops
 	for _, p := range sh.pairs {
+		x, y := ops[p.x].Ref, ops[p.y].Ref
 		pairs = append(pairs, vcache.RefPair{
-			XRank: int32(p.x.Ref.Rank), XSeq: int32(p.x.Ref.Seq),
-			YRank: int32(p.y.Ref.Rank), YSeq: int32(p.y.Ref.Seq),
+			XRank: int32(x.Rank), XSeq: int32(x.Seq),
+			YRank: int32(y.Rank), YSeq: int32(y.Seq),
 		})
 	}
 	cs.store.Put(

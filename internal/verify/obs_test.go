@@ -65,7 +65,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		names[n] = true
 	}
 	for _, n := range []string{
-		"conflict.ops", "conflict.pairs", "conflict.groups", "conflict.group_fanout",
+		"conflict.ops", "conflict.signatures", "conflict.pairs", "conflict.groups", "conflict.group_fanout",
 		"match.edges", "match.collectives",
 		"hbgraph.nodes", "hbgraph.sync_edges",
 		"hbgraph.skeleton_nodes", "hbgraph.skeleton_levels", "hbgraph.skeleton_max_level_width",

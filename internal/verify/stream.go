@@ -37,9 +37,9 @@ type StreamAnalyzeOptions struct {
 // batch as it decodes, so peak memory is bounded by the decode window
 // instead of the trace size. The resulting Analysis is verification-
 // equivalent to AnalyzeOpts(ReadDir(dir)) — same conflicts, same matcher
-// output, same oracle — but carries no materialized trace; race details are
-// re-decoded on demand and the verdict cache reads the digests collected
-// during the pass.
+// output, same oracle — but carries no materialized trace and no path back
+// to the directory: race details come from the detector's signature table
+// and the verdict cache reads the digests collected during the pass.
 //
 // Because decode, detect and match are fused into one pass, the per-stage
 // Timing split differs from the materialized path: DetectConflicts and
@@ -59,7 +59,7 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 	}
 	defer s.Close()
 
-	a := &Analysis{streamDir: dir, streamOpts: opts.Decode}
+	a := &Analysis{}
 	analyzeWall := time.Now()
 	defer func() { a.Timing.AnalyzeWall = time.Since(analyzeWall) }()
 

@@ -206,17 +206,6 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		rep.Cache = cs.stats()
 	}
 	rep.RaceCount = v.raceCount
-	if a.Trace == nil && len(v.pairs) > 0 {
-		// Streaming analysis: re-decode exactly the raced records (the set
-		// is capped at MaxRaceDetails) before materializing their chains.
-		refs := make([]trace.Ref, 0, 2*len(v.pairs))
-		for _, p := range v.pairs {
-			refs = append(refs, p.x.Ref, p.y.Ref)
-		}
-		if err := a.prefetchRecords(refs); err != nil {
-			return nil, fmt.Errorf("verify: race details: %w", err)
-		}
-	}
 	for _, p := range v.pairs {
 		rep.Races = append(rep.Races, v.makeRace(p))
 	}
@@ -272,9 +261,9 @@ type verifier struct {
 	// Group-scoped state (setGroup): within one group sweep the X op and
 	// the conflicting file never change, so X's resolution and the file's
 	// candidate-list map lookups hoist out of the per-pair checks.
-	curXi int32                    // op index of the current group's X (-1 outside a sweep)
-	gFile [][]resolvedRef          // per class: candidates on the group's file
-	gRank []map[int][]resolvedRef  // per class: rank → candidates on the file
+	curXi int32                   // op index of the current group's X (-1 outside a sweep)
+	gFile [][]resolvedRef         // per class: candidates on the group's file
+	gRank []map[int][]resolvedRef // per class: rank → candidates on the file
 
 	// Lazily computed per-group extremes for the po-hb-po fast path: the
 	// earliest class-0 candidate after X on X's rank (xS1) and the latest
@@ -312,9 +301,10 @@ type verifier struct {
 	pairs     []racePair // first opts.MaxRaceDetails races, discovery order
 }
 
-// racePair is a raced conflict pair awaiting detail materialization.
+// racePair is a raced conflict pair awaiting detail materialization, as
+// indices into Conflicts.Ops.
 type racePair struct {
-	x, y *conflict.Op
+	x, y int32
 }
 
 // initGroupState sizes the group-scoped scratch to the model's MSC arity.
@@ -555,7 +545,7 @@ func (v *verifier) verifyGroups(lo, hi int) {
 				for _, yi := range ys {
 					y := &ops[yi]
 					if !v.ps(x, y, xi, yi) && !v.ps(y, x, yi, xi) {
-						v.recordRace(x, y)
+						v.recordRace(xi, yi)
 					}
 				}
 				continue
@@ -601,15 +591,15 @@ func (v *verifier) verifyRun(x *conflict.Op, xi int32, ys []int32) {
 		!slices.ContainsFunc(ys, func(yi int32) bool { return ops[yi].Write != kind }) {
 		// One kind: pairs in [iG, iF) are synchronized in neither direction.
 		for i := firstNot(kind); i < iF; i++ {
-			v.recordRace(x, &ops[ys[i]])
+			v.recordRace(xi, ys[i])
 		}
 		return
 	}
 	// An MSC implies hb, so iW <= iR: writes race from iW, reads from iR.
 	iW, iR := firstNot(true), firstNot(false)
 	for i := iW; i < iF; i++ {
-		if y := &ops[ys[i]]; y.Write || i >= iR {
-			v.recordRace(x, y)
+		if ops[ys[i]].Write || i >= iR {
+			v.recordRace(xi, ys[i])
 		}
 	}
 }
@@ -686,38 +676,41 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 	}
 }
 
-func (v *verifier) recordRace(x, y *conflict.Op) {
-	// Mirrored groups: record each unordered pair once.
-	if !x.Ref.Less(y.Ref) {
+func (v *verifier) recordRace(xi, yi int32) {
+	// Mirrored groups: record each unordered pair once, from the side whose
+	// X comes first — Ops are in (rank, seq) order, so that is the lower
+	// index.
+	if xi >= yi {
 		return
 	}
 	v.raceCount++
 	if len(v.pairs) >= v.opts.MaxRaceDetails {
 		return
 	}
-	v.pairs = append(v.pairs, racePair{x: x, y: y})
+	v.pairs = append(v.pairs, racePair{x: xi, y: yi})
 }
 
 // makeRace materializes the reported detail (paths, call chains) for one
-// raced pair.
+// raced pair from the detector's signature table.
 func (v *verifier) makeRace(p racePair) Race {
-	rx := v.a.record(p.x.Ref)
-	ry := v.a.record(p.y.Ref)
+	conf := v.a.Conflicts
+	x, y := conf.Ops[p.x], conf.Ops[p.y]
+	sx, sy := &conf.Sigs[conf.OpSig[p.x]], &conf.Sigs[conf.OpSig[p.y]]
 	return Race{
-		X: *p.x, Y: *p.y,
-		File:   v.a.Conflicts.PathOf(p.x.FID),
-		FuncX:  rx.Func,
-		FuncY:  ry.Func,
-		ChainX: fullChain(rx),
-		ChainY: fullChain(ry),
+		X: x, Y: y,
+		File:   conf.PathOf(x.FID),
+		FuncX:  sx.Func,
+		FuncY:  sy.Func,
+		ChainX: fullChain(sx),
+		ChainY: fullChain(sy),
 	}
 }
 
 // fullChain returns the call chain with the operation itself appended.
-func fullChain(rec *trace.Record) []string {
-	out := make([]string, 0, len(rec.Chain)+1)
-	out = append(out, rec.Chain...)
-	out = append(out, trace.FormatFrame(rec.Layer, rec.Func, rec.Site))
+func fullChain(sg *conflict.Sig) []string {
+	out := make([]string, 0, len(sg.Chain)+1)
+	out = append(out, sg.Chain...)
+	out = append(out, trace.FormatFrame(sg.Layer, sg.Func, sg.Site))
 	return out
 }
 

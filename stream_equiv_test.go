@@ -3,6 +3,7 @@ package verifyio
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -184,5 +185,78 @@ func TestAnalyzeStreamOnBatch(t *testing.T) {
 	}
 	if !bytes.Equal(fused.Bytes(), standalone.Bytes()) {
 		t.Fatalf("fused-pass DFG differs from standalone build")
+	}
+}
+
+// TestVerifyAllStreamReadsTraceOnce: a streamed run of a racy trace decodes
+// the directory in the fused analysis pass and never again — race details
+// come from the detector's signature table, not from a second read.
+func TestVerifyAllStreamReadsTraceOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := trace.WriteDir(dir, corpusTraceT(t, "pmulti_dset"), trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry()
+	reps, _, err := VerifyAllStream(dir, ReadOptions{Telemetry: tel}, &Options{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	racy := 0
+	for _, rep := range reps {
+		if rep.RaceCount == 0 {
+			continue
+		}
+		racy++
+		if len(rep.Races) == 0 || len(rep.Races[0].ChainX) < 2 {
+			t.Fatalf("%s: %d races but no detail with a full call chain", rep.Model, rep.RaceCount)
+		}
+	}
+	if racy == 0 {
+		t.Fatal("trace raced under no model; the test needs race details to be asked for")
+	}
+	reads := 0
+	for _, e := range tel.tracer.Events() {
+		if e.Ph == "X" && e.Name == "read-trace" {
+			reads++
+		}
+	}
+	if reads != 1 {
+		t.Errorf("streamed verification recorded %d read-trace spans, want exactly 1", reads)
+	}
+}
+
+// TestVerifyAllStreamIgnoresStrayFiles is the public face of
+// trace.TestStrayFilesNeverReplaceARank: leftovers next to the rank files
+// change nothing about a streamed verification.
+func TestVerifyAllStreamIgnoresStrayFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := trace.WriteDir(dir, corpusTraceT(t, "flexible"), trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	render := func() []byte {
+		t.Helper()
+		reps, _, err := VerifyAllStream(dir, ReadOptions{}, &Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, rep := range reps {
+			rep.inner.Timing = verify.Timing{}
+			rep.Render(&buf)
+		}
+		return buf.Bytes()
+	}
+	want := render()
+	data, err := os.ReadFile(filepath.Join(dir, "rank-0.viot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range []string{"rank-0.viot.bak", "rank-01.viot"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := render(); !bytes.Equal(got, want) {
+		t.Errorf("reports changed once stray files sat in the directory:\n%s\nwant:\n%s", got, want)
 	}
 }

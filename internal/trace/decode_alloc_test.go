@@ -153,3 +153,48 @@ func TestHostileRecordCountAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestReadDirRecordBuffersAllocatedOnce pins what happens to the buffers a
+// rank grows out of: the stream keeps them, so of a directory's ranks only
+// the first allocates the growth ladder (a third of its records on top) and
+// the rest allocate their final buffer alone — and a rank much smaller than
+// the buffer it was handed takes a copy instead of pinning the buffer.
+func TestReadDirRecordBuffersAllocatedOnce(t *testing.T) {
+	recSize := uint64(reflect.TypeOf(Record{}).Size())
+	write := func(counts ...int) (string, uint64) {
+		tr := New(len(counts))
+		for rank, n := range counts {
+			for i := 0; i < n; i++ {
+				tr.Append(Record{Rank: rank, Func: "fsync", Layer: LayerPOSIX, Tick: int64(2 * i), Ret: int64(2*i + 1)})
+			}
+		}
+		dir := t.TempDir()
+		if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		return dir, uint64(tr.NumRecords()) * recSize
+	}
+
+	dir, recBytes := write(8192, 8192, 8192, 8192, 8192, 8192, 8192, 8192)
+	got := allocatedBytes(func() {
+		if _, err := ReadDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One ladder over eight ranks is 1/24 on top; every rank climbing its own
+	// would be 1/3. The rest (readers, inflate state, tables) is ~100 KiB a file.
+	if limit := recBytes + recBytes/8 + 8*(128<<10); got > limit {
+		t.Errorf("ReadDir allocated %d bytes for %d bytes of records, want <= %d", got, recBytes, limit)
+	}
+
+	dir, _ = write(16384, 10, 10)
+	tr, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, recs := range tr.Ranks {
+		if cap(recs) > 2*len(recs) {
+			t.Errorf("rank %d: %d records pin a buffer of %d", rank, len(recs), cap(recs))
+		}
+	}
+}

@@ -706,9 +706,14 @@ func ReadDirWithOptions(dir string, opts DecodeOptions) (*Trace, *DecodeStats, e
 			return nil, nil, err
 		}
 		// Keep the batch (no Release): the buffer becomes the rank's
-		// record slice.
+		// record slice. A buffer an earlier, larger rank grew out of would
+		// stay pinned at its full size, so a rank that fills less than half
+		// of one takes a copy and hands the buffer on.
 		if existing := t.Ranks[b.Rank]; len(existing) > 0 {
 			t.Ranks[b.Rank] = append(existing, b.Recs...)
+		} else if cap(b.Recs) > 2*len(b.Recs) {
+			t.Ranks[b.Rank] = slices.Clone(b.Recs)
+			b.Release()
 		} else {
 			t.Ranks[b.Rank] = b.Recs
 		}

@@ -37,7 +37,7 @@ const DefaultWindowBytes = 4 << 20
 
 // WindowUnbounded disables batch windowing: each rank arrives as a single
 // batch (the materializing wrapper keeps that batch's buffer as the rank's
-// record slice, so it never copies a decoded rank).
+// record slice instead of copying the rank).
 const WindowUnbounded = -1
 
 // StreamOptions controls streaming ingestion. DecodeOptions (Limits,
@@ -159,6 +159,7 @@ func NewStream(r io.Reader, opts StreamOptions) (*Stream, error) {
 		counts: make([]int, src.ps.nranks),
 		oc:     opts.Obs,
 	}
+	src.ps.outgrown = s.putBuf
 	s.setWindowGauge()
 	return s, nil
 }
@@ -496,6 +497,7 @@ func (s *Stream) openRank(rank int) error {
 	}
 	src.f = f
 	src.ps.rankOff = rank
+	src.ps.outgrown = s.putBuf
 	s.cur, s.curRank, s.rankSpan = src, rank, rankSpan
 	return nil
 }
@@ -662,6 +664,10 @@ type payloadStream struct {
 	// rank: a directory's single-rank files decode straight to their world
 	// rank. Errors and salvage entries keep the in-file rank.
 	rankOff int
+	// outgrown, when set, takes each record buffer a batch has grown out of
+	// (see growRecs), so the next batch can start from it instead of
+	// allocating the same ladder of buffers again.
+	outgrown func([]Record)
 
 	// Cursor state for the records section.
 	rank    int  // current rank; nranks once the section is exhausted
@@ -798,7 +804,11 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 			// joins the batch only if the record decodes and is valid.
 			n := len(b.recs)
 			if n == cap(b.recs) {
-				b.recs = d.growRecs(b.recs, room)
+				old := b.recs
+				b.recs = d.growRecs(old, room)
+				if ps.outgrown != nil {
+					ps.outgrown(old)
+				}
 			}
 			rec := &b.recs[:n+1][n]
 			if err := d.decodeRecord(rec, ps.strs, b.rank, ps.next, &ps.lastRet); err != nil {
@@ -862,7 +872,9 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 // recGrowth: an honest rank allocates about recGrowth/(recGrowth-1) times its
 // records in total, and a count field promising records the stream does not
 // hold costs at most recGrowth times what was actually decoded (plus one
-// minimal buffer) — never a buffer sized by the promise.
+// minimal buffer) — never a buffer sized by the promise. A Stream takes the
+// outgrown buffers into its pool, so only its first rank climbs the whole
+// ladder; later ranks start from the largest buffer left behind.
 const (
 	minRecCap = 64
 	recGrowth = 4

@@ -3,10 +3,13 @@ package verifyio
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"verifyio/internal/corpus"
+	"verifyio/internal/match"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -179,6 +182,193 @@ func TestCacheAppendIncrementalEquivalence(t *testing.T) {
 	if hits <= misses {
 		t.Errorf("incremental run: %d hits <= %d misses; a ~1%% append should dirty a small minority of chunks",
 			hits, misses)
+	}
+}
+
+// barrierRingTrace builds a 16-rank trace of epochs: conflicting writes, a
+// neighbour ring exchange, a world barrier. With tail set every rank runs a
+// few more epochs — the appended region.
+func barrierRingTrace(tail bool) *trace.Trace {
+	const nranks, epochs, extra = 16, 40, 3
+	tr := trace.New(nranks)
+	n := epochs
+	if tail {
+		n += extra
+	}
+	for rank := 0; rank < nranks; rank++ {
+		tick := int64(2)
+		emit := func(layer trace.Layer, fn string, args ...string) {
+			tr.Append(trace.Record{Rank: rank, Func: fn, Layer: layer,
+				Args: args, Tick: tick, Ret: tick + 1})
+			tick += 2
+		}
+		right, left := fmt.Sprint((rank+1)%nranks), fmt.Sprint((rank+nranks-1)%nranks)
+		emit(trace.LayerPOSIX, "open", "ring.dat", "rw|creat", "3")
+		for e := 0; e < n; e++ {
+			for i := 0; i < 4; i++ {
+				emit(trace.LayerPOSIX, "pwrite", "3", "16", fmt.Sprint(int64((e*4+i)%24)*8))
+			}
+			emit(trace.LayerMPI, "MPI_Send", "comm-world", right, fmt.Sprint(e), "8")
+			emit(trace.LayerMPI, "MPI_Recv", "comm-world", left, fmt.Sprint(e), "8", left, fmt.Sprint(e))
+			emit(trace.LayerMPI, "MPI_Barrier", "comm-world")
+		}
+	}
+	return tr
+}
+
+// TestCutsStarEqualsClique: the manifest records a join node as a star over
+// its record endpoints instead of the source × target clique it stands for.
+// Manifest.Cuts only asks of an edge which endpoints it ties together, so on
+// the append-incremental cases the stable-region cuts computed from the star
+// manifests (what the verifier stores) must equal, rank by rank, the cuts
+// computed from the same manifests with match.Pairwise-expanded edges.
+func TestCutsStarEqualsClique(t *testing.T) {
+	cases := []struct {
+		name      string
+		base, app *trace.Trace
+	}{
+		{"scaling-append",
+			corpus.ScalingTrace(appendRanks, appendOps, appendWindow, appendSeed),
+			corpus.ScalingTraceAppend(appendRanks, appendOps, appendExtra, appendWindow, appendSeed)},
+		{"barrier-ring-16", barrierRingTrace(false), barrierRingTrace(true)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// manifests returns the manifest a verification of tr stores, and
+			// its twin with the sync order spelled out pair by pair.
+			manifests := func(tr *trace.Trace) (star, clique *vcache.Manifest) {
+				store := vcache.NewMemory()
+				cacheVerifyAll(t, tr, store, 1, "cuts")
+				star = store.Manifest("cuts")
+				if star == nil {
+					t.Fatal("verification stored no manifest")
+				}
+				mres, err := match.Match(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp := *star
+				cp.Edges = nil
+				for _, e := range match.Pairwise(mres.Edges) {
+					cp.Edges = append(cp.Edges, vcache.Edge{
+						FromRank: int32(e.From.Rank), FromSeq: int32(e.From.Seq),
+						ToRank: int32(e.To.Rank), ToSeq: int32(e.To.Seq),
+					})
+				}
+				if len(star.Edges) >= len(cp.Edges) {
+					t.Fatalf("star manifest holds %d edges, the clique %d: nothing was saved", len(star.Edges), len(cp.Edges))
+				}
+				for _, e := range star.Edges {
+					if e.FromRank < 0 || e.ToRank < 0 {
+						t.Fatalf("manifest edge %+v names a join node", e)
+					}
+				}
+				return star, &cp
+			}
+			oldStar, oldClique := manifests(tc.base)
+			newStar, newClique := manifests(tc.app)
+			got := oldStar.Cuts(newStar.Ranks, newStar.Edges)
+			want := oldClique.Cuts(newClique.Ranks, newClique.Edges)
+			if got == nil || want == nil {
+				t.Fatalf("no stable region certified: star %v, clique %v", got, want)
+			}
+			stable := 0
+			for r := range want {
+				if got[r] != want[r] {
+					t.Errorf("rank %d: cut %d from star manifests, %d from clique manifests", r, got[r], want[r])
+				}
+				if got[r] >= len(tc.app.Ranks[r]) {
+					t.Errorf("rank %d: cut %d covers the appended region", r, got[r])
+				}
+				stable += got[r]
+			}
+			if stable == 0 {
+				t.Fatal("every cut is 0: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestParentWrittenV2CacheOnlyMisses: testdata/vcache_v2 holds the corpus
+// test "flexible" as a trace directory and the -cache-dir the parent commit's
+// binary (vcache.CodeVersion v2, barriers as P² edges) filled while verifying
+// it. Join nodes change the skeleton digest and the manifest, so CodeVersion
+// is v3 and the old directory must be a clean miss — never a stale hit —
+// and usable again afterwards.
+func TestParentWrittenV2CacheOnlyMisses(t *testing.T) {
+	const traceDir, cacheDir = "testdata/vcache_v2/trace", "testdata/vcache_v2/cache"
+	dir := t.TempDir()
+	files, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files { // Open rewrites the directory; work on a copy
+		data, err := os.ReadFile(filepath.Join(cacheDir, f.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := ReadTraceDir(traceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The fixture is live: its verdicts load, and its manifest is stored under
+	// the id this test uses and describes exactly this trace — at v2 the run
+	// below would be served from it.
+	old, err := vcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := old.Manifest(traceDir)
+	if old.Len() == 0 || m == nil {
+		t.Fatalf("fixture holds %d verdicts, manifest %v", old.Len(), m)
+	}
+	if m.CodeVersion != "verifyio-vcache-v2" || m.CodeVersion == vcache.CodeVersion {
+		t.Fatalf("fixture manifest is %q, current %q", m.CodeVersion, vcache.CodeVersion)
+	}
+	for r := range m.Ranks {
+		if m.Ranks[r].Records != len(tr.t.Ranks[r]) {
+			t.Fatalf("fixture manifest rank %d has %d records, the trace %d", r, m.Ranks[r].Records, len(tr.t.Ranks[r]))
+		}
+	}
+	old.Close()
+
+	plain, err := VerifyAll(tr, &Options{Algorithm: "vector-clock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	opts := &Options{Algorithm: "vector-clock", Cache: cache, CacheID: traceDir}
+	first, err := VerifyAll(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := VerifyAll(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain {
+		if first[i].Cache.Hits != 0 || first[i].Cache.Misses == 0 {
+			t.Errorf("%s: %d hits, %d misses against a v2 directory; want only misses",
+				first[i].Model, first[i].Cache.Hits, first[i].Cache.Misses)
+		}
+		if second[i].Cache.Misses != 0 {
+			t.Errorf("%s: re-run missed %d chunks; the directory did not take the new verdicts",
+				second[i].Model, second[i].Cache.Misses)
+		}
+		for _, got := range []*Report{first[i], second[i]} {
+			if !bytes.Equal(reportFingerprint(t, got.inner), reportFingerprint(t, plain[i].inner)) {
+				t.Errorf("%s: cached report differs from the cacheless one", got.Model)
+			}
+		}
 	}
 }
 

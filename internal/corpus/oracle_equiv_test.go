@@ -16,7 +16,8 @@ import (
 // the textbook O(V·P) layout internal/hbgraph used before the sync-skeleton
 // rework. The corpus-wide suite below checks the skeleton-backed oracles
 // against it: the skeleton is an optimization, not an approximation, so
-// every HB answer must be identical.
+// every HB answer must be identical. It is fed match.Pairwise(edges) — plain
+// record-to-record pairs — so the matcher's join nodes are checked too.
 type refOracle struct {
 	counts []int
 	base   []int
@@ -153,7 +154,9 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := buildRef(t, tr, mres.Edges)
+			// The reference knows nothing of join nodes: it gets the sync
+			// order spelled out pair by pair.
+			ref := buildRef(t, tr, match.Pairwise(mres.Edges))
 
 			vcSerial, err := g.VectorClocks()
 			if err != nil {

@@ -15,7 +15,9 @@
 //
 // Nodes are trace records, identified by (rank, seq). Program-order edges
 // are implicit: record (r, k) always precedes (r, k+1). Synchronization
-// edges come from the MPI matcher.
+// edges come from the MPI matcher, which stores a barrier-like collective as
+// a join node (a virtual endpoint with Rank == -1, see internal/match) —
+// O(P) edges standing for O(P²) ordered pairs.
 //
 // The graph-based oracles do not operate on all V records: clocks and
 // bitsets only change at synchronization endpoints, so they are computed on
@@ -38,10 +40,14 @@ type Graph struct {
 	base   []int // node-id offset per rank (prefix sums)
 	n      int   // total nodes
 
-	edgeCount int
+	syncPairs int // sync-order pairs the edge list stands for, joins expanded
 
 	skel skeleton // sync skeleton; built once in Build
 }
+
+// joinRank marks an edge endpoint as a join node (match's encoding of a
+// barrier-like collective) rather than a record.
+const joinRank = -1
 
 // Build constructs the graph for tr with the matcher's synchronization
 // edges. Edges referencing records outside the trace are rejected.
@@ -61,32 +67,53 @@ func rankCounts(tr *trace.Trace) []int {
 // BuildCounts constructs the graph from per-rank record counts alone — the
 // graph's node space is positional, so the record contents are never needed.
 // This is the entry point for streaming ingestion, where no materialized
-// trace exists. Edges referencing records outside the counts are rejected.
+// trace exists. Edges referencing records outside the counts are rejected,
+// and so are malformed join nodes: their Seq must be dense from 0, each needs
+// at least one edge in and one out, and no edge may connect two joins.
 func BuildCounts(counts []int, edges []match.Edge) (*Graph, error) {
 	g := &Graph{
-		counts:    make([]int, len(counts)),
-		base:      make([]int, len(counts)+1),
-		edgeCount: len(edges),
+		counts: make([]int, len(counts)),
+		base:   make([]int, len(counts)+1),
 	}
 	for rank, n := range counts {
 		g.counts[rank] = n
 		g.base[rank+1] = g.base[rank] + n
 	}
 	g.n = g.base[len(g.counts)]
+	joins := 0
 	for _, e := range edges {
-		if !g.inRange(e.From) || !g.inRange(e.To) {
-			return nil, fmt.Errorf("hbgraph: edge %v→%v references records outside the trace", e.From, e.To)
+		for _, ref := range [2]trace.Ref{e.From, e.To} {
+			if ref.Rank != joinRank {
+				if !g.inRange(ref) {
+					return nil, fmt.Errorf("hbgraph: edge %v→%v references records outside the trace", e.From, e.To)
+				}
+				continue
+			}
+			// A dense numbering leaves every join at least two edges, which
+			// bounds Seq before anything is sized by it.
+			if ref.Seq < 0 || ref.Seq >= len(edges)/2 {
+				return nil, fmt.Errorf("hbgraph: edge %v→%v: join nodes are not numbered densely", e.From, e.To)
+			}
+			joins = max(joins, ref.Seq+1)
+		}
+		if e.From.Rank == joinRank && e.To.Rank == joinRank {
+			return nil, fmt.Errorf("hbgraph: edge %v→%v connects two join nodes", e.From, e.To)
 		}
 	}
-	g.buildSkeleton(edges)
+	if err := g.buildSkeleton(edges, joins); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
 // Nodes returns the number of nodes.
 func (g *Graph) Nodes() int { return g.n }
 
-// SyncEdges returns the number of synchronization edges.
-func (g *Graph) SyncEdges() int { return g.edgeCount }
+// SyncEdges returns the number of synchronization-order pairs the edge list
+// stands for: every plain edge, plus for every join node its source × target
+// pairs on different ranks (what match.Pairwise would list, counted without
+// listing it).
+func (g *Graph) SyncEdges() int { return g.syncPairs }
 
 // SkeletonNodes returns the size S of the sync skeleton the graph-based
 // oracles operate on (sync-edge endpoints plus per-rank sentinels).

@@ -66,26 +66,39 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 	}
 	nranks := s.nranks
 	clocks := make([]int32, s.n*nranks)
-	// One closure reused across levels (levels run strictly in sequence):
-	// step(i) fills the clock row of the i-th node of the current level.
-	var nodes []int32
-	step := func(i int) {
-		v := nodes[i]
-		c := clocks[int(v)*nranks : (int(v)+1)*nranks]
+	// Join clocks are scratch: targets read them one level later and no
+	// query ever does, so they are dropped with this call.
+	joinClocks := make([]int32, s.joins*nranks)
+	row := func(v int32) []int32 {
+		if int(v) < s.n {
+			return clocks[int(v)*nranks : (int(v)+1)*nranks]
+		}
+		j := int(v) - s.n
+		return joinClocks[j*nranks : (j+1)*nranks]
+	}
+	// fill computes v's clock from its po predecessor (if any) and its sync
+	// predecessors, all final by the time v's turn comes.
+	fill := func(v int32) {
+		c := row(v)
 		for r := range c {
 			c[r] = -1
 		}
-		r := s.rankOf[v]
-		if v > s.base[r] {
-			mergeClock(c, clocks[int(v-1)*nranks:int(v)*nranks])
+		if int(v) < s.n && v > s.base[s.rankOf[v]] {
+			mergeClock(c, row(v-1))
 		}
-		for _, p := range s.predAdj[s.predOff[v]:s.predOff[v+1]] {
-			mergeClock(c, clocks[int(p)*nranks:(int(p)+1)*nranks])
+		for _, p := range s.pred(v) {
+			mergeClock(c, row(p))
 		}
-		if sq := s.seqs[v]; sq > c[r] {
-			c[r] = sq
+		if int(v) < s.n {
+			if r, sq := s.rankOf[v], s.seqs[v]; sq > c[r] {
+				c[r] = sq
+			}
 		}
 	}
+	// One closure reused across levels (levels run strictly in sequence):
+	// step(i) fills the clock row of the i-th node of the current level.
+	var nodes []int32
+	step := func(i int) { fill(nodes[i]) }
 	workers := par.Resolve(opts.Workers)
 	for l := 0; l+1 < len(s.levelOff); l++ {
 		nodes = s.levelOrder[s.levelOff[l]:s.levelOff[l+1]]
@@ -95,6 +108,9 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 			for i := range nodes {
 				step(i)
 			}
+		}
+		for _, j := range s.joinsAfter(l) {
+			fill(j)
 		}
 	}
 	if r := opts.Obs.R; r != nil {
@@ -169,7 +185,7 @@ func (o *BFSOracle) HB(a, b trace.Ref) bool {
 	}
 	s := &o.g.skel
 	dst := o.g.skelPrev(b)
-	seen := make([]uint64, (s.n+63)/64)
+	seen := make([]uint64, (s.n+s.joins+63)/64) // joins are walked like any node
 	queue := []int32{o.g.skelNext(a)}
 	// visit enqueues w once; it reports whether w is the target.
 	visit := func(w int32) bool {
@@ -187,7 +203,7 @@ func (o *BFSOracle) HB(a, b trace.Ref) bool {
 		if w := s.poSucc(v); w >= 0 && visit(w) {
 			return true
 		}
-		for _, w := range s.succAdj[s.succOff[v]:s.succOff[v+1]] {
+		for _, w := range s.succ(v) {
 			if visit(w) {
 				return true
 			}
@@ -205,7 +221,8 @@ func (o *BFSOracle) Name() string { return "reachability" }
 // OTFOracle answers hb queries straight from the matched synchronization
 // edges, without building the happens-before graph: per query it propagates
 // a per-rank "earliest reachable sequence" frontier across the edge list
-// until fixpoint. Like BFSOracle it is a plain reference implementation.
+// until fixpoint. Like BFSOracle it is a plain reference implementation; it
+// knows nothing of join nodes and works on the pairwise expansion.
 type OTFOracle struct {
 	counts []int
 	// edgesByRank[r] holds the sync edges originating on rank r, sorted
@@ -225,7 +242,7 @@ func NewOnTheFlyCounts(counts []int, edges []match.Edge) *OTFOracle {
 		counts:      append([]int(nil), counts...),
 		edgesByRank: make([][]match.Edge, len(counts)),
 	}
-	for _, e := range edges {
+	for _, e := range match.Pairwise(edges) {
 		if e.From.Rank >= 0 && e.From.Rank < len(counts) {
 			o.edgesByRank[e.From.Rank] = append(o.edgesByRank[e.From.Rank], e)
 		}

@@ -75,24 +75,44 @@ func (g *Graph) SegReachability(opts SegOptions) (*SegOracle, error) {
 			s.n, size, budget)
 	}
 	bits := make([]uint64, s.n*words)
-	// Reverse level-synchronized wavefront: levelOrder is a topological order
-	// (every successor — po and sync — sits in a strictly later level), so
-	// walking levels back to front guarantees every successor row is final,
-	// and the rows within one level share no data. One closure is reused
-	// across levels; levels run strictly in sequence.
-	var nodes []int32
-	step := func(i int) {
-		id := nodes[i]
-		row := bits[int(id)*words : (int(id)+1)*words]
-		s.forEachSkelSucc(id, func(sc int32) {
-			row[sc/64] |= 1 << (uint(sc) % 64)
-			for w, v := range bits[int(sc)*words : (int(sc)+1)*words] {
-				row[w] |= v
+	// Join rows are scratch, like join clocks: sources read them one level
+	// earlier, no probe ever does, and keeping them out of the matrix keeps
+	// it S×S (a join per barrier is one id per P records — squared, that
+	// would be a 1.6–2.2× matrix at 2–4 ranks).
+	joinBits := make([]uint64, s.joins*words)
+	row := func(v int32) []uint64 {
+		if int(v) < s.n {
+			return bits[int(v)*words : (int(v)+1)*words]
+		}
+		j := int(v) - s.n
+		return joinBits[j*words : (j+1)*words]
+	}
+	// fill computes v's row from its successors' rows, all final by the
+	// time v's turn comes. Columns are record nodes only.
+	fill := func(v int32) {
+		r := row(v)
+		s.forEachSkelSucc(v, func(sc int32) {
+			if int(sc) < s.n {
+				r[sc/64] |= 1 << (uint(sc) % 64)
+			}
+			for w, b := range row(sc) {
+				r[w] |= b
 			}
 		})
 	}
+	// Reverse level-synchronized wavefront: levelOrder is a topological order
+	// (every successor — po and sync — sits in a strictly later level), so
+	// walking levels back to front guarantees every successor row is final,
+	// and the rows within one level share no data. The joins that fire after
+	// level l go first: their targets lie behind, their sources in level ≤ l.
+	// One closure is reused across levels; levels run strictly in sequence.
+	var nodes []int32
+	step := func(i int) { fill(nodes[i]) }
 	workers := par.Resolve(opts.Workers)
 	for l := len(s.levelOff) - 2; l >= 0; l-- {
+		for _, j := range s.joinsAfter(l) {
+			fill(j)
+		}
 		nodes = s.levelOrder[s.levelOff[l]:s.levelOff[l+1]]
 		if workers > 1 && len(nodes) >= segMinParallelWidth {
 			par.DoObs(opts.Obs, "seg-wavefront", workers, len(nodes), step)

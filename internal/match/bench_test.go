@@ -41,11 +41,16 @@ func p2pHeavyTrace(nranks, iters int) *trace.Trace {
 }
 
 // BenchmarkMatchCollectives measures slot matching and barrier-edge
-// generation (the cache test's dominant cost).
+// generation (the cache test's dominant cost). The ranks=64 cell is where a
+// per-barrier cost quadratic in the communicator size would show.
 func BenchmarkMatchCollectives(b *testing.B) {
-	for _, iters := range []int{500, 5000} {
-		tr := collectiveHeavyTrace(8, iters)
-		b.Run(fmt.Sprintf("barriers=%d", iters), func(b *testing.B) {
+	for _, c := range []struct{ ranks, iters int }{{8, 500}, {8, 5000}, {64, 500}} {
+		tr, iters := collectiveHeavyTrace(c.ranks, c.iters), c.iters
+		name := fmt.Sprintf("barriers=%d", iters)
+		if c.ranks != 8 {
+			name = fmt.Sprintf("ranks=%d/%s", c.ranks, name)
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Match(tr)
 				if err != nil {

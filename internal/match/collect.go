@@ -17,6 +17,8 @@ func (m *matcher) matchCollectives() {
 	}
 	slices.Sort(gids)
 
+	// entries holds one slot's calls by member position; reused across slots.
+	var entries []*collEntry
 	for _, gid := range gids {
 		byRank := m.colls[gid]
 		members, ok := m.members[gid]
@@ -60,96 +62,118 @@ func (m *matcher) matchCollectives() {
 			}
 		}
 		for slot := 0; slot < full; slot++ {
-			entries := make(map[int]*collEntry, len(members)) // world rank -> entry
-			name := ""
-			sameName := true
-			root := -1
-			sameRoot := true
+			entries = entries[:0]
+			sameName, sameRoot := true, true
 			for _, rank := range members {
 				e := &byRank[rank][slot]
-				entries[rank] = e
-				if name == "" {
-					name = e.fn
-					root = e.rootArg
-				} else {
-					if e.fn != name {
-						sameName = false
-					}
-					if e.rootArg != root {
-						sameRoot = false
-					}
+				if len(entries) > 0 {
+					sameName = sameName && e.fn == entries[0].fn
+					sameRoot = sameRoot && e.rootArg == entries[0].rootArg
 				}
+				entries = append(entries, e)
 			}
+			name, root := entries[0].fn, entries[0].rootArg
 			if !sameName || !sameRoot {
-				var refs []trace.Ref
 				detail := fmt.Sprintf("collective slot %d on %s mixes calls:", slot, gid)
-				for _, rank := range members {
-					e := entries[rank]
-					refs = append(refs, e.init)
-					detail += fmt.Sprintf(" rank%d=%s", rank, e.fn)
+				for i, rank := range members {
+					detail += fmt.Sprintf(" rank%d=%s", rank, entries[i].fn)
 				}
-				m.problem(MismatchedCollective, detail, refs...)
+				m.problem(MismatchedCollective, detail, initRefs(entries)...)
+				continue
+			}
+			if (scatterLike[name] || gatherLike[name]) && (root < 0 || root >= len(members)) {
+				// Every member agrees on a root that names no member: the
+				// slot matches, but its data flow — hence its sync order —
+				// is unknown, and silence would leave the report saying
+				// "verified" on an incomplete happens-before order.
+				m.problem(MalformedRecord,
+					fmt.Sprintf("%s: root %d is not a rank of %s (size %d)", name, root, gid, len(members)),
+					initRefs(entries)...)
 				continue
 			}
 			m.res.Collectives++
-			m.collectiveEdges(name, members, root, entries)
+			m.collectiveEdges(name, root, entries)
 		}
 	}
 }
 
+// initRefs lists the initiation records of one slot, in member order.
+func initRefs(entries []*collEntry) []trace.Ref {
+	refs := make([]trace.Ref, len(entries))
+	for i, e := range entries {
+		refs[i] = e.init
+	}
+	return refs
+}
+
 // collectiveEdges emits the synchronization edges for one matched slot.
-func (m *matcher) collectiveEdges(name string, members []int, root int, entries map[int]*collEntry) {
+// entries holds the members' calls in communicator-rank order; root is a
+// valid index into it for the rooted classes.
+func (m *matcher) collectiveEdges(name string, root int, entries []*collEntry) {
 	switch {
 	case barrierLike[name]:
-		// pred(call_i) → completion_j for all i ≠ j: everything before
-		// the collective on any member happens-before everything after
-		// it on every member, without creating call_i ↔ call_j cycles.
-		for _, i := range members {
-			ei := entries[i]
-			if ei.init.Seq == 0 {
-				continue // nothing precedes the call on this rank
-			}
-			pred := trace.Ref{Rank: ei.init.Rank, Seq: ei.init.Seq - 1}
-			for _, j := range members {
-				if i == j {
-					continue
-				}
-				m.res.Edges = append(m.res.Edges, Edge{From: pred, To: entries[j].completion})
-			}
-		}
-	case scatterLike[name]:
-		rootWorld, ok := worldOf(members, root)
-		if !ok {
-			return
-		}
-		er := entries[rootWorld]
-		for _, j := range members {
-			if j == rootWorld {
+		// Everything before the collective on any member happens-before
+		// everything after it on every other member. Stored as one join
+		// node J per slot — pred(call_i) → J → completion_j, at most two
+		// edges per member — instead of the pred(call_i) → completion_j
+		// clique it stands for (Pairwise expands it). Neither encoding
+		// creates call_i ↔ call_j cycles, and the pairs the join adds,
+		// pred(call_i) → completion_i, are program order anyway.
+		//
+		// The endpoints are exactly the clique's: a member whose call is
+		// its first record has no predecessor to order, and a completion is
+		// a target only when some other rank has one.
+		srcRank, spread := -1, false // first source's rank; sources on more than one rank
+		for _, e := range entries {
+			if e.init.Seq == 0 {
 				continue
 			}
-			m.res.Edges = append(m.res.Edges, Edge{From: er.init, To: entries[j].completion})
+			if srcRank < 0 {
+				srcRank = e.init.Rank
+			}
+			spread = spread || e.init.Rank != srcRank
+		}
+		if srcRank < 0 {
+			return
+		}
+		start := len(m.res.Edges)
+		join := trace.Ref{Rank: joinRank, Seq: m.joins}
+		targets := 0
+		for _, e := range entries {
+			if e.init.Seq > 0 {
+				pred := trace.Ref{Rank: e.init.Rank, Seq: e.init.Seq - 1}
+				m.res.Edges = append(m.res.Edges, Edge{From: pred, To: join})
+			}
+			if spread || e.completion.Rank != srcRank {
+				m.res.Edges = append(m.res.Edges, Edge{From: join, To: e.completion})
+				targets++
+			}
+		}
+		if targets == 0 {
+			m.res.Edges = m.res.Edges[:start] // one-rank communicator: nothing to order
+			return
+		}
+		m.joins++
+	case scatterLike[name]:
+		er := entries[root]
+		for j, e := range entries {
+			if j != root {
+				m.res.Edges = append(m.res.Edges, Edge{From: er.init, To: e.completion})
+			}
 		}
 	case gatherLike[name]:
-		rootWorld, ok := worldOf(members, root)
-		if !ok {
-			return
-		}
-		er := entries[rootWorld]
-		for _, j := range members {
-			if j == rootWorld {
-				continue
+		er := entries[root]
+		for j, e := range entries {
+			if j != root {
+				m.res.Edges = append(m.res.Edges, Edge{From: e.init, To: er.completion})
 			}
-			m.res.Edges = append(m.res.Edges, Edge{From: entries[j].init, To: er.completion})
 		}
 	case prefixLike[name]:
 		// Prefix reductions: rank i's completion depends on every lower
 		// comm rank's contribution (and on nothing above it).
-		for i := 1; i < len(members); i++ {
+		for i := 1; i < len(entries); i++ {
 			for j := 0; j < i; j++ {
-				m.res.Edges = append(m.res.Edges, Edge{
-					From: entries[members[j]].init,
-					To:   entries[members[i]].completion,
-				})
+				m.res.Edges = append(m.res.Edges, Edge{From: entries[j].init, To: entries[i].completion})
 			}
 		}
 	default:
@@ -157,13 +181,6 @@ func (m *matcher) collectiveEdges(name string, members []int, root int, entries 
 		// synchronizing — the reason the sync-barrier-sync construct
 		// exists.
 	}
-}
-
-func worldOf(members []int, commRank int) (int, bool) {
-	if commRank < 0 || commRank >= len(members) {
-		return -1, false
-	}
-	return members[commRank], true
 }
 
 // matchP2P pairs sends and receives per (comm, src, dst, tag) bucket in FIFO
@@ -220,13 +237,18 @@ func (m *matcher) matchP2P() {
 	}
 }
 
-func (m *matcher) sortOutputs() {
-	slices.SortFunc(m.res.Edges, func(a, b Edge) int {
+// sortEdges orders edges by (From, To); join nodes (rank -1) sort first.
+func sortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
 		if c := refCompare(a.From, b.From); c != 0 {
 			return c
 		}
 		return refCompare(a.To, b.To)
 	})
+}
+
+func (m *matcher) sortOutputs() {
+	sortEdges(m.res.Edges)
 	slices.SortFunc(m.res.Problems, func(a, b Problem) int {
 		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 			return c

@@ -26,12 +26,23 @@
 //
 //   - barrier-like (Barrier, Allreduce, Allgather, Alltoall, Comm_dup,
 //     Comm_split, Comm_free): everything po-before the call on any rank
-//     happens-before everything po-after the call on every other rank.
-//     Encoded acyclically as pred(call_i) → call_j for i ≠ j, where pred is
-//     the po-predecessor.
+//     happens-before everything po-after the call on every other rank —
+//     acyclically, pred(call_i) → call_j for i ≠ j, where pred is the
+//     po-predecessor. That is P(P−1) pairs per call, so it is stored as a
+//     join node: pred(call_i) → J and J → call_j, at most 2P edges.
 //   - rooted scatter-like (Bcast, Scatter): root's call → every other call.
 //   - rooted gather-like (Reduce, Gather): every non-root call → root's
 //     call.
+//
+// A join node is a virtual endpoint, not a record: trace.Ref{Rank: -1,
+// Seq: k} names the k-th join in slot order (communicators by id, slots in
+// call order), so the edge list stays a pure function of the trace. A join
+// has at least one edge in and one out, its other endpoints are records, and
+// joins never connect to each other; it orders exactly (every source) →
+// (every target on another rank). Result.Edges is the complete
+// synchronization order in this encoding — internal/hbgraph consumes it as
+// is — and Pairwise expands it to plain record-to-record pairs for the
+// reference oracles and tests that want the relation spelled out.
 //
 // Collective MPI-IO data/metadata calls (MPI_File_open/close/sync/
 // write_at_all/...) are matched for error detection but contribute no
@@ -53,9 +64,44 @@ import (
 	"verifyio/internal/trace"
 )
 
-// Edge is a synchronization-order edge: From happens-before To.
+// Edge is a synchronization-order edge: From happens-before To. One of the
+// two may be a join node (Rank == -1, see the package comment).
 type Edge struct {
 	From, To trace.Ref
+}
+
+// joinRank marks a trace.Ref as a join node rather than a record.
+const joinRank = -1
+
+// Pairwise expands the join nodes of a matcher edge list into the pairwise
+// synchronization order they stand for — source → target for every source
+// and every target of a join on different ranks — and returns it with the
+// plain edges, sorted like Result.Edges. The expansion is quadratic in the
+// communicator size; it exists for the reference oracles and for tests.
+func Pairwise(edges []Edge) []Edge {
+	out := make([]Edge, 0, len(edges))
+	srcs, dsts := map[int][]trace.Ref{}, map[int][]trace.Ref{}
+	for _, e := range edges {
+		switch {
+		case e.To.Rank == joinRank:
+			srcs[e.To.Seq] = append(srcs[e.To.Seq], e.From)
+		case e.From.Rank == joinRank:
+			dsts[e.From.Seq] = append(dsts[e.From.Seq], e.To)
+		default:
+			out = append(out, e)
+		}
+	}
+	for k, from := range srcs {
+		for _, f := range from {
+			for _, t := range dsts[k] {
+				if f.Rank != t.Rank {
+					out = append(out, Edge{From: f, To: t})
+				}
+			}
+		}
+	}
+	sortEdges(out)
+	return out
 }
 
 // Problem is an unmatched or mismatched MPI call.
@@ -110,7 +156,8 @@ func (k ProblemKind) String() string {
 
 // Result is the matcher's output.
 type Result struct {
-	// Edges are the synchronization-order edges.
+	// Edges are the synchronization-order edges, barrier-like collectives
+	// as join nodes, sorted by (From, To).
 	Edges []Edge
 	// Problems are the unmatched/mismatched calls. A non-empty list means
 	// the verification step cannot trust the happens-before order (the
@@ -294,6 +341,7 @@ func (m *matcher) mergeAndMatch(outs []*rankOut, oc obs.Ctx) *Result {
 	m.sortOutputs()
 	if r := oc.R; r != nil {
 		r.Counter("match.edges").Add(int64(len(m.res.Edges)))
+		r.Counter("match.joins").Add(int64(m.joins))
 		r.Counter("match.problems").Add(int64(len(m.res.Problems)))
 		r.Counter("match.collectives").Add(int64(m.res.Collectives))
 		r.Counter("match.p2p").Add(int64(m.res.P2P))
@@ -377,6 +425,8 @@ type p2pKey struct {
 
 type matcher struct {
 	res *Result
+	// joins counts the join nodes emitted so far; the next one's Seq.
+	joins int
 
 	// members: communicator gid -> world ranks.
 	members map[string][]int

@@ -1,7 +1,10 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,8 +34,10 @@ func mustMatch(t *testing.T, tr *trace.Trace) *Result {
 	return res
 }
 
+// hasEdge reports whether the sync order of res holds from → to as a pair
+// (join nodes expanded).
 func hasEdge(res *Result, from, to trace.Ref) bool {
-	for _, e := range res.Edges {
+	for _, e := range Pairwise(res.Edges) {
 		if e.From == from && e.To == to {
 			return true
 		}
@@ -192,6 +197,149 @@ func TestBarrierEdgesUsePredecessors(t *testing.T) {
 	if hasEdge(res, trace.Ref{Rank: 0, Seq: 1}, trace.Ref{Rank: 1, Seq: 1}) &&
 		hasEdge(res, trace.Ref{Rank: 1, Seq: 1}, trace.Ref{Rank: 0, Seq: 1}) {
 		t.Error("mutual barrier edges form a cycle")
+	}
+}
+
+// TestBarrierStoredAsJoin pins the stored shape of a barrier-like slot: one
+// join node with an edge in from every member's predecessor and an edge out
+// to every member's call — linear in the communicator size — and its
+// Pairwise expansion, the pred(call_i) → call_j clique.
+func TestBarrierStoredAsJoin(t *testing.T) {
+	const nranks = 5
+	tr := runTraced(t, nranks, func(r *recorder.Rank) error {
+		c := r.Proc().CommWorld()
+		if _, err := r.Allreduce(c, 1, mpi.OpSum); err != nil {
+			return err
+		}
+		return r.Barrier(c)
+	})
+	res := mustMatch(t, tr)
+	// The Allreduce is every rank's first record: no predecessors, no edges.
+	join := trace.Ref{Rank: -1, Seq: 0}
+	var want []Edge
+	for rank := 0; rank < nranks; rank++ {
+		want = append(want, Edge{From: join, To: trace.Ref{Rank: rank, Seq: 1}})
+	}
+	for rank := 0; rank < nranks; rank++ {
+		want = append(want, Edge{From: trace.Ref{Rank: rank, Seq: 0}, To: join})
+	}
+	if !reflect.DeepEqual(res.Edges, want) {
+		t.Fatalf("stored edges = %v\nwant %v", res.Edges, want)
+	}
+	pairs := Pairwise(res.Edges)
+	if len(pairs) != nranks*(nranks-1) {
+		t.Fatalf("Pairwise gave %d pairs, want %d", len(pairs), nranks*(nranks-1))
+	}
+	for _, e := range pairs {
+		if e.From.Rank < 0 || e.To.Rank < 0 || e.From.Rank == e.To.Rank || e.From.Seq != 0 || e.To.Seq != 1 {
+			t.Errorf("Pairwise pair %v→%v is not pred(call_i) → call_j, i ≠ j", e.From, e.To)
+		}
+	}
+	if !slices.IsSortedFunc(pairs, func(a, b Edge) int {
+		return cmp.Or(refCompare(a.From, b.From), refCompare(a.To, b.To))
+	}) {
+		t.Error("Pairwise output is not sorted by (From, To)")
+	}
+}
+
+// TestJoinEndpointsAreTheCliquesEndpoints covers the corners where the
+// pairwise order has fewer endpoints than "every pred, every call": a member
+// whose call is its first record has no predecessor, a lone source's own
+// call is nobody's target, and a one-rank communicator orders nothing.
+func TestJoinEndpointsAreTheCliquesEndpoints(t *testing.T) {
+	barrier := func(tr *trace.Trace, rank int, comm string) {
+		tr.Append(trace.Record{Rank: rank, Func: "MPI_Barrier", Layer: trace.LayerMPI,
+			Args: []string{comm}, Tick: 1, Ret: 2})
+	}
+	op := func(tr *trace.Trace, rank int) {
+		tr.Append(trace.Record{Rank: rank, Func: "write", Layer: trace.LayerPOSIX, Tick: 1, Ret: 2})
+	}
+
+	// Only rank 1 has a record before the barrier.
+	lone := trace.New(3)
+	barrier(lone, 0, "comm-world")
+	op(lone, 1)
+	barrier(lone, 1, "comm-world")
+	barrier(lone, 2, "comm-world")
+	res := mustMatch(t, lone)
+	want := []Edge{
+		{From: trace.Ref{Rank: 1, Seq: 0}, To: trace.Ref{Rank: 0, Seq: 0}},
+		{From: trace.Ref{Rank: 1, Seq: 0}, To: trace.Ref{Rank: 2, Seq: 0}},
+	}
+	if got := Pairwise(res.Edges); !reflect.DeepEqual(got, want) {
+		t.Errorf("lone source: pairs = %v, want %v", got, want)
+	}
+	for _, e := range res.Edges {
+		if e.To == (trace.Ref{Rank: 1, Seq: 1}) {
+			t.Errorf("lone source: its own call %v is a target; the pairwise order never reaches it", e.To)
+		}
+	}
+
+	// A communicator of one rank: a barrier on it orders nothing.
+	self := trace.New(2)
+	for rank := 0; rank < 2; rank++ {
+		self.Append(trace.Record{Rank: rank, Func: "MPI_Comm_split", Layer: trace.LayerMPI,
+			Args: []string{"comm-world", fmt.Sprint(rank), "0", fmt.Sprintf("comm-self%d", rank), fmt.Sprint(rank)},
+			Tick: 1, Ret: 2})
+		barrier(self, rank, fmt.Sprintf("comm-self%d", rank))
+	}
+	res = mustMatch(t, self)
+	if len(res.Problems) != 0 || res.Collectives != 3 {
+		t.Fatalf("one-rank communicators: collectives = %d, problems = %v", res.Collectives, res.Problems)
+	}
+	if len(res.Edges) != 0 {
+		t.Errorf("one-rank communicators produced sync edges: %v", res.Edges)
+	}
+}
+
+// TestRootedCollectiveBadRootReported is the regression test for a silent
+// hole: when every member of a rooted collective carries the same unusable
+// root (missing, non-integer, or past the communicator), the slot matched,
+// emitted no edges, and raised nothing — a "verified" report on an
+// incomplete happens-before order. Both front-ends must flag it.
+func TestRootedCollectiveBadRootReported(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   string
+		args []string // after the communicator
+		root string   // as the problem must name it
+	}{
+		{"bcast root past the communicator", "MPI_Bcast", []string{"3", "8"}, "root 3"},
+		{"bcast root not an integer", "MPI_Bcast", []string{"zero", "8"}, "root -1"},
+		{"reduce root missing", "MPI_Reduce", nil, "root -1"},
+		{"reduce root negative", "MPI_Reduce", []string{"-2", "sum"}, "root -2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.New(3)
+			for rank := 0; rank < 3; rank++ {
+				tr.Append(trace.Record{Rank: rank, Func: "write", Layer: trace.LayerPOSIX, Tick: 1, Ret: 2})
+				tr.Append(trace.Record{Rank: rank, Func: tc.fn, Layer: trace.LayerMPI,
+					Args: append([]string{"comm-world"}, tc.args...), Tick: 3, Ret: 4})
+			}
+			for front, res := range map[string]*Result{
+				"MatchOpts":     mustMatch(t, tr),
+				"StreamMatcher": streamFeed(t, tr, 1),
+			} {
+				probs := problems(res, MalformedRecord)
+				if len(probs) != 1 {
+					t.Fatalf("%s: MalformedRecord problems = %v, want exactly one", front, res.Problems)
+				}
+				p := probs[0]
+				for _, want := range []string{tc.fn, tc.root, "comm-world", "size 3"} {
+					if !strings.Contains(p.Detail, want) {
+						t.Errorf("%s: detail %q does not name %q", front, p.Detail, want)
+					}
+				}
+				wantRefs := []trace.Ref{{Rank: 0, Seq: 1}, {Rank: 1, Seq: 1}, {Rank: 2, Seq: 1}}
+				if !reflect.DeepEqual(p.Refs, wantRefs) {
+					t.Errorf("%s: refs = %v, want the members' calls %v", front, p.Refs, wantRefs)
+				}
+				if res.Collectives != 0 || len(res.Edges) != 0 {
+					t.Errorf("%s: unusable slot counted (%d collectives) or ordered (%v)", front, res.Collectives, res.Edges)
+				}
+			}
+		})
 	}
 }
 

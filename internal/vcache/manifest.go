@@ -1,6 +1,7 @@
 package vcache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
@@ -34,7 +35,10 @@ import (
 // of both runs to lie inside the stable region, which the caller proves by
 // counting below-cut unlinks in the new trace.
 
-// Edge is a synchronization-order edge by record identity.
+// Edge is a synchronization-order edge by record identity. The matcher's
+// join nodes never reach the manifest: the verifier records each as a star
+// over its record endpoints, which connects what the join connects — all the
+// closure below asks of an edge. Edges are kept sorted by (from, to).
 type Edge struct {
 	FromRank, FromSeq int32
 	ToRank, ToSeq     int32
@@ -154,22 +158,28 @@ func chainTailEqual(a, b []Digest, from int) bool {
 	return true
 }
 
-// edgeDiff returns the symmetric difference of the two edge multisets.
+// edgeDiff returns the symmetric difference of the two edge multisets by a
+// linear merge: both lists are sorted by (from, to), as the verifier writes
+// them. Lists that are not — a damaged manifest — only make it report more,
+// which lowers cuts: the safe direction.
 func edgeDiff(a, b []Edge) []Edge {
-	count := make(map[Edge]int, len(a))
-	for _, e := range a {
-		count[e]++
-	}
-	for _, e := range b {
-		count[e]--
-	}
 	var out []Edge
-	for e, c := range count {
-		if c != 0 {
-			out = append(out, e)
+	for len(a) > 0 && len(b) > 0 {
+		switch c := compareEdges(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
 		}
 	}
-	return out
+	return append(append(out, a...), b...)
+}
+
+func compareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.FromRank, b.FromRank), cmp.Compare(a.FromSeq, b.FromSeq),
+		cmp.Compare(a.ToRank, b.ToRank), cmp.Compare(a.ToSeq, b.ToSeq))
 }
 
 // UnlinkSafe reports whether fid generations are provably identical across

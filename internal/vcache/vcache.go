@@ -46,7 +46,10 @@ import (
 //
 // v2: default pruning searches a mixed read/write run as two subsequences;
 // v1 verdicts under-counted races on such runs.
-const CodeVersion = "verifyio-vcache-v2"
+//
+// v3: barrier-like collectives are join nodes in the sync skeleton, which
+// changes its digest (hence every epoch), and star edges in the manifest.
+const CodeVersion = "verifyio-vcache-v3"
 
 // Digest is a SHA-256 content digest.
 type Digest = [sha256.Size]byte

@@ -2,8 +2,11 @@ package vcache
 
 import (
 	"crypto/sha256"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -281,6 +284,58 @@ func TestCutsPrefix(t *testing.T) {
 	// A changed rank count certifies nothing.
 	if old.Cuts(cur[:1], nil) != nil {
 		t.Fatal("rank-count mismatch should return nil")
+	}
+}
+
+// TestEdgeDiffLinearMerge holds the merge against the multiset difference it
+// replaced on sorted lists (duplicates included), and pins what it does with
+// lists that are not sorted: report at least the true difference.
+func TestEdgeDiffLinearMerge(t *testing.T) {
+	byCount := func(a, b []Edge) map[Edge]int {
+		count := map[Edge]int{}
+		for _, e := range a {
+			count[e]++
+		}
+		for _, e := range b {
+			count[e]--
+		}
+		for e, c := range count {
+			if c == 0 {
+				delete(count, e)
+			} else if c < 0 {
+				count[e] = -c
+			}
+		}
+		return count
+	}
+	tally := func(es []Edge) map[Edge]int {
+		return byCount(es, nil)
+	}
+	rng := rand.New(rand.NewSource(3))
+	draw := func() []Edge {
+		es := make([]Edge, rng.Intn(40))
+		for i := range es {
+			es[i] = Edge{int32(rng.Intn(3)), int32(rng.Intn(4)), int32(rng.Intn(3)), int32(rng.Intn(4))}
+		}
+		return es
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := draw(), draw()
+		want := byCount(a, b)
+		for e, c := range tally(edgeDiff(a, b)) { // unsorted: a superset
+			if c < want[e] {
+				t.Fatalf("unsorted lists: %v reported %d times, differs %d times", e, c, want[e])
+			}
+			delete(want, e)
+		}
+		if len(want) != 0 {
+			t.Fatalf("unsorted lists: differing edges %v not reported", want)
+		}
+		slices.SortFunc(a, compareEdges)
+		slices.SortFunc(b, compareEdges)
+		if got, want := tally(edgeDiff(a, b)), byCount(a, b); !maps.Equal(got, want) {
+			t.Fatalf("sorted lists: diff %v, want %v", got, want)
+		}
 	}
 }
 

@@ -1,16 +1,19 @@
 package verify
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"verifyio/internal/conflict"
+	"verifyio/internal/match"
 	"verifyio/internal/obs"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -207,13 +210,7 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 		}
 	}
 
-	art.edges = make([]vcache.Edge, len(a.Match.Edges))
-	for i, e := range a.Match.Edges {
-		art.edges[i] = vcache.Edge{
-			FromRank: int32(e.From.Rank), FromSeq: int32(e.From.Seq),
-			ToRank: int32(e.To.Rank), ToSeq: int32(e.To.Seq),
-		}
-	}
+	art.edges = starEdges(a.Match.Edges)
 
 	eh := sha256.New()
 	io.WriteString(eh, "verifyio-epoch-v1\x00")
@@ -246,21 +243,73 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 		a.Graph.AppendSkeletonDigest(eh)
 		art.skel = a.Graph.SkeletonDigest()
 	} else {
-		// On-the-fly oracle: no skeleton artifact; commit to the raw edge
-		// list (the same information, differently encoded — the epochs
-		// intentionally differ so the two families never alias).
-		writeU32(eh, uint32(len(art.edges)))
-		for _, e := range art.edges {
-			writeU32(eh, uint32(e.FromRank))
-			writeU32(eh, uint32(e.FromSeq))
-			writeU32(eh, uint32(e.ToRank))
-			writeU32(eh, uint32(e.ToSeq))
+		// On-the-fly oracle: no skeleton artifact; commit to the matcher's
+		// edge list, join nodes and all (the same information, differently
+		// encoded — the epochs intentionally differ so the two families
+		// never alias).
+		writeU32(eh, uint32(len(a.Match.Edges)))
+		for _, e := range a.Match.Edges {
+			writeU32(eh, uint32(e.From.Rank))
+			writeU32(eh, uint32(e.From.Seq))
+			writeU32(eh, uint32(e.To.Rank))
+			writeU32(eh, uint32(e.To.Seq))
 		}
 	}
 	eh.Sum(art.epoch[:0])
 
 	a.cacheArt = art
 	return art
+}
+
+// starEdges turns the matcher's edge list into the manifest's: records only,
+// sorted. The manifest needs its edges for one thing — no edge may straddle
+// a stable-region cut (vcache.Manifest.Cuts) — so a join node is recorded as
+// a star over its record endpoints, first source → every target and every
+// other source → first target: as many edges as the join had, less one, and
+// connecting exactly the endpoints its source × target pairs connect.
+func starEdges(edges []match.Edge) []vcache.Edge {
+	const joinRank = -1 // match's marker for a join node
+	joins := 0
+	for _, e := range edges {
+		if e.From.Rank == joinRank {
+			joins = max(joins, e.From.Seq+1)
+		}
+	}
+	// Each join's first source and first target (every join has both — match
+	// emits no other kind); walking backwards, the first in order wins.
+	firstSrc, firstDst := make([]trace.Ref, joins), make([]trace.Ref, joins)
+	for i := len(edges) - 1; i >= 0; i-- {
+		switch e := edges[i]; {
+		case e.To.Rank == joinRank:
+			firstSrc[e.To.Seq] = e.From
+		case e.From.Rank == joinRank:
+			firstDst[e.From.Seq] = e.To
+		}
+	}
+	out := make([]vcache.Edge, 0, len(edges))
+	add := func(from, to trace.Ref) {
+		out = append(out, vcache.Edge{
+			FromRank: int32(from.Rank), FromSeq: int32(from.Seq),
+			ToRank: int32(to.Rank), ToSeq: int32(to.Seq),
+		})
+	}
+	for _, e := range edges {
+		switch {
+		case e.To.Rank == joinRank:
+			if e.From != firstSrc[e.To.Seq] {
+				add(e.From, firstDst[e.To.Seq])
+			}
+		case e.From.Rank == joinRank:
+			add(firstSrc[e.From.Seq], e.To)
+		default:
+			add(e.From, e.To)
+		}
+	}
+	slices.SortFunc(out, func(a, b vcache.Edge) int {
+		return cmp.Or(cmp.Compare(a.FromRank, b.FromRank), cmp.Compare(a.FromSeq, b.FromSeq),
+			cmp.Compare(a.ToRank, b.ToRank), cmp.Compare(a.ToSeq, b.ToSeq))
+	})
+	return out
 }
 
 func writeU32(h hash.Hash, v uint32) {

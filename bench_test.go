@@ -13,8 +13,6 @@ package verifyio
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"verifyio/internal/corpus"
@@ -265,155 +263,6 @@ func BenchmarkFig6_HDF5Pattern(b *testing.B) {
 				}
 				if got := row.Races[3] > 0; got != variant.wantRace {
 					b.Fatalf("%s MPI-IO racy = %v, want %v", variant.test, got, variant.wantRace)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAnalyze measures the parallel analysis front-end (steps 2–3:
-// concurrent conflict detection and MPI matching, sharded per-rank replay
-// and per-file sweep) plus graph construction on the large synthetic
-// scaling trace, at increasing worker counts. Pair counts are asserted
-// identical across worker counts — the speedup is for identical output.
-// cmd/bench runs the same workload over the full scaling corpus and writes
-// BENCH_analyze.json.
-func BenchmarkAnalyze(b *testing.B) {
-	tr := corpus.ScalingTrace(8, 4000, 1<<18, 7)
-	workerCounts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	var pairs int64 = -1
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock,
-					verify.AnalyzeOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if pairs < 0 {
-					pairs = a.Conflicts.Pairs
-				} else if a.Conflicts.Pairs != pairs {
-					b.Fatalf("workers=%d changed the pair count: %d vs %d",
-						workers, a.Conflicts.Pairs, pairs)
-				}
-			}
-			b.ReportMetric(float64(pairs), "pairs")
-		})
-	}
-}
-
-// BenchmarkVerifyParallel measures the sharded verification engine's
-// scaling on the conflict-heaviest corpus trace: the same model pass at
-// 1/2/4/8 workers (Workers=1 is the serial path). Race counts are asserted
-// identical across worker counts, so the speedup is for bit-identical
-// output.
-func BenchmarkVerifyParallel(b *testing.B) {
-	tr := corpusTrace(b, "pmulti_dset")
-	a, err := verify.Analyze(tr, verify.AlgoVectorClock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := semantics.MPIIOModel()
-	var races int64 = -1
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := a.Verify(verify.Options{Model: model, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if races < 0 {
-					races = rep.RaceCount
-				} else if rep.RaceCount != races {
-					b.Fatalf("workers=%d changed the race count: %d vs %d", workers, rep.RaceCount, races)
-				}
-			}
-			b.ReportMetric(float64(races), "races")
-		})
-	}
-}
-
-// skewedTrace builds a deliberately unbalanced conflict population: every
-// rank hammers offset 0 (dense ops cross-conflicting writes — a handful of
-// enormous groups) while also scattering sparse writes across distinct
-// offsets (many tiny groups). Count-based chunking would put the dense
-// groups in ordinary chunks and straggle; the weight-based plan isolates
-// them.
-func skewedTrace(nranks, dense, sparse int) *trace.Trace {
-	tr := trace.New(nranks)
-	for rank := 0; rank < nranks; rank++ {
-		tick := int64(2)
-		emit := func(layer trace.Layer, fn string, args ...string) {
-			tr.Append(trace.Record{Rank: rank, Func: fn, Layer: layer,
-				Args: args, Tick: tick, Ret: tick + 1})
-			tick += 2
-		}
-		emit(trace.LayerMPI, "MPI_Barrier", "comm-world")
-		emit(trace.LayerPOSIX, "open", "skew.dat", "rw|creat", "3")
-		for i := 0; i < dense; i++ {
-			emit(trace.LayerPOSIX, "pwrite", "3", "16", "0")
-		}
-		for i := 0; i < sparse; i++ {
-			emit(trace.LayerPOSIX, "pwrite", "3", "16", fmt.Sprint(int64(1024+i*16)))
-		}
-		emit(trace.LayerPOSIX, "close", "3")
-		emit(trace.LayerMPI, "MPI_Barrier", "comm-world")
-	}
-	return tr
-}
-
-// BenchmarkVerifySkewedGroups measures parallel verification on the skewed
-// conflict population — the workload the run-length-weighted chunk plan
-// exists for. With chunks sized by group count, the dense groups land in
-// one worker's chunk and serialize the pass; weight-based planning isolates
-// them so the speedup survives the skew.
-func BenchmarkVerifySkewedGroups(b *testing.B) {
-	tr := skewedTrace(4, 600, 400)
-	a, err := verify.Analyze(tr, verify.AlgoVectorClock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := semantics.POSIXModel()
-	var races int64 = -1
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := a.Verify(verify.Options{Model: model, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if races < 0 {
-					races = rep.RaceCount
-				} else if rep.RaceCount != races {
-					b.Fatalf("workers=%d changed the race count: %d vs %d",
-						workers, rep.RaceCount, races)
-				}
-			}
-			b.ReportMetric(float64(races), "races")
-		})
-	}
-}
-
-// BenchmarkVerifyAllParallel measures the concurrent multi-model pass (all
-// four models over one shared analysis) against the serial loop.
-func BenchmarkVerifyAllParallel(b *testing.B) {
-	tr := corpusTrace(b, "pmulti_dset")
-	a, err := verify.Analyze(tr, verify.AlgoVectorClock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				reps, err := a.VerifyAll(semantics.All(), verify.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(reps) != 4 {
-					b.Fatal("missing model reports")
 				}
 			}
 		})

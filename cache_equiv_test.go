@@ -133,8 +133,8 @@ const (
 // TestCacheAppendIncrementalEquivalence is the incremental gate: verifying
 // an appended trace against the base run's store must (a) report exactly
 // what a cold verification of the appended trace reports, and (b) promote
-// the stable prefix instead of recomputing it — most chunks hit, only the
-// dirtied tail misses.
+// the stable prefix instead of recomputing it — only the dirtied tail, at
+// most 5 % of the cold run's chunks, misses.
 func TestCacheAppendIncrementalEquivalence(t *testing.T) {
 	base := corpus.ScalingTrace(appendRanks, appendOps, appendWindow, appendSeed)
 	app := corpus.ScalingTraceAppend(appendRanks, appendOps, appendExtra, appendWindow, appendSeed)
@@ -160,8 +160,9 @@ func TestCacheAppendIncrementalEquivalence(t *testing.T) {
 	cacheVerifyAll(t, base, store, 1, "append-test")
 	incr := cacheVerifyAll(t, app, store, 1, "append-test")
 
-	var hits, misses int64
+	var hits, misses, coldMisses int64
 	for i := range coldApp {
+		coldMisses += coldApp[i].Cache.Misses
 		if !bytes.Equal(reportFingerprint(t, coldApp[i]), reportFingerprint(t, incr[i])) {
 			t.Errorf("%s: incremental report differs from cold verification of the appended trace",
 				coldApp[i].Model)
@@ -179,9 +180,9 @@ func TestCacheAppendIncrementalEquivalence(t *testing.T) {
 	if misses == 0 {
 		t.Fatal("incremental run missed nothing: the appended region was not verified (test is vacuous)")
 	}
-	if hits <= misses {
-		t.Errorf("incremental run: %d hits <= %d misses; a ~1%% append should dirty a small minority of chunks",
-			hits, misses)
+	if 20*misses > coldMisses {
+		t.Errorf("incremental run re-verified %d of the cold run's %d chunks; a ~1%% append must dirty at most 5%% of the plan",
+			misses, coldMisses)
 	}
 }
 

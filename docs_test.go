@@ -1,0 +1,91 @@
+package verifyio
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"verifyio/internal/dfg"
+	"verifyio/internal/trace"
+)
+
+// metricToken matches a backticked lower-case dotted name (`pkg.metric_name`).
+// Go identifiers carry capitals and paths carry slashes, so neither matches;
+// file names are told apart by their extension.
+var (
+	metricToken = regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_-]+)+)`")
+	fileExt     = regexp.MustCompile(`\.(go|md|json|jsonl|txt|log|bin|dot|svg|viot|sig|yml|sh|mod)$`)
+)
+
+// TestDocsQuoteKnownNames pins the vocabulary of README.md, DESIGN.md and
+// EXPERIMENTS.md: they do not mention the deleted second benchmark, and every
+// `pkg.metric_name` they quote is a BENCHMARK.json metric or workload name or
+// a metric the pipeline emits — collected from three instrumented runs of one
+// corpus trace (default oracle; vector clocks; streamed with a verdict cache
+// and a DFG pass).
+func TestDocsQuoteKnownNames(t *testing.T) {
+	known := map[string]bool{}
+
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type named []struct{ Name string }
+	var bm struct {
+		Workloads named
+		EndToEnd  named `json:"end_to_end"`
+		PerLayer  named `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bm); err != nil {
+		t.Fatal(err)
+	}
+	for _, list := range []named{bm.Workloads, bm.EndToEnd, bm.PerLayer} {
+		for _, n := range list {
+			known[n.Name] = true
+		}
+	}
+
+	tr := corpusTraceT(t, "pmulti_dset")
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry()
+	loaded, _, err := ReadTraceDirOpts(dir, ReadOptions{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"auto", "vector-clock"} {
+		if _, err := VerifyAll(loaded, &Options{Algorithm: algo, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := VerifyAllStream(dir, ReadOptions{Telemetry: tel},
+		&Options{Telemetry: tel, Cache: NewMemoryCache()}); err != nil {
+		t.Fatal(err)
+	}
+	dfg.FromTrace(tr, dfg.Options{Obs: tel.Obs()})
+	for _, name := range tel.registry.Names() {
+		known[name] = true
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke"} {
+			if strings.Contains(string(text), gone) {
+				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
+			}
+		}
+		for _, m := range metricToken.FindAllStringSubmatch(string(text), -1) {
+			if name := m[1]; !fileExt.MatchString(name) && !known[name] {
+				t.Errorf("%s quotes `%s`: neither a BENCHMARK.json name nor a metric the pipeline emits", doc, name)
+			}
+		}
+	}
+}

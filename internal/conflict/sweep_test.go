@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -204,29 +203,43 @@ func TestPropertySweepFullAdjacency(t *testing.T) {
 	}
 }
 
-// TestSweepShardsWithinSingleFile pins the intra-file fan-out: a dense
-// single-shared-file trace must submit more than one sweep task even at the
-// default worker count — before slicing, such a trace collapsed to exactly
-// one detect-sweep task no matter what -workers said.
+// TestSweepShardsWithinSingleFile pins the intra-file fan-out and the sweep's
+// memory contract on a dense single-shared-file trace (443 739 pairs): more
+// than one sweep task and slice, transient scratch within 12 bytes per
+// conflicting pair, and no per-pair or per-group allocation. Workers is
+// pinned, never GOMAXPROCS: the transpose histogram is 4·K·n bytes with one
+// op range per worker (K = Workers), so bytes per pair grow with the worker
+// count (9.2 at 1, 9.6 at 4, over 12 past ~20) and a host-sized run would
+// gate on the runner's core count instead of on the code.
 func TestSweepShardsWithinSingleFile(t *testing.T) {
-	tr := synthTrace(4, 1024, 1<<12, 3) // 4096 ops, one shared file
-	reg := obs.NewRegistry()
-	res, err := DetectOpts(tr, Options{Workers: runtime.GOMAXPROCS(0), Obs: obs.Ctx{R: reg}})
-	if err != nil {
-		t.Fatal(err)
+	tr := synthTrace(8, 2048, 1<<13, 99)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		res, err := DetectOpts(tr, Options{Workers: workers, Obs: obs.Ctx{R: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs == 0 {
+			t.Fatal("dense trace produced no conflicts")
+		}
+		snap := reg.Snapshot()
+		if tasks := snap.Stable.Counters["par.detect-sweep.tasks_submitted"]; tasks <= 1 {
+			t.Errorf("workers=%d: par.detect-sweep.tasks_submitted = %d, want > 1", workers, tasks)
+		}
+		if s := snap.Stable.Gauges["conflict.sweep_slices"]; s <= 1 {
+			t.Errorf("workers=%d: conflict.sweep_slices = %d, want > 1", workers, s)
+		}
+		if b := snap.Stable.Gauges["conflict.sweep_scratch_bytes"]; b <= 0 || b > 12*res.Pairs {
+			t.Errorf("workers=%d: conflict.sweep_scratch_bytes = %d, want in (0, 12·%d pairs]", workers, b, res.Pairs)
+		}
 	}
-	if res.Pairs == 0 {
-		t.Fatal("dense trace produced no conflicts")
-	}
-	snap := reg.Snapshot()
-	if tasks := snap.Stable.Counters["par.detect-sweep.tasks_submitted"]; tasks <= 1 {
-		t.Errorf("par.detect-sweep.tasks_submitted = %d, want > 1", tasks)
-	}
-	if s := snap.Stable.Gauges["conflict.sweep_slices"]; s <= 1 {
-		t.Errorf("conflict.sweep_slices = %d, want > 1", s)
-	}
-	if b := snap.Stable.Gauges["conflict.sweep_scratch_bytes"]; b <= 0 {
-		t.Errorf("conflict.sweep_scratch_bytes = %d, want > 0", b)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := DetectOpts(tr, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 700 {
+		t.Errorf("%.0f allocs per detection at Workers=1, want <= 700", allocs)
 	}
 }
 

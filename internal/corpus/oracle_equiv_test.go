@@ -128,21 +128,34 @@ const (
 )
 
 // TestOracleEquivalenceCorpus is the corpus-wide cross-validation of the
-// sync-skeleton rework: on every corpus trace, skeleton vector clocks
-// (serial and wavefront-parallel), BFS reachability, segment reachability
-// (the skeleton's transitive closure; serial and wavefront-parallel), and the
-// on-the-fly oracle must answer exactly like full-graph vector clocks —
-// exhaustively on small traces, on 10k sampled queries on large ones. It
-// also asserts the skeleton clock arena never exceeds the full-graph arena,
-// via the gauges the analysis pipeline exports.
+// sync-skeleton rework: on every corpus trace and one large synthetic one,
+// skeleton vector clocks (serial and wavefront-parallel), BFS reachability,
+// segment reachability (the skeleton's transitive closure; serial and
+// wavefront-parallel), and the on-the-fly oracle must answer exactly like
+// full-graph vector clocks — exhaustively on small traces, on 10k sampled
+// queries on large ones. It also asserts, via the gauges the analysis
+// pipeline exports, that the skeleton clock arena never exceeds the
+// full-graph arena and that the segment closure matrix stays within
+// DefaultSegReachBudget.
 func TestOracleEquivalenceCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-wide equivalence suite skipped in -short mode")
 	}
+	type input struct {
+		name string
+		gen  func() (*trace.Trace, error)
+	}
+	// One synthetic trace beside the corpus: 8 ranks, 33 024 records, a
+	// barrier every 64 ops.
+	inputs := []input{{"scaling-large", func() (*trace.Trace, error) {
+		return ScalingTrace(8, 4000, 1<<18, 7), nil
+	}}}
 	for _, tc := range Tests() {
-		tc := tc
-		t.Run(tc.Name, func(t *testing.T) {
-			tr, err := Run(tc)
+		inputs = append(inputs, input{tc.Name, func() (*trace.Trace, error) { return Run(tc) }})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			tr, err := in.gen()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,6 +238,21 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			}
 			if skel > full {
 				t.Errorf("skeleton clock arena %d bytes exceeds full-graph arena %d bytes", skel, full)
+			}
+
+			// The production oracle's closure matrix stays within its byte
+			// budget (over budget, the analysis falls back to the clocks
+			// checked above and never emits the gauge).
+			reg = obs.NewRegistry()
+			a, err := verify.AnalyzeOpts(tr, verify.AlgoSegment, verify.AnalyzeOptions{Obs: obs.Ctx{R: reg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Algorithm != verify.AlgoSegment {
+				t.Fatalf("segment analysis fell back to %v", a.Algorithm)
+			}
+			if b := reg.Snapshot().Stable.Gauges["hbgraph.segreach_bytes"]; b <= 0 || b > hbgraph.DefaultSegReachBudget {
+				t.Errorf("hbgraph.segreach_bytes = %d, want in (0, %d]", b, hbgraph.DefaultSegReachBudget)
 			}
 		})
 	}

@@ -9,15 +9,6 @@ import (
 	"verifyio/internal/trace"
 )
 
-// ScalingCase is one entry of the scaling corpus: traces sized to stress
-// the analysis front-end (steps 2–4) rather than to reproduce a paper
-// finding. cmd/bench and the BenchmarkAnalyze harness run Analyze+VerifyAll
-// over these at different worker counts.
-type ScalingCase struct {
-	Name string
-	Gen  func() (*trace.Trace, error)
-}
-
 // ScalingTrace synthesizes a deterministic trace of nranks ranks, each
 // issuing ops pwrite/pread calls of width 16 at pseudo-random offsets
 // within window (overlap density is controlled by window), with an
@@ -123,30 +114,4 @@ func WriteScalingDir(dir string, nranks, ops int, window int64, seed int64, opts
 		}
 	}
 	return nil
-}
-
-// ScalingCorpus returns the benchmark traces: two synthetic traces (the
-// "large" one is the speedup yardstick) plus the heaviest corpus tests, so
-// the numbers cover both the adversarial sweep-bound shape and the
-// library-generated shape of real traces.
-func ScalingCorpus() []ScalingCase {
-	cases := []ScalingCase{
-		{Name: "synth-mid", Gen: func() (*trace.Trace, error) {
-			return ScalingTrace(4, 1500, 1<<14, 42), nil
-		}},
-		{Name: "synth-large", Gen: func() (*trace.Trace, error) {
-			return ScalingTrace(8, 4000, 1<<18, 7), nil
-		}},
-	}
-	for _, name := range []string{"pmulti_dset", "nc4perf"} {
-		name := name
-		cases = append(cases, ScalingCase{Name: name, Gen: func() (*trace.Trace, error) {
-			t, err := ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return Run(t)
-		}})
-	}
-	return cases
 }

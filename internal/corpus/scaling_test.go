@@ -12,7 +12,7 @@ import (
 
 // WriteScalingDir must stage exactly the directory trace.WriteDir would
 // produce from the materialized trace — byte for byte, so streaming
-// benchmarks over generated directories measure the real on-disk format.
+// tests over generated directories exercise the real on-disk format.
 func TestWriteScalingDirMatchesWriteDir(t *testing.T) {
 	const (
 		nranks = 3
@@ -45,7 +45,7 @@ func TestWriteScalingDirMatchesWriteDir(t *testing.T) {
 }
 
 // ScalingRankRecords must agree with what the generator actually emits — the
-// sizing contract bench cells use to hit a target record count.
+// sizing contract tests use to state how many records they staged.
 func TestScalingRankRecords(t *testing.T) {
 	for _, ops := range []int{1, 63, 64, 65, 1000} {
 		got := len(scalingRank(0, 0, ops, 0, 1<<14, 7))

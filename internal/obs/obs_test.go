@@ -348,8 +348,8 @@ func TestDoubleEndKeepsFirst(t *testing.T) {
 }
 
 // BenchmarkDisabledSpan and BenchmarkDisabledCounter measure the telemetry-
-// disabled path (nil tracer/registry). TestDisabledPathOverhead asserts it
-// stays branch-cheap.
+// disabled path (nil tracer/registry). TestDisabledPathAllocatesNothing
+// asserts it stays allocation-free.
 func BenchmarkDisabledSpan(b *testing.B) {
 	var tr *Tracer
 	c := Ctx{T: tr}
@@ -377,27 +377,21 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	}
 }
 
-// TestDisabledPathOverhead pins the disabled-telemetry cost: a full
-// Start+End round trip through a nil tracer must cost no more than a few
-// nanoseconds (it is two nil checks). The bound is loose enough for CI
-// machines but catches any accidental allocation or lock on the nil path.
-func TestDisabledPathOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
+// TestDisabledPathAllocatesNothing pins the disabled-telemetry contract: a
+// Start+End round trip through a nil tracer and a counter lookup on a nil
+// registry are nil checks and must never allocate. What they cost in
+// nanoseconds is BenchmarkDisabledSpan / BenchmarkDisabledCounter's to say.
+func TestDisabledPathAllocatesNothing(t *testing.T) {
+	var c Ctx
+	if n := testing.AllocsPerRun(1000, func() {
+		_, sp := c.Start("stage")
+		sp.End()
+	}); n != 0 {
+		t.Errorf("disabled span round trip allocates %v times", n)
 	}
-	res := testing.Benchmark(BenchmarkDisabledSpan)
-	if res.AllocsPerOp() != 0 {
-		t.Fatalf("disabled span path allocates: %d allocs/op", res.AllocsPerOp())
-	}
-	if ns := res.NsPerOp(); ns > 50 {
-		t.Fatalf("disabled span path = %d ns/op, want <= 50", ns)
-	}
-	res = testing.Benchmark(BenchmarkDisabledCounter)
-	if res.AllocsPerOp() != 0 {
-		t.Fatalf("disabled counter path allocates: %d allocs/op", res.AllocsPerOp())
-	}
-	if ns := res.NsPerOp(); ns > 10 {
-		t.Fatalf("disabled counter path = %d ns/op, want <= 10", ns)
+	var r *Registry
+	if n := testing.AllocsPerRun(1000, func() { r.Counter("x").Add(1) }); n != 0 {
+		t.Errorf("disabled counter lookup allocates %v times", n)
 	}
 }
 

@@ -168,9 +168,9 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestScalingTraceDeterministic pins the benchmark corpus: the synthetic
-// scaling trace must be reproducible (same arguments, same records), or the
-// committed BENCH_analyze.json numbers describe nothing.
+// TestScalingTraceDeterministic pins the synthetic scaling trace: it must be
+// reproducible (same arguments, same records), or the tests that assert
+// counts and bytes on it describe nothing.
 func TestScalingTraceDeterministic(t *testing.T) {
 	a := corpus.ScalingTrace(4, 200, 1<<12, 42)
 	b := corpus.ScalingTrace(4, 200, 1<<12, 42)

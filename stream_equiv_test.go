@@ -3,6 +3,7 @@ package verifyio
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -185,6 +186,56 @@ func TestAnalyzeStreamOnBatch(t *testing.T) {
 	}
 	if !bytes.Equal(fused.Bytes(), standalone.Bytes()) {
 		t.Fatalf("fused-pass DFG differs from standalone build")
+	}
+}
+
+// TestStreamPeakIndependentOfTraceSize is the streaming path's memory
+// contract: with each batch fed to the DFG builder (O(nodes+edges) state per
+// rank) and then released, peak resident decoded bytes are set by the window,
+// not by the trace — a 25× larger directory reaches exactly the same peak,
+// within one record of the window. The workload is symmetric across ranks,
+// so no rank may score anomalous.
+func TestStreamPeakIndependentOfTraceSize(t *testing.T) {
+	const (
+		ranks  = 8
+		window = int64(256 << 10)
+		slack  = int64(1 << 10) // a batch closes at the first record that reaches the window
+	)
+	var peaks []int64
+	for _, ops := range []int{2000, 50000} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		if err := corpus.WriteScalingDir(dir, ranks, ops, 1<<18, 7, trace.DefaultEncodeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		s, err := trace.OpenStream(dir, trace.StreamOptions{WindowBytes: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		db := dfg.NewBuilder(ranks, obs.Ctx{})
+		decoded := 0
+		for {
+			b, err := s.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded += len(b.Recs)
+			db.Feed(b.Rank, b.Recs)
+			b.Release()
+		}
+		if want := ranks * corpus.ScalingRankRecords(ops); decoded != want {
+			t.Fatalf("ops=%d: decoded %d records, staged %d", ops, decoded, want)
+		}
+		if anom := db.Finish().AnomalousRanks; len(anom) != 0 {
+			t.Errorf("ops=%d: anomalous ranks %v on a symmetric workload", ops, anom)
+		}
+		peaks = append(peaks, s.PeakResidentBytes())
+	}
+	if peaks[0] != peaks[1] || peaks[0] <= 0 || peaks[0] > window+slack {
+		t.Errorf("peak resident bytes %v: want equal at both sizes and in (0, %d]", peaks, window+slack)
 	}
 }
 

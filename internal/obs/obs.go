@@ -6,7 +6,7 @@
 // returns nil metrics, and every method on those nil values is a no-op
 // guarded by a single branch. Pipeline code therefore instruments
 // unconditionally and pays near zero when telemetry is disabled (the
-// default); TestDisabledPathOverhead pins the disabled cost.
+// default); TestDisabledPathAllocatesNothing pins the disabled cost.
 //
 // Determinism contract: the *content* of emitted telemetry — the set of
 // spans (names, attributes, lanes, nesting) and every metric registered as

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -127,10 +128,25 @@ func planChunks(conf *conflict.Result) []chunkSpan {
 	return plan
 }
 
+// planBatches partitions nchunks chunks into contiguous batches, as index
+// spans: the unit a worker claims, along which the verifier carries its
+// class scratch (a position class usually spans several chunks). ⌈√n⌉ chunks
+// per batch leaves about as many batches as a batch has chunks, so the
+// carry-over and the parallel slack both grow with the trace. A function of
+// the chunk count alone — never of Workers.
+func planBatches(nchunks int) []chunkSpan {
+	per := int(math.Ceil(math.Sqrt(float64(nchunks))))
+	var batches []chunkSpan
+	for lo := 0; lo < nchunks; lo += per {
+		batches = append(batches, chunkSpan{lo, min(lo+per, nchunks)})
+	}
+	return batches
+}
+
 // cacheArtifacts are the model-independent digests of one Analysis, computed
 // once and shared by every model pass (VerifyAll runs four).
 type cacheArtifacts struct {
-	plan   []chunkSpan
+	// chunks holds one content digest per chunk of the query plan.
 	chunks []vcache.Digest
 	epoch  vcache.Digest
 	// skel is the sync-skeleton digest; zero for the on-the-fly oracle.
@@ -172,11 +188,12 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 		return a.cacheArt
 	}
 	conf := a.Conflicts
-	art := &cacheArtifacts{plan: planChunks(conf)}
+	art := &cacheArtifacts{}
 
-	art.chunks = make([]vcache.Digest, len(art.plan))
+	plan := a.queryPlan().chunks
+	art.chunks = make([]vcache.Digest, len(plan))
 	var buf []byte
-	for ci, span := range art.plan {
+	for ci, span := range plan {
 		h := sha256.New()
 		for gi := span.lo; gi < span.hi; gi++ {
 			buf = conf.AppendGroupKey(buf[:0], gi)
@@ -399,7 +416,7 @@ func newCacheSession(a *Analysis, opts Options, oc obs.Ctx) *cacheSession {
 		model: modelDigest(opts),
 		id:    cacheTraceID(opts, art),
 	}
-	sp.AddAttr(obs.Int("chunks", len(art.plan)))
+	sp.AddAttr(obs.Int("chunks", len(art.chunks)))
 	sp.End()
 	return cs
 }
@@ -478,12 +495,12 @@ func (art *cacheArtifacts) dirtyState(store *vcache.Store, id string, a *Analysi
 		return d
 	}
 	d.promote = true
-	d.stable = make([]bool, len(art.plan))
+	d.stable = make([]bool, len(art.chunks))
 	conf := a.Conflicts
 	opBelow := func(op *conflict.Op) bool {
 		return op.Ref.Rank < len(d.cuts) && op.Ref.Seq < d.cuts[op.Ref.Rank]
 	}
-	for ci, span := range art.plan {
+	for ci, span := range a.queryPlan().chunks {
 		ok := true
 	scan:
 		for gi := span.lo; gi < span.hi; gi++ {
@@ -506,7 +523,7 @@ func (art *cacheArtifacts) dirtyState(store *vcache.Store, id string, a *Analysi
 
 // tryApply resolves chunk c from the cache into sh; false means the caller
 // must verify (a miss, counted here).
-func (cs *cacheSession) tryApply(c int, sh *verifier) bool {
+func (cs *cacheSession) tryApply(c int, sh *tally) bool {
 	k := vcache.Key{Chunk: cs.art.chunks[c], Model: cs.model, Epoch: cs.art.epoch}
 	if v, ok := cs.store.Get(k); ok && cs.apply(v, sh) {
 		cs.hits.Add(1)
@@ -541,10 +558,10 @@ func (cs *cacheSession) tryApply(c int, sh *verifier) bool {
 	return false
 }
 
-// apply loads a cached verdict into the shard, resolving pair refs to op
-// pointers. Any inconsistency — unresolvable ref, out-of-contract counts —
+// apply loads a cached verdict into the chunk's tally, resolving pair refs to
+// op indices. Any inconsistency — unresolvable ref, out-of-contract counts —
 // rejects the verdict (treat as miss) rather than trusting it.
-func (cs *cacheSession) apply(v vcache.Verdict, sh *verifier) bool {
+func (cs *cacheSession) apply(v vcache.Verdict, sh *tally) bool {
 	if v.Checks < 0 || v.Races < int64(len(v.Pairs)) || len(v.Pairs) > cs.opts.MaxRaceDetails {
 		return false
 	}
@@ -563,7 +580,7 @@ func (cs *cacheSession) apply(v vcache.Verdict, sh *verifier) bool {
 }
 
 // seal stores the freshly computed verdict for chunk c.
-func (cs *cacheSession) seal(c int, sh *verifier) {
+func (cs *cacheSession) seal(c int, sh *tally) {
 	var pairs []vcache.RefPair
 	ops := cs.a.Conflicts.Ops
 	for _, p := range sh.pairs {

@@ -3,10 +3,13 @@ package verify
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
+	"verifyio/internal/trace"
 )
 
 // pipelineTelemetry runs the full analyze+verify pipeline on the Fig. 2
@@ -14,7 +17,11 @@ import (
 // exported events.
 func pipelineTelemetry(t *testing.T, workers int) (*obs.Tracer, *obs.Registry, []obs.ChromeEvent) {
 	t.Helper()
-	tr := runTraced(t, 2, fig2Program)
+	return pipelineTelemetryOn(t, runTraced(t, 2, fig2Program), workers)
+}
+
+func pipelineTelemetryOn(t *testing.T, tr *trace.Trace, workers int) (*obs.Tracer, *obs.Registry, []obs.ChromeEvent) {
+	t.Helper()
 	tracer := obs.NewTracer()
 	reg := obs.NewRegistry()
 	oc := obs.Ctx{T: tracer, R: reg}
@@ -71,6 +78,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		"hbgraph.skeleton_nodes", "hbgraph.skeleton_levels", "hbgraph.skeleton_max_level_width",
 		"hbgraph.vc_arena_bytes", "hbgraph.vc_full_arena_bytes",
 		"verify.groups", "verify.checks", "verify.races",
+		"verify.classes", "verify.class_hits",
 		"verify.hb_queries", "verify.hb_fast_hits", "verify.hb_fallbacks",
 		"par.detect-replay.tasks_submitted", "par.match-scan.tasks_completed",
 	} {
@@ -82,14 +90,27 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 
 // TestPipelineStableMetricsDeterministic runs the pipeline twice at the same
 // worker count and asserts the stable metric section exports byte-identical
-// JSON — the -metrics-out acceptance contract.
+// JSON — the -metrics-out acceptance contract — and that its verify.* names
+// read the same at every worker count: the batches along which the verifier
+// carries its class scratch, and so how many checks it evaluates and how
+// many happens-before probes those cost, are the plan's, not the pool's. The
+// trace has position classes spanning many chunks, so batches cut by worker
+// count would show.
 func TestPipelineStableMetricsDeterministic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	tr := planTrace(4, 900)
+	verifyCounters := map[int]map[string]int64{}
+	for _, workers := range []int{1, 2, 7} {
 		var snaps [2]*obs.Snapshot
 		for i := range snaps {
-			_, reg, _ := pipelineTelemetry(t, workers)
+			_, reg, _ := pipelineTelemetryOn(t, tr, workers)
 			snaps[i] = reg.Snapshot()
 			snaps[i].Volatile = obs.Section{} // timing/scheduling-valued; schema-checked elsewhere
+		}
+		verifyCounters[workers] = map[string]int64{}
+		for name, v := range snaps[0].Stable.Counters {
+			if strings.HasPrefix(name, "verify.") {
+				verifyCounters[workers][name] = v
+			}
 		}
 		var bufs [2][]byte
 		for i, s := range snaps {
@@ -104,6 +125,69 @@ func TestPipelineStableMetricsDeterministic(t *testing.T) {
 				workers, bufs[0], bufs[1])
 		}
 	}
+	if c := verifyCounters[1]; c["verify.class_hits"] == 0 || c["verify.classes"] == 0 || c["verify.hb_queries"] == 0 {
+		t.Fatalf("trace too tame: %v", c)
+	}
+	for _, workers := range []int{2, 7} {
+		if !reflect.DeepEqual(verifyCounters[workers], verifyCounters[1]) {
+			t.Errorf("verify.* counters at workers=%d: %v, at workers=1: %v",
+				workers, verifyCounters[workers], verifyCounters[1])
+		}
+	}
+}
+
+// TestVerifyAllocationsIndependentOfOps is TestDisabledPathAllocatesNothing
+// (internal/obs) one level up: with telemetry off, a pass allocates per pass
+// and per worker, never per chunk or per group — no lane names and attributes
+// built for spans nobody records, no per-chunk scratch. Quadrupling the ops
+// of a race-free trace at a fixed number of sync points must not add
+// allocations.
+func TestVerifyAllocationsIndependentOfOps(t *testing.T) {
+	allocs := func(ops int, model semantics.Model) (float64, int) {
+		a, err := AnalyzeOpts(orderedTrace(4, ops), AlgoAuto, AnalyzeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Model: model, Workers: 2}
+		rep, err := a.Verify(opts)
+		if err != nil || rep.RaceCount != 0 || rep.ConflictPairs == 0 {
+			t.Fatalf("ops=%d %s: err=%v, %d races over %d pairs; want a race-free trace with conflicts",
+				ops, model.Name, err, rep.RaceCount, rep.ConflictPairs)
+		}
+		return testing.AllocsPerRun(10, func() { a.Verify(opts) }), len(a.queryPlan().chunks)
+	}
+	for _, model := range []semantics.Model{semantics.POSIXModel(), semantics.CommitModel()} {
+		small, smallChunks := allocs(512, model)
+		large, largeChunks := allocs(2048, model)
+		if smallChunks < 4 || largeChunks < 3*smallChunks {
+			t.Fatalf("chunk counts %d and %d: want several, and about four times as many", smallChunks, largeChunks)
+		}
+		// Which worker grows its witness sets is up to the scheduler, so a
+		// handful either way is noise; one allocation per chunk is not.
+		if large-small > float64(largeChunks-smallChunks)/4 {
+			t.Errorf("%s: %.0f allocations per pass over %d chunks, %.0f over %d",
+				model.Name, large, largeChunks, small, smallChunks)
+		}
+	}
+}
+
+// orderedTrace is a race-free trace under POSIX and Commit: in each of two
+// phases one rank writes ops slots of a shared file and commits them with an
+// fsync, a world barrier follows, and every other rank reads them back.
+func orderedTrace(nranks, ops int) *trace.Trace {
+	p := newIOProgram(nranks, "ordered.dat")
+	for writer := 0; writer < 2; writer++ {
+		for rank := writer; rank < writer+nranks; rank++ {
+			for i := 0; i < ops; i++ {
+				p.access(rank%nranks, 0, writer*ops+i, rank == writer)
+			}
+			if rank == writer {
+				p.fsync(writer, 0)
+				p.barrier("comm-world")
+			}
+		}
+	}
+	return p.tr
 }
 
 // TestPipelineSpanContentWorkerIndependent asserts the exported span

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -31,14 +32,40 @@ type resolvedRef struct {
 	prev, next int32
 }
 
-// opPlan carries the resolved conflict-op operands and the segment prober
-// for one analysis.
+// opPlan carries the resolved conflict-op operands, the segment prober and
+// the chunk/batch plan for one analysis.
 type opPlan struct {
 	// prober is the oracle's O(1) resolved-probe interface; nil for the
 	// reference oracles (reachability, on-the-fly), which expose none.
 	prober hbgraph.SegProber
 	// res holds one resolved operand per op, aligned with Conflicts.Ops.
 	res []resolvedRef
+	// write has bit i set when Ops[i] is a write, so the group walk reads an
+	// op's kind without touching the op.
+	write []uint64
+	// rankEnd[r] is one past the last op index of rank r: Ops is rank-major,
+	// so a rank is an index range.
+	rankEnd []int32
+	// chunks partitions the conflict groups (planChunks); batches partitions
+	// the chunks, as index spans into chunks (planBatches).
+	chunks, batches []chunkSpan
+}
+
+func (p *opPlan) isWrite(i int32) bool { return p.write[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// rankOf returns the rank owning op index i, searching ranks from and up. It
+// runs once per run of every group: a plain loop, measurably cheaper there
+// than slices.BinarySearch.
+func (p *opPlan) rankOf(i int32, from int) int {
+	lo, hi := from, len(p.rankEnd)-1
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); p.rankEnd[m] <= i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // resolve maps one ref onto the plan's coordinate space.
@@ -64,9 +91,20 @@ func (a *Analysis) queryPlan() *opPlan {
 	p.prober, _ = a.Oracle.(hbgraph.SegProber)
 	ops := a.Conflicts.Ops
 	p.res = make([]resolvedRef, len(ops))
+	p.write = make([]uint64, (len(ops)+63)/64)
+	p.rankEnd = make([]int32, a.NumRanks())
 	for i := range ops {
 		p.res[i] = p.resolve(ops[i].Ref)
+		if ops[i].Write {
+			p.write[i>>6] |= 1 << (uint(i) & 63)
+		}
+		p.rankEnd[ops[i].Ref.Rank] = int32(i + 1)
 	}
+	for r := 1; r < len(p.rankEnd); r++ {
+		p.rankEnd[r] = max(p.rankEnd[r], p.rankEnd[r-1]) // a rank without ops
+	}
+	p.chunks = planChunks(a.Conflicts)
+	p.batches = planBatches(len(p.chunks))
 	a.plan = p
 	return p
 }
@@ -131,22 +169,10 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, plan *opPlan) 
 	return idx
 }
 
-// firstAfterRes returns the earliest candidate with seq strictly greater
-// than s; ok is false when none exists.
-func firstAfterRes(cands []resolvedRef, s int32) (resolvedRef, bool) {
-	i := sort.Search(len(cands), func(i int) bool { return cands[i].seq > s })
-	if i == len(cands) {
-		return resolvedRef{}, false
-	}
-	return cands[i], true
-}
-
-// lastBeforeRes returns the latest candidate with seq strictly less than s;
-// ok is false when none exists.
-func lastBeforeRes(cands []resolvedRef, s int32) (resolvedRef, bool) {
-	i := sort.Search(len(cands), func(i int) bool { return cands[i].seq >= s })
-	if i == 0 {
-		return resolvedRef{}, false
-	}
-	return cands[i-1], true
+// seqBound returns the first index of cands (ascending seq) whose seq is at
+// least s: cands[seqBound(s+1)] is the earliest candidate after s,
+// cands[seqBound(s)-1] the latest before it.
+func seqBound(cands []resolvedRef, s int32) int {
+	i, _ := slices.BinarySearchFunc(cands, s, func(c resolvedRef, s int32) int { return cmp.Compare(c.seq, s) })
+	return i
 }

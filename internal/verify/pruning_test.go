@@ -15,7 +15,9 @@ import (
 // ranks both read and write: same race count and same detailed races under
 // all four models, from strictly fewer properly-synchronized checks overall.
 // The synthetic trace is the shape the pruning used to under-count (a run holding
-// an unsynchronized write before a synchronized read, both before X).
+// an unsynchronized write before a synchronized read, both before X); it is
+// also verified at Workers 2 and 7, which holds the batched walk — class
+// scratch carried across chunks, reset per batch — to the exhaustive one.
 func TestPruningMatchesExhaustive(t *testing.T) {
 	type input struct {
 		name string
@@ -55,6 +57,22 @@ func TestPruningMatchesExhaustive(t *testing.T) {
 			}
 			prunedChecks += pruned.ChecksPerformed
 			exhaustiveChecks += exhaustive.ChecksPerformed
+			if in.name != "scaling-mixed" {
+				continue
+			}
+			for _, workers := range []int{2, 7} {
+				opts.DisablePruning, opts.Workers = false, workers
+				batched, err := a.Verify(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if batched.RaceCount != exhaustive.RaceCount || !reflect.DeepEqual(batched.Races, exhaustive.Races) ||
+					batched.ChecksPerformed != pruned.ChecksPerformed {
+					t.Errorf("%s/%s/workers=%d: %d races from %d checks; exhaustive %d races, pruned %d checks",
+						in.name, model.Name, workers, batched.RaceCount, batched.ChecksPerformed,
+						exhaustive.RaceCount, pruned.ChecksPerformed)
+				}
+			}
 		}
 	}
 	// The reduction is asserted in aggregate: it comes from long runs, and on

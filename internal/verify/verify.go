@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -188,7 +189,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	_, idxSpan := oc.Start("sync-index")
 	plan := a.queryPlan()
 	v := &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, plan), plan: plan}
-	v.initGroupState()
+	v.initScratch()
 	idxSpan.End()
 	var cs *cacheSession
 	if opts.Cache != nil {
@@ -197,8 +198,13 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	if cs != nil || (opts.Workers > 1 && len(a.Conflicts.Groups) > 1) {
 		v.verifyChunks(opts.Workers, cs)
 	} else {
+		// The serial walk resets its scratch where the chunked one does, so
+		// the hb and class counters are the same at every worker count.
 		_, chunkSpan := oc.Start("groups", obs.Int("groups", len(a.Conflicts.Groups)))
-		v.verifyGroups(0, len(a.Conflicts.Groups))
+		for _, batch := range plan.batches {
+			v.cFID = -1
+			v.verifyGroups(plan.chunks[batch.lo].lo, plan.chunks[batch.hi-1].hi)
+		}
 		chunkSpan.End()
 	}
 	if cs != nil {
@@ -223,12 +229,15 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		r.Counter("verify.groups").Add(int64(len(a.Conflicts.Groups)))
 		r.Counter("verify.checks").Add(v.checks)
 		r.Counter("verify.races").Add(v.raceCount)
-		// Oracle pressure, split out of verify.checks: hb_queries counts
-		// happens-before evaluations actually performed (cache-served chunks
-		// perform none),
+		// Split out of verify.checks: class_hits counts the checks answered
+		// from a position class's bounds, classes the class changes;
+		// hb_queries counts happens-before evaluations actually performed,
 		// hb_fast_hits the subset answered by the O(1) resolved segment
 		// probe, hb_fallbacks the subset that took the general Oracle.HB
-		// path. All three are deterministic at any fixed worker count.
+		// path. Cache-served chunks add to none of them; all five are the
+		// same at every worker count.
+		r.Counter("verify.classes").Add(v.classes)
+		r.Counter("verify.class_hits").Add(v.classHits)
 		r.Counter("verify.hb_queries").Add(v.hbQueries)
 		r.Counter("verify.hb_fast_hits").Add(v.hbFast)
 		r.Counter("verify.hb_fallbacks").Add(v.hbFall)
@@ -247,10 +256,9 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// verifier checks conflict groups and accumulates races locally. The shared
-// fields (a, opts, idx, plan) are read-only during verification, so shards
-// of the parallel path copy them and write only their own accumulators and
-// group-scoped scratch.
+// verifier checks conflict groups. The shared fields (a, opts, idx, plan) are
+// read-only during verification; a worker of the parallel path copies them
+// and owns its scratch and the tally of the chunk it is verifying.
 type verifier struct {
 	a    *Analysis
 	opts Options
@@ -258,42 +266,51 @@ type verifier struct {
 	idx  *syncIndex
 	plan *opPlan
 
-	// Group-scoped state (setGroup): within one group sweep the X op and
-	// the conflicting file never change, so X's resolution and the file's
-	// candidate-list map lookups hoist out of the per-pair checks.
-	curXi int32                   // op index of the current group's X (-1 outside a sweep)
-	gFile [][]resolvedRef         // per class: candidates on the group's file
-	gRank []map[int][]resolvedRef // per class: rank → candidates on the file
-
-	// Lazily computed per-group extremes for the po-hb-po fast path: the
-	// earliest class-0 candidate after X on X's rank (xS1) and the latest
-	// class-(k-1) candidate before X on X's rank (xS2).
-	xS1, xS2       resolvedRef
-	xS1ok, xS2ok   bool
-	xS1set, xS2set bool
-
-	// Per-group witness sets for the hb-S-hb fast path. On each rank the
-	// candidates reachable from X form a seq-suffix (po extends hb), so the
-	// earliest reachable candidate per rank witnesses every MSC through
-	// that rank; dually the latest candidate reaching X witnesses the
-	// reverse direction. Each set is one binary search per rank, computed
-	// on first use within a group and shared by every paired Y.
+	// Class-scoped scratch. X ps Y and Y ps X depend on X only through its
+	// position class: the conflicting file, X's rank and skeleton fringe
+	// (prev/next), and how many of the file's class-0 and class-(k-1) sync
+	// candidates on that rank precede X. Groups are X-sorted, so a class is
+	// a run of consecutive groups and the current one is all the state
+	// there is: setGroup keeps everything below while the class holds.
+	xi   int32       // op index of the current group's X
+	xr   resolvedRef // its resolved operand
+	cX   resolvedRef // the class's first X: its rank, prev and next are the class's
+	cFID int         // the class's file; -1 when no later group may share the class
+	cEnd int32       // the X.seq at which the preceding-candidate counts change
+	// class numbers the classes this scratch has held; a rank's bounds are
+	// reset on their first use in a class.
+	class int32
+	gFile [][]resolvedRef         // per MSC op class: candidates on the file
+	gRank []map[int][]resolvedRef // per MSC op class: rank → candidates on the file
+	// gRanks0/gRanksK are the file's candidate ranks (classes 0 and k-1),
+	// ascending — the witness searches' deterministic order.
+	gRanks0, gRanksK []int
+	// Extremes for the po-hb-po fast path: the earliest class-0 candidate
+	// after X on X's rank (xS1) and the latest class-(k-1) candidate before
+	// X on X's rank (xS2).
+	xS1, xS2     resolvedRef
+	xS1ok, xS2ok bool
+	// Witness sets for the hb-S-hb fast path. On each rank the candidates
+	// reachable from X form a seq-suffix (po extends hb), so the earliest
+	// reachable candidate per rank witnesses every MSC through that rank;
+	// dually the latest candidate reaching X witnesses the reverse
+	// direction. One binary search per rank, on first use within a class.
 	wFrom, wTo       []resolvedRef
 	wFromSet, wToSet bool
-	// gRanks0/gRanksK are the group file's candidate ranks (classes 0 and
-	// k-1), ascending — the witness searches' deterministic order.
-	gRanks0, gRanksK []int
+	// bounds[r] brackets, per check shape, the threshold among rank r's ops.
+	bounds []rankBounds
 
-	// Run-scoped candidate lists (setRun): every Y of one CSR run lives on
-	// one rank, so that rank's class-0 and class-(k-1) lists hoist out of
-	// the binary-search probes.
-	runC0, runCk []resolvedRef
+	tally
+}
 
-	// Accumulators: merged into the Report after verification. Pairs
-	// carry no call-chain detail — that is materialized once, for the
-	// merged prefix only, so shards never pay for details the cap will
-	// drop.
+// tally is what verifying one chunk produces: the merged tallies make the
+// Report, and one tally's checks, raceCount and pairs are the chunk's cached
+// verdict. Pairs carry no call-chain detail — that is materialized once, for
+// the merged prefix only.
+type tally struct {
 	checks    int64
+	classHits int64 // …of which answered from the class's bounds
+	classes   int64 // class changes, i.e. scratch resets
 	hbQueries int64 // happens-before evaluations actually performed
 	hbFast    int64 // …of which answered by the O(1) resolved segment probe
 	hbFall    int64 // …of which answered by the general Oracle.HB path
@@ -307,32 +324,86 @@ type racePair struct {
 	x, y int32
 }
 
-// initGroupState sizes the group-scoped scratch to the model's MSC arity.
-func (v *verifier) initGroupState() {
+// bound brackets a monotone threshold in op-index space (index order is
+// program order within a rank): every op at or below lo lies on its low
+// side, every op at or above hi on its high side.
+type bound struct{ lo, hi int32 }
+
+// rankBounds holds one rank's bounds for the class numbered class, indexed
+// by check shape: shapeRev for Y ps X, shapeWrite when the source is judged
+// as a write.
+type rankBounds struct {
+	class int32
+	b     [4]bound
+}
+
+const shapeWrite, shapeRev = 1, 2
+
+func shapeOf(rev, asWrite bool) (s int) {
+	if rev {
+		s = shapeRev
+	}
+	if asWrite {
+		s |= shapeWrite
+	}
+	return s
+}
+
+// initScratch sizes the scratch to the model's MSC arity and the rank count.
+func (v *verifier) initScratch() {
 	k := len(v.idx.perFile)
 	v.gFile = make([][]resolvedRef, k)
 	v.gRank = make([]map[int][]resolvedRef, k)
-	v.curXi = -1
+	v.bounds = make([]rankBounds, len(v.plan.rankEnd))
+	v.wFrom, v.wTo = nil, nil
+	v.cFID = -1
 }
 
-// setGroup hoists the group-invariant lookups — the file's candidate lists
-// per class — and invalidates the per-group extremes and witness sets.
+// setGroup makes g's X the current one. When X leaves the current class the
+// scratch is reset: the file's candidate lists are hoisted, X's extremes and
+// the seq at which the class ends resolved, witness sets and bounds
+// invalidated. An unresolved X (next < 0: reference oracles, refs outside
+// the graph) and the exhaustive walk share nothing between groups.
 func (v *verifier) setGroup(g *conflict.Group) {
-	v.curXi = int32(g.X)
-	fid := v.a.Conflicts.Ops[g.X].FID
+	xr, fid := v.plan.res[g.X], v.a.Conflicts.Ops[g.X].FID
+	v.xi, v.xr = int32(g.X), xr
+	if fid == v.cFID && xr.seq < v.cEnd &&
+		xr.rank == v.cX.rank && xr.prev == v.cX.prev && xr.next == v.cX.next {
+		return
+	}
+	v.classes++
+	v.class++
+	v.cX, v.cFID, v.cEnd = xr, fid, math.MaxInt32
+	if xr.next < 0 || v.opts.DisablePruning {
+		v.cFID = -1
+	}
+	v.wFromSet, v.wToSet = false, false
 	for c := range v.gFile {
 		v.gFile[c] = v.idx.perFile[c][fid]
 		v.gRank[c] = v.idx.perRank[c][fid]
 	}
-	if k := len(v.gFile); k > 0 {
-		v.gRanks0 = v.idx.ranks[0][fid]
-		v.gRanksK = v.idx.ranks[k-1][fid]
+	k := len(v.gFile)
+	if k == 0 {
+		return
 	}
-	v.xS1set, v.xS2set = false, false
-	v.wFromSet, v.wToSet = false, false
+	v.gRanks0 = v.idx.ranks[0][fid]
+	v.gRanksK = v.idx.ranks[k-1][fid]
+	// A candidate that X passes changes what X's side of an MSC can use:
+	// the class ends at the next one on X's rank.
+	c0, ck := v.gRank[0][int(xr.rank)], v.gRank[k-1][int(xr.rank)]
+	i, j := seqBound(c0, xr.seq+1), seqBound(ck, xr.seq)
+	if v.xS1ok = i < len(c0); v.xS1ok {
+		v.xS1, v.cEnd = c0[i], c0[i].seq
+	}
+	if v.xS2ok = j > 0; v.xS2ok {
+		v.xS2 = ck[j-1]
+	}
+	if j < len(ck) {
+		v.cEnd = min(v.cEnd, ck[j].seq)
+	}
 }
 
-// buildWFrom computes the forward witness set for the group's X: per rank,
+// buildWFrom computes the forward witness set for the class's X: per rank,
 // the earliest class-0 candidate S with X -hb-> S. X -hb-> S is monotone in
 // S's sequence on each rank (X hb S and S po S' give X hb S'), so one binary
 // search per rank finds the suffix boundary; the minimal element witnesses
@@ -365,32 +436,22 @@ func (v *verifier) buildWTo(xr resolvedRef) {
 	v.wToSet = true
 }
 
-// setRun hoists the run-invariant per-rank candidate lists (classes 0 and
-// k-1, the ones the Table I fast paths search by rank).
-func (v *verifier) setRun(rank int) {
-	if k := len(v.gRank); k > 0 {
-		v.runC0 = v.gRank[0][rank]
-		v.runCk = v.gRank[k-1][rank]
-	}
-}
-
-// ps implements Def. 6: X properly-synchronizes-before Y. xi and yi are the
-// ops' indices in Conflicts.Ops — the plan's operand space.
-func (v *verifier) ps(x, y *conflict.Op, xi, yi int32) bool {
-	return v.psAs(x.Write, x, y, xi, yi)
-}
-
-// psAs is ps with X judged as a write or as a read whatever its kind; both
-// tests depend on X's position alone.
-func (v *verifier) psAs(asWrite bool, x, y *conflict.Op, xi, yi int32) bool {
+// psAs implements Def. 6 between the group's X and op yi: X ps Y, or Y ps X
+// when rev, with the source judged as a write or as a read whatever its
+// kind; both tests depend on the source's position alone.
+func (v *verifier) psAs(rev, asWrite bool, yi int32) bool {
 	v.checks++
+	x, y := v.xr, v.plan.res[yi]
+	if rev {
+		x, y = y, x
+	}
 	if !asWrite {
 		// Case 1: a read followed in happens-before order by the
 		// conflicting (write) operation.
-		return v.hbRes(v.plan.res[xi], v.plan.res[yi])
+		return v.hbRes(x, y)
 	}
 	// Case 2: an MSC instance between X and Y.
-	return v.mscExists(x, y, xi, yi)
+	return v.mscExists(rev, x, y)
 }
 
 // hbRes answers one happens-before query over resolved operands: program
@@ -418,12 +479,12 @@ func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b resolvedRef) bool {
 	return v.hbRes(a, b)
 }
 
-// mscExists searches for an instance of the model's MSC between x and y,
-// with every synchronization operation acting on the conflicting file.
-func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
+// mscExists searches for an instance of the model's MSC from xr to yr, with
+// every synchronization operation acting on the conflicting file. The
+// group's X is yr when rev, xr otherwise.
+func (v *verifier) mscExists(rev bool, xr, yr resolvedRef) bool {
 	msc := v.opts.Model.MSC
 	k := msc.K()
-	xr, yr := v.plan.res[xi], v.plan.res[yi]
 	if k == 0 {
 		// POSIX: -hb->
 		return v.edgeRes(msc.Edges[0], xr, yr)
@@ -435,22 +496,10 @@ func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
 	switch {
 	case k == 1 && msc.Edges[0] == semantics.HB && msc.Edges[1] == semantics.HB:
 		// -hb-> S -hb-> : any sync op on the file with X hb S hb Y. The
-		// group sweep always anchors one endpoint at the group's X, whose
-		// per-rank extreme witnesses cover every candidate (see buildWFrom/
-		// buildWTo) — each pair then costs at most one probe per rank
-		// instead of a scan of the candidate list.
-		if xi == v.curXi {
-			if !v.wFromSet {
-				v.buildWFrom(xr)
-			}
-			for _, w := range v.wFrom {
-				if v.hbRes(w, yr) {
-					return true
-				}
-			}
-			return false
-		}
-		if yi == v.curXi {
+		// per-rank extreme witnesses of the group's X cover every candidate
+		// (see buildWFrom/buildWTo) — a pair costs at most one probe per
+		// rank instead of a scan of the candidate list.
+		if rev {
 			if !v.wToSet {
 				v.buildWTo(yr)
 			}
@@ -461,10 +510,11 @@ func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
 			}
 			return false
 		}
-		// Neither endpoint is the sweeping group's X (not reachable from
-		// verifyGroups; kept for call-site safety): plain candidate scan.
-		for _, cand := range v.gFile[0] {
-			if v.hbRes(xr, cand) && v.hbRes(cand, yr) {
+		if !v.wFromSet {
+			v.buildWFrom(xr)
+		}
+		for _, w := range v.wFrom {
+			if v.hbRes(w, yr) {
 				return true
 			}
 		}
@@ -473,36 +523,24 @@ func (v *verifier) mscExists(x, y *conflict.Op, xi, yi int32) bool {
 		// -po-> S1 -hb-> S2 -po-> : the earliest S1 after X on X's rank
 		// and the latest S2 before Y on Y's rank suffice — if ANY
 		// (S1', S2') pair works then this extreme pair works too,
-		// because S1 -po-> S1' and S2' -po-> S2 extend the hb path.
-		// Whichever endpoint is the group's X resolves its extreme once per
-		// group; the other endpoint is a run Y, whose rank's candidate
-		// lists are run-hoisted.
-		var s1 resolvedRef
-		var ok bool
-		if xi == v.curXi {
-			if !v.xS1set {
-				v.xS1, v.xS1ok = firstAfterRes(v.gRank[0][int(xr.rank)], xr.seq)
-				v.xS1set = true
+		// because S1 -po-> S1' and S2' -po-> S2 extend the hb path. The
+		// extreme of the group's X is resolved per class; the other
+		// endpoint's is one search in its rank's list.
+		s1, s2 := v.xS1, v.xS2
+		if rev {
+			c0 := v.gRank[0][int(xr.rank)]
+			i := seqBound(c0, xr.seq+1)
+			if i == len(c0) || !v.xS2ok {
+				return false
 			}
-			s1, ok = v.xS1, v.xS1ok
+			s1 = c0[i]
 		} else {
-			s1, ok = firstAfterRes(v.runC0, xr.seq)
-		}
-		if !ok {
-			return false
-		}
-		var s2 resolvedRef
-		if yi == v.curXi {
-			if !v.xS2set {
-				v.xS2, v.xS2ok = lastBeforeRes(v.gRank[1][int(yr.rank)], yr.seq)
-				v.xS2set = true
+			ck := v.gRank[1][int(yr.rank)]
+			j := seqBound(ck, yr.seq)
+			if j == 0 || !v.xS1ok {
+				return false
 			}
-			s2, ok = v.xS2, v.xS2ok
-		} else {
-			s2, ok = lastBeforeRes(v.runCk, yr.seq)
-		}
-		if !ok {
-			return false
+			s2 = ck[j-1]
 		}
 		return v.hbRes(s1, s2)
 	}
@@ -527,30 +565,32 @@ func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr resolvedRef) bool
 // verifyGroups walks the conflict groups in [lo, hi) and collects races.
 // Each unordered pair appears in two mirrored groups; it is recorded only
 // from the group whose X precedes Y in (rank, seq) order, so counting is
-// exact. Groups are independent of each other, which is what makes the
-// range a unit of parallel work.
+// exact. Verdicts are independent of where a walk starts, which is what
+// makes the range a unit of parallel work; the scratch carried from the
+// groups before lo only saves evaluations.
 func (v *verifier) verifyGroups(lo, hi int) {
-	ops := v.a.Conflicts.Ops
 	for gi := lo; gi < hi; gi++ {
 		g := &v.a.Conflicts.Groups[gi]
 		v.setGroup(g)
-		x, xi := &ops[g.X], int32(g.X)
-		// CSR runs are already ordered by ascending rank, each run in
-		// program order — the walk the map-of-slices layout needed a
-		// per-group rank sort to produce.
-		for k := 0; k < g.NumRuns(); k++ {
+		xw := v.plan.isWrite(v.xi)
+		// CSR runs are ordered by ascending rank, each run in program order.
+		for k, r := 0, -1; k < g.NumRuns(); k++ {
 			ys := g.RunAt(k)
-			v.setRun(ops[ys[0]].Ref.Rank)
 			if v.opts.DisablePruning {
 				for _, yi := range ys {
-					y := &ops[yi]
-					if !v.ps(x, y, xi, yi) && !v.ps(y, x, yi, xi) {
-						v.recordRace(xi, yi)
+					if !v.psAs(false, xw, yi) && !v.psAs(true, v.plan.isWrite(yi), yi) {
+						v.recordRace(v.xi, yi)
 					}
 				}
 				continue
 			}
-			v.verifyRun(x, xi, ys)
+			r = v.plan.rankOf(ys[0], r+1)
+			rb := &v.bounds[r]
+			if rb.class != v.class {
+				none := bound{lo: -1, hi: math.MaxInt32}
+				*rb = rankBounds{class: v.class, b: [4]bound{none, none, none, none}}
+			}
+			v.verifyRun(xw, &rb.b, ys)
 		}
 	}
 }
@@ -567,7 +607,8 @@ func (v *verifier) verifyGroups(lo, hi int) {
 // negative direction at Y_1 — checking Y_1 clears or dooms the whole run.)
 // Each of the paper's four scenarios is the degenerate case where a search
 // terminates after one probe; in general the run costs O(log n) checks
-// instead of n.
+// instead of n, and a check costs an evaluation only inside the class's
+// bounds b for the run's rank.
 //
 // The second predicate is monotone only among Ys of one kind: a read Y needs
 // Y hb X, a write Y a whole MSC, so a synchronized read may follow an
@@ -575,104 +616,128 @@ func (v *verifier) verifyGroups(lo, hi int) {
 // mixing kinds is searched once per test, each over the whole run. Kinds
 // face different tests only when X is a write (a read X conflicts with
 // writes only) and the MSC is more than plain hb (POSIX's is not).
-func (v *verifier) verifyRun(x *conflict.Op, xi int32, ys []int32) {
-	ops := v.a.Conflicts.Ops
-	n := len(ys)
-	// iF: first index with X ps Y_i (n when none).
-	iF := sort.Search(n, func(i int) bool { return v.ps(x, &ops[ys[i]], xi, ys[i]) })
-	// firstNot: first index where Y_i ps X stops holding, every Y judged as
-	// a write or as a read; indices below it hold.
-	firstNot := func(asWrite bool) int {
-		return sort.Search(n, func(i int) bool { return !v.psAs(asWrite, &ops[ys[i]], x, ys[i], xi) })
+func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
+	// flip returns the first index on the high side of one check shape's
+	// threshold: where X ps Y_i starts to hold, or Y_i ps X stops holding.
+	// A check outside the shape's open interval is answered by the two
+	// compares; one inside is evaluated and tightens the interval.
+	flip := func(rev, asWrite bool) int {
+		sb := &b[shapeOf(rev, asWrite)]
+		i, j := 0, len(ys)
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			yi := ys[h]
+			low := yi <= sb.lo
+			if low || yi >= sb.hi {
+				v.checks++
+				v.classHits++
+			} else if low = v.psAs(rev, asWrite, yi) == rev; low {
+				sb.lo = yi
+			} else {
+				sb.hi = yi
+			}
+			if low {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		return i
 	}
-	kind := ops[ys[0]].Write
+	iF := flip(false, xw)
+	kind := v.plan.isWrite(ys[0])
 	msc := v.opts.Model.MSC
-	if !x.Write || (msc.K() == 0 && msc.Edges[0] == semantics.HB) ||
-		!slices.ContainsFunc(ys, func(yi int32) bool { return ops[yi].Write != kind }) {
+	if !xw || (msc.K() == 0 && msc.Edges[0] == semantics.HB) ||
+		!slices.ContainsFunc(ys, func(yi int32) bool { return v.plan.isWrite(yi) != kind }) {
 		// One kind: pairs in [iG, iF) are synchronized in neither direction.
-		for i := firstNot(kind); i < iF; i++ {
-			v.recordRace(xi, ys[i])
+		for i := flip(true, kind); i < iF; i++ {
+			v.recordRace(v.xi, ys[i])
 		}
 		return
 	}
 	// An MSC implies hb, so iW <= iR: writes race from iW, reads from iR.
-	iW, iR := firstNot(true), firstNot(false)
+	iW, iR := flip(true, true), flip(true, false)
 	for i := iW; i < iF; i++ {
-		if ops[ys[i]].Write || i >= iR {
-			v.recordRace(xi, ys[i])
+		if v.plan.isWrite(ys[i]) || i >= iR {
+			v.recordRace(v.xi, ys[i])
 		}
 	}
 }
 
 // verifyChunks runs the chunk plan — the shared unit of parallel work and
-// of verdict caching. With workers > 1, workers claim chunks from an atomic
-// cursor; the per-chunk verifiers are then merged in chunk order = group
-// order, so the detailed-race prefix, the race count and the check count
-// are exactly what the serial walk produces, at every worker count and for
-// any mix of cached and recomputed chunks. A non-nil cs resolves chunks
-// from the verdict cache first and seals fresh verdicts after.
+// of verdict caching — batch by batch. A worker claims a whole batch from an
+// atomic cursor and carries its scratch across the batch's chunks, so a
+// position class that spans chunks is evaluated once; every chunk still gets
+// its own tally, merged in chunk order = group order, so the detailed-race
+// prefix, the race count and the check count are exactly what the serial
+// walk produces, at every worker count and for any mix of cached and
+// recomputed chunks. Batches are the plan's, the same at every worker count,
+// which keeps the hb and class counters worker-independent too. A non-nil cs
+// resolves chunks from the verdict cache first and seals fresh verdicts
+// after.
 func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
-	plan := planChunks(v.a.Conflicts)
-	if cs != nil {
-		plan = cs.art.plan // identical by construction; reuse the memo
-	}
-	nchunks := len(plan)
-	shards := make([]verifier, nchunks)
-	work := func(c int) {
-		sh := &shards[c]
-		sh.a, sh.opts, sh.idx, sh.plan = v.a, v.opts, v.idx, v.plan
-		sh.initGroupState()
-		if cs != nil && cs.tryApply(c, sh) {
-			return
+	chunks, batches := v.plan.chunks, v.plan.batches
+	tallies := make([]tally, len(chunks))
+	walk := func(w *verifier, batch chunkSpan) {
+		w.cFID = -1 // a batch starts in no class
+		for c := batch.lo; c < batch.hi; c++ {
+			t := &tallies[c]
+			if cs != nil && cs.tryApply(c, t) {
+				continue
+			}
+			var sp *obs.Span
+			if v.oc.T != nil {
+				_, sp = v.oc.StartLane(
+					"verify/"+v.opts.Model.Name+"/chunk-"+fmt.Sprint(c),
+					"chunk", obs.Int("chunk", c), obs.Int("groups", chunks[c].hi-chunks[c].lo))
+			}
+			w.tally = tally{}
+			w.verifyGroups(chunks[c].lo, chunks[c].hi)
+			*t = w.tally
+			sp.End()
+			if cs != nil {
+				cs.seal(c, t)
+			}
 		}
-		span := plan[c]
-		_, sp := v.oc.StartLane(
-			"verify/"+v.opts.Model.Name+"/chunk-"+fmt.Sprint(c),
-			"chunk", obs.Int("chunk", c), obs.Int("groups", span.hi-span.lo))
-		sh.verifyGroups(span.lo, span.hi)
-		sp.End()
-		if cs != nil {
-			cs.seal(c, sh)
-		}
 	}
-	if workers <= 1 || nchunks <= 1 {
-		for c := 0; c < nchunks; c++ {
-			work(c)
+	if workers = min(workers, len(batches)); workers <= 1 {
+		for _, batch := range batches {
+			walk(v, batch)
 		}
 	} else {
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for i := 0; i < workers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				w := *v
+				w.initScratch()
 				for {
-					c := int(cursor.Add(1)) - 1
-					if c >= nchunks {
+					b := int(cursor.Add(1)) - 1
+					if b >= len(batches) {
 						return
 					}
-					work(c)
+					walk(&w, batches[b])
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	// Merge in chunk order = group order: each shard capped its detail at
+	// Merge in chunk order = group order: each tally capped its detail at
 	// MaxRaceDetails, which is enough because the global detail prefix
-	// draws at most that many races from any shard's own prefix.
-	for c := range shards {
-		sh := &shards[c]
-		v.checks += sh.checks
-		v.hbQueries += sh.hbQueries
-		v.hbFast += sh.hbFast
-		v.hbFall += sh.hbFall
-		v.raceCount += sh.raceCount
-		for i := range sh.pairs {
-			if len(v.pairs) >= v.opts.MaxRaceDetails {
-				break
-			}
-			v.pairs = append(v.pairs, sh.pairs[i])
-		}
+	// draws at most that many races from any chunk's own prefix.
+	v.tally = tally{}
+	for c := range tallies {
+		t := &tallies[c]
+		v.checks += t.checks
+		v.classHits += t.classHits
+		v.classes += t.classes
+		v.hbQueries += t.hbQueries
+		v.hbFast += t.hbFast
+		v.hbFall += t.hbFall
+		v.raceCount += t.raceCount
+		v.pairs = append(v.pairs, t.pairs[:min(len(t.pairs), v.opts.MaxRaceDetails-len(v.pairs))]...)
 	}
 }
 

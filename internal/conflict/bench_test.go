@@ -29,7 +29,9 @@ func synthTrace(nranks, ops int, window int64, seed int64) *trace.Trace {
 }
 
 // BenchmarkDetectScaling measures the sort-and-sweep over increasing
-// operation counts at two overlap densities.
+// operation counts at two overlap densities, up to the one-shared-file shape
+// of the repo benchmark's sparse workload (4 ranks × 65 536 ops in a 32 MiB
+// window), where replay storage and the start-offset sort dominate.
 func BenchmarkDetectScaling(b *testing.B) {
 	for _, cfg := range []struct {
 		ops    int
@@ -41,6 +43,7 @@ func BenchmarkDetectScaling(b *testing.B) {
 		{10000, "sparse", 1 << 20},
 		// dense × 10000 is omitted: ~1.8×10⁷ pairs make the benchmark
 		// measure pair materialization, not the sweep.
+		{65536, "shared-file", 32 << 20},
 	} {
 		tr := synthTrace(4, cfg.ops, cfg.window, 42)
 		b.Run(fmt.Sprintf("ops=%d/%s", cfg.ops, cfg.name), func(b *testing.B) {

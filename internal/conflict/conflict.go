@@ -182,7 +182,8 @@ func (sd *StreamDetector) Feed(rank int, recs []trace.Record) {
 	}
 }
 
-// Finish completes detection over everything fed so far.
+// Finish completes detection over everything fed. It consumes the detector:
+// the merge releases each rank's op storage as it copies it out.
 func (sd *StreamDetector) Finish(opts Options) (*Result, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(sd.replayers)))
@@ -208,12 +209,26 @@ type localKey struct {
 	gen  int
 }
 
+// opBlockLen is the number of data operations per storage block. A rank's
+// op count is unknown until its last record (a stream never learns it
+// earlier), so ops are written once into fixed-size blocks and copied once
+// into the exactly-sized Result arrays: no slice ever doubles, and a rank of
+// a few ops costs one 3 KiB block however many ranks there are.
+const opBlockLen = 64
+
+// opBlock holds opBlockLen consecutive data operations of one rank and their
+// signature indices (into the rank's sigTable).
+type opBlock struct {
+	ops [opBlockLen]Op
+	sig [opBlockLen]int32
+}
+
 // rankShard is one rank's replay output. Op/Sync FIDs index keys; the merge
 // rewrites them to canonical file ids.
 type rankShard struct {
-	ops     []Op
+	blocks  []*opBlock // all full but the last; mergeShards releases them
+	nops    int
 	sigs    *sigTable // the rank's signatures
-	opSig   []int32   // parallel to ops, into sigs
 	syncs   []SyncPoint
 	keys    []localKey     // local fid -> identity, in first-use order
 	unlinks map[string]int // path -> total unlinks on this rank
@@ -259,19 +274,35 @@ func (rp *rankReplayer) growEOF(fid int, end int64) {
 	}
 }
 
-func (rp *rankReplayer) addOp(rec *trace.Record, fid int, write bool, start, n int64) {
-	if n <= 0 {
-		return
+// addOp records the data operation [start, start+n) and reports whether the
+// record was usable. A negative start or an end past MaxInt64 — a corrupt or
+// hostile offset — counts as skipped: the wrapped range would sit in the
+// interval index conflicting with nothing.
+func (rp *rankReplayer) addOp(rec *trace.Record, fid int, write bool, start, n int64) bool {
+	sh := rp.sh
+	if start < 0 || n > math.MaxInt64-start {
+		sh.skipped++
+		return false
 	}
-	rp.sh.ops = append(rp.sh.ops, Op{
+	if n <= 0 {
+		return true
+	}
+	k := sh.nops % opBlockLen
+	if k == 0 {
+		sh.blocks = append(sh.blocks, new(opBlock))
+	}
+	b := sh.blocks[len(sh.blocks)-1]
+	b.ops[k] = Op{
 		Ref: trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
 		FID: fid, Write: write, Start: start, End: start + n,
-	})
-	rp.sh.opSig = append(rp.sh.opSig, rp.sh.sigs.intern(
-		Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain}))
+	}
+	b.sig[k] = sh.sigs.intern(
+		Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain})
+	sh.nops++
 	if write {
 		rp.growEOF(fid, start+n)
 	}
+	return true
 }
 
 func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
@@ -459,8 +490,9 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		if size > old {
 			lo, hi = old, size
 		}
-		addOp(rec, st.fid, true, lo, hi-lo)
-		eof[st.fid] = size
+		if addOp(rec, st.fid, true, lo, hi-lo) {
+			eof[st.fid] = size
+		}
 
 	case "unlink":
 		// Bumping the generation retires the path's current
@@ -534,14 +566,15 @@ func mergeShards(shards []*rankShard) *Result {
 	res := &Result{}
 	nops, nsyncs := 0, 0
 	for _, sh := range shards {
-		nops += len(sh.ops)
+		nops += sh.nops
 		nsyncs += len(sh.syncs)
 		res.Skipped += sh.skipped
 	}
-	res.Ops = make([]Op, 0, nops)
-	res.OpSig = make([]int32, 0, nops)
+	res.Ops = make([]Op, nops)
+	res.OpSig = make([]int32, nops)
 	res.Syncs = make([]SyncPoint, 0, nsyncs)
 	sigs := newSigTable()
+	at := 0 // next free position of res.Ops / res.OpSig
 
 	canon := make(map[localKey]int)
 	genBefore := make(map[string]int)
@@ -560,10 +593,6 @@ func mergeShards(shards []*rankShard) *Result {
 		for p, n := range sh.unlinks {
 			genBefore[p] += n
 		}
-		for _, op := range sh.ops {
-			op.FID = remap[op.FID]
-			res.Ops = append(res.Ops, op)
-		}
 		for _, sp := range sh.syncs {
 			sp.FID = remap[sp.FID]
 			res.Syncs = append(res.Syncs, sp)
@@ -574,8 +603,14 @@ func mergeShards(shards []*rankShard) *Result {
 		for i, sg := range sh.sigs.sigs {
 			sigMap[i] = sigs.intern(sg)
 		}
-		for _, si := range sh.opSig {
-			res.OpSig = append(res.OpSig, sigMap[si])
+		for bi, b := range sh.blocks {
+			for i := range min(opBlockLen, sh.nops-bi*opBlockLen) {
+				op := b.ops[i]
+				op.FID = remap[op.FID]
+				res.Ops[at], res.OpSig[at] = op, sigMap[b.sig[i]]
+				at++
+			}
+			sh.blocks[bi] = nil // copied: the block is garbage from here on
 		}
 	}
 	res.Sigs = sigs.sigs

@@ -508,3 +508,63 @@ func TestFwriteOverflowSkipped(t *testing.T) {
 		t.Errorf("legit max-range fwrite skipped: skipped=%d ops=%d", res.Skipped, len(res.Ops))
 	}
 }
+
+// TestImpossibleRangeSkipped extends the rule above to every data operation:
+// a byte range that starts below zero or ends past MaxInt64 is counted as
+// skipped. Stored unchecked, an End past MaxInt64 wraps negative and the
+// interval conflicts with nothing — not even rank 1's write to the same
+// last bytes of the offset space below.
+func TestImpossibleRangeSkipped(t *testing.T) {
+	const maxOff = "9223372036854775807"
+	cases := []struct {
+		name string
+		recs [][]string // rank 0, after its open of "f" as fd 3
+	}{
+		{"pwrite wraps past MaxInt64", [][]string{{"0", "pwrite", "3", "8", "9223372036854775803"}}},
+		{"write after lseek to MaxInt64", [][]string{
+			{"0", "lseek", "3", maxOff, "SEEK_SET", maxOff},
+			{"0", "write", "3", "8"}}},
+		{"pread at a negative offset", [][]string{{"0", "pread", "3", "16", "-8"}}},
+		{"ftruncate to a negative size", [][]string{{"0", "ftruncate", "3", "-1"}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := [][]string{{"0", "open", "f", "rw|creat", "3"}}
+			recs = append(recs, tc.recs...)
+			recs = append(recs,
+				[]string{"1", "open", "f", "rw", "3"},
+				[]string{"1", "pwrite", "3", "8", "0"},
+				[]string{"1", "pwrite", "3", "4", "9223372036854775803"}) // [Max-4, Max): legitimate
+			res, err := Detect(buildTrace(2, recs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Skipped != 1 {
+				t.Errorf("skipped = %d, want 1", res.Skipped)
+			}
+			if len(res.Ops) != 2 || res.Pairs != 0 {
+				t.Errorf("ops = %+v, pairs = %d; want rank 1's two writes and no pair", res.Ops, res.Pairs)
+			}
+			for _, op := range res.Ops {
+				if op.Start < 0 || op.End <= op.Start {
+					t.Errorf("nonsense range in the interval index: %+v", op)
+				}
+			}
+		})
+	}
+
+	// A skipped ftruncate leaves the EOF estimate alone.
+	res, err := Detect(buildTrace(1,
+		[]string{"0", "open", "f", "rw|creat", "3"},
+		[]string{"0", "pwrite", "3", "10", "0"}, // EOF=10
+		[]string{"0", "ftruncate", "3", "-1"},
+		[]string{"0", "lseek", "3", "0", "SEEK_END"},
+		[]string{"0", "write", "3", "4"}, // [10,14)
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := res.Ops[len(res.Ops)-1]; res.Skipped != 1 || last.Start != 10 || last.End != 14 {
+		t.Errorf("skipped = %d, write after SEEK_END = [%d,%d); want 1 and [10,14)", res.Skipped, last.Start, last.End)
+	}
+}

@@ -1,9 +1,8 @@
 package conflict
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -90,6 +89,49 @@ type sweepSlice struct {
 
 func (t *sweepSlice) lane() string {
 	return fmt.Sprintf("detect/sweep-%d.%d", t.fid, t.sub)
+}
+
+// sortByStart orders a file's interval index w by (Start, op index) with a
+// stable LSD radix sort, 8 bits per pass, over key = Start − min Start of the
+// file (exact as an unsigned subtraction for any int64 pair, spans ≥ 2⁶³
+// included). w is ascending on entry — the counting partition fills it in op
+// order — so stability alone yields the index tie-break, and only the
+// bits.Len64(max − min) low key bits are visited. k0, k1 and w1 are scratch
+// windows of len(w).
+func sortByStart(ops []Op, w, w1 []int32, k0, k1 []uint64) {
+	if len(w) < 2 {
+		return
+	}
+	lo, hi := ops[w[0]].Start, ops[w[0]].Start
+	for i, oi := range w {
+		s := ops[oi].Start
+		k0[i] = uint64(s)
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	for i := range k0 {
+		k0[i] -= uint64(lo)
+	}
+	nbits := bits.Len64(uint64(hi) - uint64(lo))
+	src, dst := w, w1
+	for shift := 0; shift < nbits; shift += 8 {
+		var pos [256]int32
+		for _, k := range k0 {
+			pos[uint8(k>>shift)]++
+		}
+		at := int32(0)
+		for d, c := range pos {
+			pos[d], at = at, at+c
+		}
+		for i, k := range k0 {
+			p := pos[uint8(k>>shift)]
+			pos[uint8(k>>shift)] = p + 1
+			k1[p], dst[p] = k, src[i]
+		}
+		k0, k1, src, dst = k1, k0, dst, src
+	}
+	if (nbits+7)/8%2 == 1 {
+		copy(w, w1) // an odd number of passes leaves the order in w1
+	}
 }
 
 // sliceFile fills out (one entry per slice) with the file's fixed slice
@@ -298,7 +340,8 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	}
 
 	// Per-file interval index arena, built by counting so the partition
-	// costs two passes and three allocations however many files there are.
+	// costs two passes and three allocations however many files there are;
+	// likewise the sort's ping-pong scratch, windowed by fileOff.
 	fileOff := make([]int32, nfiles+1)
 	for i := range ops {
 		fileOff[ops[i].FID+1]++
@@ -319,21 +362,16 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 		taskOff[f+1] = taskOff[f] + int32(numSlices(int(fileOff[f+1]-fileOff[f])))
 	}
 	tasks := make([]sweepSlice, taskOff[nfiles])
+	idx1, keys0, keys1 := make([]int32, n), make([]uint64, n), make([]uint64, n)
 
 	sortCtx, sortSpan := sc.Start("sweep-sort", obs.Int("tasks", len(tasks)))
 	par.DoObs(sortCtx, "detect-sort", workers, nfiles, func(f int) {
-		w := idx[fileOff[f]:fileOff[f+1]]
-		if len(w) == 0 {
+		lo, hi := fileOff[f], fileOff[f+1]
+		if lo == hi {
 			return
 		}
-		slices.SortFunc(w, func(a, b int32) int {
-			oa, ob := &ops[a], &ops[b]
-			if oa.Start != ob.Start {
-				return cmp.Compare(oa.Start, ob.Start)
-			}
-			// Op index order is (rank, seq) order: Ops is rank-major.
-			return cmp.Compare(a, b)
-		})
+		w := idx[lo:hi]
+		sortByStart(ops, w, idx1[lo:hi], keys0[lo:hi], keys1[lo:hi])
 		sliceFile(ops, w, f, tasks[taskOff[f]:taskOff[f+1]])
 	})
 	sortSpan.End()
@@ -371,11 +409,13 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	}
 	total := off[n]
 
-	// The transient footprint of the sweep: index + slice plan + degree /
-	// offset / cursor tables + the scratch adjacency and transpose
-	// histograms. The output arenas (ys, runs, groups) are retained and
-	// excluded. CI gates this against the pair count.
-	scratchBytes := 4*int64(n) /* idx */ + 4*int64(nfiles+1) /* fileOff */ +
+	// The transient footprint of the sweep: index + sort scratch + slice
+	// plan + degree / offset / cursor tables + the scratch adjacency and
+	// transpose histograms. The output arenas (ys, runs, groups) are
+	// retained and excluded. CI gates this against the pair count.
+	scratchBytes := 4*int64(n) /* idx */ + 20*int64(n) /* idx1, keys0, keys1 */ +
+		4*int64(3*nfiles+2) /* fileOff, next, taskOff */ +
+		48*int64(len(tasks)) /* tasks (40 B each), taskPairs */ +
 		4*carryOps + 4*int64(n) /* deg */ + 8*int64(n+1) /* off */
 	if total == 0 {
 		publish(len(tasks), carryOps, scratchBytes)

@@ -2,9 +2,13 @@ package conflict
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,9 +16,9 @@ import (
 	"verifyio/internal/trace"
 )
 
-// resultFingerprint serializes every byte of a Result the sweep is
-// responsible for — ops, files, syncs, the pair count, and the full CSR
-// group content — so equality of fingerprints is equality of Results.
+// resultFingerprint serializes every byte of a Result — ops and their
+// signatures, files, syncs, the pair count, and the full CSR group content —
+// so equality of fingerprints is equality of Results.
 func resultFingerprint(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -33,7 +37,10 @@ func resultFingerprint(t *testing.T, res *Result) []byte {
 		if op.Write {
 			wr = 1
 		}
-		w(int64(op.Ref.Rank), int64(op.Ref.Seq), int64(op.FID), wr, op.Start, op.End)
+		w(int64(op.Ref.Rank), int64(op.Ref.Seq), int64(op.FID), wr, op.Start, op.End, int64(res.OpSig[i]))
+	}
+	for _, sg := range res.Sigs {
+		fmt.Fprintf(&buf, "%q %d %q %q\x00", sg.Func, sg.Layer, sg.Site, sg.Chain)
 	}
 	for _, f := range res.Files {
 		buf.WriteString(f)
@@ -209,7 +216,7 @@ func TestPropertySweepFullAdjacency(t *testing.T) {
 // conflicting pair, and no per-pair or per-group allocation. Workers is
 // pinned, never GOMAXPROCS: the transpose histogram is 4·K·n bytes with one
 // op range per worker (K = Workers), so bytes per pair grow with the worker
-// count (9.2 at 1, 9.6 at 4, over 12 past ~20) and a host-sized run would
+// count (9.9 at 1, 10.4 at 4, over 12 past 15) and a host-sized run would
 // gate on the runner's core count instead of on the code.
 func TestSweepShardsWithinSingleFile(t *testing.T) {
 	tr := synthTrace(8, 2048, 1<<13, 99)
@@ -243,35 +250,170 @@ func TestSweepShardsWithinSingleFile(t *testing.T) {
 	}
 }
 
+// streamDetect runs tr through a StreamDetector, each rank fed in batches
+// whose end the caller picks from the rank and the batch's start.
+func streamDetect(tr *trace.Trace, workers int, batchEnd func(rank, lo int) int) (*Result, error) {
+	sd := NewStreamDetector(len(tr.Ranks))
+	for rank, recs := range tr.Ranks {
+		for lo := 0; lo < len(recs); {
+			hi := min(batchEnd(rank, lo), len(recs))
+			sd.Feed(rank, recs[lo:hi])
+			lo = hi
+		}
+	}
+	return sd.Finish(Options{Workers: workers})
+}
+
 // TestStreamDetectorMatchesMaterialized feeds one trace through the
 // streaming detector in ragged batch partitionings and requires the exact
 // Result the materialized path produces, at several worker counts — the
 // streaming path rides the same sliced sweep through finishShards.
 func TestStreamDetectorMatchesMaterialized(t *testing.T) {
-	tr := synthTrace(3, 700, 1<<10, 11)
-	base, err := DetectOpts(tr, Options{Workers: 1})
+	// The second trace puts its ranks' op counts on either side of a storage
+	// block boundary (and one rank at none), with two signatures alternating
+	// so a misplaced OpSig shows.
+	straddle := trace.New(4)
+	for rank, nops := range []int{opBlockLen - 1, opBlockLen, opBlockLen + 1, 0} {
+		straddle.Append(trace.Record{Rank: rank, Func: "open", Layer: trace.LayerPOSIX,
+			Args: []string{"f", "rw|creat", "3"}, Tick: 1, Ret: 2})
+		for i := 0; i < nops; i++ {
+			fn := []string{"pwrite", "pread"}[i%2]
+			straddle.Append(trace.Record{Rank: rank, Func: fn, Layer: trace.LayerPOSIX,
+				Args: []string{"3", "16", fmt.Sprint(i * 8 % 1024)},
+				Tick: int64(2*i + 3), Ret: int64(2*i + 4)})
+		}
+	}
+	for name, tr := range map[string]*trace.Trace{
+		"random":         synthTrace(3, 700, 1<<10, 11),
+		"block-straddle": straddle,
+	} {
+		base, err := DetectOpts(tr, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Pairs == 0 {
+			t.Fatalf("%s: no conflicts", name)
+		}
+		want := resultFingerprint(t, base)
+		for _, workers := range []int{1, 2, 7} {
+			res, err := streamDetect(tr, workers, func(_, lo int) int { return lo + 1 + lo%97 })
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, workers, err)
+			}
+			if fp := resultFingerprint(t, res); !bytes.Equal(fp, want) {
+				t.Errorf("%s workers=%d: streamed Result differs from materialized", name, workers)
+			}
+		}
+	}
+}
+
+// TestSortByStartMatchesReference holds the radix sort to a comparison sort
+// on (Start, op index) that lives here: files of every awkward size and
+// distribution, several sharing one index and scratch arena the way
+// detectPairs lays them out. Ties are everywhere, so a pass that is not
+// stable fails.
+func TestSortByStartMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gen := func(n int, start func(i int) int64) []int64 {
+		f := make([]int64, n)
+		for i := range f {
+			f[i] = start(i)
+		}
+		return f
+	}
+	narrow := func(int) int64 { return rng.Int63n(1 << 12) }
+	anywhere := func(int) int64 { return int64(rng.Uint64()) }
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	cases := map[string][][]int64{
+		"all-equal":  {gen(1000, func(int) int64 { return 42 })},
+		"ascending":  {gen(1000, func(i int) int64 { return int64(3 * i) })},
+		"descending": {gen(1000, func(i int) int64 { return int64(-3 * i) })},
+		"extremes":   {gen(5000, func(int) int64 { return extremes[rng.Intn(len(extremes))] })},
+		"any-int64":  {gen(5000, anywhere)},
+		"min-max":    {{math.MaxInt64, math.MinInt64, math.MaxInt64, math.MinInt64}},
+		// One pass for the first file, eight for the second, none for the
+		// third, out of one arena.
+		"mixed-spans": {gen(3000, func(int) int64 { return rng.Int63n(16) }), gen(700, anywhere), {5}},
+	}
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 100000} {
+		cases[fmt.Sprintf("n=%d", n)] = [][]int64{gen(n, narrow), gen(n, anywhere)}
+	}
+	for name, files := range cases {
+		// Interleave the files' ops so every index window ascends with gaps.
+		var ops []Op
+		for i, more := 0, true; more; i++ {
+			more = false
+			for f, starts := range files {
+				if i < len(starts) {
+					ops = append(ops, Op{FID: f, Start: starts[i]})
+					more = true
+				}
+			}
+		}
+		idx := make([][]int32, len(files))
+		for i := range ops {
+			idx[ops[i].FID] = append(idx[ops[i].FID], int32(i))
+		}
+		n := len(ops)
+		arena, idx1, k0, k1 := make([]int32, 0, n), make([]int32, n), make([]uint64, n), make([]uint64, n)
+		for f := range files {
+			lo := len(arena)
+			arena = append(arena, idx[f]...)
+			hi := len(arena)
+			w := arena[lo:hi]
+			sortByStart(ops, w, idx1[lo:hi], k0[lo:hi], k1[lo:hi])
+			want := slices.Clone(idx[f])
+			slices.SortFunc(want, func(a, b int32) int {
+				if c := cmp.Compare(ops[a].Start, ops[b].Start); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			if !slices.Equal(w, want) {
+				t.Errorf("%s: file %d (%d ops) is not in (Start, index) order", name, f, len(w))
+			}
+		}
+	}
+}
+
+// TestDetectOpStorageNotDoubled bounds the bytes a detection allocates, by
+// what it has to hold: each op once where the replay writes it and once in
+// the Result, the sweep's published scratch, and the retained group arenas.
+// A replay that grows its op slices by doubling allocates about twice that.
+// Both front-ends store ops the same way, so they must allocate alike.
+func TestDetectOpStorageNotDoubled(t *testing.T) {
+	tr := synthTrace(8, 32768, 32<<20, 1)
+	reg := obs.NewRegistry()
+	res, err := DetectOpts(tr, Options{Workers: 1, Obs: obs.Ctx{R: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultFingerprint(t, base)
-	for _, workers := range []int{1, 2, 7} {
-		sd := NewStreamDetector(len(tr.Ranks))
-		for rank, recs := range tr.Ranks {
-			for lo := 0; lo < len(recs); {
-				hi := lo + 1 + lo%97
-				if hi > len(recs) {
-					hi = len(recs)
-				}
-				sd.Feed(rank, recs[lo:hi])
-				lo = hi
-			}
+	size := func(v any) int64 { return int64(reflect.TypeOf(v).Size()) }
+	opBytes := int64(len(res.Ops)) * (size(Op{}) + 4)
+	retained := int64(len(res.Groups)) * size(Group{})
+	for i := range res.Groups {
+		retained += 4 * int64(len(res.Groups[i].ys)+len(res.Groups[i].runs))
+	}
+	budget := opBytes*5/2 + reg.Snapshot().Stable.Gauges["conflict.sweep_scratch_bytes"] + retained + 2<<20
+
+	allocated := func(detect func() (*Result, error)) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := detect(); err != nil {
+			t.Fatal(err)
 		}
-		res, err := sd.Finish(Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if fp := resultFingerprint(t, res); !bytes.Equal(fp, want) {
-			t.Errorf("workers=%d: streamed Result differs from materialized", workers)
-		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	mat := allocated(func() (*Result, error) { return DetectOpts(tr, Options{Workers: 1}) })
+	str := allocated(func() (*Result, error) {
+		return streamDetect(tr, 1, func(_, lo int) int { return lo + 4096 })
+	})
+	t.Logf("ops+sigs %d B, budget %d B, DetectOpts %d B, StreamDetector %d B", opBytes, budget, mat, str)
+	if mat > budget || str > budget {
+		t.Errorf("allocated %d B (DetectOpts) and %d B (StreamDetector), want <= %d", mat, str, budget)
+	}
+	if d := mat - str; d > mat/20 || -d > mat/20 {
+		t.Errorf("front-ends allocate %d B and %d B, more than 5%% apart", mat, str)
 	}
 }

@@ -112,7 +112,7 @@ func BenchmarkFig2_Quickstart(b *testing.B) {
 // and reports the properly-synchronized checks performed.
 func BenchmarkFig3_Pruning(b *testing.B) {
 	tr := corpusTrace(b, "pmulti_dset")
-	a, err := verify.Analyze(tr, verify.AlgoVectorClock)
+	a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func BenchmarkTable4_Breakdown(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var timing verify.Timing
 			for i := 0; i < b.N; i++ {
-				a, err := verify.Analyze(tr, verify.AlgoVectorClock)
+				a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func BenchmarkHBAlgorithms(b *testing.B) {
 		b.Run(algo.String(), func(b *testing.B) {
 			var races int64 = -1
 			for i := 0; i < b.N; i++ {
-				a, err := verify.Analyze(tr, algo)
+				a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

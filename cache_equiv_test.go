@@ -21,7 +21,7 @@ import (
 // must not depend on it).
 func cacheVerifyAll(t *testing.T, tr *trace.Trace, store *vcache.Store, workers int, id string) []*verify.Report {
 	t.Helper()
-	a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers})
+	a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers, Digest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCacheWarmEquivalenceCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		a, err := verify.Analyze(tr, verify.AlgoVectorClock)
+		a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"verifyio/internal/obs"
 	itrace "verifyio/internal/trace"
 )
 
@@ -129,6 +130,39 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(results, "table1.txt")); err != nil {
 		t.Fatalf("artifact missing: %v", err)
+	}
+}
+
+// TestCLIDiagnoseRunsThePipelineOnce: -diagnose reads the reports it has,
+// so a telemetry-instrumented "-model all -diagnose" run on a trace that
+// races under three models analyses the directory exactly once and verifies
+// each model once.
+func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
+	bin := buildCLIs(t)
+	dir := filepath.Join(t.TempDir(), "flexible")
+	runCLI(t, bin, 0, "verifyio-trace", "-test", "flexible", "-out", dir)
+	spans := filepath.Join(t.TempDir(), "spans.json")
+	out := runCLI(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-diagnose", "-trace-out", spans)
+	if strings.Count(out, "diagnosis #1 ") != 3 {
+		t.Fatalf("want diagnoses under three models:\n%s", out)
+	}
+	data, err := os.ReadFile(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ParseChromeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, e := range events {
+		if e.Ph == "X" {
+			count[e.Name]++
+		}
+	}
+	if count["analyze"] != 1 || count["read-trace"] != 1 || count["verify"] != 4 {
+		t.Errorf("spans: %d analyze, %d read-trace, %d verify; want 1, 1 and 4",
+			count["analyze"], count["read-trace"], count["verify"])
 	}
 }
 

@@ -15,15 +15,14 @@
 // Usage:
 //
 //	reproduce [-out DIR] [-only table1,fig4,...] [-workers N] [-tolerate]
-//	          [-stream] [-window BYTES]
+//	          [-window BYTES]
 //	          [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
 //	          [-corpus-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE] [-debug-addr ADDR]
 //
-// -stream makes the stored-trace pass (table4) analyze each trace while
-// decoding it in bounded windows (-window BYTES, default 4 MiB) instead of
-// materializing it; results are identical, only the stage-time split
-// changes (the fused pass reports the detect+match wall clock).
+// The stored-trace pass (table4) analyzes each trace while decoding it from
+// its directory in bounded windows (-window BYTES, default 4 MiB, negative =
+// unbounded); the decode is the table's "Read trace" row.
 //
 // -corpus-out writes the fleet rollup: every corpus test's verification
 // outcomes bucketed by consistency model, I/O library, and the trace's DFG
@@ -67,8 +66,7 @@ func run() int {
 		only     = flag.String("only", "", "comma-separated subset (table1,table2,table3,table4,fig3,fig4)")
 		workers  = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
 		tolerate = flag.Bool("tolerate", false, "read stored traces leniently, salvaging damaged rank streams")
-		stream   = flag.Bool("stream", false, "analyze stored traces (table4) while decoding in bounded windows instead of materializing them")
-		window   = flag.Int64("window", 0, "decoded-record window in bytes for -stream (0 = default 4 MiB, negative = unbounded)")
+		window   = flag.Int64("window", 0, "bytes of decoded records resident at once while a stored trace is analyzed (0 = default 4 MiB, negative = unbounded)")
 		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory shared across reproduce runs (warm reruns skip unchanged verification work)")
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
@@ -144,7 +142,7 @@ func run() int {
 		{"table2", table2},
 		{"fig4", func(w io.Writer) error { return fig4(w, rowsOnce) }},
 		{"table3", func(w io.Writer) error { return table3(w, rowsOnce) }},
-		{"table4", func(w io.Writer) error { return table4(w, vopts, dopts, *stream, *window) }},
+		{"table4", func(w io.Writer) error { return table4(w, vopts, dopts, *window) }},
 		{"fig3", func(w io.Writer) error { return fig3(w, vopts) }},
 	}
 
@@ -211,7 +209,7 @@ func corpusRollup(w io.Writer, rowsOnce func() ([]*corpus.Row, error), workers i
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.Test.Name, err)
 		}
-		fleet := dfg.FromTrace(tr, dfg.Options{Workers: workers, Obs: oc})
+		fleet := dfg.FromTrace(tr, dfg.Options{Obs: oc})
 		rb.Add(row.Test.Library, fleet.Archetype, row.Reports)
 		for _, rep := range row.Reports {
 			if rep != nil && rep.Metrics != nil {
@@ -308,7 +306,7 @@ func table3(w io.Writer, rowsOnce func() ([]*corpus.Row, error)) error {
 }
 
 // table4 prints the stage-time breakdown of the three slowest tests.
-func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, stream bool, window int64) error {
+func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, window int64) error {
 	names := []string{"nc4perf", "cache", "pmulti_dset"}
 	type breakdown struct {
 		name       string
@@ -330,7 +328,7 @@ func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, stream
 			return err
 		}
 		// The paper's first stage is reading the stored trace: round-trip
-		// through the on-disk format and time the read.
+		// through the on-disk format, and analyze off the directory.
 		dir, err := os.MkdirTemp("", "verifyio-table4-")
 		if err != nil {
 			return err
@@ -339,31 +337,13 @@ func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, stream
 		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
 			return err
 		}
-		aopts := verify.AnalyzeOptions{Workers: vopts.Workers, Obs: vopts.Obs}
-		var a *verify.Analysis
-		if stream {
-			// The fused pass decodes while it detects and matches, so the
-			// read shows up in the detect+match wall clock, not Read trace.
-			a, err = verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
-				AnalyzeOptions: aopts,
-				Decode:         dopts,
-				WindowBytes:    window,
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			readStart := time.Now()
-			tr, _, err = trace.ReadDirWithOptions(dir, dopts)
-			if err != nil {
-				return err
-			}
-			readTime := time.Since(readStart)
-			a, err = verify.AnalyzeOpts(tr, verify.AlgoVectorClock, aopts)
-			if err != nil {
-				return err
-			}
-			a.Timing.ReadTrace = readTime
+		a, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
+			AnalyzeOptions: verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs},
+			Decode:         dopts,
+			WindowBytes:    window,
+		})
+		if err != nil {
+			return err
 		}
 		// Verification time = sum over the four models (the paper
 		// verifies each model; we report the aggregate pass).
@@ -401,7 +381,7 @@ func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, stream
 	stage("Read trace", func(t verify.Timing) time.Duration { return t.ReadTrace })
 	stage("Detect conflicts", func(t verify.Timing) time.Duration { return t.DetectConflicts })
 	stage("Match MPI calls", func(t verify.Timing) time.Duration { return t.Match })
-	stage("  detect+match wall clock", func(t verify.Timing) time.Duration { return t.DetectMatchWall })
+	stage("  read+detect+match wall clock", func(t verify.Timing) time.Duration { return t.DetectMatchWall })
 	stage("Build the happens-before graph", func(t verify.Timing) time.Duration { return t.BuildGraph })
 	stage("Generate vector clock", func(t verify.Timing) time.Duration { return t.VectorClock })
 	stage("Verification (4 models)", func(t verify.Timing) time.Duration { return t.Verification })
@@ -438,7 +418,8 @@ func fig3(w io.Writer, vopts verify.Options) error {
 		if err != nil {
 			return err
 		}
-		a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: vopts.Workers, Obs: vopts.Obs})
+		a, err := verify.Analyze(tr, verify.AlgoVectorClock,
+			verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs})
 		if err != nil {
 			return err
 		}

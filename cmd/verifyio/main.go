@@ -6,19 +6,18 @@
 //
 //	verifyio -trace DIR [-model posix|commit|session|mpi-io|all]
 //	         [-algorithm auto|vector-clock|reachability|transitive-closure|on-the-fly|segment]
-//	         [-workers N] [-no-pruning] [-max-races N] [-details] [-tolerate]
-//	         [-stream] [-window BYTES]
+//	         [-workers N] [-no-pruning] [-max-races N] [-details] [-diagnose]
+//	         [-tolerate] [-window BYTES] [-dump] [-json]
 //	         [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
 //	         [-dfg-out FILE] [-dfg-dot FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-debug-addr ADDR]
 //
-// -stream verifies the trace while decoding it instead of loading it whole:
-// conflict detection, MPI matching and the cache digests consume each record
-// batch as it decodes, so peak memory is bounded by the decode window
-// (-window BYTES, default 4 MiB, negative = unbounded) rather than the trace
-// size. Reports are identical to the materializing path; only the Timing
-// split differs (the fused pass reports DetectMatchWall). -diagnose needs
-// the materialized trace and cannot be combined with -stream.
+// The trace is verified while it is decoded, never loaded whole: up to
+// -workers rank files are read at once, and conflict detection, MPI matching
+// and (with -cache-dir) the cache digests consume each record batch as it
+// decodes, so peak memory is bounded by the decode window (-window BYTES,
+// default 4 MiB, negative = unbounded) rather than the trace size. Only
+// -dump materializes the trace.
 //
 // -cache-dir attaches a persistent verdict cache: chunks of the verification
 // plan are memoized by content digest, so re-running over an unchanged trace
@@ -37,9 +36,8 @@
 // rank anomaly report — which ranks deviate from the rank-majority graph
 // and by how much — as JSON. -dfg-dot writes the same graphs as Graphviz
 // DOT (render with: dot -Tsvg dfg.dot -o dfg.svg; anomalous ranks are
-// drawn red). The DFG pass streams the trace directory in bounded windows
-// regardless of -stream; both artifacts are byte-deterministic at any
-// worker count.
+// drawn red). The DFG pass decodes the trace directory again, in the same
+// bounded windows; both artifacts are byte-deterministic.
 //
 // Exit status: 0 when every verified model is properly synchronized, 1 when
 // data races were found, 2 when verification aborted on unmatched MPI calls
@@ -77,8 +75,7 @@ func run() int {
 		dump      = flag.Bool("dump", false, "print the trace as text and exit")
 		jsonOut   = flag.Bool("json", false, "emit the reports as JSON")
 		tolerate  = flag.Bool("tolerate", false, "salvage damaged or truncated rank streams instead of failing")
-		stream    = flag.Bool("stream", false, "verify while decoding in bounded windows instead of materializing the trace")
-		window    = flag.Int64("window", 0, "decoded-record window in bytes for -stream (0 = default 4 MiB, negative = unbounded)")
+		window    = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
 		cacheDir  = flag.String("cache-dir", "", "persistent verdict-cache directory: re-verifying an unchanged trace is served from cache, an appended trace re-verifies only the dirtied chunks")
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
@@ -131,11 +128,6 @@ func run() int {
 		return 0
 	}
 
-	if *stream && *diagnose {
-		fmt.Fprintln(os.Stderr, "verifyio: -diagnose needs the materialized trace; drop -stream")
-		return 2
-	}
-
 	opts := &verifyio.Options{
 		Algorithm:      *algorithm,
 		DisablePruning: *noPrune,
@@ -167,60 +159,27 @@ func run() int {
 
 	var (
 		reports []*verifyio.Report
-		tr      *verifyio.Trace
+		rec     *verifyio.Recovery
 	)
 	start := time.Now()
-	if *stream {
-		var rec *verifyio.Recovery
-		if *model == "all" {
-			reports, rec, err = verifyio.VerifyAllStream(*traceDir, ropts, opts)
-		} else {
-			var rep *verifyio.Report
-			rep, rec, err = verifyio.VerifyStream(*traceDir, verifyio.Model(*model), ropts, opts)
-			reports = []*verifyio.Report{rep}
-		}
-		if err == nil {
-			warnRecovery(rec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: %v\n", err)
-			return 2
-		}
-		fmt.Printf("trace: %s (%d ranks, %d records, streamed+analyzed in %v)\n",
-			*traceDir, reports[0].Ranks, reports[0].Records, time.Since(start).Round(time.Millisecond))
+	if *model == "all" {
+		reports, rec, err = verifyio.VerifyAllStream(*traceDir, ropts, opts)
 	} else {
-		var rec *verifyio.Recovery
-		tr, rec, err = verifyio.ReadTraceDirOpts(*traceDir, ropts)
-		if err == nil {
-			warnRecovery(rec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: %v\n", err)
-			return 2
-		}
-		readTime := time.Since(start)
-		fmt.Printf("trace: %s (%d ranks, %d records, read in %v)\n",
-			*traceDir, tr.NumRanks(), tr.NumRecords(), readTime.Round(time.Millisecond))
-		if prog := tr.Meta("program"); prog != "" {
-			fmt.Printf("program: %s\n", prog)
-		}
-		if *model == "all" {
-			reports, err = verifyio.VerifyAll(tr, opts)
-		} else {
-			var rep *verifyio.Report
-			rep, err = verifyio.Verify(tr, verifyio.Model(*model), opts)
-			reports = []*verifyio.Report{rep}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: %v\n", err)
-			return 2
-		}
+		var rep *verifyio.Report
+		rep, rec, err = verifyio.VerifyStream(*traceDir, verifyio.Model(*model), ropts, opts)
+		reports = []*verifyio.Report{rep}
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "verifyio: %v\n", err)
+		return 2
+	}
+	warnRecovery(rec)
+	fmt.Printf("trace: %s (%d ranks, %d records, read and analyzed in %v)\n",
+		*traceDir, reports[0].Ranks, reports[0].Records, time.Since(start).Round(time.Millisecond))
 
 	if *dfgOut != "" || *dfgDot != "" {
-		// The DFG pass always streams the trace directory, whatever the
-		// verification mode: memory stays bounded by the decode window
-		// plus the graphs themselves.
+		// The DFG pass decodes the directory once more: memory stays
+		// bounded by the decode window plus the graphs themselves.
 		fleet, err := dfg.BuildStreamDir(*traceDir, dfg.StreamOptions{
 			Decode:      trace.DecodeOptions{Tolerate: *tolerate},
 			WindowBytes: *window,
@@ -267,13 +226,8 @@ func run() int {
 		} else {
 			fmt.Println(rep.Summary())
 		}
-		if *diagnose && rep.Verified && rep.RaceCount > 0 {
-			_, ds, err := verifyio.Diagnose(tr, rep.Model, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "verifyio: diagnose: %v\n", err)
-				return 2
-			}
-			for i, d := range ds {
+		if *diagnose {
+			for i, d := range rep.Diagnose() {
 				fmt.Printf("  diagnosis #%d [%s] responsible: %s\n", i+1, d.Category, d.Responsible)
 				fmt.Printf("    %s (rank %d) vs %s (rank %d) on %s\n",
 					d.Race.FuncX, d.Race.RankX, d.Race.FuncY, d.Race.RankY, d.Race.File)

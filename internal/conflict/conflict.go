@@ -111,26 +111,58 @@ func Detect(tr *trace.Trace) (*Result, error) {
 }
 
 // DetectOpts scans the trace and returns all data operations,
-// synchronization points, and conflict groups.
+// synchronization points, and conflict groups: a Detector fed every rank
+// whole.
 func DetectOpts(tr *trace.Trace, opts Options) (*Result, error) {
+	d := NewDetector(len(tr.Ranks))
+	for rank, recs := range tr.Ranks {
+		d.Feed(rank, recs)
+	}
+	return d.Finish(opts)
+}
+
+// Detector runs detection over records as they arrive: the per-rank metadata
+// replay consumes each batch at once (so no rank's records need to stay
+// resident), and Finish runs the cross-rank merge and pair sweep. The replay
+// is a left-to-right fold per rank and touches no other rank's state, so a
+// rank's records in order — in any batch partitioning, ranks in any order or
+// fed from concurrent goroutines — give one Result.
+type Detector struct {
+	replayers []*rankReplayer
+}
+
+// NewDetector prepares replay state for nranks ranks.
+func NewDetector(nranks int) *Detector {
+	d := &Detector{replayers: make([]*rankReplayer, nranks)}
+	for i := range d.replayers {
+		d.replayers[i] = newRankReplayer()
+	}
+	return d
+}
+
+// Feed replays the next records of one rank. Records must arrive in program
+// order per rank; the batch is not retained. Safe for distinct ranks
+// concurrently.
+func (d *Detector) Feed(rank int, recs []trace.Record) {
+	rp := d.replayers[rank]
+	for i := range recs {
+		rp.step(&recs[i])
+	}
+}
+
+// Finish completes detection over everything fed: canonicalize file
+// identities, sweep for conflicting pairs, publish metrics. It consumes the
+// detector — the merge releases each rank's op storage as it copies it out.
+func (d *Detector) Finish(opts Options) (*Result, error) {
 	workers := par.Resolve(opts.Workers)
-	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(tr.Ranks)))
+	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(d.replayers)))
 	span.SetCat("detect")
 	defer span.End()
 
-	shards := make([]*rankShard, len(tr.Ranks))
-	par.DoObs(oc, "detect-replay", workers, len(tr.Ranks), func(rank int) {
-		_, sp := oc.StartLane("detect/rank-"+fmt.Sprint(rank), "replay", obs.Int("rank", rank))
-		shards[rank] = replayRank(tr.Ranks[rank])
-		sp.End()
-	})
-	return finishShards(shards, workers, oc)
-}
-
-// finishShards is the serial tail of detection, shared by the materialized
-// and streaming front-ends: canonicalize file identities, sweep for
-// conflicting pairs, publish metrics.
-func finishShards(shards []*rankShard, workers int, oc obs.Ctx) (*Result, error) {
+	shards := make([]*rankShard, len(d.replayers))
+	for rank, rp := range d.replayers {
+		shards[rank] = rp.sh
+	}
 	_, mergeSpan := oc.Start("merge")
 	res := mergeShards(shards)
 	mergeSpan.End()
@@ -152,48 +184,6 @@ func finishShards(shards []*rankShard, workers int, oc obs.Ctx) (*Result, error)
 		}
 	}
 	return res, nil
-}
-
-// StreamDetector runs detection over records as they decode: the per-rank
-// metadata replay consumes each batch the moment it arrives (so no rank's
-// records need to stay resident), and Finish runs the serial merge and pair
-// sweep exactly as DetectOpts would. Feeding a rank its records in order —
-// in any batch partitioning, interleaved with other ranks however the
-// stream delivers them — yields the identical Result.
-type StreamDetector struct {
-	replayers []*rankReplayer
-}
-
-// NewStreamDetector prepares replay state for nranks ranks.
-func NewStreamDetector(nranks int) *StreamDetector {
-	sd := &StreamDetector{replayers: make([]*rankReplayer, nranks)}
-	for i := range sd.replayers {
-		sd.replayers[i] = newRankReplayer()
-	}
-	return sd
-}
-
-// Feed replays the next records of one rank. Records must arrive in program
-// order per rank; the batch buffer is not retained.
-func (sd *StreamDetector) Feed(rank int, recs []trace.Record) {
-	rp := sd.replayers[rank]
-	for i := range recs {
-		rp.step(&recs[i])
-	}
-}
-
-// Finish completes detection over everything fed. It consumes the detector:
-// the merge releases each rank's op storage as it copies it out.
-func (sd *StreamDetector) Finish(opts Options) (*Result, error) {
-	workers := par.Resolve(opts.Workers)
-	oc, span := opts.Obs.StartLane("detect", "detect", obs.Int("ranks", len(sd.replayers)))
-	span.SetCat("detect")
-	defer span.End()
-	shards := make([]*rankShard, len(sd.replayers))
-	for rank, rp := range sd.replayers {
-		shards[rank] = rp.sh
-	}
-	return finishShards(shards, workers, oc)
 }
 
 // localKey names a file identity as one rank sees it in isolation: the path
@@ -237,8 +227,7 @@ type rankShard struct {
 
 // rankReplayer holds one rank's in-progress metadata replay: the replay is
 // a pure left-to-right fold over the rank's records, so it can consume them
-// in any batch partitioning — the whole rank at once (replayRank) or batch
-// by batch as a stream decodes them (StreamDetector).
+// in any batch partitioning.
 type rankReplayer struct {
 	sh      *rankShard
 	fids    map[localKey]int
@@ -314,16 +303,6 @@ func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
 
 func (rp *rankReplayer) lookup(handle string) *handleState {
 	return rp.handles[handle]
-}
-
-// replayRank replays one rank's metadata history. It touches no shared
-// state, which is what makes the replay embarrassingly parallel.
-func replayRank(recs []trace.Record) *rankShard {
-	rp := newRankReplayer()
-	for i := range recs {
-		rp.step(&recs[i])
-	}
-	return rp.sh
 }
 
 // step folds the next record into the replay.

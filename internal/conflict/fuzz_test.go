@@ -58,8 +58,9 @@ func fuzzOp(rank, file int, write bool, offMode, lenMode byte, off, n int64) []b
 // ranks over three files, hostile offsets and lengths included, and holds
 // the detector to a reference that shares nothing with it: the kept ops are
 // those an independent application of the skip rule keeps, the conflict
-// groups are the O(n²) definition's, and both front-ends produce the same
-// Result at every worker count. Nothing may panic.
+// groups are the O(n²) definition's, and the Result is the same at every
+// worker count and when the ranks are fed in ragged batches, out of order.
+// Nothing may panic.
 func FuzzDetectOffsets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Join([][]byte{
@@ -129,12 +130,18 @@ func FuzzDetectOffsets(f *testing.F) {
 		if !bytes.Equal(resultFingerprint(t, res3), fp) {
 			t.Fatal("Workers=3 Result differs from Workers=1")
 		}
-		streamed, err := streamDetect(tr, 3, func(rank, lo int) int { return lo + 1 + (lo+rank)%5 })
+		// Ragged batches, ranks in an order the input picks.
+		order := []int{0, 1, 2, 3}
+		for i := range order {
+			j := i + (skipped+len(ops)+i)%(nranks-i)
+			order[i], order[j] = order[j], order[i]
+		}
+		batched, err := feedDetect(tr, 3, order, false, func(rank, lo int) int { return lo + 1 + (lo+rank)%5 })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(resultFingerprint(t, streamed), fp) {
-			t.Fatal("streamed Result differs from materialized")
+		if !bytes.Equal(resultFingerprint(t, batched), fp) {
+			t.Fatalf("Result of ranks %v fed in batches differs from whole ranks in order", order)
 		}
 	})
 }

@@ -54,7 +54,7 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 			}
 			sameSigs(t, tc.Name, fmt.Sprintf("DetectOpts workers=%d", workers), base, res)
 
-			sd := conflict.NewStreamDetector(len(tr.Ranks))
+			sd := conflict.NewDetector(len(tr.Ranks))
 			for rank, recs := range tr.Ranks {
 				for lo := 0; lo < len(recs); {
 					hi := min(lo+1+lo%13, len(recs))
@@ -70,7 +70,7 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.Name, err)
 			}
-			sameSigs(t, tc.Name, fmt.Sprintf("StreamDetector workers=%d", workers), base, res)
+			sameSigs(t, tc.Name, fmt.Sprintf("Detector in batches, workers=%d", workers), base, res)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"verifyio/internal/obs"
@@ -250,24 +251,46 @@ func TestSweepShardsWithinSingleFile(t *testing.T) {
 	}
 }
 
-// streamDetect runs tr through a StreamDetector, each rank fed in batches
-// whose end the caller picks from the rank and the batch's start.
-func streamDetect(tr *trace.Trace, workers int, batchEnd func(rank, lo int) int) (*Result, error) {
-	sd := NewStreamDetector(len(tr.Ranks))
-	for rank, recs := range tr.Ranks {
+// feedDetect runs tr through a Detector, each rank fed in batches whose end
+// the caller picks from the rank and the batch's start: the ranks in the
+// given order (nil: ascending) on this goroutine, or, with concurrent set,
+// every rank from a goroutine of its own.
+func feedDetect(tr *trace.Trace, workers int, order []int, concurrent bool, batchEnd func(rank, lo int) int) (*Result, error) {
+	d := NewDetector(len(tr.Ranks))
+	feed := func(rank int) {
+		recs := tr.Ranks[rank]
 		for lo := 0; lo < len(recs); {
 			hi := min(batchEnd(rank, lo), len(recs))
-			sd.Feed(rank, recs[lo:hi])
+			d.Feed(rank, recs[lo:hi])
 			lo = hi
 		}
 	}
-	return sd.Finish(Options{Workers: workers})
+	if order == nil {
+		for rank := range tr.Ranks {
+			order = append(order, rank)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, rank := range order {
+		if !concurrent {
+			feed(rank)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feed(rank)
+		}()
+	}
+	wg.Wait()
+	return d.Finish(Options{Workers: workers})
 }
 
-// TestStreamDetectorMatchesMaterialized feeds one trace through the
-// streaming detector in ragged batch partitionings and requires the exact
-// Result the materialized path produces, at several worker counts — the
-// streaming path rides the same sliced sweep through finishShards.
+// TestStreamDetectorMatchesMaterialized is the Detector's feeding contract:
+// one trace fed in ragged batch partitionings, with the ranks ascending,
+// descending, shuffled, and each from its own goroutine (under -race a Feed
+// that shared state between ranks fails here), gives at several worker
+// counts the exact Result of feeding every rank whole.
 func TestStreamDetectorMatchesMaterialized(t *testing.T) {
 	// The second trace puts its ranks' op counts on either side of a storage
 	// block boundary (and one rank at none), with two signatures alternating
@@ -295,13 +318,25 @@ func TestStreamDetectorMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: no conflicts", name)
 		}
 		want := resultFingerprint(t, base)
+		ragged := func(rank, lo int) int { return lo + 1 + (lo+rank)%97 }
+		descending := rand.New(rand.NewSource(5)).Perm(len(tr.Ranks))
+		slices.SortFunc(descending, func(a, b int) int { return b - a })
 		for _, workers := range []int{1, 2, 7} {
-			res, err := streamDetect(tr, workers, func(_, lo int) int { return lo + 1 + lo%97 })
-			if err != nil {
-				t.Fatalf("%s workers %d: %v", name, workers, err)
-			}
-			if fp := resultFingerprint(t, res); !bytes.Equal(fp, want) {
-				t.Errorf("%s workers=%d: streamed Result differs from materialized", name, workers)
+			for how, feed := range map[string]func() (*Result, error){
+				"ascending":  func() (*Result, error) { return feedDetect(tr, workers, nil, false, ragged) },
+				"descending": func() (*Result, error) { return feedDetect(tr, workers, descending, false, ragged) },
+				"shuffled": func() (*Result, error) {
+					return feedDetect(tr, workers, rand.New(rand.NewSource(5)).Perm(len(tr.Ranks)), false, ragged)
+				},
+				"concurrent": func() (*Result, error) { return feedDetect(tr, workers, nil, true, ragged) },
+			} {
+				res, err := feed()
+				if err != nil {
+					t.Fatalf("%s workers %d: %v", name, workers, err)
+				}
+				if fp := resultFingerprint(t, res); !bytes.Equal(fp, want) {
+					t.Errorf("%s workers=%d, ranks fed %s: Result differs from feeding each rank whole", name, workers, how)
+				}
 			}
 		}
 	}
@@ -380,7 +415,8 @@ func TestSortByStartMatchesReference(t *testing.T) {
 // what it has to hold: each op once where the replay writes it and once in
 // the Result, the sweep's published scratch, and the retained group arenas.
 // A replay that grows its op slices by doubling allocates about twice that.
-// Both front-ends store ops the same way, so they must allocate alike.
+// Ops are stored the same way however a rank is batched, so feeding in
+// batches must allocate like feeding each rank whole.
 func TestDetectOpStorageNotDoubled(t *testing.T) {
 	tr := synthTrace(8, 32768, 32<<20, 1)
 	reg := obs.NewRegistry()
@@ -407,13 +443,13 @@ func TestDetectOpStorageNotDoubled(t *testing.T) {
 	}
 	mat := allocated(func() (*Result, error) { return DetectOpts(tr, Options{Workers: 1}) })
 	str := allocated(func() (*Result, error) {
-		return streamDetect(tr, 1, func(_, lo int) int { return lo + 4096 })
+		return feedDetect(tr, 1, nil, false, func(_, lo int) int { return lo + 4096 })
 	})
-	t.Logf("ops+sigs %d B, budget %d B, DetectOpts %d B, StreamDetector %d B", opBytes, budget, mat, str)
+	t.Logf("ops+sigs %d B, budget %d B, DetectOpts %d B, batched %d B", opBytes, budget, mat, str)
 	if mat > budget || str > budget {
-		t.Errorf("allocated %d B (DetectOpts) and %d B (StreamDetector), want <= %d", mat, str, budget)
+		t.Errorf("allocated %d B (DetectOpts) and %d B (batched), want <= %d", mat, str, budget)
 	}
 	if d := mat - str; d > mat/20 || -d > mat/20 {
-		t.Errorf("front-ends allocate %d B and %d B, more than 5%% apart", mat, str)
+		t.Errorf("whole ranks allocate %d B and batches %d B, more than 5%% apart", mat, str)
 	}
 }

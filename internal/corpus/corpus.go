@@ -132,7 +132,7 @@ func VerifyOpts(t Test, algo verify.Algo, opts verify.Options) (*Row, error) {
 		// reruns of the same test find their incremental baseline.
 		opts.CacheID = "corpus/" + t.Name
 	}
-	a, err := verify.AnalyzeOpts(tr, algo, verify.AnalyzeOptions{Workers: opts.Workers, Obs: opts.Obs})
+	a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{Workers: opts.Workers, Digest: opts.Cache != nil, Obs: opts.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", t.Name, err)
 	}

@@ -15,13 +15,13 @@
 // their nested POSIX records already appear in the stream, and counting
 // both would double-weight every wrapped operation.
 //
-// Graphs build incrementally from trace.Stream batches (Builder.Feed keeps
-// only per-file handle state and the node/edge accumulators, so memory is
-// bounded by graph size, never trace size), or from a materialized trace
-// with rank-sharded parallelism (FromTrace). Both paths produce identical,
-// byte-deterministic output at any worker count: per-rank graphs are pure
-// left-to-right folds over that rank's records, and every exported slice is
-// sorted.
+// Graphs build incrementally from a trace.Source's record batches
+// (Builder.Feed keeps only per-file handle state and the node/edge
+// accumulators, so memory is bounded by graph size, never trace size) — a
+// trace in memory (FromTrace) or a directory decoded as it is read
+// (BuildStreamDir). The output is byte-deterministic: per-rank graphs are
+// pure left-to-right folds over that rank's records, and every exported
+// slice is sorted.
 package dfg
 
 import (
@@ -35,7 +35,6 @@ import (
 	"strconv"
 
 	"verifyio/internal/obs"
-	"verifyio/internal/par"
 	"verifyio/internal/trace"
 )
 
@@ -103,9 +102,9 @@ type edgeAcc struct {
 // left-to-right, so it accepts any batch partitioning of the rank's stream.
 type rankBuilder struct {
 	rank    int
-	fids    map[localKey]int        // {path, unlink-gen} -> rank-local file id
-	unlinks map[string]int          // path -> unlinks seen so far
-	handles map[string]int          // live handle arg -> file id
+	fids    map[localKey]int // {path, unlink-gen} -> rank-local file id
+	unlinks map[string]int   // path -> unlinks seen so far
+	handles map[string]int   // live handle arg -> file id
 	nfids   int
 	nodes   map[string]*nodeAcc
 	edges   map[edgeKey]*edgeAcc
@@ -356,11 +355,10 @@ func fingerprints(g *Graph) (structFP, fullFP string) {
 }
 
 // Builder accumulates per-rank DFGs from record batches. Feed accepts
-// batches in any order across ranks but program order within a rank —
-// exactly what trace.Stream's rank-major batches deliver. The builder
-// copies what it needs out of each batch before returning, so callers may
-// Release the batch immediately after Feed (the pool contract documented
-// on trace.Batch.Release).
+// batches in any order across ranks but program order within a rank. The
+// builder copies what it needs out of each batch before returning, so the
+// batch's buffer may be reused as soon as Feed returns (what a trace.Source
+// does).
 type Builder struct {
 	ranks []*rankBuilder
 	oc    obs.Ctx
@@ -398,29 +396,17 @@ func (b *Builder) Finish() *Fleet {
 
 // Options tunes FromTrace.
 type Options struct {
-	// Workers bounds the rank-sharding parallelism (0 = GOMAXPROCS,
-	// 1 = serial). The output is identical at any worker count.
-	Workers int
 	// Obs instruments the build and receives the dfg.* gauges.
 	Obs obs.Ctx
 }
 
-// FromTrace builds the fleet's DFGs from a materialized trace, sharding
-// rank builds across workers (each rank's fold is independent).
+// FromTrace builds the fleet's DFGs from a trace in memory.
 func FromTrace(tr *trace.Trace, opts Options) *Fleet {
-	workers := par.Resolve(opts.Workers)
-	oc, span := opts.Obs.Start("dfg",
-		obs.Int("ranks", tr.NumRanks()), obs.Int("workers", workers))
+	oc, span := opts.Obs.Start("dfg", obs.Int("ranks", tr.NumRanks()))
 	span.SetCat("dfg")
 	defer span.End()
-
-	rbs := make([]*rankBuilder, tr.NumRanks())
-	par.DoObs(oc, "dfg", workers, len(rbs), func(r int) {
-		rb := newRankBuilder(r)
-		rb.feed(tr.Ranks[r])
-		rbs[r] = rb
-	})
-	return finishRanks(rbs, oc)
+	f, _ := fromSource(tr, oc) // reading memory cannot fail
+	return f
 }
 
 // StreamOptions tunes BuildStreamDir.
@@ -435,10 +421,10 @@ type StreamOptions struct {
 	Obs obs.Ctx
 }
 
-// BuildStreamDir builds the fleet's DFGs straight off the streaming
-// decoder: each record batch is folded into its rank's graph and released,
-// so peak memory is bounded by the decode window plus the graphs
-// themselves, never the trace size.
+// BuildStreamDir builds the fleet's DFGs straight off a trace directory:
+// each record batch is folded into its rank's graph as it decodes, so peak
+// memory is bounded by the decode window plus the graphs themselves, never
+// the trace size.
 func BuildStreamDir(dir string, opts StreamOptions) (*Fleet, error) {
 	oc, span := opts.Obs.Start("dfg", obs.String("mode", "stream"))
 	span.SetCat("dfg")
@@ -446,23 +432,21 @@ func BuildStreamDir(dir string, opts StreamOptions) (*Fleet, error) {
 
 	dopts := opts.Decode
 	dopts.Obs = oc
-	s, err := trace.OpenStream(dir, trace.StreamOptions{DecodeOptions: dopts, WindowBytes: opts.WindowBytes})
+	d, err := trace.OpenDir(dir, trace.StreamOptions{DecodeOptions: dopts, WindowBytes: opts.WindowBytes}, 1)
 	if err != nil {
 		return nil, fmt.Errorf("dfg: read trace: %w", err)
 	}
-	defer s.Close()
+	defer d.Close()
+	return fromSource(d, oc)
+}
 
-	b := NewBuilder(s.NumRanks(), oc)
-	for {
-		batch, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+// fromSource feeds a Builder the source's ranks, one after the other.
+func fromSource(src trace.Source, oc obs.Ctx) (*Fleet, error) {
+	b := NewBuilder(src.NumRanks(), oc)
+	for rank := 0; rank < src.NumRanks(); rank++ {
+		if err := src.ReadRank(rank, func(recs []trace.Record) { b.Feed(rank, recs) }); err != nil {
 			return nil, fmt.Errorf("dfg: read trace: %w", err)
 		}
-		b.Feed(batch.Rank, batch.Recs)
-		batch.Release()
 	}
 	return b.Finish(), nil
 }

@@ -96,7 +96,7 @@ func fleetDOT(t *testing.T, f *Fleet) []byte {
 }
 
 func TestDivergentRankAnomalous(t *testing.T) {
-	f := FromTrace(buildTrace(4, 2), Options{Workers: 1})
+	f := FromTrace(buildTrace(4, 2), Options{})
 	if f.MajoritySize != 3 {
 		t.Fatalf("majority size = %d, want 3", f.MajoritySize)
 	}
@@ -117,7 +117,7 @@ func TestDivergentRankAnomalous(t *testing.T) {
 }
 
 func TestCleanFleetScoresZero(t *testing.T) {
-	f := FromTrace(buildTrace(4, -1), Options{Workers: 1})
+	f := FromTrace(buildTrace(4, -1), Options{})
 	if len(f.AnomalousRanks) != 0 {
 		t.Fatalf("anomalous ranks = %v, want none", f.AnomalousRanks)
 	}
@@ -149,7 +149,7 @@ func TestNoMajorityNoAnomaly(t *testing.T) {
 		{trace.LayerPOSIX, "pread", []string{"3", "128", "0"}},
 		{trace.LayerPOSIX, "close", []string{"3"}},
 	})
-	f := FromTrace(tr, Options{Workers: 1})
+	f := FromTrace(tr, Options{})
 	if f.MajorityFP != "" || len(f.AnomalousRanks) != 0 {
 		t.Fatalf("majority = %q anomalous = %v, want no majority and no anomalies",
 			f.MajorityFP, f.AnomalousRanks)
@@ -176,7 +176,7 @@ func TestStragglerFlagged(t *testing.T) {
 		appendEvents(tr, r, loop(20))
 	}
 	appendEvents(tr, 4, loop(1000))
-	f := FromTrace(tr, Options{Workers: 1})
+	f := FromTrace(tr, Options{})
 	if len(f.AnomalousRanks) != 1 || f.AnomalousRanks[0] != 4 {
 		t.Fatalf("anomalous ranks = %v, want [4]", f.AnomalousRanks)
 	}
@@ -190,26 +190,36 @@ func TestStragglerFlagged(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers is the byte-determinism contract: same
-// trace, any worker count, identical JSON and DOT bytes.
-func TestDeterministicAcrossWorkers(t *testing.T) {
+// TestDeterministicAcrossFeedOrders is the byte-determinism contract: the
+// same trace fed to a Builder with the ranks in any order, in ragged batches,
+// gives the JSON and DOT bytes of FromTrace.
+func TestDeterministicAcrossFeedOrders(t *testing.T) {
 	tr := buildTrace(6, 3)
-	base := FromTrace(tr, Options{Workers: 1})
+	base := FromTrace(tr, Options{})
 	wantJSON, wantDOT := fleetJSON(t, base), fleetDOT(t, base)
-	for _, workers := range []int{2, 4, 7} {
-		f := FromTrace(tr, Options{Workers: workers})
+	for _, order := range [][]int{{5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
+		b := NewBuilder(0, obs.Ctx{}) // grows on demand
+		for _, rank := range order {
+			recs := tr.Ranks[rank]
+			for lo := 0; lo < len(recs); {
+				hi := min(lo+1+(lo+rank)%7, len(recs))
+				b.Feed(rank, recs[lo:hi])
+				lo = hi
+			}
+		}
+		f := b.Finish()
 		if !bytes.Equal(fleetJSON(t, f), wantJSON) {
-			t.Fatalf("workers=%d JSON differs from serial build", workers)
+			t.Fatalf("ranks fed in order %v: JSON differs from FromTrace", order)
 		}
 		if !bytes.Equal(fleetDOT(t, f), wantDOT) {
-			t.Fatalf("workers=%d DOT differs from serial build", workers)
+			t.Fatalf("ranks fed in order %v: DOT differs from FromTrace", order)
 		}
 	}
 }
 
-// TestStreamMatchesFromTrace: the streaming build (small window, many
-// batches per rank) must produce byte-identical output to the materialized
-// build, and its peak resident decode bytes must stay bounded by the
+// TestStreamMatchesFromTrace: the build off a directory (small window, many
+// batches per rank) must produce byte-identical output to the build from
+// memory, and its peak resident decode bytes must stay bounded by the
 // window.
 func TestStreamMatchesFromTrace(t *testing.T) {
 	tr := buildTrace(4, 1)
@@ -225,7 +235,7 @@ func TestStreamMatchesFromTrace(t *testing.T) {
 	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
 		t.Fatal(err)
 	}
-	want := fleetJSON(t, FromTrace(tr, Options{Workers: 1}))
+	want := fleetJSON(t, FromTrace(tr, Options{}))
 
 	const window = 1 << 12
 	reg := obs.NewRegistry()
@@ -265,7 +275,7 @@ func TestBuilderUnknownHandleAndUnlink(t *testing.T) {
 		{trace.LayerPOSIX, "open", []string{"a", "wronly|create", "3"}},
 		{trace.LayerPOSIX, "close", []string{"3"}},
 	})
-	f := FromTrace(tr, Options{Workers: 1})
+	f := FromTrace(tr, Options{})
 	g := f.Graphs[0]
 	want := map[string]int64{
 		"write:f?": 1, // unknown handle
@@ -284,7 +294,7 @@ func TestBuilderUnknownHandleAndUnlink(t *testing.T) {
 }
 
 func TestGolden(t *testing.T) {
-	f := FromTrace(buildTrace(3, 2), Options{Workers: 1})
+	f := FromTrace(buildTrace(3, 2), Options{})
 	for _, tc := range []struct {
 		name string
 		got  []byte

@@ -22,6 +22,16 @@
 //     A slot whose calls disagree on the function name, or that some
 //     member never reaches, is reported as unmatched.
 //
+// Communicator resolution is rank-symmetric: a rank resolves a communicator
+// from comm-world and its own earlier creation records, never another
+// rank's — MPI gives a process no handle it did not help create. A use with
+// no earlier creation on the same rank is a MalformedRecord ("unknown
+// communicator"), whatever the rank's number; so a rank's scan depends on
+// that rank's records alone, and ranks can be scanned in any order. The
+// membership table the collectives are matched against is built afterwards
+// from every rank's registrations in rank order: where two ranks register
+// one id with different member lists, the lower rank's list stands.
+//
 // Synchronization edges per collective follow its data flow:
 //
 //   - barrier-like (Barrier, Allreduce, Allgather, Alltoall, Comm_dup,
@@ -54,13 +64,11 @@ package match
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
 
 	"verifyio/internal/obs"
-	"verifyio/internal/par"
 	"verifyio/internal/trace"
 )
 
@@ -225,9 +233,10 @@ type recvEntry struct {
 
 // Options configures the matcher.
 type Options struct {
-	// Workers bounds the goroutines used for the per-rank scan phase. 0
-	// means GOMAXPROCS; 1 forces the serial path. The result is identical
-	// at every worker count.
+	// Workers is unused: the per-rank scans are the caller's to spread
+	// over goroutines (Matcher.Feed, as verify.Analyze does) and the
+	// cross-rank phase is serial. Kept so callers configure every stage
+	// alike.
 	Workers int
 	// Obs carries telemetry sinks; the zero Ctx disables instrumentation.
 	Obs obs.Ctx
@@ -239,182 +248,103 @@ func Match(tr *trace.Trace) (*Result, error) {
 	return MatchOpts(tr, Options{})
 }
 
-// MatchOpts replays the MPI records of tr in three phases. Phase 0 replays
-// only the communicator-creation records, serially in rank order, giving
-// each rank the membership view a serial rank-major scan would have had on
-// reaching it (all lower ranks' registrations; its own arrive in phase 1).
-// Phase 1 scans the ranks in parallel — each scan touches only its own view
-// and output buckets. Phase 2 merges the per-rank outputs in rank order and
-// runs the (cheap, cross-rank) collective and point-to-point matching. The
-// phases reproduce the serial scan's behavior exactly, including on
-// malformed traces, at every worker count.
+// MatchOpts replays the MPI records of tr: a Matcher fed every rank whole.
 func MatchOpts(tr *trace.Trace, opts Options) (*Result, error) {
-	workers := par.Resolve(opts.Workers)
-	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(tr.Ranks)))
-	span.SetCat("match")
-	defer span.End()
-	m := newMatcher(tr.NumRanks())
-
-	// Phase 0: membership views. Registration errors are discarded here —
-	// phase 1 re-runs each rank's registrations against its own view and
-	// reports them in record order, like the serial scan did.
-	_, regSpan := oc.Start("register")
-	views := make([]map[string][]int, len(tr.Ranks))
-	for rank := range tr.Ranks {
-		views[rank] = maps.Clone(m.members)
-		for i := range tr.Ranks[rank] {
-			rec := &tr.Ranks[rank][i]
-			switch rec.Func {
-			case "MPI_Comm_dup":
-				_ = registerComm(m.members, rec.Arg(1), rec.Arg(2))
-			case "MPI_Comm_split":
-				_ = registerComm(m.members, rec.Arg(3), rec.Arg(4))
-			}
-		}
+	m := NewMatcher(tr.NumRanks())
+	for rank, recs := range tr.Ranks {
+		m.Feed(rank, recs)
 	}
-
-	regSpan.End()
-
-	// Phase 1: independent per-rank scans.
-	outs := make([]*rankOut, len(tr.Ranks))
-	par.DoObs(oc, "match-scan", workers, len(tr.Ranks), func(rank int) {
-		_, sp := oc.StartLane("match/rank-"+strconv.Itoa(rank), "scan", obs.Int("rank", rank))
-		outs[rank] = scanRank(tr.Ranks[rank], rank, views[rank])
-		sp.End()
-	})
-	return m.mergeAndMatch(outs, oc), nil
+	return m.Finish(opts)
 }
 
-func newMatcher(nranks int) *matcher {
-	m := &matcher{
+// Matcher runs matching over records as they arrive. Each rank's scan keeps
+// only that rank's state (see the package comment's communicator rule), so a
+// rank's records in program order — in any batch partitioning, ranks in any
+// order or fed from concurrent goroutines — give one Result; Finish runs the
+// cross-rank collective and point-to-point matching.
+type Matcher struct {
+	world    []int // comm-world's members, shared read-only by every scan
+	scanners []*rankScanner
+}
+
+// NewMatcher prepares matching state for nranks ranks.
+func NewMatcher(nranks int) *Matcher {
+	m := &Matcher{world: make([]int, nranks), scanners: make([]*rankScanner, nranks)}
+	for i := range m.world {
+		m.world[i] = i
+	}
+	for rank := range m.scanners {
+		m.scanners[rank] = newRankScanner(rank, m.world)
+	}
+	return m
+}
+
+// Feed scans the next records of one rank. The batch is not retained. Safe
+// for distinct ranks concurrently.
+func (m *Matcher) Feed(rank int, recs []trace.Record) {
+	sc := m.scanners[rank]
+	for i := range recs {
+		sc.step(&recs[i])
+	}
+}
+
+// Finish completes matching over everything fed: it merges the per-rank scan
+// outputs in rank order — the append order of a serial rank-major scan
+// (per-key send/recv buckets and per-rank collective entry lists all grow
+// rank by rank there too) — builds the membership table, and runs the
+// cross-rank collective and point-to-point matching.
+func (m *Matcher) Finish(opts Options) (*Result, error) {
+	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(m.scanners)))
+	span.SetCat("match")
+	defer span.End()
+
+	_, mergeSpan := oc.Start("merge")
+	mm := &matcher{
 		res:     &Result{},
-		members: map[string][]int{},
+		members: map[string][]int{"comm-world": m.world},
 		colls:   map[string]map[int][]collEntry{},
 		sends:   map[p2pKey][]sendEntry{},
 		recvs:   map[p2pKey][]recvEntry{},
 	}
-	// MPI_COMM_WORLD always exists.
-	world := make([]int, nranks)
-	for i := range world {
-		world[i] = i
-	}
-	m.members["comm-world"] = world
-	return m
-}
-
-// mergeAndMatch is the serial tail shared by the materialized and streaming
-// front-ends. Phase 2: merge the per-rank scan outputs in rank order — the
-// append order of a serial rank-major scan (per-key send/recv buckets and
-// per-rank collective entry lists all grow rank by rank there too) — then
-// run the cross-rank collective and point-to-point matching.
-func (m *matcher) mergeAndMatch(outs []*rankOut, oc obs.Ctx) *Result {
-	_, mergeSpan := oc.Start("merge")
-	for rank, out := range outs {
-		if out == nil {
-			continue
+	for rank, sc := range m.scanners {
+		out := sc.finish()
+		// A malformed registration was reported by the rank that made it.
+		for _, reg := range sc.regs {
+			_ = registerComm(mm.members, reg[0], reg[1])
 		}
-		m.res.Problems = append(m.res.Problems, out.problems...)
+		mm.res.Problems = append(mm.res.Problems, out.problems...)
 		for gid, entries := range out.colls {
-			byRank, ok := m.colls[gid]
+			byRank, ok := mm.colls[gid]
 			if !ok {
 				byRank = map[int][]collEntry{}
-				m.colls[gid] = byRank
+				mm.colls[gid] = byRank
 			}
 			byRank[rank] = entries
 		}
 		for key, entries := range out.sends {
-			m.sends[key] = append(m.sends[key], entries...)
+			mm.sends[key] = append(mm.sends[key], entries...)
 		}
 		for key, entries := range out.recvs {
-			m.recvs[key] = append(m.recvs[key], entries...)
+			mm.recvs[key] = append(mm.recvs[key], entries...)
 		}
 	}
-
 	mergeSpan.End()
 
 	_, collSpan := oc.Start("collectives")
-	m.matchCollectives()
+	mm.matchCollectives()
 	collSpan.End()
 	_, p2pSpan := oc.Start("p2p")
-	m.matchP2P()
+	mm.matchP2P()
 	p2pSpan.End()
-	m.sortOutputs()
+	mm.sortOutputs()
 	if r := oc.R; r != nil {
-		r.Counter("match.edges").Add(int64(len(m.res.Edges)))
-		r.Counter("match.joins").Add(int64(m.joins))
-		r.Counter("match.problems").Add(int64(len(m.res.Problems)))
-		r.Counter("match.collectives").Add(int64(m.res.Collectives))
-		r.Counter("match.p2p").Add(int64(m.res.P2P))
+		r.Counter("match.edges").Add(int64(len(mm.res.Edges)))
+		r.Counter("match.joins").Add(int64(mm.joins))
+		r.Counter("match.problems").Add(int64(len(mm.res.Problems)))
+		r.Counter("match.collectives").Add(int64(mm.res.Collectives))
+		r.Counter("match.p2p").Add(int64(mm.res.P2P))
 	}
-	return m.res
-}
-
-// StreamMatcher runs matching over records as they decode. Ranks must
-// arrive in nondecreasing rank order (the order trace.Stream yields), each
-// rank's records in program order in any batch partitioning; this is
-// exactly the rank-major serial scan MatchOpts reproduces, so the Result is
-// identical to the materialized path's.
-//
-// The phase structure maps onto the stream: each rank scans against a
-// membership view captured when its first batch arrives (all lower ranks'
-// registrations — what phase 0 would have given it), and its own
-// registrations are replayed into the global table when the next rank
-// starts, errors discarded exactly as phase 0 discards them.
-type StreamMatcher struct {
-	global  map[string][]int
-	outs    []*rankOut
-	cur     *rankScanner
-	curRank int
-}
-
-// NewStreamMatcher prepares matching state for nranks ranks.
-func NewStreamMatcher(nranks int) *StreamMatcher {
-	world := make([]int, nranks)
-	for i := range world {
-		world[i] = i
-	}
-	return &StreamMatcher{
-		global:  map[string][]int{"comm-world": world},
-		outs:    make([]*rankOut, nranks),
-		curRank: -1,
-	}
-}
-
-// Feed scans the next records of one rank. The batch buffer is not
-// retained.
-func (sm *StreamMatcher) Feed(rank int, recs []trace.Record) {
-	if rank != sm.curRank {
-		sm.flush()
-		sm.curRank = rank
-		sm.cur = newRankScanner(rank, maps.Clone(sm.global))
-	}
-	for i := range recs {
-		sm.cur.step(&recs[i])
-	}
-}
-
-// flush finalizes the in-progress rank: emit its dangling-request problems
-// and replay its communicator registrations into the global table.
-func (sm *StreamMatcher) flush() {
-	if sm.cur == nil {
-		return
-	}
-	sm.outs[sm.curRank] = sm.cur.finish()
-	for _, reg := range sm.cur.regs {
-		_ = registerComm(sm.global, reg[0], reg[1])
-	}
-	sm.cur = nil
-}
-
-// Finish completes matching over everything fed so far.
-func (sm *StreamMatcher) Finish(opts Options) (*Result, error) {
-	sm.flush()
-	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(sm.outs)))
-	span.SetCat("match")
-	defer span.End()
-	m := newMatcher(len(sm.outs))
-	m.members = sm.global
-	return m.mergeAndMatch(sm.outs, oc), nil
+	return mm.res, nil
 }
 
 type p2pKey struct {
@@ -456,7 +386,7 @@ type pendingReq struct {
 	collIdx int
 }
 
-// rankOut is one rank's scan output, merged rank-major in phase 2.
+// rankOut is one rank's scan output, merged rank-major by Finish.
 type rankOut struct {
 	// colls: gid -> this rank's ordered collective entries.
 	colls map[string][]collEntry
@@ -470,29 +400,19 @@ func (o *rankOut) problem(kind ProblemKind, detail string, refs ...trace.Ref) {
 	o.problems = append(o.problems, Problem{Kind: kind, Detail: detail, Refs: refs})
 }
 
-// scanRank scans one rank's records against its membership view. It mutates
-// only the view and its own output, which is what makes the scan phase
-// embarrassingly parallel.
-func scanRank(recs []trace.Record, rank int, members map[string][]int) *rankOut {
-	sc := newRankScanner(rank, members)
-	for i := range recs {
-		sc.step(&recs[i])
-	}
-	return sc.finish()
-}
-
-// rankScanner is scanRank unrolled into explicit state so records can be fed
-// one batch at a time: everything the serial scan kept in loop-local closures
-// lives here, plus the forward-tracked open-file table that replaces the
-// materialized path's backward scan for MPI-IO communicator recovery.
+// rankScanner is one rank's scan state, so records can be fed one batch at a
+// time: pending requests, the rank's view of the communicators, and the
+// forward-tracked open-file table that answers MPI-IO communicator recovery
+// without looking back.
 type rankScanner struct {
-	rank    int
+	rank int
+	// members: the communicators this rank can name — comm-world and the
+	// ones its own records created so far.
 	members map[string][]int
 	out     *rankOut
 	pending map[string]*pendingReq // request id -> op
-	// regs: communicator registrations in record order, kept so a streaming
-	// caller can replay them into a shared global table (MatchOpts' phase 0
-	// does this ahead of time from the materialized trace).
+	// regs: the rank's communicator registrations (gid, member list) in
+	// record order, from which Finish builds the global membership table.
 	regs [][2]string
 	// openByFd: fh -> comm of the most recent MPI_File_open that produced
 	// it; lastOpen is the comm of the most recent open of any fh. Together
@@ -502,10 +422,10 @@ type rankScanner struct {
 	anyOpen  bool
 }
 
-func newRankScanner(rank int, members map[string][]int) *rankScanner {
+func newRankScanner(rank int, world []int) *rankScanner {
 	return &rankScanner{
 		rank:    rank,
-		members: members,
+		members: map[string][]int{"comm-world": world},
 		out: &rankOut{
 			colls: map[string][]collEntry{},
 			sends: map[p2pKey][]sendEntry{},

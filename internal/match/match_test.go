@@ -296,7 +296,8 @@ func TestJoinEndpointsAreTheCliquesEndpoints(t *testing.T) {
 // hole: when every member of a rooted collective carries the same unusable
 // root (missing, non-integer, or past the communicator), the slot matched,
 // emitted no edges, and raised nothing — a "verified" report on an
-// incomplete happens-before order. Both front-ends must flag it.
+// incomplete happens-before order. It must be flagged however the ranks are
+// batched.
 func TestRootedCollectiveBadRootReported(t *testing.T) {
 	cases := []struct {
 		name string
@@ -318,8 +319,8 @@ func TestRootedCollectiveBadRootReported(t *testing.T) {
 					Args: append([]string{"comm-world"}, tc.args...), Tick: 3, Ret: 4})
 			}
 			for front, res := range map[string]*Result{
-				"MatchOpts":     mustMatch(t, tr),
-				"StreamMatcher": streamFeed(t, tr, 1),
+				"whole ranks":          mustMatch(t, tr),
+				"one record at a time": streamFeed(t, tr, 1),
 			} {
 				probs := problems(res, MalformedRecord)
 				if len(probs) != 1 {

@@ -1,39 +1,63 @@
 package match
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"verifyio/internal/recorder"
 	"verifyio/internal/trace"
 )
 
-// streamFeed runs tr through a StreamMatcher, feeding each rank's records in
-// batches of the given size (the stream's rank-major order).
-func streamFeed(t *testing.T, tr *trace.Trace, batch int) *Result {
+// feedMatcher runs tr through a Matcher: the ranks in the given order, each
+// in batches of the given size, on this goroutine — or, with concurrent set,
+// every rank from a goroutine of its own.
+func feedMatcher(t *testing.T, tr *trace.Trace, order []int, batch int, concurrent bool) *Result {
 	t.Helper()
-	sm := NewStreamMatcher(tr.NumRanks())
-	for rank := range tr.Ranks {
+	m := NewMatcher(tr.NumRanks())
+	feed := func(rank int) {
 		recs := tr.Ranks[rank]
 		for lo := 0; lo < len(recs); lo += batch {
-			hi := lo + batch
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			sm.Feed(rank, recs[lo:hi])
+			m.Feed(rank, recs[lo:min(lo+batch, len(recs))])
 		}
 	}
-	res, err := sm.Finish(Options{})
+	var wg sync.WaitGroup
+	for _, rank := range order {
+		if !concurrent {
+			feed(rank)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feed(rank)
+		}()
+	}
+	wg.Wait()
+	res, err := m.Finish(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// streamTestTraces covers every scanner state machine the streaming path
-// must carry across batch boundaries: pending requests, communicator
-// registrations visible to later ranks, the open-file table for MPI-IO
-// communicator recovery, and problem reporting.
+// streamFeed feeds the ranks in ascending order.
+func streamFeed(t *testing.T, tr *trace.Trace, batch int) *Result {
+	t.Helper()
+	order := make([]int, tr.NumRanks())
+	for i := range order {
+		order[i] = i
+	}
+	return feedMatcher(t, tr, order, batch, false)
+}
+
+// streamTestTraces covers every scanner state machine that must carry
+// across batch boundaries: pending requests, communicator registrations,
+// the open-file table for MPI-IO communicator recovery, and problem
+// reporting.
 func streamTestTraces(t *testing.T) map[string]*trace.Trace {
 	t.Helper()
 	traces := map[string]*trace.Trace{}
@@ -88,34 +112,53 @@ func streamTestTraces(t *testing.T) map[string]*trace.Trace {
 	return traces
 }
 
-// TestStreamMatcherMatchesMatch pins the streaming matcher to the
-// materialized matcher's output for every batch partitioning: feeding one
-// record at a time must give the same Result as handing Match the whole
-// trace.
+// TestStreamMatcherMatchesMatch is the Matcher's feeding contract: any batch
+// split (down to one record at a time), the ranks ascending, descending,
+// rotated, or each from its own goroutine (under -race a Feed that shared
+// state between ranks fails here) give the Result of handing Match the whole
+// trace — whose shape is pinned per fixture, so the contract is not only
+// self-agreement.
 func TestStreamMatcherMatchesMatch(t *testing.T) {
+	shape := map[string][3]int{ // edges, problems, collectives + p2p
+		"comm-split-file-io": {8, 0, 7},
+		"p2p-nonblocking":    {1, 0, 1},
+		"mixed-problems":     {0, 4, 0},
+	}
 	for name, tr := range streamTestTraces(t) {
 		t.Run(name, func(t *testing.T) {
 			want := mustMatch(t, tr)
-			max := 0
-			for _, recs := range tr.Ranks {
-				if len(recs) > max {
-					max = len(recs)
-				}
+			if got := [3]int{len(want.Edges), len(want.Problems), want.Collectives + want.P2P}; got != shape[name] {
+				t.Fatalf("Match: (edges, problems, matches) = %v, want %v", got, shape[name])
 			}
-			for _, batch := range []int{1, 3, max + 1} {
-				got := streamFeed(t, tr, batch)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("batch=%d: streaming result differs from Match\ngot:  %+v\nwant: %+v",
-						batch, got, want)
+			n, longest := tr.NumRanks(), 0
+			ascending := make([]int, n)
+			for rank, recs := range tr.Ranks {
+				ascending[rank] = rank
+				longest = max(longest, len(recs))
+			}
+			descending := slices.Clone(ascending)
+			slices.Reverse(descending)
+			rotated := append(slices.Clone(ascending[n/2:]), ascending[:n/2]...)
+			for _, batch := range []int{1, 3, longest + 1} {
+				for how, got := range map[string]*Result{
+					"ascending":  feedMatcher(t, tr, ascending, batch, false),
+					"descending": feedMatcher(t, tr, descending, batch, false),
+					"rotated":    feedMatcher(t, tr, rotated, batch, false),
+					"concurrent": feedMatcher(t, tr, ascending, batch, true),
+				} {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("batch=%d, ranks fed %s: result differs from Match\ngot:  %+v\nwant: %+v",
+							batch, how, got, want)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestStreamMatcherSkippedEmptyRank pins that a rank the stream never feeds
-// (no records) matches the materialized scan of an empty rank — the
-// missing-collective report must still name it.
+// TestStreamMatcherSkippedEmptyRank pins that a rank never fed (no records)
+// matches the scan of an empty rank — the missing-collective report must
+// still name it.
 func TestStreamMatcherSkippedEmptyRank(t *testing.T) {
 	tr := trace.New(3)
 	for _, rank := range []int{0, 2} {
@@ -123,18 +166,79 @@ func TestStreamMatcherSkippedEmptyRank(t *testing.T) {
 			Args: []string{"comm-world"}, Tick: 1, Ret: 2})
 	}
 	want := mustMatch(t, tr)
-	sm := NewStreamMatcher(3)
-	for _, rank := range []int{0, 2} {
-		sm.Feed(rank, tr.Ranks[rank])
-	}
-	got, err := sm.Finish(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := feedMatcher(t, tr, []int{2, 0}, 1, false)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming result differs from Match\ngot:  %+v\nwant: %+v", got, want)
+		t.Fatalf("result differs from Match\ngot:  %+v\nwant: %+v", got, want)
 	}
 	if len(problems(got, MissingCollective)) == 0 {
 		t.Fatal("empty rank did not surface a missing collective")
+	}
+}
+
+// TestCommunicatorResolutionRankSymmetric pins the rule in the package
+// comment: a rank resolves a communicator from comm-world and its own earlier
+// creation records only, whichever rank asks.
+func TestCommunicatorResolutionRankSymmetric(t *testing.T) {
+	rec := func(rank int, tick int64, fn string, args ...string) trace.Record {
+		return trace.Record{Rank: rank, Func: fn, Layer: trace.LayerMPI, Args: args, Tick: tick, Ret: tick + 1}
+	}
+	dup := func(rank int, tick int64, gid, members string) trace.Record {
+		return rec(rank, tick, "MPI_Comm_dup", "comm-world", gid, members)
+	}
+
+	// Rank a sends on a communicator only rank b created.
+	for _, ab := range [][2]int{{1, 0}, {0, 1}} {
+		a, b := ab[0], ab[1]
+		tr := trace.New(2)
+		tr.Append(dup(b, 1, "comm-x", "0,1"))
+		tr.Append(rec(a, 1, "MPI_Send", "comm-x", fmt.Sprint(b), "7", "4"))
+		res := mustMatch(t, tr)
+		unknown := 0
+		for _, p := range problems(res, MalformedRecord) {
+			if strings.Contains(p.Detail, "unknown communicator comm-x") && p.Refs[0].Rank == a {
+				unknown++
+			}
+		}
+		if unknown != 1 {
+			t.Errorf("rank %d sends on rank %d's communicator: problems %+v, want one unknown-communicator MalformedRecord on rank %d",
+				a, b, res.Problems, a)
+		}
+		if res.P2P != 0 || len(problems(res, UnmatchedSend)) != 0 {
+			t.Errorf("(a, b) = (%d, %d): the unresolvable send was bucketed: %+v", a, b, res)
+		}
+	}
+
+	// A rank that creates, then uses, resolves — in both rank orders.
+	for _, sender := range []int{0, 1} {
+		tr := trace.New(2)
+		for rank := 0; rank < 2; rank++ {
+			tr.Append(dup(rank, 1, "comm-x", "0,1"))
+		}
+		tr.Append(rec(sender, 3, "MPI_Send", "comm-x", fmt.Sprint(1-sender), "7", "4"))
+		tr.Append(rec(1-sender, 3, "MPI_Recv", "comm-x", fmt.Sprint(sender), "7", "4", fmt.Sprint(sender), "7"))
+		res := mustMatch(t, tr)
+		if len(res.Problems) != 0 || res.P2P != 1 {
+			t.Errorf("sender %d: P2P = %d, problems %+v; want the message matched", sender, res.P2P, res.Problems)
+		}
+	}
+
+	// Two ranks register one gid with different member lists: collectives
+	// match against the lower rank's list, fed in either order.
+	tr := trace.New(3)
+	tr.Append(dup(0, 1, "comm-y", "0,1"))
+	tr.Append(dup(1, 1, "comm-y", "0,1,2"))
+	tr.Append(dup(2, 1, "comm-world-only", "2")) // keeps the world dup slot complete
+	for rank := 0; rank < 2; rank++ {
+		tr.Append(rec(rank, 3, "MPI_Barrier", "comm-y"))
+	}
+	want := mustMatch(t, tr)
+	if got := problems(want, MissingCollective); len(got) != 0 {
+		t.Errorf("barrier on comm-y = {0,1} reported missing members: %+v", got)
+	}
+	if !hasEdge(want, trace.Ref{Rank: 0, Seq: 0}, trace.Ref{Rank: 1, Seq: 1}) {
+		t.Errorf("barrier on comm-y ordered nothing: %+v", want.Edges)
+	}
+	if got := feedMatcher(t, tr, []int{2, 1, 0}, 1, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("ranks fed in reverse: %+v, want %+v", got, want)
 	}
 }

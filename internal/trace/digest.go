@@ -49,45 +49,19 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// BlockChain digests one rank's records into chained blocks: block k covers
+// ChainBuilder digests one rank's records into chained blocks, one record
+// batch at a time, in the pass that feeds the analysis: block k covers
 // records [k*DigestBlock, min((k+1)*DigestBlock, n)) and its digest is
 // H(prev-block digest ‖ canonical records of block k). Equal chain prefixes
 // therefore certify byte-equal record prefixes, which is what lets the
 // verdict cache trust an old verdict for work entirely below the first
-// diverging block.
-func BlockChain(recs []Record) [][sha256.Size]byte {
-	nblocks := (len(recs) + DigestBlock - 1) / DigestBlock
-	chain := make([][sha256.Size]byte, 0, nblocks)
-	var prev [sha256.Size]byte
-	var buf []byte
-	for lo := 0; lo < len(recs); lo += DigestBlock {
-		hi := lo + DigestBlock
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		h := sha256.New()
-		h.Write(prev[:])
-		for i := lo; i < hi; i++ {
-			buf = AppendRecordKey(buf[:0], &recs[i])
-			h.Write(buf)
-		}
-		h.Sum(prev[:0])
-		chain = append(chain, prev)
-	}
-	return chain
-}
-
-// ChainBuilder computes BlockChain incrementally, one record batch at a
-// time, so the cache path can digest a streamed trace in the pass that feeds
-// analysis instead of re-materializing the rank to hand BlockChain a slice.
-// Feeding it a rank's records in order — in any batch partitioning — yields
-// exactly BlockChain of the concatenation. The zero value is ready to use.
+// diverging block. The chain depends on the records alone, not on how they
+// were batched. The zero value is ready to use.
 type ChainBuilder struct {
 	chain [][sha256.Size]byte
 	prev  [sha256.Size]byte
 	h     hash.Hash // open block; nil exactly when at a block boundary
 	n     int       // records in the open block
-	count int
 	buf   []byte
 }
 
@@ -101,7 +75,6 @@ func (b *ChainBuilder) Add(recs []Record) {
 		b.buf = AppendRecordKey(b.buf[:0], &recs[i])
 		b.h.Write(b.buf)
 		b.n++
-		b.count++
 		if b.n == DigestBlock {
 			b.h.Sum(b.prev[:0])
 			b.chain = append(b.chain, b.prev)
@@ -109,9 +82,6 @@ func (b *ChainBuilder) Add(recs []Record) {
 		}
 	}
 }
-
-// Records returns how many records have been added.
-func (b *ChainBuilder) Records() int { return b.count }
 
 // Chain returns the block chain of everything added so far, sealing a
 // partial final block without disturbing the builder: Add may continue

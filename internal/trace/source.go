@@ -1,0 +1,423 @@
+package trace
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"verifyio/internal/obs"
+)
+
+// Source is a trace as the analysis consumes it: one record stream per rank
+// (Recorder's unit, and WriteDir's). It has two implementations — *Trace,
+// the records in memory, and *Dir, a trace directory decoded as it is read.
+type Source interface {
+	NumRanks() int
+	// ReadRank passes the rank's records to fn, in program order, as one or
+	// more batches. A batch is valid only during the call: copy what must
+	// outlive it. Distinct ranks may be read concurrently.
+	ReadRank(rank int, fn func(recs []Record)) error
+}
+
+// ReadRank passes the rank's records to fn as one batch, uncopied.
+func (t *Trace) ReadRank(rank int, fn func(recs []Record)) error {
+	if recs := t.Ranks[rank]; len(recs) > 0 {
+		fn(recs)
+	}
+	return nil
+}
+
+// Dir is a trace directory written by WriteDir, opened as a Source: each
+// ReadRank opens that rank's file, decodes it in batches bounded by the
+// window, and runs the end-of-stream checks. Limits, DecodeErrors and
+// tolerate-mode salvage are those of the materializing decoders — one
+// record-decoding core (payloadStream) serves them all.
+type Dir struct {
+	dir    string
+	opts   DecodeOptions
+	window int64             // decoded-cost bound of one batch; 0 = unbounded
+	names  map[int]string    // world rank -> file name (exactly the names WriteDir gives)
+	meta   map[string]string // trace-level meta (verifyio.* keys stripped)
+
+	// Per-rank slots, each written only by the reader of its rank.
+	recov  [][]RankRecovery // tolerate: the rank's salvage entries so far
+	counts []int            // records emitted
+
+	res    residency
+	pool   bufPool
+	unread atomic.Int32 // ranks ReadRank has yet to finish
+	oc     obs.Ctx
+	span   *obs.Span // "read-trace"
+	closed bool
+}
+
+// OpenDir opens a trace directory for reading by up to readers ranks at
+// once: the window (StreamOptions.WindowBytes) is divided among them, so the
+// decoded records resident stay within it. The directory's shape (rank
+// count, missing files) is validated here from each file's metadata section;
+// record damage surfaces from ReadRank — strict mode fails, tolerate mode
+// salvages per-rank prefixes and reports them in Stats.
+func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
+	oc, span := opts.Obs.Start("read-trace", obs.String("dir", dir))
+	span.SetCat("decode")
+	d := &Dir{
+		dir: dir, opts: opts.DecodeOptions, window: resolveWindow(opts.WindowBytes),
+		names: make(map[int]string), meta: make(map[string]string),
+		oc: oc, span: span,
+	}
+	if err := d.scan(); err != nil {
+		span.End()
+		return nil, err
+	}
+	readers = max(1, min(readers, d.NumRanks()))
+	if d.window > 0 {
+		oc.R.Gauge("decode.window_bytes").Set(d.window)
+		d.window = max(1, d.window/int64(readers))
+	}
+	d.unread.Store(int32(d.NumRanks()))
+	return d, nil
+}
+
+// scan enumerates the rank files and decodes each one's metadata section (a
+// few bytes per file) to resolve the world rank count and run the strict
+// completeness checks before any records decode.
+func (d *Dir) scan() error {
+	entries, err := os.ReadDir(d.dir)
+	if err != nil {
+		return err
+	}
+	maxRank := -1
+	ranks := make([]int, 0, len(entries))
+	for _, e := range entries {
+		// Only the exact name WriteDir gives a rank counts. Sscanf alone
+		// accepts any suffix and non-canonical digits, and a backup or a
+		// partial copy ("rank-3.viot~", "rank-03.viot") must never stand in
+		// for the rank's file.
+		var rank int
+		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil ||
+			rank < 0 || e.Name() != rankFileName(rank) {
+			continue
+		}
+		d.names[rank] = e.Name()
+		ranks = append(ranks, rank)
+		maxRank = max(maxRank, rank)
+	}
+	sort.Ints(ranks)
+	nranks := -1
+	readable := 0
+	failed := make(map[int]error)
+	for _, rank := range ranks {
+		meta, err := d.prescan(d.names[rank])
+		if err != nil {
+			remapErr(err, rank)
+			if !d.opts.Tolerate {
+				return fmt.Errorf("trace: %s: %w", d.names[rank], err)
+			}
+			failed[rank] = err
+			continue
+		}
+		readable++
+		if n := meta["verifyio.nranks"]; n != "" {
+			fmt.Sscanf(n, "%d", &nranks)
+		}
+		if rank == 0 {
+			for k, v := range meta {
+				switch k {
+				case "verifyio.rank", "verifyio.nranks":
+				default:
+					d.meta[k] = v
+				}
+			}
+		}
+	}
+	if len(ranks) == 0 {
+		return fmt.Errorf("trace: no rank files in %s", d.dir)
+	}
+	if nranks < 0 || (d.opts.Tolerate && maxRank+1 > nranks) {
+		nranks = maxRank + 1
+	}
+	// The rank count came from file names and metadata — input, not ground
+	// truth. Bound it like any other decoded count.
+	if lim := d.opts.Limits.withDefaults(); nranks > lim.MaxRanks {
+		if !d.opts.Tolerate {
+			return &DecodeError{
+				Kind: LimitExceeded, Section: "directory", Rank: -1, Record: -1,
+				Err: fmt.Errorf("rank count %d exceeds limit %d", nranks, lim.MaxRanks),
+			}
+		}
+		nranks = lim.MaxRanks
+	}
+	if !d.opts.Tolerate {
+		if readable != nranks {
+			return fmt.Errorf("trace: directory holds %d rank files, metadata says %d ranks", readable, nranks)
+		}
+		for rank := 0; rank < nranks; rank++ {
+			if _, ok := d.names[rank]; !ok {
+				return fmt.Errorf("trace: missing rank file for rank %d", rank)
+			}
+		}
+	}
+	d.recov = make([][]RankRecovery, nranks)
+	d.counts = make([]int, nranks)
+	for rank := 0; rank < nranks; rank++ {
+		if _, ok := d.names[rank]; !ok {
+			d.lost(rank, &DecodeError{
+				Kind: Truncated, Section: "directory", Rank: rank, Record: -1,
+				Err: errors.New("missing rank file"),
+			})
+		} else if err := failed[rank]; err != nil {
+			d.lost(rank, err)
+		}
+	}
+	return nil
+}
+
+// lost records (tolerate mode) that the rank's file salvages nothing.
+func (d *Dir) lost(rank int, err error) {
+	d.recov[rank] = []RankRecovery{{Rank: rank, Salvaged: 0, Dropped: -1, Err: err}}
+}
+
+// prescan decodes the header and metadata section of one rank file.
+func (d *Dir) prescan(name string) (map[string]string, error) {
+	f, err := os.Open(filepath.Join(d.dir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	payload, fr, err := openPayload(f)
+	if err != nil {
+		return nil, err
+	}
+	if fr != nil {
+		defer fr.Close()
+	}
+	return newDecoder(payload, d.opts.Limits, false).decodeMetaSection()
+}
+
+// NumRanks returns the world rank count.
+func (d *Dir) NumRanks() int { return len(d.counts) }
+
+// ReadRank decodes the rank's file, passing each batch to fn; the batch
+// buffer is reused for the next one. The buffers go with the last rank: the
+// analysis' cross-rank phases, its memory peak, should not find them in the
+// heap.
+func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
+	defer func() {
+		if d.unread.Add(-1) == 0 {
+			d.pool.drop()
+		}
+	}()
+	rr, err := d.openRank(rank)
+	if rr == nil {
+		return err
+	}
+	defer rr.close()
+	for {
+		b, err := rr.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		d.res.add(b.cost)
+		fn(b.recs)
+		d.res.add(-b.cost)
+		d.pool.put(b.recs)
+	}
+}
+
+// Stats returns the tolerate-mode salvage stats of the ranks read so far
+// (and of those with nothing to read), in rank order; complete once every
+// rank has been read.
+func (d *Dir) Stats() *DecodeStats {
+	stats := &DecodeStats{}
+	for _, entries := range d.recov {
+		stats.Ranks = append(stats.Ranks, entries...)
+	}
+	return stats
+}
+
+// Close publishes the end-of-read telemetry and ends the read-trace span.
+// Call it once the readers are done; it is idempotent.
+func (d *Dir) Close() {
+	if d.closed {
+		return
+	}
+	d.closed = true
+	decoded := 0
+	for _, n := range d.counts {
+		decoded += n
+	}
+	publishDecode(d.oc, decoded, d.Stats(), d.res.peak.Load())
+	d.span.End()
+}
+
+// publishDecode exports what one finished decode did.
+func publishDecode(oc obs.Ctx, decoded int, stats *DecodeStats, peak int64) {
+	r := oc.R
+	if r == nil {
+		return
+	}
+	r.Counter("trace.records_decoded").Add(int64(decoded))
+	r.Counter("trace.ranks_salvaged").Add(int64(len(stats.Ranks)))
+	r.Counter("trace.records_salvaged").Add(int64(stats.Salvaged()))
+	dropped, _ := stats.Dropped()
+	r.Counter("trace.records_dropped").Add(int64(dropped))
+	r.Gauge("decode.peak_resident_bytes").SetMax(peak)
+}
+
+// rankReader is one open rank file of a Dir.
+type rankReader struct {
+	d    *Dir
+	rank int
+	src  *streamSource
+	span *obs.Span // "read-rank"
+}
+
+// openRank opens the rank's file and decodes its eager sections. A nil
+// reader with a nil error is tolerate mode with nothing to read: no file, or
+// one that salvages nothing (recorded for Stats).
+func (d *Dir) openRank(rank int) (*rankReader, error) {
+	if len(d.recov[rank]) > 0 {
+		return nil, nil
+	}
+	name := d.names[rank]
+	fail := func(err, strict error) (*rankReader, error) {
+		if d.opts.Tolerate {
+			d.lost(rank, err)
+			return nil, nil
+		}
+		return nil, strict
+	}
+	f, err := os.Open(filepath.Join(d.dir, name))
+	if err != nil {
+		// Gone since the scan: the directory is missing a piece.
+		err = &DecodeError{Kind: Truncated, Section: "directory", Rank: rank, Record: -1, Err: err}
+		return fail(err, err)
+	}
+	_, span := d.oc.StartLane("rank-"+strconv.Itoa(rank), "read-rank", obs.Int("rank", rank))
+	src, err := openSource(f, d.opts)
+	if err != nil {
+		span.End()
+		f.Close()
+		remapErr(err, rank)
+		return fail(err, fmt.Errorf("trace: %s: %w", name, err))
+	}
+	src.f = f
+	src.ps.rankOff = rank
+	return &rankReader{d: d, rank: rank, src: src, span: span}, nil
+}
+
+// next decodes the rank's next batch into a pooled buffer, which the caller
+// gives back (Dir.pool) when done with the batch. After the last batch it
+// runs the file's end-of-stream checks and returns io.EOF.
+func (rr *rankReader) next() (rawBatch, error) {
+	d, ps := rr.d, rr.src.ps
+	for {
+		buf := d.pool.take()
+		b, err := ps.nextBatch(buf, d.window)
+		if err == io.EOF {
+			d.pool.put(buf) // the end of a payload uses no buffer
+			if err := rr.finish(); err != nil {
+				return rawBatch{}, err
+			}
+			return rawBatch{}, io.EOF
+		}
+		if err != nil {
+			// Tolerate-mode record damage is salvaged inside nextBatch, so
+			// an error here is strict mode failing — name the file, remap
+			// the in-file rank to the world rank, and stop.
+			remapErr(err, rr.rank)
+			return rawBatch{}, fmt.Errorf("trace: %s: %w", d.names[rr.rank], err)
+		}
+		// Each file is a single-rank trace; batches for any other in-file
+		// rank are decoded (for error fidelity) but not part of the world
+		// trace.
+		if b.rank != rr.rank || len(b.recs) == 0 {
+			d.pool.put(b.recs)
+			continue
+		}
+		d.counts[rr.rank] += len(b.recs)
+		return b, nil
+	}
+}
+
+// finish runs the end-of-stream work of the rank file and records its
+// salvage stats under the world rank.
+func (rr *rankReader) finish() error {
+	stats, err := rr.src.finish(rr.d.opts.Tolerate)
+	rr.close()
+	if err != nil {
+		remapErr(err, rr.rank)
+		return fmt.Errorf("trace: %s: %w", rr.d.names[rr.rank], err)
+	}
+	// The file's salvage stats are for its in-file ranks; report the world
+	// rank the file name declares.
+	for _, r := range stats.Ranks {
+		remapErr(r.Err, rr.rank)
+		r.Rank = rr.rank
+		rr.d.recov[rr.rank] = append(rr.d.recov[rr.rank], r)
+	}
+	return nil
+}
+
+// close releases the file; idempotent.
+func (rr *rankReader) close() {
+	rr.src.close()
+	rr.span.End()
+}
+
+// remapErr rewrites a single-rank file's in-file rank 0 to the world rank.
+func remapErr(err error, rank int) {
+	if de, ok := AsDecodeError(err); ok && de.Rank == 0 {
+		de.Rank = rank
+	}
+}
+
+// residency tracks the decoded cost of the batches consumers hold.
+type residency struct{ cur, peak atomic.Int64 }
+
+func (r *residency) add(cost int64) {
+	cur := r.cur.Add(cost)
+	for peak := r.peak.Load(); cur > peak && !r.peak.CompareAndSwap(peak, cur); peak = r.peak.Load() {
+	}
+}
+
+// bufPool recycles record buffers between batches.
+type bufPool struct {
+	mu   sync.Mutex
+	bufs [][]Record
+}
+
+func (p *bufPool) put(buf []Record) {
+	if cap(buf) > 0 {
+		p.mu.Lock()
+		p.bufs = append(p.bufs, buf[:0])
+		p.mu.Unlock()
+	}
+}
+
+func (p *bufPool) take() []Record {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.bufs); n > 0 {
+		buf := p.bufs[n-1]
+		p.bufs = p.bufs[:n-1]
+		return buf
+	}
+	return nil
+}
+
+// drop releases the pooled buffers to the collector.
+func (p *bufPool) drop() {
+	p.mu.Lock()
+	p.bufs = nil
+	p.mu.Unlock()
+}

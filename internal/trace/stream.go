@@ -5,29 +5,25 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-
-	"verifyio/internal/obs"
 )
 
 // Streaming, bounded-memory trace ingestion.
 //
 // The materializing decoders (Decode, ReadDir) hold every record of every
-// rank resident before analysis starts, so peak memory is O(trace size). The
-// Stream below is the pull-based alternative: it yields per-rank record
-// batches in rank-major order, each batch bounded by a byte window, with an
-// explicit Release that returns the batch buffer to the stream's pool. A
-// consumer that releases each batch after processing it keeps peak decoded
-// memory bounded by the window (plus the current file's string table), not by
-// the trace.
+// rank resident, so peak memory is O(trace size). Stream is the pull-based
+// alternative: it yields per-rank record batches in rank-major order, each
+// bounded by a byte window, with an explicit Release that returns the batch
+// buffer to a pool. A consumer that releases each batch after processing it
+// keeps peak decoded memory bounded by the window (plus the current file's
+// string table), not by the trace. The analysis reads a directory rank by
+// rank through Dir (source.go) instead, several ranks at once; Stream is the
+// one-goroutine view of the same readers, and what ReadDir drains.
 //
-// Both decoders share one record-decoding core (payloadStream), so streaming
-// and materializing ingestion are behaviorally identical: the same Limits
-// bound every allocation, the same DecodeErrors classify every failure, and
-// tolerate-mode salvage keeps exactly the same per-rank prefixes with the
-// same DecodeStats. ReadDirWithOptions is a thin wrapper that drains a
-// Stream with an unbounded window.
+// Every decoder shares one record-decoding core (payloadStream), so they are
+// behaviorally identical: the same Limits bound every allocation, the same
+// DecodeErrors classify every failure, and tolerate-mode salvage keeps
+// exactly the same per-rank prefixes with the same DecodeStats.
 
 // DefaultWindowBytes is the decoded-cost budget of one batch when
 // StreamOptions.WindowBytes is zero: enough to amortize per-batch overhead,
@@ -67,20 +63,18 @@ type Batch struct {
 // Release returns the batch buffer to the stream's pool and credits its cost
 // against the resident-bytes accounting.
 //
-// The pool contract for consumers (the analysis stages, the DFG builder):
-// copy out anything you need before releasing — the buffer is recycled for
-// a later batch, so retained Recs are silently overwritten. Release is
-// idempotent: the first call severs the batch from its stream, so a second
-// call is a no-op rather than a double-free (the buffer can never be pushed
-// into the pool twice, and the resident accounting is credited exactly
-// once).
+// The pool contract for consumers: copy out anything you need before
+// releasing — the buffer is recycled for a later batch, so retained Recs are
+// silently overwritten. Release is idempotent: the first call severs the
+// batch from its stream, so a second call is a no-op rather than a
+// double-free (the buffer can never be pushed into the pool twice, and the
+// resident accounting is credited exactly once).
 func (b *Batch) Release() {
 	if b == nil || b.s == nil {
 		return
 	}
-	s := b.s
-	s.resident -= b.cost
-	s.putBuf(b.Recs)
+	b.s.res.add(-b.cost)
+	b.s.pool.put(b.Recs)
 	b.s = nil
 	b.Recs = nil
 }
@@ -94,30 +88,21 @@ type Stream struct {
 
 	// Single-reader mode (NewStream): one payload carrying every rank.
 	single *streamSource
-
-	// Directory mode (OpenStream): one single-rank file per world rank.
-	dir      string
-	names    map[int]string // world rank -> file name (exactly the names WriteDir gives)
-	order    []int          // ranks with readable files, ascending
-	idx      int            // next index into order
-	failed   map[int]error  // tolerate: files that salvaged nothing
-	cur      *streamSource
-	curRank  int
-	rankSpan *obs.Span
-
-	nranks int
-	meta   map[string]string // trace-level meta (verifyio.* keys stripped)
-	counts []int             // per-world-rank emitted record counts
 	stats  *DecodeStats
+
+	// Directory mode (OpenStream): the directory's rank readers, one at a
+	// time in rank order.
+	dir  *Dir
+	next int         // next rank to open
+	cur  *rankReader // open rank; nil between ranks
+
+	// In directory mode these are the directory's.
+	meta   map[string]string
+	counts []int
+	res    *residency
+	pool   *bufPool
+
 	done   bool
-
-	oc   obs.Ctx
-	span *obs.Span // directory mode: the "read-trace" span
-
-	resident int64
-	peak     int64
-	pool     [][]Record
-
 	err    error // sticky failure
 	closed bool
 }
@@ -128,6 +113,17 @@ type streamSource struct {
 	fr io.ReadCloser
 	d  *decoder
 	ps *payloadStream
+}
+
+// finish runs the payload's end-of-stream work, once nextBatch has returned
+// io.EOF: the salvage stats (tolerate mode), or the deferred invariant and
+// trailer checks (strict mode).
+func (src *streamSource) finish(tolerate bool) (*DecodeStats, error) {
+	stats, err := src.ps.finish()
+	if err == nil && !tolerate {
+		err = src.d.checkTrailer(src.fr)
+	}
+	return stats, err
 }
 
 func (src *streamSource) close() {
@@ -154,42 +150,26 @@ func NewStream(r io.Reader, opts StreamOptions) (*Stream, error) {
 		opts:   opts,
 		window: resolveWindow(opts.WindowBytes),
 		single: src,
-		nranks: src.ps.nranks,
 		meta:   src.ps.meta,
 		counts: make([]int, src.ps.nranks),
-		oc:     opts.Obs,
+		res:    new(residency),
+		pool:   new(bufPool),
 	}
-	src.ps.outgrown = s.putBuf
-	s.setWindowGauge()
+	src.ps.outgrown = s.pool.put
+	if s.window > 0 {
+		opts.Obs.R.Gauge("decode.window_bytes").Set(s.window)
+	}
 	return s, nil
 }
 
 // OpenStream starts streaming a trace directory written by WriteDir: one
-// batch run per world rank, ranks ascending. The directory's shape (rank
-// count, missing files) is validated up front by decoding each file's
-// metadata section; record damage surfaces from Next with the semantics of
-// ReadDirWithOptions — strict mode fails, tolerate mode salvages per-rank
-// prefixes and reports them in Stats.
+// batch run per world rank, ranks ascending — OpenDir read by one reader.
 func OpenStream(dir string, opts StreamOptions) (*Stream, error) {
-	oc, span := opts.Obs.Start("read-trace", obs.String("dir", dir))
-	span.SetCat("decode")
-	s := &Stream{
-		opts:    opts,
-		window:  resolveWindow(opts.WindowBytes),
-		dir:     dir,
-		names:   make(map[int]string),
-		failed:  make(map[int]error),
-		curRank: -1,
-		meta:    make(map[string]string),
-		oc:      oc,
-		span:    span,
-	}
-	if err := s.scanDir(); err != nil {
-		span.End()
+	d, err := OpenDir(dir, opts, 1)
+	if err != nil {
 		return nil, err
 	}
-	s.setWindowGauge()
-	return s, nil
+	return &Stream{opts: opts, dir: d, meta: d.meta, counts: d.counts, res: &d.res, pool: &d.pool}, nil
 }
 
 func resolveWindow(w int64) int64 {
@@ -201,124 +181,6 @@ func resolveWindow(w int64) int64 {
 	default:
 		return w
 	}
-}
-
-func (s *Stream) setWindowGauge() {
-	if s.window > 0 {
-		s.oc.R.Gauge("decode.window_bytes").Set(s.window)
-	}
-}
-
-// scanDir enumerates the rank files and decodes each one's metadata section
-// (a few bytes per file) to resolve the world rank count and run the strict
-// completeness checks before any records decode.
-func (s *Stream) scanDir() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	maxRank := -1
-	for _, e := range entries {
-		// Only the exact name WriteDir gives a rank counts. Sscanf alone
-		// accepts any suffix and non-canonical digits, and a backup or a
-		// partial copy ("rank-3.viot~", "rank-03.viot") must never stand in
-		// for the rank's file.
-		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil ||
-			rank < 0 || e.Name() != rankFileName(rank) {
-			continue
-		}
-		s.names[rank] = e.Name()
-		if rank > maxRank {
-			maxRank = rank
-		}
-	}
-	nranks := -1
-	readable := 0
-	ranks := make([]int, 0, len(s.names))
-	for rank := range s.names {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
-		meta, err := s.prescanFile(s.names[rank])
-		if err != nil {
-			if de, ok := AsDecodeError(err); ok && de.Rank == 0 {
-				de.Rank = rank
-			}
-			if !s.opts.Tolerate {
-				return fmt.Errorf("trace: %s: %w", s.names[rank], err)
-			}
-			s.failed[rank] = err
-			continue
-		}
-		readable++
-		s.order = append(s.order, rank)
-		if n := meta["verifyio.nranks"]; n != "" {
-			fmt.Sscanf(n, "%d", &nranks)
-		}
-		if rank == 0 {
-			for k, v := range meta {
-				switch k {
-				case "verifyio.rank", "verifyio.nranks":
-				default:
-					s.meta[k] = v
-				}
-			}
-		}
-	}
-	if readable == 0 && len(s.failed) == 0 {
-		return fmt.Errorf("trace: no rank files in %s", s.dir)
-	}
-	if nranks < 0 || (s.opts.Tolerate && maxRank+1 > nranks) {
-		nranks = maxRank + 1
-	}
-	// The rank count came from file names and metadata — input, not ground
-	// truth. Bound it like any other decoded count.
-	if lim := s.opts.Limits.withDefaults(); nranks > lim.MaxRanks {
-		if !s.opts.Tolerate {
-			return &DecodeError{
-				Kind: LimitExceeded, Section: "directory", Rank: -1, Record: -1,
-				Err: fmt.Errorf("rank count %d exceeds limit %d", nranks, lim.MaxRanks),
-			}
-		}
-		nranks = lim.MaxRanks
-	}
-	if !s.opts.Tolerate {
-		if readable != nranks {
-			return fmt.Errorf("trace: directory holds %d rank files, metadata says %d ranks", readable, nranks)
-		}
-		for rank := 0; rank < nranks; rank++ {
-			if _, ok := s.names[rank]; !ok {
-				return fmt.Errorf("trace: missing rank file for rank %d", rank)
-			}
-		}
-	}
-	s.nranks = nranks
-	s.counts = make([]int, nranks)
-	// Drop files beyond the resolved rank count (a clamped tolerate run).
-	for len(s.order) > 0 && s.order[len(s.order)-1] >= nranks {
-		s.order = s.order[:len(s.order)-1]
-	}
-	return nil
-}
-
-// prescanFile decodes the header and metadata section of one rank file.
-func (s *Stream) prescanFile(name string) (map[string]string, error) {
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	payload, fr, err := openPayload(f)
-	if err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		defer fr.Close()
-	}
-	d := newDecoder(payload, s.opts.Limits, false)
-	return d.decodeMetaSection()
 }
 
 // openSource opens one encoded stream: header checks, decompression, and the
@@ -340,7 +202,7 @@ func openSource(r io.Reader, opts DecodeOptions) (*streamSource, error) {
 }
 
 // NumRanks returns the world rank count (known before any batch decodes).
-func (s *Stream) NumRanks() int { return s.nranks }
+func (s *Stream) NumRanks() int { return len(s.counts) }
 
 // Meta returns the trace-level metadata (directory mode: rank 0's file,
 // minus the verifyio.* bookkeeping keys — what the materialized Trace.Meta
@@ -354,10 +216,13 @@ func (s *Stream) Counts() []int { return s.counts }
 // Stats returns the tolerate-mode salvage stats. It is only complete after
 // Next has returned io.EOF.
 func (s *Stream) Stats() *DecodeStats {
-	if s.stats == nil {
-		return &DecodeStats{}
+	switch {
+	case s.dir != nil:
+		return s.dir.Stats()
+	case s.stats != nil:
+		return s.stats
 	}
-	return s.stats
+	return &DecodeStats{}
 }
 
 // Next returns the next batch, or io.EOF when the trace is exhausted (after
@@ -373,13 +238,11 @@ func (s *Stream) Next() (*Batch, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	var b *Batch
-	var err error
+	next := s.nextDir
 	if s.single != nil {
-		b, err = s.nextSingle()
-	} else {
-		b, err = s.nextDir()
+		next = s.nextSingle
 	}
+	b, err := next()
 	if err != nil {
 		if err != io.EOF {
 			s.err = err
@@ -389,210 +252,79 @@ func (s *Stream) Next() (*Batch, error) {
 		}
 		return nil, err
 	}
-	s.counts[b.Rank] += len(b.Recs)
-	s.resident += b.cost
-	if s.resident > s.peak {
-		s.peak = s.resident
-	}
-	return b, nil
+	s.res.add(b.cost)
+	return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
 }
 
-func (s *Stream) nextSingle() (*Batch, error) {
+func (s *Stream) nextSingle() (rawBatch, error) {
 	src := s.single
 	for {
-		buf := s.takeBuf()
+		buf := s.pool.take()
 		b, err := src.ps.nextBatch(buf, s.window)
 		if err == io.EOF {
-			s.putBuf(buf)
-			stats, ferr := src.ps.finish()
-			if ferr == nil && !s.opts.Tolerate {
-				ferr = src.d.checkTrailer(src.fr)
-			}
-			if ferr != nil {
-				return nil, ferr
+			s.pool.put(buf)
+			stats, err := src.finish(s.opts.Tolerate)
+			if err != nil {
+				return rawBatch{}, err
 			}
 			s.stats = stats
-			return nil, io.EOF
+			return rawBatch{}, io.EOF
 		}
 		if err != nil {
-			return nil, err
+			return rawBatch{}, err
 		}
 		if len(b.recs) == 0 {
 			continue
 		}
-		return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
+		s.counts[b.rank] += len(b.recs)
+		return b, nil
 	}
 }
 
-func (s *Stream) nextDir() (*Batch, error) {
+func (s *Stream) nextDir() (rawBatch, error) {
 	for {
 		if s.cur == nil {
-			if s.idx >= len(s.order) {
-				s.finishDirStats()
-				return nil, io.EOF
+			if s.next >= len(s.counts) {
+				return rawBatch{}, io.EOF
 			}
-			rank := s.order[s.idx]
-			s.idx++
-			if err := s.openRank(rank); err != nil {
-				if !s.opts.Tolerate {
-					return nil, err
-				}
-				continue // recorded in failed[rank]
+			rr, err := s.dir.openRank(s.next)
+			s.next++
+			if err != nil {
+				return rawBatch{}, err
 			}
+			if rr != nil { // nil: tolerate mode has nothing to read for the rank
+				// A consumer may keep its batches (ReadDir does), so the next
+				// rank starts from the buffers this one grew out of.
+				rr.src.ps.outgrown = s.pool.put
+			}
+			s.cur = rr
+			continue
 		}
-		buf := s.takeBuf()
-		b, err := s.cur.ps.nextBatch(buf, s.window)
+		b, err := s.cur.next()
 		if err == io.EOF {
-			s.putBuf(buf) // the end of a payload uses no buffer
-			if err := s.closeRank(); err != nil {
-				return nil, err
-			}
+			s.cur = nil
 			continue
 		}
-		if err != nil {
-			// Tolerate-mode record damage is salvaged inside nextBatch, so
-			// an error here is strict mode failing — name the file, remap
-			// the in-file rank to the world rank, and stop.
-			s.remapErr(err, s.curRank)
-			return nil, fmt.Errorf("trace: %s: %w", s.names[s.curRank], err)
-		}
-		// Each file is a single-rank trace; batches for any other in-file
-		// rank are decoded (for error fidelity) but not part of the world
-		// trace.
-		if b.rank != s.curRank {
-			s.putBuf(b.recs)
-			continue
-		}
-		if len(b.recs) == 0 {
-			continue
-		}
-		return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
+		return b, err
 	}
 }
 
-// openRank opens the rank's file and decodes its eager sections. Failures in
-// tolerate mode are recorded (the rank salvages nothing) and reported as a
-// nil source.
-func (s *Stream) openRank(rank int) error {
-	name := s.names[rank]
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		if s.opts.Tolerate {
-			s.failed[rank] = err
-			return err
-		}
-		return err
-	}
-	_, rankSpan := s.oc.Start("read-rank", obs.Int("rank", rank))
-	src, err := openSource(f, s.opts.DecodeOptions)
-	if err != nil {
-		rankSpan.End()
-		f.Close()
-		s.remapErr(err, rank)
-		if s.opts.Tolerate {
-			s.failed[rank] = err
-			return err
-		}
-		return fmt.Errorf("trace: %s: %w", name, err)
-	}
-	src.f = f
-	src.ps.rankOff = rank
-	src.ps.outgrown = s.putBuf
-	s.cur, s.curRank, s.rankSpan = src, rank, rankSpan
-	return nil
-}
-
-// closeRank finishes the current rank file: salvage stats, strict trailer
-// checks, span end.
-func (s *Stream) closeRank() error {
-	src, rank := s.cur, s.curRank
-	stats, ferr := src.ps.finish()
-	if ferr == nil && !s.opts.Tolerate {
-		ferr = src.d.checkTrailer(src.fr)
-	}
-	src.close()
-	s.rankSpan.End()
-	s.cur, s.curRank, s.rankSpan = nil, -1, nil
-	if ferr != nil {
-		// finish only fails in strict mode (tolerate salvages).
-		s.remapErr(ferr, rank)
-		return fmt.Errorf("trace: %s: %w", s.names[rank], ferr)
-	}
-	// The file's salvage stats are for its in-file ranks; report the world
-	// rank the file name declares.
-	if s.stats == nil {
-		s.stats = &DecodeStats{}
-	}
-	for _, rr := range stats.Ranks {
-		s.remapErr(rr.Err, rank)
-		rr.Rank = rank
-		s.stats.Ranks = append(s.stats.Ranks, rr)
-	}
-	return nil
-}
-
-// remapErr rewrites a single-rank file's in-file rank 0 to the world rank.
-func (s *Stream) remapErr(err error, rank int) {
-	if de, ok := AsDecodeError(err); ok && de.Rank == 0 {
-		de.Rank = rank
-	}
-}
-
-// finishDirStats adds the entries for ranks that contributed nothing: files
-// that failed to open or decode, and ranks with no file at all.
-func (s *Stream) finishDirStats() {
-	if s.stats == nil {
-		s.stats = &DecodeStats{}
-	}
-	if s.opts.Tolerate {
-		present := make(map[int]bool, len(s.order))
-		for _, r := range s.order {
-			if s.failed[r] == nil {
-				present[r] = true
-			}
-		}
-		for rank := 0; rank < s.nranks; rank++ {
-			if present[rank] {
-				continue
-			}
-			err := s.failed[rank]
-			if err == nil {
-				err = &DecodeError{
-					Kind: Truncated, Section: "directory",
-					Rank: rank, Record: -1,
-					Err: errors.New("missing rank file"),
-				}
-			}
-			s.stats.Ranks = append(s.stats.Ranks, RankRecovery{Rank: rank, Salvaged: 0, Dropped: -1, Err: err})
-		}
-	}
-	sort.Slice(s.stats.Ranks, func(i, j int) bool { return s.stats.Ranks[i].Rank < s.stats.Ranks[j].Rank })
-}
-
-// finalize publishes the end-of-stream telemetry and ends the read-trace
-// span.
+// finalize publishes the end-of-stream telemetry.
 func (s *Stream) finalize() {
-	if r := s.oc.R; r != nil {
-		decoded := 0
-		for _, n := range s.counts {
-			decoded += n
-		}
-		r.Counter("trace.records_decoded").Add(int64(decoded))
-		r.Counter("trace.ranks_salvaged").Add(int64(len(s.Stats().Ranks)))
-		r.Counter("trace.records_salvaged").Add(int64(s.Stats().Salvaged()))
-		dropped, _ := s.Stats().Dropped()
-		r.Counter("trace.records_dropped").Add(int64(dropped))
-		r.Gauge("decode.peak_resident_bytes").SetMax(s.peak)
+	if s.dir != nil {
+		s.dir.Close()
+		return
 	}
-	if s.span != nil {
-		s.span.End()
-		s.span = nil
+	decoded := 0
+	for _, n := range s.counts {
+		decoded += n
 	}
+	publishDecode(s.opts.Obs, decoded, s.Stats(), s.res.peak.Load())
 }
 
 // PeakResidentBytes reports the high-water mark of unreleased batch cost —
 // the quantity the decode.peak_resident_bytes gauge exports.
-func (s *Stream) PeakResidentBytes() int64 { return s.peak }
+func (s *Stream) PeakResidentBytes() int64 { return s.res.peak.Load() }
 
 // Close releases the stream's resources. It is idempotent; a stream that
 // already returned io.EOF needs no Close but tolerates one.
@@ -603,34 +335,15 @@ func (s *Stream) Close() error {
 	s.closed = true
 	if s.cur != nil {
 		s.cur.close()
-		s.rankSpan.End()
-		s.cur, s.rankSpan = nil, nil
+		s.cur = nil
 	}
 	if s.single != nil {
 		s.single.close()
 		s.single = nil
+		s.opts.Obs.R.Gauge("decode.peak_resident_bytes").SetMax(s.res.peak.Load())
 	}
-	if r := s.oc.R; r != nil {
-		r.Gauge("decode.peak_resident_bytes").SetMax(s.peak)
-	}
-	if s.span != nil {
-		s.span.End()
-		s.span = nil
-	}
-	return nil
-}
-
-func (s *Stream) putBuf(buf []Record) {
-	if cap(buf) > 0 {
-		s.pool = append(s.pool, buf[:0])
-	}
-}
-
-func (s *Stream) takeBuf() []Record {
-	if n := len(s.pool); n > 0 {
-		buf := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return buf
+	if s.dir != nil {
+		s.dir.Close()
 	}
 	return nil
 }

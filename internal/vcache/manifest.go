@@ -13,7 +13,7 @@ import (
 // chunks. The mapping works in two steps:
 //
 //  1. Per-rank stable prefixes. Each rank's records are digested into
-//     chained blocks (trace.BlockChain); the common chain prefix between the
+//     chained blocks (trace.ChainBuilder); the common chain prefix between the
 //     manifest and the new run certifies a byte-identical record prefix, and
 //     the initial cut is that prefix length.
 //
@@ -50,7 +50,7 @@ type RankManifest struct {
 	Records int
 	// Unlinks is the rank's total unlink count (fid-generation bumps).
 	Unlinks int
-	// Blocks is the chained block digest sequence (trace.BlockChain).
+	// Blocks is the chained block digest sequence (trace.ChainBuilder).
 	Blocks []Digest
 }
 

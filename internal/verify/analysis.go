@@ -11,6 +11,7 @@ package verify
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -69,13 +70,21 @@ func AlgoByName(name string) (Algo, error) {
 	return 0, fmt.Errorf("verify: unknown algorithm %q (have auto, vector-clock, reachability, transitive-closure, on-the-fly, segment)", name)
 }
 
-// Timing is the per-stage breakdown Table IV reports.
+// Timing is the per-stage breakdown Table IV reports. The first three stages
+// are interleaved batch by batch inside Analyze's per-rank tasks, each of
+// which reads the clock three times a batch; a stage's field sums its share
+// over all ranks, so at Workers = 1 the stage fields add up to AnalyzeWall.
 type Timing struct {
-	// ReadTrace is set by callers that loaded the trace from storage.
+	// ReadTrace is the time the source took to produce the record batches
+	// (and, with AnalyzeOptions.Digest, to digest them): decoding, for a
+	// trace directory; next to nothing for a trace in memory, whose loader
+	// may add what the load took.
 	ReadTrace time.Duration
-	// DetectConflicts covers step 2.
+	// DetectConflicts covers step 2: the per-rank replay plus the
+	// cross-rank merge and sweep.
 	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching).
+	// Match covers step 3 (MPI matching): the per-rank scan plus the
+	// cross-rank matching.
 	Match time.Duration
 	// BuildGraph covers happens-before graph construction.
 	BuildGraph time.Duration
@@ -92,10 +101,11 @@ type Timing struct {
 	// a new overlap field is excluded automatically by its suffix, and a
 	// new per-stage field fails the test until Total is updated.
 
-	// DetectMatchWall is the wall-clock time of the combined
-	// detect-conflicts/match phase. With Workers != 1 the two stages run
-	// concurrently (they are independent consumers of the trace), so this
-	// is less than DetectConflicts + Match; serially it is their sum.
+	// DetectMatchWall is the wall-clock time of the read/detect/match phase:
+	// the per-rank tasks, then the two cross-rank finish phases. With
+	// Workers != 1 the ranks run concurrently and so do the finish phases,
+	// so this is less than ReadTrace + DetectConflicts + Match; serially it
+	// is their sum.
 	DetectMatchWall time.Duration
 	// AnalyzeWall is the wall-clock time of the whole Analyze call
 	// (detect + match + graph build + clock generation), the elapsed time
@@ -110,12 +120,10 @@ func (t Timing) Total() time.Duration {
 	return t.ReadTrace + t.DetectConflicts + t.Match + t.BuildGraph + t.VectorClock + t.Verification
 }
 
-// Analysis is the model-independent part of a verification run.
+// Analysis is the model-independent part of a verification run. It keeps
+// what was derived from the records, never the records: a source can be gone
+// before Verify runs.
 type Analysis struct {
-	// Trace is the materialized trace. Nil for analyses produced by
-	// AnalyzeStream, which consume records as they decode and keep only
-	// the derived state below.
-	Trace     *trace.Trace
 	Conflicts *conflict.Result
 	Match     *match.Result
 	Oracle    hbgraph.Oracle
@@ -127,18 +135,16 @@ type Analysis struct {
 	Timing Timing
 
 	// counts are the per-rank record counts — the positional facts reports
-	// and cache manifests need; always valid even when Trace is nil.
+	// and cache manifests need.
 	counts []int
 	// salvage is the decode salvage state of the ingested trace (nil or
 	// clean for an intact trace). A salvaged analysis runs on partial
 	// evidence: the verdict cache salts its epoch with the salvage extents
 	// and publishes no incremental manifest (see cache.go).
 	salvage *trace.DecodeStats
-	// Streaming-only state (Trace == nil): the per-rank block chains and
-	// unlink positions digested during the single pass (what cacheArtifacts
-	// reads instead of the records).
-	chains     [][][32]byte
-	unlinkSeqs [][]int32
+	// digests are the per-rank content digests the verdict cache keys on;
+	// nil unless AnalyzeOptions.Digest asked for them.
+	digests []rankDigest
 
 	// cacheArt memoizes the verdict-cache digests (chunk plan, content
 	// digests, sync epoch, block chains): they are model independent, so
@@ -169,10 +175,10 @@ func (a *Analysis) NumRecords() int {
 func (a *Analysis) Salvage() *trace.DecodeStats { return a.salvage }
 
 // SetSalvage attaches the decode salvage state of the trace this analysis
-// was built from. Callers that loaded a trace leniently (tolerate mode)
-// should pass the decode stats through so the verdict cache can tell a
-// salvaged trace from its repaired original; AnalyzeStream does this
-// automatically.
+// was built from. Callers that loaded a trace into memory leniently
+// (tolerate mode) should pass the decode stats through so the verdict cache
+// can tell a salvaged trace from its repaired original; AnalyzeStream does
+// this itself.
 func (a *Analysis) SetSalvage(stats *trace.DecodeStats) { a.salvage = stats }
 
 // salvaged reports whether the analyzed trace lost records to decoding
@@ -183,88 +189,162 @@ func (a *Analysis) salvaged() bool {
 
 // AnalyzeOptions tunes Analyze.
 type AnalyzeOptions struct {
-	// Workers bounds the goroutines used inside steps 2–3: conflict.Detect
-	// shards its per-rank replay and per-file sweep, match.Match its
-	// per-rank scan, and with Workers != 1 the two steps additionally run
-	// concurrently with each other. 0 means GOMAXPROCS; 1 forces the fully
-	// serial path. The analysis is identical at every worker count.
+	// Workers bounds the ranks read, replayed and scanned at once, and the
+	// goroutines inside the cross-rank phases (the per-file sweep, the
+	// oracle build); with Workers != 1 conflict detection's and matching's
+	// cross-rank phases additionally run concurrently with each other. 0
+	// means GOMAXPROCS; 1 forces the fully serial path. The analysis is
+	// identical at every worker count.
 	Workers int
+	// Digest makes the pass also digest every rank's records (SHA-256 block
+	// chains, unlink positions) — what a verdict cache attached at Verify
+	// time (Options.Cache) identifies the trace by.
+	Digest bool
 	// Obs carries telemetry sinks through the whole analysis; the zero Ctx
 	// disables instrumentation.
 	Obs obs.Ctx
 }
 
-// Analyze runs steps 2 and 3 with a GOMAXPROCS-wide worker pool; see
-// AnalyzeOpts.
-func Analyze(tr *trace.Trace, algo Algo) (*Analysis, error) {
-	return AnalyzeOpts(tr, algo, AnalyzeOptions{})
-}
-
-// AnalyzeOpts runs steps 2 and 3 on the trace and prepares the
-// happens-before oracle.
-func AnalyzeOpts(tr *trace.Trace, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
+// Analyze runs steps 2 and 3 on the source and prepares the happens-before
+// oracle. The rank is the unit of flow: one task per rank pulls that rank's
+// record batches from the source and, on the same goroutine, steps the
+// rank's conflict replay and matcher scan (and the cache digest, when asked
+// for) — records never cross a goroutine or outlive their batch, so memory
+// is the source's. Then come the two cross-rank finish phases and the oracle
+// build.
+func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
 	workers := par.Resolve(opts.Workers)
-	a := &Analysis{Trace: tr, counts: make([]int, tr.NumRanks())}
-	for rank, recs := range tr.Ranks {
-		a.counts[rank] = len(recs)
-	}
 	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
 	span.SetCat("analyze")
 	defer span.End()
+	a := &Analysis{}
 	analyzeWall := time.Now()
 	defer func() { a.Timing.AnalyzeWall = time.Since(analyzeWall) }()
 
-	// Steps 2 and 3 read the trace and nothing else, so they can overlap.
-	// Each stage times itself; the shared wall clock records the overlap.
-	var (
-		conf    *conflict.Result
-		confErr error
-		mres    *match.Result
-		mErr    error
-	)
-	wall := time.Now()
+	nranks := src.NumRanks()
+	a.counts = make([]int, nranks)
+	if opts.Digest {
+		a.digests = make([]rankDigest, nranks)
+	}
+	det, mat := conflict.NewDetector(nranks), match.NewMatcher(nranks)
+	type rankTimes struct{ read, replay, scan time.Duration }
+	times := make([]rankTimes, nranks)
+	errs := make([]error, nranks)
+	par.DoObs(oc, "analyze-ranks", workers, nranks, func(rank int) {
+		lane, attr := "rank-"+strconv.Itoa(rank), obs.Int("rank", rank)
+		t := &times[rank]
+		last := time.Now()
+		errs[rank] = src.ReadRank(rank, func(recs []trace.Record) {
+			a.counts[rank] += len(recs)
+			if a.digests != nil {
+				a.digests[rank].add(recs)
+			}
+			produced := time.Now()
+			_, sp := oc.StartLane(lane, "replay", attr)
+			det.Feed(rank, recs)
+			sp.End()
+			replayed := time.Now()
+			_, sp = oc.StartLane(lane, "scan", attr)
+			mat.Feed(rank, recs)
+			sp.End()
+			scanned := time.Now()
+			t.read += produced.Sub(last)
+			t.replay += replayed.Sub(produced)
+			t.scan += scanned.Sub(replayed)
+			last = scanned
+		})
+		t.read += time.Since(last)
+	})
+	for rank, err := range errs {
+		// The lowest failing rank's error: what a serial reader meets first,
+		// whichever task failed first.
+		if err != nil {
+			return nil, fmt.Errorf("verify: read trace: %w", err)
+		}
+		a.Timing.ReadTrace += times[rank].read
+		a.Timing.DetectConflicts += times[rank].replay
+		a.Timing.Match += times[rank].scan
+	}
+
+	// The finish phases share nothing, so they can overlap.
+	var confErr, matErr error
 	detect := func() {
 		start := time.Now()
-		conf, confErr = conflict.DetectOpts(tr, conflict.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.DetectConflicts = time.Since(start)
+		a.Conflicts, confErr = det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
+		a.Timing.DetectConflicts += time.Since(start)
 	}
 	doMatch := func() {
 		start := time.Now()
-		mres, mErr = match.MatchOpts(tr, match.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.Match = time.Since(start)
+		a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
+		a.Timing.Match += time.Since(start)
 	}
 	if workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
+		matched := make(chan struct{})
 		go func() {
-			defer wg.Done()
 			doMatch()
+			close(matched)
 		}()
 		detect()
-		wg.Wait()
+		<-matched
 	} else {
 		detect()
 		doMatch()
 	}
-	a.Timing.DetectMatchWall = time.Since(wall)
+	a.Timing.DetectMatchWall = time.Since(analyzeWall)
 	if confErr != nil {
 		return nil, fmt.Errorf("verify: conflict detection: %w", confErr)
 	}
-	if mErr != nil {
-		return nil, fmt.Errorf("verify: MPI matching: %w", mErr)
+	if matErr != nil {
+		return nil, fmt.Errorf("verify: MPI matching: %w", matErr)
 	}
-	a.Conflicts = conf
-	a.Match = mres
 	if err := a.buildOracle(algo, opts.Workers, oc); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
+// AnalyzeOpts is Analyze on a trace in memory.
+func AnalyzeOpts(tr *trace.Trace, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
+	return Analyze(tr, algo, opts)
+}
+
+// StreamAnalyzeOptions tunes AnalyzeStream.
+type StreamAnalyzeOptions struct {
+	AnalyzeOptions
+	// Decode passes trace decoding options through (tolerate mode, limits).
+	// Its Obs field is overridden with AnalyzeOptions.Obs so the decode
+	// spans join the analysis trace.
+	Decode trace.DecodeOptions
+	// WindowBytes bounds the decoded records resident at once — divided
+	// among the ranks read concurrently — exactly as
+	// trace.StreamOptions.WindowBytes: 0 means the default window, negative
+	// means unbounded.
+	WindowBytes int64
+}
+
+// AnalyzeStream is Analyze on a trace directory, decoded while it is
+// analyzed: peak memory is bounded by the decode window instead of the trace
+// size, and the Analysis carries the directory's salvage state.
+func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis, error) {
+	dopts := opts.Decode
+	dopts.Obs = opts.Obs
+	d, err := trace.OpenDir(dir, trace.StreamOptions{DecodeOptions: dopts, WindowBytes: opts.WindowBytes},
+		par.Resolve(opts.Workers))
+	if err != nil {
+		return nil, fmt.Errorf("verify: read trace: %w", err)
+	}
+	defer d.Close()
+	a, err := Analyze(d, algo, opts.AnalyzeOptions)
+	if err != nil {
+		return nil, err
+	}
+	a.salvage = d.Stats()
+	return a, nil
+}
+
 // buildOracle resolves AlgoAuto and runs happens-before construction for an
-// analysis whose Conflicts, Match and counts are already set — the shared
-// tail of AnalyzeOpts and AnalyzeStream. Only positional facts (the
-// per-rank counts) are consumed, never the records.
+// analysis whose Conflicts, Match and counts are already set. Only positional
+// facts (the per-rank counts) are consumed, never the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
 	if algo == AlgoAuto {

@@ -206,24 +206,14 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 	art.ranks = make([]vcache.RankManifest, nranks)
 	art.unlinkTotals = make([]int, nranks)
 	for r := 0; r < nranks; r++ {
-		if a.Trace != nil {
-			recs := a.Trace.Ranks[r]
-			art.unlinkTotals[r] = countUnlinks(recs, len(recs))
-			art.ranks[r] = vcache.RankManifest{
-				Records: len(recs),
-				Unlinks: art.unlinkTotals[r],
-				Blocks:  trace.BlockChain(recs),
-			}
-		} else {
-			// Streaming analysis: the block chains and unlink positions
-			// were digested in the ingestion pass (ChainBuilder) — the
-			// records themselves are gone.
-			art.unlinkTotals[r] = len(a.unlinkSeqs[r])
-			art.ranks[r] = vcache.RankManifest{
-				Records: a.counts[r],
-				Unlinks: art.unlinkTotals[r],
-				Blocks:  a.chains[r],
-			}
+		// The block chains and unlink positions were digested in the pass
+		// that fed the analysis (rankDigest) — the records are gone.
+		dg := &a.digests[r]
+		art.unlinkTotals[r] = len(dg.unlinks)
+		art.ranks[r] = vcache.RankManifest{
+			Records: a.counts[r],
+			Unlinks: art.unlinkTotals[r],
+			Blocks:  dg.chain.Chain(),
 		}
 	}
 
@@ -340,16 +330,22 @@ func writeString(h hash.Hash, s string) {
 	io.WriteString(h, s)
 }
 
-// countUnlinks counts fid-generation bumps among records [0, limit) —
-// exactly the records conflict.Detect's replay counts (non-empty path).
-func countUnlinks(recs []trace.Record, limit int) int {
-	n := 0
-	for i := 0; i < limit && i < len(recs); i++ {
+// rankDigest is what the verdict cache needs of one rank's records, taken
+// batch by batch in the pass that feeds the analysis: the chained block
+// digests, and the positions of the unlinks — exactly the records
+// conflict.Detector's replay counts as fid-generation bumps (non-empty path).
+type rankDigest struct {
+	chain   trace.ChainBuilder
+	unlinks []int32
+}
+
+func (d *rankDigest) add(recs []trace.Record) {
+	d.chain.Add(recs)
+	for i := range recs {
 		if recs[i].Func == "unlink" && recs[i].Arg(0) != "" {
-			n++
+			d.unlinks = append(d.unlinks, int32(recs[i].Seq))
 		}
 	}
-	return n
 }
 
 // modelDigest commits to the consistency model and to every option that
@@ -479,14 +475,9 @@ func (art *cacheArtifacts) dirtyState(store *vcache.Store, id string, a *Analysi
 	}
 	below := make([]int, len(d.cuts))
 	for r, cut := range d.cuts {
-		if a.Trace != nil {
-			below[r] = countUnlinks(a.Trace.Ranks[r], cut)
-		} else {
-			// Streaming analysis: count recorded unlink positions below
-			// the cut (the per-rank lists are in ascending seq order).
-			seqs := a.unlinkSeqs[r]
-			below[r] = sort.Search(len(seqs), func(i int) bool { return seqs[i] >= int32(cut) })
-		}
+		// The unlink positions below the cut (each rank's are ascending).
+		seqs := a.digests[r].unlinks
+		below[r] = sort.Search(len(seqs), func(i int) bool { return seqs[i] >= int32(cut) })
 	}
 	if !old.UnlinkSafe(d.cuts, below, art.unlinkTotals) {
 		// An unlink outside the stable region can shift fid generations

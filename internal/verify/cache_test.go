@@ -47,7 +47,7 @@ func planTrace(nranks, ops int) *trace.Trace {
 // groups, weight-bounded, with every over-weight group isolated — the
 // invariants both parallel verification and the verdict cache rely on.
 func TestPlanChunksPartition(t *testing.T) {
-	a, err := Analyze(planTrace(4, 900), AlgoVectorClock)
+	a, err := Analyze(planTrace(4, 900), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPlanChunksPartition(t *testing.T) {
 // returns the per-model reports.
 func cacheVerdicts(t *testing.T, tr *trace.Trace, store *vcache.Store) []*Report {
 	t.Helper()
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{Digest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestCacheResultsMatchCachelessOnDenseTrace(t *testing.T) {
 func TestCacheModelsKeyedSeparately(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	store := vcache.NewMemory()
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{Digest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

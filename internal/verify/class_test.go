@@ -266,7 +266,7 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 			algos = append(algos, AlgoReachability)
 		}
 		for _, algo := range algos {
-			a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1})
+			a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1, Digest: true})
 			if err != nil {
 				t.Fatal(err)
 			}

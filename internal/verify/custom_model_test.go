@@ -61,7 +61,7 @@ func writerReader(t *testing.T, nSyncs int) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(env.Trace(), AlgoVectorClock)
+	a, err := Analyze(env.Trace(), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGenericDFSAgreesOnSessionPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(env.Trace(), AlgoVectorClock)
+	a, err := Analyze(env.Trace(), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

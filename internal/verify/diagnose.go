@@ -63,25 +63,24 @@ var libraryInternalFuncs = map[string]bool{
 	"ncmpi_fill_var_rec": true,
 }
 
-// Diagnose analyzes the detailed races of a report produced from this
-// analysis. The model must be the one the report was verified against.
-func (a *Analysis) Diagnose(rep *Report, model semantics.Model) []Diagnosis {
-	out := make([]Diagnosis, 0, len(rep.Races))
-	for _, race := range rep.Races {
-		out = append(out, a.diagnoseOne(race, model))
+// Diagnose analyzes the report's detailed races — a function of the report
+// alone. The model must be the one the report was verified against.
+func (r *Report) Diagnose(model semantics.Model) []Diagnosis {
+	out := make([]Diagnosis, 0, len(r.Races))
+	for _, race := range r.Races {
+		out = append(out, diagnoseOne(race, model))
 	}
 	return out
 }
 
-func (a *Analysis) diagnoseOne(race Race, model semantics.Model) Diagnosis {
+func diagnoseOne(race Race, model semantics.Model) Diagnosis {
 	d := Diagnosis{Race: race}
 
-	ordered := a.Oracle.HB(race.X.Ref, race.Y.Ref) || a.Oracle.HB(race.Y.Ref, race.X.Ref)
 	rootX, layerX := chainRoot(race.ChainX)
 	rootY, layerY := chainRoot(race.ChainY)
 
 	switch {
-	case !ordered:
+	case !race.ordered:
 		d.Category = UnorderedConflict
 		d.Responsible = "application"
 		if rootX == rootY && race.X.Write && race.Y.Write {

@@ -19,7 +19,7 @@ func analyzeProgram(t *testing.T, ranks int, prog func(r *recorder.Rank) error) 
 	if err := env.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(env.Trace(), AlgoVectorClock)
+	a, err := Analyze(env.Trace(), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func diagnoseModel(t *testing.T, a *Analysis, model semantics.Model) []Diagnosis
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.Diagnose(rep, model)
+	return rep.Diagnose(model)
 }
 
 // TestDiagnoseUnorderedSameCall reproduces the parallel5 signature: the same

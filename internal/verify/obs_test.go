@@ -51,8 +51,8 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 			t.Errorf("no %q span emitted; spans: %v", stage, counts)
 		}
 	}
-	// Shard spans: per-rank replay and scan (2 ranks), per-model verify
-	// lanes (4 models).
+	// Shard spans: per-rank replay and scan (2 ranks, each one batch from
+	// memory), per-model verify lanes (4 models).
 	if counts["replay"] != 2 {
 		t.Errorf("replay shard spans = %d, want 2", counts["replay"])
 	}
@@ -80,7 +80,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		"verify.groups", "verify.checks", "verify.races",
 		"verify.classes", "verify.class_hits",
 		"verify.hb_queries", "verify.hb_fast_hits", "verify.hb_fallbacks",
-		"par.detect-replay.tasks_submitted", "par.match-scan.tasks_completed",
+		"par.analyze-ranks.tasks_submitted", "par.analyze-ranks.tasks_completed",
 	} {
 		if !names[n] {
 			t.Errorf("metric %q missing from registry; have %v", n, reg.Names())
@@ -218,7 +218,7 @@ func TestPipelineSpanContentWorkerIndependent(t *testing.T) {
 // registry is attached and stays nil when telemetry is off.
 func TestReportEmbedsMetrics(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

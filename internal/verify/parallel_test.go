@@ -68,7 +68,7 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 func TestParallelVerifyDeterministic(t *testing.T) {
 	tr := runTraced(t, 4, racyProgram)
 	for _, algo := range []Algo{AlgoVectorClock, AlgoReachability, AlgoTransitiveClosure, AlgoOnTheFly, AlgoSegment} {
-		a, err := Analyze(tr, algo)
+		a, err := Analyze(tr, algo, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestParallelVerifyDeterministic(t *testing.T) {
 // same detailed-race prefix as the serial walk when the cap truncates.
 func TestParallelMaxRaceDetailsPrefix(t *testing.T) {
 	tr := runTraced(t, 4, racyProgram)
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestParallelMaxRaceDetailsPrefix(t *testing.T) {
 // over one shared analysis and compares every report to the serial pass.
 func TestVerifyAllConcurrentMatchesSerial(t *testing.T) {
 	tr := runTraced(t, 4, racyProgram)
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestVerifyAllConcurrentMatchesSerial(t *testing.T) {
 // report.
 func TestWorkersDefaultRecorded(t *testing.T) {
 	tr := runTraced(t, 2, racyProgram)
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestPruningMatchesExhaustive(t *testing.T) {
 	}
 	var prunedChecks, exhaustiveChecks int64
 	for _, in := range inputs {
-		a, err := verify.Analyze(in.tr, verify.AlgoAuto)
+		a, err := verify.Analyze(in.tr, verify.AlgoAuto, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

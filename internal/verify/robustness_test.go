@@ -53,7 +53,7 @@ func TestPropertyPipelineNeverPanics(t *testing.T) {
 			}
 		}
 		for _, algo := range []Algo{AlgoVectorClock, AlgoOnTheFly} {
-			a, err := Analyze(tr, algo)
+			a, err := Analyze(tr, algo, AnalyzeOptions{})
 			if err != nil {
 				// Errors are acceptable (e.g. cyclic garbage edges are
 				// impossible here, but analysis may reject traces);

@@ -41,7 +41,7 @@ func TestStreamedAnalysisOutlivesItsTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: verifying after the trace directory was removed: %v", name, err)
 		}
-		ma, err := verify.Analyze(tr, verify.AlgoAuto)
+		ma, err := verify.Analyze(tr, verify.AlgoAuto, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -46,6 +47,7 @@ type Options struct {
 	// Cache attaches a verdict store: every chunk of the verification plan
 	// is looked up by content digest before being verified and sealed into
 	// the store after. Reports gain Cache statistics. Nil disables caching.
+	// The analysis must have been built with AnalyzeOptions.Digest.
 	Cache *vcache.Store
 	// CacheID names the logical trace for the incremental manifest the
 	// cache keeps (e.g. the trace directory path). Empty derives a stable
@@ -67,6 +69,10 @@ type Race struct {
 	// itself last) — what the paper uses to attribute a race to the
 	// application or to a library layer.
 	ChainX, ChainY []string
+	// ordered records whether X and Y are happens-before ordered in either
+	// direction — the one fact Report.Diagnose needs that the fields above
+	// do not carry.
+	ordered bool
 }
 
 // Level classifies where a race originates, from its call chains: the
@@ -137,7 +143,7 @@ type Report struct {
 
 // Run performs the whole pipeline (steps 2–4) on a trace for one model.
 func Run(tr *trace.Trace, opts Options) (*Report, error) {
-	a, err := AnalyzeOpts(tr, opts.Algo, AnalyzeOptions{Workers: opts.Workers, Obs: opts.Obs})
+	a, err := Analyze(tr, opts.Algo, AnalyzeOptions{Workers: opts.Workers, Digest: opts.Cache != nil, Obs: opts.Obs})
 	if err != nil {
 		return nil, err
 	}
@@ -148,6 +154,9 @@ func Run(tr *trace.Trace, opts Options) (*Report, error) {
 func (a *Analysis) Verify(opts Options) (*Report, error) {
 	if err := opts.Model.MSC.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Cache != nil && a.digests == nil {
+		return nil, errors.New("verify: Options.Cache needs an analysis built with AnalyzeOptions.Digest")
 	}
 	if opts.MaxRaceDetails == 0 {
 		opts.MaxRaceDetails = 256
@@ -763,11 +772,12 @@ func (v *verifier) makeRace(p racePair) Race {
 	sx, sy := &conf.Sigs[conf.OpSig[p.x]], &conf.Sigs[conf.OpSig[p.y]]
 	return Race{
 		X: x, Y: y,
-		File:   conf.PathOf(x.FID),
-		FuncX:  sx.Func,
-		FuncY:  sy.Func,
-		ChainX: fullChain(sx),
-		ChainY: fullChain(sy),
+		File:    conf.PathOf(x.FID),
+		FuncX:   sx.Func,
+		FuncY:   sy.Func,
+		ChainX:  fullChain(sx),
+		ChainY:  fullChain(sy),
+		ordered: v.a.Oracle.HB(x.Ref, y.Ref) || v.a.Oracle.HB(y.Ref, x.Ref),
 	}
 }
 

@@ -28,7 +28,7 @@ func runTraced(t *testing.T, nranks int, prog func(r *recorder.Rank) error) *tra
 // model name.
 func verdicts(t *testing.T, tr *trace.Trace, algo Algo) map[string]int64 {
 	t.Helper()
-	a, err := Analyze(tr, algo)
+	a, err := Analyze(tr, algo, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestMaxRaceDetailsCapsDetailNotCount(t *testing.T) {
 
 func TestAutoAlgorithmSelection(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	a, err := Analyze(tr, AlgoAuto)
+	a, err := Analyze(tr, AlgoAuto, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestAutoAlgorithmSelection(t *testing.T) {
 		big.Append(trace.Record{Rank: 0, Func: "op", Layer: trace.LayerPOSIX,
 			Tick: int64(2*i + 1), Ret: int64(2*i + 2)})
 	}
-	if a, err = Analyze(big, AlgoAuto); err != nil {
+	if a, err = Analyze(big, AlgoAuto, AnalyzeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Algorithm != AlgoSegment {
@@ -354,7 +354,7 @@ func TestClosureOverBudgetFallsBackToVectorClocks(t *testing.T) {
 
 func TestVerifyAllSharesAnalysis(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	a, err := Analyze(tr, AlgoVectorClock)
+	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestParallelCorpusDeterminism(t *testing.T) {
 		verify.AlgoTransitiveClosure, verify.AlgoOnTheFly,
 		verify.AlgoSegment,
 	} {
-		a, err := verify.Analyze(tr, algo)
+		a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,14 +46,14 @@ func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	}
 	for _, name := range corpus.Names() {
 		tr := corpusTraceT(t, name)
-		seg, err := verify.Analyze(tr, verify.AlgoSegment)
+		seg, err := verify.Analyze(tr, verify.AlgoSegment, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatalf("%s: analyze segment: %v", name, err)
 		}
 		for _, workers := range workerCounts {
 			want := verifyAllReports(t, seg, workers)
 			for _, algo := range baseline {
-				a, err := verify.Analyze(tr, algo)
+				a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{})
 				if err != nil {
 					t.Fatalf("%s/%v: %v", name, algo, err)
 				}
@@ -113,11 +113,11 @@ func TestSegmentOracleSalvagedEquivalence(t *testing.T) {
 	if rec == nil || rec.Clean() {
 		t.Fatal("truncated rank file loaded clean; the test damaged nothing")
 	}
-	seg, err := verify.Analyze(tr.t, verify.AlgoSegment)
+	seg, err := verify.Analyze(tr.t, verify.AlgoSegment, verify.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := verify.Analyze(tr.t, verify.AlgoVectorClock)
+	vc, err := verify.Analyze(tr.t, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

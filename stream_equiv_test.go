@@ -31,11 +31,12 @@ func verifyAllReports(t *testing.T, a *verify.Analysis, workers int) []*verify.R
 	return reps
 }
 
-// TestStreamEquivalenceCorpus is the tentpole's correctness gate: for every
-// corpus test, verifying off the bounded-memory stream must produce
-// byte-identical reports (races, counts, problems, ordering — everything but
-// wall times) to verifying the materialized trace, across all four models,
-// serial and parallel workers, and with tolerate on and off.
+// TestStreamEquivalenceCorpus is source equivalence: for every corpus test,
+// encoding the trace and analyzing it off the directory, in batches of a tiny
+// window, must produce byte-identical reports (races, counts, problems,
+// ordering — everything but wall times) to analyzing the decoded trace in
+// memory, across all four models, serial and parallel workers, and with
+// tolerate on and off.
 func TestStreamEquivalenceCorpus(t *testing.T) {
 	workerCounts := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -84,9 +85,9 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 	}
 }
 
-// TestVerifyAllStreamPublicAPI checks the public streaming entry points
-// against their materializing twins, including the wrapped report fields the
-// CLI prints (Ranks/Records) and single-model VerifyStream.
+// TestVerifyAllStreamPublicAPI checks the public directory entry points
+// against the in-memory ones, including the wrapped report fields the CLI
+// prints (Ranks/Records) and single-model VerifyStream.
 func TestVerifyAllStreamPublicAPI(t *testing.T) {
 	fingerprint := func(rep *Report) []byte {
 		cp := *rep
@@ -148,47 +149,6 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamOnBatch: the batch-observer hook sees every record of
-// the fused pass exactly once and in rank order, so a secondary consumer —
-// here the DFG builder — can share the bounded decode with verification
-// and still produce output byte-identical to a standalone build.
-func TestAnalyzeStreamOnBatch(t *testing.T) {
-	tr := corpusTraceT(t, "pmulti_dset")
-	dir := filepath.Join(t.TempDir(), "trace")
-	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
-		t.Fatal(err)
-	}
-
-	b := dfg.NewBuilder(tr.NumRanks(), obs.Ctx{})
-	seen := 0
-	a, err := verify.AnalyzeStream(dir, verify.AlgoAuto, verify.StreamAnalyzeOptions{
-		AnalyzeOptions: verify.AnalyzeOptions{Workers: 1},
-		WindowBytes:    streamEquivWindow,
-		OnBatch: func(batch *trace.Batch) {
-			seen += len(batch.Recs)
-			b.Feed(batch.Rank, batch.Recs)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-	if seen != tr.NumRecords() {
-		t.Fatalf("OnBatch saw %d records, trace has %d", seen, tr.NumRecords())
-	}
-
-	var fused, standalone bytes.Buffer
-	if err := b.Finish().WriteJSON(&fused); err != nil {
-		t.Fatal(err)
-	}
-	if err := dfg.FromTrace(tr, dfg.Options{Workers: 1}).WriteJSON(&standalone); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fused.Bytes(), standalone.Bytes()) {
-		t.Fatalf("fused-pass DFG differs from standalone build")
-	}
-}
-
 // TestStreamPeakIndependentOfTraceSize is the streaming path's memory
 // contract: with each batch fed to the DFG builder (O(nodes+edges) state per
 // rank) and then released, peak resident decoded bytes are set by the window,
@@ -239,8 +199,8 @@ func TestStreamPeakIndependentOfTraceSize(t *testing.T) {
 	}
 }
 
-// TestVerifyAllStreamReadsTraceOnce: a streamed run of a racy trace decodes
-// the directory in the fused analysis pass and never again — race details
+// TestVerifyAllStreamReadsTraceOnce: a run of a racy trace off its directory
+// decodes the directory in the analysis pass and never again — race details
 // come from the detector's signature table, not from a second read.
 func TestVerifyAllStreamReadsTraceOnce(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "trace")

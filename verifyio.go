@@ -230,10 +230,11 @@ type ReadOptions struct {
 	// Telemetry instruments the load (a "read-trace" span with per-rank
 	// children, trace.* metrics). Nil disables.
 	Telemetry *Telemetry
-	// WindowBytes bounds the decoded records resident at once on the
-	// streaming entry points (VerifyStream, VerifyAllStream): 0 means the
-	// default window (trace.DefaultWindowBytes), negative means unbounded.
-	// Materializing loads ignore it — they hold the whole trace by design.
+	// WindowBytes bounds the decoded records resident at once when a
+	// directory is verified as it is read (VerifyStream, VerifyAllStream): 0
+	// means the default window (trace.DefaultWindowBytes), negative means
+	// unbounded. Loads into memory ignore it — they hold the whole trace by
+	// design.
 	WindowBytes int64
 }
 
@@ -369,10 +370,10 @@ type Options struct {
 	MaxRaceDetails int
 	// ContinueOnUnmatched verifies even when MPI matching found problems.
 	ContinueOnUnmatched bool
-	// Workers is the number of goroutines used across steps 2–4: conflict
-	// detection shards its per-rank replay and per-file sweep, MPI
-	// matching its per-rank scan (with the two steps also running
-	// concurrently with each other), and verification shards the conflict
+	// Workers is the number of goroutines used across steps 2–4: that many
+	// ranks are read, replayed for conflicts and scanned for MPI calls at
+	// once, the per-file conflict sweep is sharded (and runs concurrently
+	// with the cross-rank matching), and verification shards the conflict
 	// groups (plus running models concurrently in VerifyAll). 0 means
 	// GOMAXPROCS; 1 forces the fully serial path. Results are independent
 	// of the worker count.
@@ -402,11 +403,11 @@ func (o *Options) analyzeOptions() verify.AnalyzeOptions {
 	if o == nil {
 		return verify.AnalyzeOptions{}
 	}
-	return verify.AnalyzeOptions{Workers: o.Workers, Obs: o.Telemetry.ctx()}
+	return verify.AnalyzeOptions{Workers: o.Workers, Digest: o.Cache != nil, Obs: o.Telemetry.ctx()}
 }
 
-func (o *Options) verifyOptions(m semantics.Model) verify.Options {
-	vo := verify.Options{Model: m}
+func (o *Options) verifyOptions() verify.Options {
+	var vo verify.Options
 	if o != nil {
 		vo.DisablePruning = o.DisablePruning
 		vo.MaxRaceDetails = o.MaxRaceDetails
@@ -443,20 +444,24 @@ type Problem struct {
 	Detail string
 }
 
-// Timing is the stage breakdown of a verification run (Table IV).
+// Timing is the stage breakdown of a verification run (Table IV). The first
+// three stages interleave batch by batch inside the per-rank tasks; each
+// field sums its stage's share over the ranks plus its cross-rank phase.
 type Timing struct {
+	// ReadTrace is the time spent producing record batches: decoding, for a
+	// directory; next to nothing for a trace already in memory.
 	ReadTrace       time.Duration
 	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching), previously lumped into
-	// BuildGraph.
+	// Match covers step 3 (MPI matching).
 	Match        time.Duration
 	BuildGraph   time.Duration
 	VectorClock  time.Duration
 	Verification time.Duration
-	// DetectMatchWall is the wall-clock time of the combined conflict
-	// detection / MPI matching phase, which runs both steps concurrently
-	// when Options.Workers != 1. It reports overlap (wall < detect+match)
-	// and, like every "Wall"-suffixed field, is excluded from Total.
+	// DetectMatchWall is the wall-clock time of the read / conflict
+	// detection / MPI matching phase, whose ranks (and cross-rank phases)
+	// run concurrently when Options.Workers != 1. It reports overlap (wall <
+	// read+detect+match) and, like every "Wall"-suffixed field, is excluded
+	// from Total.
 	DetectMatchWall time.Duration
 	// AnalyzeWall is the wall-clock time of the whole analysis front-end
 	// (steps 2–3 plus happens-before construction) — the elapsed time a
@@ -609,63 +614,86 @@ type Diagnosis struct {
 	Suggestion string
 }
 
-// Diagnose verifies the trace under the model and classifies every detailed
-// race: whether the accesses lack any ordering (application must add MPI
-// synchronization), lack only the model's synchronization construct
-// (application adds fsync / close-open / sync-barrier-sync), or stem from
-// library-internal I/O the application cannot see (library-level fix).
-func Diagnose(t *Trace, model Model, opts *Options) (*Report, []Diagnosis, error) {
-	m, err := model.resolve()
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := analyzeTrace(t, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, nil, err
-	}
+// Diagnose classifies every detailed race of the report: whether the
+// accesses lack any ordering (application must add MPI synchronization),
+// lack only the model's synchronization construct (application adds fsync /
+// close-open / sync-barrier-sync), or stem from library-internal I/O the
+// application cannot see (library-level fix). It is a function of the report
+// alone: nothing is analyzed or verified again.
+func (r *Report) Diagnose() []Diagnosis {
+	m, _ := r.Model.resolve() // an unknown model gets the generic advice
 	var out []Diagnosis
-	for _, d := range a.Diagnose(rep, m) {
+	for i, d := range r.inner.Diagnose(m) {
 		out = append(out, Diagnosis{
-			Race:        wrapReport(rep).raceFor(d.Race),
+			Race:        r.Races[i],
 			Category:    d.Category.String(),
 			Responsible: d.Responsible,
 			Suggestion:  d.Suggestion,
 		})
 	}
-	return wrapReport(rep), out, nil
+	return out
 }
 
-// raceFor converts an internal race to the public form (helper for
-// Diagnose; details match the Races slice entries).
-func (r *Report) raceFor(race verify.Race) Race {
-	return Race{
-		File:  race.File,
-		FuncX: race.FuncX, FuncY: race.FuncY,
-		RankX: race.X.Ref.Rank, RankY: race.Y.Ref.Rank,
-		StartX: race.X.Start, EndX: race.X.End,
-		StartY: race.Y.Start, EndY: race.Y.End,
-		ChainX: race.ChainX, ChainY: race.ChainY,
-		Level: race.Level(),
-	}
-}
-
-// analyzeTrace builds the shared analysis front-end for a materialized
-// trace, carrying its salvage state into verdict-cache identity.
-func analyzeTrace(t *Trace, opts *Options) (*verify.Analysis, error) {
-	algo, err := opts.algo()
+// Diagnose verifies the trace under the model and diagnoses the report (see
+// Report.Diagnose).
+func Diagnose(t *Trace, model Model, opts *Options) (*Report, []Diagnosis, error) {
+	rep, err := Verify(t, model, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a, err := verify.AnalyzeOpts(t.t, algo, opts.analyzeOptions())
+	return rep, rep.Diagnose(), nil
+}
+
+// analyze analyzes the trace from memory, carrying its salvage state into
+// verdict-cache identity.
+func (t *Trace) analyze(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+	a, err := verify.Analyze(t.t, algo, ao)
 	if err != nil {
 		return nil, err
 	}
 	a.SetSalvage(t.salvage)
 	return a, nil
+}
+
+// verifyModels is the body of every entry point: analyze the source once
+// (conflict detection, MPI matching, happens-before construction), verify
+// the models over the shared analysis, wrap the reports. It also returns the
+// analysis' salvage state.
+func verifyModels(analyze func(verify.Algo, verify.AnalyzeOptions) (*verify.Analysis, error),
+	models []semantics.Model, opts *Options) ([]*Report, *trace.DecodeStats, error) {
+	algo, err := opts.algo()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := analyze(algo, opts.analyzeOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	reps, err := a.VerifyAll(models, opts.verifyOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("verifyio: %w", err)
+	}
+	out := make([]*Report, len(reps))
+	for i, rep := range reps {
+		out[i] = wrapReport(rep)
+	}
+	return out, a.Salvage(), nil
+}
+
+// verifyDir verifies the models off the trace directory. The Recovery is
+// non-nil only in tolerate mode.
+func verifyDir(dir string, models []semantics.Model, read ReadOptions, opts *Options) ([]*Report, *Recovery, error) {
+	reps, stats, err := verifyModels(func(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+		return verify.AnalyzeStream(dir, algo, verify.StreamAnalyzeOptions{
+			AnalyzeOptions: ao,
+			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate, Obs: read.Telemetry.ctx()},
+			WindowBytes:    read.WindowBytes,
+		})
+	}, models, opts)
+	if err != nil || !read.Tolerate {
+		return reps, nil, err
+	}
+	return reps, recoveryFromStats(stats), nil
 }
 
 // Verify runs steps 2–4 of the workflow on a trace for one model.
@@ -674,15 +702,11 @@ func Verify(t *Trace, model Model, opts *Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := analyzeTrace(t, opts)
+	reps, _, err := verifyModels(t.analyze, []semantics.Model{m}, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, err
-	}
-	return wrapReport(rep), nil
+	return reps[0], nil
 }
 
 // VerifyAll verifies a trace against all four models, sharing the conflict
@@ -690,85 +714,31 @@ func Verify(t *Trace, model Model, opts *Options) (*Report, error) {
 // Options.Workers != 1 the four model passes run concurrently over the
 // shared analysis.
 func VerifyAll(t *Trace, opts *Options) ([]*Report, error) {
-	a, err := analyzeTrace(t, opts)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := a.VerifyAll(semantics.All(), opts.verifyOptions(semantics.Model{}))
-	if err != nil {
-		return nil, fmt.Errorf("verifyio: %w", err)
-	}
-	out := make([]*Report, len(reps))
-	for i, rep := range reps {
-		out[i] = wrapReport(rep)
-	}
-	return out, nil
-}
-
-// analyzeStreamDir builds the analysis front-end directly off the on-disk
-// trace stream (see verify.AnalyzeStream), never materializing the trace.
-func analyzeStreamDir(dir string, read ReadOptions, opts *Options) (*verify.Analysis, *Recovery, error) {
-	algo, err := opts.algo()
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := verify.AnalyzeStream(dir, algo, verify.StreamAnalyzeOptions{
-		AnalyzeOptions: opts.analyzeOptions(),
-		Decode: trace.DecodeOptions{
-			Tolerate: read.Tolerate,
-			Obs:      read.Telemetry.ctx(),
-		},
-		WindowBytes: read.WindowBytes,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !read.Tolerate {
-		return a, nil, nil
-	}
-	return a, recoveryFromStats(a.Salvage()), nil
+	reps, _, err := verifyModels(t.analyze, semantics.All(), opts)
+	return reps, err
 }
 
 // VerifyStream verifies the trace directory against one model while
 // decoding it, holding at most ReadOptions.WindowBytes of decoded records at
 // a time instead of the whole trace (conflict detection, MPI matching and
 // the cache digests consume each record batch as it decodes). The report is
-// identical to ReadTraceDirOpts + Verify on the same directory, except for
-// the Timing split: the fused pass reports its wall time as DetectMatchWall,
-// with DetectConflicts and Match covering only each stage's cross-rank
-// finish phase and ReadTrace staying zero. The Recovery is non-nil only in
-// tolerate mode.
+// the one ReadTraceDirOpts + Verify give on the same directory — it is the
+// same pipeline reading a different source — with the decode time in
+// Timing.ReadTrace. The Recovery is non-nil only in tolerate mode.
 func VerifyStream(dir string, model Model, read ReadOptions, opts *Options) (*Report, *Recovery, error) {
 	m, err := model.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	a, rec, err := analyzeStreamDir(dir, read, opts)
+	reps, rec, err := verifyDir(dir, []semantics.Model{m}, read, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := a.Verify(opts.verifyOptions(m))
-	if err != nil {
-		return nil, nil, err
-	}
-	return wrapReport(rep), rec, nil
+	return reps[0], rec, nil
 }
 
 // VerifyAllStream is VerifyStream across all four models, sharing the
-// single fused decode/detect/match pass and the happens-before construction
-// between them exactly as VerifyAll shares a materialized analysis.
+// analysis between them exactly as VerifyAll does.
 func VerifyAllStream(dir string, read ReadOptions, opts *Options) ([]*Report, *Recovery, error) {
-	a, rec, err := analyzeStreamDir(dir, read, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	reps, err := a.VerifyAll(semantics.All(), opts.verifyOptions(semantics.Model{}))
-	if err != nil {
-		return nil, nil, fmt.Errorf("verifyio: %w", err)
-	}
-	out := make([]*Report, len(reps))
-	for i, rep := range reps {
-		out[i] = wrapReport(rep)
-	}
-	return out, rec, nil
+	return verifyDir(dir, semantics.All(), read, opts)
 }

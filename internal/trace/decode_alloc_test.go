@@ -12,7 +12,7 @@ import (
 // uniqueOffsetTrace is the decoder's worst honest input: every data
 // operation carries an offset string no other record shares, so the string
 // table holds one entry per operation.
-func uniqueOffsetTrace(t *testing.T, nranks, nops int) *Trace {
+func uniqueOffsetTrace(t testing.TB, nranks, nops int) *Trace {
 	t.Helper()
 	tr := New(nranks)
 	for rank := 0; rank < nranks; rank++ {
@@ -154,47 +154,36 @@ func TestHostileRecordCountAllocation(t *testing.T) {
 	}
 }
 
-// TestReadDirRecordBuffersAllocatedOnce pins what happens to the buffers a
-// rank grows out of: the stream keeps them, so of a directory's ranks only
-// the first allocates the growth ladder (a third of its records on top) and
-// the rest allocate their final buffer alone — and a rank much smaller than
-// the buffer it was handed takes a copy instead of pinning the buffer.
-func TestReadDirRecordBuffersAllocatedOnce(t *testing.T) {
-	recSize := uint64(reflect.TypeOf(Record{}).Size())
-	write := func(counts ...int) (string, uint64) {
-		tr := New(len(counts))
-		for rank, n := range counts {
-			for i := 0; i < n; i++ {
-				tr.Append(Record{Rank: rank, Func: "fsync", Layer: LayerPOSIX, Tick: int64(2 * i), Ret: int64(2*i + 1)})
+// BenchmarkReadDir measures the materializing read of an 8-rank directory
+// whose data operations all carry distinct offsets (the shape of the repo
+// benchmark's sparse workload), on one rank reader and on one per core.
+func BenchmarkReadDir(b *testing.B) {
+	tr := uniqueOffsetTrace(b, 8, 32<<10)
+	dir := b.TempDir()
+	if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
+		b.Fatal(err)
+	}
+	run := func(readers int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, _, err := readDir(dir, DecodeOptions{}, readers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got.NumRecords() != tr.NumRecords() {
+					b.Fatalf("readDir: %d records, want %d", got.NumRecords(), tr.NumRecords())
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.NumRecords()), "ns/record")
 		}
-		dir := t.TempDir()
-		if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
-			t.Fatal(err)
-		}
-		return dir, uint64(tr.NumRecords()) * recSize
 	}
-
-	dir, recBytes := write(8192, 8192, 8192, 8192, 8192, 8192, 8192, 8192)
-	got := allocatedBytes(func() {
-		if _, err := ReadDir(dir); err != nil {
-			t.Fatal(err)
+	b.Run("readers=1", run(1))
+	b.Run("readers=GOMAXPROCS", func(b *testing.B) {
+		procs := runtime.GOMAXPROCS(0)
+		if procs < 2 {
+			b.Skip("one core: a second reader has nothing to run on")
 		}
+		run(procs)(b)
 	})
-	// One ladder over eight ranks is 1/24 on top; every rank climbing its own
-	// would be 1/3. The rest (readers, inflate state, tables) is ~100 KiB a file.
-	if limit := recBytes + recBytes/8 + 8*(128<<10); got > limit {
-		t.Errorf("ReadDir allocated %d bytes for %d bytes of records, want <= %d", got, recBytes, limit)
-	}
-
-	dir, _ = write(16384, 10, 10)
-	tr, err := ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank, recs := range tr.Ranks {
-		if cap(recs) > 2*len(recs) {
-			t.Errorf("rank %d: %d records pin a buffer of %d", rank, len(recs), cap(recs))
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 )
@@ -178,7 +179,13 @@ func DecodeWithOptions(r io.Reader, opts DecodeOptions) (*Trace, *DecodeStats, e
 // section being decoded, and the remaining allocation budget, so every
 // failure can be classified and located.
 type decoder struct {
-	br      *bufio.Reader
+	src io.Reader // the (decompressed) payload
+	// buf[r:w] is the decoder's window on the payload: read from src, not yet
+	// consumed. Varints decode straight out of it.
+	buf    []byte
+	r, w   int
+	srcErr error // src's error, reported once the bytes read before it are consumed
+
 	off     int64 // bytes consumed from the (decompressed) payload
 	lim     Limits
 	budget  int64 // remaining bytes of lim.MaxPayload
@@ -213,14 +220,49 @@ func (d *decoder) fail(kind ErrKind, cause error) error {
 	}
 }
 
-// ReadByte implements io.ByteReader so binary.ReadUvarint consumes the
-// stream through the decoder's offset accounting. It returns the raw
-// underlying error; callers classify it.
-func (d *decoder) ReadByte() (byte, error) {
-	b, err := d.br.ReadByte()
-	if err != nil {
-		return 0, err
+// windowSize is bufio's default: a larger window costs the many small rank
+// files of a corpus more to allocate and clear than it saves in refills.
+const windowSize = 4 << 10
+
+// fill reads the next stretch of payload into the window, which must be
+// empty. It returns the raw underlying error; callers classify it.
+func (d *decoder) fill() error {
+	d.r, d.w = 0, 0
+	for tries := 0; d.w == 0; tries++ {
+		switch {
+		case d.srcErr != nil:
+			return d.srcErr
+		case tries == 100:
+			return io.ErrNoProgress
+		}
+		d.w, d.srcErr = d.src.Read(d.buf)
 	}
+	return nil
+}
+
+// Read implements io.Reader over the window; like ReadByte and fill it
+// returns raw errors, and it leaves the offset to its caller.
+func (d *decoder) Read(p []byte) (int, error) {
+	if d.r == d.w {
+		if err := d.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, d.buf[d.r:d.w])
+	d.r += n
+	return n, nil
+}
+
+// ReadByte implements io.ByteReader so binary.ReadUvarint consumes the
+// stream through the decoder's offset accounting.
+func (d *decoder) ReadByte() (byte, error) {
+	if d.r == d.w {
+		if err := d.fill(); err != nil {
+			return 0, err
+		}
+	}
+	b := d.buf[d.r]
+	d.r++
 	d.off++
 	return b, nil
 }
@@ -233,19 +275,16 @@ func (d *decoder) byteField() (byte, error) {
 	return b, nil
 }
 
-// uvarint reads one varint. When a whole maximum-length varint is already
-// buffered it is decoded straight from the buffer; anything the fast path
-// cannot accept (a short buffer, an over-long varint) takes the byte-at-a-time
-// path, which alone produces errors — so offsets and error classes do not
+// uvarint reads one varint. One that lies whole inside the window is decoded
+// straight from it; anything else (a varint cut by the window's end, an
+// over-long one) takes the byte-at-a-time path, which alone refills the
+// window and alone produces errors — so offsets and error classes do not
 // depend on which path ran.
 func (d *decoder) uvarint() (uint64, error) {
-	if d.br.Buffered() >= binary.MaxVarintLen64 {
-		p, _ := d.br.Peek(binary.MaxVarintLen64)
-		if v, n := binary.Uvarint(p); n > 0 {
-			d.br.Discard(n)
-			d.off += int64(n)
-			return v, nil
-		}
+	if v, n := binary.Uvarint(d.buf[d.r:d.w]); n > 0 {
+		d.r += n
+		d.off += int64(n)
+		return v, nil
 	}
 	v, err := binary.ReadUvarint(d)
 	if err != nil {
@@ -280,7 +319,7 @@ func (d *decoder) strLen() (int, error) {
 
 // strBody fills buf with the next len(buf) payload bytes.
 func (d *decoder) strBody(buf []byte) error {
-	if _, err := io.ReadFull(d.br, buf); err != nil {
+	if _, err := io.ReadFull(d, buf); err != nil {
 		return d.fail(classifyIO(err), fmt.Errorf("string body: %w", err))
 	}
 	d.off += int64(len(buf))
@@ -401,7 +440,8 @@ func openPayload(r io.Reader) (io.Reader, io.ReadCloser, error) {
 
 func newDecoder(payload io.Reader, lim Limits, wantSpans bool) *decoder {
 	d := &decoder{
-		br:     bufio.NewReader(payload),
+		src:    payload,
+		buf:    make([]byte, windowSize),
 		lim:    lim.withDefaults(),
 		rank:   -1,
 		record: -1,
@@ -418,7 +458,11 @@ func newDecoder(payload io.Reader, lim Limits, wantSpans bool) *decoder {
 // Tolerate mode never calls this: the decoded prefix is the trace.
 func (d *decoder) checkTrailer(fr io.ReadCloser) error {
 	d.section, d.rank, d.record = "trailer", -1, -1
-	if _, err := d.br.ReadByte(); err == nil {
+	var err error
+	if d.r == d.w {
+		err = d.fill()
+	}
+	if err == nil {
 		return d.fail(Corrupt, errors.New("trailing data after trace payload"))
 	} else if err != io.EOF {
 		return d.fail(classifyIO(err), fmt.Errorf("stream end: %w", err))
@@ -684,44 +728,20 @@ func ReadDir(dir string) (*Trace, error) {
 // ReadDirWithOptions loads a trace directory written by WriteDir. In
 // tolerate mode, rank files that are damaged mid-stream contribute their
 // salvaged prefix, and files that are missing or unreadable leave an empty
-// rank stream; both are reported per rank in the stats.
-//
-// It is a thin wrapper over OpenStream (stream.go) with windowing disabled:
-// each rank arrives as one batch whose buffer the Trace keeps outright, so
-// materializing pays no copy over the old direct decoder — only the peak
-// memory the streaming API exists to avoid.
+// rank stream; both are reported per rank in the stats. The rank files are
+// decoded concurrently, on up to GOMAXPROCS goroutines.
 func ReadDirWithOptions(dir string, opts DecodeOptions) (*Trace, *DecodeStats, error) {
-	s, err := OpenStream(dir, StreamOptions{DecodeOptions: opts, WindowBytes: WindowUnbounded})
+	return readDir(dir, opts, runtime.GOMAXPROCS(0))
+}
+
+// readDir is ReadDirWithOptions on up to readers goroutines.
+func readDir(dir string, opts DecodeOptions, readers int) (*Trace, *DecodeStats, error) {
+	d, err := OpenDir(dir, StreamOptions{DecodeOptions: opts, WindowBytes: WindowUnbounded}, readers)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer s.Close()
-	t := New(s.NumRanks())
-	for {
-		b, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		// Keep the batch (no Release): the buffer becomes the rank's
-		// record slice. A buffer an earlier, larger rank grew out of would
-		// stay pinned at its full size, so a rank that fills less than half
-		// of one takes a copy and hands the buffer on.
-		if existing := t.Ranks[b.Rank]; len(existing) > 0 {
-			t.Ranks[b.Rank] = append(existing, b.Recs...)
-		} else if cap(b.Recs) > 2*len(b.Recs) {
-			t.Ranks[b.Rank] = slices.Clone(b.Recs)
-			b.Release()
-		} else {
-			t.Ranks[b.Rank] = b.Recs
-		}
-	}
-	for k, v := range s.Meta() {
-		t.Meta[k] = v
-	}
-	return t, s.Stats(), nil
+	defer d.Close()
+	return d.materialize(readers)
 }
 
 func renumber(rs []Record, rank int) []Record {

@@ -44,14 +44,19 @@ func fuzzSeedTrace() *Trace {
 
 // FuzzDecode drives the single-stream decoder with arbitrary bytes: it must
 // never panic, must classify every failure as a DecodeError, and in
-// tolerate mode must always hand back a structurally valid trace.
+// tolerate mode must always hand back a structurally valid trace. The outcome
+// must not depend on where the decoder's window on the payload ends: the
+// varints that lie across a refill are read byte by byte, the rest straight
+// from the window, and the two must agree at every offset.
 func FuzzDecode(f *testing.F) {
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, fuzzSeedTrace(), EncodeOptions{Compress: compress}); err != nil {
-			f.Fatal(err)
+	for _, seed := range []*Trace{fuzzSeedTrace(), wideVarintTrace()} {
+		for _, compress := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := Encode(&buf, seed, EncodeOptions{Compress: compress}); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
 		}
-		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("VIOT\x01\x00"))
 	f.Add([]byte("VIOT\x01\x00\x00\x00\x02\x00\x00"))
@@ -84,6 +89,10 @@ func FuzzDecode(f *testing.F) {
 			}
 		} else if verr := ttr.Validate(); verr != nil {
 			t.Fatalf("tolerant decode returned invalid trace: %v", verr)
+		}
+
+		for _, tolerate := range []bool{false, true} {
+			sameAtEveryWindow(t, data, DecodeOptions{Tolerate: tolerate, Limits: fuzzLimits()}, 1, 7, 16)
 		}
 	})
 }

@@ -4,14 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"verifyio/internal/obs"
+	"verifyio/internal/par"
 )
 
 // Source is a trace as the analysis consumes it: one record stream per rank
@@ -60,9 +63,9 @@ type Dir struct {
 // OpenDir opens a trace directory for reading by up to readers ranks at
 // once: the window (StreamOptions.WindowBytes) is divided among them, so the
 // decoded records resident stay within it. The directory's shape (rank
-// count, missing files) is validated here from each file's metadata section;
-// record damage surfaces from ReadRank — strict mode fails, tolerate mode
-// salvages per-rank prefixes and reports them in Stats.
+// count, missing files) is validated here (see scan); a damaged rank file
+// surfaces from ReadRank — strict mode fails, tolerate mode salvages per-rank
+// prefixes and reports them in Stats.
 func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
 	oc, span := opts.Obs.Start("read-trace", obs.String("dir", dir))
 	span.SetCat("decode")
@@ -84,33 +87,36 @@ func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
 	return d, nil
 }
 
-// scan enumerates the rank files and decodes each one's metadata section (a
-// few bytes per file) to resolve the world rank count and run the strict
-// completeness checks before any records decode.
+// scan resolves the directory's shape: which ranks have a file comes from the
+// file names, the world rank count and the trace-level metadata from the
+// metadata section (a few bytes) of the lowest rank file that has a readable
+// one. No other file is opened here — a damaged header on a later rank
+// surfaces from openRank, classified the same way — so every file but the one
+// scanned is inflated once and opening a directory costs the same at any rank
+// count.
 func (d *Dir) scan() error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return err
 	}
-	maxRank := -1
 	ranks := make([]int, 0, len(entries))
 	for _, e := range entries {
-		// Only the exact name WriteDir gives a rank counts. Sscanf alone
-		// accepts any suffix and non-canonical digits, and a backup or a
+		// Only the exact name WriteDir gives a rank counts: a backup or a
 		// partial copy ("rank-3.viot~", "rank-03.viot") must never stand in
 		// for the rank's file.
-		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.viot", &rank); err != nil ||
-			rank < 0 || e.Name() != rankFileName(rank) {
-			continue
+		digits, hasPrefix := strings.CutPrefix(e.Name(), "rank-")
+		digits, hasSuffix := strings.CutSuffix(digits, ".viot")
+		if rank, ok := parseCount(digits); ok && hasPrefix && hasSuffix {
+			d.names[rank] = e.Name()
+			ranks = append(ranks, rank)
 		}
-		d.names[rank] = e.Name()
-		ranks = append(ranks, rank)
-		maxRank = max(maxRank, rank)
+	}
+	if len(ranks) == 0 {
+		return fmt.Errorf("trace: no rank files in %s", d.dir)
 	}
 	sort.Ints(ranks)
+	maxRank := ranks[len(ranks)-1]
 	nranks := -1
-	readable := 0
 	failed := make(map[int]error)
 	for _, rank := range ranks {
 		meta, err := d.prescan(d.names[rank])
@@ -122,9 +128,9 @@ func (d *Dir) scan() error {
 			failed[rank] = err
 			continue
 		}
-		readable++
-		if n := meta["verifyio.nranks"]; n != "" {
-			fmt.Sscanf(n, "%d", &nranks)
+		// A malformed rank count is an absent one.
+		if n, ok := parseCount(meta["verifyio.nranks"]); ok {
+			nranks = n
 		}
 		if rank == 0 {
 			for k, v := range meta {
@@ -135,9 +141,7 @@ func (d *Dir) scan() error {
 				}
 			}
 		}
-	}
-	if len(ranks) == 0 {
-		return fmt.Errorf("trace: no rank files in %s", d.dir)
+		break
 	}
 	if nranks < 0 || (d.opts.Tolerate && maxRank+1 > nranks) {
 		nranks = maxRank + 1
@@ -154,8 +158,8 @@ func (d *Dir) scan() error {
 		nranks = lim.MaxRanks
 	}
 	if !d.opts.Tolerate {
-		if readable != nranks {
-			return fmt.Errorf("trace: directory holds %d rank files, metadata says %d ranks", readable, nranks)
+		if len(ranks) != nranks {
+			return fmt.Errorf("trace: directory holds %d rank files, metadata says %d ranks", len(ranks), nranks)
 		}
 		for rank := 0; rank < nranks; rank++ {
 			if _, ok := d.names[rank]; !ok {
@@ -176,6 +180,13 @@ func (d *Dir) scan() error {
 		}
 	}
 	return nil
+}
+
+// parseCount parses a rank number or rank count as WriteDir writes one:
+// canonical decimal, nothing around it.
+func parseCount(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0 && strconv.Itoa(n) == s
 }
 
 // lost records (tolerate mode) that the rank's file salvages nothing.
@@ -204,10 +215,19 @@ func (d *Dir) prescan(name string) (map[string]string, error) {
 func (d *Dir) NumRanks() int { return len(d.counts) }
 
 // ReadRank decodes the rank's file, passing each batch to fn; the batch
-// buffer is reused for the next one. The buffers go with the last rank: the
-// analysis' cross-rank phases, its memory peak, should not find them in the
-// heap.
+// buffer is reused for the next one.
 func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
+	return d.readRank(rank, func(recs []Record) bool {
+		fn(recs)
+		return false
+	})
+}
+
+// readRank is ReadRank with the buffer's fate left to fn: a batch fn reports
+// kept is the caller's, buffer and all, and stays counted as resident. The
+// buffers left in the pool go with the last rank: the analysis' cross-rank
+// phases, its memory peak, should not find them in the heap.
+func (d *Dir) readRank(rank int, fn func(recs []Record) (kept bool)) error {
 	defer func() {
 		if d.unread.Add(-1) == 0 {
 			d.pool.drop()
@@ -227,10 +247,48 @@ func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
 			return err
 		}
 		d.res.add(b.cost)
-		fn(b.recs)
-		d.res.add(-b.cost)
-		d.pool.put(b.recs)
+		if !fn(b.recs) {
+			d.res.add(-b.cost)
+			d.pool.put(b.recs)
+		}
 	}
+}
+
+// materialize reads every rank into memory on up to readers goroutines. With
+// windowing disabled each rank arrives as one batch whose buffer the Trace
+// keeps outright, so materializing pays no copy — only the peak memory the
+// window exists to avoid. Strict mode returns the lowest failing rank's
+// error, the one a rank-by-rank read meets first; the ranks above a failed
+// one are not read.
+func (d *Dir) materialize(readers int) (*Trace, *DecodeStats, error) {
+	t := New(d.NumRanks())
+	errs := make([]error, d.NumRanks())
+	var failed atomic.Int64 // lowest failing rank so far
+	failed.Store(int64(d.NumRanks()))
+	par.Do(readers, d.NumRanks(), func(rank int) {
+		if int64(rank) > failed.Load() {
+			return
+		}
+		errs[rank] = d.readRank(rank, func(recs []Record) bool {
+			// A buffer a larger rank grew out of would stay pinned at its
+			// full size, so a rank that fills less than half of one takes a
+			// copy and hands the buffer on.
+			if len(t.Ranks[rank]) > 0 || cap(recs) > 2*len(recs) {
+				t.Ranks[rank] = append(t.Ranks[rank], recs...)
+				return false
+			}
+			t.Ranks[rank] = recs
+			return true
+		})
+		for low := failed.Load(); errs[rank] != nil && int64(rank) < low; low = failed.Load() {
+			failed.CompareAndSwap(low, int64(rank))
+		}
+	})
+	if low := failed.Load(); low < int64(len(errs)) {
+		return nil, nil, errs[low]
+	}
+	maps.Copy(t.Meta, d.meta)
+	return t, d.Stats(), nil
 }
 
 // Stats returns the tolerate-mode salvage stats of the ranks read so far
@@ -312,6 +370,11 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 	}
 	src.f = f
 	src.ps.rankOff = rank
+	if d.window == 0 {
+		// Whole ranks as batches, which a reader may keep (ReadDir does): the
+		// next rank starts from the buffers this one grew out of.
+		src.ps.outgrown = d.pool.put
+	}
 	return &rankReader{d: d, rank: rank, src: src, span: span}, nil
 }
 

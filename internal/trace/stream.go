@@ -16,9 +16,9 @@ import (
 // bounded by a byte window, with an explicit Release that returns the batch
 // buffer to a pool. A consumer that releases each batch after processing it
 // keeps peak decoded memory bounded by the window (plus the current file's
-// string table), not by the trace. The analysis reads a directory rank by
-// rank through Dir (source.go) instead, several ranks at once; Stream is the
-// one-goroutine view of the same readers, and what ReadDir drains.
+// string table), not by the trace. The analysis and ReadDir read a directory
+// rank by rank through Dir (source.go) instead, several ranks at once; Stream
+// is the one-goroutine view of the same readers.
 //
 // Every decoder shares one record-decoding core (payloadStream), so they are
 // behaviorally identical: the same Limits bound every allocation, the same
@@ -32,8 +32,8 @@ import (
 const DefaultWindowBytes = 4 << 20
 
 // WindowUnbounded disables batch windowing: each rank arrives as a single
-// batch (the materializing wrapper keeps that batch's buffer as the rank's
-// record slice instead of copying the rank).
+// batch (ReadDir keeps that batch's buffer as the rank's record slice instead
+// of copying the rank).
 const WindowUnbounded = -1
 
 // StreamOptions controls streaming ingestion. DecodeOptions (Limits,
@@ -292,12 +292,7 @@ func (s *Stream) nextDir() (rawBatch, error) {
 			if err != nil {
 				return rawBatch{}, err
 			}
-			if rr != nil { // nil: tolerate mode has nothing to read for the rank
-				// A consumer may keep its batches (ReadDir does), so the next
-				// rank starts from the buffers this one grew out of.
-				rr.src.ps.outgrown = s.pool.put
-			}
-			s.cur = rr
+			s.cur = rr // nil: tolerate mode has nothing to read for the rank
 			continue
 		}
 		b, err := s.cur.next()
@@ -585,9 +580,10 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 // recGrowth: an honest rank allocates about recGrowth/(recGrowth-1) times its
 // records in total, and a count field promising records the stream does not
 // hold costs at most recGrowth times what was actually decoded (plus one
-// minimal buffer) — never a buffer sized by the promise. A Stream takes the
-// outgrown buffers into its pool, so only its first rank climbs the whole
-// ladder; later ranks start from the largest buffer left behind.
+// minimal buffer) — never a buffer sized by the promise. A Stream, or a Dir
+// read in whole ranks, takes the outgrown buffers into its pool, so only the
+// first rank of each reader climbs the whole ladder; later ranks start from
+// the largest buffer left behind.
 const (
 	minRecCap = 64
 	recGrowth = 4

@@ -383,11 +383,15 @@ func TestStrayFilesNeverReplaceARank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stray, from := range map[string]string{
-		"rank-0.viot.bak": "rank-0.viot",
-		"rank-01.viot":    "rank-1.viot",
-		"rank-+1.viot":    "rank-1.viot",
-		"rank-2.viot~":    "rank-2.viot",
-		"rank-2.viotx":    "rank-2.viot",
+		"rank-0.viot.bak":  "rank-0.viot",
+		"rank-01.viot":     "rank-1.viot",
+		"rank-+1.viot":     "rank-1.viot",
+		"rank-2.viot~":     "rank-2.viot",
+		"rank-2.viotx":     "rank-2.viot",
+		"2.viot":           "rank-2.viot",
+		"rank-2":           "rank-2.viot",
+		"rank-3.viot.viot": "rank-2.viot",
+		"rank-rank-4.viot": "rank-2.viot",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, from))
 		if err != nil {

@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"verifyio/internal/corpus"
@@ -269,5 +271,75 @@ func TestVerifyAllStreamIgnoresStrayFiles(t *testing.T) {
 	}
 	if got := render(); !bytes.Equal(got, want) {
 		t.Errorf("reports changed once stray files sat in the directory:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// destroyHeader overwrites the rank file's magic, the damage a file zeroed by
+// a crashed writer shows.
+func destroyHeader(t *testing.T, dir string, rank int) {
+	t.Helper()
+	path := filepath.Join(dir, "rank-"+strconv.Itoa(rank)+".viot")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "\x00\x00\x00\x00")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedHeaderReportedAsBefore: a directory is opened from its file
+// names and one rank file's metadata, every other file only when its rank is
+// read — and a destroyed header is still reported with the texts the
+// open-time scan of every file gave it, from memory and off the directory.
+func TestDamagedHeaderReportedAsBefore(t *testing.T) {
+	stage := func() string {
+		dir := filepath.Join(t.TempDir(), "trace")
+		if err := trace.WriteDir(dir, corpusTraceT(t, "flexible"), trace.DefaultEncodeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	dir := stage()
+	destroyHeader(t, dir, 2)
+	const strict = "trace: rank-2.viot: trace: header at payload offset 0: corrupt: bad magic, not a VerifyIO trace"
+	if _, err := ReadTraceDir(dir); err == nil || err.Error() != strict {
+		t.Errorf("ReadTraceDir: error %v, want %q", err, strict)
+	}
+	for _, workers := range []int{1, 4} {
+		_, _, err := VerifyAllStream(dir, ReadOptions{}, &Options{Workers: workers})
+		if want := "verify: read trace: " + strict; err == nil || err.Error() != want {
+			t.Errorf("VerifyAllStream, Workers=%d: error %v, want %q", workers, err, want)
+		}
+	}
+
+	// Rank 0's header gone and the last rank's file missing: the rank count
+	// still comes from the metadata (rank 1's), not from the highest name.
+	dir = stage()
+	destroyHeader(t, dir, 0)
+	if err := os.Remove(filepath.Join(dir, "rank-3.viot")); err != nil {
+		t.Fatal(err)
+	}
+	want := []RankRecovery{
+		{Rank: 0, Salvaged: 0, Dropped: -1, Reason: "trace: header at payload offset 0: corrupt: bad magic, not a VerifyIO trace"},
+		{Rank: 3, Salvaged: 0, Dropped: -1, Reason: "trace: directory: rank 3 at payload offset 0: truncated: missing rank file"},
+	}
+	tr, rec, err := ReadTraceDirTolerant(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumRanks() != 4 || !reflect.DeepEqual(rec.Ranks, want) {
+		t.Errorf("ReadTraceDirTolerant: %d ranks, recovery %+v; want 4 ranks, %+v", tr.NumRanks(), rec.Ranks, want)
+	}
+	for _, workers := range []int{1, 4} {
+		_, rec, err := VerifyAllStream(dir, ReadOptions{Tolerate: true}, &Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec.Ranks, want) {
+			t.Errorf("VerifyAllStream, Workers=%d: recovery %+v, want %+v", workers, rec.Ranks, want)
+		}
 	}
 }

@@ -234,7 +234,7 @@ type ReadOptions struct {
 	// directory is verified as it is read (VerifyStream, VerifyAllStream): 0
 	// means the default window (trace.DefaultWindowBytes), negative means
 	// unbounded. Loads into memory ignore it — they hold the whole trace by
-	// design.
+	// design, and decode its rank files on every core.
 	WindowBytes int64
 }
 
@@ -449,7 +449,9 @@ type Problem struct {
 // field sums its stage's share over the ranks plus its cross-rank phase.
 type Timing struct {
 	// ReadTrace is the time spent producing record batches: decoding, for a
-	// directory; next to nothing for a trace already in memory.
+	// directory; next to nothing for a trace already in memory, whose load
+	// (ReadTraceDir and its variants) happened before the run and is in no
+	// field.
 	ReadTrace       time.Duration
 	DetectConflicts time.Duration
 	// Match covers step 3 (MPI matching).

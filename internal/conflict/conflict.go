@@ -21,11 +21,12 @@
 // exact — the result is identical at every worker count.
 //
 // The detector reports conflict groups (X, ζ): for each data operation X,
-// the operations on other ranks that conflict with X, partitioned by rank
+// the operations on higher ranks that conflict with X, partitioned by rank
 // and sorted in program order — the structure the verifier's pruning
-// (Fig. 3) operates on. Only cross-rank pairs are conflicts: same-process
-// operations are totally ordered by program order. Groups use a flat
-// CSR-style layout (see Group).
+// (Fig. 3) operates on. A conflicting pair is unordered, so it appears once,
+// under its lower operation. Only cross-rank pairs are conflicts:
+// same-process operations are totally ordered by program order. Groups use
+// a flat CSR-style layout (see Group).
 package conflict
 
 import (
@@ -78,8 +79,9 @@ type Result struct {
 	// Pairs is the number of conflicting cross-rank pairs (each unordered
 	// pair counted once).
 	Pairs int64
-	// Groups holds, for each op index with at least one conflict, the
-	// conflict group (X, ζ), sorted by X.
+	// Groups holds, for each op index with at least one conflicting op
+	// after it, the conflict group (X, ζ), sorted by X: every pair once, in
+	// the group of its lower index.
 	Groups []Group
 	// Skipped counts records that looked like data operations but could
 	// not be interpreted (missing arguments, unknown handles) — tolerated
@@ -178,6 +180,8 @@ func (d *Detector) Finish(opts Options) (*Result, error) {
 		r.Counter("conflict.files").Add(int64(len(res.Files)))
 		r.Counter("conflict.pairs").Add(res.Pairs)
 		r.Counter("conflict.groups").Add(int64(len(res.Groups)))
+		// A group's fan-out is its later partners only (see Group), so the
+		// observations sum to conflict.pairs.
 		fanout := r.Histogram("conflict.group_fanout", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 		for i := range res.Groups {
 			fanout.Observe(int64(len(res.Groups[i].Ys())))

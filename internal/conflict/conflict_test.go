@@ -45,9 +45,19 @@ func TestBasicOverlapDetection(t *testing.T) {
 	if len(res.Ops) != 3 {
 		t.Fatalf("ops = %d, want 3", len(res.Ops))
 	}
-	if len(res.Groups) != 2 {
-		t.Fatalf("groups = %d, want 2 (one per side)", len(res.Groups))
+	// The pair is stored once, under its lower op: rank 0's write heads the
+	// only group and rank 1's read is its only partner — never the reverse.
+	if len(res.Groups) != 1 {
+		t.Fatalf("groups = %d, want 1 (the pair lives under its lower op)", len(res.Groups))
 	}
+	g := &res.Groups[0]
+	if x, y := res.Ops[g.X], res.Ops[1]; g.X != 0 || !x.Write || x.Ref.Rank != 0 || y.Ref.Rank != 1 {
+		t.Fatalf("group X = op %d (%+v), want rank 0's write at op 0; op 1 = %+v", g.X, x, y)
+	}
+	if ys := g.Ys(); len(ys) != 1 || ys[0] != 1 || g.NumRuns() != 1 || len(g.RunAt(0)) != 1 {
+		t.Fatalf("ys = %v in %d runs, want [1] in one run", ys, g.NumRuns())
+	}
+	bruteCheck(t, res)
 }
 
 func TestReadReadIsNotAConflict(t *testing.T) {

@@ -9,7 +9,8 @@ import "encoding/binary"
 //   - the conflicting file, both by path (content identity) and by fid
 //     (generation identity — two same-path fids separated by an unlink are
 //     distinct files, and their sync-point cohorts differ);
-//   - every contributing op — X first, then the ys in CSR order — as
+//   - every contributing op — X first, then the ys in CSR order, i.e. the
+//     partners after X, which are the pairs the group's verdict covers — as
 //     (rank, seq, write, [start, end)).
 //
 // Op arena indices deliberately do not appear: they shift when the trace

@@ -3,6 +3,7 @@ package conflict
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -10,27 +11,29 @@ import (
 	"verifyio/internal/par"
 )
 
-// Group is a conflict group (X, ζ) in a flat CSR-style layout: the indices
-// of the operations conflicting with X form one ascending []int32 view into
-// a Result-wide arena, with per-rank runs delimited by offset views into a
+// Group is a conflict group (X, ζ) in a flat CSR-style layout: X and the
+// operations conflicting with it that come after it in Result.Ops. A
+// conflicting pair is unordered (Def. 7 asks for no properly-synchronized
+// order in either direction), so it is stored once, in the group of its lower
+// op index. The partners' indices form one ascending []int32 view into a
+// Result-wide arena, with per-rank runs delimited by offset views into a
 // second arena. Because Result.Ops is ordered by (rank, seq), ascending op
-// index is program order and each rank's conflicting operations form one
-// contiguous run, ranks ascending — the map-of-slices this layout replaces
-// (rank -> program-ordered indices) stored exactly the same information at
-// the cost of a map and a slice header per rank per group.
+// index is program order, each rank's conflicting operations form one
+// contiguous run, and every run lies on a rank above X's: ranks ascending,
+// and an op of the last rank heads no group.
 type Group struct {
 	// X indexes Result.Ops.
 	X int
-	// ys are the conflicting op indices, ascending.
+	// ys are the conflicting op indices above X, ascending.
 	ys []int32
 	// runs holds NumRuns()+1 offsets into ys: run k is
 	// ys[runs[k]:runs[k+1]], a maximal same-rank span.
 	runs []int32
 }
 
-// Ys returns the indices (into Result.Ops) of all operations conflicting
-// with X, ascending — which is (rank, seq) program order. The slice is a
-// view; callers must not modify it.
+// Ys returns the indices (into Result.Ops) of the operations after X that
+// conflict with it, ascending — which is (rank, seq) program order. The slice
+// is a view; callers must not modify it.
 func (g *Group) Ys() []int32 { return g.ys }
 
 // NumRuns returns the number of per-rank runs in the group.
@@ -57,9 +60,6 @@ const (
 	sliceTargetOps = 1024
 	// maxFileSlices caps how many slices one file is cut into.
 	maxFileSlices = 128
-	// histBudgetBytes bounds the transpose histograms (4·K·n bytes): the
-	// range count K shrinks before the scratch outgrows this.
-	histBudgetBytes = 1 << 24
 )
 
 // numSlices is the slice plan for a file with m data operations.
@@ -199,12 +199,11 @@ func sliceFile(ops []Op, w []int32, fid int, out []sweepSlice) {
 	}
 }
 
-// count sweeps the slice's share of the pairs, bumping both endpoints'
-// degrees. Degrees are order-free sums, so the atomic adds from
-// concurrently swept slices cannot perturb the result. Returns the number
-// of unordered pairs owned by the slice.
-func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) int64 {
-	var pairs int64
+// count sweeps the slice's share of the pairs, bumping the degree of each
+// pair's lower op index — the group the pair will live in. Degrees are
+// order-free sums, so the atomic adds from concurrently swept slices cannot
+// perturb the result.
+func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) {
 	lo, hi := int(t.lo), int(t.hi)
 	for _, ci := range t.carry {
 		I := &ops[w[ci]]
@@ -216,9 +215,7 @@ func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) int64 {
 			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
 				continue
 			}
-			atomic.AddInt32(&deg[w[ci]], 1)
-			atomic.AddInt32(&deg[w[j]], 1)
-			pairs++
+			atomic.AddInt32(&deg[min(w[ci], w[j])], 1)
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -231,20 +228,21 @@ func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) int64 {
 			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
 				continue
 			}
-			atomic.AddInt32(&deg[w[i]], 1)
-			atomic.AddInt32(&deg[w[j]], 1)
-			pairs++
+			atomic.AddInt32(&deg[min(w[i], w[j])], 1)
 		}
 	}
-	return pairs
 }
 
-// fill re-runs the slice's sweep, scattering both directed endpoints of
-// every pair into the scratch adjacency through atomic cursors. The
-// intra-bucket order is scheduling-dependent; the transpose in detectPairs
-// produces the same final layout for every such order.
-func (t *sweepSlice) fill(ops []Op, w []int32, cur []int64, adj []int32) {
+// fill re-runs the slice's sweep, writing each pair's higher op index into
+// the bucket of its lower one: bucket x is ys[off[x]:off[x+1]], and the
+// degrees count back down to zero as the cursors. The intra-bucket order is
+// scheduling-dependent; detectPairs sorts every bucket afterwards.
+func (t *sweepSlice) fill(ops []Op, w []int32, off []int64, deg, ys []int32) {
 	lo, hi := int(t.lo), int(t.hi)
+	put := func(a, b int32) {
+		x, y := min(a, b), max(a, b)
+		ys[off[x]+int64(atomic.AddInt32(&deg[x], -1))] = y
+	}
 	for _, ci := range t.carry {
 		I := &ops[w[ci]]
 		for j := lo; j < hi; j++ {
@@ -255,8 +253,7 @@ func (t *sweepSlice) fill(ops []Op, w []int32, cur []int64, adj []int32) {
 			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
 				continue
 			}
-			adj[atomic.AddInt64(&cur[w[ci]], 1)-1] = w[j]
-			adj[atomic.AddInt64(&cur[w[j]], 1)-1] = w[ci]
+			put(w[ci], w[j])
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -269,28 +266,13 @@ func (t *sweepSlice) fill(ops []Op, w []int32, cur []int64, adj []int32) {
 			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
 				continue
 			}
-			adj[atomic.AddInt64(&cur[w[i]], 1)-1] = w[j]
-			adj[atomic.AddInt64(&cur[w[j]], 1)-1] = w[i]
+			put(w[i], w[j])
 		}
 	}
 }
 
-// transposeRanges picks the parallelism of the transpose and group-build
-// passes: one balanced op range per worker, shrunk so the K·n histograms
-// stay within histBudgetBytes.
-func transposeRanges(workers, n int) int {
-	k := workers
-	if maxK := histBudgetBytes / (4 * n); k > maxK {
-		k = maxK
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // rangeBounds splits the op index space [0, n) into K contiguous ranges
-// balanced by directed-entry count, by binary search on the offset table.
+// balanced by entry count, by binary search on the offset table.
 func rangeBounds(off []int64, n, K int) []int {
 	total := off[n]
 	bounds := make([]int, K+1)
@@ -310,16 +292,15 @@ func rangeBounds(off []int64, n, K int) []int {
 // interval list is partitioned into contiguous slices sized by op count
 // (sliceFile), so the sweep scales within a single shared file — the
 // canonical N-ranks-to-one-file HPC pattern — not just across files. The
-// sweep runs twice over the (file, slice) tasks: a counting pass
-// accumulates per-op conflict degrees, a prefix sum turns them into offsets
-// into the Result-wide ys arena, and a fill pass writes both directed
-// endpoints of each pair into a scratch adjacency. A counting transpose
-// then walks ops in ascending index order and scatters each into its
-// partners' final buckets, which lands every group's ys ascending — the CSR
-// layout the old path obtained from materializing 2P pairRecs and a global
-// O(P log P) sort — and the per-rank runs fall out of one rank-monotone
-// walk. Groups emerge already sorted by X. Every output byte is a function
-// of the trace alone: the Result is identical at every worker count.
+// sweep runs twice over the (file, slice) tasks: a counting pass accumulates
+// per op the number of later ops it conflicts with, a prefix sum turns those
+// degrees into bucket offsets into the Result-wide ys arena, and a fill pass
+// writes each pair once, as its higher index in the bucket of its lower one.
+// Each bucket is then sorted in place, which lands every group's ys ascending
+// — the CSR layout — whatever order the slices filled it in, and the per-rank
+// runs fall out of one rank-monotone walk. Groups emerge already sorted by X.
+// Every output byte is a function of the trace alone: the Result is identical
+// at every worker count.
 func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	sc, sweepSpan := oc.Start("sweep", obs.Int("files", len(res.Files)))
 	defer sweepSpan.End()
@@ -382,7 +363,6 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	}
 
 	deg := make([]int32, n)
-	taskPairs := make([]int64, len(tasks))
 	countCtx, countSpan := sc.Start("sweep-count", obs.Int("slices", len(tasks)))
 	par.DoObs(countCtx, "detect-sweep", workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
@@ -396,36 +376,32 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 				obs.Int("carry", len(t.carry)))
 			defer sp.End()
 		}
-		taskPairs[ti] = t.count(ops, w, deg)
+		t.count(ops, w, deg)
 	})
 	countSpan.End()
-	for _, p := range taskPairs {
-		res.Pairs += p
-	}
 
 	off := make([]int64, n+1)
 	for i := 0; i < n; i++ {
 		off[i+1] = off[i] + int64(deg[i])
 	}
-	total := off[n]
+	res.Pairs = off[n]
 
-	// The transient footprint of the sweep: index + sort scratch + slice
-	// plan + degree / offset / cursor tables + the scratch adjacency and
-	// transpose histograms. The output arenas (ys, runs, groups) are
-	// retained and excluded. CI gates this against the pair count.
+	// The transient footprint of the sweep, O(n) tables whatever the pair
+	// count: index + sort scratch + slice plan + degree / offset / rank
+	// tables. The output arenas (ys — filled in place — runs, groups) are
+	// retained and excluded. A tier-1 test gates this against the op count.
 	scratchBytes := 4*int64(n) /* idx */ + 20*int64(n) /* idx1, keys0, keys1 */ +
 		4*int64(3*nfiles+2) /* fileOff, next, taskOff */ +
-		48*int64(len(tasks)) /* tasks (40 B each), taskPairs */ +
+		40*int64(len(tasks)) /* tasks */ +
 		4*carryOps + 4*int64(n) /* deg */ + 8*int64(n+1) /* off */
-	if total == 0 {
+	if res.Pairs == 0 {
 		publish(len(tasks), carryOps, scratchBytes)
 		return
 	}
+	publish(len(tasks), carryOps, scratchBytes+4*int64(n) /* rankOf */)
 
-	cur := make([]int64, n)
-	copy(cur, off[:n])
-	adj := make([]int32, total)
-	fillCtx, fillSpan := sc.Start("sweep-fill", obs.Int("entries", int(total)))
+	ys := make([]int32, res.Pairs)
+	fillCtx, fillSpan := sc.Start("sweep-fill", obs.Int("entries", len(ys)))
 	par.DoObs(fillCtx, "detect-fill", workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
 		w := idx[fileOff[t.fid]:fileOff[t.fid+1]]
@@ -433,73 +409,38 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 			_, sp := fillCtx.StartLane(t.lane(), "fill-slice", obs.Int("fid", int(t.fid)))
 			defer sp.End()
 		}
-		t.fill(ops, w, cur, adj)
+		t.fill(ops, w, off, deg, ys)
 	})
 	fillSpan.End()
 
-	// Counting transpose into the final ys arena, over K op ranges balanced
-	// by directed-entry count. Range k histograms its share of the scratch
-	// adjacency, an exclusive scan across ranges turns the histograms into
-	// per-range starting positions inside each destination bucket, and the
-	// scatter writes every op v (ascending within each range, ranges
-	// covering ascending v) into its partners' buckets — so each bucket
-	// comes out ascending and every write lands at a position that depends
-	// only on the adjacency, not on scheduling.
-	K := transposeRanges(workers, n)
+	// Sort the buckets and build groups and per-rank runs over K op ranges
+	// balanced by entry count: a pass that sorts each bucket and sizes the
+	// runs arena exactly, a prefix sum that places each range, and a fill
+	// that writes group-relative run offsets in one rank-monotone walk per
+	// group. Ops with nonzero degree ascend, so the group list is born
+	// sorted by X.
+	K := workers
 	bounds := rangeBounds(off, n, K)
-	ys := make([]int32, total)
-	hist := make([]int32, K*n)
-	compactCtx, compactSpan := sc.Start("sweep-compact", obs.Int("ranges", K))
-	par.DoObs(compactCtx, "detect-compact", workers, K, func(k int) {
-		h := hist[k*n : (k+1)*n]
-		for v := bounds[k]; v < bounds[k+1]; v++ {
-			for p := off[v]; p < off[v+1]; p++ {
-				h[adj[p]]++
-			}
-		}
-	})
-	for u := 0; u < n; u++ {
-		run := int32(0)
-		for k := 0; k < K; k++ {
-			hist[k*n+u], run = run, run+hist[k*n+u]
-		}
-	}
-	par.DoObs(compactCtx, "detect-compact", workers, K, func(k int) {
-		h := hist[k*n : (k+1)*n]
-		for v := bounds[k]; v < bounds[k+1]; v++ {
-			for p := off[v]; p < off[v+1]; p++ {
-				u := adj[p]
-				ys[off[u]+int64(h[u])] = int32(v)
-				h[u]++
-			}
-		}
-	})
-	compactSpan.End()
-
-	// Build groups and per-rank runs over the same op ranges: a counting
-	// pass sizes the runs arena exactly, a prefix sum places each range,
-	// and the fill writes group-relative run offsets in one rank-monotone
-	// walk per group. Ops with nonzero degree ascend, so the group list is
-	// born sorted by X.
 	rankOf := make([]int32, n)
 	for i := range ops {
 		rankOf[i] = int32(ops[i].Ref.Rank)
 	}
 	ngr := make([]int64, K+1)
 	nrn := make([]int64, K+1)
-	groupsCtx, groupsSpan := sc.Start("sweep-groups")
-	par.DoObs(groupsCtx, "detect-groups", workers, K, func(k int) {
+	compactCtx, compactSpan := sc.Start("sweep-compact", obs.Int("ranges", K))
+	par.DoObs(compactCtx, "detect-compact", workers, K, func(k int) {
 		var g, rn int64
 		for v := bounds[k]; v < bounds[k+1]; v++ {
-			lo, hi := off[v], off[v+1]
-			if lo == hi {
+			bucket := ys[off[v]:off[v+1]]
+			if len(bucket) == 0 {
 				continue
 			}
+			slices.Sort(bucket)
 			g++
 			runs := int64(1)
-			prev := rankOf[ys[lo]]
-			for p := lo + 1; p < hi; p++ {
-				if r := rankOf[ys[p]]; r != prev {
+			prev := rankOf[bucket[0]]
+			for _, y := range bucket[1:] {
+				if r := rankOf[y]; r != prev {
 					runs++
 					prev = r
 				}
@@ -508,12 +449,14 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 		}
 		ngr[k+1], nrn[k+1] = g, rn
 	})
+	compactSpan.End()
 	for k := 0; k < K; k++ {
 		ngr[k+1] += ngr[k]
 		nrn[k+1] += nrn[k]
 	}
 	groups := make([]Group, ngr[K])
 	runsArena := make([]int32, nrn[K])
+	groupsCtx, groupsSpan := sc.Start("sweep-groups")
 	par.DoObs(groupsCtx, "detect-groups", workers, K, func(k int) {
 		gi, rp := ngr[k], nrn[k]
 		for v := bounds[k]; v < bounds[k+1]; v++ {
@@ -538,8 +481,4 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	})
 	groupsSpan.End()
 	res.Groups = groups
-
-	scratchBytes += 8*int64(n) /* cur */ + 4*total /* adj */ +
-		4*int64(K)*int64(n) /* hist */ + 4*int64(n) /* rankOf */
-	publish(len(tasks), carryOps, scratchBytes)
 }

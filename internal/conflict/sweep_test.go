@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"verifyio/internal/obs"
 	"verifyio/internal/trace"
@@ -66,14 +67,17 @@ func resultFingerprint(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// bruteCheck rebuilds every conflict group from the O(n²) definition —
-// independent of sorting, slicing, and the counting transpose — and
-// requires the sweep's CSR output to match it exactly: group set, y order,
-// run boundaries, pair count.
+// bruteCheck holds the sweep's CSR output to the O(n²) definition —
+// independent of sorting, slicing and bucket order — as the each-pair-once
+// contract states it: every conflicting pair (i < j) appears exactly once, as
+// j among group i's Ys() and never as i among group j's; the groups ascend by
+// X and are exactly the ops with a later partner; every y exceeds its X;
+// Σ len(Ys) is Result.Pairs; and a group's runs tile its Ys with one rank
+// each, ranks ascending above X's.
 func bruteCheck(t *testing.T, res *Result) {
 	t.Helper()
 	n := len(res.Ops)
-	adj := make([][]int32, n)
+	later := make([][]int32, n) // later[i]: the j > i conflicting with i, ascending
 	var pairs int64
 	for i := 0; i < n; i++ {
 		I := &res.Ops[i]
@@ -83,8 +87,7 @@ func bruteCheck(t *testing.T, res *Result) {
 				continue
 			}
 			if I.Start < J.End && J.Start < I.End {
-				adj[i] = append(adj[i], int32(j))
-				adj[j] = append(adj[j], int32(i))
+				later[i] = append(later[i], int32(j))
 				pairs++
 			}
 		}
@@ -92,40 +95,56 @@ func bruteCheck(t *testing.T, res *Result) {
 	if res.Pairs != pairs {
 		t.Errorf("pairs = %d, brute force = %d", res.Pairs, pairs)
 	}
+	var stored int64
 	gi := 0
 	for x := 0; x < n; x++ {
-		if len(adj[x]) == 0 {
-			continue
+		if len(later[x]) == 0 {
+			continue // heads no group: a stray one fails the X match below or the final count
 		}
-		slices.Sort(adj[x])
-		if gi >= len(res.Groups) {
-			t.Fatalf("no group for op %d (have %d groups)", x, len(res.Groups))
+		if gi >= len(res.Groups) || res.Groups[gi].X != x {
+			t.Fatalf("group %d of %d is not op %d's, which conflicts with later ops %v", gi, len(res.Groups), x, later[x])
 		}
 		g := &res.Groups[gi]
 		gi++
-		if g.X != x || !slices.Equal(g.ys, adj[x]) {
-			t.Fatalf("group %d: X=%d ys=%v; brute x=%d ys=%v", gi-1, g.X, g.ys, x, adj[x])
+		ys := g.Ys()
+		stored += int64(len(ys))
+		// Equal to the ascending reference list: each later partner once,
+		// nothing else — in particular no y at or below X.
+		if !slices.Equal(ys, later[x]) {
+			t.Fatalf("group X=%d: ys=%v; brute force %v", x, ys, later[x])
 		}
-		var runs []int32
-		prev := -1
-		for k, y := range adj[x] {
-			if r := res.Ops[y].Ref.Rank; r != prev {
-				runs = append(runs, int32(k))
-				prev = r
+		at, rank := 0, res.Ops[x].Ref.Rank
+		for k := 0; k < g.NumRuns(); k++ {
+			run := g.RunAt(k)
+			if len(run) == 0 || &run[0] != &ys[at] {
+				t.Fatalf("group X=%d: run %d does not continue Ys at %d", x, k, at)
+			}
+			at += len(run)
+			r := res.Ops[run[0]].Ref.Rank
+			if r <= rank {
+				t.Fatalf("group X=%d: run %d on rank %d follows rank %d", x, k, r, rank)
+			}
+			rank = r
+			for _, y := range run {
+				if res.Ops[y].Ref.Rank != rank {
+					t.Fatalf("group X=%d: run %d mixes ranks %d and %d", x, k, rank, res.Ops[y].Ref.Rank)
+				}
 			}
 		}
-		runs = append(runs, int32(len(adj[x])))
-		if !slices.Equal(g.runs, runs) {
-			t.Fatalf("group X=%d: runs=%v, brute=%v", g.X, g.runs, runs)
+		if at != len(ys) {
+			t.Fatalf("group X=%d: runs cover %d of %d ys", x, at, len(ys))
 		}
 	}
 	if gi != len(res.Groups) {
 		t.Errorf("sweep produced %d groups, brute force %d", len(res.Groups), gi)
 	}
+	if stored != res.Pairs {
+		t.Errorf("groups hold %d ys, Pairs = %d", stored, res.Pairs)
+	}
 }
 
 // sweepShapes are the adversarial interval distributions the
-// full-adjacency property test covers. Every shape but the last is big
+// each-pair-once property test covers. Every shape but the last is big
 // enough to cut its file into several slices, so the carry-in sets and the
 // slice-ownership rule are on the hook, not just the per-file split.
 var sweepShapes = []struct {
@@ -179,10 +198,10 @@ func genShapeTrace(si int, seed int64) *trace.Trace {
 	return tr
 }
 
-// TestPropertySweepFullAdjacency checks the sliced, pair-free sweep against
+// TestPropertySweepEachPairOnce checks the sliced, pair-free sweep against
 // the brute-force definition — full group content, not just pair counts —
 // and requires byte-identical Results across worker counts on every shape.
-func TestPropertySweepFullAdjacency(t *testing.T) {
+func TestPropertySweepEachPairOnce(t *testing.T) {
 	for si := range sweepShapes {
 		sh := sweepShapes[si]
 		t.Run(sh.name, func(t *testing.T) {
@@ -212,33 +231,44 @@ func TestPropertySweepFullAdjacency(t *testing.T) {
 }
 
 // TestSweepShardsWithinSingleFile pins the intra-file fan-out and the sweep's
-// memory contract on a dense single-shared-file trace (443 739 pairs): more
-// than one sweep task and slice, transient scratch within 12 bytes per
-// conflicting pair, and no per-pair or per-group allocation. Workers is
-// pinned, never GOMAXPROCS: the transpose histogram is 4·K·n bytes with one
-// op range per worker (K = Workers), so bytes per pair grow with the worker
-// count (9.9 at 1, 10.4 at 4, over 12 past 15) and a host-sized run would
-// gate on the runner's core count instead of on the code.
+// memory contract on a dense single-shared-file trace (443 739 pairs on
+// 16 384 ops): more than one sweep task and slice, no per-pair or per-group
+// allocation, and transient scratch that is O(n) tables only — the pairs are
+// written straight into the retained ys arena, so the gauge does not grow
+// with the pair count and is the same at every worker count. What the sweep
+// holds is 40 bytes per op (index, sort ping-pong, degree, offset and rank
+// tables), 4 per carried position and 40 per slice; the gate is that sum
+// plus a fixed allowance for the per-file tables.
 func TestSweepShardsWithinSingleFile(t *testing.T) {
 	tr := synthTrace(8, 2048, 1<<13, 99)
+	var scratch int64
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		res, err := DetectOpts(tr, Options{Workers: workers, Obs: obs.Ctx{R: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Pairs == 0 {
-			t.Fatal("dense trace produced no conflicts")
+		if res.Pairs < 20*int64(len(res.Ops)) {
+			t.Fatalf("%d pairs on %d ops: not a dense trace", res.Pairs, len(res.Ops))
 		}
 		snap := reg.Snapshot()
 		if tasks := snap.Stable.Counters["par.detect-sweep.tasks_submitted"]; tasks <= 1 {
 			t.Errorf("workers=%d: par.detect-sweep.tasks_submitted = %d, want > 1", workers, tasks)
 		}
-		if s := snap.Stable.Gauges["conflict.sweep_slices"]; s <= 1 {
-			t.Errorf("workers=%d: conflict.sweep_slices = %d, want > 1", workers, s)
+		slicesN := snap.Stable.Gauges["conflict.sweep_slices"]
+		if slicesN <= 1 {
+			t.Errorf("workers=%d: conflict.sweep_slices = %d, want > 1", workers, slicesN)
 		}
-		if b := snap.Stable.Gauges["conflict.sweep_scratch_bytes"]; b <= 0 || b > 12*res.Pairs {
-			t.Errorf("workers=%d: conflict.sweep_scratch_bytes = %d, want in (0, 12·%d pairs]", workers, b, res.Pairs)
+		limit := 40*int64(len(res.Ops)) + 4*snap.Stable.Gauges["conflict.sweep_carry_ops"] + 40*slicesN + 64
+		b := snap.Stable.Gauges["conflict.sweep_scratch_bytes"]
+		if b <= 0 || b > limit {
+			t.Errorf("workers=%d: conflict.sweep_scratch_bytes = %d, want in (0, %d]", workers, b, limit)
+		}
+		if workers == 1 {
+			scratch = b
+			t.Logf("%d ops, %d pairs, %d slices: scratch %d B, limit %d B", len(res.Ops), res.Pairs, slicesN, b, limit)
+		} else if b != scratch {
+			t.Errorf("conflict.sweep_scratch_bytes = %d at workers=%d, %d at workers=1", b, workers, scratch)
 		}
 	}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -248,6 +278,75 @@ func TestSweepShardsWithinSingleFile(t *testing.T) {
 	})
 	if allocs > 700 {
 		t.Errorf("%.0f allocs per detection at Workers=1, want <= 700", allocs)
+	}
+}
+
+// TestHotOpBucketSortedAtEveryWorkerCount puts two hot ops in one file — the
+// first op of the trace and the last, each a write over 51 000 one-byte reads
+// on the three ranks between them. The first op's bucket takes one entry from
+// every sweep slice (it is carried into all of them), so concurrent fills
+// leave it in an order no two runs share, and every reader's bucket holds the
+// last op alone. The expected groups follow from the construction, no O(n²)
+// pass; the Result must be byte-identical at workers 1, 2 and 7, and each
+// detection must finish within 5 s — orders of magnitude above the in-place
+// sort's cost, a guard against a bucket pass that is not O(d log d).
+func TestHotOpBucketSortedAtEveryWorkerCount(t *testing.T) {
+	const readers, perRank = 3, 17000
+	tr := trace.New(readers + 2)
+	emit := func(rank int, fn string, args ...string) {
+		tick := int64(2 * len(tr.Ranks[rank]))
+		tr.Append(trace.Record{Rank: rank, Func: fn, Layer: trace.LayerPOSIX,
+			Args: args, Tick: tick, Ret: tick + 1})
+	}
+	for rank := 0; rank < readers+2; rank++ {
+		emit(rank, "open", "f", "rw|creat", "3")
+	}
+	emit(0, "pwrite", "3", fmt.Sprint(readers*perRank), "0")
+	for rank := 1; rank <= readers; rank++ {
+		for i := 0; i < perRank; i++ {
+			// Descending offsets: start order is the reverse of op order.
+			emit(rank, "pread", "3", "1", fmt.Sprint(rank*perRank-1-i))
+		}
+	}
+	emit(readers+1, "pwrite", "3", fmt.Sprint(readers*perRank), "0")
+
+	var base []byte
+	for _, workers := range []int{1, 2, 7} {
+		start := time.Now()
+		res, err := DetectOpts(tr, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("workers=%d: detection took %v, want <= 5s", workers, d)
+		}
+		if workers > 1 {
+			if !bytes.Equal(resultFingerprint(t, res), base) {
+				t.Errorf("workers=%d Result differs from workers=1", workers)
+			}
+			continue
+		}
+		base = resultFingerprint(t, res)
+		n := len(res.Ops)
+		if n != readers*perRank+2 || res.Pairs != int64(2*readers*perRank+1) || len(res.Groups) != n-1 {
+			t.Fatalf("%d ops, %d pairs, %d groups; want %d, %d, %d",
+				n, res.Pairs, len(res.Groups), readers*perRank+2, 2*readers*perRank+1, n-1)
+		}
+		hot := &res.Groups[0]
+		if hot.X != 0 || len(hot.Ys()) != n-1 || hot.NumRuns() != readers+1 {
+			t.Fatalf("first group: X=%d, %d ys, %d runs; want 0, %d, %d", hot.X, len(hot.Ys()), hot.NumRuns(), n-1, readers+1)
+		}
+		for i, y := range hot.Ys() {
+			if int(y) != i+1 {
+				t.Fatalf("first group: ys[%d] = %d, want %d", i, y, i+1)
+			}
+		}
+		for gi := 1; gi < len(res.Groups); gi++ {
+			g := &res.Groups[gi]
+			if ys := g.Ys(); g.X != gi || len(ys) != 1 || int(ys[0]) != n-1 || g.NumRuns() != 1 {
+				t.Fatalf("group %d: X=%d ys=%v, want X=%d ys=[%d]", gi, g.X, ys, gi, n-1)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,11 @@ import (
 //
 // v3: barrier-like collectives are join nodes in the sync skeleton, which
 // changes its digest (hence every epoch), and star edges in the manifest.
-const CodeVersion = "verifyio-vcache-v3"
+//
+// v4: a conflict pair lives in one group, its lower op's: a group's key
+// (conflict.AppendGroupKey) names X and its later partners only, and a
+// verdict's Checks counts each pair's evaluations once, not once per side.
+const CodeVersion = "verifyio-vcache-v4"
 
 // Digest is a SHA-256 content digest.
 type Digest = [sha256.Size]byte

@@ -118,7 +118,8 @@ type Report struct {
 	ProperlySynchronized bool
 
 	// ChecksPerformed counts properly-synchronized evaluations — the
-	// quantity the Fig. 3 pruning reduces.
+	// quantity the Fig. 3 pruning reduces. Each conflicting pair is walked
+	// once, so the exhaustive walk costs one or two per pair.
 	ChecksPerformed int64
 	// Workers is the worker count the verification stage actually ran
 	// with (after the GOMAXPROCS default is resolved).
@@ -571,19 +572,19 @@ func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr resolvedRef) bool
 	return false
 }
 
-// verifyGroups walks the conflict groups in [lo, hi) and collects races.
-// Each unordered pair appears in two mirrored groups; it is recorded only
-// from the group whose X precedes Y in (rank, seq) order, so counting is
-// exact. Verdicts are independent of where a walk starts, which is what
-// makes the range a unit of parallel work; the scratch carried from the
-// groups before lo only saves evaluations.
+// verifyGroups walks the conflict groups in [lo, hi) and collects races. A
+// conflicting pair lives in one group, its lower op's, so every pair is
+// verified and counted once. Verdicts are independent of where a walk starts,
+// which is what makes the range a unit of parallel work; the scratch carried
+// from the groups before lo only saves evaluations.
 func (v *verifier) verifyGroups(lo, hi int) {
 	for gi := lo; gi < hi; gi++ {
 		g := &v.a.Conflicts.Groups[gi]
 		v.setGroup(g)
 		xw := v.plan.isWrite(v.xi)
-		// CSR runs are ordered by ascending rank, each run in program order.
-		for k, r := 0, -1; k < g.NumRuns(); k++ {
+		// CSR runs are ordered by ascending rank above X's, each run in
+		// program order.
+		for k, r := 0, int(v.xr.rank); k < g.NumRuns(); k++ {
 			ys := g.RunAt(k)
 			if v.opts.DisablePruning {
 				for _, yi := range ys {
@@ -751,12 +752,6 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 }
 
 func (v *verifier) recordRace(xi, yi int32) {
-	// Mirrored groups: record each unordered pair once, from the side whose
-	// X comes first — Ops are in (rank, seq) order, so that is the lower
-	// index.
-	if xi >= yi {
-		return
-	}
 	v.raceCount++
 	if len(v.pairs) >= v.opts.MaxRaceDetails {
 		return

@@ -270,16 +270,14 @@ func BenchmarkFig6_HDF5Pattern(b *testing.B) {
 }
 
 // BenchmarkHBAlgorithms compares the happens-before algorithms of §IV-D on
-// one mid-size trace under all five names (transitive-closure and segment
-// build the same skeleton closure) — the data behind the paper's
+// one mid-size trace, all four of them — the data behind the paper's
 // future-work dynamic algorithm selection.
 func BenchmarkHBAlgorithms(b *testing.B) {
 	tr := corpusTrace(b, "nc4perf")
 	model := semantics.MPIIOModel()
 	for _, algo := range []verify.Algo{
 		verify.AlgoVectorClock, verify.AlgoReachability,
-		verify.AlgoTransitiveClosure, verify.AlgoOnTheFly,
-		verify.AlgoSegment,
+		verify.AlgoOnTheFly, verify.AlgoSegment,
 	} {
 		b.Run(algo.String(), func(b *testing.B) {
 			var races int64 = -1

@@ -7,9 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"verifyio/internal/dfg"
 	"verifyio/internal/obs"
 	itrace "verifyio/internal/trace"
 )
@@ -21,7 +23,7 @@ func buildCLIs(t *testing.T) string {
 		t.Skip("CLI integration skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, cmd := range []string{"verifyio", "verifyio-trace", "wrappergen", "reproduce"} {
+	for _, cmd := range []string{"verifyio", "verifyio-trace", "verifyio-dfg", "wrappergen", "reproduce"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", cmd, err, out)
@@ -30,26 +32,36 @@ func buildCLIs(t *testing.T) string {
 	return bin
 }
 
+// runCLI runs one of the built commands and returns its stdout followed by
+// its stderr.
 func runCLI(t *testing.T, bin string, wantExit int, args ...string) string {
 	t.Helper()
+	stdout, stderr := runCLISplit(t, bin, wantExit, args...)
+	return stdout + stderr
+}
+
+// runCLISplit is runCLI keeping the two streams apart.
+func runCLISplit(t *testing.T, bin string, wantExit int, args ...string) (string, string) {
+	t.Helper()
 	cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
-	var buf bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &buf, &buf
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	exit := 0
 	if ee, ok := err.(*exec.ExitError); ok {
 		exit = ee.ExitCode()
 	} else if err != nil {
-		t.Fatalf("%v: %v\n%s", args, err, buf.String())
+		t.Fatalf("%v: %v\n%s%s", args, err, &stdout, &stderr)
 	}
 	if exit != wantExit {
-		t.Fatalf("%v: exit %d, want %d\n%s", args, exit, wantExit, buf.String())
+		t.Fatalf("%v: exit %d, want %d\n%s%s", args, exit, wantExit, &stdout, &stderr)
 	}
-	return buf.String()
+	return stdout.String(), stderr.String()
 }
 
 // TestCLIWorkflow drives the whole command-line workflow end to end:
-// trace → dump → verify (clean and racy and unmatched) → diagnose → json.
+// trace → dump → verify (clean and racy and unmatched) → diagnose → json,
+// then the fleet analytics, the wrapper generator and the reproduction.
 func TestCLIWorkflow(t *testing.T) {
 	bin := buildCLIs(t)
 	traces := t.TempDir()
@@ -97,15 +109,37 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("collective_error output wrong:\n%s", out)
 	}
 
-	// JSON output parses and carries the verdicts.
-	out = runCLI(t, bin, 1, "verifyio", "-trace", filepath.Join(traces, "flexible"), "-model", "all", "-json")
-	jsonStart := strings.Index(out, "[")
+	// JSON output: stdout is one document, nothing else, and carries the
+	// verdicts.
+	out, _ = runCLISplit(t, bin, 1, "verifyio", "-trace", filepath.Join(traces, "flexible"), "-model", "all", "-json")
 	var reports []map[string]any
-	if err := json.Unmarshal([]byte(out[jsonStart:]), &reports); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, out)
+	if err := json.Unmarshal([]byte(out), &reports); err != nil {
+		t.Fatalf("-json stdout does not parse: %v\n%s", err, out)
 	}
 	if len(reports) != 4 || reports[0]["Model"] != "posix" {
 		t.Fatalf("json reports = %v", reports)
+	}
+
+	// Fleet analytics: both artifacts are byte-identical run to run.
+	var first [2][]byte
+	for run := 0; run < 2; run++ {
+		dir := t.TempDir()
+		files := [2]string{filepath.Join(dir, "dfg.json"), filepath.Join(dir, "dfg.dot")}
+		out = runCLI(t, bin, 0, "verifyio-dfg", "-trace", filepath.Join(traces, "flexible"), "-out", files[0], "-dot", files[1])
+		if !strings.Contains(out, "dfg: 4 ranks") {
+			t.Fatalf("verifyio-dfg summary:\n%s", out)
+		}
+		for i, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil || len(data) == 0 {
+				t.Fatalf("verifyio-dfg artifact %s: %d bytes, %v", file, len(data), err)
+			}
+			if run == 0 {
+				first[i] = data
+			} else if !bytes.Equal(data, first[i]) {
+				t.Errorf("%s differs between two verifyio-dfg runs on one directory", filepath.Base(file))
+			}
+		}
 	}
 
 	// wrappergen counts the PnetCDF surface.
@@ -122,27 +156,62 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("generated file: %v", err)
 	}
 
-	// reproduce regenerates the quick artifacts.
+	// reproduce regenerates the quick artifacts and the corpus rollup.
 	results := t.TempDir()
-	out = runCLI(t, bin, 0, "reproduce", "-out", results, "-only", "table1,table2")
+	rollupPath := filepath.Join(results, "corpus-rollup.json")
+	out = runCLI(t, bin, 0, "reproduce", "-out", results, "-only", "table1,table2", "-corpus-out", rollupPath)
 	if !strings.Contains(out, "Session") || !strings.Contains(out, "recorder+") {
 		t.Fatalf("reproduce output:\n%s", out)
 	}
 	if _, err := os.Stat(filepath.Join(results, "table1.txt")); err != nil {
 		t.Fatalf("artifact missing: %v", err)
 	}
+	data, err = os.ReadFile(rollupPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rollup dfg.Rollup
+	if err := json.Unmarshal(data, &rollup); err != nil {
+		t.Fatalf("-corpus-out does not parse: %v", err)
+	}
+	if rollup.Traces == 0 || len(rollup.Cells) == 0 {
+		t.Errorf("corpus rollup: %d traces, %d cells", rollup.Traces, len(rollup.Cells))
+	}
+}
+
+// TestNoHTTPStackLinked: neither the library nor the two commands built on
+// it link an HTTP server, expvar or TLS — nothing in a batch verifier
+// serves anything.
+func TestNoHTTPStackLinked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("go list skipped in -short mode")
+	}
+	out, err := exec.Command("go", "list", "-deps", ".", "./cmd/verifyio", "./cmd/reproduce").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	deps := strings.Fields(string(out))
+	for _, banned := range []string{"net/http", "expvar", "crypto/tls"} {
+		if slices.Contains(deps, banned) {
+			t.Errorf("%s is linked into the library or its commands", banned)
+		}
+	}
 }
 
 // TestCLIDiagnoseRunsThePipelineOnce: -diagnose reads the reports it has,
 // so a telemetry-instrumented "-model all -diagnose" run on a trace that
 // races under three models analyses the directory exactly once and verifies
-// each model once.
+// each model once. The two telemetry files the binary wrote are schema-valid:
+// spans nest and include each rank's replay and scan shards, the metrics'
+// stable section is not empty.
 func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 	bin := buildCLIs(t)
 	dir := filepath.Join(t.TempDir(), "flexible")
 	runCLI(t, bin, 0, "verifyio-trace", "-test", "flexible", "-out", dir)
 	spans := filepath.Join(t.TempDir(), "spans.json")
-	out := runCLI(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-diagnose", "-trace-out", spans)
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	out := runCLI(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-diagnose", "-workers", "4",
+		"-trace-out", spans, "-metrics-out", metrics)
 	if strings.Count(out, "diagnosis #1 ") != 3 {
 		t.Fatalf("want diagnoses under three models:\n%s", out)
 	}
@@ -154,6 +223,9 @@ func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := obs.ValidateEvents(events); err != nil {
+		t.Errorf("-trace-out: %v", err)
+	}
 	count := map[string]int{}
 	for _, e := range events {
 		if e.Ph == "X" {
@@ -163,6 +235,30 @@ func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 	if count["analyze"] != 1 || count["read-trace"] != 1 || count["verify"] != 4 {
 		t.Errorf("spans: %d analyze, %d read-trace, %d verify; want 1, 1 and 4",
 			count["analyze"], count["read-trace"], count["verify"])
+	}
+	for _, stage := range []string{"detect", "match", "build-graph"} {
+		if count[stage] == 0 {
+			t.Errorf("no %q span among %d events", stage, len(events))
+		}
+	}
+	// flexible has 4 ranks: at least one replay and one scan span each.
+	if count["replay"] < 4 || count["scan"] < 4 {
+		t.Errorf("shard spans: %d replay, %d scan; want at least 4 of each", count["replay"], count["scan"])
+	}
+
+	data, err = os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("-metrics-out does not parse: %v", err)
+	}
+	if err := obs.ValidateSnapshot(&snap); err != nil {
+		t.Errorf("-metrics-out: %v", err)
+	}
+	if len(snap.Stable.Counters)+len(snap.Stable.Gauges)+len(snap.Stable.Histograms) == 0 {
+		t.Error("-metrics-out: stable section is empty")
 	}
 }
 
@@ -198,6 +294,9 @@ func TestExamplesRun(t *testing.T) {
 		{"diagnose", []string{
 			"unordered-conflict", "missing-sync-construct",
 			"library-internal-conflict", "responsible: pnetcdf",
+		}},
+		{"divergent-rank", []string{
+			"1 anomalous rank(s) [2]", "rank 2 correctly flagged",
 		}},
 	}
 	for _, tc := range cases {

@@ -18,7 +18,7 @@
 //	          [-window BYTES]
 //	          [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
 //	          [-corpus-out FILE]
-//	          [-cpuprofile FILE] [-memprofile FILE] [-debug-addr ADDR]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // The stored-trace pass (table4) analyzes each trace while decoding it from
 // its directory in bounded windows (-window BYTES, default 4 MiB, negative =
@@ -76,7 +76,7 @@ func run() int {
 	)
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start(os.Stderr)
+	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 		return 2
@@ -87,9 +87,8 @@ func run() int {
 		}
 	}()
 	var oc obs.Ctx
-	if *traceOut != "" || *metricsOut != "" || prof.DebugAddr != "" {
+	if *traceOut != "" || *metricsOut != "" {
 		oc = obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
-		obs.PublishRegistry("verifyio", oc.R)
 	} else if *corpusOut != "" {
 		// The rollup pulls its telemetry section from Report.Metrics, which
 		// needs a registry attached even when no metrics file was asked for.

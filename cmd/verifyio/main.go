@@ -5,12 +5,11 @@
 // Usage:
 //
 //	verifyio -trace DIR [-model posix|commit|session|mpi-io|all]
-//	         [-algorithm auto|vector-clock|reachability|transitive-closure|on-the-fly|segment]
+//	         [-algorithm auto|segment|vector-clock|reachability|on-the-fly]
 //	         [-workers N] [-no-pruning] [-max-races N] [-details] [-diagnose]
 //	         [-tolerate] [-window BYTES] [-dump] [-json]
 //	         [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
-//	         [-dfg-out FILE] [-dfg-dot FILE]
-//	         [-cpuprofile FILE] [-memprofile FILE] [-debug-addr ADDR]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The trace is verified while it is decoded, never loaded whole: up to
 // -workers rank files are read at once, and conflict detection, MPI matching
@@ -27,17 +26,10 @@
 //
 // -trace-out writes the run's telemetry spans as Chrome trace_event JSON
 // (load in chrome://tracing or https://ui.perfetto.dev); -metrics-out writes
-// the runtime metric registry. -debug-addr serves net/http/pprof and expvar
-// (including the live metrics) while the run executes.
+// the runtime metric registry.
 //
-// -dfg-out writes each rank's I/O directly-follows graph (nodes are
-// normalized call classes tagged with file roles, edges are observed
-// successions with counts, bytes, and inter-arrival histograms) plus the
-// rank anomaly report — which ranks deviate from the rank-majority graph
-// and by how much — as JSON. -dfg-dot writes the same graphs as Graphviz
-// DOT (render with: dot -Tsvg dfg.dot -o dfg.svg; anomalous ranks are
-// drawn red). The DFG pass decodes the trace directory again, in the same
-// bounded windows; both artifacts are byte-deterministic.
+// -json writes the reports as one JSON document, and nothing else, to
+// stdout; the "trace:" banner goes to stderr then.
 //
 // Exit status: 0 when every verified model is properly synchronized, 1 when
 // data races were found, 2 when verification aborted on unmatched MPI calls
@@ -53,7 +45,6 @@ import (
 	"time"
 
 	"verifyio"
-	"verifyio/internal/dfg"
 	"verifyio/internal/obs"
 	"verifyio/internal/trace"
 )
@@ -66,7 +57,7 @@ func run() int {
 	var (
 		traceDir  = flag.String("trace", "", "trace directory (written by verifyio-trace)")
 		model     = flag.String("model", "all", "consistency model: posix, commit, session, mpi-io, or all")
-		algorithm = flag.String("algorithm", "auto", "happens-before algorithm: auto|segment|transitive-closure (skeleton closure; vector-clock when over budget), vector-clock, reachability|on-the-fly (per-query references)")
+		algorithm = flag.String("algorithm", "auto", "happens-before algorithm: auto|segment (skeleton closure; vector-clock when over budget), vector-clock, reachability|on-the-fly (per-query references)")
 		noPrune   = flag.Bool("no-pruning", false, "disable conflict-group pruning (Fig. 3)")
 		workers   = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
 		maxRaces  = flag.Int("max-races", 16, "maximum races reported in detail")
@@ -80,8 +71,6 @@ func run() int {
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		metricsOut = flag.String("metrics-out", "", "write the runtime metrics snapshot as JSON to this file")
-		dfgOut     = flag.String("dfg-out", "", "write per-rank I/O directly-follows graphs and the rank anomaly report as JSON to this file")
-		dfgDot     = flag.String("dfg-dot", "", "write the per-rank directly-follows graphs as Graphviz DOT to this file (render: dot -Tsvg)")
 		prof       obs.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
@@ -91,7 +80,7 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	stopProf, err := prof.Start(os.Stderr)
+	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verifyio: %v\n", err)
 		return 2
@@ -103,9 +92,8 @@ func run() int {
 	}()
 
 	var tel *verifyio.Telemetry
-	if *traceOut != "" || *metricsOut != "" || prof.DebugAddr != "" {
+	if *traceOut != "" || *metricsOut != "" {
 		tel = verifyio.NewTelemetry()
-		tel.Publish("verifyio")
 	}
 	defer func() {
 		if err := obs.WriteFileWith(*traceOut, func(w io.Writer) error { return tel.WriteChromeTrace(w) }); err != nil {
@@ -174,31 +162,12 @@ func run() int {
 		return 2
 	}
 	warnRecovery(rec)
-	fmt.Printf("trace: %s (%d ranks, %d records, read and analyzed in %v)\n",
-		*traceDir, reports[0].Ranks, reports[0].Records, time.Since(start).Round(time.Millisecond))
-
-	if *dfgOut != "" || *dfgDot != "" {
-		// The DFG pass decodes the directory once more: memory stays
-		// bounded by the decode window plus the graphs themselves.
-		fleet, err := dfg.BuildStreamDir(*traceDir, dfg.StreamOptions{
-			Decode:      trace.DecodeOptions{Tolerate: *tolerate},
-			WindowBytes: *window,
-			Obs:         tel.Obs(),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: dfg: %v\n", err)
-			return 2
-		}
-		if err := obs.WriteFileWith(*dfgOut, fleet.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: write -dfg-out: %v\n", err)
-			return 2
-		}
-		if err := obs.WriteFileWith(*dfgDot, fleet.WriteDOT); err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: write -dfg-dot: %v\n", err)
-			return 2
-		}
-		fmt.Println(fleet.Summary())
+	banner := os.Stdout
+	if *jsonOut {
+		banner = os.Stderr
 	}
+	fmt.Fprintf(banner, "trace: %s (%d ranks, %d records, read and analyzed in %v)\n",
+		*traceDir, reports[0].Ranks, reports[0].Records, time.Since(start).Round(time.Millisecond))
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -21,11 +21,13 @@ var (
 )
 
 // TestDocsQuoteKnownNames pins the vocabulary of README.md, DESIGN.md and
-// EXPERIMENTS.md: they do not mention the deleted second benchmark, and every
-// `pkg.metric_name` they quote is a BENCHMARK.json metric or workload name or
-// a metric the pipeline emits — collected from three instrumented runs of one
-// corpus trace (default oracle; vector clocks; streamed with a verdict cache
-// and a DFG pass).
+// EXPERIMENTS.md in both directions: they do not mention deleted commands,
+// flags or CI jobs, every `pkg.metric_name` they quote is a BENCHMARK.json
+// metric or workload name or a metric the pipeline emits — collected from
+// three instrumented runs of one corpus trace (default oracle; vector clocks;
+// streamed with a verdict cache and a DFG pass) — and every stable metric
+// those runs emit is quoted in DESIGN §11 (a worker pool's under the one
+// `par.<pool>.*` pattern).
 func TestDocsQuoteKnownNames(t *testing.T) {
 	known := map[string]bool{}
 
@@ -67,9 +69,34 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		&Options{Telemetry: tel, Cache: NewMemoryCache()}); err != nil {
 		t.Fatal(err)
 	}
-	dfg.FromTrace(tr, dfg.Options{Obs: tel.Obs()})
+	dfg.FromTrace(tr, dfg.Options{Obs: tel.ctx()})
 	for _, name := range tel.registry.Names() {
 		known[name] = true
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, telemetry, _ := strings.Cut(string(design), "\n## 11. Telemetry\n")
+	telemetry, _, _ = strings.Cut(telemetry, "\n## ")
+	documented := func(name string) {
+		if pool := strings.Split(name, "."); pool[0] == "par" && len(pool) == 3 {
+			name = "par.<pool>." + pool[2]
+		}
+		if !strings.Contains(telemetry, "`"+name+"`") {
+			t.Errorf("DESIGN.md §11 does not document the stable metric `%s`", name)
+		}
+	}
+	stable := tel.registry.Snapshot().Stable
+	for name := range stable.Counters {
+		documented(name)
+	}
+	for name := range stable.Gauges {
+		documented(name)
+	}
+	for name := range stable.Histograms {
+		documented(name)
 	}
 
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
@@ -77,7 +104,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke"} {
+		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke",
+			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

@@ -90,7 +90,7 @@ func main() {
 	fmt.Printf("traced %d records across %d ranks\n\n", tr.NumRecords(), tr.NumRanks())
 
 	// Store the trace and fold it back through the streaming builder — the
-	// same bounded-memory path `verifyio -dfg-out` takes on real traces.
+	// same bounded-memory path `verifyio-dfg` takes on real traces.
 	dir, err := os.MkdirTemp("", "divergent-rank-")
 	if err != nil {
 		log.Fatal(err)

@@ -210,8 +210,7 @@ func TestAlgorithmsAgreeOnRepresentativeTests(t *testing.T) {
 	names := []string{"parallel5", "flexible", "shapesame", "tst_open_par", "record", "t_pflush"}
 	algos := []verify.Algo{
 		verify.AlgoVectorClock, verify.AlgoReachability,
-		verify.AlgoTransitiveClosure, verify.AlgoOnTheFly,
-		verify.AlgoSegment,
+		verify.AlgoOnTheFly, verify.AlgoSegment,
 	}
 	for _, name := range names {
 		tc, err := ByName(name)

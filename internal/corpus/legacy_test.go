@@ -30,8 +30,11 @@ func TestLegacyTracerLosesAttribution(t *testing.T) {
 		if err := env.Run(tc.Prog); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := verify.Run(env.Trace(), verify.Options{
-			Model: semantics.POSIXModel(), Algo: verify.AlgoVectorClock})
+		a, err := verify.Analyze(env.Trace(), verify.AlgoVectorClock, verify.AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := a.Verify(verify.Options{Model: semantics.POSIXModel()})
 		if err != nil {
 			t.Fatal(err)
 		}

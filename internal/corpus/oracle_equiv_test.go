@@ -3,11 +3,13 @@ package corpus
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"verifyio/internal/hbgraph"
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
+	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/verify"
 )
@@ -118,6 +120,18 @@ func (o *refOracle) HB(a, b trace.Ref) bool {
 		}
 	}
 	return o.clocks[(o.base[b.Rank]+b.Seq)*o.nranks+a.Rank] >= int32(a.Seq)
+}
+
+// callsAny reports whether any record of tr calls one of funcs.
+func callsAny(tr *trace.Trace, funcs ...string) bool {
+	for _, recs := range tr.Ranks {
+		for i := range recs {
+			if slices.Contains(funcs, recs[i].Func) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // equivExhaustiveLimit: traces up to this many records get the full V×V
@@ -251,8 +265,39 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			if a.Algorithm != verify.AlgoSegment {
 				t.Fatalf("segment analysis fell back to %v", a.Algorithm)
 			}
-			if b := reg.Snapshot().Stable.Gauges["hbgraph.segreach_bytes"]; b <= 0 || b > hbgraph.DefaultSegReachBudget {
+			snap = reg.Snapshot()
+			if b := snap.Stable.Gauges["hbgraph.segreach_bytes"]; b <= 0 || b > hbgraph.DefaultSegReachBudget {
 				t.Errorf("hbgraph.segreach_bytes = %d, want in (0, %d]", b, hbgraph.DefaultSegReachBudget)
+			}
+
+			// Stored sync edges are linear in the trace: a barrier-like
+			// collective is one join node with at most two edges per member,
+			// so the matcher stores at most two edges per record. Scan and
+			// Exscan order each rank after all lower ones and are stored
+			// pairwise; pairwise barriers would break the bound from 4
+			// ranks up.
+			if !callsAny(tr, "MPI_Scan", "MPI_Exscan") {
+				edges, nodes := snap.Stable.Counters["match.edges"], snap.Stable.Gauges["hbgraph.nodes"]
+				if nodes <= 0 || edges > 2*nodes {
+					t.Errorf("match.edges = %d, want at most 2 × hbgraph.nodes = 2 × %d", edges, nodes)
+				}
+			}
+
+			// The production oracle plus the resolved query plan answer every
+			// cross-rank happens-before query of a four-model pass with the
+			// O(1) probe: none falls back to the general Oracle.HB path. A
+			// conflict pair is cross-rank by definition, so with any pair at
+			// all the probe count is positive and the zero is not vacuous.
+			if _, err := a.VerifyAll(semantics.All(), verify.Options{
+				Workers: 2, ContinueOnUnmatched: true, Obs: obs.Ctx{R: reg}}); err != nil {
+				t.Fatal(err)
+			}
+			counters := reg.Snapshot().Stable.Counters
+			if n := counters["verify.hb_fallbacks"]; n != 0 {
+				t.Errorf("verify.hb_fallbacks = %d, want 0", n)
+			}
+			if a.Conflicts.Pairs > 0 && counters["verify.hb_fast_hits"] == 0 {
+				t.Errorf("verify.hb_fast_hits = 0 over %d conflict pairs", a.Conflicts.Pairs)
 			}
 		})
 	}

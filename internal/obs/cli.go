@@ -2,53 +2,34 @@ package obs
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"os"
 )
 
-// Profiling bundles the profiling flags every CLI in this repository exposes:
-// -cpuprofile and -memprofile write pprof files, -debug-addr serves
-// net/http/pprof and expvar for the lifetime of the run. Register the flags,
+// Profiling bundles the profiling flags the verifyio and reproduce commands
+// expose: -cpuprofile and -memprofile write pprof files. Register the flags,
 // call Start after flag.Parse, and invoke the returned stop function exactly
-// once on exit (it finishes the CPU profile, writes the heap profile, and
-// shuts the debug server down).
+// once on exit (it finishes the CPU profile and writes the heap profile).
 type Profiling struct {
 	CPUProfile string
 	MemProfile string
-	DebugAddr  string
 }
 
-// RegisterFlags registers -cpuprofile, -memprofile and -debug-addr on fs.
+// RegisterFlags registers -cpuprofile and -memprofile on fs.
 func (p *Profiling) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&p.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&p.DebugAddr, "debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060, :0 for a free port)")
 }
 
-// Start begins CPU profiling and the debug server as configured; unset
-// fields are no-ops. The bound debug address is logged to logw (pass
-// os.Stderr; nil suppresses the line, useful when -debug-addr is ":0").
-func (p *Profiling) Start(logw io.Writer) (stop func() error, err error) {
+// Start begins CPU profiling as configured; unset fields are no-ops.
+func (p *Profiling) Start() (stop func() error, err error) {
 	stopCPU, err := StartCPUProfile(p.CPUProfile)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := ListenAndServeDebug(p.DebugAddr)
-	if err != nil {
-		stopCPU()
-		return nil, err
-	}
-	if srv != nil && logw != nil {
-		fmt.Fprintf(logw, "debug server listening on http://%s/debug/pprof/\n", srv.Addr())
-	}
 	return func() error {
 		stopCPU()
-		err := WriteHeapProfile(p.MemProfile)
-		if cerr := srv.Close(); err == nil {
-			err = cerr
-		}
-		return err
+		return WriteHeapProfile(p.MemProfile)
 	}, nil
 }
 

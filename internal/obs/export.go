@@ -165,7 +165,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 }
 
 // ParseChromeTrace parses a document written by WriteChromeTrace back into
-// its event list, for artifact validation (cmd/obscheck, CI smoke jobs).
+// its event list, for the tests that validate a -trace-out artifact.
 func ParseChromeTrace(data []byte) ([]ChromeEvent, error) {
 	var ct chromeTrace
 	if err := json.Unmarshal(data, &ct); err != nil {
@@ -193,7 +193,7 @@ func (t *Tracer) SpanCount() int {
 // ValidateEvents checks the structural invariants of an exported event list:
 // metadata events name every referenced track, complete events carry ids,
 // parents resolve, and children nest inside their parents in time. It is
-// the schema check CI's observability smoke job runs on artifacts.
+// the schema check the tests run on -trace-out artifacts.
 func ValidateEvents(events []ChromeEvent) error {
 	tracks := map[int]bool{}
 	ids := map[string]ChromeEvent{}

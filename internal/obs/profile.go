@@ -1,15 +1,10 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
-	runtimepprof "runtime/pprof"
-	"sync"
+	"runtime/pprof"
 )
 
 // StartCPUProfile begins CPU profiling into path and returns a stop function
@@ -23,12 +18,12 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: create cpu profile: %w", err)
 	}
-	if err := runtimepprof.StartCPUProfile(f); err != nil {
+	if err := pprof.StartCPUProfile(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("obs: start cpu profile: %w", err)
 	}
 	return func() {
-		runtimepprof.StopCPUProfile()
+		pprof.StopCPUProfile()
 		f.Close()
 	}, nil
 }
@@ -45,77 +40,8 @@ func WriteHeapProfile(path string) error {
 	}
 	defer f.Close()
 	runtime.GC()
-	if err := runtimepprof.WriteHeapProfile(f); err != nil {
+	if err := pprof.WriteHeapProfile(f); err != nil {
 		return fmt.Errorf("obs: write mem profile: %w", err)
 	}
 	return nil
 }
-
-// DebugServer serves net/http/pprof and expvar on its own mux (never the
-// default mux, so importing obs does not register global handlers).
-type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ListenAndServeDebug binds addr (e.g. "localhost:6060"; ":0" picks a free
-// port) and serves /debug/pprof/* and /debug/vars in a background goroutine.
-// An empty addr returns (nil, nil); all DebugServer methods are nil-safe.
-func ListenAndServeDebug(addr string) (*DebugServer, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: debug listener: %w", err)
-	}
-	ds := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
-	go ds.srv.Serve(ln) //nolint:errcheck // Serve always errors on Close
-	return ds, nil
-}
-
-// Addr returns the bound address ("" on nil), useful when addr was ":0".
-func (d *DebugServer) Addr() string {
-	if d == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
-}
-
-// Close shuts the server down. Nil-safe.
-func (d *DebugServer) Close() error {
-	if d == nil {
-		return nil
-	}
-	return d.srv.Close()
-}
-
-// PublishRegistry exposes the registry's snapshot as the named expvar, so a
-// -debug-addr server serves live metrics at /debug/vars. Publishing the same
-// name twice panics in expvar, so this registers a process-wide name exactly
-// once; subsequent calls replace the backing registry.
-func PublishRegistry(name string, r *Registry) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	published[name] = r
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, expvar.Func(func() any {
-			publishMu.Lock()
-			reg := published[name]
-			publishMu.Unlock()
-			return reg.Snapshot()
-		}))
-	}
-}
-
-var (
-	publishMu sync.Mutex
-	published = map[string]*Registry{}
-)

@@ -96,40 +96,3 @@ func (b *ChainBuilder) Chain() [][sha256.Size]byte {
 	}
 	return out
 }
-
-// BlobDigests digests an uncompressed encoded trace per rank without
-// decoding it: each rank's digest covers the raw bytes of its record spans
-// (via Layout), so storage-side tooling can detect which ranks of an
-// archived trace changed — or deduplicate identical ones — straight from the
-// blob. The digests commit to the encoded representation, not the canonical
-// record encoding above; the two identify the same content but are not
-// interchangeable.
-func BlobDigests(data []byte) ([][sha256.Size]byte, error) {
-	spans, err := Layout(data)
-	if err != nil {
-		return nil, err
-	}
-	nranks := 0
-	for _, s := range spans {
-		if s.Name == "record" && s.Rank >= nranks {
-			nranks = s.Rank + 1
-		}
-	}
-	hs := make([]hash.Hash, nranks)
-	for i := range hs {
-		hs[i] = sha256.New()
-	}
-	// Layout emits record spans in stream order: rank-major, ascending
-	// record index — the canonical order the digest commits to.
-	for _, s := range spans {
-		if s.Name != "record" || s.Rank < 0 {
-			continue
-		}
-		hs[s.Rank].Write(data[s.Start:s.End])
-	}
-	out := make([][sha256.Size]byte, nranks)
-	for i, h := range hs {
-		h.Sum(out[i][:0])
-	}
-	return out, nil
-}

@@ -645,22 +645,6 @@ func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 	return out, nil
 }
 
-// validRecordPrefix returns the length of the longest prefix of rs that
-// satisfies the per-rank trace invariants. Decoding guarantees the
-// structural fields (rank, seq, depth/chain agreement), so only the
-// timestamp ordering can break.
-func validRecordPrefix(rs []Record) int {
-	lastRet := int64(-1)
-	for i := range rs {
-		r := &rs[i]
-		if r.Ret <= lastRet || r.Ret < r.Tick || r.Tick < 0 {
-			return i
-		}
-		lastRet = r.Ret
-	}
-	return len(rs)
-}
-
 // capHint bounds an attacker-controlled count to a sane initial slice or
 // map capacity; real growth beyond it goes through append and is paid for
 // by the byte budget.

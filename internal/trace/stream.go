@@ -384,10 +384,10 @@ type payloadStream struct {
 	next    int // next record index within the current rank
 	lastRet int64
 
-	// Incremental trace-invariant tracking — the streaming equivalent of
-	// validRecordPrefix: records at or past the first violating index are
-	// decoded (offsets, budget, and later errors must match the
-	// materializing path) but never emitted.
+	// Incremental trace-invariant tracking (per rank, Ret strictly
+	// increasing and Tick within [0, Ret]): records at or past the first
+	// violating index are decoded (offsets, budget, and later errors must
+	// match the materializing path) but never emitted.
 	validRet int64
 	cut      int // first invariant-violating index of this rank, -1 if none
 

@@ -34,23 +34,20 @@ const (
 	// AlgoReachability and AlgoOnTheFly are plain per-query references
 	// (§IV-D2, §IV-D4), kept for the ablation and the equivalence tests.
 	AlgoReachability
-	// AlgoTransitiveClosure builds what AlgoSegment builds (§IV-D3 is the
-	// closure of the sync skeleton); only the reported name differs.
-	AlgoTransitiveClosure
 	AlgoOnTheFly
 	// AlgoSegment precomputes the dense segment×segment reachability matrix
-	// of the sync skeleton — O(1) bit-probe queries; falls back to vector
-	// clocks when the matrix exceeds its byte budget.
+	// of the sync skeleton (§IV-D3's transitive closure) — O(1) bit-probe
+	// queries; falls back to vector clocks when the matrix exceeds its byte
+	// budget.
 	AlgoSegment
 )
 
 var algoNames = map[Algo]string{
-	AlgoAuto:              "auto",
-	AlgoVectorClock:       "vector-clock",
-	AlgoReachability:      "reachability",
-	AlgoTransitiveClosure: "transitive-closure",
-	AlgoOnTheFly:          "on-the-fly",
-	AlgoSegment:           "segment",
+	AlgoAuto:         "auto",
+	AlgoVectorClock:  "vector-clock",
+	AlgoReachability: "reachability",
+	AlgoOnTheFly:     "on-the-fly",
+	AlgoSegment:      "segment",
 }
 
 func (a Algo) String() string {
@@ -67,7 +64,7 @@ func AlgoByName(name string) (Algo, error) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("verify: unknown algorithm %q (have auto, vector-clock, reachability, transitive-closure, on-the-fly, segment)", name)
+	return 0, fmt.Errorf("verify: unknown algorithm %q (have auto, segment, vector-clock, reachability, on-the-fly)", name)
 }
 
 // Timing is the per-stage breakdown Table IV reports. The first three stages
@@ -398,7 +395,7 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		return buildVC()
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
-	case AlgoSegment, AlgoTransitiveClosure:
+	case AlgoSegment:
 		_, segSpan := oc.Start("seg-reach",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
 			obs.Int("levels", g.SkeletonLevels()))

@@ -251,15 +251,9 @@ func TestReportEmbedsMetrics(t *testing.T) {
 // produce identical verification outcomes.
 func TestTelemetryDoesNotChangeReport(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	plain, err := Run(tr, Options{Model: semantics.SessionModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.SessionModel()})
 	oc := obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
-	instr, err := Run(tr, Options{Model: semantics.SessionModel(), Obs: oc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	instr := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.SessionModel(), Obs: oc})
 	if plain.RaceCount != instr.RaceCount || plain.ChecksPerformed != instr.ChecksPerformed ||
 		plain.ConflictPairs != instr.ConflictPairs {
 		t.Errorf("telemetry changed the report: plain races=%d checks=%d, instrumented races=%d checks=%d",

@@ -67,7 +67,7 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 // algorithms.
 func TestParallelVerifyDeterministic(t *testing.T) {
 	tr := runTraced(t, 4, racyProgram)
-	for _, algo := range []Algo{AlgoVectorClock, AlgoReachability, AlgoTransitiveClosure, AlgoOnTheFly, AlgoSegment} {
+	for _, algo := range []Algo{AlgoVectorClock, AlgoReachability, AlgoOnTheFly, AlgoSegment} {
 		a, err := Analyze(tr, algo, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)

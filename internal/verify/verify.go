@@ -23,9 +23,6 @@ import (
 type Options struct {
 	// Model is the consistency model to verify against.
 	Model semantics.Model
-	// Algo selects the happens-before algorithm (Run only; Analysis
-	// carries its own); see the Algo constants for which are references.
-	Algo Algo
 	// DisablePruning turns the Fig. 3 group pruning off (ablation).
 	DisablePruning bool
 	// MaxRaceDetails caps how many races carry full call-chain detail;
@@ -140,15 +137,6 @@ type Report struct {
 	// Metrics is the telemetry registry snapshot taken when this report
 	// was built. Nil unless Options.Obs carried a registry.
 	Metrics *obs.Snapshot `json:",omitempty"`
-}
-
-// Run performs the whole pipeline (steps 2–4) on a trace for one model.
-func Run(tr *trace.Trace, opts Options) (*Report, error) {
-	a, err := Analyze(tr, opts.Algo, AnalyzeOptions{Workers: opts.Workers, Digest: opts.Cache != nil, Obs: opts.Obs})
-	if err != nil {
-		return nil, err
-	}
-	return a.Verify(opts)
 }
 
 // Verify checks every conflict of the analysis under opts.Model.

@@ -24,6 +24,20 @@ func runTraced(t *testing.T, nranks int, prog func(r *recorder.Rank) error) *tra
 	return env.Trace()
 }
 
+// verifyOne runs the whole pipeline (steps 2–4) on a trace for one model.
+func verifyOne(t *testing.T, tr *trace.Trace, algo Algo, opts Options) *Report {
+	t.Helper()
+	a, err := Analyze(tr, algo, AnalyzeOptions{Workers: opts.Workers, Obs: opts.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Verify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // verdicts runs all four models over one trace and returns race counts by
 // model name.
 func verdicts(t *testing.T, tr *trace.Trace, algo Algo) map[string]int64 {
@@ -89,7 +103,7 @@ func TestFig2VerdictsAcrossModels(t *testing.T) {
 func TestFig2AllAlgorithmsAgree(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	base := verdicts(t, tr, AlgoVectorClock)
-	for _, algo := range []Algo{AlgoReachability, AlgoTransitiveClosure, AlgoOnTheFly, AlgoSegment} {
+	for _, algo := range []Algo{AlgoReachability, AlgoOnTheFly, AlgoSegment} {
 		got := verdicts(t, tr, algo)
 		if fmt.Sprint(got) != fmt.Sprint(base) {
 			t.Errorf("%v verdicts %v differ from vector-clock %v", algo, got, base)
@@ -238,10 +252,7 @@ func TestUnmatchedMPIAbortsVerification(t *testing.T) {
 	tr := trace.New(2)
 	tr.Append(trace.Record{Rank: 0, Func: "MPI_Barrier", Layer: trace.LayerMPI,
 		Args: []string{"comm-world"}, Tick: 1, Ret: 2})
-	rep, err := Run(tr, Options{Model: semantics.POSIXModel(), Algo: AlgoVectorClock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.POSIXModel()})
 	if rep.Verified {
 		t.Error("verification should abort on unmatched MPI calls")
 	}
@@ -252,10 +263,7 @@ func TestUnmatchedMPIAbortsVerification(t *testing.T) {
 
 func TestRaceReportCarriesCallChains(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	rep, err := Run(tr, Options{Model: semantics.MPIIOModel(), Algo: AlgoVectorClock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.MPIIOModel()})
 	if rep.RaceCount != 1 || len(rep.Races) != 1 {
 		t.Fatalf("races = %d (%d detailed)", rep.RaceCount, len(rep.Races))
 	}
@@ -293,10 +301,7 @@ func TestMaxRaceDetailsCapsDetailNotCount(t *testing.T) {
 		}
 		return nil
 	})
-	rep, err := Run(tr, Options{Model: semantics.POSIXModel(), MaxRaceDetails: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.POSIXModel(), MaxRaceDetails: 3})
 	if rep.RaceCount != 10 {
 		t.Errorf("race count = %d, want 10", rep.RaceCount)
 	}
@@ -341,7 +346,7 @@ func TestClosureOverBudgetFallsBackToVectorClocks(t *testing.T) {
 	for i := 0; i+1 < per; i++ {
 		edges = append(edges, match.Edge{From: trace.Ref{Rank: 0, Seq: i}, To: trace.Ref{Rank: 1, Seq: i + 1}})
 	}
-	for _, algo := range []Algo{AlgoAuto, AlgoSegment, AlgoTransitiveClosure} {
+	for _, algo := range []Algo{AlgoAuto, AlgoSegment} {
 		a := &Analysis{counts: []int{per, per}, Conflicts: &conflict.Result{}, Match: &match.Result{Edges: edges}}
 		if err := a.buildOracle(algo, 1, obs.Ctx{}); err != nil {
 			t.Fatalf("%v: %v", algo, err)

@@ -55,8 +55,7 @@ func TestParallelCorpusDeterminism(t *testing.T) {
 	sawRace := false
 	for _, algo := range []verify.Algo{
 		verify.AlgoVectorClock, verify.AlgoReachability,
-		verify.AlgoTransitiveClosure, verify.AlgoOnTheFly,
-		verify.AlgoSegment,
+		verify.AlgoOnTheFly, verify.AlgoSegment,
 	} {
 		a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{})
 		if err != nil {

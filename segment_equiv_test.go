@@ -40,10 +40,7 @@ func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		workerCounts = append(workerCounts, n)
 	}
-	baseline := []verify.Algo{
-		verify.AlgoVectorClock, verify.AlgoReachability,
-		verify.AlgoTransitiveClosure, verify.AlgoOnTheFly,
-	}
+	baseline := []verify.Algo{verify.AlgoVectorClock, verify.AlgoReachability, verify.AlgoOnTheFly}
 	for _, name := range corpus.Names() {
 		tr := corpusTraceT(t, name)
 		seg, err := verify.Analyze(tr, verify.AlgoSegment, verify.AnalyzeOptions{})

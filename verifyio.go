@@ -74,12 +74,6 @@ func (t *Telemetry) ctx() obs.Ctx {
 	return obs.Ctx{T: t.tracer, R: t.registry}
 }
 
-// Obs exposes the internal instrumentation carrier so in-module tooling
-// (the CLIs' analytics passes, e.g. the DFG builder) can share this
-// telemetry's tracer and registry. The zero Ctx a nil *Telemetry returns
-// disables instrumentation.
-func (t *Telemetry) Obs() obs.Ctx { return t.ctx() }
-
 // WriteChromeTrace writes the collected spans as Chrome trace_event JSON.
 // Call after the instrumented run has finished.
 func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
@@ -97,15 +91,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 		return (*obs.Registry)(nil).WriteMetrics(w)
 	}
 	return t.registry.WriteMetrics(w)
-}
-
-// Publish exposes the live metric registry as the named expvar, so a process
-// serving a debug endpoint (net/http/pprof + expvar) reports the run's
-// metrics at /debug/vars while it executes. Nil-safe.
-func (t *Telemetry) Publish(name string) {
-	if t != nil {
-		obs.PublishRegistry(name, t.registry)
-	}
 }
 
 // Cache is a verdict cache for incremental re-verification: chunks of the
@@ -355,10 +340,10 @@ func RunCorpusTest(name string) (*Trace, error) {
 // Options tunes verification.
 type Options struct {
 	// Algorithm selects the happens-before algorithm: "auto" (default),
-	// "vector-clock", "reachability", "transitive-closure", "on-the-fly",
-	// "segment". "auto", "segment" and "transitive-closure" all build the
-	// segment-reachability oracle (O(1) probes over the sync skeleton's
-	// transitive closure) and fall back to vector clocks — reporting
+	// "segment", "vector-clock", "reachability", "on-the-fly" — the four
+	// §IV-D algorithms. "auto" is "segment": the segment-reachability
+	// oracle (O(1) probes over the sync skeleton's transitive closure,
+	// §IV-D3), which falls back to vector clocks — reporting
 	// "vector-clock" — when the closure exceeds its byte budget; auto never
 	// picks another algorithm. "reachability" and "on-the-fly" are plain
 	// per-query reference implementations, kept for the §IV-D ablation.

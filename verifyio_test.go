@@ -161,6 +161,20 @@ func TestBadInputs(t *testing.T) {
 	if _, err := Verify(tr, POSIX, &Options{Algorithm: "quantum"}); err == nil {
 		t.Error("Verify accepted unknown algorithm")
 	}
+	// The retired alias of "segment" is unknown too, and the error names the
+	// five that are left.
+	_, err = Verify(tr, POSIX, &Options{Algorithm: "transitive-closure"})
+	if err == nil {
+		t.Fatal("Verify accepted the retired name transitive-closure")
+	}
+	if strings.Contains(err.Error(), ", transitive-closure") {
+		t.Errorf("error still offers the retired name: %v", err)
+	}
+	for _, name := range []string{"auto", "segment", "vector-clock", "reachability", "on-the-fly"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not list %q: %v", name, err)
+		}
+	}
 	if _, err := ReadTraceDir(t.TempDir()); err == nil {
 		t.Error("ReadTraceDir accepted empty dir")
 	}

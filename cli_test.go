@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"verifyio/internal/dfg"
 	"verifyio/internal/obs"
 	itrace "verifyio/internal/trace"
 )
@@ -23,7 +22,7 @@ func buildCLIs(t *testing.T) string {
 		t.Skip("CLI integration skipped in -short mode")
 	}
 	bin := t.TempDir()
-	for _, cmd := range []string{"verifyio", "verifyio-trace", "verifyio-dfg", "wrappergen", "reproduce"} {
+	for _, cmd := range []string{"verifyio", "verifyio-trace", "wrappergen", "reproduce"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", cmd, err, out)
@@ -61,7 +60,7 @@ func runCLISplit(t *testing.T, bin string, wantExit int, args ...string) (string
 
 // TestCLIWorkflow drives the whole command-line workflow end to end:
 // trace → dump → verify (clean and racy and unmatched) → diagnose → json,
-// then the fleet analytics, the wrapper generator and the reproduction.
+// then the wrapper generator and the reproduction.
 func TestCLIWorkflow(t *testing.T) {
 	bin := buildCLIs(t)
 	traces := t.TempDir()
@@ -120,28 +119,6 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("json reports = %v", reports)
 	}
 
-	// Fleet analytics: both artifacts are byte-identical run to run.
-	var first [2][]byte
-	for run := 0; run < 2; run++ {
-		dir := t.TempDir()
-		files := [2]string{filepath.Join(dir, "dfg.json"), filepath.Join(dir, "dfg.dot")}
-		out = runCLI(t, bin, 0, "verifyio-dfg", "-trace", filepath.Join(traces, "flexible"), "-out", files[0], "-dot", files[1])
-		if !strings.Contains(out, "dfg: 4 ranks") {
-			t.Fatalf("verifyio-dfg summary:\n%s", out)
-		}
-		for i, file := range files {
-			data, err := os.ReadFile(file)
-			if err != nil || len(data) == 0 {
-				t.Fatalf("verifyio-dfg artifact %s: %d bytes, %v", file, len(data), err)
-			}
-			if run == 0 {
-				first[i] = data
-			} else if !bytes.Equal(data, first[i]) {
-				t.Errorf("%s differs between two verifyio-dfg runs on one directory", filepath.Base(file))
-			}
-		}
-	}
-
 	// wrappergen counts the PnetCDF surface.
 	out = runCLI(t, bin, 0, "wrappergen", "-sig", "internal/recorder/sigs/pnetcdf.sig", "-count")
 	if !strings.Contains(out, "pnetcdf:") {
@@ -156,26 +133,14 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("generated file: %v", err)
 	}
 
-	// reproduce regenerates the quick artifacts and the corpus rollup.
+	// reproduce regenerates the quick artifacts.
 	results := t.TempDir()
-	rollupPath := filepath.Join(results, "corpus-rollup.json")
-	out = runCLI(t, bin, 0, "reproduce", "-out", results, "-only", "table1,table2", "-corpus-out", rollupPath)
+	out = runCLI(t, bin, 0, "reproduce", "-out", results, "-only", "table1,table2")
 	if !strings.Contains(out, "Session") || !strings.Contains(out, "recorder+") {
 		t.Fatalf("reproduce output:\n%s", out)
 	}
 	if _, err := os.Stat(filepath.Join(results, "table1.txt")); err != nil {
 		t.Fatalf("artifact missing: %v", err)
-	}
-	data, err = os.ReadFile(rollupPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rollup dfg.Rollup
-	if err := json.Unmarshal(data, &rollup); err != nil {
-		t.Fatalf("-corpus-out does not parse: %v", err)
-	}
-	if rollup.Traces == 0 || len(rollup.Cells) == 0 {
-		t.Errorf("corpus rollup: %d traces, %d cells", rollup.Traces, len(rollup.Cells))
 	}
 }
 
@@ -294,9 +259,6 @@ func TestExamplesRun(t *testing.T) {
 		{"diagnose", []string{
 			"unordered-conflict", "missing-sync-construct",
 			"library-internal-conflict", "responsible: pnetcdf",
-		}},
-		{"divergent-rank", []string{
-			"1 anomalous rank(s) [2]", "rank 2 correctly flagged",
 		}},
 	}
 	for _, tc := range cases {

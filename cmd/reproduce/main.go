@@ -17,19 +17,11 @@
 //	reproduce [-out DIR] [-only table1,fig4,...] [-workers N] [-tolerate]
 //	          [-window BYTES]
 //	          [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
-//	          [-corpus-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // The stored-trace pass (table4) analyzes each trace while decoding it from
 // its directory in bounded windows (-window BYTES, default 4 MiB, negative =
 // unbounded); the decode is the table's "Read trace" row.
-//
-// -corpus-out writes the fleet rollup: every corpus test's verification
-// outcomes bucketed by consistency model, I/O library, and the trace's DFG
-// archetype (metadata / read-only / write-only / read-modify-write /
-// mixed, derived from its directly-follows graph), plus the run's
-// verdict-cache, happens-before and skeleton telemetry — one
-// machine-readable JSON document for fleet dashboards.
 package main
 
 import (
@@ -42,7 +34,6 @@ import (
 	"time"
 
 	"verifyio/internal/corpus"
-	"verifyio/internal/dfg"
 	"verifyio/internal/obs"
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
@@ -71,7 +62,6 @@ func run() int {
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		metricsOut = flag.String("metrics-out", "", "write the runtime metrics snapshot as JSON to this file")
-		corpusOut  = flag.String("corpus-out", "", "write the fleet rollup (races by model x library x DFG archetype plus cache/fallback telemetry) as JSON to this file")
 		prof       obs.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
@@ -89,10 +79,6 @@ func run() int {
 	var oc obs.Ctx
 	if *traceOut != "" || *metricsOut != "" {
 		oc = obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
-	} else if *corpusOut != "" {
-		// The rollup pulls its telemetry section from Report.Metrics, which
-		// needs a registry attached even when no metrics file was asked for.
-		oc = obs.Ctx{R: obs.NewRegistry()}
 	}
 	defer func() {
 		if err := obs.WriteFileWith(*traceOut, oc.T.WriteChromeTrace); err != nil {
@@ -178,45 +164,7 @@ func run() int {
 			return 2
 		}
 	}
-	if *corpusOut != "" {
-		if err := obs.WriteFileWith(*corpusOut, func(w io.Writer) error {
-			return corpusRollup(w, rowsOnce, *workers, oc)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: write -corpus-out: %v\n", err)
-			return 2
-		}
-		fmt.Printf("corpus rollup: %s\n", *corpusOut)
-	}
 	return 0
-}
-
-// corpusRollup aggregates the whole corpus's verification outcomes into
-// the fleet rollup: each test's trace is regenerated, classified by its
-// DFG archetype, and its per-model reports bucketed by
-// (model, library, archetype). The telemetry section comes from the last
-// report's registry snapshot — the registry is cumulative across the run,
-// so that snapshot covers the full corpus pass.
-func corpusRollup(w io.Writer, rowsOnce func() ([]*corpus.Row, error), workers int, oc obs.Ctx) error {
-	rows, err := rowsOnce()
-	if err != nil {
-		return err
-	}
-	rb := dfg.NewRollup()
-	var last *obs.Snapshot
-	for _, row := range rows {
-		tr, err := corpus.Run(row.Test)
-		if err != nil {
-			return fmt.Errorf("%s: %w", row.Test.Name, err)
-		}
-		fleet := dfg.FromTrace(tr, dfg.Options{Obs: oc})
-		rb.Add(row.Test.Library, fleet.Archetype, row.Reports)
-		for _, rep := range row.Reports {
-			if rep != nil && rep.Metrics != nil {
-				last = rep.Metrics
-			}
-		}
-	}
-	return rb.Finish(last).WriteJSON(w)
 }
 
 // table1 prints the synchronization-operation set S and the MSC per model.

@@ -2,13 +2,13 @@ package verifyio
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
-	"verifyio/internal/dfg"
 	"verifyio/internal/trace"
 )
 
@@ -18,16 +18,47 @@ import (
 var (
 	metricToken = regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_-]+)+)`")
 	fileExt     = regexp.MustCompile(`\.(go|md|json|jsonl|txt|log|bin|dot|svg|viot|sig|yml|sh|mod)$`)
+	// testToken matches a backticked test, fuzz target or benchmark name
+	// (`TestX`, `TestX/sub`); testFunc finds their declarations.
+	testToken = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)")
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(`)
 )
+
+// testFuncs returns the name of every test, fuzz target and benchmark
+// declared in a _test.go file of the repository.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return fs.SkipDir // .git and the like
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
 
 // TestDocsQuoteKnownNames pins the vocabulary of README.md, DESIGN.md and
 // EXPERIMENTS.md in both directions: they do not mention deleted commands,
-// flags or CI jobs, every `pkg.metric_name` they quote is a BENCHMARK.json
-// metric or workload name or a metric the pipeline emits — collected from
-// three instrumented runs of one corpus trace (default oracle; vector clocks;
-// streamed with a verdict cache and a DFG pass) — and every stable metric
-// those runs emit is quoted in DESIGN §11 (a worker pool's under the one
-// `par.<pool>.*` pattern).
+// flags, packages or CI jobs, every test, fuzz target or benchmark they quote
+// is declared in some _test.go file, every `pkg.metric_name` they quote is a
+// BENCHMARK.json metric or workload name or a metric the pipeline emits —
+// collected from three instrumented runs of one corpus trace (default oracle;
+// vector clocks; off the directory with a verdict cache) — and every stable
+// metric those runs emit is quoted in DESIGN §11 (a worker pool's under the
+// one `par.<pool>.*` pattern).
 func TestDocsQuoteKnownNames(t *testing.T) {
 	known := map[string]bool{}
 
@@ -69,7 +100,6 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		&Options{Telemetry: tel, Cache: NewMemoryCache()}); err != nil {
 		t.Fatal(err)
 	}
-	dfg.FromTrace(tr, dfg.Options{Obs: tel.ctx()})
 	for _, name := range tel.registry.Names() {
 		known[name] = true
 	}
@@ -99,15 +129,22 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		documented(name)
 	}
 
+	tests := testFuncs(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke",
-			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out"} {
+			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out",
+			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
+			}
+		}
+		for _, m := range testToken.FindAllStringSubmatch(string(text), -1) {
+			if !tests[m[1]] {
+				t.Errorf("%s quotes `%s`, which no _test.go file declares", doc, m[1])
 			}
 		}
 		for _, m := range metricToken.FindAllStringSubmatch(string(text), -1) {

@@ -43,13 +43,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, diagnoses, err := verifyio.Diagnose(tr, sc.model, nil)
+		rep, err := verifyio.Verify(tr, sc.model, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", sc.name)
 		fmt.Printf("   verdict under %s: %s\n", sc.model, rep.Summary())
-		if len(diagnoses) > 0 {
+		if diagnoses := rep.Diagnose(); len(diagnoses) > 0 {
 			d := diagnoses[0]
 			fmt.Printf("   category:    %s\n", d.Category)
 			fmt.Printf("   responsible: %s\n", d.Responsible)

@@ -97,15 +97,6 @@ func (r *Registry) HistogramS(name string, bounds []int64, s Stability) *Histogr
 	return h
 }
 
-// NewHistogram returns a standalone histogram not attached to any registry
-// — for embedding bucketed state in analytics artifacts (the DFG layer's
-// per-edge inter-arrival histograms) without polluting the metric
-// namespace. Observe is safe for concurrent use, exactly as for registry
-// histograms.
-func NewHistogram(bounds []int64) *Histogram {
-	return newHistogram("", Stable, bounds)
-}
-
 func newHistogram(name string, s Stability, bounds []int64) *Histogram {
 	b := normalizeBounds(bounds)
 	return &Histogram{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -426,29 +425,6 @@ func TestHistogramBoundsPinned(t *testing.T) {
 		if !bytes.Equal(snaps[0], snaps[i]) {
 			t.Fatalf("stable sections differ across bound orderings:\n%s\n---\n%s", snaps[0], snaps[i])
 		}
-	}
-}
-
-// TestStandaloneHistogram: NewHistogram buckets identically to a registry
-// histogram and snapshots without a registry — the embedding contract the
-// DFG layer's per-edge histograms rely on.
-func TestStandaloneHistogram(t *testing.T) {
-	reg := NewRegistry()
-	rh := reg.Histogram("h", []int64{2, 8})
-	sh := NewHistogram([]int64{8, 2}) // order pinned, same layout
-	for _, v := range []int64{1, 2, 3, 9} {
-		rh.Observe(v)
-		sh.Observe(v)
-	}
-	want := reg.Snapshot().Stable.Histograms["h"]
-	got := sh.Snapshot()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("standalone snapshot %+v, want %+v", got, want)
-	}
-	var nh *Histogram
-	nh.Observe(1) // no-op
-	if s := nh.Snapshot(); s.Count != 0 || s.Bounds != nil {
-		t.Fatalf("nil snapshot = %+v, want zero", s)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestTolerateEqualsTheSerialReader(t *testing.T) {
 			}
 			check(fmt.Sprintf("directory, Workers=%d", workers), reps, rec)
 		})
-		loaded, rec, err := verifyio.ReadTraceDirTolerant(dir)
+		loaded, rec, err := verifyio.ReadTraceDirOpts(dir, verifyio.ReadOptions{Tolerate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

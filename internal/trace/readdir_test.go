@@ -138,7 +138,9 @@ func TestReadDirSameAtEveryReaderCount(t *testing.T) {
 
 	// A strict read is over at its first failure: a reader that is handed a
 	// rank above the failed one leaves it alone. Rank 1 fails as it is opened,
-	// so with at most two readers nobody has started on rank 2 by then.
+	// so one reader decodes rank 0 alone. With two, the reader of rank 0 may
+	// be handed rank 2 and on before the reader of rank 1 has failed; a rank
+	// it starts is then read whole, never in part.
 	t.Run("strict stops at the failure", func(t *testing.T) {
 		dir := stage()
 		if err := os.WriteFile(filepath.Join(dir, "rank-1.viot"), []byte("not a trace"), 0o644); err != nil {
@@ -154,8 +156,12 @@ func TestReadDirSameAtEveryReaderCount(t *testing.T) {
 			if err == nil || !strings.HasPrefix(err.Error(), "trace: rank-1.viot: ") {
 				t.Errorf("readers=%d: error %v, want rank 1's", readers, err)
 			}
-			if !reflect.DeepEqual(d.counts, []int{300, 0, 0, 0, 0, 0, 0, 0}) {
-				t.Errorf("readers=%d: records decoded per rank %v, want rank 0's alone", readers, d.counts)
+			ok := d.counts[0] == 300 && d.counts[1] == 0
+			for _, n := range d.counts[2:] {
+				ok = ok && (n == 0 || readers > 1 && n == 300)
+			}
+			if !ok {
+				t.Errorf("readers=%d: records decoded per rank %v, want rank 0's alone (or, at two readers, whole later ranks too)", readers, d.counts)
 			}
 		}
 	})

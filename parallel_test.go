@@ -9,7 +9,6 @@ import (
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/corpus"
-	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/verify"
 )
@@ -44,45 +43,6 @@ func reportFingerprint(t *testing.T, rep *verify.Report) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestParallelCorpusDeterminism is the end-to-end determinism gate: on a
-// conflict-heavy corpus trace with real races, Workers=8 must produce a
-// byte-identical JSON report to Workers=1 for every model × algorithm
-// combination.
-func TestParallelCorpusDeterminism(t *testing.T) {
-	tr := corpusTraceT(t, "pmulti_dset")
-	sawRace := false
-	for _, algo := range []verify.Algo{
-		verify.AlgoVectorClock, verify.AlgoReachability,
-		verify.AlgoOnTheFly, verify.AlgoSegment,
-	} {
-		a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := a.VerifyAll(semantics.All(), verify.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := a.VerifyAll(semantics.All(), verify.Options{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial {
-			if serial[i].RaceCount > 0 {
-				sawRace = true
-			}
-			sj := reportFingerprint(t, serial[i])
-			pj := reportFingerprint(t, parallel[i])
-			if !bytes.Equal(sj, pj) {
-				t.Errorf("%s/%s: Workers=8 report differs from Workers=1", algo, serial[i].Model)
-			}
-		}
-	}
-	if !sawRace {
-		t.Fatal("corpus trace produced no races; the determinism test is vacuous")
-	}
 }
 
 // detectFingerprint serializes everything a conflict.Result exposes —
@@ -131,37 +91,6 @@ func TestDetectWorkerDeterminism(t *testing.T) {
 				base = fp
 			} else if !bytes.Equal(base, fp) {
 				t.Errorf("%s: Detect workers=%d differs from workers=1", tc.Name, w)
-			}
-		}
-	}
-}
-
-// TestAnalyzeParallelDeterminism runs the whole front-end — concurrent
-// detect+match, sharded sweep, graph, vector clocks, all-model verify —
-// serially and in parallel on conflict-heavy traces and requires
-// byte-identical reports.
-func TestAnalyzeParallelDeterminism(t *testing.T) {
-	for _, name := range []string{"pmulti_dset", "nc4perf", "flexible", "collective_error"} {
-		tr := corpusTraceT(t, name)
-		serialA, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		parallelA, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: 8})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		serial, err := serialA.VerifyAll(semantics.All(), verify.Options{Workers: 1, ContinueOnUnmatched: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		parallel, err := parallelA.VerifyAll(semantics.All(), verify.Options{Workers: 8, ContinueOnUnmatched: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range serial {
-			if !bytes.Equal(reportFingerprint(t, serial[i]), reportFingerprint(t, parallel[i])) {
-				t.Errorf("%s/%s: parallel analysis report differs from serial", name, serial[i].Model)
 			}
 		}
 	}

@@ -3,89 +3,16 @@ package verifyio
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strconv"
 	"testing"
 
 	"verifyio/internal/corpus"
-	"verifyio/internal/dfg"
-	"verifyio/internal/obs"
-	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/verify"
 )
-
-// streamEquivWindow is deliberately tiny so every corpus trace splits into
-// many batches — the equivalence below must hold regardless of where the
-// window boundaries land.
-const streamEquivWindow = int64(1 << 12)
-
-func verifyAllReports(t *testing.T, a *verify.Analysis, workers int) []*verify.Report {
-	t.Helper()
-	reps, err := a.VerifyAll(semantics.All(), verify.Options{Workers: workers, ContinueOnUnmatched: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reps
-}
-
-// TestStreamEquivalenceCorpus is source equivalence: for every corpus test,
-// encoding the trace and analyzing it off the directory, in batches of a tiny
-// window, must produce byte-identical reports (races, counts, problems,
-// ordering — everything but wall times) to analyzing the decoded trace in
-// memory, across all four models, serial and parallel workers, and with
-// tolerate on and off.
-func TestStreamEquivalenceCorpus(t *testing.T) {
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, name := range corpus.Names() {
-		tr := corpusTraceT(t, name)
-		dir := filepath.Join(t.TempDir(), "trace")
-		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
-			t.Fatal(err)
-		}
-		for _, tolerate := range []bool{false, true} {
-			dopts := trace.DecodeOptions{Tolerate: tolerate}
-			mt, _, err := trace.ReadDirWithOptions(dir, dopts)
-			if err != nil {
-				t.Fatalf("%s: read: %v", name, err)
-			}
-			for _, workers := range workerCounts {
-				ma, err := verify.AnalyzeOpts(mt, verify.AlgoAuto, verify.AnalyzeOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: analyze: %v", name, err)
-				}
-				sa, err := verify.AnalyzeStream(dir, verify.AlgoAuto, verify.StreamAnalyzeOptions{
-					AnalyzeOptions: verify.AnalyzeOptions{Workers: workers},
-					Decode:         dopts,
-					WindowBytes:    streamEquivWindow,
-				})
-				if err != nil {
-					t.Fatalf("%s: analyze stream: %v", name, err)
-				}
-				want := verifyAllReports(t, ma, workers)
-				got := verifyAllReports(t, sa, workers)
-				if len(want) != len(got) {
-					t.Fatalf("%s: %d materialized reports, %d streamed", name, len(want), len(got))
-				}
-				for i := range want {
-					w := reportFingerprint(t, want[i])
-					g := reportFingerprint(t, got[i])
-					if !bytes.Equal(w, g) {
-						t.Errorf("%s model=%s workers=%d tolerate=%v: streamed report differs\nmaterialized: %s\nstreamed:     %s",
-							name, want[i].Model, workers, tolerate, w, g)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestVerifyAllStreamPublicAPI checks the public directory entry points
 // against the in-memory ones, including the wrapped report fields the CLI
@@ -118,7 +45,7 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rec, err := VerifyAllStream(dir, ReadOptions{WindowBytes: streamEquivWindow}, opts)
+		got, rec, err := VerifyAllStream(dir, ReadOptions{WindowBytes: goldenWindow}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +65,7 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 					name, want[i].Model, w, g)
 			}
 		}
-		one, rec, err := VerifyStream(dir, POSIX, ReadOptions{Tolerate: true, WindowBytes: streamEquivWindow}, opts)
+		one, rec, err := VerifyStream(dir, POSIX, ReadOptions{Tolerate: true, WindowBytes: goldenWindow}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,53 +78,40 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 	}
 }
 
-// TestStreamPeakIndependentOfTraceSize is the streaming path's memory
-// contract: with each batch fed to the DFG builder (O(nodes+edges) state per
-// rank) and then released, peak resident decoded bytes are set by the window,
-// not by the trace — a 25× larger directory reaches exactly the same peak,
-// within one record of the window. The workload is symmetric across ranks,
-// so no rank may score anomalous.
+// TestStreamPeakIndependentOfTraceSize is the directory source's memory
+// contract on the path `verifyio -window` runs: the window is divided among
+// the rank readers, so the decoded records resident at once stay within it —
+// within one record, since a batch closes at the first record that reaches
+// its share — at any worker count, for a trace of 2 000 ops per rank as for
+// one 25× that size.
 func TestStreamPeakIndependentOfTraceSize(t *testing.T) {
 	const (
 		ranks  = 8
 		window = int64(256 << 10)
-		slack  = int64(1 << 10) // a batch closes at the first record that reaches the window
+		slack  = int64(1 << 10)
 	)
-	var peaks []int64
 	for _, ops := range []int{2000, 50000} {
 		dir := filepath.Join(t.TempDir(), "trace")
 		if err := corpus.WriteScalingDir(dir, ranks, ops, 1<<18, 7, trace.DefaultEncodeOptions()); err != nil {
 			t.Fatal(err)
 		}
-		s, err := trace.OpenStream(dir, trace.StreamOptions{WindowBytes: window})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		db := dfg.NewBuilder(ranks, obs.Ctx{})
-		decoded := 0
-		for {
-			b, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
+		for _, workers := range []int{1, 4} {
+			tel := NewTelemetry()
+			read := ReadOptions{WindowBytes: window, Telemetry: tel}
+			if _, _, err := VerifyAllStream(dir, read, &Options{Workers: workers, Telemetry: tel}); err != nil {
 				t.Fatal(err)
 			}
-			decoded += len(b.Recs)
-			db.Feed(b.Rank, b.Recs)
-			b.Release()
+			stable := tel.registry.Snapshot().Stable
+			if got, want := stable.Counters["trace.records_decoded"], int64(ranks*corpus.ScalingRankRecords(ops)); got != want {
+				t.Fatalf("ops=%d, Workers=%d: decoded %d records, staged %d", ops, workers, got, want)
+			}
+			if got := stable.Gauges["decode.window_bytes"]; got != window {
+				t.Errorf("ops=%d, Workers=%d: decode.window_bytes = %d, want %d", ops, workers, got, window)
+			}
+			if peak := stable.Gauges["decode.peak_resident_bytes"]; peak <= 0 || peak > window+slack {
+				t.Errorf("ops=%d, Workers=%d: decode.peak_resident_bytes = %d, want in (0, %d]", ops, workers, peak, window+slack)
+			}
 		}
-		if want := ranks * corpus.ScalingRankRecords(ops); decoded != want {
-			t.Fatalf("ops=%d: decoded %d records, staged %d", ops, decoded, want)
-		}
-		if anom := db.Finish().AnomalousRanks; len(anom) != 0 {
-			t.Errorf("ops=%d: anomalous ranks %v on a symmetric workload", ops, anom)
-		}
-		peaks = append(peaks, s.PeakResidentBytes())
-	}
-	if peaks[0] != peaks[1] || peaks[0] <= 0 || peaks[0] > window+slack {
-		t.Errorf("peak resident bytes %v: want equal at both sizes and in (0, %d]", peaks, window+slack)
 	}
 }
 
@@ -326,12 +240,12 @@ func TestDamagedHeaderReportedAsBefore(t *testing.T) {
 		{Rank: 0, Salvaged: 0, Dropped: -1, Reason: "trace: header at payload offset 0: corrupt: bad magic, not a VerifyIO trace"},
 		{Rank: 3, Salvaged: 0, Dropped: -1, Reason: "trace: directory: rank 3 at payload offset 0: truncated: missing rank file"},
 	}
-	tr, rec, err := ReadTraceDirTolerant(dir)
+	tr, rec, err := ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.NumRanks() != 4 || !reflect.DeepEqual(rec.Ranks, want) {
-		t.Errorf("ReadTraceDirTolerant: %d ranks, recovery %+v; want 4 ranks, %+v", tr.NumRanks(), rec.Ranks, want)
+		t.Errorf("ReadTraceDirOpts: %d ranks, recovery %+v; want 4 ranks, %+v", tr.NumRanks(), rec.Ranks, want)
 	}
 	for _, workers := range []int{1, 4} {
 		_, rec, err := VerifyAllStream(dir, ReadOptions{Tolerate: true}, &Options{Workers: workers})

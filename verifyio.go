@@ -210,7 +210,12 @@ func ReadTraceDir(dir string) (*Trace, error) {
 
 // ReadOptions tunes trace loading.
 type ReadOptions struct {
-	// Tolerate enables lenient loading (see ReadTraceDirTolerant).
+	// Tolerate enables lenient loading: damaged or missing rank streams are
+	// salvaged to their longest well-formed prefix instead of failing the
+	// whole load, and the returned Recovery reports exactly what was kept and
+	// lost per rank. Verifying a salvaged trace is equivalent to verifying an
+	// execution that stopped where the trace breaks off — partial evidence,
+	// reported honestly.
 	Tolerate bool
 	// Telemetry instruments the load (a "read-trace" span with per-rank
 	// children, trace.* metrics). Nil disables.
@@ -223,9 +228,8 @@ type ReadOptions struct {
 	WindowBytes int64
 }
 
-// ReadTraceDirOpts loads a trace directory with explicit options; it
-// subsumes ReadTraceDir (zero options) and ReadTraceDirTolerant
-// (Tolerate: true). The Recovery is non-nil only in tolerate mode.
+// ReadTraceDirOpts loads a trace directory with explicit options; with zero
+// options it is ReadTraceDir. The Recovery is non-nil only in tolerate mode.
 func ReadTraceDirOpts(dir string, opts ReadOptions) (*Trace, *Recovery, error) {
 	tr, stats, err := trace.ReadDirWithOptions(dir, trace.DecodeOptions{
 		Tolerate: opts.Tolerate,
@@ -281,16 +285,6 @@ type Recovery struct {
 
 // Clean reports whether the load salvaged nothing — the trace was intact.
 func (r *Recovery) Clean() bool { return r == nil || len(r.Ranks) == 0 }
-
-// ReadTraceDirTolerant loads a trace directory leniently: damaged or missing
-// rank streams are salvaged to their longest well-formed prefix instead of
-// failing the whole load, and the returned Recovery reports exactly what was
-// kept and lost per rank. Verifying a salvaged trace is equivalent to
-// verifying an execution that stopped where the trace breaks off — partial
-// evidence, reported honestly.
-func ReadTraceDirTolerant(dir string) (*Trace, *Recovery, error) {
-	return ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
-}
 
 // TraceProgram runs prog once per rank under the Recorder⁺ tracer, against
 // a simulated file system providing the given consistency model, and
@@ -619,16 +613,6 @@ func (r *Report) Diagnose() []Diagnosis {
 		})
 	}
 	return out
-}
-
-// Diagnose verifies the trace under the model and diagnoses the report (see
-// Report.Diagnose).
-func Diagnose(t *Trace, model Model, opts *Options) (*Report, []Diagnosis, error) {
-	rep, err := Verify(t, model, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, rep.Diagnose(), nil
 }
 
 // analyze analyzes the trace from memory, carrying its salvage state into

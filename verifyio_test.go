@@ -222,7 +222,7 @@ func TestTolerantReadMatchesIntactPrefix(t *testing.T) {
 	if _, err := ReadTraceDir(dir); err == nil {
 		t.Fatal("strict ReadTraceDir accepted a truncated rank file")
 	}
-	salvaged, rec, err := ReadTraceDirTolerant(dir)
+	salvaged, rec, err := ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
 	if err != nil {
 		t.Fatalf("tolerant read failed: %v", err)
 	}

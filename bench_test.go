@@ -96,7 +96,7 @@ func BenchmarkFig2_Quickstart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reports, err := VerifyAll(tr, &Options{Algorithm: "vector-clock"})
+		reports, err := VerifyAll(tr, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

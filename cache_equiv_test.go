@@ -338,7 +338,7 @@ func TestParentWrittenV2CacheOnlyMisses(t *testing.T) {
 	}
 	old.Close()
 
-	plain, err := VerifyAll(tr, &Options{Algorithm: "vector-clock"})
+	plain, err := VerifyAll(tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestParentWrittenV2CacheOnlyMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	opts := &Options{Algorithm: "vector-clock", Cache: cache, CacheID: traceDir}
+	opts := &Options{Cache: cache, CacheID: traceDir}
 	first, err := VerifyAll(tr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestPublicAPICache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	opts := &Options{Algorithm: "vector-clock", Cache: cache, CacheID: "public-test"}
+	opts := &Options{Cache: cache, CacheID: "public-test"}
 	cold, err := VerifyAll(tr, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	verifyio -trace DIR [-model posix|commit|session|mpi-io|all]
-//	         [-algorithm auto|segment|vector-clock|reachability|on-the-fly]
 //	         [-workers N] [-no-pruning] [-max-races N] [-details] [-diagnose]
 //	         [-tolerate] [-window BYTES] [-dump] [-json]
 //	         [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
@@ -55,19 +54,18 @@ func main() {
 
 func run() int {
 	var (
-		traceDir  = flag.String("trace", "", "trace directory (written by verifyio-trace)")
-		model     = flag.String("model", "all", "consistency model: posix, commit, session, mpi-io, or all")
-		algorithm = flag.String("algorithm", "auto", "happens-before algorithm: auto|segment (skeleton closure; vector-clock when over budget), vector-clock, reachability|on-the-fly (per-query references)")
-		noPrune   = flag.Bool("no-pruning", false, "disable conflict-group pruning (Fig. 3)")
-		workers   = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
-		maxRaces  = flag.Int("max-races", 16, "maximum races reported in detail")
-		details   = flag.Bool("details", false, "print full reports with call chains")
-		diagnose  = flag.Bool("diagnose", false, "classify each race and suggest a fix")
-		dump      = flag.Bool("dump", false, "print the trace as text and exit")
-		jsonOut   = flag.Bool("json", false, "emit the reports as JSON")
-		tolerate  = flag.Bool("tolerate", false, "salvage damaged or truncated rank streams instead of failing")
-		window    = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
-		cacheDir  = flag.String("cache-dir", "", "persistent verdict-cache directory: re-verifying an unchanged trace is served from cache, an appended trace re-verifies only the dirtied chunks")
+		traceDir = flag.String("trace", "", "trace directory (written by verifyio-trace)")
+		model    = flag.String("model", "all", "consistency model: posix, commit, session, mpi-io, or all")
+		noPrune  = flag.Bool("no-pruning", false, "disable conflict-group pruning (Fig. 3)")
+		workers  = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
+		maxRaces = flag.Int("max-races", 16, "maximum races reported in detail (0 = 256, negative = none; the count is always exact)")
+		details  = flag.Bool("details", false, "print full reports with call chains")
+		diagnose = flag.Bool("diagnose", false, "classify each race and suggest a fix")
+		dump     = flag.Bool("dump", false, "print the trace as text and exit")
+		jsonOut  = flag.Bool("json", false, "emit the reports as JSON")
+		tolerate = flag.Bool("tolerate", false, "salvage damaged or truncated rank streams instead of failing")
+		window   = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
+		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory: re-verifying an unchanged trace is served from cache, an appended trace re-verifies only the dirtied chunks")
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		metricsOut = flag.String("metrics-out", "", "write the runtime metrics snapshot as JSON to this file")
@@ -117,7 +115,6 @@ func run() int {
 	}
 
 	opts := &verifyio.Options{
-		Algorithm:      *algorithm,
 		DisablePruning: *noPrune,
 		MaxRaceDetails: *maxRaces,
 		Workers:        *workers,

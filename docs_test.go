@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
+	"verifyio/internal/verify"
 )
 
 // metricToken matches a backticked lower-case dotted name (`pkg.metric_name`).
@@ -91,10 +93,16 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"auto", "vector-clock"} {
-		if _, err := VerifyAll(loaded, &Options{Algorithm: algo, Telemetry: tel}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := VerifyAll(loaded, &Options{Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	// The vector-clock oracle emits metrics of its own.
+	a, err := verify.Analyze(loaded.t, verify.AlgoVectorClock, verify.AnalyzeOptions{Obs: tel.ctx()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.VerifyAll(semantics.All(), verify.Options{Obs: tel.ctx()}); err != nil {
+		t.Fatal(err)
 	}
 	if _, _, err := VerifyAllStream(dir, ReadOptions{Telemetry: tel},
 		&Options{Telemetry: tel, Cache: NewMemoryCache()}); err != nil {
@@ -137,7 +145,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		}
 		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke",
 			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out",
-			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg"} {
+			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg",
+			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,12 +96,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzStreamDecode drives the windowed streaming decoder with arbitrary
-// bytes and holds it to the materializing decoder's answer: both must agree
-// on success vs failure, and on success the concatenated batches must equal
-// the materialized ranks — in strict and tolerate mode alike. The streaming
-// path shares the record-decoding core with DecodeWithOptions, so this is
-// the fuzz-strength version of the corpus equivalence tests.
+// FuzzStreamDecode drives the windowed batch decoder every rank reader runs
+// (decodeBatches) with arbitrary bytes and holds it to the materializing
+// decoder's answer: both must agree on success vs failure, and on success the
+// concatenated batches must equal the materialized ranks — in strict and
+// tolerate mode alike. The batch path shares the record-decoding core with
+// DecodeWithOptions, so this is the fuzz-strength version of the corpus
+// equivalence tests.
 func FuzzStreamDecode(f *testing.F) {
 	for _, compress := range []bool{false, true} {
 		var buf bytes.Buffer
@@ -118,29 +118,7 @@ func FuzzStreamDecode(f *testing.F) {
 			opts := DecodeOptions{Tolerate: tolerate, Limits: fuzzLimits()}
 			want, wantStats, wantErr := DecodeWithOptions(bytes.NewReader(data), opts)
 
-			ranks := [][]Record{}
-			var gotErr error
-			s, err := NewStream(bytes.NewReader(data), StreamOptions{DecodeOptions: opts, WindowBytes: 256})
-			if err != nil {
-				gotErr = err
-			} else {
-				ranks = make([][]Record, s.NumRanks())
-				for {
-					b, err := s.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						gotErr = err
-						break
-					}
-					tmp := make([]Record, len(b.Recs))
-					copy(tmp, b.Recs)
-					ranks[b.Rank] = append(ranks[b.Rank], tmp...)
-					b.Release()
-				}
-				s.Close()
-			}
+			got, gotStats, _, gotErr := decodeBatches(data, opts, 256)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("tolerate=%v: stream err %v, decode err %v", tolerate, gotErr, wantErr)
 			}
@@ -150,20 +128,16 @@ func FuzzStreamDecode(f *testing.F) {
 				}
 				continue
 			}
-			for rank := range want.Ranks {
-				w := want.Ranks[rank]
-				g := ranks[rank]
-				if len(g) != len(w) {
-					t.Fatalf("tolerate=%v rank %d: stream %d records, decode %d", tolerate, rank, len(g), len(w))
-				}
-				for i := range w {
-					if !reflect.DeepEqual(g[i], w[i]) {
-						t.Fatalf("tolerate=%v rank %d record %d differs", tolerate, rank, i)
-					}
+			if len(got.Ranks) != len(want.Ranks) {
+				t.Fatalf("tolerate=%v: stream %d ranks, decode %d", tolerate, len(got.Ranks), len(want.Ranks))
+			}
+			for rank, w := range want.Ranks {
+				if g := got.Ranks[rank]; len(g) != len(w) || (len(w) > 0 && !reflect.DeepEqual(g, w)) {
+					t.Fatalf("tolerate=%v rank %d: stream %d records, decode %d, or a record differs", tolerate, rank, len(g), len(w))
 				}
 			}
-			if s.Stats().Salvaged() != wantStats.Salvaged() || s.Stats().Clean() != wantStats.Clean() {
-				t.Fatalf("tolerate=%v: stream stats %+v, decode stats %+v", tolerate, s.Stats(), wantStats)
+			if gotStats.Salvaged() != wantStats.Salvaged() || gotStats.Clean() != wantStats.Clean() {
+				t.Fatalf("tolerate=%v: stream stats %+v, decode stats %+v", tolerate, gotStats, wantStats)
 			}
 		}
 	})

@@ -73,34 +73,20 @@ func (b *Batch) Release() {
 	if b == nil || b.s == nil {
 		return
 	}
-	b.s.res.add(-b.cost)
-	b.s.pool.put(b.Recs)
+	b.s.dir.res.add(-b.cost)
+	b.s.dir.pool.put(b.Recs)
 	b.s = nil
 	b.Recs = nil
 }
 
-// Stream decodes a trace incrementally, yielding per-rank record batches in
-// rank-major order (all of rank 0's batches, then rank 1's, ...). It is not
-// safe for concurrent use.
+// Stream decodes a trace directory incrementally, yielding per-rank record
+// batches in rank-major order (all of rank 0's batches, then rank 1's, ...):
+// the directory's rank readers, one at a time in rank order. It is not safe
+// for concurrent use.
 type Stream struct {
-	opts   StreamOptions
-	window int64
-
-	// Single-reader mode (NewStream): one payload carrying every rank.
-	single *streamSource
-	stats  *DecodeStats
-
-	// Directory mode (OpenStream): the directory's rank readers, one at a
-	// time in rank order.
 	dir  *Dir
 	next int         // next rank to open
 	cur  *rankReader // open rank; nil between ranks
-
-	// In directory mode these are the directory's.
-	meta   map[string]string
-	counts []int
-	res    *residency
-	pool   *bufPool
 
 	done   bool
 	err    error // sticky failure
@@ -109,7 +95,7 @@ type Stream struct {
 
 // streamSource is one open payload being decoded.
 type streamSource struct {
-	f  *os.File // nil in single-reader mode
+	f  *os.File
 	fr io.ReadCloser
 	d  *decoder
 	ps *payloadStream
@@ -137,31 +123,6 @@ func (src *streamSource) close() {
 	}
 }
 
-// NewStream starts streaming one encoded trace stream (the format Encode
-// writes). Batches cover every rank the stream declares, in rank-major
-// order. Header, metadata, or string-table damage fails here; later damage
-// surfaces from Next exactly as DecodeWithOptions would report it.
-func NewStream(r io.Reader, opts StreamOptions) (*Stream, error) {
-	src, err := openSource(r, opts.DecodeOptions)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stream{
-		opts:   opts,
-		window: resolveWindow(opts.WindowBytes),
-		single: src,
-		meta:   src.ps.meta,
-		counts: make([]int, src.ps.nranks),
-		res:    new(residency),
-		pool:   new(bufPool),
-	}
-	src.ps.outgrown = s.pool.put
-	if s.window > 0 {
-		opts.Obs.R.Gauge("decode.window_bytes").Set(s.window)
-	}
-	return s, nil
-}
-
 // OpenStream starts streaming a trace directory written by WriteDir: one
 // batch run per world rank, ranks ascending — OpenDir read by one reader.
 func OpenStream(dir string, opts StreamOptions) (*Stream, error) {
@@ -169,7 +130,7 @@ func OpenStream(dir string, opts StreamOptions) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{opts: opts, dir: d, meta: d.meta, counts: d.counts, res: &d.res, pool: &d.pool}, nil
+	return &Stream{dir: d}, nil
 }
 
 func resolveWindow(w int64) int64 {
@@ -202,28 +163,19 @@ func openSource(r io.Reader, opts DecodeOptions) (*streamSource, error) {
 }
 
 // NumRanks returns the world rank count (known before any batch decodes).
-func (s *Stream) NumRanks() int { return len(s.counts) }
+func (s *Stream) NumRanks() int { return len(s.dir.counts) }
 
-// Meta returns the trace-level metadata (directory mode: rank 0's file,
-// minus the verifyio.* bookkeeping keys — what the materialized Trace.Meta
-// holds).
-func (s *Stream) Meta() map[string]string { return s.meta }
+// Meta returns the trace-level metadata: rank 0's file, minus the verifyio.*
+// bookkeeping keys — what the materialized Trace.Meta holds.
+func (s *Stream) Meta() map[string]string { return s.dir.meta }
 
 // Counts returns the per-rank emitted record counts so far; after Next has
 // returned io.EOF it is the full per-rank record count of the trace.
-func (s *Stream) Counts() []int { return s.counts }
+func (s *Stream) Counts() []int { return s.dir.counts }
 
 // Stats returns the tolerate-mode salvage stats. It is only complete after
 // Next has returned io.EOF.
-func (s *Stream) Stats() *DecodeStats {
-	switch {
-	case s.dir != nil:
-		return s.dir.Stats()
-	case s.stats != nil:
-		return s.stats
-	}
-	return &DecodeStats{}
-}
+func (s *Stream) Stats() *DecodeStats { return s.dir.Stats() }
 
 // Next returns the next batch, or io.EOF when the trace is exhausted (after
 // which Stats and Counts are final). Errors are classified like the
@@ -238,53 +190,25 @@ func (s *Stream) Next() (*Batch, error) {
 	if s.done {
 		return nil, io.EOF
 	}
-	next := s.nextDir
-	if s.single != nil {
-		next = s.nextSingle
-	}
-	b, err := next()
+	b, err := s.nextDir()
 	if err != nil {
 		if err != io.EOF {
 			s.err = err
 		} else {
+			// Closing the directory publishes the end-of-stream telemetry.
 			s.done = true
-			s.finalize()
+			s.dir.Close()
 		}
 		return nil, err
 	}
-	s.res.add(b.cost)
+	s.dir.res.add(b.cost)
 	return &Batch{Rank: b.rank, Start: b.start, Recs: b.recs, cost: b.cost, s: s}, nil
-}
-
-func (s *Stream) nextSingle() (rawBatch, error) {
-	src := s.single
-	for {
-		buf := s.pool.take()
-		b, err := src.ps.nextBatch(buf, s.window)
-		if err == io.EOF {
-			s.pool.put(buf)
-			stats, err := src.finish(s.opts.Tolerate)
-			if err != nil {
-				return rawBatch{}, err
-			}
-			s.stats = stats
-			return rawBatch{}, io.EOF
-		}
-		if err != nil {
-			return rawBatch{}, err
-		}
-		if len(b.recs) == 0 {
-			continue
-		}
-		s.counts[b.rank] += len(b.recs)
-		return b, nil
-	}
 }
 
 func (s *Stream) nextDir() (rawBatch, error) {
 	for {
 		if s.cur == nil {
-			if s.next >= len(s.counts) {
+			if s.next >= len(s.dir.counts) {
 				return rawBatch{}, io.EOF
 			}
 			rr, err := s.dir.openRank(s.next)
@@ -304,22 +228,9 @@ func (s *Stream) nextDir() (rawBatch, error) {
 	}
 }
 
-// finalize publishes the end-of-stream telemetry.
-func (s *Stream) finalize() {
-	if s.dir != nil {
-		s.dir.Close()
-		return
-	}
-	decoded := 0
-	for _, n := range s.counts {
-		decoded += n
-	}
-	publishDecode(s.opts.Obs, decoded, s.Stats(), s.res.peak.Load())
-}
-
 // PeakResidentBytes reports the high-water mark of unreleased batch cost —
 // the quantity the decode.peak_resident_bytes gauge exports.
-func (s *Stream) PeakResidentBytes() int64 { return s.res.peak.Load() }
+func (s *Stream) PeakResidentBytes() int64 { return s.dir.res.peak.Load() }
 
 // Close releases the stream's resources. It is idempotent; a stream that
 // already returned io.EOF needs no Close but tolerates one.
@@ -332,14 +243,7 @@ func (s *Stream) Close() error {
 		s.cur.close()
 		s.cur = nil
 	}
-	if s.single != nil {
-		s.single.close()
-		s.single = nil
-		s.opts.Obs.R.Gauge("decode.peak_resident_bytes").SetMax(s.res.peak.Load())
-	}
-	if s.dir != nil {
-		s.dir.Close()
-	}
+	s.dir.Close()
 	return nil
 }
 

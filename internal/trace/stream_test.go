@@ -70,6 +70,32 @@ func drainStream(t *testing.T, s *Stream) ([][]Record, int) {
 	return ranks, batches
 }
 
+// decodeBatches decodes one encoded stream through the core every rank reader
+// of a Dir runs — openSource, payloadStream.nextBatch bounded by window, and
+// streamSource.finish — and returns the records, the stats, the number of
+// batches, and the first error the core reports.
+func decodeBatches(data []byte, opts DecodeOptions, window int64) (*Trace, *DecodeStats, int, error) {
+	src, err := openSource(bytes.NewReader(data), opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer src.close()
+	tr, batches := &Trace{Meta: src.ps.meta, Ranks: make([][]Record, src.ps.nranks)}, 0
+	for {
+		b, err := src.ps.nextBatch(nil, window)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		tr.Ranks[b.rank] = append(tr.Ranks[b.rank], b.recs...)
+		batches++
+	}
+	stats, err := src.finish(opts.Tolerate)
+	return tr, stats, batches, err
+}
+
 func TestStreamMatchesDecode(t *testing.T) {
 	tr := streamTestTrace(t, 3, 400)
 	for _, compress := range []bool{false, true} {
@@ -82,28 +108,21 @@ func TestStreamMatchesDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewStream(bytes.NewReader(buf.Bytes()), StreamOptions{WindowBytes: 1 << 12})
+			got, stats, batches, err := decodeBatches(buf.Bytes(), DecodeOptions{}, 1<<12)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
-			if s.NumRanks() != len(want.Ranks) {
-				t.Fatalf("NumRanks = %d, want %d", s.NumRanks(), len(want.Ranks))
-			}
-			ranks, batches := drainStream(t, s)
 			if batches <= len(want.Ranks) {
 				t.Fatalf("window produced only %d batches for %d ranks — not windowing", batches, len(want.Ranks))
 			}
-			for rank := range want.Ranks {
-				if !reflect.DeepEqual(ranks[rank], want.Ranks[rank]) {
-					t.Fatalf("rank %d records differ between stream and decode", rank)
-				}
+			if !reflect.DeepEqual(got.Ranks, want.Ranks) {
+				t.Fatal("records differ between batches and decode")
 			}
-			if !reflect.DeepEqual(s.Meta(), want.Meta) {
-				t.Fatalf("Meta = %v, want %v", s.Meta(), want.Meta)
+			if !reflect.DeepEqual(got.Meta, want.Meta) {
+				t.Fatalf("Meta = %v, want %v", got.Meta, want.Meta)
 			}
-			if !s.Stats().Clean() {
-				t.Fatalf("clean stream salvaged: %+v", s.Stats())
+			if !stats.Clean() {
+				t.Fatalf("clean stream salvaged: %+v", stats)
 			}
 		})
 	}
@@ -341,28 +360,28 @@ func TestBatchReleaseIdempotent(t *testing.T) {
 	if b.cost <= 0 {
 		t.Fatalf("batch cost = %d, want > 0", b.cost)
 	}
-	resident, pooled := s.res.cur.Load(), len(s.pool.bufs)
+	resident, pooled := s.dir.res.cur.Load(), len(s.dir.pool.bufs)
 	cost := b.cost // Release severs b.s but leaves cost readable
 
 	b.Release()
-	if got, want := s.res.cur.Load(), resident-cost; got != want {
+	if got, want := s.dir.res.cur.Load(), resident-cost; got != want {
 		t.Fatalf("after first Release resident = %d, want %d", got, want)
 	}
-	if len(s.pool.bufs) != pooled+1 {
-		t.Fatalf("after first Release pool has %d buffers, want %d", len(s.pool.bufs), pooled+1)
+	if len(s.dir.pool.bufs) != pooled+1 {
+		t.Fatalf("after first Release pool has %d buffers, want %d", len(s.dir.pool.bufs), pooled+1)
 	}
 	if b.s != nil || b.Recs != nil {
 		t.Fatalf("first Release must sever the batch: s=%v Recs=%v", b.s, b.Recs)
 	}
-	residentAfter, pooledAfter := s.res.cur.Load(), len(s.pool.bufs)
+	residentAfter, pooledAfter := s.dir.res.cur.Load(), len(s.dir.pool.bufs)
 
 	// The misuse under test: releasing again must change nothing.
 	b.Release()
-	if got := s.res.cur.Load(); got != residentAfter {
+	if got := s.dir.res.cur.Load(); got != residentAfter {
 		t.Fatalf("double Release moved resident accounting: %d -> %d", residentAfter, got)
 	}
-	if len(s.pool.bufs) != pooledAfter {
-		t.Fatalf("double Release pushed the buffer into the pool twice: %d -> %d buffers", pooledAfter, len(s.pool.bufs))
+	if len(s.dir.pool.bufs) != pooledAfter {
+		t.Fatalf("double Release pushed the buffer into the pool twice: %d -> %d buffers", pooledAfter, len(s.dir.pool.bufs))
 	}
 
 	// And a released (nil-severed) batch from a drained stream plus a nil

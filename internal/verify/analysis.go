@@ -57,16 +57,6 @@ func (a Algo) String() string {
 	return fmt.Sprintf("algo(%d)", int(a))
 }
 
-// AlgoByName resolves an algorithm name.
-func AlgoByName(name string) (Algo, error) {
-	for a, n := range algoNames {
-		if n == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("verify: unknown algorithm %q (have auto, segment, vector-clock, reachability, on-the-fly)", name)
-}
-
 // Timing is the per-stage breakdown Table IV reports. The first three stages
 // are interleaved batch by batch inside Analyze's per-rank tasks, each of
 // which reads the clock three times a batch; a stage's field sums its share

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"strings"
 
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
@@ -165,31 +164,4 @@ func libraryOf(layerX, layerY string) string {
 		}
 	}
 	return "library"
-}
-
-// RenderDiagnoses writes the diagnoses in a compact report form.
-func RenderDiagnoses(ds []Diagnosis, w interface{ Write([]byte) (int, error) }) {
-	for i, d := range ds {
-		fmt.Fprintf(w, "#%d [%s] responsible: %s\n", i+1, d.Category, d.Responsible)
-		fmt.Fprintf(w, "   %s vs %s on %s\n", d.Race.FuncX, d.Race.FuncY, d.Race.File)
-		fmt.Fprintf(w, "   fix: %s\n", wrapText(d.Suggestion, 72, "        "))
-	}
-}
-
-func wrapText(s string, width int, indent string) string {
-	words := strings.Fields(s)
-	var b strings.Builder
-	line := 0
-	for i, word := range words {
-		if line+len(word)+1 > width && line > 0 {
-			b.WriteString("\n" + indent)
-			line = 0
-		} else if i > 0 {
-			b.WriteString(" ")
-			line++
-		}
-		b.WriteString(word)
-		line += len(word)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -159,26 +158,6 @@ func TestDiagnoseMissingConstruct(t *testing.T) {
 		}
 		if hint := wantHints[model.ID]; !strings.Contains(d.Suggestion, hint) {
 			t.Errorf("%s: suggestion %q missing %q", model.Name, d.Suggestion, hint)
-		}
-	}
-}
-
-func TestRenderDiagnoses(t *testing.T) {
-	a := analyzeProgram(t, 2, func(r *recorder.Rank) error {
-		fd, err := r.Open("f", posixfs.ORdwr|posixfs.OCreate)
-		if err != nil {
-			return err
-		}
-		_, err = r.Pwrite(fd, []byte("zz"), 0)
-		return err
-	})
-	ds := diagnoseModel(t, a, semantics.POSIXModel())
-	var buf bytes.Buffer
-	RenderDiagnoses(ds, &buf)
-	out := buf.String()
-	for _, want := range []string{"unordered-conflict", "responsible: application", "fix:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered diagnoses missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"verifyio/internal/conflict"
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
+	"verifyio/internal/par"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -26,7 +26,8 @@ type Options struct {
 	// DisablePruning turns the Fig. 3 group pruning off (ablation).
 	DisablePruning bool
 	// MaxRaceDetails caps how many races carry full call-chain detail;
-	// counting is always exact. 0 means the default (256).
+	// counting is always exact. 0 means the default (256); a negative value
+	// keeps no detail.
 	MaxRaceDetails int
 	// ContinueOnUnmatched verifies even when the matcher reported
 	// problems. By default, unmatched MPI calls abort verification —
@@ -36,10 +37,10 @@ type Options struct {
 	// the generic MSC search instead of the Table I shape fast paths
 	// (cross-validation and custom-model testing).
 	DisableFastPaths bool
-	// Workers is the number of goroutines used to verify conflict groups
-	// (and, in VerifyAll, to run models concurrently). 0 means
-	// GOMAXPROCS; 1 keeps the serial path. Results are independent of the
-	// worker count.
+	// Workers is the number of goroutines used to verify the batches of the
+	// chunk plan (and, in VerifyAll, to run models concurrently). 0 means
+	// GOMAXPROCS; 1 verifies every batch on the calling goroutine. Results
+	// are independent of the worker count.
 	Workers int
 	// Cache attaches a verdict store: every chunk of the verification plan
 	// is looked up by content digest before being verified and sealed into
@@ -150,9 +151,9 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	if opts.MaxRaceDetails == 0 {
 		opts.MaxRaceDetails = 256
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	// A negative cap counts races and keeps no detail.
+	opts.MaxRaceDetails = max(opts.MaxRaceDetails, 0)
+	opts.Workers = par.Resolve(opts.Workers)
 	rep := &Report{
 		Model:         opts.Model.Name,
 		Algorithm:     a.Algorithm.String(),
@@ -193,18 +194,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	if opts.Cache != nil {
 		cs = newCacheSession(a, opts, oc)
 	}
-	if cs != nil || (opts.Workers > 1 && len(a.Conflicts.Groups) > 1) {
-		v.verifyChunks(opts.Workers, cs)
-	} else {
-		// The serial walk resets its scratch where the chunked one does, so
-		// the hb and class counters are the same at every worker count.
-		_, chunkSpan := oc.Start("groups", obs.Int("groups", len(a.Conflicts.Groups)))
-		for _, batch := range plan.batches {
-			v.cFID = -1
-			v.verifyGroups(plan.chunks[batch.lo].lo, plan.chunks[batch.hi-1].hi)
-		}
-		chunkSpan.End()
-	}
+	v.verifyChunks(opts.Workers, cs)
 	if cs != nil {
 		cs.finish()
 		rep.Cache = cs.stats()
@@ -667,12 +657,12 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 // atomic cursor and carries its scratch across the batch's chunks, so a
 // position class that spans chunks is evaluated once; every chunk still gets
 // its own tally, merged in chunk order = group order, so the detailed-race
-// prefix, the race count and the check count are exactly what the serial
-// walk produces, at every worker count and for any mix of cached and
-// recomputed chunks. Batches are the plan's, the same at every worker count,
-// which keeps the hb and class counters worker-independent too. A non-nil cs
-// resolves chunks from the verdict cache first and seals fresh verdicts
-// after.
+// prefix, the race count and the check count are exactly what one walk over
+// the groups in order produces, at every worker count and for any mix of
+// cached and recomputed chunks. Batches are the plan's, the same at every
+// worker count, which keeps the hb and class counters worker-independent too.
+// A non-nil cs resolves chunks from the verdict cache first and seals fresh
+// verdicts after.
 func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 	chunks, batches := v.plan.chunks, v.plan.batches
 	tallies := make([]tally, len(chunks))
@@ -773,36 +763,18 @@ func fullChain(sg *conflict.Sig) []string {
 }
 
 // VerifyAll verifies the analysis against every given model, reusing the
-// shared steps. With Workers != 1 the models run concurrently: the oracle
-// is read-only after construction and safe for concurrent queries, and each
+// shared steps. The models run on up to Workers goroutines: the oracle is
+// read-only after construction and safe for concurrent queries, and each
 // model pass builds its own syncIndex. Report order always follows the
 // models argument.
 func (a *Analysis) VerifyAll(models []semantics.Model, opts Options) ([]*Report, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]*Report, len(models))
 	errs := make([]error, len(models))
-	if workers == 1 || len(models) == 1 {
-		for i, m := range models {
-			o := opts
-			o.Model = m
-			out[i], errs[i] = a.Verify(o)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, m := range models {
-			wg.Add(1)
-			go func(i int, m semantics.Model) {
-				defer wg.Done()
-				o := opts
-				o.Model = m
-				out[i], errs[i] = a.Verify(o)
-			}(i, m)
-		}
-		wg.Wait()
-	}
+	par.Do(par.Resolve(opts.Workers), len(models), func(i int) {
+		o := opts
+		o.Model = models[i]
+		out[i], errs[i] = a.Verify(o)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("verify: model %s: %w", models[i].Name, err)

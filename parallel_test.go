@@ -124,11 +124,11 @@ func TestPublicAPIWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := VerifyAll(tr, &Options{Algorithm: "vector-clock", Workers: 1})
+	serial, err := VerifyAll(tr, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := VerifyAll(tr, &Options{Algorithm: "vector-clock", Workers: 8})
+	parallel, err := VerifyAll(tr, &Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,4 +141,30 @@ func TestPublicAPIWorkers(t *testing.T) {
 	if parallel[0].Workers != 8 {
 		t.Errorf("public report workers = %d, want 8", parallel[0].Workers)
 	}
+}
+
+// TestNegativeMaxRaceDetails: a negative detail cap counts every race and
+// keeps no detail, through the one chunk merge at every worker count — on
+// pmulti_dset, 48 400 races under Commit, Session and MPI-IO.
+func TestNegativeMaxRaceDetails(t *testing.T) {
+	tr, err := RunCorpusTest("pmulti_dset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps [2][]*Report
+	for i, workers := range []int{1, 4} {
+		if reps[i], err = VerifyAll(tr, &Options{Workers: workers, MaxRaceDetails: -1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reps[i] {
+			want := int64(48400)
+			if rep.Model == POSIX {
+				want = 0 // properly synchronized
+			}
+			if rep.RaceCount != want || len(rep.Races) != 0 {
+				t.Errorf("Workers=%d %s: %d races, %d detailed; want %d, none", workers, rep.Model, rep.RaceCount, len(rep.Races), want)
+			}
+		}
+	}
+	sameReports(t, "MaxRaceDetails=-1 at Workers=4", reps[0], reps[1], false)
 }

@@ -8,6 +8,7 @@ import (
 
 	"verifyio/internal/corpus"
 	"verifyio/internal/trace"
+	"verifyio/internal/verify"
 )
 
 // TestSegmentOracleSalvagedEquivalence runs the cross-oracle report
@@ -36,16 +37,12 @@ func TestSegmentOracleSalvagedEquivalence(t *testing.T) {
 		t.Fatal("truncated rank file loaded clean; the test damaged nothing")
 	}
 	for _, workers := range []int{1, 4} {
-		opts := &Options{Workers: workers, ContinueOnUnmatched: true}
-		want, err := VerifyAll(tr, opts)
+		want, err := VerifyAll(tr, &Options{Workers: workers, ContinueOnUnmatched: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Algorithm = "vector-clock"
-		got, err := VerifyAll(tr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := corpusReports(t, "salvaged", tr, verify.AlgoVectorClock, workers,
+			verify.Options{Workers: workers, ContinueOnUnmatched: true})
 		if want[0].Algorithm != "segment" || got[0].Algorithm != "vector-clock" {
 			t.Fatalf("algorithms %q and %q, want segment and vector-clock", want[0].Algorithm, got[0].Algorithm)
 		}

@@ -333,19 +333,10 @@ func RunCorpusTest(name string) (*Trace, error) {
 
 // Options tunes verification.
 type Options struct {
-	// Algorithm selects the happens-before algorithm: "auto" (default),
-	// "segment", "vector-clock", "reachability", "on-the-fly" — the four
-	// §IV-D algorithms. "auto" is "segment": the segment-reachability
-	// oracle (O(1) probes over the sync skeleton's transitive closure,
-	// §IV-D3), which falls back to vector clocks — reporting
-	// "vector-clock" — when the closure exceeds its byte budget; auto never
-	// picks another algorithm. "reachability" and "on-the-fly" are plain
-	// per-query reference implementations, kept for the §IV-D ablation.
-	Algorithm string
 	// DisablePruning turns off the conflict-group pruning (Fig. 3).
 	DisablePruning bool
-	// MaxRaceDetails caps detailed race records (default 256); the race
-	// count itself is always exact.
+	// MaxRaceDetails caps detailed race records (0 means 256; a negative
+	// value keeps none); the race count itself is always exact.
 	MaxRaceDetails int
 	// ContinueOnUnmatched verifies even when MPI matching found problems.
 	ContinueOnUnmatched bool
@@ -369,13 +360,6 @@ type Options struct {
 	// (e.g. the trace directory path). Empty derives a stable identity from
 	// the trace content. Only meaningful with Cache set.
 	CacheID string
-}
-
-func (o *Options) algo() (verify.Algo, error) {
-	if o == nil || o.Algorithm == "" {
-		return verify.AlgoAuto, nil
-	}
-	return verify.AlgoByName(o.Algorithm)
 }
 
 func (o *Options) analyzeOptions() verify.AnalyzeOptions {
@@ -458,7 +442,10 @@ func (t Timing) Total() time.Duration {
 
 // Report is the outcome of verifying a trace against one model.
 type Report struct {
-	Model     Model
+	Model Model
+	// Algorithm is the happens-before oracle that ran: "segment" (§IV-D3's
+	// transitive closure over the sync skeleton), or "vector-clock" when that
+	// closure exceeded its byte budget.
 	Algorithm string
 
 	ConflictPairs int64
@@ -481,9 +468,8 @@ type Report struct {
 	GraphNodes     int
 	GraphSyncEdges int
 	// SkeletonNodes / SkeletonLevels describe the sync skeleton the
-	// graph-based happens-before oracles computed on (S ≤ GraphNodes nodes,
-	// scheduled across the given number of wavefront levels); zero when the
-	// on-the-fly algorithm ran.
+	// happens-before oracle computed on (S ≤ GraphNodes nodes, scheduled
+	// across the given number of wavefront levels).
 	SkeletonNodes  int
 	SkeletonLevels int
 	Timing         Timing
@@ -617,8 +603,8 @@ func (r *Report) Diagnose() []Diagnosis {
 
 // analyze analyzes the trace from memory, carrying its salvage state into
 // verdict-cache identity.
-func (t *Trace) analyze(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
-	a, err := verify.Analyze(t.t, algo, ao)
+func (t *Trace) analyze(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+	a, err := verify.Analyze(t.t, verify.AlgoAuto, ao)
 	if err != nil {
 		return nil, err
 	}
@@ -630,13 +616,9 @@ func (t *Trace) analyze(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Ana
 // (conflict detection, MPI matching, happens-before construction), verify
 // the models over the shared analysis, wrap the reports. It also returns the
 // analysis' salvage state.
-func verifyModels(analyze func(verify.Algo, verify.AnalyzeOptions) (*verify.Analysis, error),
+func verifyModels(analyze func(verify.AnalyzeOptions) (*verify.Analysis, error),
 	models []semantics.Model, opts *Options) ([]*Report, *trace.DecodeStats, error) {
-	algo, err := opts.algo()
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := analyze(algo, opts.analyzeOptions())
+	a, err := analyze(opts.analyzeOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -654,8 +636,8 @@ func verifyModels(analyze func(verify.Algo, verify.AnalyzeOptions) (*verify.Anal
 // verifyDir verifies the models off the trace directory. The Recovery is
 // non-nil only in tolerate mode.
 func verifyDir(dir string, models []semantics.Model, read ReadOptions, opts *Options) ([]*Report, *Recovery, error) {
-	reps, stats, err := verifyModels(func(algo verify.Algo, ao verify.AnalyzeOptions) (*verify.Analysis, error) {
-		return verify.AnalyzeStream(dir, algo, verify.StreamAnalyzeOptions{
+	reps, stats, err := verifyModels(func(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
+		return verify.AnalyzeStream(dir, verify.AlgoAuto, verify.StreamAnalyzeOptions{
 			AnalyzeOptions: ao,
 			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate, Obs: read.Telemetry.ctx()},
 			WindowBytes:    read.WindowBytes,

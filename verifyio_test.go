@@ -78,7 +78,7 @@ func TestVerifySingleModelAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Verify(tr, POSIX, &Options{Algorithm: "vector-clock"})
+	rep, err := Verify(tr, POSIX, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestTraceDirRoundTrip(t *testing.T) {
 		t.Fatalf("round trip records %d != %d", back.NumRecords(), tr.NumRecords())
 	}
 	// Verification of the reloaded trace gives identical verdicts.
-	a, err := VerifyAll(tr, &Options{Algorithm: "vector-clock"})
+	a, err := VerifyAll(tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := VerifyAll(back, &Options{Algorithm: "vector-clock"})
+	b, err := VerifyAll(back, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,23 +157,6 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := Verify(tr, Model("strict"), nil); err == nil {
 		t.Error("Verify accepted unknown model")
-	}
-	if _, err := Verify(tr, POSIX, &Options{Algorithm: "quantum"}); err == nil {
-		t.Error("Verify accepted unknown algorithm")
-	}
-	// The retired alias of "segment" is unknown too, and the error names the
-	// five that are left.
-	_, err = Verify(tr, POSIX, &Options{Algorithm: "transitive-closure"})
-	if err == nil {
-		t.Fatal("Verify accepted the retired name transitive-closure")
-	}
-	if strings.Contains(err.Error(), ", transitive-closure") {
-		t.Errorf("error still offers the retired name: %v", err)
-	}
-	for _, name := range []string{"auto", "segment", "vector-clock", "reachability", "on-the-fly"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error does not list %q: %v", name, err)
-		}
 	}
 	if _, err := ReadTraceDir(t.TempDir()); err == nil {
 		t.Error("ReadTraceDir accepted empty dir")
@@ -249,7 +232,7 @@ func TestTolerantReadMatchesIntactPrefix(t *testing.T) {
 	}
 	prefix := &Trace{t: ptr}
 
-	opts := &Options{Algorithm: "vector-clock", Workers: 1, ContinueOnUnmatched: true}
+	opts := &Options{Workers: 1, ContinueOnUnmatched: true}
 	got, err := VerifyAll(salvaged, opts)
 	if err != nil {
 		t.Fatal(err)

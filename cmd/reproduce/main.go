@@ -14,14 +14,13 @@
 //
 // Usage:
 //
-//	reproduce [-out DIR] [-only table1,fig4,...] [-workers N] [-tolerate]
-//	          [-window BYTES]
+//	reproduce [-out DIR] [-only table1,fig4,...] [-workers N]
 //	          [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// The stored-trace pass (table4) analyzes each trace while decoding it from
-// its directory in bounded windows (-window BYTES, default 4 MiB, negative =
-// unbounded); the decode is the table's "Read trace" row.
+// The stored-trace pass (table4) writes each trace to a directory and
+// analyzes it while decoding it in the default 4 MiB window; the decode is
+// the table's "Read trace" row.
 package main
 
 import (
@@ -56,8 +55,6 @@ func run() int {
 		out      = flag.String("out", "results", "output directory for the artifacts")
 		only     = flag.String("only", "", "comma-separated subset (table1,table2,table3,table4,fig3,fig4)")
 		workers  = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
-		tolerate = flag.Bool("tolerate", false, "read stored traces leniently, salvaging damaged rank streams")
-		window   = flag.Int64("window", 0, "bytes of decoded records resident at once while a stored trace is analyzed (0 = default 4 MiB, negative = unbounded)")
 		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory shared across reproduce runs (warm reruns skip unchanged verification work)")
 
 		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
@@ -104,7 +101,6 @@ func run() int {
 		// manifest after the test, and other passes derive a content id.
 		vopts.Cache = store
 	}
-	dopts := trace.DecodeOptions{Tolerate: *tolerate, Obs: oc}
 
 	// fig4 is computed once and shared with table3/table4.
 	var rows []*corpus.Row
@@ -127,7 +123,7 @@ func run() int {
 		{"table2", table2},
 		{"fig4", func(w io.Writer) error { return fig4(w, rowsOnce) }},
 		{"table3", func(w io.Writer) error { return table3(w, rowsOnce) }},
-		{"table4", func(w io.Writer) error { return table4(w, vopts, dopts, *window) }},
+		{"table4", func(w io.Writer) error { return table4(w, vopts) }},
 		{"fig3", func(w io.Writer) error { return fig3(w, vopts) }},
 	}
 
@@ -253,7 +249,7 @@ func table3(w io.Writer, rowsOnce func() ([]*corpus.Row, error)) error {
 }
 
 // table4 prints the stage-time breakdown of the three slowest tests.
-func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, window int64) error {
+func table4(w io.Writer, vopts verify.Options) error {
 	names := []string{"nc4perf", "cache", "pmulti_dset"}
 	type breakdown struct {
 		name       string
@@ -286,8 +282,6 @@ func table4(w io.Writer, vopts verify.Options, dopts trace.DecodeOptions, window
 		}
 		a, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
 			AnalyzeOptions: verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs},
-			Decode:         dopts,
-			WindowBytes:    window,
 		})
 		if err != nil {
 			return err

@@ -146,7 +146,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		for _, gone := range []string{"cmd/bench", "BENCH_analyze", "-stream-smoke",
 			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out",
 			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg",
-			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream"} {
+			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream",
+			"SegProber", "ProbeSeg", "SegCoords", "hb_fallbacks", "hb_fast_hits"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

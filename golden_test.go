@@ -69,8 +69,8 @@ func forEachCorpusTrace(t *testing.T, fn func(name string, tr *Trace)) {
 
 // sameReports reports every model whose report in got differs from the one
 // in want by reportFingerprint: races, counts, problems and ordering. Across
-// oracles the algorithm label and the graph-shape stats are masked too — the
-// only fields in which two algorithms' reports of one trace may differ.
+// oracles the algorithm label is masked too — the only field in which two
+// algorithms' reports of one trace may differ.
 func sameReports(t *testing.T, what string, want, got []*Report, acrossOracles bool) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -80,8 +80,6 @@ func sameReports(t *testing.T, what string, want, got []*Report, acrossOracles b
 		cp := *rep.inner
 		if acrossOracles {
 			cp.Algorithm = ""
-			cp.GraphNodes, cp.GraphSyncEdges = 0, 0
-			cp.SkeletonNodes, cp.SkeletonLevels = 0, 0
 		}
 		return reportFingerprint(t, &cp)
 	}
@@ -188,12 +186,12 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 }
 
 // TestSegmentOracleReportEquivalenceCorpus holds the segment oracle (what
-// auto resolves to) and its resolved query plan to every other algorithm: on
-// every corpus trace at Workers 1 and 3, the vector-clock, reachability and
-// on-the-fly reports must match it apart from the algorithm label and the
-// graph-shape stats, and so must, field for field, the same analysis verified
-// with the Table I fast paths disabled, which takes the generic search over
-// the same plan.
+// auto resolves to) to every other algorithm through the same resolved query
+// plan and walk: on every corpus trace at Workers 1 and 3, the vector-clock,
+// reachability and on-the-fly reports must match it apart from the algorithm
+// label, and so must, field for field, the same analysis verified with the
+// Table I fast paths disabled, which takes the generic search over the same
+// plan.
 func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		for _, workers := range corpusWorkers {

@@ -97,7 +97,8 @@ func BenchmarkVectorClocks(b *testing.B) {
 }
 
 // BenchmarkOracleQueries compares per-query cost across the four oracles
-// on the same graph and query set.
+// on the same graph and cross-rank query set, probed at pre-resolved
+// coordinates — the call the verifier makes.
 func BenchmarkOracleQueries(b *testing.B) {
 	tr, edges := synthGraph(8, 1000, 0.1, 11)
 	g, err := Build(tr, edges)
@@ -114,11 +115,13 @@ func BenchmarkOracleQueries(b *testing.B) {
 	}
 	oracles := []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, edges)}
 	rng := rand.New(rand.NewSource(3))
-	queries := make([][2]trace.Ref, 512)
-	for i := range queries {
-		queries[i] = [2]trace.Ref{
-			ref(rng.Intn(8), rng.Intn(1000)),
-			ref(rng.Intn(8), rng.Intn(1000)),
+	queries := make([][2]Coord, 0, 512)
+	for len(queries) < cap(queries) {
+		r1, r2 := rng.Intn(8), rng.Intn(8)
+		if r1 != r2 {
+			queries = append(queries, [2]Coord{
+				g.Resolve(ref(r1, rng.Intn(1000))), g.Resolve(ref(r2, rng.Intn(1000))),
+			})
 		}
 	}
 	var want []bool
@@ -128,7 +131,7 @@ func BenchmarkOracleQueries(b *testing.B) {
 			got := make([]bool, len(queries))
 			for i := 0; i < b.N; i++ {
 				for q, pair := range queries {
-					got[q] = o.HB(pair[0], pair[1])
+					got[q] = o.Probe(pair[0], pair[1])
 				}
 			}
 			if want == nil {

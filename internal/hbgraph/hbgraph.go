@@ -7,8 +7,8 @@
 //  2. Graph reachability: one breadth-first search per query (BFSOracle).
 //  3. Transitive closure: reverse-topological bitset union; O(1) queries
 //     (SegOracle).
-//  4. On-the-fly: answers queries directly from the matched synchronization
-//     edges without building the graph (OTFOracle).
+//  4. On-the-fly: one frontier fixpoint over the matched synchronization
+//     edges per query, with no state derived from the graph (OTFOracle).
 //
 // Production runs use 3, falling back to 1 when the closure exceeds its byte
 // budget; 2 and 4 are plain references for the ablation and the tests.
@@ -22,8 +22,9 @@
 // The graph-based oracles do not operate on all V records: clocks and
 // bitsets only change at synchronization endpoints, so they are computed on
 // the sync skeleton (see skeleton.go) — the records that are endpoints of
-// sync edges plus per-rank first/last sentinels. Queries on arbitrary refs
-// map through the skeleton index and return exactly the full-graph answers.
+// sync edges plus per-rank first/last sentinels. Every query goes through a
+// Coord (Graph.Resolve) and returns exactly the full-graph answer; Graph.HB
+// is the one ref-level query.
 package hbgraph
 
 import (
@@ -134,29 +135,55 @@ func (g *Graph) SkeletonLevels() int {
 // so each level holds at most one node per rank.
 func (g *Graph) SkeletonMaxLevelWidth() int { return g.skel.maxWidth }
 
-// inRange reports whether ref names a record of the trace. All oracles share
-// this bounds check; queries outside the trace are never hb-related.
+// inRange reports whether ref names a record of the trace; queries outside
+// the trace are never hb-related.
 func (g *Graph) inRange(ref trace.Ref) bool {
 	return ref.Rank >= 0 && ref.Rank < len(g.counts) &&
 		ref.Seq >= 0 && ref.Seq < g.counts[ref.Rank]
 }
 
-// Oracle answers happens-before queries. HB(a, b) reports whether a
-// happens-before b (strictly: a ≠ b and there is a path a → b).
+// Coord is a query operand resolved onto the graph (Graph.Resolve): the
+// record's identity plus its skeleton fringe — Prev, the last skeleton node
+// at-or-before it on its rank, and Next, the first at-or-after.
+type Coord struct {
+	Rank, Seq  int32
+	Prev, Next int32
+}
+
+// Resolve maps an in-range ref onto its Coord. The per-rank sentinels
+// guarantee that both fringe nodes exist.
+func (g *Graph) Resolve(ref trace.Ref) Coord {
+	c := Coord{Rank: int32(ref.Rank), Seq: int32(ref.Seq)}
+	c.Prev = g.skel.prev[g.base[ref.Rank]+ref.Seq]
+	c.Next = c.Prev
+	if int(g.skel.seqs[c.Prev]) != ref.Seq {
+		c.Next++
+	}
+	return c
+}
+
+// Oracle answers happens-before queries over resolved operands: Probe(a, b)
+// reports whether a happens-before b, for a.Rank ≠ b.Rank and both resolved
+// by the graph the oracle was built on. Same-rank queries are program order
+// and never reach an oracle (see Graph.HB).
 //
-// Implementations must be safe for concurrent HB calls once constructed —
+// Implementations must be safe for concurrent Probe calls once constructed —
 // the parallel verifier shares one oracle across all its workers and model
 // passes.
 type Oracle interface {
-	HB(a, b trace.Ref) bool
+	Probe(a, b Coord) bool
 	Name() string
 }
 
-// sameRankHB answers the trivial program-order case; returns handled=false
-// for cross-rank queries.
-func sameRankHB(a, b trace.Ref) (result, handled bool) {
+// HB reports whether a happens-before b under o (strictly: a ≠ b and there
+// is a path a → b): program order on one rank, never for a ref outside the
+// trace, and otherwise one Probe of the resolved operands.
+func (g *Graph) HB(o Oracle, a, b trace.Ref) bool {
 	if a.Rank == b.Rank {
-		return a.Seq < b.Seq, true
+		return a.Seq < b.Seq
 	}
-	return false, false
+	if !g.inRange(a) || !g.inRange(b) {
+		return false
+	}
+	return o.Probe(g.Resolve(a), g.Resolve(b))
 }

@@ -36,9 +36,9 @@ func edges(pairs ...[4]int) []match.Edge {
 	return out
 }
 
-// allOracles builds the four implementations: the two production oracles
-// and the two plain references.
-func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
+// allOracles builds the graph and the four implementations on it: the two
+// production oracles and the two plain references.
+func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) (*Graph, []Oracle) {
 	t.Helper()
 	g, err := Build(tr, es)
 	if err != nil {
@@ -52,19 +52,20 @@ func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) []Oracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
+	return g, []Oracle{vc, g.Reachability(), seg, NewOnTheFly(tr, es)}
 }
 
 func TestProgramOrderIsHB(t *testing.T) {
 	tr := mkTrace(3)
-	for _, o := range allOracles(t, tr, nil) {
-		if !o.HB(ref(0, 0), ref(0, 2)) {
+	g, oracles := allOracles(t, tr, nil)
+	for _, o := range oracles {
+		if !g.HB(o, ref(0, 0), ref(0, 2)) {
 			t.Errorf("%s: po not hb", o.Name())
 		}
-		if o.HB(ref(0, 2), ref(0, 0)) {
+		if g.HB(o, ref(0, 2), ref(0, 0)) {
 			t.Errorf("%s: po reversed", o.Name())
 		}
-		if o.HB(ref(0, 1), ref(0, 1)) {
+		if g.HB(o, ref(0, 1), ref(0, 1)) {
 			t.Errorf("%s: hb must be irreflexive", o.Name())
 		}
 	}
@@ -72,8 +73,9 @@ func TestProgramOrderIsHB(t *testing.T) {
 
 func TestCrossRankNeedsEdges(t *testing.T) {
 	tr := mkTrace(2, 2)
-	for _, o := range allOracles(t, tr, nil) {
-		if o.HB(ref(0, 0), ref(1, 1)) {
+	g, oracles := allOracles(t, tr, nil)
+	for _, o := range oracles {
+		if g.HB(o, ref(0, 0), ref(1, 1)) {
 			t.Errorf("%s: cross-rank hb without sync edges", o.Name())
 		}
 	}
@@ -84,7 +86,8 @@ func TestEdgeAndTransitivity(t *testing.T) {
 	// b → c, d → e gives a hb f transitively.
 	tr := mkTrace(2, 2, 2)
 	es := edges([4]int{0, 1, 1, 0}, [4]int{1, 1, 2, 0})
-	for _, o := range allOracles(t, tr, es) {
+	g, oracles := allOracles(t, tr, es)
+	for _, o := range oracles {
 		cases := []struct {
 			a, b trace.Ref
 			want bool
@@ -97,7 +100,7 @@ func TestEdgeAndTransitivity(t *testing.T) {
 			{ref(1, 1), ref(2, 0), true},
 		}
 		for _, tc := range cases {
-			if got := o.HB(tc.a, tc.b); got != tc.want {
+			if got := g.HB(o, tc.a, tc.b); got != tc.want {
 				t.Errorf("%s: HB(%v,%v) = %v, want %v", o.Name(), tc.a, tc.b, got, tc.want)
 			}
 		}
@@ -207,20 +210,21 @@ func TestSegReachabilityBudget(t *testing.T) {
 	}
 }
 
-// TestOracleQueriesOutsideTrace covers the bounds check of all four
-// implementations: refs with out-of-range ranks or sequences (high and negative)
-// are never hb-related in either direction.
+// TestOracleQueriesOutsideTrace covers Graph.HB's bounds check with all four
+// implementations: refs with out-of-range ranks or sequences (high and
+// negative) are never hb-related in either direction.
 func TestOracleQueriesOutsideTrace(t *testing.T) {
 	tr := mkTrace(2, 2)
 	es := edges([4]int{0, 0, 1, 1})
 	in := ref(0, 0)
 	out := []trace.Ref{ref(7, 0), ref(-1, 0), ref(1, 5), ref(1, -2)}
-	for _, o := range allOracles(t, tr, es) {
+	g, oracles := allOracles(t, tr, es)
+	for _, o := range oracles {
 		for _, x := range out {
-			if o.HB(in, x) {
+			if g.HB(o, in, x) {
 				t.Errorf("%s: HB(%v, %v) true for out-of-range ref", o.Name(), in, x)
 			}
-			if o.HB(x, in) {
+			if g.HB(o, x, in) {
 				t.Errorf("%s: HB(%v, %v) true for out-of-range ref", o.Name(), x, in)
 			}
 		}
@@ -228,7 +232,7 @@ func TestOracleQueriesOutsideTrace(t *testing.T) {
 }
 
 // TestSkeletonMapping pins the skeleton construction and the prev/next ref
-// resolution the oracles' query mapping is built on.
+// resolution (Graph.Resolve) the oracles' query mapping is built on.
 func TestSkeletonMapping(t *testing.T) {
 	tr := mkTrace(6, 4)
 	es := edges([4]int{0, 2, 1, 1}, [4]int{1, 3, 0, 4})
@@ -250,8 +254,8 @@ func TestSkeletonMapping(t *testing.T) {
 		{ref(1, 0), 4}, {ref(1, 1), 5}, {ref(1, 2), 5}, {ref(1, 3), 6},
 	}
 	for _, c := range prevCases {
-		if got := g.skelPrev(c.ref); got != c.want {
-			t.Errorf("skelPrev(%v) = %d, want %d", c.ref, got, c.want)
+		if got := g.Resolve(c.ref).Prev; got != c.want {
+			t.Errorf("Resolve(%v).Prev = %d, want %d", c.ref, got, c.want)
 		}
 	}
 	nextCases := []struct {
@@ -263,8 +267,8 @@ func TestSkeletonMapping(t *testing.T) {
 		{ref(1, 2), 6}, {ref(1, 3), 6},
 	}
 	for _, c := range nextCases {
-		if got := g.skelNext(c.ref); got != c.want {
-			t.Errorf("skelNext(%v) = %d, want %d", c.ref, got, c.want)
+		if got := g.Resolve(c.ref).Next; got != c.want {
+			t.Errorf("Resolve(%v).Next = %d, want %d", c.ref, got, c.want)
 		}
 	}
 	if lv := g.SkeletonLevels(); lv <= 0 {
@@ -408,7 +412,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 				a, b := nodes[i].ref, nodes[j].ref
 				want := a != b && brute.HB(a, b)
 				for _, o := range oracles {
-					if got := o.HB(a, b); got != want {
+					if got := g.HB(o, a, b); got != want {
 						t.Logf("seed %d: %s HB(%v,%v) = %v, brute = %v", seed, o.Name(), a, b, got, want)
 						return false
 					}
@@ -517,7 +521,7 @@ func TestOraclesConcurrentQueries(t *testing.T) {
 					ref(rng.Intn(4), rng.Intn(80)),
 					ref(rng.Intn(4), rng.Intn(80)),
 				}
-				want[i] = o.HB(queries[i][0], queries[i][1])
+				want[i] = g.HB(o, queries[i][0], queries[i][1])
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, 8)
@@ -527,7 +531,7 @@ func TestOraclesConcurrentQueries(t *testing.T) {
 					defer wg.Done()
 					for rep := 0; rep < 4; rep++ {
 						for i, q := range queries {
-							if got := o.HB(q[0], q[1]); got != want[i] {
+							if got := g.HB(o, q[0], q[1]); got != want[i] {
 								errs[w] = fmt.Errorf("HB(%v,%v) = %v under concurrency, want %v", q[0], q[1], got, want[i])
 								return
 							}

@@ -256,22 +256,12 @@ func checkJoinsAgainstPairwise(t *testing.T, tr *trace.Trace, exhaustive bool) i
 	}
 	check := func(a, b trace.Ref) {
 		want := a != b && brute.HB(a, b)
-		if o := otf.HB(a, b); o != want {
+		if o := got.g.HB(otf, a, b); o != want {
 			t.Fatalf("references disagree on HB(%v,%v): on-the-fly %v, brute %v", a, b, o, want)
 		}
 		for _, o := range oracles {
-			if o.HB(a, b) != want {
+			if got.g.HB(o, a, b) != want {
 				t.Fatalf("%s: HB(%v,%v) = %v, references say %v", o.Name(), a, b, !want, want)
-			}
-		}
-		if a.Rank == b.Rank {
-			return
-		}
-		_, aNext, _ := got.g.SegCoords(a)
-		bPrev, _, _ := got.g.SegCoords(b)
-		for _, p := range []SegProber{got.vc, got.seg} {
-			if p.ProbeSeg(int32(a.Rank), int32(a.Seq), aNext, bPrev) != want {
-				t.Fatalf("ProbeSeg(%v,%v) != %v", a, b, want)
 			}
 		}
 	}

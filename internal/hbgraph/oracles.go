@@ -10,12 +10,12 @@ import (
 )
 
 // All oracles are immutable once constructed (per-query scratch is local to
-// the call), so they are safe for concurrent HB queries. The parallel
+// the call), so they are safe for concurrent Probe calls. The parallel
 // verifier (internal/verify) relies on this contract.
 //
 // The graph-based oracles compute over the sync skeleton (skeleton.go) and
-// map query refs through it, so their state is O(S·P) / O(S²) instead of
-// O(V·P) / O(V²). The transitive closure of §IV-D3 is SegOracle
+// are probed at skeleton coordinates, so their state is O(S·P) / O(S²)
+// instead of O(V·P) / O(V²). The transitive closure of §IV-D3 is SegOracle
 // (segreach.go).
 
 // ---------------------------------------------------------------------------
@@ -27,7 +27,6 @@ import (
 // node-major []int32 — a single allocation instead of one slice per node,
 // and adjacent nodes' clocks share cache lines.
 type VCOracle struct {
-	g      *Graph
 	nranks int
 	clocks []int32 // len S*nranks; clocks[skelID*nranks+r] (-1 = nothing known)
 }
@@ -117,7 +116,7 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 		r.Gauge("hbgraph.vc_arena_bytes").Set(int64(4 * len(clocks)))
 		r.Gauge("hbgraph.vc_full_arena_bytes").Set(int64(4 * g.n * nranks))
 	}
-	return &VCOracle{g: g, nranks: nranks, clocks: clocks}, nil
+	return &VCOracle{nranks: nranks, clocks: clocks}, nil
 }
 
 // mergeClock folds src into dst entrywise by max.
@@ -129,16 +128,11 @@ func mergeClock(dst, src []int32) {
 	}
 }
 
-// HB reports whether a happens-before b.
-func (o *VCOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	if !o.g.inRange(a) || !o.g.inRange(b) {
-		return false
-	}
-	p := o.g.skelPrev(b)
-	return o.clocks[int(p)*o.nranks+a.Rank] >= int32(a.Seq)
+// Probe answers a cross-rank query in one clock compare: the skeleton clock
+// of prev(b) already folds in every path into b's segment, so next(a) is not
+// needed.
+func (o *VCOracle) Probe(a, b Coord) bool {
+	return o.clocks[int(b.Prev)*o.nranks+int(a.Rank)] >= a.Seq
 }
 
 // ArenaBytes returns the size of the clock arena — 4·S·P bytes, versus the
@@ -147,16 +141,6 @@ func (o *VCOracle) ArenaBytes() int { return 4 * len(o.clocks) }
 
 // Name identifies the algorithm.
 func (o *VCOracle) Name() string { return "vector-clock" }
-
-// SegGraph returns the graph whose skeleton coordinates ProbeSeg accepts.
-func (o *VCOracle) SegGraph() *Graph { return o.g }
-
-// ProbeSeg answers a pre-resolved cross-rank query in one clock compare:
-// the skeleton clock of prev(b) already folds in every path into b's
-// segment, so next(a) is not needed.
-func (o *VCOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
-	return o.clocks[int(bPrev)*o.nranks+int(aRank)] >= aSeq
-}
 
 // ---------------------------------------------------------------------------
 // 2. Graph reachability (§IV-D2)
@@ -172,21 +156,14 @@ type BFSOracle struct {
 // Reachability returns the BFS-based oracle.
 func (g *Graph) Reachability() *BFSOracle { return &BFSOracle{g: g} }
 
-// HB reports whether a happens-before b. Cross-rank queries reduce to
-// skeleton reachability: a reaches b in the full graph iff next(a) reaches
-// prev(b) in the skeleton (the path enters and leaves the endpoint ranks
-// through skeleton nodes; see skeleton.go).
-func (o *BFSOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	if !o.g.inRange(a) || !o.g.inRange(b) {
-		return false
-	}
+// Probe answers a cross-rank query by skeleton reachability: a reaches b in
+// the full graph iff next(a) reaches prev(b) in the skeleton (the path enters
+// and leaves the endpoint ranks through skeleton nodes; see skeleton.go).
+func (o *BFSOracle) Probe(a, b Coord) bool {
 	s := &o.g.skel
-	dst := o.g.skelPrev(b)
+	dst := b.Prev
 	seen := make([]uint64, (s.n+s.joins+63)/64) // joins are walked like any node
-	queue := []int32{o.g.skelNext(a)}
+	queue := []int32{a.Next}
 	// visit enqueues w once; it reports whether w is the target.
 	visit := func(w int32) bool {
 		if w == dst {
@@ -219,12 +196,12 @@ func (o *BFSOracle) Name() string { return "reachability" }
 // 4. On-the-fly (§IV-D4)
 
 // OTFOracle answers hb queries straight from the matched synchronization
-// edges, without building the happens-before graph: per query it propagates
-// a per-rank "earliest reachable sequence" frontier across the edge list
-// until fixpoint. Like BFSOracle it is a plain reference implementation; it
-// knows nothing of join nodes and works on the pairwise expansion.
+// edges, with no state derived from the happens-before graph: per query it
+// propagates a per-rank "earliest reachable sequence" frontier across the
+// edge list until fixpoint, reading only the operands' (Rank, Seq). Like
+// BFSOracle it is a plain reference implementation; it knows nothing of join
+// nodes and works on the pairwise expansion.
 type OTFOracle struct {
-	counts []int
 	// edgesByRank[r] holds the sync edges originating on rank r, sorted
 	// by source sequence.
 	edgesByRank [][]match.Edge
@@ -238,10 +215,7 @@ func NewOnTheFly(tr *trace.Trace, edges []match.Edge) *OTFOracle {
 // NewOnTheFlyCounts builds the oracle from per-rank record counts, for
 // streaming callers that never materialize the trace.
 func NewOnTheFlyCounts(counts []int, edges []match.Edge) *OTFOracle {
-	o := &OTFOracle{
-		counts:      append([]int(nil), counts...),
-		edgesByRank: make([][]match.Edge, len(counts)),
-	}
+	o := &OTFOracle{edgesByRank: make([][]match.Edge, len(counts))}
 	for _, e := range match.Pairwise(edges) {
 		if e.From.Rank >= 0 && e.From.Rank < len(counts) {
 			o.edgesByRank[e.From.Rank] = append(o.edgesByRank[e.From.Rank], e)
@@ -258,16 +232,9 @@ func NewOnTheFlyCounts(counts []int, edges []match.Edge) *OTFOracle {
 	return o
 }
 
-// HB reports whether a happens-before b.
-func (o *OTFOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	nranks := len(o.counts)
-	if a.Rank < 0 || a.Rank >= nranks || b.Rank < 0 || b.Rank >= nranks ||
-		a.Seq < 0 || a.Seq >= o.counts[a.Rank] || b.Seq < 0 || b.Seq >= o.counts[b.Rank] {
-		return false
-	}
+// Probe answers a cross-rank query by the frontier fixpoint.
+func (o *OTFOracle) Probe(a, b Coord) bool {
+	nranks := len(o.edgesByRank)
 	// earliest[r]: smallest sequence on rank r known to be hb-after a
 	// (math.MaxInt when none).
 	const inf = int(^uint(0) >> 1)
@@ -275,7 +242,7 @@ func (o *OTFOracle) HB(a, b trace.Ref) bool {
 	for i := range earliest {
 		earliest[i] = inf
 	}
-	earliest[a.Rank] = a.Seq
+	earliest[a.Rank] = int(a.Seq)
 	// Relax sync edges to fixpoint: an edge (u → v) applies when u is at
 	// or after the frontier on its rank, and pulls v's rank's frontier
 	// down to v's sequence. Program order is implicit in the ≥ test, so
@@ -297,7 +264,7 @@ func (o *OTFOracle) HB(a, b trace.Ref) bool {
 			}
 		}
 	}
-	return earliest[b.Rank] <= b.Seq
+	return earliest[b.Rank] <= int(b.Seq)
 }
 
 // Name identifies the algorithm.

@@ -5,14 +5,13 @@ import (
 
 	"verifyio/internal/obs"
 	"verifyio/internal/par"
-	"verifyio/internal/trace"
 )
 
 // Segment-reachability oracle: the dense S×S transitive closure of the sync
 // skeleton, probed in O(1). Every record belongs to a program-order segment
 // delimited by two skeleton nodes (its prev/next fringe, see skeleton.go),
 // and a cross-rank HB query is exactly one bit of the segment×segment
-// reachability matrix: HB(a, b) ⇔ bit(next(a), prev(b)). On sync-sparse
+// reachability matrix: a hb b ⇔ bit(next(a), prev(b)). On sync-sparse
 // traces S ≪ V, so the whole matrix is a few kilobytes — cheap enough to
 // precompute once and share across every model pass and verification chunk.
 //
@@ -51,7 +50,6 @@ type SegOptions struct {
 // SegOracle answers hb queries from the precomputed segment×segment
 // reachability matrix — one AND and one compare per cross-rank query.
 type SegOracle struct {
-	g     *Graph
 	words int
 	bits  []uint64 // S * words
 }
@@ -125,21 +123,12 @@ func (g *Graph) SegReachability(opts SegOptions) (*SegOracle, error) {
 	if r := opts.Obs.R; r != nil {
 		r.Gauge("hbgraph.segreach_bytes").Set(int64(8 * len(bits)))
 	}
-	return &SegOracle{g: g, words: words, bits: bits}, nil
+	return &SegOracle{words: words, bits: bits}, nil
 }
 
-// HB reports whether a happens-before b, via the same skeleton mapping as
-// the other graph-based oracles.
-func (o *SegOracle) HB(a, b trace.Ref) bool {
-	if res, ok := sameRankHB(a, b); ok {
-		return res
-	}
-	if !o.g.inRange(a) || !o.g.inRange(b) {
-		return false
-	}
-	src := o.g.skelNext(a)
-	dst := o.g.skelPrev(b)
-	return o.bits[int(src)*o.words+int(dst)/64]&(1<<(uint(dst)%64)) != 0
+// Probe answers a cross-rank query in one bit probe.
+func (o *SegOracle) Probe(a, b Coord) bool {
+	return o.bits[int(a.Next)*o.words+int(b.Prev)/64]&(1<<(uint(b.Prev)%64)) != 0
 }
 
 // Name identifies the algorithm.
@@ -147,41 +136,3 @@ func (o *SegOracle) Name() string { return "segment" }
 
 // ArenaBytes returns the size of the reachability matrix — S²/8 bytes.
 func (o *SegOracle) ArenaBytes() int { return 8 * len(o.bits) }
-
-// SegGraph returns the graph whose skeleton coordinates ProbeSeg accepts.
-func (o *SegOracle) SegGraph() *Graph { return o.g }
-
-// ProbeSeg answers a pre-resolved cross-rank query in one bit probe.
-func (o *SegOracle) ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool {
-	return o.bits[int(aNext)*o.words+int(bPrev)/64]&(1<<(uint(bPrev)%64)) != 0
-}
-
-// SegProber is the resolved-query fast path implemented by the two
-// production oracles: the caller maps each query operand to its skeleton
-// fringe once (SegCoords) and probes with the precomputed coordinates,
-// skipping the per-query bounds check and prev/next resolution of Oracle.HB.
-//
-// The contract mirrors the skeleton query mapping: ProbeSeg answers
-// HB(a, b) for a.Rank ≠ b.Rank, where aNext = next(a) and bPrev = prev(b)
-// were resolved by SegGraph().SegCoords on in-range refs. Same-rank queries
-// must be answered by program order before probing.
-type SegProber interface {
-	SegGraph() *Graph
-	ProbeSeg(aRank, aSeq, aNext, bPrev int32) bool
-}
-
-// SegCoords resolves ref onto the skeleton fringe: prev is the last skeleton
-// node at-or-before ref on its rank, next the first at-or-after. ok is false
-// for refs outside the trace, which are never hb-related.
-func (g *Graph) SegCoords(ref trace.Ref) (prev, next int32, ok bool) {
-	if !g.inRange(ref) {
-		return 0, 0, false
-	}
-	return g.skelPrev(ref), g.skelNext(ref), true
-}
-
-// Compile-time check: both production oracles offer the resolved probe.
-var (
-	_ SegProber = (*VCOracle)(nil)
-	_ SegProber = (*SegOracle)(nil)
-)

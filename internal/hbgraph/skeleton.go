@@ -291,21 +291,3 @@ func (s *skeleton) computeLevels() {
 func (s *skeleton) joinsAfter(l int) []int32 {
 	return s.joinOrder[s.joinOff[l]:s.joinOff[l+1]]
 }
-
-// skelPrev returns the skeleton id governing ref on the program-order fringe
-// before it: the last skeleton record at-or-before ref on its rank. Caller
-// guarantees ref is in range.
-func (g *Graph) skelPrev(ref trace.Ref) int32 {
-	return g.skel.prev[g.base[ref.Rank]+ref.Seq]
-}
-
-// skelNext returns the first skeleton record at-or-after ref on its rank.
-// Caller guarantees ref is in range; the last-record sentinel guarantees
-// existence.
-func (g *Graph) skelNext(ref trace.Ref) int32 {
-	p := g.skelPrev(ref)
-	if int(g.skel.seqs[p]) == ref.Seq {
-		return p
-	}
-	return p + 1
-}

@@ -1,6 +1,10 @@
-// Package par provides the worker-pool primitive shared by the parallel
-// analysis stages (conflict detection, MPI matching): run n independent
-// tasks on a bounded number of goroutines.
+// Package par provides the one worker-pool primitive of the pipeline: run n
+// independent tasks on a bounded number of goroutines. Every parallel stage
+// of the analysis goes through it — the trace directory's per-rank decode,
+// the per-rank read/replay/scan tasks and the overlapping detect and match
+// finish phases of verify.Analyze, the per-file conflict sweep, the oracles'
+// wavefront passes, the verification batches of the chunk plan, and the
+// model passes of VerifyAll.
 //
 // The contract that keeps results worker-count-independent lives here: the
 // serial and parallel paths execute the same task function over the same

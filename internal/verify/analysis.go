@@ -75,7 +75,8 @@ type Timing struct {
 	Match time.Duration
 	// BuildGraph covers happens-before graph construction.
 	BuildGraph time.Duration
-	// VectorClock covers clock generation (zero for other algorithms).
+	// VectorClock covers the happens-before oracle build, whichever oracle
+	// it is (rendered as "oracle="; the name is Table IV's row).
 	VectorClock time.Duration
 	// Verification covers the per-model conflict checking.
 	Verification time.Duration
@@ -95,7 +96,7 @@ type Timing struct {
 	// is their sum.
 	DetectMatchWall time.Duration
 	// AnalyzeWall is the wall-clock time of the whole Analyze call
-	// (detect + match + graph build + clock generation), the elapsed time
+	// (detect + match + graph build + oracle build), the elapsed time
 	// a caller observes for steps 2–3.
 	AnalyzeWall time.Duration
 }
@@ -114,7 +115,7 @@ type Analysis struct {
 	Conflicts *conflict.Result
 	Match     *match.Result
 	Oracle    hbgraph.Oracle
-	// Graph is nil when the on-the-fly algorithm was selected.
+	// Graph is the happens-before graph Oracle is probed on.
 	Graph *hbgraph.Graph
 	// Algorithm is the algorithm actually used (after auto selection).
 	Algorithm Algo
@@ -140,7 +141,7 @@ type Analysis struct {
 	cacheArt *cacheArtifacts
 
 	// plan memoizes the resolved query plan (per-op skeleton coordinates
-	// and the segment prober); model independent, shared by every pass.
+	// and the chunk plan); model independent, shared by every pass.
 	planMu sync.Mutex
 	plan   *opPlan
 }
@@ -255,28 +256,16 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 
 	// The finish phases share nothing, so they can overlap.
 	var confErr, matErr error
-	detect := func() {
+	par.Do(workers, 2, func(i int) {
 		start := time.Now()
-		a.Conflicts, confErr = det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.DetectConflicts += time.Since(start)
-	}
-	doMatch := func() {
-		start := time.Now()
-		a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
-		a.Timing.Match += time.Since(start)
-	}
-	if workers > 1 {
-		matched := make(chan struct{})
-		go func() {
-			doMatch()
-			close(matched)
-		}()
-		detect()
-		<-matched
-	} else {
-		detect()
-		doMatch()
-	}
+		if i == 0 {
+			a.Conflicts, confErr = det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
+			a.Timing.DetectConflicts += time.Since(start)
+		} else {
+			a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
+			a.Timing.Match += time.Since(start)
+		}
+	})
 	a.Timing.DetectMatchWall = time.Since(analyzeWall)
 	if confErr != nil {
 		return nil, fmt.Errorf("verify: conflict detection: %w", confErr)
@@ -329,9 +318,10 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 	return a, nil
 }
 
-// buildOracle resolves AlgoAuto and runs happens-before construction for an
-// analysis whose Conflicts, Match and counts are already set. Only positional
-// facts (the per-rank counts) are consumed, never the records.
+// buildOracle resolves AlgoAuto, builds the happens-before graph and then
+// the oracle, for an analysis whose Conflicts, Match and counts are already
+// set. Only positional facts (the per-rank counts) are consumed, never the
+// records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
 	if algo == AlgoAuto {
@@ -340,13 +330,6 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	a.Algorithm = algo
 
 	_, buildSpan := oc.Start("build-graph", obs.String("algorithm", algo.String()))
-	if algo == AlgoOnTheFly {
-		a.Oracle = hbgraph.NewOnTheFlyCounts(a.counts, a.Match.Edges)
-		a.Timing.BuildGraph = time.Since(start)
-		buildSpan.End()
-		return nil
-	}
-
 	g, err := hbgraph.BuildCounts(a.counts, a.Match.Edges)
 	if err != nil {
 		buildSpan.End()
@@ -366,6 +349,7 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	}
 
 	start = time.Now()
+	defer func() { a.Timing.VectorClock = time.Since(start) }()
 	buildVC := func() error {
 		_, vcSpan := oc.Start("vector-clocks",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
@@ -377,7 +361,6 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 			return fmt.Errorf("verify: vector clocks: %w", err)
 		}
 		a.Oracle = vc
-		a.Timing.VectorClock = time.Since(start)
 		return nil
 	}
 	switch algo {
@@ -385,6 +368,8 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		return buildVC()
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
+	case AlgoOnTheFly:
+		a.Oracle = hbgraph.NewOnTheFlyCounts(a.counts, a.Match.Edges)
 	case AlgoSegment:
 		_, segSpan := oc.Start("seg-reach",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),

@@ -31,10 +31,9 @@ import (
 //     what a verdict contains (pruning, fast paths, detail cap);
 //   - sync epoch: everything chunk-external — per-rank trace lengths, the
 //     sync-point cohorts, and the happens-before relation via the skeleton
-//     digest (hbgraph.SkeletonDigest). The epoch is shared by the three
-//     graph-backed algorithms, so verdicts transfer between them (they are
-//     oracle-independent); the on-the-fly oracle commits to the raw edge
-//     list instead and keys a separate epoch.
+//     digest (hbgraph.SkeletonDigest). Every algorithm builds the graph, so
+//     the epoch is shared by all of them and verdicts transfer between them
+//     (they are oracle-independent).
 //
 // An unchanged trace re-verifies entirely from cache. A changed trace misses
 // on the new epoch and falls back to the dirtiness pass: the store's
@@ -149,7 +148,7 @@ type cacheArtifacts struct {
 	// chunks holds one content digest per chunk of the query plan.
 	chunks []vcache.Digest
 	epoch  vcache.Digest
-	// skel is the sync-skeleton digest; zero for the on-the-fly oracle.
+	// skel is the sync-skeleton digest.
 	skel         vcache.Digest
 	ranks        []vcache.RankManifest
 	edges        []vcache.Edge
@@ -246,22 +245,8 @@ func (a *Analysis) cacheArtifacts() *cacheArtifacts {
 		writeU32(eh, uint32(sp.FID))
 		writeString(eh, sp.Func)
 	}
-	if a.Graph != nil {
-		a.Graph.AppendSkeletonDigest(eh)
-		art.skel = a.Graph.SkeletonDigest()
-	} else {
-		// On-the-fly oracle: no skeleton artifact; commit to the matcher's
-		// edge list, join nodes and all (the same information, differently
-		// encoded — the epochs intentionally differ so the two families
-		// never alias).
-		writeU32(eh, uint32(len(a.Match.Edges)))
-		for _, e := range a.Match.Edges {
-			writeU32(eh, uint32(e.From.Rank))
-			writeU32(eh, uint32(e.From.Seq))
-			writeU32(eh, uint32(e.To.Rank))
-			writeU32(eh, uint32(e.To.Seq))
-		}
-	}
+	a.Graph.AppendSkeletonDigest(eh)
+	art.skel = a.Graph.SkeletonDigest()
 	eh.Sum(art.epoch[:0])
 
 	a.cacheArt = art
@@ -351,7 +336,7 @@ func (d *rankDigest) add(recs []trace.Record) {
 // modelDigest commits to the consistency model and to every option that
 // changes verdict content. The HB algorithm is deliberately excluded: the
 // oracles are interchangeable (the oracle-equivalence suite pins it), so
-// verdicts transfer across them within one epoch family.
+// verdicts transfer across them.
 func modelDigest(opts Options) vcache.Digest {
 	h := sha256.New()
 	io.WriteString(h, "verifyio-model-v1\x00")

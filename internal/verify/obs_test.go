@@ -79,7 +79,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		"hbgraph.vc_arena_bytes", "hbgraph.vc_full_arena_bytes",
 		"verify.groups", "verify.checks", "verify.races",
 		"verify.classes", "verify.class_hits",
-		"verify.hb_queries", "verify.hb_fast_hits", "verify.hb_fallbacks",
+		"verify.hb_queries",
 		"par.analyze-ranks.tasks_submitted", "par.analyze-ranks.tasks_completed",
 	} {
 		if !names[n] {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"verifyio/internal/conflict"
+	"verifyio/internal/hbgraph"
+	"verifyio/internal/par"
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
 	"verifyio/internal/sim/posixfs"
@@ -185,12 +187,16 @@ func TestSyncIndexSortGuard(t *testing.T) {
 			{Ref: trace.Ref{Rank: 1, Seq: 4}, Func: "fsync", FID: 0},
 		},
 	}
-	idx := buildSyncIndex(res, semantics.CommitModel(), &opPlan{})
+	g, err := hbgraph.BuildCounts([]int{10, 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := buildSyncIndex(res, semantics.CommitModel(), g)
 	for c := range idx.perRank {
 		for fid, byRank := range idx.perRank[c] {
 			for rank, cands := range byRank {
 				sorted := sort.SliceIsSorted(cands, func(i, j int) bool {
-					return cands[i].seq < cands[j].seq
+					return cands[i].Seq < cands[j].Seq
 				})
 				if !sorted {
 					t.Errorf("class %d file %d rank %d: candidates %v not sorted", c, fid, rank, cands)
@@ -199,7 +205,37 @@ func TestSyncIndexSortGuard(t *testing.T) {
 		}
 	}
 	got := idx.perRank[0][0][0]
-	if len(got) != 3 || got[0].seq != 2 || got[1].seq != 5 || got[2].seq != 9 {
+	if len(got) != 3 || got[0].Seq != 2 || got[1].Seq != 5 || got[2].Seq != 9 {
 		t.Errorf("rank 0 seqs = %v, want [2 5 9]", got)
 	}
+}
+
+// panicOracle fails every probe.
+type panicOracle struct{ hbgraph.Oracle }
+
+func (panicOracle) Probe(a, b hbgraph.Coord) bool { panic("probe failed") }
+
+// TestVerifyWorkerPanicReachesCaller: a panic inside a verification batch
+// on a pool goroutine re-panics on the caller as a *par.TaskPanic that
+// carries the failing worker's stack.
+func TestVerifyWorkerPanicReachesCaller(t *testing.T) {
+	a, err := Analyze(planTrace(4, 900), AlgoAuto, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.queryPlan().batches); n < 2 {
+		t.Fatalf("%d batches; the pool would run inline", n)
+	}
+	a.Oracle = panicOracle{a.Oracle}
+	defer func() {
+		tp, ok := recover().(*par.TaskPanic)
+		if !ok {
+			t.Fatal("Verify did not re-panic with a *par.TaskPanic")
+		}
+		if tp.Value != "probe failed" || !bytes.Contains(tp.Stack, []byte("panicOracle.Probe")) {
+			t.Errorf("task panic %v lacks the worker's value or stack:\n%s", tp.Value, tp.Stack)
+		}
+	}()
+	a.Verify(Options{Model: semantics.POSIXModel(), Workers: 4})
+	t.Fatal("Verify returned after its oracle panicked")
 }

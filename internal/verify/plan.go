@@ -8,38 +8,25 @@ import (
 	"verifyio/internal/conflict"
 	"verifyio/internal/hbgraph"
 	"verifyio/internal/semantics"
-	"verifyio/internal/trace"
 )
 
 // Resolved query plan: the verification hot path asks the oracle about the
 // same operands over and over — every conflict op, every sync candidate on
-// the conflicting file. Resolving an operand means bounds-checking its ref
-// and mapping it onto the skeleton fringe (prev/next); doing that per query
-// is pure overhead, so the plan does it once per run. A resolved cross-rank
-// query is then a single SegProber probe (one clock compare or one bit
-// load), and same-rank queries are a sequence compare.
+// the conflicting file. Resolving an operand means mapping its ref onto the
+// skeleton fringe (hbgraph.Graph.Resolve); doing that per query is pure
+// overhead, so the plan does it once per run. A cross-rank query is then a
+// single Oracle.Probe (for the production oracles one clock compare or one
+// bit load), and a same-rank query is a sequence compare.
 //
 // The op plan is model independent and shared by every model pass of
 // VerifyAll (and every warm/dirty vcache chunk); the sync index depends on
 // the model's sync-op classes and is built once per model pass.
 
-// resolvedRef is a pre-resolved query operand: a record's identity plus its
-// skeleton fringe coordinates. next < 0 marks an unresolved operand (no
-// segment prober, or a ref outside the graph) — queries on it take the
-// general Oracle.HB path.
-type resolvedRef struct {
-	rank, seq  int32
-	prev, next int32
-}
-
-// opPlan carries the resolved conflict-op operands, the segment prober and
-// the chunk/batch plan for one analysis.
+// opPlan carries the resolved conflict-op operands and the chunk/batch plan
+// for one analysis.
 type opPlan struct {
-	// prober is the oracle's O(1) resolved-probe interface; nil for the
-	// reference oracles (reachability, on-the-fly), which expose none.
-	prober hbgraph.SegProber
 	// res holds one resolved operand per op, aligned with Conflicts.Ops.
-	res []resolvedRef
+	res []hbgraph.Coord
 	// write has bit i set when Ops[i] is a write, so the group walk reads an
 	// op's kind without touching the op.
 	write []uint64
@@ -68,17 +55,6 @@ func (p *opPlan) rankOf(i int32, from int) int {
 	return lo
 }
 
-// resolve maps one ref onto the plan's coordinate space.
-func (p *opPlan) resolve(ref trace.Ref) resolvedRef {
-	rr := resolvedRef{rank: int32(ref.Rank), seq: int32(ref.Seq), next: -1}
-	if p.prober != nil {
-		if prev, next, ok := p.prober.SegGraph().SegCoords(ref); ok {
-			rr.prev, rr.next = prev, next
-		}
-	}
-	return rr
-}
-
 // queryPlan returns the memoized resolved op plan, computing it on first
 // use. Model passes running concurrently in VerifyAll share one plan.
 func (a *Analysis) queryPlan() *opPlan {
@@ -88,13 +64,12 @@ func (a *Analysis) queryPlan() *opPlan {
 		return a.plan
 	}
 	p := &opPlan{}
-	p.prober, _ = a.Oracle.(hbgraph.SegProber)
 	ops := a.Conflicts.Ops
-	p.res = make([]resolvedRef, len(ops))
+	p.res = make([]hbgraph.Coord, len(ops))
 	p.write = make([]uint64, (len(ops)+63)/64)
 	p.rankEnd = make([]int32, a.NumRanks())
 	for i := range ops {
-		p.res[i] = p.resolve(ops[i].Ref)
+		p.res[i] = a.Graph.Resolve(ops[i].Ref)
 		if ops[i].Write {
 			p.write[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -114,34 +89,34 @@ func (a *Analysis) queryPlan() *opPlan {
 // per-file candidate list and per (file, rank) seq-sorted lists.
 type syncIndex struct {
 	// perFile[class][fid] = candidates in (rank, seq) order.
-	perFile []map[int][]resolvedRef
+	perFile []map[int][]hbgraph.Coord
 	// perRank[class][fid][rank] = candidates in ascending seq order.
-	perRank []map[int]map[int][]resolvedRef
+	perRank []map[int]map[int][]hbgraph.Coord
 	// ranks[class][fid] = the ranks present in perRank, ascending — the
 	// deterministic iteration order for per-rank witness searches.
 	ranks []map[int][]int
 }
 
-func buildSyncIndex(conf *conflict.Result, model semantics.Model, plan *opPlan) *syncIndex {
+func buildSyncIndex(conf *conflict.Result, model semantics.Model, g *hbgraph.Graph) *syncIndex {
 	k := model.MSC.K()
 	idx := &syncIndex{
-		perFile: make([]map[int][]resolvedRef, k),
-		perRank: make([]map[int]map[int][]resolvedRef, k),
+		perFile: make([]map[int][]hbgraph.Coord, k),
+		perRank: make([]map[int]map[int][]hbgraph.Coord, k),
 	}
 	for c := 0; c < k; c++ {
-		idx.perFile[c] = make(map[int][]resolvedRef)
-		idx.perRank[c] = make(map[int]map[int][]resolvedRef)
+		idx.perFile[c] = make(map[int][]hbgraph.Coord)
+		idx.perRank[c] = make(map[int]map[int][]hbgraph.Coord)
 	}
 	for _, sp := range conf.Syncs {
 		for c := 0; c < k; c++ {
 			if !model.MSC.Ops[c].Contains(sp.Func) {
 				continue
 			}
-			rr := plan.resolve(sp.Ref)
+			rr := g.Resolve(sp.Ref)
 			idx.perFile[c][sp.FID] = append(idx.perFile[c][sp.FID], rr)
 			byRank, ok := idx.perRank[c][sp.FID]
 			if !ok {
-				byRank = make(map[int][]resolvedRef)
+				byRank = make(map[int][]hbgraph.Coord)
 				idx.perRank[c][sp.FID] = byRank
 			}
 			byRank[sp.Ref.Rank] = append(byRank[sp.Ref.Rank], rr)
@@ -150,7 +125,7 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, plan *opPlan) 
 	// conflict.Result.Syncs is produced rank-major in seq order, so the
 	// per-rank lists are already sorted; the guard keeps the invariant
 	// cheap to hold and safe if a future producer violates it.
-	bySeq := func(a, b resolvedRef) int { return int(a.seq) - int(b.seq) }
+	bySeq := func(a, b hbgraph.Coord) int { return int(a.Seq) - int(b.Seq) }
 	idx.ranks = make([]map[int][]int, k)
 	for c := 0; c < k; c++ {
 		idx.ranks[c] = make(map[int][]int)
@@ -172,7 +147,7 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, plan *opPlan) 
 // seqBound returns the first index of cands (ascending seq) whose seq is at
 // least s: cands[seqBound(s+1)] is the earliest candidate after s,
 // cands[seqBound(s)-1] the latest before it.
-func seqBound(cands []resolvedRef, s int32) int {
-	i, _ := slices.BinarySearchFunc(cands, s, func(c resolvedRef, s int32) int { return cmp.Compare(c.seq, s) })
+func seqBound(cands []hbgraph.Coord, s int32) int {
+	i, _ := slices.BinarySearchFunc(cands, s, func(c hbgraph.Coord, s int32) int { return cmp.Compare(c.Seq, s) })
 	return i
 }

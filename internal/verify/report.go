@@ -54,7 +54,7 @@ func (r *Report) Render(w io.Writer) {
 		}
 	}
 	t := r.Timing
-	fmt.Fprintf(w, "timing: read=%v detect=%v match=%v graph=%v vclock=%v verify=%v total=%v\n",
+	fmt.Fprintf(w, "timing: read=%v detect=%v match=%v graph=%v oracle=%v verify=%v total=%v\n",
 		t.ReadTrace, t.DetectConflicts, t.Match, t.BuildGraph, t.VectorClock, t.Verification, t.Total())
 }
 

@@ -44,23 +44,30 @@ func TestTimingTotalSumsAllStages(t *testing.T) {
 	}
 }
 
-// TestTimingSerialWallEqualsSum checks the serial contract: with Workers=1
-// the detect+match wall clock is the sum of the two stages (no overlap), and
-// with Workers>1 it never exceeds that sum.
+// TestTimingSerialWallEqualsSum checks the serial contract for the
+// production oracle and for vector clocks: with Workers=1 the detect+match
+// wall clock is the sum of the two stages (no overlap), the oracle build,
+// whichever oracle, is in Timing.VectorClock, and the whole analysis wall
+// clock covers the sum of its stages.
 func TestTimingSerialWallEqualsSum(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	a, err := AnalyzeOpts(tr, AlgoVectorClock, AnalyzeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := a.Timing.DetectConflicts + a.Timing.Match
-	if a.Timing.DetectMatchWall < sum {
-		t.Errorf("serial wall %v < detect+match sum %v", a.Timing.DetectMatchWall, sum)
-	}
-	if a.Timing.AnalyzeWall < a.Timing.DetectMatchWall {
-		t.Errorf("analyze wall %v < detect+match wall %v", a.Timing.AnalyzeWall, a.Timing.DetectMatchWall)
-	}
-	if a.Timing.Total() == 0 {
-		t.Error("Total() is zero after a full analysis")
+	for _, algo := range []Algo{AlgoAuto, AlgoVectorClock} {
+		a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Graph.SkeletonNodes() == 0 {
+			t.Fatalf("%v: empty skeleton, nothing to build", algo)
+		}
+		tm := a.Timing
+		if sum := tm.DetectConflicts + tm.Match; tm.DetectMatchWall < sum {
+			t.Errorf("%v: serial wall %v < detect+match sum %v", algo, tm.DetectMatchWall, sum)
+		}
+		if tm.VectorClock <= 0 {
+			t.Errorf("%v: oracle build time %v, want > 0", algo, tm.VectorClock)
+		}
+		if tm.AnalyzeWall < tm.Total() {
+			t.Errorf("%v: analyze wall %v < stage sum %v", algo, tm.AnalyzeWall, tm.Total())
+		}
 	}
 }

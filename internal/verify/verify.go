@@ -6,11 +6,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"verifyio/internal/conflict"
+	"verifyio/internal/hbgraph"
 	"verifyio/internal/match"
 	"verifyio/internal/obs"
 	"verifyio/internal/par"
@@ -127,7 +126,7 @@ type Report struct {
 	// SkeletonNodes / SkeletonLevels describe the sync skeleton the
 	// graph-based oracles computed on: S nodes (sync-edge endpoints plus
 	// per-rank sentinels, S ≤ GraphNodes) scheduled across the given number
-	// of wavefront levels. Zero when the on-the-fly algorithm ran.
+	// of wavefront levels.
 	SkeletonNodes  int
 	SkeletonLevels int
 	Timing         Timing
@@ -155,20 +154,18 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	opts.MaxRaceDetails = max(opts.MaxRaceDetails, 0)
 	opts.Workers = par.Resolve(opts.Workers)
 	rep := &Report{
-		Model:         opts.Model.Name,
-		Algorithm:     a.Algorithm.String(),
-		Ranks:         a.NumRanks(),
-		Records:       a.NumRecords(),
-		ConflictPairs: a.Conflicts.Pairs,
-		Problems:      a.Match.Problems,
-		Workers:       opts.Workers,
-		Timing:        a.Timing,
-	}
-	if a.Graph != nil {
-		rep.GraphNodes = a.Graph.Nodes()
-		rep.GraphSyncEdges = a.Graph.SyncEdges()
-		rep.SkeletonNodes = a.Graph.SkeletonNodes()
-		rep.SkeletonLevels = a.Graph.SkeletonLevels()
+		Model:          opts.Model.Name,
+		Algorithm:      a.Algorithm.String(),
+		Ranks:          a.NumRanks(),
+		Records:        a.NumRecords(),
+		ConflictPairs:  a.Conflicts.Pairs,
+		Problems:       a.Match.Problems,
+		Workers:        opts.Workers,
+		GraphNodes:     a.Graph.Nodes(),
+		GraphSyncEdges: a.Graph.SyncEdges(),
+		SkeletonNodes:  a.Graph.SkeletonNodes(),
+		SkeletonLevels: a.Graph.SkeletonLevels(),
+		Timing:         a.Timing,
 	}
 	if len(a.Match.Problems) > 0 && !opts.ContinueOnUnmatched {
 		// Unmatched MPI calls: the synchronization order cannot be
@@ -187,8 +184,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	start := time.Now()
 	_, idxSpan := oc.Start("sync-index")
 	plan := a.queryPlan()
-	v := &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, plan), plan: plan}
-	v.initScratch()
+	v := &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, a.Graph), plan: plan}
 	idxSpan.End()
 	var cs *cacheSession
 	if opts.Cache != nil {
@@ -219,16 +215,12 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		r.Counter("verify.races").Add(v.raceCount)
 		// Split out of verify.checks: class_hits counts the checks answered
 		// from a position class's bounds, classes the class changes;
-		// hb_queries counts happens-before evaluations actually performed,
-		// hb_fast_hits the subset answered by the O(1) resolved segment
-		// probe, hb_fallbacks the subset that took the general Oracle.HB
-		// path. Cache-served chunks add to none of them; all five are the
-		// same at every worker count.
+		// hb_queries counts happens-before evaluations actually performed.
+		// Cache-served chunks add to none of them; all three are the same at
+		// every worker count.
 		r.Counter("verify.classes").Add(v.classes)
 		r.Counter("verify.class_hits").Add(v.classHits)
 		r.Counter("verify.hb_queries").Add(v.hbQueries)
-		r.Counter("verify.hb_fast_hits").Add(v.hbFast)
-		r.Counter("verify.hb_fallbacks").Add(v.hbFall)
 		if opts.Cache != nil {
 			// Volatile: the values depend on cross-run cache state, the
 			// quantity the CI warm gate asserts on. Set (not Add) keeps
@@ -245,7 +237,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 }
 
 // verifier checks conflict groups. The shared fields (a, opts, idx, plan) are
-// read-only during verification; a worker of the parallel path copies them
+// read-only during verification; each worker of verifyChunks copies them
 // and owns its scratch and the tally of the chunk it is verifying.
 type verifier struct {
 	a    *Analysis
@@ -260,30 +252,30 @@ type verifier struct {
 	// candidates on that rank precede X. Groups are X-sorted, so a class is
 	// a run of consecutive groups and the current one is all the state
 	// there is: setGroup keeps everything below while the class holds.
-	xi   int32       // op index of the current group's X
-	xr   resolvedRef // its resolved operand
-	cX   resolvedRef // the class's first X: its rank, prev and next are the class's
-	cFID int         // the class's file; -1 when no later group may share the class
-	cEnd int32       // the X.seq at which the preceding-candidate counts change
+	xi   int32         // op index of the current group's X
+	xr   hbgraph.Coord // its resolved operand
+	cX   hbgraph.Coord // the class's first X: its rank, prev and next are the class's
+	cFID int           // the class's file; -1 when no later group may share the class
+	cEnd int32         // the X.Seq at which the preceding-candidate counts change
 	// class numbers the classes this scratch has held; a rank's bounds are
 	// reset on their first use in a class.
 	class int32
-	gFile [][]resolvedRef         // per MSC op class: candidates on the file
-	gRank []map[int][]resolvedRef // per MSC op class: rank → candidates on the file
+	gFile [][]hbgraph.Coord         // per MSC op class: candidates on the file
+	gRank []map[int][]hbgraph.Coord // per MSC op class: rank → candidates on the file
 	// gRanks0/gRanksK are the file's candidate ranks (classes 0 and k-1),
 	// ascending — the witness searches' deterministic order.
 	gRanks0, gRanksK []int
 	// Extremes for the po-hb-po fast path: the earliest class-0 candidate
 	// after X on X's rank (xS1) and the latest class-(k-1) candidate before
 	// X on X's rank (xS2).
-	xS1, xS2     resolvedRef
+	xS1, xS2     hbgraph.Coord
 	xS1ok, xS2ok bool
 	// Witness sets for the hb-S-hb fast path. On each rank the candidates
 	// reachable from X form a seq-suffix (po extends hb), so the earliest
 	// reachable candidate per rank witnesses every MSC through that rank;
 	// dually the latest candidate reaching X witnesses the reverse
 	// direction. One binary search per rank, on first use within a class.
-	wFrom, wTo       []resolvedRef
+	wFrom, wTo       []hbgraph.Coord
 	wFromSet, wToSet bool
 	// bounds[r] brackets, per check shape, the threshold among rank r's ops.
 	bounds []rankBounds
@@ -300,8 +292,6 @@ type tally struct {
 	classHits int64 // …of which answered from the class's bounds
 	classes   int64 // class changes, i.e. scratch resets
 	hbQueries int64 // happens-before evaluations actually performed
-	hbFast    int64 // …of which answered by the O(1) resolved segment probe
-	hbFall    int64 // …of which answered by the general Oracle.HB path
 	raceCount int64
 	pairs     []racePair // first opts.MaxRaceDetails races, discovery order
 }
@@ -340,8 +330,8 @@ func shapeOf(rev, asWrite bool) (s int) {
 // initScratch sizes the scratch to the model's MSC arity and the rank count.
 func (v *verifier) initScratch() {
 	k := len(v.idx.perFile)
-	v.gFile = make([][]resolvedRef, k)
-	v.gRank = make([]map[int][]resolvedRef, k)
+	v.gFile = make([][]hbgraph.Coord, k)
+	v.gRank = make([]map[int][]hbgraph.Coord, k)
 	v.bounds = make([]rankBounds, len(v.plan.rankEnd))
 	v.wFrom, v.wTo = nil, nil
 	v.cFID = -1
@@ -350,19 +340,18 @@ func (v *verifier) initScratch() {
 // setGroup makes g's X the current one. When X leaves the current class the
 // scratch is reset: the file's candidate lists are hoisted, X's extremes and
 // the seq at which the class ends resolved, witness sets and bounds
-// invalidated. An unresolved X (next < 0: reference oracles, refs outside
-// the graph) and the exhaustive walk share nothing between groups.
+// invalidated. The exhaustive walk shares nothing between groups.
 func (v *verifier) setGroup(g *conflict.Group) {
 	xr, fid := v.plan.res[g.X], v.a.Conflicts.Ops[g.X].FID
 	v.xi, v.xr = int32(g.X), xr
-	if fid == v.cFID && xr.seq < v.cEnd &&
-		xr.rank == v.cX.rank && xr.prev == v.cX.prev && xr.next == v.cX.next {
+	if fid == v.cFID && xr.Seq < v.cEnd &&
+		xr.Rank == v.cX.Rank && xr.Prev == v.cX.Prev && xr.Next == v.cX.Next {
 		return
 	}
 	v.classes++
 	v.class++
 	v.cX, v.cFID, v.cEnd = xr, fid, math.MaxInt32
-	if xr.next < 0 || v.opts.DisablePruning {
+	if v.opts.DisablePruning {
 		v.cFID = -1
 	}
 	v.wFromSet, v.wToSet = false, false
@@ -378,16 +367,16 @@ func (v *verifier) setGroup(g *conflict.Group) {
 	v.gRanksK = v.idx.ranks[k-1][fid]
 	// A candidate that X passes changes what X's side of an MSC can use:
 	// the class ends at the next one on X's rank.
-	c0, ck := v.gRank[0][int(xr.rank)], v.gRank[k-1][int(xr.rank)]
-	i, j := seqBound(c0, xr.seq+1), seqBound(ck, xr.seq)
+	c0, ck := v.gRank[0][int(xr.Rank)], v.gRank[k-1][int(xr.Rank)]
+	i, j := seqBound(c0, xr.Seq+1), seqBound(ck, xr.Seq)
 	if v.xS1ok = i < len(c0); v.xS1ok {
-		v.xS1, v.cEnd = c0[i], c0[i].seq
+		v.xS1, v.cEnd = c0[i], c0[i].Seq
 	}
 	if v.xS2ok = j > 0; v.xS2ok {
 		v.xS2 = ck[j-1]
 	}
 	if j < len(ck) {
-		v.cEnd = min(v.cEnd, ck[j].seq)
+		v.cEnd = min(v.cEnd, ck[j].Seq)
 	}
 }
 
@@ -397,7 +386,7 @@ func (v *verifier) setGroup(g *conflict.Group) {
 // search per rank finds the suffix boundary; the minimal element witnesses
 // every MSC through that rank, because S' in the suffix with S' hb Y gives
 // min po S' hb Y.
-func (v *verifier) buildWFrom(xr resolvedRef) {
+func (v *verifier) buildWFrom(xr hbgraph.Coord) {
 	v.wFrom = v.wFrom[:0]
 	for _, q := range v.gRanks0 {
 		cands := v.gRank[0][q]
@@ -412,7 +401,7 @@ func (v *verifier) buildWFrom(xr resolvedRef) {
 // buildWTo computes the reverse witness set: per rank, the latest
 // class-(k-1) candidate S with S -hb-> X. S -hb-> X holds on a seq-prefix of
 // each rank, so the maximal element witnesses every MSC into X.
-func (v *verifier) buildWTo(xr resolvedRef) {
+func (v *verifier) buildWTo(xr hbgraph.Coord) {
 	v.wTo = v.wTo[:0]
 	for _, q := range v.gRanksK {
 		cands := v.gRank[len(v.gRank)-1][q]
@@ -443,26 +432,19 @@ func (v *verifier) psAs(rev, asWrite bool, yi int32) bool {
 }
 
 // hbRes answers one happens-before query over resolved operands: program
-// order for same-rank pairs, the O(1) segment probe when the plan resolved
-// both operands, and the general Oracle.HB path otherwise.
-func (v *verifier) hbRes(a, b resolvedRef) bool {
+// order for same-rank pairs, one oracle probe otherwise.
+func (v *verifier) hbRes(a, b hbgraph.Coord) bool {
 	v.hbQueries++
-	if a.rank == b.rank {
-		return a.seq < b.seq
+	if a.Rank == b.Rank {
+		return a.Seq < b.Seq
 	}
-	if p := v.plan.prober; p != nil && a.next >= 0 && b.next >= 0 {
-		v.hbFast++
-		return p.ProbeSeg(a.rank, a.seq, a.next, b.prev)
-	}
-	v.hbFall++
-	return v.a.Oracle.HB(trace.Ref{Rank: int(a.rank), Seq: int(a.seq)},
-		trace.Ref{Rank: int(b.rank), Seq: int(b.seq)})
+	return v.a.Oracle.Probe(a, b)
 }
 
 // edgeRes checks one MSC edge requirement between two resolved operands.
-func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b resolvedRef) bool {
+func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b hbgraph.Coord) bool {
 	if kind == semantics.PO {
-		return a.rank == b.rank && a.seq < b.seq
+		return a.Rank == b.Rank && a.Seq < b.Seq
 	}
 	return v.hbRes(a, b)
 }
@@ -470,7 +452,7 @@ func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b resolvedRef) bool {
 // mscExists searches for an instance of the model's MSC from xr to yr, with
 // every synchronization operation acting on the conflicting file. The
 // group's X is yr when rev, xr otherwise.
-func (v *verifier) mscExists(rev bool, xr, yr resolvedRef) bool {
+func (v *verifier) mscExists(rev bool, xr, yr hbgraph.Coord) bool {
 	msc := v.opts.Model.MSC
 	k := msc.K()
 	if k == 0 {
@@ -516,15 +498,15 @@ func (v *verifier) mscExists(rev bool, xr, yr resolvedRef) bool {
 		// endpoint's is one search in its rank's list.
 		s1, s2 := v.xS1, v.xS2
 		if rev {
-			c0 := v.gRank[0][int(xr.rank)]
-			i := seqBound(c0, xr.seq+1)
+			c0 := v.gRank[0][int(xr.Rank)]
+			i := seqBound(c0, xr.Seq+1)
 			if i == len(c0) || !v.xS2ok {
 				return false
 			}
 			s1 = c0[i]
 		} else {
-			ck := v.gRank[1][int(yr.rank)]
-			j := seqBound(ck, yr.seq)
+			ck := v.gRank[1][int(yr.Rank)]
+			j := seqBound(ck, yr.Seq)
 			if j == 0 || !v.xS1ok {
 				return false
 			}
@@ -538,7 +520,7 @@ func (v *verifier) mscExists(rev bool, xr, yr resolvedRef) bool {
 
 // mscDFS anchors MSC element pos (0-based sync-op position) given the
 // previously anchored operand.
-func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr resolvedRef) bool {
+func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr hbgraph.Coord) bool {
 	if pos == msc.K() {
 		return v.edgeRes(msc.Edges[pos], prev, yr)
 	}
@@ -562,7 +544,7 @@ func (v *verifier) verifyGroups(lo, hi int) {
 		xw := v.plan.isWrite(v.xi)
 		// CSR runs are ordered by ascending rank above X's, each run in
 		// program order.
-		for k, r := 0, int(v.xr.rank); k < g.NumRuns(); k++ {
+		for k, r := 0, int(v.xr.Rank); k < g.NumRuns(); k++ {
 			ys := g.RunAt(k)
 			if v.opts.DisablePruning {
 				for _, yi := range ys {
@@ -653,22 +635,33 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 }
 
 // verifyChunks runs the chunk plan — the shared unit of parallel work and
-// of verdict caching — batch by batch. A worker claims a whole batch from an
-// atomic cursor and carries its scratch across the batch's chunks, so a
+// of verdict caching — one par task per batch. A batch takes a worker's
+// scratch, starts it in no class and carries it across its chunks, so a
 // position class that spans chunks is evaluated once; every chunk still gets
 // its own tally, merged in chunk order = group order, so the detailed-race
 // prefix, the race count and the check count are exactly what one walk over
 // the groups in order produces, at every worker count and for any mix of
 // cached and recomputed chunks. Batches are the plan's, the same at every
-// worker count, which keeps the hb and class counters worker-independent too.
-// A non-nil cs resolves chunks from the verdict cache first and seals fresh
-// verdicts after.
+// worker count, which keeps the hb and class counters worker-independent
+// too. A non-nil cs resolves chunks from the verdict cache first and seals
+// fresh verdicts after.
 func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 	chunks, batches := v.plan.chunks, v.plan.batches
 	tallies := make([]tally, len(chunks))
-	walk := func(w *verifier, batch chunkSpan) {
+	// One scratch per worker, so a pass allocates per worker, not per batch:
+	// at most workers tasks run at once, so one is always free.
+	workers = min(workers, len(batches))
+	free := make(chan *verifier, workers)
+	for range workers {
+		w := *v
+		w.initScratch()
+		free <- &w
+	}
+	par.Do(workers, len(batches), func(b int) {
+		w := <-free
+		defer func() { free <- w }()
 		w.cFID = -1 // a batch starts in no class
-		for c := batch.lo; c < batch.hi; c++ {
+		for c := batches[b].lo; c < batches[b].hi; c++ {
 			t := &tallies[c]
 			if cs != nil && cs.tryApply(c, t) {
 				continue
@@ -687,31 +680,7 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 				cs.seal(c, t)
 			}
 		}
-	}
-	if workers = min(workers, len(batches)); workers <= 1 {
-		for _, batch := range batches {
-			walk(v, batch)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := *v
-				w.initScratch()
-				for {
-					b := int(cursor.Add(1)) - 1
-					if b >= len(batches) {
-						return
-					}
-					walk(&w, batches[b])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	// Merge in chunk order = group order: each tally capped its detail at
 	// MaxRaceDetails, which is enough because the global detail prefix
 	// draws at most that many races from any chunk's own prefix.
@@ -722,8 +691,6 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 		v.classHits += t.classHits
 		v.classes += t.classes
 		v.hbQueries += t.hbQueries
-		v.hbFast += t.hbFast
-		v.hbFall += t.hbFall
 		v.raceCount += t.raceCount
 		v.pairs = append(v.pairs, t.pairs[:min(len(t.pairs), v.opts.MaxRaceDetails-len(v.pairs))]...)
 	}
@@ -750,7 +717,7 @@ func (v *verifier) makeRace(p racePair) Race {
 		FuncY:   sy.Func,
 		ChainX:  fullChain(sx),
 		ChainY:  fullChain(sy),
-		ordered: v.a.Oracle.HB(x.Ref, y.Ref) || v.a.Oracle.HB(y.Ref, x.Ref),
+		ordered: v.a.Graph.HB(v.a.Oracle, x.Ref, y.Ref) || v.a.Graph.HB(v.a.Oracle, y.Ref, x.Ref),
 	}
 }
 

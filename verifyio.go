@@ -418,8 +418,9 @@ type Timing struct {
 	ReadTrace       time.Duration
 	DetectConflicts time.Duration
 	// Match covers step 3 (MPI matching).
-	Match        time.Duration
-	BuildGraph   time.Duration
+	Match      time.Duration
+	BuildGraph time.Duration
+	// VectorClock covers the happens-before oracle build.
 	VectorClock  time.Duration
 	Verification time.Duration
 	// DetectMatchWall is the wall-clock time of the read / conflict

@@ -244,7 +244,7 @@ func TestCutsStarEqualsClique(t *testing.T) {
 				if star == nil {
 					t.Fatal("verification stored no manifest")
 				}
-				mres, err := match.Match(tr)
+				mres, err := match.MatchOpts(tr, match.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -147,7 +147,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 			"obscheck", "obs-smoke", "dfg-smoke", "-debug-addr", "-dfg-out",
 			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg",
 			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream",
-			"SegProber", "ProbeSeg", "SegCoords", "hb_fallbacks", "hb_fast_hits"} {
+			"SegProber", "ProbeSeg", "SegCoords", "hb_fallbacks", "hb_fast_hits",
+			"DisableFastPaths", "mscDFS", "buildWFrom", "buildWTo"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

@@ -189,9 +189,7 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 // auto resolves to) to every other algorithm through the same resolved query
 // plan and walk: on every corpus trace at Workers 1 and 3, the vector-clock,
 // reachability and on-the-fly reports must match it apart from the algorithm
-// label, and so must, field for field, the same analysis verified with the
-// Table I fast paths disabled, which takes the generic search over the same
-// plan.
+// label.
 func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		for _, workers := range corpusWorkers {
@@ -200,10 +198,6 @@ func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 			if want[0].Algorithm != "segment" {
 				t.Fatalf("%s: auto resolved to %q, want segment", name, want[0].Algorithm)
 			}
-			slow := o
-			slow.DisableFastPaths = true
-			sameReports(t, fmt.Sprintf("%s fast-paths-off Workers=%d", name, workers), want,
-				corpusReports(t, name, tr, verify.AlgoAuto, workers, slow), false)
 			for _, algo := range []verify.Algo{verify.AlgoVectorClock, verify.AlgoReachability, verify.AlgoOnTheFly} {
 				sameReports(t, fmt.Sprintf("%s %v Workers=%d", name, algo, workers), want,
 					corpusReports(t, name, tr, algo, workers, o), true)

@@ -3,7 +3,6 @@ package corpus
 import (
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"verifyio/internal/hbgraph"
@@ -122,18 +121,6 @@ func (o *refOracle) HB(a, b trace.Ref) bool {
 	return o.clocks[(o.base[b.Rank]+b.Seq)*o.nranks+a.Rank] >= int32(a.Seq)
 }
 
-// callsAny reports whether any record of tr calls one of funcs.
-func callsAny(tr *trace.Trace, funcs ...string) bool {
-	for _, recs := range tr.Ranks {
-		for i := range recs {
-			if slices.Contains(funcs, recs[i].Func) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // equivExhaustiveLimit: traces up to this many records get the full V×V
 // query matrix; larger ones get sampled queries.
 const (
@@ -177,7 +164,11 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := hbgraph.Build(tr, mres.Edges)
+			counts := make([]int, tr.NumRanks())
+			for rank, recs := range tr.Ranks {
+				counts[rank] = len(recs)
+			}
+			g, err := hbgraph.BuildCounts(counts, mres.Edges)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,15 +263,12 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 
 			// Stored sync edges are linear in the trace: a barrier-like
 			// collective is one join node with at most two edges per member,
-			// so the matcher stores at most two edges per record. Scan and
-			// Exscan order each rank after all lower ones and are stored
-			// pairwise; pairwise barriers would break the bound from 4
-			// ranks up.
-			if !callsAny(tr, "MPI_Scan", "MPI_Exscan") {
-				edges, nodes := snap.Stable.Counters["match.edges"], snap.Stable.Gauges["hbgraph.nodes"]
-				if nodes <= 0 || edges > 2*nodes {
-					t.Errorf("match.edges = %d, want at most 2 × hbgraph.nodes = 2 × %d", edges, nodes)
-				}
+			// and Scan/Exscan a chain of one edge per member, so the matcher
+			// stores at most two edges per record. Pairwise barriers would
+			// break the bound from 4 ranks up.
+			edges, nodes := snap.Stable.Counters["match.edges"], snap.Stable.Gauges["hbgraph.nodes"]
+			if nodes <= 0 || edges > 2*nodes {
+				t.Errorf("match.edges = %d, want at most 2 × hbgraph.nodes = 2 × %d", edges, nodes)
 			}
 
 			// A four-model pass over the resolved query plan probes the

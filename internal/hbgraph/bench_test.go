@@ -45,7 +45,7 @@ func synthGraph(nranks, n int, density float64, seed int64) (*trace.Trace, []mat
 // (the fixed cost the BFS and on-the-fly references avoid).
 func BenchmarkOracleConstruction(b *testing.B) {
 	tr, edges := synthGraph(8, 2000, 0.1, 7)
-	g, err := Build(tr, edges)
+	g, err := BuildCounts(rankCounts(tr), edges)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func BenchmarkVectorClocks(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		tr, edges := synthGraph(8, 4000, sh.density, 13)
-		g, err := Build(tr, edges)
+		g, err := BuildCounts(rankCounts(tr), edges)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkVectorClocks(b *testing.B) {
 // coordinates — the call the verifier makes.
 func BenchmarkOracleQueries(b *testing.B) {
 	tr, edges := synthGraph(8, 1000, 0.1, 11)
-	g, err := Build(tr, edges)
+	g, err := BuildCounts(rankCounts(tr), edges)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,18 +43,12 @@ type Graph struct {
 
 	syncPairs int // sync-order pairs the edge list stands for, joins expanded
 
-	skel skeleton // sync skeleton; built once in Build
+	skel skeleton // sync skeleton; built once in BuildCounts
 }
 
 // joinRank marks an edge endpoint as a join node (match's encoding of a
 // barrier-like collective) rather than a record.
 const joinRank = -1
-
-// Build constructs the graph for tr with the matcher's synchronization
-// edges. Edges referencing records outside the trace are rejected.
-func Build(tr *trace.Trace, edges []match.Edge) (*Graph, error) {
-	return BuildCounts(rankCounts(tr), edges)
-}
 
 // rankCounts returns the per-rank record counts of a materialized trace.
 func rankCounts(tr *trace.Trace) []int {
@@ -113,7 +107,9 @@ func (g *Graph) Nodes() int { return g.n }
 // SyncEdges returns the number of synchronization-order pairs the edge list
 // stands for: every plain edge, plus for every join node its source × target
 // pairs on different ranks (what match.Pairwise would list, counted without
-// listing it).
+// listing it). A prefix collective (MPI_Scan/MPI_Exscan) is stored as a chain
+// of plain edges, so it counts its P-1 links, not the P(P-1)/2 pairs of its
+// closure.
 func (g *Graph) SyncEdges() int { return g.syncPairs }
 
 // SkeletonNodes returns the size S of the sync skeleton the graph-based

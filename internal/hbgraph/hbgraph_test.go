@@ -40,7 +40,7 @@ func edges(pairs ...[4]int) []match.Edge {
 // production oracles and the two plain references.
 func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) (*Graph, []Oracle) {
 	t.Helper()
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestEdgeAndTransitivity(t *testing.T) {
 func TestCycleDetected(t *testing.T) {
 	tr := mkTrace(1, 1)
 	es := edges([4]int{0, 0, 1, 0}, [4]int{1, 0, 0, 0})
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestCycleDetected(t *testing.T) {
 
 func TestBuildRejectsOutOfRangeEdges(t *testing.T) {
 	tr := mkTrace(1)
-	if _, err := Build(tr, edges([4]int{0, 0, 3, 0})); err == nil {
+	if _, err := BuildCounts(rankCounts(tr), edges([4]int{0, 0, 3, 0})); err == nil {
 		t.Fatal("edge to missing rank accepted")
 	}
-	if _, err := Build(tr, edges([4]int{0, 5, 0, 0})); err == nil {
+	if _, err := BuildCounts(rankCounts(tr), edges([4]int{0, 5, 0, 0})); err == nil {
 		t.Fatal("edge from missing seq accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestSegReachabilityDefaultBudget(t *testing.T) {
 	for i := 0; i+1 < per; i++ {
 		es = append(es, match.Edge{From: ref(0, i), To: ref(1, i+1)})
 	}
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSegReachabilityDefaultBudget(t *testing.T) {
 	// ...while a sync-sparse trace with as many records qualifies: its
 	// skeleton is just the sentinels.
 	sparse := mkTrace(2 * per)
-	g2, err := Build(sparse, nil)
+	g2, err := BuildCounts(rankCounts(sparse), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSegReachabilityDefaultBudget(t *testing.T) {
 func TestSegReachabilityBudget(t *testing.T) {
 	tr := mkTrace(4, 4)
 	es := edges([4]int{0, 0, 1, 1}, [4]int{1, 2, 0, 3})
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestOracleQueriesOutsideTrace(t *testing.T) {
 func TestSkeletonMapping(t *testing.T) {
 	tr := mkTrace(6, 4)
 	es := edges([4]int{0, 2, 1, 1}, [4]int{1, 3, 0, 4})
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestVectorClockWavefrontDeterministic(t *testing.T) {
 	// parallel-width threshold, so workers > 1 genuinely exercises the
 	// concurrent path.
 	tr, es := synthGraph(16, 200, 0.2, 5)
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 			}
 			return es[i].To.Less(es[j].To)
 		})
-		g, err := Build(tr, es)
+		g, err := BuildCounts(rankCounts(tr), es)
 		if err != nil {
 			return false
 		}
@@ -429,7 +429,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 func TestGraphStats(t *testing.T) {
 	tr := mkTrace(3, 2)
 	es := edges([4]int{0, 0, 1, 0})
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestVectorClockMemoryShape(t *testing.T) {
 	// memory, not O(V·P). With no sync edges the skeleton is just the
 	// per-rank first/last sentinels.
 	tr := mkTrace(5, 3)
-	g, err := Build(tr, nil)
+	g, err := BuildCounts(rankCounts(tr), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestVectorClockConstructionAllocsFlat(t *testing.T) {
 	// The flat layout allocates a constant number of slices, not one
 	// clock per node.
 	tr := mkTrace(300, 300, 300)
-	g, err := Build(tr, nil)
+	g, err := BuildCounts(rankCounts(tr), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestVectorClockConstructionAllocsFlat(t *testing.T) {
 // parallel verifier depends on (run under -race).
 func TestOraclesConcurrentQueries(t *testing.T) {
 	tr, es := synthGraph(4, 80, 0.15, 42)
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func randomProgram(rng *rand.Rand, nranks int) *trace.Trace {
 
 func mustMatchEdges(t *testing.T, tr *trace.Trace) []match.Edge {
 	t.Helper()
-	res, err := match.Match(tr)
+	res, err := match.MatchOpts(tr, match.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ type builtOracles struct {
 
 func buildAt(t *testing.T, tr *trace.Trace, es []match.Edge, workers int) builtOracles {
 	t.Helper()
-	g, err := Build(tr, es)
+	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestPropertyJoinsEqualPairwise(t *testing.T) {
 func TestJoinWavefrontParallelLevels(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		tr := randomProgram(rand.New(rand.NewSource(seed)), 16)
-		g, err := Build(tr, mustMatchEdges(t, tr))
+		g, err := BuildCounts(rankCounts(tr), mustMatchEdges(t, tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +325,11 @@ func TestCycleThroughJoinNodes(t *testing.T) {
 			p.emit(rank, trace.LayerMPI, "MPI_Barrier", comm)
 		}
 	}
-	res, err := match.Match(p.tr)
+	res, err := match.MatchOpts(p.tr, match.Options{})
 	if err != nil || len(res.Problems) != 0 {
 		t.Fatalf("match: %v, problems %v", err, res.Problems)
 	}
-	g, err := Build(p.tr, res.Edges)
+	g, err := BuildCounts(rankCounts(p.tr), res.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestCycleThroughJoinNodes(t *testing.T) {
 		t.Errorf("SkeletonLevels = %d on a cyclic skeleton, want 0", lv)
 	}
 	// Same verdict as the pairwise encoding.
-	gp, err := Build(p.tr, match.Pairwise(res.Edges))
+	gp, err := BuildCounts(rankCounts(p.tr), match.Pairwise(res.Edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestBarrierEdgesLinearInRanks(t *testing.T) {
 		if got := len(match.Pairwise(es)); got != pairs {
 			t.Errorf("ranks=%d: Pairwise lists %d pairs, want P(P−1)·B = %d", nranks, got, pairs)
 		}
-		g, err := Build(p.tr, es)
+		g, err := BuildCounts(rankCounts(p.tr), es)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ type skeleton struct {
 
 	// prev maps every full node id to the skeleton id of the last skeleton
 	// record at-or-before it on the same rank — O(1) ref resolution, O(V)
-	// int32s once per Build instead of a binary search per query.
+	// int32s once per BuildCounts instead of a binary search per query.
 	prev []int32
 
 	// CSR sync adjacency over skeleton and join ids; program order is

@@ -52,7 +52,7 @@ func BenchmarkMatchCollectives(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Match(tr)
+				res, err := MatchOpts(tr, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func BenchmarkMatchP2P(b *testing.B) {
 		tr := p2pHeavyTrace(4, iters)
 		b.Run(fmt.Sprintf("msgs=%d", iters*3), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := Match(tr)
+				res, err := MatchOpts(tr, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -170,11 +170,12 @@ func (m *matcher) collectiveEdges(name string, root int, entries []*collEntry) {
 		}
 	case prefixLike[name]:
 		// Prefix reductions: rank i's completion depends on every lower
-		// comm rank's contribution (and on nothing above it).
+		// comm rank's contribution (and on nothing above it). Both calls are
+		// blocking, so init is completion and a chain through consecutive
+		// comm ranks has the pairwise clique's transitive closure with P-1
+		// edges instead of P(P-1)/2.
 		for i := 1; i < len(entries); i++ {
-			for j := 0; j < i; j++ {
-				m.res.Edges = append(m.res.Edges, Edge{From: entries[j].init, To: entries[i].completion})
-			}
+			m.res.Edges = append(m.res.Edges, Edge{From: entries[i-1].init, To: entries[i].completion})
 		}
 	default:
 		// MPI-IO collectives: matched (error detection) but not

@@ -242,12 +242,6 @@ type Options struct {
 	Obs obs.Ctx
 }
 
-// Match replays the MPI records of tr with a GOMAXPROCS-wide worker pool;
-// see MatchOpts.
-func Match(tr *trace.Trace) (*Result, error) {
-	return MatchOpts(tr, Options{})
-}
-
 // MatchOpts replays the MPI records of tr: a Matcher fed every rank whole.
 func MatchOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	m := NewMatcher(tr.NumRanks())

@@ -27,7 +27,7 @@ func runTraced(t *testing.T, nranks int, prog func(r *recorder.Rank) error) *tra
 
 func mustMatch(t *testing.T, tr *trace.Trace) *Result {
 	t.Helper()
-	res, err := Match(tr)
+	res, err := MatchOpts(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,30 +583,6 @@ func TestSendrecvMatchesBothHalves(t *testing.T) {
 		if (e.From.Rank+1)%3 != e.To.Rank {
 			t.Errorf("edge %v -> %v is not a ring-right edge", e.From, e.To)
 		}
-	}
-}
-
-func TestPrefixCollectiveEdges(t *testing.T) {
-	tr := runTraced(t, 3, func(r *recorder.Rank) error {
-		_, err := r.Scan(r.Proc().CommWorld(), int64(r.Rank()), mpi.OpSum)
-		return err
-	})
-	res := mustMatch(t, tr)
-	if len(res.Problems) != 0 {
-		t.Fatalf("problems = %v", res.Problems)
-	}
-	// Edges only from lower to higher ranks: 0→1, 0→2, 1→2.
-	if len(res.Edges) != 3 {
-		t.Fatalf("edges = %v", res.Edges)
-	}
-	for _, e := range res.Edges {
-		if e.From.Rank >= e.To.Rank {
-			t.Errorf("prefix edge %v→%v goes the wrong way", e.From, e.To)
-		}
-	}
-	// A higher rank's value must not be ordered before a lower rank's.
-	if hasEdge(res, trace.Ref{Rank: 2, Seq: 0}, trace.Ref{Rank: 0, Seq: 0}) {
-		t.Error("Scan ordered rank 2 before rank 0")
 	}
 }
 

@@ -115,7 +115,7 @@ func streamTestTraces(t *testing.T) map[string]*trace.Trace {
 // TestStreamMatcherMatchesMatch is the Matcher's feeding contract: any batch
 // split (down to one record at a time), the ranks ascending, descending,
 // rotated, or each from its own goroutine (under -race a Feed that shared
-// state between ranks fails here) give the Result of handing Match the whole
+// state between ranks fails here) give the Result of handing MatchOpts the whole
 // trace — whose shape is pinned per fixture, so the contract is not only
 // self-agreement.
 func TestStreamMatcherMatchesMatch(t *testing.T) {
@@ -128,7 +128,7 @@ func TestStreamMatcherMatchesMatch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := mustMatch(t, tr)
 			if got := [3]int{len(want.Edges), len(want.Problems), want.Collectives + want.P2P}; got != shape[name] {
-				t.Fatalf("Match: (edges, problems, matches) = %v, want %v", got, shape[name])
+				t.Fatalf("MatchOpts: (edges, problems, matches) = %v, want %v", got, shape[name])
 			}
 			n, longest := tr.NumRanks(), 0
 			ascending := make([]int, n)
@@ -147,7 +147,7 @@ func TestStreamMatcherMatchesMatch(t *testing.T) {
 					"concurrent": feedMatcher(t, tr, ascending, batch, true),
 				} {
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("batch=%d, ranks fed %s: result differs from Match\ngot:  %+v\nwant: %+v",
+						t.Errorf("batch=%d, ranks fed %s: result differs from MatchOpts\ngot:  %+v\nwant: %+v",
 							batch, how, got, want)
 					}
 				}
@@ -168,7 +168,7 @@ func TestStreamMatcherSkippedEmptyRank(t *testing.T) {
 	want := mustMatch(t, tr)
 	got := feedMatcher(t, tr, []int{2, 0}, 1, false)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("result differs from Match\ngot:  %+v\nwant: %+v", got, want)
+		t.Fatalf("result differs from MatchOpts\ngot:  %+v\nwant: %+v", got, want)
 	}
 	if len(problems(got, MissingCollective)) == 0 {
 		t.Fatal("empty rank did not surface a missing collective")

@@ -28,7 +28,7 @@ import (
 //   - chunk digest: the span's groups — contributing ops by record identity,
 //     byte extents, and file identity (conflict.AppendGroupKey);
 //   - model digest: the MSC specification plus every option that changes
-//     what a verdict contains (pruning, fast paths, detail cap);
+//     what a verdict contains (pruning, detail cap);
 //   - sync epoch: everything chunk-external — per-rank trace lengths, the
 //     sync-point cohorts, and the happens-before relation via the skeleton
 //     digest (hbgraph.SkeletonDigest). Every algorithm builds the graph, so
@@ -362,9 +362,6 @@ func modelDigest(opts Options) vcache.Digest {
 	flags := byte(0)
 	if opts.DisablePruning {
 		flags |= 1
-	}
-	if opts.DisableFastPaths {
-		flags |= 2
 	}
 	h.Write([]byte{flags})
 	writeU32(h, uint32(opts.MaxRaceDetails))

@@ -248,17 +248,43 @@ func randomIOProgram(rng *rand.Rand, nranks int) *trace.Trace {
 	return p.tr
 }
 
+// randomMSC draws a model whose MSC has k ∈ [0, 3] sync operations, each
+// edge po or hb and each op class a non-empty subset of the sync functions
+// randomIOProgram emits — shapes no built-in model has, such as a po edge
+// between two sync operations.
+func randomMSC(rng *rand.Rand) semantics.Model {
+	var msc semantics.MSC
+	k := rng.Intn(4)
+	for range k + 1 {
+		msc.Edges = append(msc.Edges, semantics.EdgeKind(rng.Intn(2)))
+	}
+	for range k {
+		var c semantics.OpClass
+		for len(c.Funcs) == 0 {
+			for _, fn := range []string{"fsync", "close", "open", "MPI_File_sync"} {
+				if rng.Intn(2) == 0 {
+					c.Funcs = append(c.Funcs, fn)
+				}
+			}
+		}
+		c.Name = strings.Join(c.Funcs, "|")
+		msc.Ops = append(msc.Ops, c)
+	}
+	return semantics.Model{Name: "random " + msc.String(), MSC: msc}
+}
+
 // TestClassVerdictsMatchExhaustive is the property test of the class-scoped
-// walk: on random programs, under the four models and the generic-search
-// double-commit model, with each kind of oracle, at several worker counts
+// walk: on random programs, under the four models, the double-commit model
+// and two random MSCs, with each kind of oracle, at several worker counts
 // and with a verdict cache cold and warm, the races are the exhaustive
 // walk's, and checks and races do not depend on workers or cache state.
 func TestClassVerdictsMatchExhaustive(t *testing.T) {
-	models := append(semantics.All(), doubleCommit())
 	rng := rand.New(rand.NewSource(19))
+	mscs := rand.New(rand.NewSource(30))
 	var analyses, chunks, batches, hits int64
 	for trial := 0; trial < 12; trial++ {
 		tr := randomIOProgram(rng, 2+trial%5)
+		models := append(semantics.All(), doubleCommit(), randomMSC(mscs), randomMSC(mscs))
 		algos := []Algo{AlgoAuto, AlgoVectorClock}
 		if trial%4 == 0 {
 			// One BFS per query: the reference oracle, which resolves no
@@ -277,9 +303,6 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 			chunks += int64(len(a.queryPlan().chunks))
 			batches += int64(len(a.queryPlan().batches))
 			for _, model := range models {
-				if algo == AlgoReachability && model.Name == doubleCommit().Name {
-					continue // the generic search over per-query BFS is minutes of candidate scans
-				}
 				name := fmt.Sprintf("trial %d/%v/%s", trial, algo, model.Name)
 				base := Options{Model: model, MaxRaceDetails: 48}
 				ref := base

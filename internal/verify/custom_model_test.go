@@ -3,14 +3,15 @@ package verify
 import (
 	"testing"
 
+	"verifyio/internal/obs"
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
 	"verifyio/internal/sim/posixfs"
 )
 
-// The semantics framework is an extension point: models are data. These
-// tests exercise the generic MSC search (mscDFS) that custom models use,
-// and cross-validate it against the Table I fast paths.
+// The semantics framework is an extension point: models are data, and every
+// model, built in or custom, takes the same witness-frontier MSC search.
+// reference_test.go holds that search to a brute-force chain enumeration.
 
 // doubleCommit is a synthetic stricter-than-commit model: two commit
 // operations must separate conflicting accesses
@@ -28,8 +29,9 @@ func doubleCommit() semantics.Model {
 }
 
 // writerReader builds a trace where rank 0 writes, issues nSyncs fsyncs,
-// both ranks barrier, rank 1 reads.
-func writerReader(t *testing.T, nSyncs int) *Analysis {
+// both ranks barrier, rank 1 reads — or, readFirst, reads before the
+// barrier, which leaves the pair racing under every model.
+func writerReader(t *testing.T, nSyncs int, readFirst bool) *Analysis {
 	t.Helper()
 	env := recorder.NewEnv(2, recorder.Options{FSMode: posixfs.ModePOSIX})
 	err := env.Run(func(r *recorder.Rank) error {
@@ -48,11 +50,23 @@ func writerReader(t *testing.T, nSyncs int) *Analysis {
 				}
 			}
 		}
+		read := func() error {
+			if r.Rank() == 1 {
+				_, err := r.Pread(fd, 4, 0)
+				return err
+			}
+			return nil
+		}
+		if readFirst {
+			if err := read(); err != nil {
+				return err
+			}
+		}
 		if err := r.Barrier(c); err != nil {
 			return err
 		}
-		if r.Rank() == 1 {
-			if _, err := r.Pread(fd, 4, 0); err != nil {
+		if !readFirst {
+			if err := read(); err != nil {
 				return err
 			}
 		}
@@ -80,7 +94,7 @@ func TestCustomModelDoubleCommit(t *testing.T) {
 		{3, 0}, // more than enough
 	}
 	for _, tc := range cases {
-		a := writerReader(t, tc.nSyncs)
+		a := writerReader(t, tc.nSyncs, false)
 		rep, err := a.Verify(Options{Model: model})
 		if err != nil {
 			t.Fatal(err)
@@ -104,77 +118,28 @@ func TestCustomModelDoubleCommit(t *testing.T) {
 	}
 }
 
-// TestGenericDFSAgreesWithFastPaths forces the generic MSC search on the
-// built-in models and checks it reproduces the fast-path verdicts on
-// representative executions.
-func TestGenericDFSAgreesWithFastPaths(t *testing.T) {
-	for _, nSyncs := range []int{0, 1} {
-		a := writerReader(t, nSyncs)
-		for _, model := range semantics.All() {
-			fast, err := a.Verify(Options{Model: model})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := a.Verify(Options{Model: model, DisableFastPaths: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.RaceCount != slow.RaceCount {
-				t.Errorf("nSyncs=%d %s: fast path %d races, generic DFS %d",
-					nSyncs, model.Name, fast.RaceCount, slow.RaceCount)
-			}
-		}
-	}
-}
-
-// TestGenericDFSAgreesOnSessionPattern covers the PO-edged shapes through
-// the generic search: a close→barrier→open pattern that is session-clean.
-func TestGenericDFSAgreesOnSessionPattern(t *testing.T) {
-	env := recorder.NewEnv(2, recorder.Options{FSMode: posixfs.ModePOSIX})
-	err := env.Run(func(r *recorder.Rank) error {
-		c := r.Proc().CommWorld()
-		if r.Rank() == 0 {
-			fd, err := r.Open("s", posixfs.OWronly|posixfs.OCreate)
-			if err != nil {
-				return err
-			}
-			if _, err := r.Pwrite(fd, []byte("x"), 0); err != nil {
-				return err
-			}
-			if err := r.Close(fd); err != nil {
-				return err
-			}
-		}
-		if err := r.Barrier(c); err != nil {
-			return err
-		}
-		if r.Rank() == 1 {
-			fd, err := r.Open("s", posixfs.ORdonly)
-			if err != nil {
-				return err
-			}
-			if _, err := r.Pread(fd, 1, 0); err != nil {
-				return err
-			}
-			return r.Close(fd)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(env.Trace(), AlgoVectorClock, AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, disable := range []bool{false, true} {
-		rep, err := a.Verify(Options{Model: semantics.SessionModel(), DisableFastPaths: disable})
+// TestCustomModelSearchCost holds a custom model's MSC search to the
+// witness-frontier bound: O(P log C) probes per position class, not one
+// per chain of candidates. With the read before the barrier no chain exists,
+// so a search that enumerates chains tries every pair of fsyncs: 8× the
+// fsyncs would cost ≈ 64× the probes; the frontier costs a few more binary
+// search steps.
+func TestCustomModelSearchCost(t *testing.T) {
+	queries := func(nSyncs int) int64 {
+		a := writerReader(t, nSyncs, true)
+		reg := obs.NewRegistry()
+		rep, err := a.Verify(Options{Model: doubleCommit(), Workers: 1, Obs: obs.Ctx{R: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.RaceCount != 0 {
-			t.Errorf("disableFastPaths=%v: session races = %d, want 0", disable, rep.RaceCount)
+		if rep.RaceCount != 1 {
+			t.Fatalf("nSyncs=%d: %d races, want 1", nSyncs, rep.RaceCount)
 		}
+		return reg.Snapshot().Stable.Counters["verify.hb_queries"]
+	}
+	q8, q64 := queries(8), queries(64)
+	if q8 == 0 || q64 > 4*q8 {
+		t.Errorf("verify.hb_queries: %d at 8 fsyncs, %d at 64; want growth of at most 4×", q8, q64)
 	}
 }
 
@@ -184,7 +149,7 @@ func TestGenericDFSAgreesOnSessionPattern(t *testing.T) {
 // under POSIX — POSIX races are a subset of every relaxed model's races.
 func TestModelStrictnessOrdering(t *testing.T) {
 	for _, nSyncs := range []int{0, 1, 2} {
-		a := writerReader(t, nSyncs)
+		a := writerReader(t, nSyncs, false)
 		reps, err := a.VerifyAll(semantics.All(), Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -85,11 +85,9 @@ func (a *Analysis) queryPlan() *opPlan {
 }
 
 // syncIndex organizes the trace's synchronization points for MSC lookup,
-// pre-resolved into the plan's coordinate space: for each MSC op class, a
-// per-file candidate list and per (file, rank) seq-sorted lists.
+// pre-resolved into the plan's coordinate space: for each MSC op class, per
+// (file, rank) seq-sorted candidate lists.
 type syncIndex struct {
-	// perFile[class][fid] = candidates in (rank, seq) order.
-	perFile []map[int][]hbgraph.Coord
 	// perRank[class][fid][rank] = candidates in ascending seq order.
 	perRank []map[int]map[int][]hbgraph.Coord
 	// ranks[class][fid] = the ranks present in perRank, ascending — the
@@ -99,12 +97,8 @@ type syncIndex struct {
 
 func buildSyncIndex(conf *conflict.Result, model semantics.Model, g *hbgraph.Graph) *syncIndex {
 	k := model.MSC.K()
-	idx := &syncIndex{
-		perFile: make([]map[int][]hbgraph.Coord, k),
-		perRank: make([]map[int]map[int][]hbgraph.Coord, k),
-	}
+	idx := &syncIndex{perRank: make([]map[int]map[int][]hbgraph.Coord, k)}
 	for c := 0; c < k; c++ {
-		idx.perFile[c] = make(map[int][]hbgraph.Coord)
 		idx.perRank[c] = make(map[int]map[int][]hbgraph.Coord)
 	}
 	for _, sp := range conf.Syncs {
@@ -113,7 +107,6 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, g *hbgraph.Gra
 				continue
 			}
 			rr := g.Resolve(sp.Ref)
-			idx.perFile[c][sp.FID] = append(idx.perFile[c][sp.FID], rr)
 			byRank, ok := idx.perRank[c][sp.FID]
 			if !ok {
 				byRank = make(map[int][]hbgraph.Coord)

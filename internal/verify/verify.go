@@ -32,10 +32,6 @@ type Options struct {
 	// problems. By default, unmatched MPI calls abort verification —
 	// the gray rows of Fig. 4.
 	ContinueOnUnmatched bool
-	// DisableFastPaths forces every properly-synchronized check through
-	// the generic MSC search instead of the Table I shape fast paths
-	// (cross-validation and custom-model testing).
-	DisableFastPaths bool
 	// Workers is the number of goroutines used to verify the batches of the
 	// chunk plan (and, in VerifyAll, to run models concurrently). 0 means
 	// GOMAXPROCS; 1 verifies every batch on the calling goroutine. Results
@@ -257,26 +253,17 @@ type verifier struct {
 	cX   hbgraph.Coord // the class's first X: its rank, prev and next are the class's
 	cFID int           // the class's file; -1 when no later group may share the class
 	cEnd int32         // the X.Seq at which the preceding-candidate counts change
-	// class numbers the classes this scratch has held; a rank's bounds are
-	// reset on their first use in a class.
+	// class numbers the classes this scratch has held; a rank's bounds and
+	// the frontiers' entries are reset on their first use in a class.
 	class int32
-	gFile [][]hbgraph.Coord         // per MSC op class: candidates on the file
+	xs    [1]hbgraph.Coord          // the current X: step 0 of both frontiers
 	gRank []map[int][]hbgraph.Coord // per MSC op class: rank → candidates on the file
-	// gRanks0/gRanksK are the file's candidate ranks (classes 0 and k-1),
-	// ascending — the witness searches' deterministic order.
-	gRanks0, gRanksK []int
-	// Extremes for the po-hb-po fast path: the earliest class-0 candidate
-	// after X on X's rank (xS1) and the latest class-(k-1) candidate before
-	// X on X's rank (xS2).
-	xS1, xS2     hbgraph.Coord
-	xS1ok, xS2ok bool
-	// Witness sets for the hb-S-hb fast path. On each rank the candidates
-	// reachable from X form a seq-suffix (po extends hb), so the earliest
-	// reachable candidate per rank witnesses every MSC through that rank;
-	// dually the latest candidate reaching X witnesses the reverse
-	// direction. One binary search per rank, on first use within a class.
-	wFrom, wTo       []hbgraph.Coord
-	wFromSet, wToSet bool
+	// gRanks are the file's candidate ranks per MSC op class, ascending — the
+	// witness searches' deterministic order.
+	gRanks [][]int
+	// fwd and bwd are the class's witness frontiers: what X reaches through
+	// a prefix of the MSC, and what reaches X through a suffix of it.
+	fwd, bwd frontier
 	// bounds[r] brackets, per check shape, the threshold among rank r's ops.
 	bounds []rankBounds
 
@@ -327,23 +314,47 @@ func shapeOf(rev, asWrite bool) (s int) {
 	return s
 }
 
+// witness is one (step, rank) entry of a frontier, valid in the class
+// numbered class.
+type witness struct {
+	class int32
+	ok    bool
+	c     hbgraph.Coord
+}
+
+// frontier is one direction of the MSC search for the class's X. Step s
+// holds, per rank, the extreme candidate of the MSC's s-th sync operation
+// counted from X's end that X reaches forward through s edges (or that
+// reaches X backward). Forward the candidates X reaches form a seq-suffix of
+// each rank — po and hb both extend by a later program-order step — so the
+// earliest one witnesses every chain through its rank; backward the
+// candidates reaching X form a seq-prefix and the latest one does. Step 0 is
+// X itself, so a frontier depends on X only through its position class.
+type frontier struct {
+	at   []witness         // step s ≥ 1, rank q at (s-1)·P + q
+	full []int32           // per step ≥ 1: the class whose list is built
+	list [][]hbgraph.Coord // per step ≥ 1: the found entries, ascending rank
+}
+
 // initScratch sizes the scratch to the model's MSC arity and the rank count.
 func (v *verifier) initScratch() {
-	k := len(v.idx.perFile)
-	v.gFile = make([][]hbgraph.Coord, k)
+	k, nranks := len(v.idx.perRank), len(v.plan.rankEnd)
 	v.gRank = make([]map[int][]hbgraph.Coord, k)
-	v.bounds = make([]rankBounds, len(v.plan.rankEnd))
-	v.wFrom, v.wTo = nil, nil
+	v.gRanks = make([][]int, k)
+	for _, f := range []*frontier{&v.fwd, &v.bwd} {
+		*f = frontier{at: make([]witness, k*nranks), full: make([]int32, k), list: make([][]hbgraph.Coord, k)}
+	}
+	v.bounds = make([]rankBounds, nranks)
 	v.cFID = -1
 }
 
 // setGroup makes g's X the current one. When X leaves the current class the
-// scratch is reset: the file's candidate lists are hoisted, X's extremes and
-// the seq at which the class ends resolved, witness sets and bounds
-// invalidated. The exhaustive walk shares nothing between groups.
+// scratch is reset: the file's candidate lists are hoisted, the seq at which
+// the class ends resolved, frontiers and bounds invalidated. The exhaustive
+// walk shares nothing between groups.
 func (v *verifier) setGroup(g *conflict.Group) {
 	xr, fid := v.plan.res[g.X], v.a.Conflicts.Ops[g.X].FID
-	v.xi, v.xr = int32(g.X), xr
+	v.xi, v.xr, v.xs[0] = int32(g.X), xr, xr
 	if fid == v.cFID && xr.Seq < v.cEnd &&
 		xr.Rank == v.cX.Rank && xr.Prev == v.cX.Prev && xr.Next == v.cX.Next {
 		return
@@ -354,63 +365,23 @@ func (v *verifier) setGroup(g *conflict.Group) {
 	if v.opts.DisablePruning {
 		v.cFID = -1
 	}
-	v.wFromSet, v.wToSet = false, false
-	for c := range v.gFile {
-		v.gFile[c] = v.idx.perFile[c][fid]
-		v.gRank[c] = v.idx.perRank[c][fid]
-	}
-	k := len(v.gFile)
+	k := len(v.gRank)
 	if k == 0 {
 		return
 	}
-	v.gRanks0 = v.idx.ranks[0][fid]
-	v.gRanksK = v.idx.ranks[k-1][fid]
-	// A candidate that X passes changes what X's side of an MSC can use:
-	// the class ends at the next one on X's rank.
+	for c := range v.gRank {
+		v.gRank[c] = v.idx.perRank[c][fid]
+		v.gRanks[c] = v.idx.ranks[c][fid]
+	}
+	// A candidate that X passes changes the first step of a frontier: the
+	// class ends at the next class-0 or class-(k-1) one on X's rank.
 	c0, ck := v.gRank[0][int(xr.Rank)], v.gRank[k-1][int(xr.Rank)]
-	i, j := seqBound(c0, xr.Seq+1), seqBound(ck, xr.Seq)
-	if v.xS1ok = i < len(c0); v.xS1ok {
-		v.xS1, v.cEnd = c0[i], c0[i].Seq
+	if i := seqBound(c0, xr.Seq+1); i < len(c0) {
+		v.cEnd = c0[i].Seq
 	}
-	if v.xS2ok = j > 0; v.xS2ok {
-		v.xS2 = ck[j-1]
-	}
-	if j < len(ck) {
+	if j := seqBound(ck, xr.Seq); j < len(ck) {
 		v.cEnd = min(v.cEnd, ck[j].Seq)
 	}
-}
-
-// buildWFrom computes the forward witness set for the class's X: per rank,
-// the earliest class-0 candidate S with X -hb-> S. X -hb-> S is monotone in
-// S's sequence on each rank (X hb S and S po S' give X hb S'), so one binary
-// search per rank finds the suffix boundary; the minimal element witnesses
-// every MSC through that rank, because S' in the suffix with S' hb Y gives
-// min po S' hb Y.
-func (v *verifier) buildWFrom(xr hbgraph.Coord) {
-	v.wFrom = v.wFrom[:0]
-	for _, q := range v.gRanks0 {
-		cands := v.gRank[0][q]
-		i := sort.Search(len(cands), func(i int) bool { return v.hbRes(xr, cands[i]) })
-		if i < len(cands) {
-			v.wFrom = append(v.wFrom, cands[i])
-		}
-	}
-	v.wFromSet = true
-}
-
-// buildWTo computes the reverse witness set: per rank, the latest
-// class-(k-1) candidate S with S -hb-> X. S -hb-> X holds on a seq-prefix of
-// each rank, so the maximal element witnesses every MSC into X.
-func (v *verifier) buildWTo(xr hbgraph.Coord) {
-	v.wTo = v.wTo[:0]
-	for _, q := range v.gRanksK {
-		cands := v.gRank[len(v.gRank)-1][q]
-		i := sort.Search(len(cands), func(i int) bool { return !v.hbRes(cands[i], xr) })
-		if i > 0 {
-			v.wTo = append(v.wTo, cands[i-1])
-		}
-	}
-	v.wToSet = true
 }
 
 // psAs implements Def. 6 between the group's X and op yi: X ps Y, or Y ps X
@@ -418,17 +389,18 @@ func (v *verifier) buildWTo(xr hbgraph.Coord) {
 // kind; both tests depend on the source's position alone.
 func (v *verifier) psAs(rev, asWrite bool, yi int32) bool {
 	v.checks++
-	x, y := v.xr, v.plan.res[yi]
-	if rev {
-		x, y = y, x
-	}
+	y := v.plan.res[yi]
 	if !asWrite {
 		// Case 1: a read followed in happens-before order by the
 		// conflicting (write) operation.
-		return v.hbRes(x, y)
+		if rev {
+			return v.hbRes(y, v.xr)
+		}
+		return v.hbRes(v.xr, y)
 	}
-	// Case 2: an MSC instance between X and Y.
-	return v.mscExists(rev, x, y)
+	// Case 2: an MSC instance between X and Y, every sync operation acting
+	// on the conflicting file: Y is one more step of X's frontier.
+	return v.reaches(rev, v.opts.Model.MSC.K(), y)
 }
 
 // hbRes answers one happens-before query over resolved operands: program
@@ -441,95 +413,122 @@ func (v *verifier) hbRes(a, b hbgraph.Coord) bool {
 	return v.a.Oracle.Probe(a, b)
 }
 
-// edgeRes checks one MSC edge requirement between two resolved operands.
-func (v *verifier) edgeRes(kind semantics.EdgeKind, a, b hbgraph.Coord) bool {
-	if kind == semantics.PO {
-		return a.Rank == b.Rank && a.Seq < b.Seq
+// step returns the MSC op class whose candidates make up step s of the
+// frontier and the edge that leads into it: forward →r(s-1) S(s), backward
+// S(k+1-s) →r(k+1-s). Step k+1 is the other conflicting op.
+func (v *verifier) step(rev bool, s int) (class int, edge semantics.EdgeKind) {
+	msc := v.opts.Model.MSC
+	if rev {
+		k := msc.K()
+		return k - s, msc.Edges[k+1-s]
 	}
-	return v.hbRes(a, b)
+	return s - 1, msc.Edges[s-1]
 }
 
-// mscExists searches for an instance of the model's MSC from xr to yr, with
-// every synchronization operation acting on the conflicting file. The
-// group's X is yr when rev, xr otherwise.
-func (v *verifier) mscExists(rev bool, xr, yr hbgraph.Coord) bool {
-	msc := v.opts.Model.MSC
-	k := msc.K()
-	if k == 0 {
-		// POSIX: -hb->
-		return v.edgeRes(msc.Edges[0], xr, yr)
-	}
-	if v.opts.DisableFastPaths {
-		return v.mscDFS(msc, 0, xr, yr)
-	}
-	// Fast path for the Table I shapes.
-	switch {
-	case k == 1 && msc.Edges[0] == semantics.HB && msc.Edges[1] == semantics.HB:
-		// -hb-> S -hb-> : any sync op on the file with X hb S hb Y. The
-		// per-rank extreme witnesses of the group's X cover every candidate
-		// (see buildWFrom/buildWTo) — a pair costs at most one probe per
-		// rank instead of a scan of the candidate list.
+// reaches reports whether step s of the frontier reaches c over the edge into
+// step s+1. A po edge needs only the entry on c's rank.
+func (v *verifier) reaches(rev bool, s int, c hbgraph.Coord) bool {
+	if _, edge := v.step(rev, s+1); edge == semantics.PO {
+		e, ok := v.witnessAt(rev, s, int(c.Rank))
 		if rev {
-			if !v.wToSet {
-				v.buildWTo(yr)
-			}
-			for _, w := range v.wTo {
-				if v.hbRes(xr, w) {
-					return true
-				}
-			}
-			return false
+			return ok && c.Seq < e.Seq
 		}
-		if !v.wFromSet {
-			v.buildWFrom(xr)
-		}
-		for _, w := range v.wFrom {
-			if v.hbRes(w, yr) {
+		return ok && e.Seq < c.Seq
+	}
+	if rev {
+		for _, e := range v.layer(true, s) {
+			if v.hbRes(c, e) {
 				return true
 			}
 		}
 		return false
-	case k == 2 && msc.Edges[0] == semantics.PO && msc.Edges[1] == semantics.HB && msc.Edges[2] == semantics.PO:
-		// -po-> S1 -hb-> S2 -po-> : the earliest S1 after X on X's rank
-		// and the latest S2 before Y on Y's rank suffice — if ANY
-		// (S1', S2') pair works then this extreme pair works too,
-		// because S1 -po-> S1' and S2' -po-> S2 extend the hb path. The
-		// extreme of the group's X is resolved per class; the other
-		// endpoint's is one search in its rank's list.
-		s1, s2 := v.xS1, v.xS2
-		if rev {
-			c0 := v.gRank[0][int(xr.Rank)]
-			i := seqBound(c0, xr.Seq+1)
-			if i == len(c0) || !v.xS2ok {
-				return false
-			}
-			s1 = c0[i]
-		} else {
-			ck := v.gRank[1][int(yr.Rank)]
-			j := seqBound(ck, yr.Seq)
-			if j == 0 || !v.xS1ok {
-				return false
-			}
-			s2 = ck[j-1]
-		}
-		return v.hbRes(s1, s2)
 	}
-	// Generic DFS for custom models.
-	return v.mscDFS(msc, 0, xr, yr)
-}
-
-// mscDFS anchors MSC element pos (0-based sync-op position) given the
-// previously anchored operand.
-func (v *verifier) mscDFS(msc semantics.MSC, pos int, prev, yr hbgraph.Coord) bool {
-	if pos == msc.K() {
-		return v.edgeRes(msc.Edges[pos], prev, yr)
-	}
-	for _, cand := range v.gFile[pos] {
-		if v.edgeRes(msc.Edges[pos], prev, cand) && v.mscDFS(msc, pos+1, cand, yr) {
+	for _, e := range v.layer(false, s) {
+		if v.hbRes(e, c) {
 			return true
 		}
 	}
 	return false
+}
+
+func (v *verifier) frontier(rev bool) *frontier {
+	if rev {
+		return &v.bwd
+	}
+	return &v.fwd
+}
+
+// witnessAt returns step s's entry on rank q, searching the rank's
+// candidates on first use in the class. After a po edge that is one seqBound
+// from the step before's entry on q. After an hb edge it is one binary search
+// per entry e of the step before, each within what the ones before left:
+// forward the candidates e reaches are a suffix and the earliest start wins,
+// backward those reaching e are a prefix and the longest wins.
+func (v *verifier) witnessAt(rev bool, s, q int) (hbgraph.Coord, bool) {
+	if s == 0 {
+		return v.xr, q == int(v.xr.Rank)
+	}
+	w := &v.frontier(rev).at[(s-1)*len(v.plan.rankEnd)+q]
+	if w.class != v.class {
+		c, edge := v.step(rev, s)
+		cands := v.gRank[c][q]
+		i := -1 // the entry's index in cands
+		switch {
+		case edge == semantics.HB && rev:
+			n := 0
+			for _, e := range v.layer(true, s-1) {
+				n += sort.Search(len(cands)-n, func(j int) bool { return !v.hbRes(cands[n+j], e) })
+			}
+			i = n - 1
+		case edge == semantics.HB:
+			i = len(cands)
+			for _, e := range v.layer(false, s-1) {
+				i = sort.Search(i, func(j int) bool { return v.hbRes(e, cands[j]) })
+			}
+		case rev:
+			if e, ok := v.witnessAt(true, s-1, q); ok {
+				i = seqBound(cands, e.Seq) - 1
+			}
+		default:
+			if e, ok := v.witnessAt(false, s-1, q); ok {
+				i = seqBound(cands, e.Seq+1)
+			}
+		}
+		*w = witness{class: v.class, ok: i >= 0 && i < len(cands)}
+		if w.ok {
+			w.c = cands[i]
+		}
+	}
+	return w.c, w.ok
+}
+
+// layer returns step s's entries in ascending rank order, every rank's
+// searched on first use in the class.
+func (v *verifier) layer(rev bool, s int) []hbgraph.Coord {
+	if s == 0 {
+		return v.xs[:]
+	}
+	f := v.frontier(rev)
+	if f.full[s-1] != v.class {
+		l := f.list[s-1][:0]
+		add := func(q int) {
+			if e, ok := v.witnessAt(rev, s, q); ok {
+				l = append(l, e)
+			}
+		}
+		if c, edge := v.step(rev, s); edge == semantics.PO {
+			// A po step stays on the ranks of the step before.
+			for _, e := range v.layer(rev, s-1) {
+				add(int(e.Rank))
+			}
+		} else {
+			for _, q := range v.gRanks[c] {
+				add(q)
+			}
+		}
+		f.full[s-1], f.list[s-1] = v.class, l
+	}
+	return f.list[s-1]
 }
 
 // verifyGroups walks the conflict groups in [lo, hi) and collects races. A

@@ -148,7 +148,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 			"verifyio-dfg", "-corpus-out", "divergent-rank", "internal/dfg",
 			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream",
 			"SegProber", "ProbeSeg", "SegCoords", "hb_fallbacks", "hb_fast_hits",
-			"DisableFastPaths", "mscDFS", "buildWFrom", "buildWTo"} {
+			"DisableFastPaths", "mscDFS", "buildWFrom", "buildWTo",
+			"DefaultSegReachBudget", "ByteBudget", "segreach_bytes", "seg-reach"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

@@ -136,7 +136,7 @@ func TestCorpusReportsGolden(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sources := map[string][]*Report{
-				"memory":    corpusReports(t, name, tr, verify.AlgoAuto, workers, verify.Options{Workers: workers}),
+				"memory":    corpusReports(t, name, tr, verify.AlgoVectorClock, workers, verify.Options{Workers: workers}),
 				"directory": fromDir,
 			}
 			for source, reps := range sources {
@@ -171,7 +171,7 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range corpusWorkers {
-			want := corpusReports(t, name, tr, verify.AlgoAuto, workers,
+			want := corpusReports(t, name, tr, verify.AlgoVectorClock, workers,
 				verify.Options{Workers: workers, ContinueOnUnmatched: true})
 			for _, tolerate := range []bool{false, true} {
 				got, _, err := VerifyAllStream(dir, ReadOptions{Tolerate: tolerate, WindowBytes: goldenWindow},
@@ -185,26 +185,29 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 	})
 }
 
-// TestSegmentOracleReportEquivalenceCorpus holds the segment oracle (what
-// auto resolves to) to every other algorithm through the same resolved query
-// plan and walk: on every corpus trace at Workers 1 and 3, the vector-clock,
-// reachability and on-the-fly reports must match it apart from the algorithm
-// label.
+// TestSegmentOracleReportEquivalenceCorpus holds the three reference oracles
+// — the segment closure, reachability and on-the-fly — to the production
+// oracle (vector clocks, what auto is) through the same resolved query plan
+// and walk: on every corpus trace at Workers 1 and 3, their reports must
+// match the production reports apart from the algorithm label.
 func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		for _, workers := range corpusWorkers {
 			o := verify.Options{Workers: workers, ContinueOnUnmatched: true}
-			want := corpusReports(t, name, tr, verify.AlgoAuto, workers, o)
-			if want[0].Algorithm != "segment" {
-				t.Fatalf("%s: auto resolved to %q, want segment", name, want[0].Algorithm)
+			want := corpusReports(t, name, tr, verify.AlgoVectorClock, workers, o)
+			if want[0].Algorithm != "vector-clock" {
+				t.Fatalf("%s: auto resolved to %q, want vector-clock", name, want[0].Algorithm)
 			}
-			for _, algo := range []verify.Algo{verify.AlgoVectorClock, verify.AlgoReachability, verify.AlgoOnTheFly} {
+			for _, algo := range referenceAlgos {
 				sameReports(t, fmt.Sprintf("%s %v Workers=%d", name, algo, workers), want,
 					corpusReports(t, name, tr, algo, workers, o), true)
 			}
 		}
 	})
 }
+
+// referenceAlgos are the oracles kept only to check the production one.
+var referenceAlgos = []verify.Algo{verify.AlgoSegment, verify.AlgoReachability, verify.AlgoOnTheFly}
 
 // TestParallelCorpusDeterminism isolates the verifier's workers: for every
 // algorithm on every corpus trace, one serial analysis verified at Workers 3
@@ -246,7 +249,7 @@ func TestParallelCorpusDeterminism(t *testing.T) {
 func TestAnalyzeParallelDeterminism(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		o := verify.Options{Workers: 1, ContinueOnUnmatched: true}
-		sameReports(t, name+" analyzed at Workers=3", corpusReports(t, name, tr, verify.AlgoAuto, 1, o),
-			corpusReports(t, name, tr, verify.AlgoAuto, 3, o), false)
+		sameReports(t, name+" analyzed at Workers=3", corpusReports(t, name, tr, verify.AlgoVectorClock, 1, o),
+			corpusReports(t, name, tr, verify.AlgoVectorClock, 3, o), false)
 	})
 }

@@ -41,8 +41,9 @@ func synthGraph(nranks, n int, density float64, seed int64) (*trace.Trace, []mat
 	return tr, edges
 }
 
-// BenchmarkOracleConstruction compares building the two production oracles
-// (the fixed cost the BFS and on-the-fly references avoid).
+// BenchmarkOracleConstruction compares building the production oracle,
+// vector clocks, with building the segment closure reference (the fixed
+// cost the BFS and on-the-fly references avoid).
 func BenchmarkOracleConstruction(b *testing.B) {
 	tr, edges := synthGraph(8, 2000, 0.1, 7)
 	g, err := BuildCounts(rankCounts(tr), edges)
@@ -51,7 +52,7 @@ func BenchmarkOracleConstruction(b *testing.B) {
 	}
 	b.Run("vector-clock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := g.VectorClocks(); err != nil {
+			if _, err := g.VectorClocksOpts(VCOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -105,7 +106,7 @@ func BenchmarkOracleQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vc, err := g.VectorClocks()
+	vc, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

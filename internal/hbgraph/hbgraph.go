@@ -10,8 +10,8 @@
 //  4. On-the-fly: one frontier fixpoint over the matched synchronization
 //     edges per query, with no state derived from the graph (OTFOracle).
 //
-// Production runs use 3, falling back to 1 when the closure exceeds its byte
-// budget; 2 and 4 are plain references for the ablation and the tests.
+// Production runs use 1; 2, 3 and 4 are references for the ablation and the
+// tests.
 //
 // Nodes are trace records, identified by (rank, seq). Program-order edges
 // are implicit: record (r, k) always precedes (r, k+1). Synchronization

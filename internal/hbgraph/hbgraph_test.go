@@ -36,15 +36,15 @@ func edges(pairs ...[4]int) []match.Edge {
 	return out
 }
 
-// allOracles builds the graph and the four implementations on it: the two
-// production oracles and the two plain references.
+// allOracles builds the graph and the four implementations on it: the
+// production oracle and the three references.
 func allOracles(t *testing.T, tr *trace.Trace, es []match.Edge) (*Graph, []Oracle) {
 	t.Helper()
 	g, err := BuildCounts(rankCounts(tr), es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := g.VectorClocks()
+	vc, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,9 @@ func TestCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The skeleton's Kahn pass records the cycle; both production builders
-	// surface it.
-	if _, err := g.VectorClocks(); err == nil {
+	// The skeleton's Kahn pass records the cycle; the production clocks and
+	// the closure reference surface it.
+	if _, err := g.VectorClocksOpts(VCOptions{Workers: 1}); err == nil {
 		t.Fatal("vector clocks accepted a cyclic graph")
 	}
 	if _, err := g.SegReachability(SegOptions{}); err == nil {
@@ -137,10 +137,10 @@ func TestBuildRejectsOutOfRangeEdges(t *testing.T) {
 	}
 }
 
-// TestSegReachabilityDefaultBudget pins the default 64 MiB cap and what it
-// is a cap on: skeleton nodes, not records.
+// TestSegReachabilityDefaultBudget pins the reference closure's 64 MiB cap
+// and what it is a cap on: skeleton nodes, not records.
 func TestSegReachabilityDefaultBudget(t *testing.T) {
-	// A sync-dense graph whose skeleton matrix exceeds the default budget is
+	// A sync-dense graph whose skeleton matrix exceeds the budget is
 	// refused...
 	per := 1<<14 + 1
 	tr := mkTrace(per, per)
@@ -153,11 +153,11 @@ func TestSegReachabilityDefaultBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.SkeletonNodes()
-	if size := n * ((n + 63) / 64) * 8; size <= DefaultSegReachBudget {
-		t.Fatalf("test graph matrix %d bytes, need > %d", size, DefaultSegReachBudget)
+	if size := n * ((n + 63) / 64) * 8; size <= segReachBudget {
+		t.Fatalf("test graph matrix %d bytes, need > %d", size, segReachBudget)
 	}
 	if _, err := g.SegReachability(SegOptions{}); err == nil {
-		t.Fatal("segment reachability ignored its default byte budget")
+		t.Fatal("segment reachability ignored its byte budget")
 	}
 	// ...while a sync-sparse trace with as many records qualifies: its
 	// skeleton is just the sentinels.
@@ -172,9 +172,7 @@ func TestSegReachabilityDefaultBudget(t *testing.T) {
 	}
 }
 
-// TestSegReachabilityBudget probes the byte-budget boundary exactly: a budget
-// of the matrix's own size builds, one byte less refuses, and a negative
-// budget disables the cap entirely.
+// TestSegReachabilityBudget pins the matrix size, S²/8 bytes.
 func TestSegReachabilityBudget(t *testing.T) {
 	tr := mkTrace(4, 4)
 	es := edges([4]int{0, 0, 1, 1}, [4]int{1, 2, 0, 3})
@@ -184,29 +182,12 @@ func TestSegReachabilityBudget(t *testing.T) {
 	}
 	n := g.SkeletonNodes()
 	size := n * ((n + 63) / 64) * 8
-	seg, err := g.SegReachability(SegOptions{ByteBudget: size})
-	if err != nil {
-		t.Fatalf("budget %d refused a %d-byte matrix: %v", size, size, err)
-	}
-	if seg.ArenaBytes() != size {
-		t.Errorf("arena = %d bytes, want %d", seg.ArenaBytes(), size)
-	}
-	if _, err := g.SegReachability(SegOptions{ByteBudget: size - 1}); err == nil {
-		t.Fatal("segment reachability ignored its byte budget")
-	}
-	if _, err := g.SegReachability(SegOptions{ByteBudget: -1}); err != nil {
-		t.Fatalf("negative budget must disable the cap: %v", err)
-	}
-	// The matrix is worker-count independent: rows within a level are
-	// disjoint and OR is order-free.
-	par4, err := g.SegReachability(SegOptions{Workers: 4})
+	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seg.bits {
-		if seg.bits[i] != par4.bits[i] {
-			t.Fatalf("word %d differs between serial and parallel builds", i)
-		}
+	if seg.ArenaBytes() != size {
+		t.Errorf("arena = %d bytes, want %d", seg.ArenaBytes(), size)
 	}
 }
 
@@ -295,7 +276,7 @@ func TestVectorClockWavefrontDeterministic(t *testing.T) {
 		t.Fatalf("max level width %d below parallel threshold %d; test graph too narrow",
 			g.SkeletonMaxLevelWidth(), vcMinParallelWidth)
 	}
-	base, err := g.VectorClocks()
+	base, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +377,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		vc, err := g.VectorClocks()
+		vc, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -451,7 +432,7 @@ func TestVectorClockMemoryShape(t *testing.T) {
 	if g.SkeletonNodes() != 4 {
 		t.Fatalf("skeleton = %d nodes, want 4 (two sentinels per rank)", g.SkeletonNodes())
 	}
-	vc, err := g.VectorClocks()
+	vc, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +465,7 @@ func TestVectorClockConstructionAllocsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := g.VectorClocks(); err != nil {
+		if _, err := g.VectorClocksOpts(VCOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -502,7 +483,7 @@ func TestOraclesConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc, err := g.VectorClocks()
+	vc, err := g.VectorClocksOpts(VCOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,8 @@ func mustMatchEdges(t *testing.T, tr *trace.Trace) []match.Edge {
 	return res.Edges
 }
 
-// builtOracles are the graph-based oracles of one Graph at one worker count.
+// builtOracles are the graph-based oracles of one Graph; the clocks are
+// built at one worker count, the closure reference serially.
 type builtOracles struct {
 	g   *Graph
 	vc  *VCOracle
@@ -194,7 +195,7 @@ func buildAt(t *testing.T, tr *trace.Trace, es []match.Edge, workers int) builtO
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := g.SegReachability(SegOptions{Workers: workers})
+	seg, err := g.SegReachability(SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +242,9 @@ func checkJoinsAgainstPairwise(t *testing.T, tr *trace.Trace, exhaustive bool) i
 		if !slices.Equal(got.vc.clocks, want.vc.clocks) {
 			t.Errorf("workers=%d: clock arena differs from the pairwise graph's", workers)
 		}
-		if !slices.Equal(got.seg.bits, want.seg.bits) {
-			t.Errorf("workers=%d: reachability matrix differs from the pairwise graph's", workers)
-		}
+	}
+	if !slices.Equal(got.seg.bits, want.seg.bits) {
+		t.Errorf("reachability matrix differs from the pairwise graph's")
 	}
 
 	oracles := []Oracle{got.vc, got.seg, got.g.Reachability(), NewOnTheFly(tr, es)}
@@ -298,7 +299,7 @@ func TestPropertyJoinsEqualPairwise(t *testing.T) {
 }
 
 // TestJoinWavefrontParallelLevels repeats the check at 16 ranks, where
-// levels are wide enough for the wavefront passes to really fan out at
+// levels are wide enough for the clock wavefront to really fan out at
 // workers 2 and 7 (queries sampled).
 func TestJoinWavefrontParallelLevels(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -307,8 +308,8 @@ func TestJoinWavefrontParallelLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := g.SkeletonMaxLevelWidth(); w < vcMinParallelWidth || w < segMinParallelWidth {
-			t.Fatalf("seed %d: max level width %d below the parallel thresholds", seed, w)
+		if w := g.SkeletonMaxLevelWidth(); w < vcMinParallelWidth {
+			t.Fatalf("seed %d: max level width %d below the parallel threshold", seed, w)
 		}
 		checkJoinsAgainstPairwise(t, tr, false)
 	}
@@ -336,7 +337,7 @@ func TestCycleThroughJoinNodes(t *testing.T) {
 	if g.skel.joins != 2 {
 		t.Fatalf("joins = %d, want the two crossed barriers", g.skel.joins)
 	}
-	if _, err := g.VectorClocks(); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := g.VectorClocksOpts(VCOptions{Workers: 1}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("vector clocks: err = %v, want the cycle", err)
 	}
 	if _, err := g.SegReachability(SegOptions{}); err == nil || !strings.Contains(err.Error(), "cycle") {
@@ -350,7 +351,7 @@ func TestCycleThroughJoinNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gp.VectorClocks(); err == nil {
+	if _, err := gp.VectorClocksOpts(VCOptions{Workers: 1}); err == nil {
 		t.Fatal("the pairwise expansion of the crossed barriers is acyclic; the test is wrong")
 	}
 }

@@ -48,16 +48,10 @@ type VCOptions struct {
 // narrow levels (few ranks) never amortize the handoff.
 const vcMinParallelWidth = 8
 
-// VectorClocks computes skeleton vector clocks serially — O(S·P + E·P) once,
-// O(1) per query.
-func (g *Graph) VectorClocks() (*VCOracle, error) {
-	return g.VectorClocksOpts(VCOptions{Workers: 1})
-}
-
-// VectorClocksOpts computes skeleton vector clocks with level-synchronized
-// (Kahn wavefront) propagation: levels are processed in order, and the nodes
-// within one level — whose predecessors all sit in earlier levels — update
-// their clocks concurrently.
+// VectorClocksOpts computes skeleton vector clocks — O(S·P + E·P) once,
+// O(1) per query — with level-synchronized (Kahn wavefront) propagation:
+// levels are processed in order, and the nodes within one level — whose
+// predecessors all sit in earlier levels — update their clocks concurrently.
 func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 	s := &g.skel
 	if s.cycleErr != nil {
@@ -148,7 +142,7 @@ func (o *VCOracle) Name() string { return "vector-clock" }
 // BFSOracle answers each hb query with one forward breadth-first search over
 // the sync skeleton. It is the plain reference implementation of §IV-D2 —
 // no precomputation, no state between queries — kept for the ablation
-// benchmark and as a cross-check of the production oracles.
+// benchmark and as a cross-check of the production oracle.
 type BFSOracle struct {
 	g *Graph
 }

@@ -1,50 +1,26 @@
 package hbgraph
 
-import (
-	"fmt"
-
-	"verifyio/internal/obs"
-	"verifyio/internal/par"
-)
+import "fmt"
 
 // Segment-reachability oracle: the dense S×S transitive closure of the sync
 // skeleton, probed in O(1). Every record belongs to a program-order segment
 // delimited by two skeleton nodes (its prev/next fringe, see skeleton.go),
 // and a cross-rank HB query is exactly one bit of the segment×segment
-// reachability matrix: a hb b ⇔ bit(next(a), prev(b)). On sync-sparse
-// traces S ≪ V, so the whole matrix is a few kilobytes — cheap enough to
-// precompute once and share across every model pass and verification chunk.
+// reachability matrix: a hb b ⇔ bit(next(a), prev(b)).
 //
-// This is the transitive closure of §IV-D3, and the only S×S bitset builder
-// in the package. It is bounded by an explicit byte budget and its rows are
-// filled level-parallel: the reverse wavefront processes one topological
-// level at a time, and within a level no node's row depends on another's
-// (every skeleton edge goes to a strictly later level), so the rows fill
-// concurrently via internal/par.
+// This is the transitive closure of §IV-D3, kept as a reference oracle for
+// the equivalence tests and the ablation benchmark; production runs on
+// vector clocks. It is built serially, in one reverse topological sweep.
 
-// DefaultSegReachBudget bounds the S²-bit reachability matrix (64 MiB ≈ 23k
-// skeleton nodes). Callers over budget fall back to the vector-clock oracle.
-const DefaultSegReachBudget = 64 << 20
-
-// segMinParallelWidth is the level width below which the wavefront stays on
-// the calling goroutine (a level holds at most one node per rank, so narrow
-// levels never amortize the handoff) — same threshold as the vector-clock
-// wavefront.
-const segMinParallelWidth = 8
+// segReachBudget bounds the S²-bit reachability matrix (64 MiB ≈ 23k
+// skeleton nodes); SegReachability refuses larger skeletons.
+const segReachBudget = 64 << 20
 
 // SegOptions configures segment-reachability construction.
 type SegOptions struct {
-	// Workers bounds the wavefront parallelism; 0 means GOMAXPROCS, 1 forces
-	// the serial path. The matrix is identical at every worker count: rows
-	// within a level are independent, and bitwise OR is order-independent.
+	// Workers is ignored: the reference closure is always built serially.
+	// The field stays only while benchmark/traced.go still sets it.
 	Workers int
-	// ByteBudget caps the closure matrix; 0 means DefaultSegReachBudget,
-	// negative disables the cap. Construction fails (and the caller falls
-	// back to another oracle) when S²/8 bytes exceed the budget.
-	ByteBudget int
-	// Obs carries telemetry: pool stats for the wavefront
-	// ("par.seg-wavefront.*") and the hbgraph.segreach_bytes gauge.
-	Obs obs.Ctx
 }
 
 // SegOracle answers hb queries from the precomputed segment×segment
@@ -55,22 +31,16 @@ type SegOracle struct {
 }
 
 // SegReachability materializes the skeleton's segment-reachability matrix.
-// It refuses graphs whose matrix would exceed the byte budget; callers fall
-// back to another oracle (the dynamic selection of §VII).
-func (g *Graph) SegReachability(opts SegOptions) (*SegOracle, error) {
+// It refuses graphs whose matrix would exceed segReachBudget.
+func (g *Graph) SegReachability(SegOptions) (*SegOracle, error) {
 	s := &g.skel
 	if s.cycleErr != nil {
 		return nil, s.cycleErr
 	}
-	budget := opts.ByteBudget
-	if budget == 0 {
-		budget = DefaultSegReachBudget
-	}
 	words := (s.n + 63) / 64
-	size := s.n * words * 8
-	if budget > 0 && size > budget {
+	if size := s.n * words * 8; size > segReachBudget {
 		return nil, fmt.Errorf("hbgraph: segment reachability over %d skeleton nodes needs %d bytes, over the %d-byte budget",
-			s.n, size, budget)
+			s.n, size, segReachBudget)
 	}
 	bits := make([]uint64, s.n*words)
 	// Join rows are scratch, like join clocks: sources read them one level
@@ -98,30 +68,17 @@ func (g *Graph) SegReachability(opts SegOptions) (*SegOracle, error) {
 			}
 		})
 	}
-	// Reverse level-synchronized wavefront: levelOrder is a topological order
-	// (every successor — po and sync — sits in a strictly later level), so
-	// walking levels back to front guarantees every successor row is final,
-	// and the rows within one level share no data. The joins that fire after
-	// level l go first: their targets lie behind, their sources in level ≤ l.
-	// One closure is reused across levels; levels run strictly in sequence.
-	var nodes []int32
-	step := func(i int) { fill(nodes[i]) }
-	workers := par.Resolve(opts.Workers)
+	// levelOrder is a topological order (every successor — po and sync —
+	// sits in a strictly later level), so walking it back to front finds
+	// every successor row final. The joins that fire after level l go
+	// first: their targets lie behind, their sources in level ≤ l.
 	for l := len(s.levelOff) - 2; l >= 0; l-- {
 		for _, j := range s.joinsAfter(l) {
 			fill(j)
 		}
-		nodes = s.levelOrder[s.levelOff[l]:s.levelOff[l+1]]
-		if workers > 1 && len(nodes) >= segMinParallelWidth {
-			par.DoObs(opts.Obs, "seg-wavefront", workers, len(nodes), step)
-		} else {
-			for i := range nodes {
-				step(i)
-			}
+		for _, v := range s.levelOrder[s.levelOff[l]:s.levelOff[l+1]] {
+			fill(v)
 		}
-	}
-	if r := opts.Obs.R; r != nil {
-		r.Gauge("hbgraph.segreach_bytes").Set(int64(8 * len(bits)))
 	}
 	return &SegOracle{words: words, bits: bits}, nil
 }

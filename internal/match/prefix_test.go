@@ -59,7 +59,7 @@ func TestPrefixCollectiveEdges(t *testing.T) {
 		if got, want := g.SyncEdges(), 2*(nranks-1); got != want {
 			t.Errorf("P=%d: SyncEdges = %d, want %d (a chain counts its links)", nranks, got, want)
 		}
-		vc, err := g.VectorClocks()
+		vc, err := g.VectorClocksOpts(hbgraph.VCOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func TestRankFileGoneBetweenScanAndOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			noGoroutineLeft(t, func() {
-				a, err := verify.Analyze(d, verify.AlgoAuto, verify.AnalyzeOptions{Workers: workers})
+				a, err := verify.Analyze(d, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers})
 				d.Close()
 				if !tolerate {
 					de, ok := trace.AsDecodeError(err)
@@ -152,7 +152,7 @@ func TestTolerateEqualsTheSerialReader(t *testing.T) {
 	cutRank(t, dir, 1, keep)
 	const (
 		wantReason  = "trace: records: rank 1 record 26 at payload offset 1138: truncated: varint: EOF"
-		wantReports = "29e61b044a7ab99b461afa7f630f7ac1f39ec864431b94cae26aed750a7012ba"
+		wantReports = "12435e78247c08fbe6c4a0e399d8c2ea249eeda6906ba3adda0320b365659115"
 	)
 	check := func(how string, reps []*verifyio.Report, rec *verifyio.Recovery) {
 		t.Helper()

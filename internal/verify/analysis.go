@@ -28,22 +28,25 @@ type Algo int
 
 // Algorithms.
 const (
-	// AlgoAuto is AlgoSegment; it never selects a reference algorithm.
-	AlgoAuto Algo = iota
-	AlgoVectorClock
+	// AlgoVectorClock builds skeleton vector clocks (§IV-D1): the one
+	// production oracle.
+	AlgoVectorClock Algo = iota
 	// AlgoReachability and AlgoOnTheFly are plain per-query references
 	// (§IV-D2, §IV-D4), kept for the ablation and the equivalence tests.
 	AlgoReachability
 	AlgoOnTheFly
 	// AlgoSegment precomputes the dense segment×segment reachability matrix
-	// of the sync skeleton (§IV-D3's transitive closure) — O(1) bit-probe
-	// queries; falls back to vector clocks when the matrix exceeds its byte
-	// budget.
+	// of the sync skeleton (§IV-D3's transitive closure), the third
+	// reference; a skeleton whose matrix would be too large fails the
+	// analysis.
 	AlgoSegment
 )
 
+// AlgoAuto is an old name of AlgoVectorClock, kept only while benchmark/
+// still passes it; use AlgoVectorClock.
+const AlgoAuto = AlgoVectorClock
+
 var algoNames = map[Algo]string{
-	AlgoAuto:         "auto",
 	AlgoVectorClock:  "vector-clock",
 	AlgoReachability: "reachability",
 	AlgoOnTheFly:     "on-the-fly",
@@ -117,7 +120,7 @@ type Analysis struct {
 	Oracle    hbgraph.Oracle
 	// Graph is the happens-before graph Oracle is probed on.
 	Graph *hbgraph.Graph
-	// Algorithm is the algorithm actually used (after auto selection).
+	// Algorithm is the algorithm the oracle was built with.
 	Algorithm Algo
 	// Timing holds the stage durations accumulated so far.
 	Timing Timing
@@ -318,15 +321,11 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 	return a, nil
 }
 
-// buildOracle resolves AlgoAuto, builds the happens-before graph and then
-// the oracle, for an analysis whose Conflicts, Match and counts are already
-// set. Only positional facts (the per-rank counts) are consumed, never the
-// records.
+// buildOracle builds the happens-before graph and then the oracle, for an
+// analysis whose Conflicts, Match and counts are already set. Only positional
+// facts (the per-rank counts) are consumed, never the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
-	if algo == AlgoAuto {
-		algo = AlgoSegment
-	}
 	a.Algorithm = algo
 
 	_, buildSpan := oc.Start("build-graph", obs.String("algorithm", algo.String()))
@@ -350,7 +349,8 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 
 	start = time.Now()
 	defer func() { a.Timing.VectorClock = time.Since(start) }()
-	buildVC := func() error {
+	switch algo {
+	case AlgoVectorClock:
 		_, vcSpan := oc.Start("vector-clocks",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
 			obs.Int("levels", g.SkeletonLevels()),
@@ -361,27 +361,14 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 			return fmt.Errorf("verify: vector clocks: %w", err)
 		}
 		a.Oracle = vc
-		return nil
-	}
-	switch algo {
-	case AlgoVectorClock:
-		return buildVC()
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
 	case AlgoOnTheFly:
 		a.Oracle = hbgraph.NewOnTheFlyCounts(a.counts, a.Match.Edges)
 	case AlgoSegment:
-		_, segSpan := oc.Start("seg-reach",
-			obs.Int("skeleton_nodes", g.SkeletonNodes()),
-			obs.Int("levels", g.SkeletonLevels()))
-		seg, err := g.SegReachability(hbgraph.SegOptions{Workers: workers, Obs: oc})
-		segSpan.End()
+		seg, err := g.SegReachability(hbgraph.SegOptions{})
 		if err != nil {
-			// Matrix over its byte budget (or skeleton not orderable):
-			// degrade to vector clocks rather than failing the run. A
-			// cyclic skeleton still fails, in the clock pass.
-			a.Algorithm = AlgoVectorClock
-			return buildVC()
+			return fmt.Errorf("verify: segment reachability: %w", err)
 		}
 		a.Oracle = seg
 	default:

@@ -201,7 +201,7 @@ func TestClassSplitsAtSyncCandidate(t *testing.T) {
 			"Session": {pairA, pairB},
 			"MPI-IO":  {pairA, pairB},
 		}
-		for _, algo := range []Algo{AlgoAuto, AlgoVectorClock, AlgoReachability} {
+		for _, algo := range []Algo{AlgoVectorClock, AlgoSegment, AlgoReachability} {
 			for _, model := range semantics.All() {
 				got := raceSet(t, pr.build().tr, algo, model)
 				if !reflect.DeepEqual(got, want[model.Name]) {
@@ -285,7 +285,7 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		tr := randomIOProgram(rng, 2+trial%5)
 		models := append(semantics.All(), doubleCommit(), randomMSC(mscs), randomMSC(mscs))
-		algos := []Algo{AlgoAuto, AlgoVectorClock}
+		algos := []Algo{AlgoVectorClock, AlgoSegment}
 		if trial%4 == 0 {
 			// One BFS per query: the reference oracle, which resolves no
 			// operand (every group its own class), on a quarter of the programs.
@@ -341,7 +341,7 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 						}
 					}
 				}
-				if reg := obs.NewRegistry(); algo == AlgoAuto {
+				if reg := obs.NewRegistry(); algo == AlgoVectorClock {
 					opts := base
 					opts.Workers, opts.Obs = 2, obs.Ctx{R: reg}
 					if _, err := a.Verify(opts); err != nil {

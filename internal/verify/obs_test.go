@@ -144,7 +144,7 @@ func TestPipelineStableMetricsDeterministic(t *testing.T) {
 // allocations.
 func TestVerifyAllocationsIndependentOfOps(t *testing.T) {
 	allocs := func(ops int, model semantics.Model) (float64, int) {
-		a, err := AnalyzeOpts(orderedTrace(4, ops), AlgoAuto, AnalyzeOptions{Workers: 1})
+		a, err := AnalyzeOpts(orderedTrace(4, ops), AlgoVectorClock, AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,9 +251,9 @@ func TestReportEmbedsMetrics(t *testing.T) {
 // produce identical verification outcomes.
 func TestTelemetryDoesNotChangeReport(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	plain := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.SessionModel()})
+	plain := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.SessionModel()})
 	oc := obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
-	instr := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.SessionModel(), Obs: oc})
+	instr := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.SessionModel(), Obs: oc})
 	if plain.RaceCount != instr.RaceCount || plain.ChecksPerformed != instr.ChecksPerformed ||
 		plain.ConflictPairs != instr.ConflictPairs {
 		t.Errorf("telemetry changed the report: plain races=%d checks=%d, instrumented races=%d checks=%d",

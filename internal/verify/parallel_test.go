@@ -219,7 +219,7 @@ func (panicOracle) Probe(a, b hbgraph.Coord) bool { panic("probe failed") }
 // on a pool goroutine re-panics on the caller as a *par.TaskPanic that
 // carries the failing worker's stack.
 func TestVerifyWorkerPanicReachesCaller(t *testing.T) {
-	a, err := Analyze(planTrace(4, 900), AlgoAuto, AnalyzeOptions{})
+	a, err := Analyze(planTrace(4, 900), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

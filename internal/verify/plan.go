@@ -15,8 +15,8 @@ import (
 // the conflicting file. Resolving an operand means mapping its ref onto the
 // skeleton fringe (hbgraph.Graph.Resolve); doing that per query is pure
 // overhead, so the plan does it once per run. A cross-rank query is then a
-// single Oracle.Probe (for the production oracles one clock compare or one
-// bit load), and a same-rank query is a sequence compare.
+// single Oracle.Probe (for the production oracle one clock compare), and a
+// same-rank query is a sequence compare.
 //
 // The op plan is model independent and shared by every model pass of
 // VerifyAll (and every warm/dirty vcache chunk); the sync index depends on

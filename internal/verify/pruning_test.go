@@ -42,7 +42,7 @@ func TestPruningMatchesExhaustive(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var prunedChecks, exhaustiveChecks int64
 		for _, in := range inputs {
-			a, err := verify.Analyze(in.tr, verify.AlgoAuto, verify.AnalyzeOptions{Workers: workers})
+			a, err := verify.Analyze(in.tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestPositionClassesAnswerMostChecks(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		oc := obs.Ctx{R: reg}
-		a, err := verify.Analyze(tr, verify.AlgoAuto, verify.AnalyzeOptions{Workers: workers, Obs: oc})
+		a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers, Obs: oc})
 		if err != nil {
 			t.Fatal(err)
 		}

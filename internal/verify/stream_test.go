@@ -30,7 +30,7 @@ func TestStreamedAnalysisOutlivesItsTrace(t *testing.T) {
 		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
 			t.Fatal(err)
 		}
-		sa, err := verify.AnalyzeStream(dir, verify.AlgoAuto, verify.StreamAnalyzeOptions{WindowBytes: 1 << 12})
+		sa, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{WindowBytes: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestStreamedAnalysisOutlivesItsTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: verifying after the trace directory was removed: %v", name, err)
 		}
-		ma, err := verify.Analyze(tr, verify.AlgoAuto, verify.AnalyzeOptions{})
+		ma, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,13 +45,13 @@ func TestTimingTotalSumsAllStages(t *testing.T) {
 }
 
 // TestTimingSerialWallEqualsSum checks the serial contract for the
-// production oracle and for vector clocks: with Workers=1 the detect+match
-// wall clock is the sum of the two stages (no overlap), the oracle build,
-// whichever oracle, is in Timing.VectorClock, and the whole analysis wall
-// clock covers the sum of its stages.
+// production oracle and for the segment reference: with Workers=1 the
+// detect+match wall clock is the sum of the two stages (no overlap), the
+// oracle build, whichever oracle, is in Timing.VectorClock, and the whole
+// analysis wall clock covers the sum of its stages.
 func TestTimingSerialWallEqualsSum(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
-	for _, algo := range []Algo{AlgoAuto, AlgoVectorClock} {
+	for _, algo := range []Algo{AlgoVectorClock, AlgoSegment} {
 		a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -301,7 +301,7 @@ func TestMaxRaceDetailsCapsDetailNotCount(t *testing.T) {
 		}
 		return nil
 	})
-	rep := verifyOne(t, tr, AlgoAuto, Options{Model: semantics.POSIXModel(), MaxRaceDetails: 3})
+	rep := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.POSIXModel(), MaxRaceDetails: 3})
 	if rep.RaceCount != 10 {
 		t.Errorf("race count = %d, want 10", rep.RaceCount)
 	}
@@ -310,50 +310,53 @@ func TestMaxRaceDetailsCapsDetailNotCount(t *testing.T) {
 	}
 }
 
+// TestAutoAlgorithmSelection (the name is historical: there is no selection
+// any more): the production oracle is skeleton vector clocks on every trace —
+// also a huge one with no conflicts; it never switches to a reference
+// algorithm.
 func TestAutoAlgorithmSelection(t *testing.T) {
-	tr := runTraced(t, 2, fig2Program)
-	a, err := Analyze(tr, AlgoAuto, AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Auto picks the segment-reachability oracle...
-	if a.Algorithm != AlgoSegment {
-		t.Errorf("auto picked %v, want segment", a.Algorithm)
-	}
-	// ...also on a huge trace with no conflicts: it never selects a
-	// reference algorithm.
 	big := trace.New(1)
 	for i := 0; i < 200_001; i++ {
 		big.Append(trace.Record{Rank: 0, Func: "op", Layer: trace.LayerPOSIX,
 			Tick: int64(2*i + 1), Ret: int64(2*i + 2)})
 	}
-	if a, err = Analyze(big, AlgoAuto, AnalyzeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if a.Algorithm != AlgoSegment {
-		t.Errorf("auto picked %v on a conflict-free %d-record trace, want segment", a.Algorithm, big.NumRecords())
+	for _, tr := range []*trace.Trace{runTraced(t, 2, fig2Program), big} {
+		a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := a.Oracle.(*hbgraph.VCOracle); !ok || a.Algorithm != AlgoVectorClock {
+			t.Errorf("production oracle on a %d-record trace: %T reported as %v, want vector clocks",
+				tr.NumRecords(), a.Oracle, a.Algorithm)
+		}
 	}
 }
 
-// TestClosureOverBudgetFallsBackToVectorClocks: every name that builds the
-// skeleton closure degrades to vector clocks, and says so, when the matrix
-// exceeds its byte budget.
+// TestClosureOverBudgetFallsBackToVectorClocks (the name is historical:
+// nothing falls back any more): on a skeleton whose closure matrix exceeds
+// the reference's byte budget, the production oracle still builds vector
+// clocks (their arena is linear in the skeleton), and the segment reference
+// refuses with an error instead of switching oracles.
 func TestClosureOverBudgetFallsBackToVectorClocks(t *testing.T) {
 	// 2 × 16 385 chained sync endpoints: a 32 770-node skeleton, ~134 MB of
-	// closure against the 64 MiB default budget.
+	// closure against the 64 MiB budget.
 	const per = 1<<14 + 1
 	edges := make([]match.Edge, 0, per-1)
 	for i := 0; i+1 < per; i++ {
 		edges = append(edges, match.Edge{From: trace.Ref{Rank: 0, Seq: i}, To: trace.Ref{Rank: 1, Seq: i + 1}})
 	}
-	for _, algo := range []Algo{AlgoAuto, AlgoSegment} {
-		a := &Analysis{counts: []int{per, per}, Conflicts: &conflict.Result{}, Match: &match.Result{Edges: edges}}
-		if err := a.buildOracle(algo, 1, obs.Ctx{}); err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if _, ok := a.Oracle.(*hbgraph.VCOracle); !ok || a.Algorithm != AlgoVectorClock {
-			t.Errorf("%v over budget: oracle %T reported as %v, want vector clocks", algo, a.Oracle, a.Algorithm)
-		}
+	analysis := func() *Analysis {
+		return &Analysis{counts: []int{per, per}, Conflicts: &conflict.Result{}, Match: &match.Result{Edges: edges}}
+	}
+	a := analysis()
+	if err := a.buildOracle(AlgoVectorClock, 1, obs.Ctx{}); err != nil {
+		t.Fatalf("vector clocks: %v", err)
+	}
+	if _, ok := a.Oracle.(*hbgraph.VCOracle); !ok || a.Algorithm != AlgoVectorClock {
+		t.Errorf("oracle %T reported as %v, want vector clocks", a.Oracle, a.Algorithm)
+	}
+	if err := analysis().buildOracle(AlgoSegment, 1, obs.Ctx{}); err == nil {
+		t.Error("segment reference built a closure over its byte budget")
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 )
 
 // TestSegmentOracleSalvagedEquivalence runs the cross-oracle report
-// comparison of TestCorpusReportsGolden on a salvaged prefix: a truncated
-// rank stream read leniently must yield identical verdicts from the segment
-// oracle and vector clocks — the damaged synchronization state shifts the
-// skeleton, never the answers.
+// comparison of TestSegmentOracleReportEquivalenceCorpus on a salvaged
+// prefix: a truncated rank stream read leniently must yield identical
+// verdicts from the production oracle and from every reference oracle — the
+// damaged synchronization state shifts the skeleton, never the answers.
 func TestSegmentOracleSalvagedEquivalence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "trace")
 	if err := trace.WriteDir(dir, corpus.ScalingTrace(4, 500, 1<<12, 3), trace.DefaultEncodeOptions()); err != nil {
@@ -41,11 +41,13 @@ func TestSegmentOracleSalvagedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := corpusReports(t, "salvaged", tr, verify.AlgoVectorClock, workers,
-			verify.Options{Workers: workers, ContinueOnUnmatched: true})
-		if want[0].Algorithm != "segment" || got[0].Algorithm != "vector-clock" {
-			t.Fatalf("algorithms %q and %q, want segment and vector-clock", want[0].Algorithm, got[0].Algorithm)
+		if want[0].Algorithm != "vector-clock" {
+			t.Fatalf("production algorithm %q, want vector-clock", want[0].Algorithm)
 		}
-		sameReports(t, fmt.Sprintf("salvaged vector-clock Workers=%d", workers), want, got, true)
+		for _, algo := range referenceAlgos {
+			got := corpusReports(t, "salvaged", tr, algo, workers,
+				verify.Options{Workers: workers, ContinueOnUnmatched: true})
+			sameReports(t, fmt.Sprintf("salvaged %v Workers=%d", algo, workers), want, got, true)
+		}
 	}
 }

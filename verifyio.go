@@ -444,9 +444,8 @@ func (t Timing) Total() time.Duration {
 // Report is the outcome of verifying a trace against one model.
 type Report struct {
 	Model Model
-	// Algorithm is the happens-before oracle that ran: "segment" (§IV-D3's
-	// transitive closure over the sync skeleton), or "vector-clock" when that
-	// closure exceeded its byte budget.
+	// Algorithm is the happens-before oracle that ran: "vector-clock"
+	// (§IV-D1's clocks over the sync skeleton).
 	Algorithm string
 
 	ConflictPairs int64
@@ -605,7 +604,7 @@ func (r *Report) Diagnose() []Diagnosis {
 // analyze analyzes the trace from memory, carrying its salvage state into
 // verdict-cache identity.
 func (t *Trace) analyze(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
-	a, err := verify.Analyze(t.t, verify.AlgoAuto, ao)
+	a, err := verify.Analyze(t.t, verify.AlgoVectorClock, ao)
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +637,7 @@ func verifyModels(analyze func(verify.AnalyzeOptions) (*verify.Analysis, error),
 // non-nil only in tolerate mode.
 func verifyDir(dir string, models []semantics.Model, read ReadOptions, opts *Options) ([]*Report, *Recovery, error) {
 	reps, stats, err := verifyModels(func(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
-		return verify.AnalyzeStream(dir, verify.AlgoAuto, verify.StreamAnalyzeOptions{
+		return verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
 			AnalyzeOptions: ao,
 			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate, Obs: read.Telemetry.ctx()},
 			WindowBytes:    read.WindowBytes,

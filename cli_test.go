@@ -166,17 +166,17 @@ func TestNoHTTPStackLinked(t *testing.T) {
 // TestCLIDiagnoseRunsThePipelineOnce: -diagnose reads the reports it has,
 // so a telemetry-instrumented "-model all -diagnose" run on a trace that
 // races under three models analyses the directory exactly once and verifies
-// each model once. The two telemetry files the binary wrote are schema-valid:
-// spans nest and include each rank's replay and scan shards, the metrics'
-// stable section is not empty.
+// each model once. The span file the binary wrote is schema-valid: spans
+// nest and include each rank's replay and scan shards. The -json reports of
+// the same trace carry the stage ledger, the read row with the window's
+// high-water mark.
 func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 	bin := buildCLIs(t)
 	dir := filepath.Join(t.TempDir(), "flexible")
 	runCLI(t, bin, 0, "verifyio-trace", "-test", "flexible", "-out", dir)
 	spans := filepath.Join(t.TempDir(), "spans.json")
-	metrics := filepath.Join(t.TempDir(), "metrics.json")
 	out := runCLI(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-diagnose", "-workers", "4",
-		"-trace-out", spans, "-metrics-out", metrics)
+		"-trace-out", spans)
 	if strings.Count(out, "diagnosis #1 ") != 3 {
 		t.Fatalf("want diagnoses under three models:\n%s", out)
 	}
@@ -211,19 +211,20 @@ func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 		t.Errorf("shard spans: %d replay, %d scan; want at least 4 of each", count["replay"], count["scan"])
 	}
 
-	data, err = os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
+	out, _ = runCLISplit(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-json", "-workers", "4")
+	var reports []struct {
+		Records int
+		Ledger  Ledger
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("-metrics-out does not parse: %v", err)
+	if err := json.Unmarshal([]byte(out), &reports); err != nil {
+		t.Fatalf("-json stdout does not parse: %v\n%s", err, out)
 	}
-	if err := obs.ValidateSnapshot(&snap); err != nil {
-		t.Errorf("-metrics-out: %v", err)
-	}
-	if len(snap.Stable.Counters)+len(snap.Stable.Gauges)+len(snap.Stable.Histograms) == 0 {
-		t.Error("-metrics-out: stable section is empty")
+	for _, rep := range reports {
+		l := rep.Ledger
+		if l.Read.Out != int64(rep.Records) || l.Read.Bytes <= 0 || l.Detect.Out <= 0 ||
+			l.Graph.Out <= 0 || l.Verify.In != l.Detect.Out || l.Verify.Out <= 0 {
+			t.Errorf("-json ledger: %+v for %d records", l, rep.Records)
+		}
 	}
 }
 

@@ -15,12 +15,13 @@
 // Usage:
 //
 //	reproduce [-out DIR] [-only table1,fig4,...] [-workers N]
-//	          [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
+//	          [-cache-dir DIR] [-trace-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // The stored-trace pass (table4) writes each trace to a directory and
-// analyzes it while decoding it in the default 4 MiB window; the decode is
-// the table's "Read trace" row.
+// analyzes it while decoding it in the default 4 MiB window; its stage rows
+// are the analysis' ledger (the decode is the "Read trace" row) with the
+// four models' verify rows summed.
 package main
 
 import (
@@ -57,9 +58,8 @@ func run() int {
 		workers  = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
 		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory shared across reproduce runs (warm reruns skip unchanged verification work)")
 
-		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write the runtime metrics snapshot as JSON to this file")
-		prof       obs.Profiling
+		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
+		prof     obs.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -74,15 +74,12 @@ func run() int {
 		}
 	}()
 	var oc obs.Ctx
-	if *traceOut != "" || *metricsOut != "" {
-		oc = obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
+	if *traceOut != "" {
+		oc = obs.Ctx{T: obs.NewTracer()}
 	}
 	defer func() {
 		if err := obs.WriteFileWith(*traceOut, oc.T.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: write -trace-out: %v\n", err)
-		}
-		if err := obs.WriteFileWith(*metricsOut, oc.R.WriteMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: write -metrics-out: %v\n", err)
 		}
 	}()
 	vopts := verify.Options{Workers: *workers, Obs: oc}
@@ -253,7 +250,8 @@ func table4(w io.Writer, vopts verify.Options) error {
 	names := []string{"nc4perf", "cache", "pmulti_dset"}
 	type breakdown struct {
 		name       string
-		timing     verify.Timing
+		ledger     verify.Ledger
+		wall       time.Duration
 		nodes      int
 		edges      int
 		skelNodes  int
@@ -280,15 +278,17 @@ func table4(w io.Writer, vopts verify.Options) error {
 		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
 			return err
 		}
+		start := time.Now()
 		a, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
 			AnalyzeOptions: verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs},
 		})
+		wall := time.Since(start)
 		if err != nil {
 			return err
 		}
 		// Verification time = sum over the four models (the paper
 		// verifies each model; we report the aggregate pass).
-		var vtime time.Duration
+		l := a.Ledger
 		for _, m := range semantics.All() {
 			o := vopts
 			o.Model = m
@@ -296,12 +296,10 @@ func table4(w io.Writer, vopts verify.Options) error {
 			if err != nil {
 				return err
 			}
-			vtime += rep.Timing.Verification
+			l.Verify.Time += rep.Ledger.Verify.Time
 		}
-		t := a.Timing
-		t.Verification = vtime
 		rows = append(rows, breakdown{
-			name: name, timing: t,
+			name: name, ledger: l, wall: wall,
 			nodes: a.Graph.Nodes(), edges: a.Graph.SyncEdges(),
 			skelNodes: a.Graph.SkeletonNodes(), skelLevels: a.Graph.SkeletonLevels(),
 			pairs: a.Conflicts.Pairs,
@@ -312,21 +310,21 @@ func table4(w io.Writer, vopts verify.Options) error {
 		fmt.Fprintf(w, " %16s", r.name)
 	}
 	fmt.Fprintln(w)
-	stage := func(label string, pick func(verify.Timing) time.Duration) {
+	stage := func(label string, pick func(breakdown) time.Duration) {
 		fmt.Fprintf(w, "%-32s", label)
 		for _, r := range rows {
-			fmt.Fprintf(w, " %16s", pick(r.timing).Round(time.Microsecond))
+			fmt.Fprintf(w, " %16s", pick(r).Round(time.Microsecond))
 		}
 		fmt.Fprintln(w)
 	}
-	stage("Read trace", func(t verify.Timing) time.Duration { return t.ReadTrace })
-	stage("Detect conflicts", func(t verify.Timing) time.Duration { return t.DetectConflicts })
-	stage("Match MPI calls", func(t verify.Timing) time.Duration { return t.Match })
-	stage("  read+detect+match wall clock", func(t verify.Timing) time.Duration { return t.DetectMatchWall })
-	stage("Build the happens-before graph", func(t verify.Timing) time.Duration { return t.BuildGraph })
-	stage("Generate vector clock", func(t verify.Timing) time.Duration { return t.VectorClock })
-	stage("Verification (4 models)", func(t verify.Timing) time.Duration { return t.Verification })
-	stage("Total", func(t verify.Timing) time.Duration { return t.Total() })
+	// Table IV's row names, in the ledger's stage order.
+	labels := [len(verify.Stages)]string{"Read trace", "Detect conflicts", "Match MPI calls",
+		"Build the happens-before graph", "Generate vector clock", "Verification (4 models)"}
+	for i, label := range labels {
+		stage(label, func(r breakdown) time.Duration { return r.ledger.Rows()[i].Time })
+	}
+	stage("Total", func(r breakdown) time.Duration { return r.ledger.Total() })
+	stage("Analysis wall clock", func(r breakdown) time.Duration { return r.wall })
 	fmt.Fprintf(w, "%-32s", "graph nodes / sync edges")
 	for _, r := range rows {
 		fmt.Fprintf(w, " %16s", fmt.Sprintf("%d/%d", r.nodes, r.edges))

@@ -7,7 +7,7 @@
 //	verifyio -trace DIR [-model posix|commit|session|mpi-io|all]
 //	         [-workers N] [-no-pruning] [-max-races N] [-details] [-diagnose]
 //	         [-tolerate] [-window BYTES] [-dump] [-json]
-//	         [-cache-dir DIR] [-trace-out FILE] [-metrics-out FILE]
+//	         [-cache-dir DIR] [-trace-out FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The trace is verified while it is decoded, never loaded whole: up to
@@ -24,11 +24,14 @@
 // miss, and dirty-chunk counts.
 //
 // -trace-out writes the run's telemetry spans as Chrome trace_event JSON
-// (load in chrome://tracing or https://ui.perfetto.dev); -metrics-out writes
-// the runtime metric registry.
+// (load in chrome://tracing or https://ui.perfetto.dev).
 //
 // -json writes the reports as one JSON document, and nothing else, to
-// stdout; the "trace:" banner goes to stderr then.
+// stdout; the "trace:" banner goes to stderr then. Each report carries its
+// stage ledger: per stage (read, detect, match, graph, oracle, verify) the
+// time, the items in and out, and the most bytes held — the window's
+// high-water mark, for the read row. -details renders the ledger's times
+// as each report's "timing:" line.
 //
 // Exit status: 0 when every verified model is properly synchronized, 1 when
 // data races were found, 2 when verification aborted on unmatched MPI calls
@@ -39,7 +42,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -67,9 +69,8 @@ func run() int {
 		window   = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
 		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory: re-verifying an unchanged trace is served from cache, an appended trace re-verifies only the dirtied chunks")
 
-		traceOut   = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write the runtime metrics snapshot as JSON to this file")
-		prof       obs.Profiling
+		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
+		prof     obs.Profiling
 	)
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -90,15 +91,12 @@ func run() int {
 	}()
 
 	var tel *verifyio.Telemetry
-	if *traceOut != "" || *metricsOut != "" {
+	if *traceOut != "" {
 		tel = verifyio.NewTelemetry()
 	}
 	defer func() {
-		if err := obs.WriteFileWith(*traceOut, func(w io.Writer) error { return tel.WriteChromeTrace(w) }); err != nil {
+		if err := obs.WriteFileWith(*traceOut, tel.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "verifyio: write -trace-out: %v\n", err)
-		}
-		if err := obs.WriteFileWith(*metricsOut, func(w io.Writer) error { return tel.WriteMetrics(w) }); err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: write -metrics-out: %v\n", err)
 		}
 	}()
 	if *dump {

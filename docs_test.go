@@ -5,12 +5,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
-	"verifyio/internal/semantics"
-	"verifyio/internal/trace"
 	"verifyio/internal/verify"
 )
 
@@ -56,11 +55,8 @@ func testFuncs(t *testing.T) map[string]bool {
 // EXPERIMENTS.md in both directions: they do not mention deleted commands,
 // flags, packages or CI jobs, every test, fuzz target or benchmark they quote
 // is declared in some _test.go file, every `pkg.metric_name` they quote is a
-// BENCHMARK.json metric or workload name or a metric the pipeline emits —
-// collected from three instrumented runs of one corpus trace (default oracle;
-// vector clocks; off the directory with a verdict cache) — and every stable
-// metric those runs emit is quoted in DESIGN §11 (a worker pool's under the
-// one `par.<pool>.*` pattern).
+// BENCHMARK.json metric or workload name or a ledger cell (`<stage>.<column>`,
+// e.g. `detect.out`), and DESIGN §11 quotes every ledger stage and column.
 func TestDocsQuoteKnownNames(t *testing.T) {
 	known := map[string]bool{}
 
@@ -83,58 +79,26 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		}
 	}
 
-	tr := corpusTraceT(t, "pmulti_dset")
-	dir := filepath.Join(t.TempDir(), "trace")
-	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
-		t.Fatal(err)
+	row := reflect.TypeOf(verify.Row{})
+	columns := make([]string, row.NumField())
+	for i := range columns {
+		columns[i] = row.Field(i).Name
 	}
-	tel := NewTelemetry()
-	loaded, _, err := ReadTraceDirOpts(dir, ReadOptions{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
+	for _, stage := range verify.Stages {
+		for _, column := range columns {
+			known[stage+"."+strings.ToLower(column)] = true
+		}
 	}
-	if _, err := VerifyAll(loaded, &Options{Telemetry: tel}); err != nil {
-		t.Fatal(err)
-	}
-	// The vector-clock oracle emits metrics of its own.
-	a, err := verify.Analyze(loaded.t, verify.AlgoVectorClock, verify.AnalyzeOptions{Obs: tel.ctx()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.VerifyAll(semantics.All(), verify.Options{Obs: tel.ctx()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := VerifyAllStream(dir, ReadOptions{Telemetry: tel},
-		&Options{Telemetry: tel, Cache: NewMemoryCache()}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tel.registry.Names() {
-		known[name] = true
-	}
-
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, telemetry, _ := strings.Cut(string(design), "\n## 11. Telemetry\n")
-	telemetry, _, _ = strings.Cut(telemetry, "\n## ")
-	documented := func(name string) {
-		if pool := strings.Split(name, "."); pool[0] == "par" && len(pool) == 3 {
-			name = "par.<pool>." + pool[2]
+	_, ledger, _ := strings.Cut(string(design), "\n## 11. Stage ledger and spans\n")
+	ledger, _, _ = strings.Cut(ledger, "\n## ")
+	for _, name := range append(verify.Stages[:], columns...) {
+		if !strings.Contains(ledger, "`"+name+"`") {
+			t.Errorf("DESIGN.md §11 does not document the ledger's `%s`", name)
 		}
-		if !strings.Contains(telemetry, "`"+name+"`") {
-			t.Errorf("DESIGN.md §11 does not document the stable metric `%s`", name)
-		}
-	}
-	stable := tel.registry.Snapshot().Stable
-	for name := range stable.Counters {
-		documented(name)
-	}
-	for name := range stable.Gauges {
-		documented(name)
-	}
-	for name := range stable.Histograms {
-		documented(name)
 	}
 
 	tests := testFuncs(t)
@@ -149,7 +113,9 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 			"-algorithm", "AlgoByName", "RenderDiagnoses", "NewStream",
 			"SegProber", "ProbeSeg", "SegCoords", "hb_fallbacks", "hb_fast_hits",
 			"DisableFastPaths", "mscDFS", "buildWFrom", "buildWTo",
-			"DefaultSegReachBudget", "ByteBudget", "segreach_bytes", "seg-reach"} {
+			"DefaultSegReachBudget", "ByteBudget", "segreach_bytes", "seg-reach",
+			"-metrics-out", "WriteMetrics", "DoObs", "group_fanout", "AnalyzeWall",
+			"DetectMatchWall", "ValidateSnapshot"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}
@@ -161,7 +127,7 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		}
 		for _, m := range metricToken.FindAllStringSubmatch(string(text), -1) {
 			if name := m[1]; !fileExt.MatchString(name) && !known[name] {
-				t.Errorf("%s quotes `%s`: neither a BENCHMARK.json name nor a metric the pipeline emits", doc, name)
+				t.Errorf("%s quotes `%s`: neither a BENCHMARK.json name nor a ledger cell", doc, name)
 			}
 		}
 	}

@@ -87,6 +87,15 @@ type Result struct {
 	// not be interpreted (missing arguments, unknown handles) — tolerated
 	// the way VerifyIO tolerates partial legacy traces.
 	Skipped int
+	// ScratchBytes is the transient footprint of the pair sweep: O(n)
+	// tables whatever the pair count (see detectPairs).
+	ScratchBytes int64
+
+	// slices and carryOps are the sweep's task count and the positions its
+	// slices carried over from earlier ones: the terms ScratchBytes is
+	// bounded by.
+	slices   int
+	carryOps int64
 }
 
 // Options configures the detector.
@@ -95,7 +104,7 @@ type Options struct {
 	// and the per-file conflict sweep. 0 means GOMAXPROCS; 1 forces the
 	// serial path. The result is identical at every worker count.
 	Workers int
-	// Obs carries telemetry sinks; the zero Ctx disables instrumentation.
+	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
 }
 
@@ -153,7 +162,7 @@ func (d *Detector) Feed(rank int, recs []trace.Record) {
 }
 
 // Finish completes detection over everything fed: canonicalize file
-// identities, sweep for conflicting pairs, publish metrics. It consumes the
+// identities, sweep for conflicting pairs. It consumes the
 // detector — the merge releases each rank's op storage as it copies it out.
 func (d *Detector) Finish(opts Options) (*Result, error) {
 	workers := par.Resolve(opts.Workers)
@@ -172,21 +181,6 @@ func (d *Detector) Finish(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("conflict: %d data operations exceed the int32 group index space", len(res.Ops))
 	}
 	detectPairs(res, workers, oc)
-	if r := oc.R; r != nil {
-		r.Counter("conflict.ops").Add(int64(len(res.Ops)))
-		r.Gauge("conflict.signatures").Set(int64(len(res.Sigs)))
-		r.Counter("conflict.syncs").Add(int64(len(res.Syncs)))
-		r.Counter("conflict.skipped").Add(int64(res.Skipped))
-		r.Counter("conflict.files").Add(int64(len(res.Files)))
-		r.Counter("conflict.pairs").Add(res.Pairs)
-		r.Counter("conflict.groups").Add(int64(len(res.Groups)))
-		// A group's fan-out is its later partners only (see Group), so the
-		// observations sum to conflict.pairs.
-		fanout := r.Histogram("conflict.group_fanout", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-		for i := range res.Groups {
-			fanout.Observe(int64(len(res.Groups[i].Ys())))
-		}
-	}
 	return res, nil
 }
 

@@ -308,15 +308,7 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	ops := res.Ops
 	n := len(ops)
 	nfiles := len(res.Files)
-	publish := func(slicesN int, carryOps, scratchBytes int64) {
-		if r := oc.R; r != nil {
-			r.Gauge("conflict.sweep_slices").Set(int64(slicesN))
-			r.Gauge("conflict.sweep_carry_ops").Set(carryOps)
-			r.Gauge("conflict.sweep_scratch_bytes").Set(scratchBytes)
-		}
-	}
 	if n == 0 || nfiles == 0 {
-		publish(0, 0, 0)
 		return
 	}
 
@@ -345,8 +337,8 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	tasks := make([]sweepSlice, taskOff[nfiles])
 	idx1, keys0, keys1 := make([]int32, n), make([]uint64, n), make([]uint64, n)
 
-	sortCtx, sortSpan := sc.Start("sweep-sort", obs.Int("tasks", len(tasks)))
-	par.DoObs(sortCtx, "detect-sort", workers, nfiles, func(f int) {
+	_, sortSpan := sc.Start("sweep-sort", obs.Int("tasks", len(tasks)))
+	par.Do(workers, nfiles, func(f int) {
 		lo, hi := fileOff[f], fileOff[f+1]
 		if lo == hi {
 			return
@@ -364,7 +356,7 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 
 	deg := make([]int32, n)
 	countCtx, countSpan := sc.Start("sweep-count", obs.Int("slices", len(tasks)))
-	par.DoObs(countCtx, "detect-sweep", workers, len(tasks), func(ti int) {
+	par.Do(workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
 		w := idx[fileOff[t.fid]:fileOff[t.fid+1]]
 		// Single-op files cannot conflict; skip their spans so traces on
@@ -390,19 +382,19 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	// count: index + sort scratch + slice plan + degree / offset / rank
 	// tables. The output arenas (ys — filled in place — runs, groups) are
 	// retained and excluded. A tier-1 test gates this against the op count.
-	scratchBytes := 4*int64(n) /* idx */ + 20*int64(n) /* idx1, keys0, keys1 */ +
+	res.slices, res.carryOps = len(tasks), carryOps
+	res.ScratchBytes = 4*int64(n) /* idx */ + 20*int64(n) /* idx1, keys0, keys1 */ +
 		4*int64(3*nfiles+2) /* fileOff, next, taskOff */ +
 		40*int64(len(tasks)) /* tasks */ +
 		4*carryOps + 4*int64(n) /* deg */ + 8*int64(n+1) /* off */
 	if res.Pairs == 0 {
-		publish(len(tasks), carryOps, scratchBytes)
 		return
 	}
-	publish(len(tasks), carryOps, scratchBytes+4*int64(n) /* rankOf */)
+	res.ScratchBytes += 4 * int64(n) /* rankOf */
 
 	ys := make([]int32, res.Pairs)
 	fillCtx, fillSpan := sc.Start("sweep-fill", obs.Int("entries", len(ys)))
-	par.DoObs(fillCtx, "detect-fill", workers, len(tasks), func(ti int) {
+	par.Do(workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
 		w := idx[fileOff[t.fid]:fileOff[t.fid+1]]
 		if len(w) > 1 && fillCtx.Enabled() {
@@ -427,8 +419,8 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	}
 	ngr := make([]int64, K+1)
 	nrn := make([]int64, K+1)
-	compactCtx, compactSpan := sc.Start("sweep-compact", obs.Int("ranges", K))
-	par.DoObs(compactCtx, "detect-compact", workers, K, func(k int) {
+	_, compactSpan := sc.Start("sweep-compact", obs.Int("ranges", K))
+	par.Do(workers, K, func(k int) {
 		var g, rn int64
 		for v := bounds[k]; v < bounds[k+1]; v++ {
 			bucket := ys[off[v]:off[v+1]]
@@ -456,8 +448,8 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	}
 	groups := make([]Group, ngr[K])
 	runsArena := make([]int32, nrn[K])
-	groupsCtx, groupsSpan := sc.Start("sweep-groups")
-	par.DoObs(groupsCtx, "detect-groups", workers, K, func(k int) {
+	_, groupsSpan := sc.Start("sweep-groups")
+	par.Do(workers, K, func(k int) {
 		gi, rp := ngr[k], nrn[k]
 		for v := bounds[k]; v < bounds[k+1]; v++ {
 			lo, hi := off[v], off[v+1]

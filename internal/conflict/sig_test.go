@@ -8,7 +8,6 @@ import (
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/corpus"
-	"verifyio/internal/obs"
 )
 
 // TestSignatureTableExactAndSmall holds the signature table to the records
@@ -22,8 +21,7 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reg := obs.NewRegistry()
-		base, err := conflict.DetectOpts(tr, conflict.Options{Workers: 1, Obs: obs.Ctx{R: reg}})
+		base, err := conflict.DetectOpts(tr, conflict.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
@@ -42,9 +40,6 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 		}
 		if len(base.Sigs) != len(distinct) {
 			t.Errorf("%s: table holds %d signatures, the ops have %d distinct ones", tc.Name, len(base.Sigs), len(distinct))
-		}
-		if got := reg.Snapshot().Stable.Gauges["conflict.signatures"]; got != int64(len(base.Sigs)) {
-			t.Errorf("%s: conflict.signatures = %d, want %d", tc.Name, got, len(base.Sigs))
 		}
 
 		for _, workers := range []int{1, 2, 7} {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"verifyio/internal/obs"
 	"verifyio/internal/trace"
 )
 
@@ -234,8 +233,9 @@ func TestPropertySweepEachPairOnce(t *testing.T) {
 // memory contract on a dense single-shared-file trace (443 739 pairs on
 // 16 384 ops): more than one sweep task and slice, no per-pair or per-group
 // allocation, and transient scratch that is O(n) tables only — the pairs are
-// written straight into the retained ys arena, so the gauge does not grow
-// with the pair count and is the same at every worker count. What the sweep
+// written straight into the retained ys arena, so Result.ScratchBytes (the
+// ledger's detect bytes) does not grow with the pair count and is the same at
+// every worker count. What the sweep
 // holds is 40 bytes per op (index, sort ping-pong, degree, offset and rank
 // tables), 4 per carried position and 40 per slice; the gate is that sum
 // plus a fixed allowance for the per-file tables.
@@ -243,32 +243,28 @@ func TestSweepShardsWithinSingleFile(t *testing.T) {
 	tr := synthTrace(8, 2048, 1<<13, 99)
 	var scratch int64
 	for _, workers := range []int{1, 4} {
-		reg := obs.NewRegistry()
-		res, err := DetectOpts(tr, Options{Workers: workers, Obs: obs.Ctx{R: reg}})
+		res, err := DetectOpts(tr, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Pairs < 20*int64(len(res.Ops)) {
 			t.Fatalf("%d pairs on %d ops: not a dense trace", res.Pairs, len(res.Ops))
 		}
-		snap := reg.Snapshot()
-		if tasks := snap.Stable.Counters["par.detect-sweep.tasks_submitted"]; tasks <= 1 {
-			t.Errorf("workers=%d: par.detect-sweep.tasks_submitted = %d, want > 1", workers, tasks)
-		}
-		slicesN := snap.Stable.Gauges["conflict.sweep_slices"]
+		// One sweep task per slice: more than one slice is more than one task.
+		slicesN := int64(res.slices)
 		if slicesN <= 1 {
-			t.Errorf("workers=%d: conflict.sweep_slices = %d, want > 1", workers, slicesN)
+			t.Errorf("workers=%d: %d sweep slices, want > 1", workers, slicesN)
 		}
-		limit := 40*int64(len(res.Ops)) + 4*snap.Stable.Gauges["conflict.sweep_carry_ops"] + 40*slicesN + 64
-		b := snap.Stable.Gauges["conflict.sweep_scratch_bytes"]
+		limit := 40*int64(len(res.Ops)) + 4*res.carryOps + 40*slicesN + 64
+		b := res.ScratchBytes
 		if b <= 0 || b > limit {
-			t.Errorf("workers=%d: conflict.sweep_scratch_bytes = %d, want in (0, %d]", workers, b, limit)
+			t.Errorf("workers=%d: sweep scratch = %d B, want in (0, %d]", workers, b, limit)
 		}
 		if workers == 1 {
 			scratch = b
 			t.Logf("%d ops, %d pairs, %d slices: scratch %d B, limit %d B", len(res.Ops), res.Pairs, slicesN, b, limit)
 		} else if b != scratch {
-			t.Errorf("conflict.sweep_scratch_bytes = %d at workers=%d, %d at workers=1", b, workers, scratch)
+			t.Errorf("sweep scratch = %d B at workers=%d, %d B at workers=1", b, workers, scratch)
 		}
 	}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -512,14 +508,14 @@ func TestSortByStartMatchesReference(t *testing.T) {
 
 // TestDetectOpStorageNotDoubled bounds the bytes a detection allocates, by
 // what it has to hold: each op once where the replay writes it and once in
-// the Result, the sweep's published scratch, and the retained group arenas.
+// the Result, the sweep's scratch (Result.ScratchBytes), and the retained
+// group arenas.
 // A replay that grows its op slices by doubling allocates about twice that.
 // Ops are stored the same way however a rank is batched, so feeding in
 // batches must allocate like feeding each rank whole.
 func TestDetectOpStorageNotDoubled(t *testing.T) {
 	tr := synthTrace(8, 32768, 32<<20, 1)
-	reg := obs.NewRegistry()
-	res, err := DetectOpts(tr, Options{Workers: 1, Obs: obs.Ctx{R: reg}})
+	res, err := DetectOpts(tr, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +525,7 @@ func TestDetectOpStorageNotDoubled(t *testing.T) {
 	for i := range res.Groups {
 		retained += 4 * int64(len(res.Groups[i].ys)+len(res.Groups[i].runs))
 	}
-	budget := opBytes*5/2 + reg.Snapshot().Stable.Gauges["conflict.sweep_scratch_bytes"] + retained + 2<<20
+	budget := opBytes*5/2 + res.ScratchBytes + retained + 2<<20
 
 	allocated := func(detect func() (*Result, error)) int64 {
 		var before, after runtime.MemStats

@@ -7,7 +7,6 @@ import (
 
 	"verifyio/internal/hbgraph"
 	"verifyio/internal/match"
-	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/verify"
@@ -222,18 +221,17 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			check(trace.Ref{Rank: 0, Seq: 0}, trace.Ref{Rank: ref.nranks + 3, Seq: 0})
 			check(trace.Ref{Rank: ref.nranks + 3, Seq: 0}, trace.Ref{Rank: 0, Seq: 0})
 
-			// Arena gauges: the skeleton clock arena must never exceed what
-			// the full-graph layout would have allocated.
-			reg := obs.NewRegistry()
-			a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Obs: obs.Ctx{R: reg}})
+			// Arena: the skeleton clock arena (the oracle row's bytes) must
+			// never exceed what the full-graph layout would have allocated,
+			// 4 bytes per graph node and rank.
+			a, err := verify.AnalyzeOpts(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := reg.Snapshot()
-			skel := snap.Stable.Gauges["hbgraph.vc_arena_bytes"]
-			full := snap.Stable.Gauges["hbgraph.vc_full_arena_bytes"]
+			l := a.Ledger
+			skel, full := l.Oracle.Bytes, 4*l.Graph.Out*int64(a.NumRanks())
 			if skel <= 0 || full <= 0 {
-				t.Fatalf("arena gauges missing: skeleton=%d full=%d", skel, full)
+				t.Fatalf("arena sizes missing: skeleton=%d full=%d", skel, full)
 			}
 			if skel > full {
 				t.Errorf("skeleton clock arena %d bytes exceeds full-graph arena %d bytes", skel, full)
@@ -244,20 +242,23 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 			// and Scan/Exscan a chain of one edge per member, so the matcher
 			// stores at most two edges per record. Pairwise barriers would
 			// break the bound from 4 ranks up.
-			edges, nodes := snap.Stable.Counters["match.edges"], snap.Stable.Gauges["hbgraph.nodes"]
-			if nodes <= 0 || edges > 2*nodes {
-				t.Errorf("match.edges = %d, want at most 2 × hbgraph.nodes = 2 × %d", edges, nodes)
+			if edges, nodes := l.Match.Out, l.Graph.Out; nodes <= 0 || edges > 2*nodes {
+				t.Errorf("%d stored edges, want at most 2 × %d graph nodes", edges, nodes)
 			}
 
 			// A four-model pass over the resolved query plan probes the
 			// production oracle: a conflict pair is cross-rank by definition,
 			// so with any pair at all the probe count is positive.
-			if _, err := a.VerifyAll(semantics.All(), verify.Options{
-				Workers: 2, ContinueOnUnmatched: true, Obs: obs.Ctx{R: reg}}); err != nil {
+			reps, err := a.VerifyAll(semantics.All(), verify.Options{Workers: 2, ContinueOnUnmatched: true})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if n := reg.Snapshot().Stable.Counters["verify.hb_queries"]; a.Conflicts.Pairs > 0 && n == 0 {
-				t.Errorf("verify.hb_queries = 0 over %d conflict pairs", a.Conflicts.Pairs)
+			var queries int64
+			for _, rep := range reps {
+				queries += rep.HBQueries
+			}
+			if a.Conflicts.Pairs > 0 && queries == 0 {
+				t.Errorf("no happens-before probe over %d conflict pairs", a.Conflicts.Pairs)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"verifyio/internal/match"
-	"verifyio/internal/obs"
 	"verifyio/internal/par"
 	"verifyio/internal/trace"
 )
@@ -38,9 +37,6 @@ type VCOptions struct {
 	// within a level no node depends on another, and max-merge is
 	// order-independent.
 	Workers int
-	// Obs carries telemetry: pool stats for the wavefront ("par.vc-wavefront.*")
-	// and the clock-arena gauges.
-	Obs obs.Ctx
 }
 
 // vcMinParallelWidth is the level width below which the wavefront pass stays
@@ -96,7 +92,7 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 	for l := 0; l+1 < len(s.levelOff); l++ {
 		nodes = s.levelOrder[s.levelOff[l]:s.levelOff[l+1]]
 		if workers > 1 && len(nodes) >= vcMinParallelWidth {
-			par.DoObs(opts.Obs, "vc-wavefront", workers, len(nodes), step)
+			par.Do(workers, len(nodes), step)
 		} else {
 			for i := range nodes {
 				step(i)
@@ -105,10 +101,6 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 		for _, j := range s.joinsAfter(l) {
 			fill(j)
 		}
-	}
-	if r := opts.Obs.R; r != nil {
-		r.Gauge("hbgraph.vc_arena_bytes").Set(int64(4 * len(clocks)))
-		r.Gauge("hbgraph.vc_full_arena_bytes").Set(int64(4 * g.n * nranks))
 	}
 	return &VCOracle{nranks: nranks, clocks: clocks}, nil
 }

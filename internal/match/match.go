@@ -238,7 +238,7 @@ type Options struct {
 	// cross-rank phase is serial. Kept so callers configure every stage
 	// alike.
 	Workers int
-	// Obs carries telemetry sinks; the zero Ctx disables instrumentation.
+	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
 }
 
@@ -331,13 +331,6 @@ func (m *Matcher) Finish(opts Options) (*Result, error) {
 	mm.matchP2P()
 	p2pSpan.End()
 	mm.sortOutputs()
-	if r := oc.R; r != nil {
-		r.Counter("match.edges").Add(int64(len(mm.res.Edges)))
-		r.Counter("match.joins").Add(int64(mm.joins))
-		r.Counter("match.problems").Add(int64(len(mm.res.Problems)))
-		r.Counter("match.collectives").Add(int64(mm.res.Collectives))
-		r.Counter("match.p2p").Add(int64(mm.res.P2P))
-	}
 	return mm.res, nil
 }
 

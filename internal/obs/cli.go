@@ -33,8 +33,8 @@ func (p *Profiling) Start() (stop func() error, err error) {
 	}, nil
 }
 
-// WriteFileWith creates path and streams write into it — the shared helper
-// behind the -trace-out and -metrics-out flags. An empty path is a no-op.
+// WriteFileWith creates path and streams write into it — the helper behind
+// the -trace-out flag. An empty path is a no-op.
 func WriteFileWith(path string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil

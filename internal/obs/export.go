@@ -152,18 +152,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteMetrics writes the registry snapshot as indented JSON. A nil
-// registry writes an empty snapshot.
-func (r *Registry) WriteMetrics(w io.Writer) error {
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = &Snapshot{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
 // ParseChromeTrace parses a document written by WriteChromeTrace back into
 // its event list, for the tests that validate a -trace-out artifact.
 func ParseChromeTrace(data []byte) ([]ChromeEvent, error) {
@@ -242,46 +230,3 @@ func ValidateEvents(events []ChromeEvent) error {
 // timeSlack tolerates the sub-microsecond skew between a child ending and
 // its parent recording its own end immediately after.
 const timeSlack = 50.0 // µs
-
-// ValidateSnapshot checks the structural invariants of a metrics snapshot
-// (decoded from a -metrics-out document): counters and gauges must be
-// non-negative where monotonic, and every histogram must have ascending
-// bounds, len(bounds)+1 buckets, and bucket counts summing to Count.
-func ValidateSnapshot(s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("obs: nil snapshot")
-	}
-	for _, sec := range []struct {
-		name string
-		s    Section
-	}{{"stable", s.Stable}, {"volatile", s.Volatile}} {
-		for name, v := range sec.s.Counters {
-			if v < 0 {
-				return fmt.Errorf("obs: %s counter %q is negative (%d)", sec.name, name, v)
-			}
-		}
-		for name, h := range sec.s.Histograms {
-			if len(h.Counts) != len(h.Bounds)+1 {
-				return fmt.Errorf("obs: %s histogram %q has %d buckets for %d bounds (want bounds+1)",
-					sec.name, name, len(h.Counts), len(h.Bounds))
-			}
-			for i := 1; i < len(h.Bounds); i++ {
-				if h.Bounds[i] <= h.Bounds[i-1] {
-					return fmt.Errorf("obs: %s histogram %q bounds not ascending at %d", sec.name, name, i)
-				}
-			}
-			var sum int64
-			for i, c := range h.Counts {
-				if c < 0 {
-					return fmt.Errorf("obs: %s histogram %q bucket %d is negative", sec.name, name, i)
-				}
-				sum += c
-			}
-			if sum != h.Count {
-				return fmt.Errorf("obs: %s histogram %q buckets sum to %d, Count says %d",
-					sec.name, name, sum, h.Count)
-			}
-		}
-	}
-	return nil
-}

@@ -129,47 +129,6 @@ func TestValidateEventsRejects(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsStableBytes(t *testing.T) {
-	build := func() *Registry {
-		r := NewRegistry()
-		r.Counter("b.count").Add(7)
-		r.Counter("a.count").Add(3)
-		r.Gauge("z.gauge").Set(1)
-		r.Histogram("m.hist", []int64{1, 10}).Observe(5)
-		r.CounterS("t.volatile", Volatile).Add(99)
-		return r
-	}
-	var one, two bytes.Buffer
-	if err := build().WriteMetrics(&one); err != nil {
-		t.Fatal(err)
-	}
-	if err := build().WriteMetrics(&two); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(one.Bytes(), two.Bytes()) {
-		t.Fatalf("identical registries exported different bytes:\n%s\nvs\n%s", one.Bytes(), two.Bytes())
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(one.Bytes(), &snap); err != nil {
-		t.Fatalf("metrics export is not valid JSON: %v", err)
-	}
-	if snap.Stable.Counters["a.count"] != 3 || snap.Volatile.Counters["t.volatile"] != 99 {
-		t.Fatalf("round trip lost values: %+v", snap)
-	}
-}
-
-func TestWriteMetricsNil(t *testing.T) {
-	var r *Registry
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("nil registry export invalid: %v", err)
-	}
-}
-
 func TestUnendedSpanExportsZeroDuration(t *testing.T) {
 	tr := fakeClock(time.Microsecond)
 	tr.Start(nil, "leaked")

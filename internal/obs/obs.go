@@ -1,20 +1,20 @@
-// Package obs is the pipeline's telemetry layer: hierarchical tracing
-// spans, runtime metrics, and profiling hooks, with zero dependencies
-// outside the standard library.
+// Package obs is the pipeline's optional tracing layer: hierarchical spans
+// with a Chrome trace_event export, and profiling hooks, with zero
+// dependencies outside the standard library. What a run measures per stage
+// is not here: that is the verifier's always-on stage ledger
+// (verify.Ledger).
 //
-// Everything is nil-safe: a nil *Tracer returns nil *Spans, a nil *Registry
-// returns nil metrics, and every method on those nil values is a no-op
-// guarded by a single branch. Pipeline code therefore instruments
-// unconditionally and pays near zero when telemetry is disabled (the
-// default); TestDisabledPathAllocatesNothing pins the disabled cost.
+// Everything is nil-safe: a nil *Tracer returns nil *Spans, and every method
+// on a nil span is a no-op guarded by a single branch. Pipeline code
+// therefore instruments unconditionally and pays near zero when tracing is
+// disabled (the default); TestDisabledPathAllocatesNothing pins the disabled
+// cost.
 //
-// Determinism contract: the *content* of emitted telemetry — the set of
-// spans (names, attributes, lanes, nesting) and every metric registered as
-// stable — is identical at any worker count and across runs. Only
-// timing-valued fields (span start/duration, *_ns metrics) and metrics
-// registered as Volatile (scheduling-dependent, e.g. memo hit counts under
-// concurrent queries) vary; exports sort spans by their stable identity,
-// not by wall time, so artifacts diff cleanly modulo timestamps.
+// Determinism contract: the *content* of the emitted spans (names,
+// attributes, lanes, nesting) is identical at any worker count and across
+// runs. Only start times and durations vary; exports sort spans by their
+// stable identity, not by wall time, so artifacts diff cleanly modulo
+// timestamps.
 package obs
 
 import (
@@ -125,21 +125,18 @@ func (s *Span) AddAttr(attrs ...Attr) {
 	}
 }
 
-// Ctx carries the telemetry handles through the pipeline: the tracer, the
-// registry, and the current parent span. The zero Ctx is telemetry
-// disabled. Ctx is a value: deriving a child context never mutates the
-// parent's.
+// Ctx carries the tracer and the current parent span through the pipeline.
+// The zero Ctx is tracing disabled. Ctx is a value: deriving a child
+// context never mutates the parent's.
 type Ctx struct {
 	// T collects spans; nil disables tracing.
 	T *Tracer
-	// R holds metrics; nil disables them.
-	R *Registry
 	// S is the parent for spans started through this context.
 	S *Span
 }
 
-// Enabled reports whether any telemetry sink is attached.
-func (c Ctx) Enabled() bool { return c.T != nil || c.R != nil }
+// Enabled reports whether a tracer is attached.
+func (c Ctx) Enabled() bool { return c.T != nil }
 
 // Start opens a child span and returns the derived context (with the new
 // span as parent) plus the span to End.
@@ -156,9 +153,6 @@ func (c Ctx) StartLane(lane, name string, attrs ...Attr) (Ctx, *Span) {
 	c.S = sp
 	return c, sp
 }
-
-// Counter returns the named stable counter (nil when metrics are disabled).
-func (c Ctx) Counter(name string) *Counter { return c.R.Counter(name) }
 
 // itoa is strconv.Itoa without the import weight in the hot path signature;
 // attribute values are small non-negative numbers almost always.

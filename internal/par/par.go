@@ -19,9 +19,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"verifyio/internal/obs"
 )
 
 // Resolve normalizes a Workers option: 0 or negative means GOMAXPROCS.
@@ -54,6 +51,10 @@ func (p *TaskPanic) Unwrap() error {
 	return nil
 }
 
+// panicRecorded, when set, runs once Do has recorded a task's panic: the
+// drain test's cue that no index may be claimed from then on.
+var panicRecorded func()
+
 // Do runs fn(i) for every i in [0, n) on up to workers goroutines, claiming
 // indices from an atomic cursor (cheap dynamic load balancing — task costs
 // vary wildly across ranks and files). With workers <= 1 or n <= 1 it
@@ -63,47 +64,17 @@ func (p *TaskPanic) Unwrap() error {
 // claimed), and Do re-panics on the calling goroutine with a *TaskPanic
 // carrying the first panic's value and original stack.
 func Do(workers, n int, fn func(i int)) {
-	DoObs(obs.Ctx{}, "", workers, n, fn)
-}
-
-// DoObs is Do with telemetry: when c carries a registry, the pool records
-// tasks submitted/completed, the high-water mark of concurrently running
-// tasks, and per-pool busy nanoseconds under "par.*" metric names, prefixed
-// with pool (e.g. pool "detect-replay" yields "par.detect-replay.busy_ns").
-// A zero Ctx or empty pool name skips all of it.
-func DoObs(c obs.Ctx, pool string, workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-
-	var submitted, completed *obs.Counter
-	var maxConc, busy *obs.Gauge
-	if c.R != nil && pool != "" {
-		submitted = c.R.Counter("par." + pool + ".tasks_submitted")
-		completed = c.R.Counter("par." + pool + ".tasks_completed")
-		maxConc = c.R.GaugeS("par."+pool+".max_concurrent", obs.Volatile)
-		busy = c.R.GaugeS("par."+pool+".busy_ns", obs.Volatile)
-		submitted.Add(int64(n))
-	}
-
 	if workers <= 1 {
-		start := time.Time{}
-		if busy != nil {
-			start = time.Now()
-		}
 		for i := 0; i < n; i++ {
 			fn(i)
-		}
-		if busy != nil {
-			busy.Add(time.Since(start).Nanoseconds())
-			maxConc.SetMax(1)
-			completed.Add(int64(n))
 		}
 		return
 	}
 
 	var cursor atomic.Int64
-	var running atomic.Int64
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked atomic.Bool
@@ -112,12 +83,6 @@ func DoObs(c obs.Ctx, pool string, workers, n int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var workerBusy time.Duration
-			defer func() {
-				if busy != nil {
-					busy.Add(workerBusy.Nanoseconds())
-				}
-			}()
 			for {
 				if panicked.Load() {
 					return
@@ -126,31 +91,20 @@ func DoObs(c obs.Ctx, pool string, workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				if maxConc != nil {
-					maxConc.SetMax(running.Add(1))
-				}
-				var start time.Time
-				if busy != nil {
-					start = time.Now()
-				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
 							panicOnce.Do(func() {
 								firstPanic = &TaskPanic{Index: i, Value: r, Stack: debug.Stack()}
 								panicked.Store(true)
+								if panicRecorded != nil {
+									panicRecorded()
+								}
 							})
 						}
 					}()
 					fn(i)
 				}()
-				if busy != nil {
-					workerBusy += time.Since(start)
-					completed.Inc()
-				}
-				if maxConc != nil {
-					running.Add(-1)
-				}
 			}
 		}()
 	}

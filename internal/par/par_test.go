@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"verifyio/internal/obs"
 )
 
 func TestDoCoversIndexSpace(t *testing.T) {
@@ -65,18 +63,10 @@ func TestDoPanicDrainsPool(t *testing.T) {
 	// not run the remaining tasks. Non-panicking tasks block until the panic
 	// has been recorded, so the claimed count does not depend on which
 	// worker the scheduler favours: each worker claims at most one index.
-	// The pool counts a task completed only after its recover handler ran,
-	// and only the panicking task can complete while the others are blocked.
 	const workers, n = 2, 1000
-	r := obs.NewRegistry()
-	completed := r.Counter("par.drain.tasks_completed")
 	recorded := make(chan struct{})
-	go func() {
-		for completed.Value() == 0 {
-			runtime.Gosched()
-		}
-		close(recorded)
-	}()
+	panicRecorded = func() { close(recorded) }
+	defer func() { panicRecorded = nil }()
 	var claimed atomic.Int64
 	func() {
 		defer func() {
@@ -84,7 +74,7 @@ func TestDoPanicDrainsPool(t *testing.T) {
 				t.Error("panic was swallowed")
 			}
 		}()
-		DoObs(obs.Ctx{R: r}, "drain", workers, n, func(i int) {
+		Do(workers, n, func(i int) {
 			claimed.Add(1)
 			if i == 0 {
 				panic("stop")
@@ -94,36 +84,6 @@ func TestDoPanicDrainsPool(t *testing.T) {
 	}()
 	if got := claimed.Load(); got < 1 || got > workers {
 		t.Fatalf("pool claimed %d of %d tasks around the panic, want 1..%d", got, n, workers)
-	}
-}
-
-func TestDoObsRecordsPoolStats(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		r := obs.NewRegistry()
-		const n = 50
-		DoObs(obs.Ctx{R: r}, "test-pool", workers, n, func(i int) {})
-		snap := r.Snapshot()
-		if got := snap.Stable.Counters["par.test-pool.tasks_submitted"]; got != n {
-			t.Fatalf("workers=%d submitted = %d, want %d", workers, got, n)
-		}
-		if got := snap.Stable.Counters["par.test-pool.tasks_completed"]; got != n {
-			t.Fatalf("workers=%d completed = %d, want %d", workers, got, n)
-		}
-		maxc := snap.Volatile.Gauges["par.test-pool.max_concurrent"]
-		if maxc < 1 || maxc > int64(workers) {
-			t.Fatalf("workers=%d max_concurrent = %d", workers, maxc)
-		}
-		if _, ok := snap.Volatile.Gauges["par.test-pool.busy_ns"]; !ok {
-			t.Fatalf("workers=%d busy_ns missing", workers)
-		}
-	}
-}
-
-func TestDoObsDisabledIsDo(t *testing.T) {
-	var hits atomic.Int64
-	DoObs(obs.Ctx{}, "unused", 4, 32, func(i int) { hits.Add(1) })
-	if hits.Load() != 32 {
-		t.Fatalf("ran %d tasks", hits.Load())
 	}
 }
 

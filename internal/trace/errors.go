@@ -215,30 +215,3 @@ type DecodeStats struct {
 
 // Clean reports whether the trace decoded with no salvage at all.
 func (s *DecodeStats) Clean() bool { return s == nil || len(s.Ranks) == 0 }
-
-// Salvaged sums the records kept on damaged ranks.
-func (s *DecodeStats) Salvaged() int {
-	n := 0
-	if s != nil {
-		for _, r := range s.Ranks {
-			n += r.Salvaged
-		}
-	}
-	return n
-}
-
-// Dropped sums the records lost on damaged ranks. exact is false when any
-// damaged stream hides its true record count.
-func (s *DecodeStats) Dropped() (n int, exact bool) {
-	exact = true
-	if s != nil {
-		for _, r := range s.Ranks {
-			if r.Dropped < 0 {
-				exact = false
-				continue
-			}
-			n += r.Dropped
-		}
-	}
-	return n, exact
-}

@@ -80,7 +80,6 @@ func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
 	}
 	readers = max(1, min(readers, d.NumRanks()))
 	if d.window > 0 {
-		oc.R.Gauge("decode.window_bytes").Set(d.window)
 		d.window = max(1, d.window/int64(readers))
 	}
 	d.unread.Store(int32(d.NumRanks()))
@@ -302,34 +301,19 @@ func (d *Dir) Stats() *DecodeStats {
 	return stats
 }
 
-// Close publishes the end-of-read telemetry and ends the read-trace span.
-// Call it once the readers are done; it is idempotent.
+// Close ends the read-trace span. Call it once the readers are done; it is
+// idempotent.
 func (d *Dir) Close() {
 	if d.closed {
 		return
 	}
 	d.closed = true
-	decoded := 0
-	for _, n := range d.counts {
-		decoded += n
-	}
-	publishDecode(d.oc, decoded, d.Stats(), d.res.peak.Load())
 	d.span.End()
 }
 
-// publishDecode exports what one finished decode did.
-func publishDecode(oc obs.Ctx, decoded int, stats *DecodeStats, peak int64) {
-	r := oc.R
-	if r == nil {
-		return
-	}
-	r.Counter("trace.records_decoded").Add(int64(decoded))
-	r.Counter("trace.ranks_salvaged").Add(int64(len(stats.Ranks)))
-	r.Counter("trace.records_salvaged").Add(int64(stats.Salvaged()))
-	dropped, _ := stats.Dropped()
-	r.Counter("trace.records_dropped").Add(int64(dropped))
-	r.Gauge("decode.peak_resident_bytes").SetMax(peak)
-}
+// PeakResidentBytes reports the high-water mark of unreleased batch cost:
+// the most decoded record bytes the readers held at once.
+func (d *Dir) PeakResidentBytes() int64 { return d.res.peak.Load() }
 
 // rankReader is one open rank file of a Dir.
 type rankReader struct {

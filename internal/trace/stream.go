@@ -229,8 +229,8 @@ func (s *Stream) nextDir() (rawBatch, error) {
 }
 
 // PeakResidentBytes reports the high-water mark of unreleased batch cost —
-// the quantity the decode.peak_resident_bytes gauge exports.
-func (s *Stream) PeakResidentBytes() int64 { return s.dir.res.peak.Load() }
+// the quantity Dir.PeakResidentBytes reports.
+func (s *Stream) PeakResidentBytes() int64 { return s.dir.PeakResidentBytes() }
 
 // Close releases the stream's resources. It is idempotent; a stream that
 // already returned io.EOF needs no Close but tolerates one.

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"verifyio/internal/obs"
 )
 
 // streamTestTrace builds a deterministic multi-rank trace big enough that a
@@ -171,11 +169,7 @@ func TestStreamWindowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 1 << 12
-	reg := obs.NewRegistry()
-	s, err := OpenStream(dir, StreamOptions{
-		DecodeOptions: DecodeOptions{Obs: obs.Ctx{R: reg}},
-		WindowBytes:   window,
-	})
+	s, err := OpenStream(dir, StreamOptions{WindowBytes: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +179,8 @@ func TestStreamWindowBound(t *testing.T) {
 	if peak := s.PeakResidentBytes(); peak <= 0 || peak > window+slack {
 		t.Fatalf("peak resident %d outside (0, %d]", peak, window+slack)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Stable.Gauges["decode.window_bytes"]; got != window {
-		t.Fatalf("decode.window_bytes = %d, want %d", got, window)
-	}
-	if got := snap.Stable.Gauges["decode.peak_resident_bytes"]; got != s.PeakResidentBytes() {
-		t.Fatalf("decode.peak_resident_bytes = %d, want %d", got, s.PeakResidentBytes())
+	if got := s.dir.window; got != window {
+		t.Fatalf("one reader's window = %d, want the whole %d", got, window)
 	}
 
 	// The materializing wrapper keeps every batch: its peak is the whole

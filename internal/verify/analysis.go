@@ -60,57 +60,6 @@ func (a Algo) String() string {
 	return fmt.Sprintf("algo(%d)", int(a))
 }
 
-// Timing is the per-stage breakdown Table IV reports. The first three stages
-// are interleaved batch by batch inside Analyze's per-rank tasks, each of
-// which reads the clock three times a batch; a stage's field sums its share
-// over all ranks, so at Workers = 1 the stage fields add up to AnalyzeWall.
-type Timing struct {
-	// ReadTrace is the time the source took to produce the record batches
-	// (and, with AnalyzeOptions.Digest, to digest them): decoding, for a
-	// trace directory; next to nothing for a trace in memory, whose loader
-	// may add what the load took.
-	ReadTrace time.Duration
-	// DetectConflicts covers step 2: the per-rank replay plus the
-	// cross-rank merge and sweep.
-	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching): the per-rank scan plus the
-	// cross-rank matching.
-	Match time.Duration
-	// BuildGraph covers happens-before graph construction.
-	BuildGraph time.Duration
-	// VectorClock covers the happens-before oracle build, whichever oracle
-	// it is (rendered as "oracle="; the name is Table IV's row).
-	VectorClock time.Duration
-	// Verification covers the per-model conflict checking.
-	Verification time.Duration
-
-	// Wall-clock overlap fields. Every field whose name ends in "Wall"
-	// measures elapsed wall time across stages that (can) run concurrently,
-	// so it overlaps the per-stage durations above and MUST be excluded
-	// from Total — adding one to the sum would double-report. The naming
-	// convention is enforced by the reflection pin test in timing_test.go:
-	// a new overlap field is excluded automatically by its suffix, and a
-	// new per-stage field fails the test until Total is updated.
-
-	// DetectMatchWall is the wall-clock time of the read/detect/match phase:
-	// the per-rank tasks, then the two cross-rank finish phases. With
-	// Workers != 1 the ranks run concurrently and so do the finish phases,
-	// so this is less than ReadTrace + DetectConflicts + Match; serially it
-	// is their sum.
-	DetectMatchWall time.Duration
-	// AnalyzeWall is the wall-clock time of the whole Analyze call
-	// (detect + match + graph build + oracle build), the elapsed time
-	// a caller observes for steps 2–3.
-	AnalyzeWall time.Duration
-}
-
-// Total sums the per-stage durations. Wall-clock overlap fields
-// ("Wall"-suffixed) are intentionally excluded: they re-measure spans of
-// the same stages and would double-report.
-func (t Timing) Total() time.Duration {
-	return t.ReadTrace + t.DetectConflicts + t.Match + t.BuildGraph + t.VectorClock + t.Verification
-}
-
 // Analysis is the model-independent part of a verification run. It keeps
 // what was derived from the records, never the records: a source can be gone
 // before Verify runs.
@@ -122,8 +71,9 @@ type Analysis struct {
 	Graph *hbgraph.Graph
 	// Algorithm is the algorithm the oracle was built with.
 	Algorithm Algo
-	// Timing holds the stage durations accumulated so far.
-	Timing Timing
+	// Ledger holds the read, detect, match, graph and oracle rows; the
+	// verify row is each Report's.
+	Ledger Ledger
 
 	// counts are the per-rank record counts — the positional facts reports
 	// and cache manifests need.
@@ -191,8 +141,8 @@ type AnalyzeOptions struct {
 	// chains, unlink positions) — what a verdict cache attached at Verify
 	// time (Options.Cache) identifies the trace by.
 	Digest bool
-	// Obs carries telemetry sinks through the whole analysis; the zero Ctx
-	// disables instrumentation.
+	// Obs carries the tracer through the whole analysis; the zero Ctx
+	// disables tracing.
 	Obs obs.Ctx
 }
 
@@ -202,15 +152,13 @@ type AnalyzeOptions struct {
 // rank's conflict replay and matcher scan (and the cache digest, when asked
 // for) — records never cross a goroutine or outlive their batch, so memory
 // is the source's. Then come the two cross-rank finish phases and the oracle
-// build.
+// build. The first five rows of the Analysis' Ledger time and count them.
 func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
 	span.SetCat("analyze")
 	defer span.End()
 	a := &Analysis{}
-	analyzeWall := time.Now()
-	defer func() { a.Timing.AnalyzeWall = time.Since(analyzeWall) }()
 
 	nranks := src.NumRanks()
 	a.counts = make([]int, nranks)
@@ -221,7 +169,7 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 	type rankTimes struct{ read, replay, scan time.Duration }
 	times := make([]rankTimes, nranks)
 	errs := make([]error, nranks)
-	par.DoObs(oc, "analyze-ranks", workers, nranks, func(rank int) {
+	par.Do(workers, nranks, func(rank int) {
 		lane, attr := "rank-"+strconv.Itoa(rank), obs.Int("rank", rank)
 		t := &times[rank]
 		last := time.Now()
@@ -252,9 +200,9 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 		if err != nil {
 			return nil, fmt.Errorf("verify: read trace: %w", err)
 		}
-		a.Timing.ReadTrace += times[rank].read
-		a.Timing.DetectConflicts += times[rank].replay
-		a.Timing.Match += times[rank].scan
+		a.Ledger.Read.Time += times[rank].read
+		a.Ledger.Detect.Time += times[rank].replay
+		a.Ledger.Match.Time += times[rank].scan
 	}
 
 	// The finish phases share nothing, so they can overlap.
@@ -263,19 +211,23 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 		start := time.Now()
 		if i == 0 {
 			a.Conflicts, confErr = det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
-			a.Timing.DetectConflicts += time.Since(start)
+			a.Ledger.Detect.Time += time.Since(start)
 		} else {
 			a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
-			a.Timing.Match += time.Since(start)
+			a.Ledger.Match.Time += time.Since(start)
 		}
 	})
-	a.Timing.DetectMatchWall = time.Since(analyzeWall)
 	if confErr != nil {
 		return nil, fmt.Errorf("verify: conflict detection: %w", confErr)
 	}
 	if matErr != nil {
 		return nil, fmt.Errorf("verify: MPI matching: %w", matErr)
 	}
+	a.Ledger.Read.Out = int64(a.NumRecords())
+	a.Ledger.Detect.In = int64(len(a.Conflicts.Ops))
+	a.Ledger.Detect.Out = a.Conflicts.Pairs
+	a.Ledger.Detect.Bytes = a.Conflicts.ScratchBytes
+	a.Ledger.Match.Out = int64(len(a.Match.Edges))
 	if err := a.buildOracle(algo, opts.Workers, oc); err != nil {
 		return nil, err
 	}
@@ -303,7 +255,8 @@ type StreamAnalyzeOptions struct {
 
 // AnalyzeStream is Analyze on a trace directory, decoded while it is
 // analyzed: peak memory is bounded by the decode window instead of the trace
-// size, and the Analysis carries the directory's salvage state.
+// size, and the Analysis carries the directory's salvage state and, in its
+// read row's Bytes, the most decoded record bytes resident at once.
 func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis, error) {
 	dopts := opts.Decode
 	dopts.Obs = opts.Obs
@@ -318,6 +271,7 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 		return nil, err
 	}
 	a.salvage = d.Stats()
+	a.Ledger.Read.Bytes = d.PeakResidentBytes()
 	return a, nil
 }
 
@@ -335,32 +289,27 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 		return fmt.Errorf("verify: happens-before graph: %w", err)
 	}
 	a.Graph = g
-	a.Timing.BuildGraph = time.Since(start)
+	a.Ledger.Graph = Row{Time: time.Since(start), Out: int64(g.Nodes())}
 	buildSpan.AddAttr(obs.Int("nodes", g.Nodes()), obs.Int("sync_edges", g.SyncEdges()),
 		obs.Int("skeleton_nodes", g.SkeletonNodes()))
 	buildSpan.End()
-	if r := oc.R; r != nil {
-		r.Gauge("hbgraph.nodes").Set(int64(g.Nodes()))
-		r.Gauge("hbgraph.sync_edges").Set(int64(g.SyncEdges()))
-		r.Gauge("hbgraph.skeleton_nodes").Set(int64(g.SkeletonNodes()))
-		r.Gauge("hbgraph.skeleton_levels").Set(int64(g.SkeletonLevels()))
-		r.Gauge("hbgraph.skeleton_max_level_width").Set(int64(g.SkeletonMaxLevelWidth()))
-	}
 
 	start = time.Now()
-	defer func() { a.Timing.VectorClock = time.Since(start) }()
+	a.Ledger.Oracle.In = int64(g.SkeletonNodes())
+	defer func() { a.Ledger.Oracle.Time = time.Since(start) }()
 	switch algo {
 	case AlgoVectorClock:
 		_, vcSpan := oc.Start("vector-clocks",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
 			obs.Int("levels", g.SkeletonLevels()),
 			obs.Int("max_level_width", g.SkeletonMaxLevelWidth()))
-		vc, err := g.VectorClocksOpts(hbgraph.VCOptions{Workers: workers, Obs: oc})
+		vc, err := g.VectorClocksOpts(hbgraph.VCOptions{Workers: workers})
 		vcSpan.End()
 		if err != nil {
 			return fmt.Errorf("verify: vector clocks: %w", err)
 		}
 		a.Oracle = vc
+		a.Ledger.Oracle.Bytes = int64(vc.ArenaBytes())
 	case AlgoReachability:
 		a.Oracle = g.Reachability()
 	case AlgoOnTheFly:
@@ -371,6 +320,7 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 			return fmt.Errorf("verify: segment reachability: %w", err)
 		}
 		a.Oracle = seg
+		a.Ledger.Oracle.Bytes = int64(seg.ArenaBytes())
 	default:
 		return fmt.Errorf("verify: unsupported algorithm %v", algo)
 	}

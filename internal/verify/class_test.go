@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -341,13 +340,14 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 						}
 					}
 				}
-				if reg := obs.NewRegistry(); algo == AlgoVectorClock {
+				if algo == AlgoVectorClock {
 					opts := base
-					opts.Workers, opts.Obs = 2, obs.Ctx{R: reg}
-					if _, err := a.Verify(opts); err != nil {
+					opts.Workers = 2
+					rep, err := a.Verify(opts)
+					if err != nil {
 						t.Fatal(err)
 					}
-					hits += reg.Snapshot().Stable.Counters["verify.class_hits"]
+					hits += rep.ClassHits
 				}
 			}
 		}

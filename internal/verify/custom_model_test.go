@@ -3,7 +3,6 @@ package verify
 import (
 	"testing"
 
-	"verifyio/internal/obs"
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
 	"verifyio/internal/sim/posixfs"
@@ -127,19 +126,18 @@ func TestCustomModelDoubleCommit(t *testing.T) {
 func TestCustomModelSearchCost(t *testing.T) {
 	queries := func(nSyncs int) int64 {
 		a := writerReader(t, nSyncs, true)
-		reg := obs.NewRegistry()
-		rep, err := a.Verify(Options{Model: doubleCommit(), Workers: 1, Obs: obs.Ctx{R: reg}})
+		rep, err := a.Verify(Options{Model: doubleCommit(), Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.RaceCount != 1 {
 			t.Fatalf("nSyncs=%d: %d races, want 1", nSyncs, rep.RaceCount)
 		}
-		return reg.Snapshot().Stable.Counters["verify.hb_queries"]
+		return rep.HBQueries
 	}
 	q8, q64 := queries(8), queries(64)
 	if q8 == 0 || q64 > 4*q8 {
-		t.Errorf("verify.hb_queries: %d at 8 fsyncs, %d at 64; want growth of at most 4×", q8, q64)
+		t.Errorf("HBQueries: %d at 8 fsyncs, %d at 64; want growth of at most 4×", q8, q64)
 	}
 }
 

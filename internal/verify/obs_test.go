@@ -1,44 +1,42 @@
 package verify
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
+	"verifyio/internal/hbgraph"
 	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 )
 
 // pipelineTelemetry runs the full analyze+verify pipeline on the Fig. 2
-// trace with telemetry attached and returns the tracer, registry, and
-// exported events.
-func pipelineTelemetry(t *testing.T, workers int) (*obs.Tracer, *obs.Registry, []obs.ChromeEvent) {
-	t.Helper()
-	return pipelineTelemetryOn(t, runTraced(t, 2, fig2Program), workers)
-}
-
-func pipelineTelemetryOn(t *testing.T, tr *trace.Trace, workers int) (*obs.Tracer, *obs.Registry, []obs.ChromeEvent) {
+// trace with a tracer attached and returns the exported events.
+func pipelineTelemetry(t *testing.T, workers int) []obs.ChromeEvent {
 	t.Helper()
 	tracer := obs.NewTracer()
-	reg := obs.NewRegistry()
-	oc := obs.Ctx{T: tracer, R: reg}
+	pipeline(t, runTraced(t, 2, fig2Program), workers, obs.Ctx{T: tracer})
+	return tracer.Events()
+}
+
+// pipeline analyzes tr and verifies it under the four models.
+func pipeline(t *testing.T, tr *trace.Trace, workers int, oc obs.Ctx) []*Report {
+	t.Helper()
 	a, err := AnalyzeOpts(tr, AlgoVectorClock, AnalyzeOptions{Workers: workers, Obs: oc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.VerifyAll(semantics.All(), Options{Workers: workers, Obs: oc}); err != nil {
+	reps, err := a.VerifyAll(semantics.All(), Options{Workers: workers, Obs: oc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return tracer, reg, tracer.Events()
+	return reps
 }
 
 // TestPipelineSpansCoverAllStages asserts a telemetry-enabled run emits the
 // documented span taxonomy: all five stages, with shard spans at Workers>1.
 func TestPipelineSpansCoverAllStages(t *testing.T) {
-	_, reg, events := pipelineTelemetry(t, 2)
+	events := pipelineTelemetry(t, 2)
 
 	counts := map[string]int{}
 	for _, e := range events {
@@ -66,72 +64,38 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 		t.Errorf("pipeline trace fails validation: %v", err)
 	}
 
-	// The metric registry must cover the documented name families.
-	names := map[string]bool{}
-	for _, n := range reg.Names() {
-		names[n] = true
-	}
-	for _, n := range []string{
-		"conflict.ops", "conflict.signatures", "conflict.pairs", "conflict.groups", "conflict.group_fanout",
-		"match.edges", "match.collectives",
-		"hbgraph.nodes", "hbgraph.sync_edges",
-		"hbgraph.skeleton_nodes", "hbgraph.skeleton_levels", "hbgraph.skeleton_max_level_width",
-		"hbgraph.vc_arena_bytes", "hbgraph.vc_full_arena_bytes",
-		"verify.groups", "verify.checks", "verify.races",
-		"verify.classes", "verify.class_hits",
-		"verify.hb_queries",
-		"par.analyze-ranks.tasks_submitted", "par.analyze-ranks.tasks_completed",
-	} {
-		if !names[n] {
-			t.Errorf("metric %q missing from registry; have %v", n, reg.Names())
-		}
-	}
 }
 
-// TestPipelineStableMetricsDeterministic runs the pipeline twice at the same
-// worker count and asserts the stable metric section exports byte-identical
-// JSON — the -metrics-out acceptance contract — and that its verify.* names
-// read the same at every worker count: the batches along which the verifier
-// carries its class scratch, and so how many checks it evaluates and how
-// many happens-before probes those cost, are the plan's, not the pool's. The
-// trace has position classes spanning many chunks, so batches cut by worker
-// count would show.
+// TestPipelineStableMetricsDeterministic holds the ledger's counts to the
+// trace: every row's In and Out, and each report's ClassHits, Classes and
+// HBQueries, read the same at Workers 1, 2 and 7. The batches along which
+// the verifier carries its class scratch, and so how many checks it
+// evaluates and how many happens-before probes those cost, are the plan's,
+// not the pool's. The trace has position classes spanning many chunks, so
+// batches cut by worker count would show.
 func TestPipelineStableMetricsDeterministic(t *testing.T) {
 	tr := planTrace(4, 900)
-	verifyCounters := map[int]map[string]int64{}
+	type counts struct {
+		rows                          [len(Stages)][2]int64
+		classHits, classes, hbQueries int64
+	}
+	var serial []counts
 	for _, workers := range []int{1, 2, 7} {
-		var snaps [2]*obs.Snapshot
-		for i := range snaps {
-			_, reg, _ := pipelineTelemetryOn(t, tr, workers)
-			snaps[i] = reg.Snapshot()
-			snaps[i].Volatile = obs.Section{} // timing/scheduling-valued; schema-checked elsewhere
-		}
-		verifyCounters[workers] = map[string]int64{}
-		for name, v := range snaps[0].Stable.Counters {
-			if strings.HasPrefix(name, "verify.") {
-				verifyCounters[workers][name] = v
+		var got []counts
+		for _, rep := range pipeline(t, tr, workers, obs.Ctx{}) {
+			c := counts{classHits: rep.ClassHits, classes: rep.Classes, hbQueries: rep.HBQueries}
+			for i, row := range rep.Ledger.Rows() {
+				c.rows[i] = [2]int64{row.In, row.Out}
 			}
+			got = append(got, c)
 		}
-		var bufs [2][]byte
-		for i, s := range snaps {
-			b, err := json.Marshal(s) // map keys marshal sorted: equal snapshots are byte-equal
-			if err != nil {
-				t.Fatal(err)
+		if workers == 1 {
+			serial = got
+			if c := got[0]; c.classHits == 0 || c.classes == 0 || c.hbQueries == 0 {
+				t.Fatalf("trace too tame: %+v", c)
 			}
-			bufs[i] = b
-		}
-		if !bytes.Equal(bufs[0], bufs[1]) {
-			t.Errorf("workers=%d: stable metrics differ across runs:\n%s\nvs\n%s",
-				workers, bufs[0], bufs[1])
-		}
-	}
-	if c := verifyCounters[1]; c["verify.class_hits"] == 0 || c["verify.classes"] == 0 || c["verify.hb_queries"] == 0 {
-		t.Fatalf("trace too tame: %v", c)
-	}
-	for _, workers := range []int{2, 7} {
-		if !reflect.DeepEqual(verifyCounters[workers], verifyCounters[1]) {
-			t.Errorf("verify.* counters at workers=%d: %v, at workers=1: %v",
-				workers, verifyCounters[workers], verifyCounters[1])
+		} else if !reflect.DeepEqual(got, serial) {
+			t.Errorf("ledger counts at workers=%d: %+v, at workers=1: %+v", workers, got, serial)
 		}
 	}
 }
@@ -195,8 +159,7 @@ func orderedTrace(nranks, ops int) *trace.Trace {
 // same worker count, even though goroutine scheduling varies.
 func TestPipelineSpanContentWorkerIndependent(t *testing.T) {
 	shape := func() []obs.ChromeEvent {
-		_, _, events := pipelineTelemetry(t, 4)
-		return events
+		return pipelineTelemetry(t, 4)
 	}
 	want := shape()
 	for trial := 0; trial < 3; trial++ {
@@ -214,11 +177,12 @@ func TestPipelineSpanContentWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestReportEmbedsMetrics checks Report.Metrics carries the snapshot when a
-// registry is attached and stays nil when telemetry is off.
+// TestReportEmbedsMetrics checks the stage metrics every report embeds, its
+// ledger: what each row counts, against the report fields and analysis
+// results that count the same things, on a clean run and on one that stopped
+// at unmatched MPI calls.
 func TestReportEmbedsMetrics(t *testing.T) {
-	tr := runTraced(t, 2, fig2Program)
-	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
+	a, err := Analyze(runTraced(t, 2, fig2Program), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,24 +190,39 @@ func TestReportEmbedsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Metrics != nil {
-		t.Error("Report.Metrics set without a registry")
+	l := rep.Ledger
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"read out", l.Read.Out, int64(rep.Records)},
+		{"detect in", l.Detect.In, int64(len(a.Conflicts.Ops))},
+		{"detect out", l.Detect.Out, rep.ConflictPairs},
+		{"detect bytes", l.Detect.Bytes, a.Conflicts.ScratchBytes},
+		{"match out", l.Match.Out, int64(len(a.Match.Edges))},
+		{"graph out", l.Graph.Out, int64(rep.GraphNodes)},
+		{"oracle in", l.Oracle.In, int64(rep.SkeletonNodes)},
+		{"oracle bytes", l.Oracle.Bytes, int64(a.Oracle.(*hbgraph.VCOracle).ArenaBytes())},
+		{"verify in", l.Verify.In, rep.ConflictPairs},
+		{"verify out", l.Verify.Out, rep.ChecksPerformed},
+	} {
+		if c.got != c.want || c.want <= 0 {
+			t.Errorf("ledger %s = %d, want %d (> 0)", c.name, c.got, c.want)
+		}
+	}
+	if l.Read.Bytes != 0 {
+		t.Errorf("a trace in memory: read bytes = %d, want 0", l.Read.Bytes)
+	}
+	if a.Ledger.Verify != (Row{}) || l.Verify.Time <= 0 {
+		t.Errorf("verify row: analysis %+v, report %+v; want it on the report only", a.Ledger.Verify, l.Verify)
 	}
 
-	reg := obs.NewRegistry()
-	a2, err := AnalyzeOpts(tr, AlgoVectorClock, AnalyzeOptions{Obs: obs.Ctx{R: reg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := a2.Verify(Options{Model: semantics.POSIXModel(), Obs: obs.Ctx{R: reg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Metrics == nil {
-		t.Fatal("Report.Metrics nil with a registry attached")
-	}
-	if rep2.Metrics.Stable.Counters["verify.checks"] == 0 {
-		t.Error("embedded metrics missing verify.checks")
+	tr := trace.New(2)
+	tr.Append(trace.Record{Rank: 0, Func: "MPI_Barrier", Layer: trace.LayerMPI,
+		Args: []string{"comm-world"}, Tick: 1, Ret: 2})
+	aborted := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.POSIXModel()})
+	if aborted.Verified || aborted.Ledger.Verify != (Row{}) {
+		t.Errorf("aborted pass: verified=%v, verify row %+v; want no verify row", aborted.Verified, aborted.Ledger.Verify)
 	}
 }
 
@@ -252,7 +231,7 @@ func TestReportEmbedsMetrics(t *testing.T) {
 func TestTelemetryDoesNotChangeReport(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	plain := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.SessionModel()})
-	oc := obs.Ctx{T: obs.NewTracer(), R: obs.NewRegistry()}
+	oc := obs.Ctx{T: obs.NewTracer()}
 	instr := verifyOne(t, tr, AlgoVectorClock, Options{Model: semantics.SessionModel(), Obs: oc})
 	if plain.RaceCount != instr.RaceCount || plain.ChecksPerformed != instr.ChecksPerformed ||
 		plain.ConflictPairs != instr.ConflictPairs {

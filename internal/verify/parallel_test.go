@@ -45,12 +45,13 @@ func racyProgram(r *recorder.Rank) error {
 	return r.Close(fd)
 }
 
-// normalize strips the fields that legitimately vary between runs (wall
-// times) and the worker count itself, leaving everything determinism must
-// cover: races, counts, ordering, verdicts.
+// normalize strips the fields that legitimately vary between runs (the
+// ledger's wall times; its counts are TestPipelineStableMetricsDeterministic's)
+// and the worker count itself, leaving everything determinism must cover:
+// races, counts, ordering, verdicts.
 func normalize(rep *Report) *Report {
 	cp := *rep
-	cp.Timing = Timing{}
+	cp.Ledger = Ledger{}
 	cp.Workers = 0
 	return &cp
 }

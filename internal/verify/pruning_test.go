@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"verifyio/internal/corpus"
-	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/verify"
@@ -121,23 +120,25 @@ func TestPositionClassesAnswerMostChecks(t *testing.T) {
 	}
 	var serial [2]int64
 	for _, workers := range []int{1, 4} {
-		reg := obs.NewRegistry()
-		oc := obs.Ctx{R: reg}
-		a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers, Obs: oc})
+		a, err := verify.Analyze(tr, verify.AlgoVectorClock, verify.AnalyzeOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.VerifyAll(semantics.All(), verify.Options{Workers: workers, Obs: oc}); err != nil {
+		reps, err := a.VerifyAll(semantics.All(), verify.Options{Workers: workers})
+		if err != nil {
 			t.Fatal(err)
 		}
-		c := reg.Snapshot().Stable.Counters
-		checks, hits := c["verify.checks"], c["verify.class_hits"]
+		var checks, hits int64
+		for _, rep := range reps {
+			checks += rep.ChecksPerformed
+			hits += rep.ClassHits
+		}
 		if checks == 0 || checks > 2*hits {
-			t.Errorf("workers=%d: verify.checks = %d, verify.class_hits = %d, want 0 < checks <= 2·hits", workers, checks, hits)
+			t.Errorf("workers=%d: %d checks, %d class hits, want 0 < checks <= 2·hits", workers, checks, hits)
 		}
 		if workers == 1 {
 			serial = [2]int64{checks, hits}
-			t.Logf("verify.checks = %d, verify.class_hits = %d", checks, hits)
+			t.Logf("%d checks, %d class hits", checks, hits)
 		} else if got := [2]int64{checks, hits}; got != serial {
 			t.Errorf("workers=%d: (checks, class_hits) = %v, at workers=1 %v", workers, got, serial)
 		}

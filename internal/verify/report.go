@@ -53,9 +53,11 @@ func (r *Report) Render(w io.Writer) {
 			fmt.Fprintf(w, "      Y chain: %s\n", strings.Join(race.ChainY, " -> "))
 		}
 	}
-	t := r.Timing
-	fmt.Fprintf(w, "timing: read=%v detect=%v match=%v graph=%v oracle=%v verify=%v total=%v\n",
-		t.ReadTrace, t.DetectConflicts, t.Match, t.BuildGraph, t.VectorClock, t.Verification, t.Total())
+	fmt.Fprint(w, "timing:")
+	for i, row := range r.Ledger.Rows() {
+		fmt.Fprintf(w, " %s=%v", Stages[i], row.Time)
+	}
+	fmt.Fprintf(w, " total=%v\n", r.Ledger.Total())
 }
 
 // Summary returns a one-line summary suitable for Fig. 4-style tables.

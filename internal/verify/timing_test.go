@@ -7,67 +7,62 @@ import (
 	"time"
 )
 
-// TestTimingTotalSumsAllStages pins Total() to the Timing struct by
-// reflection: every duration field must contribute to the sum except the
-// wall-clock overlap fields, which are identified by the "Wall" name suffix.
-// Those re-measure elapsed time across stages that run concurrently, so
-// adding one to Total would double-report; the suffix convention makes the
-// exclusion automatic and this test makes it load-bearing. Adding a stage
-// field without updating Total — or naming an overlap field without the
-// suffix — fails here.
+// TestTimingTotalSumsAllStages pins Rows, and so Total and the rendered
+// timing line, to the Ledger struct by reflection: every field is a Row,
+// Stages names them in declaration order, and Rows returns each one in its
+// place. Adding a stage without updating Rows and Stages fails here before
+// Total silently leaves it out.
 func TestTimingTotalSumsAllStages(t *testing.T) {
-	var tm Timing
-	v := reflect.ValueOf(&tm).Elem()
+	var l Ledger
+	v := reflect.ValueOf(&l).Elem()
+	if v.NumField() != len(Stages) {
+		t.Fatalf("Ledger has %d fields, Stages names %d", v.NumField(), len(Stages))
+	}
 	var want time.Duration
-	var sawWall []string
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)
-		if f.Type != reflect.TypeOf(time.Duration(0)) {
-			t.Fatalf("Timing.%s is not a time.Duration; update this test", f.Name)
+		if f.Type != reflect.TypeOf(Row{}) {
+			t.Fatalf("Ledger.%s is not a Row", f.Name)
 		}
-		d := time.Duration(1) << uint(i) // distinct power of two per field
-		v.Field(i).SetInt(int64(d))
-		if strings.HasSuffix(f.Name, "Wall") {
-			sawWall = append(sawWall, f.Name)
-			continue
+		if strings.ToLower(f.Name) != Stages[i] {
+			t.Errorf("Ledger field %d is %s, Stages[%d] is %q", i, f.Name, i, Stages[i])
 		}
+		d := time.Duration(1) << uint(i) // distinct power of two per stage
+		v.Field(i).Set(reflect.ValueOf(Row{Time: d, In: int64(i)}))
 		want += d
 	}
-	if got := tm.Total(); got != want {
-		t.Errorf("Total() = %d, want %d: a stage field is missing from the sum (or a Wall-suffixed overlap field leaked in)", got, want)
+	for i, row := range l.Rows() {
+		if row.In != int64(i) {
+			t.Errorf("Rows()[%d] is stage %d", i, row.In)
+		}
 	}
-	// The overlap fields this PR series has introduced; a rename that breaks
-	// the suffix convention shows up as a miscount here before it silently
-	// double-reports in Total.
-	if len(sawWall) != 2 {
-		t.Errorf("found %d Wall-suffixed overlap fields %v, want 2 (DetectMatchWall, AnalyzeWall)", len(sawWall), sawWall)
+	if got := l.Total(); got != want {
+		t.Errorf("Total() = %d, want %d: a stage is missing from the sum", got, want)
 	}
 }
 
 // TestTimingSerialWallEqualsSum checks the serial contract for the
 // production oracle and for the segment reference: with Workers=1 the
-// detect+match wall clock is the sum of the two stages (no overlap), the
-// oracle build, whichever oracle, is in Timing.VectorClock, and the whole
-// analysis wall clock covers the sum of its stages.
+// oracle build, whichever oracle, is in the oracle row, and the caller's
+// stopwatch around the analysis covers the sum of its rows.
 func TestTimingSerialWallEqualsSum(t *testing.T) {
 	tr := runTraced(t, 2, fig2Program)
 	for _, algo := range []Algo{AlgoVectorClock, AlgoSegment} {
+		start := time.Now()
 		a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1})
+		wall := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Graph.SkeletonNodes() == 0 {
 			t.Fatalf("%v: empty skeleton, nothing to build", algo)
 		}
-		tm := a.Timing
-		if sum := tm.DetectConflicts + tm.Match; tm.DetectMatchWall < sum {
-			t.Errorf("%v: serial wall %v < detect+match sum %v", algo, tm.DetectMatchWall, sum)
+		l := a.Ledger
+		if l.Oracle.Time <= 0 || l.Oracle.Bytes <= 0 {
+			t.Errorf("%v: oracle row %+v, want its build time and arena", algo, l.Oracle)
 		}
-		if tm.VectorClock <= 0 {
-			t.Errorf("%v: oracle build time %v, want > 0", algo, tm.VectorClock)
-		}
-		if tm.AnalyzeWall < tm.Total() {
-			t.Errorf("%v: analyze wall %v < stage sum %v", algo, tm.AnalyzeWall, tm.Total())
+		if wall < l.Total() {
+			t.Errorf("%v: analysis wall %v < stage sum %v", algo, wall, l.Total())
 		}
 	}
 }

@@ -46,8 +46,7 @@ type Options struct {
 	// cache keeps (e.g. the trace directory path). Empty derives a stable
 	// identity from the trace content. Only meaningful with Cache set.
 	CacheID string
-	// Obs carries telemetry sinks; the zero Ctx disables instrumentation.
-	// When a registry is attached, Report.Metrics carries its snapshot.
+	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
 }
 
@@ -114,6 +113,11 @@ type Report struct {
 	// quantity the Fig. 3 pruning reduces. Each conflicting pair is walked
 	// once, so the exhaustive walk costs one or two per pair.
 	ChecksPerformed int64
+	// ClassHits counts the checks answered from a position class's bounds,
+	// Classes the class changes, and HBQueries the happens-before probes
+	// actually made (§14). Cache-served chunks add to none of the three;
+	// all three are the same at every worker count.
+	ClassHits, Classes, HBQueries int64
 	// Workers is the worker count the verification stage actually ran
 	// with (after the GOMAXPROCS default is resolved).
 	Workers        int
@@ -125,14 +129,13 @@ type Report struct {
 	// of wavefront levels.
 	SkeletonNodes  int
 	SkeletonLevels int
-	Timing         Timing
+	// Ledger is the analysis' stage rows plus this pass's verify row: In is
+	// the conflict pairs, Out ChecksPerformed.
+	Ledger Ledger
 	// Cache reports verdict-cache effectiveness for this pass. Nil unless
 	// Options.Cache was set — so cacheless reports are byte-identical to
 	// those of builds that predate the cache.
 	Cache *CacheStats `json:",omitempty"`
-	// Metrics is the telemetry registry snapshot taken when this report
-	// was built. Nil unless Options.Obs carried a registry.
-	Metrics *obs.Snapshot `json:",omitempty"`
 }
 
 // Verify checks every conflict of the analysis under opts.Model.
@@ -161,13 +164,12 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		GraphSyncEdges: a.Graph.SyncEdges(),
 		SkeletonNodes:  a.Graph.SkeletonNodes(),
 		SkeletonLevels: a.Graph.SkeletonLevels(),
-		Timing:         a.Timing,
+		Ledger:         a.Ledger,
 	}
 	if len(a.Match.Problems) > 0 && !opts.ContinueOnUnmatched {
 		// Unmatched MPI calls: the synchronization order cannot be
 		// trusted, so verification is not performed (§V-D).
 		rep.Verified = false
-		rep.Metrics = opts.Obs.R.Snapshot()
 		return rep, nil
 	}
 	// Model passes run concurrently in VerifyAll, so each pass gets its own
@@ -196,7 +198,8 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		rep.Races = append(rep.Races, v.makeRace(p))
 	}
 	rep.ChecksPerformed = v.checks
-	rep.Timing.Verification = time.Since(start)
+	rep.ClassHits, rep.Classes, rep.HBQueries = v.classHits, v.classes, v.hbQueries
+	rep.Ledger.Verify = Row{Time: time.Since(start), In: rep.ConflictPairs, Out: v.checks}
 	rep.Verified = true
 	rep.ProperlySynchronized = rep.RaceCount == 0
 	sort.Slice(rep.Races, func(i, j int) bool {
@@ -205,30 +208,6 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		}
 		return rep.Races[i].Y.Ref.Less(rep.Races[j].Y.Ref)
 	})
-	if r := opts.Obs.R; r != nil {
-		r.Counter("verify.groups").Add(int64(len(a.Conflicts.Groups)))
-		r.Counter("verify.checks").Add(v.checks)
-		r.Counter("verify.races").Add(v.raceCount)
-		// Split out of verify.checks: class_hits counts the checks answered
-		// from a position class's bounds, classes the class changes;
-		// hb_queries counts happens-before evaluations actually performed.
-		// Cache-served chunks add to none of them; all three are the same at
-		// every worker count.
-		r.Counter("verify.classes").Add(v.classes)
-		r.Counter("verify.class_hits").Add(v.classHits)
-		r.Counter("verify.hb_queries").Add(v.hbQueries)
-		if opts.Cache != nil {
-			// Volatile: the values depend on cross-run cache state, the
-			// quantity the CI warm gate asserts on. Set (not Add) keeps
-			// re-snapshotting after several model passes idempotent — the
-			// store carries the cumulative totals across model passes.
-			hits, misses, dirty := opts.Cache.Stats()
-			r.GaugeS("vcache.hits", obs.Volatile).Set(hits)
-			r.GaugeS("vcache.misses", obs.Volatile).Set(misses)
-			r.GaugeS("vcache.dirty_chunks", obs.Volatile).Set(dirty)
-		}
-		rep.Metrics = r.Snapshot()
-	}
 	return rep, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
 	"verifyio/internal/corpus"
 	"verifyio/internal/trace"
@@ -20,10 +21,9 @@ import (
 func TestVerifyAllStreamPublicAPI(t *testing.T) {
 	fingerprint := func(rep *Report) []byte {
 		cp := *rep
-		cp.Timing = Timing{}
+		cp.Ledger = Ledger{}
 		cp.Workers = 0
 		cp.Cache = nil
-		cp.Metrics = nil
 		b, err := json.Marshal(&cp)
 		if err != nil {
 			t.Fatal(err)
@@ -96,20 +96,16 @@ func TestStreamPeakIndependentOfTraceSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			tel := NewTelemetry()
-			read := ReadOptions{WindowBytes: window, Telemetry: tel}
-			if _, _, err := VerifyAllStream(dir, read, &Options{Workers: workers, Telemetry: tel}); err != nil {
+			reps, _, err := VerifyAllStream(dir, ReadOptions{WindowBytes: window}, &Options{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-			stable := tel.registry.Snapshot().Stable
-			if got, want := stable.Counters["trace.records_decoded"], int64(ranks*corpus.ScalingRankRecords(ops)); got != want {
+			read := reps[0].Ledger.Read
+			if got, want := read.Out, int64(ranks*corpus.ScalingRankRecords(ops)); got != want {
 				t.Fatalf("ops=%d, Workers=%d: decoded %d records, staged %d", ops, workers, got, want)
 			}
-			if got := stable.Gauges["decode.window_bytes"]; got != window {
-				t.Errorf("ops=%d, Workers=%d: decode.window_bytes = %d, want %d", ops, workers, got, window)
-			}
-			if peak := stable.Gauges["decode.peak_resident_bytes"]; peak <= 0 || peak > window+slack {
-				t.Errorf("ops=%d, Workers=%d: decode.peak_resident_bytes = %d, want in (0, %d]", ops, workers, peak, window+slack)
+			if peak := read.Bytes; peak <= 0 || peak > window+slack {
+				t.Errorf("ops=%d, Workers=%d: %d decoded bytes resident at peak, want in (0, %d]", ops, workers, peak, window+slack)
 			}
 		}
 	}
@@ -168,7 +164,7 @@ func TestVerifyAllStreamIgnoresStrayFiles(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		for _, rep := range reps {
-			rep.inner.Timing = verify.Timing{}
+			rep.inner.Ledger = verify.Ledger{}
 			rep.Render(&buf)
 		}
 		return buf.Bytes()
@@ -255,5 +251,47 @@ func TestDamagedHeaderReportedAsBefore(t *testing.T) {
 		if !reflect.DeepEqual(rec.Ranks, want) {
 			t.Errorf("VerifyAllStream, Workers=%d: recovery %+v, want %+v", workers, rec.Ranks, want)
 		}
+	}
+}
+
+// TestStageLedgerSumsToWall: at Workers = 1 nothing overlaps, so the ledger's
+// analysis rows plus each model's verify row must account for the caller's
+// stopwatch around a whole run — at most all of it, and all but 5 % (the
+// report wrapping, the directory's open, the gaps between stages) — from
+// memory and off the directory. The trace is large enough (49 520 records)
+// that those fixed costs stay under 5 %.
+func TestStageLedgerSumsToWall(t *testing.T) {
+	tr := &Trace{t: corpus.ScalingTrace(8, 6000, 256<<10, 1)}
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := tr.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{Workers: 1}
+	for _, run := range []struct {
+		name   string
+		verify func() ([]*Report, error)
+	}{
+		{"memory", func() ([]*Report, error) { return VerifyAll(tr, opts) }},
+		{"directory", func() ([]*Report, error) {
+			reps, _, err := VerifyAllStream(dir, ReadOptions{}, opts)
+			return reps, err
+		}},
+	} {
+		start := time.Now()
+		reps, err := run.verify()
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := reps[0].Ledger
+		sum := l.Total() - l.Verify.Time
+		for _, rep := range reps {
+			sum += rep.Ledger.Verify.Time
+		}
+		ratio := float64(sum) / float64(wall)
+		if ratio < 0.95 || ratio > 1 {
+			t.Errorf("%s: stage rows sum to %v of a %v run (%.3f), want 0.95–1", run.name, sum, wall, ratio)
+		}
+		t.Logf("%s: stage rows sum to %v of a %v run (%.3f)", run.name, sum, wall, ratio)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"verifyio/internal/corpus"
 	"verifyio/internal/obs"
@@ -46,24 +45,23 @@ import (
 	"verifyio/internal/verify"
 )
 
-// Telemetry collects tracing spans and runtime metrics from a verification
-// run. Attach one instance to ReadOptions and Options across the calls of a
-// run, then export: WriteChromeTrace emits a Chrome trace_event JSON
-// flamegraph (chrome://tracing, Perfetto), WriteMetrics the metric registry
-// snapshot. A nil *Telemetry disables instrumentation at near-zero cost.
+// Telemetry collects tracing spans from a verification run. Attach one
+// instance to ReadOptions and Options across the calls of a run, then export
+// with WriteChromeTrace: a Chrome trace_event JSON flamegraph
+// (chrome://tracing, Perfetto). A nil *Telemetry disables tracing at
+// near-zero cost. What each stage took and counted needs no Telemetry: every
+// Report carries it in its Ledger.
 //
-// Span and metric content is deterministic: at a fixed worker count the
-// exported spans (names, attributes, track assignment, ids, nesting) and
-// every stable metric are identical across runs; only timestamps, durations
-// and volatile (scheduling-dependent) metrics vary.
+// Span content is deterministic: at a fixed worker count the exported spans
+// (names, attributes, track assignment, ids, nesting) are identical across
+// runs; only timestamps and durations vary.
 type Telemetry struct {
-	tracer   *obs.Tracer
-	registry *obs.Registry
+	tracer *obs.Tracer
 }
 
 // NewTelemetry returns an empty telemetry sink.
 func NewTelemetry() *Telemetry {
-	return &Telemetry{tracer: obs.NewTracer(), registry: obs.NewRegistry()}
+	return &Telemetry{tracer: obs.NewTracer()}
 }
 
 // ctx returns the internal carrier (zero Ctx when t is nil).
@@ -71,7 +69,7 @@ func (t *Telemetry) ctx() obs.Ctx {
 	if t == nil {
 		return obs.Ctx{}
 	}
-	return obs.Ctx{T: t.tracer, R: t.registry}
+	return obs.Ctx{T: t.tracer}
 }
 
 // WriteChromeTrace writes the collected spans as Chrome trace_event JSON.
@@ -81,16 +79,6 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
 		return (*obs.Tracer)(nil).WriteChromeTrace(w)
 	}
 	return t.tracer.WriteChromeTrace(w)
-}
-
-// WriteMetrics writes the metric registry snapshot as JSON, partitioned
-// into a "stable" section (byte-identical across runs at the same worker
-// count) and a "volatile" section (scheduling- and timing-dependent).
-func (t *Telemetry) WriteMetrics(w io.Writer) error {
-	if t == nil {
-		return (*obs.Registry)(nil).WriteMetrics(w)
-	}
-	return t.registry.WriteMetrics(w)
 }
 
 // Cache is a verdict cache for incremental re-verification: chunks of the
@@ -217,8 +205,8 @@ type ReadOptions struct {
 	// execution that stopped where the trace breaks off — partial evidence,
 	// reported honestly.
 	Tolerate bool
-	// Telemetry instruments the load (a "read-trace" span with per-rank
-	// children, trace.* metrics). Nil disables.
+	// Telemetry traces the load (a "read-trace" span with per-rank
+	// children). Nil disables.
 	Telemetry *Telemetry
 	// WindowBytes bounds the decoded records resident at once when a
 	// directory is verified as it is read (VerifyStream, VerifyAllStream): 0
@@ -348,9 +336,8 @@ type Options struct {
 	// GOMAXPROCS; 1 forces the fully serial path. Results are independent
 	// of the worker count.
 	Workers int
-	// Telemetry instruments the run with tracing spans and runtime metrics
-	// (see Telemetry). Nil disables instrumentation; the disabled path
-	// costs near zero.
+	// Telemetry traces the run's stages as spans (see Telemetry). Nil
+	// disables tracing; the disabled path costs near zero.
 	Telemetry *Telemetry
 	// Cache attaches a verdict cache (see Cache): verification consults it
 	// per chunk before computing and seals fresh verdicts after, and the
@@ -407,39 +394,14 @@ type Problem struct {
 	Detail string
 }
 
-// Timing is the stage breakdown of a verification run (Table IV). The first
-// three stages interleave batch by batch inside the per-rank tasks; each
-// field sums its stage's share over the ranks plus its cross-rank phase.
-type Timing struct {
-	// ReadTrace is the time spent producing record batches: decoding, for a
-	// directory; next to nothing for a trace already in memory, whose load
-	// (ReadTraceDir and its variants) happened before the run and is in no
-	// field.
-	ReadTrace       time.Duration
-	DetectConflicts time.Duration
-	// Match covers step 3 (MPI matching).
-	Match      time.Duration
-	BuildGraph time.Duration
-	// VectorClock covers the happens-before oracle build.
-	VectorClock  time.Duration
-	Verification time.Duration
-	// DetectMatchWall is the wall-clock time of the read / conflict
-	// detection / MPI matching phase, whose ranks (and cross-rank phases)
-	// run concurrently when Options.Workers != 1. It reports overlap (wall <
-	// read+detect+match) and, like every "Wall"-suffixed field, is excluded
-	// from Total.
-	DetectMatchWall time.Duration
-	// AnalyzeWall is the wall-clock time of the whole analysis front-end
-	// (steps 2–3 plus happens-before construction) — the elapsed time a
-	// caller observes. Overlaps the per-stage fields; excluded from Total.
-	AnalyzeWall time.Duration
-}
-
-// Total sums the per-stage durations; wall-clock overlap fields
-// ("Wall"-suffixed) are excluded to avoid double-reporting.
-func (t Timing) Total() time.Duration {
-	return t.ReadTrace + t.DetectConflicts + t.Match + t.BuildGraph + t.VectorClock + t.Verification
-}
+// Ledger is the stage record of a verification run (Table IV): one row per
+// stage — read, detect, match, graph, oracle, verify — each with the time
+// summed over the stage's tasks, item counts in and out, and the most bytes
+// the stage held. Each Report carries the shared analysis' five rows and its
+// own model's verify row; at Workers = 1 the rows add up to the run's wall
+// time. A trace already in memory was loaded before the run, so its load
+// (ReadTraceDir and its variants) is in no row.
+type Ledger = verify.Ledger
 
 // Report is the outcome of verifying a trace against one model.
 type Report struct {
@@ -472,16 +434,11 @@ type Report struct {
 	// across the given number of wavefront levels).
 	SkeletonNodes  int
 	SkeletonLevels int
-	Timing         Timing
+	Ledger         Ledger
 
 	// Cache reports verdict-cache effectiveness for this pass. Nil unless
 	// Options.Cache was set.
 	Cache *CacheStats `json:",omitempty"`
-
-	// Metrics is the telemetry metrics snapshot (the WriteMetrics JSON
-	// document) taken when the report was built. Nil unless the run was
-	// instrumented via Options.Telemetry.
-	Metrics json.RawMessage `json:",omitempty"`
 
 	inner *verify.Report
 }
@@ -513,28 +470,14 @@ func wrapReport(rep *verify.Report) *Report {
 		GraphSyncEdges:       rep.GraphSyncEdges,
 		SkeletonNodes:        rep.SkeletonNodes,
 		SkeletonLevels:       rep.SkeletonLevels,
-		Timing: Timing{
-			ReadTrace:       rep.Timing.ReadTrace,
-			DetectConflicts: rep.Timing.DetectConflicts,
-			Match:           rep.Timing.Match,
-			BuildGraph:      rep.Timing.BuildGraph,
-			VectorClock:     rep.Timing.VectorClock,
-			Verification:    rep.Timing.Verification,
-			DetectMatchWall: rep.Timing.DetectMatchWall,
-			AnalyzeWall:     rep.Timing.AnalyzeWall,
-		},
-		inner: rep,
+		Ledger:               rep.Ledger,
+		inner:                rep,
 	}
 	if rep.Cache != nil {
 		out.Cache = &CacheStats{
 			Hits:        rep.Cache.Hits,
 			Misses:      rep.Cache.Misses,
 			DirtyChunks: rep.Cache.DirtyChunks,
-		}
-	}
-	if rep.Metrics != nil {
-		if b, err := json.Marshal(rep.Metrics); err == nil {
-			out.Metrics = b
 		}
 	}
 	for _, race := range rep.Races {
@@ -676,8 +619,8 @@ func VerifyAll(t *Trace, opts *Options) ([]*Report, error) {
 // a time instead of the whole trace (conflict detection, MPI matching and
 // the cache digests consume each record batch as it decodes). The report is
 // the one ReadTraceDirOpts + Verify give on the same directory — it is the
-// same pipeline reading a different source — with the decode time in
-// Timing.ReadTrace. The Recovery is non-nil only in tolerate mode.
+// same pipeline reading a different source — with the decode time and the
+// most decoded record bytes resident at once in its Ledger's read row. The Recovery is non-nil only in tolerate mode.
 func VerifyStream(dir string, model Model, read ReadOptions, opts *Options) (*Report, *Recovery, error) {
 	m, err := model.resolve()
 	if err != nil {

@@ -115,7 +115,8 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 			"DisableFastPaths", "mscDFS", "buildWFrom", "buildWTo",
 			"DefaultSegReachBudget", "ByteBudget", "segreach_bytes", "seg-reach",
 			"-metrics-out", "WriteMetrics", "DoObs", "group_fanout", "AnalyzeWall",
-			"DetectMatchWall", "ValidateSnapshot"} {
+			"DetectMatchWall", "ValidateSnapshot", "SkeletonMaxLevelWidth",
+			"vcMinParallelWidth", "max_level_width"} {
 			if strings.Contains(string(text), gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

@@ -1,8 +1,11 @@
 package corpus
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"verifyio/internal/hbgraph"
@@ -120,6 +123,75 @@ func (o *refOracle) HB(a, b trace.Ref) bool {
 	return o.clocks[(o.base[b.Rank]+b.Seq)*o.nranks+a.Rank] >= int32(a.Seq)
 }
 
+// randomMPITrace draws a program of nranks ranks sharing one file: 16-byte
+// writes at random offsets between world barriers, barriers of two split
+// communicators (back to back at times), Bcast and Reduce on either, and
+// ring exchanges. Every sync edge points forward in the order events are
+// appended, so po ∪ so is acyclic.
+func randomMPITrace(rng *rand.Rand, nranks int) *trace.Trace {
+	tr := trace.New(nranks)
+	emit := func(rank int, layer trace.Layer, fn string, args ...string) {
+		tick := int64(2*len(tr.Ranks[rank]) + 1)
+		tr.Append(trace.Record{Rank: rank, Func: fn, Layer: layer, Args: args, Tick: tick, Ret: tick + 1})
+	}
+	world := make([]int, nranks)
+	byColor := [][]int{nil, nil}
+	for r := range world {
+		world[r] = r
+		c := rng.Intn(2)
+		byColor[c] = append(byColor[c], r)
+	}
+	comms := map[string][]int{"comm-world": world}
+	gids := []string{"comm-world"}
+	for c, members := range byColor {
+		gid := fmt.Sprintf("comm-split.%d", c)
+		list := make([]string, len(members))
+		for k, m := range members {
+			list[k] = strconv.Itoa(m)
+		}
+		for _, r := range members {
+			emit(r, trace.LayerPOSIX, "open", "shared.dat", "rw|creat", "3")
+			emit(r, trace.LayerMPI, "MPI_Comm_split", "comm-world", strconv.Itoa(c), "0", gid, strings.Join(list, ","))
+		}
+		if len(members) > 0 {
+			comms[gid] = members
+			gids = append(gids, gid)
+		}
+	}
+	pick := func() string { return gids[rng.Intn(len(gids))] }
+	for ev := 0; ev < 120; ev++ {
+		switch comm := pick(); rng.Intn(6) {
+		case 0, 1:
+			r := rng.Intn(nranks)
+			emit(r, trace.LayerPOSIX, "pwrite", "3", "16", strconv.Itoa(16*rng.Intn(64)))
+		case 2:
+			for _, r := range comms[comm] {
+				emit(r, trace.LayerMPI, "MPI_Barrier", comm)
+			}
+		case 3:
+			root := strconv.Itoa(rng.Intn(len(comms[comm])))
+			fn := []string{"MPI_Bcast", "MPI_Reduce"}[rng.Intn(2)]
+			for _, r := range comms[comm] {
+				emit(r, trace.LayerMPI, fn, comm, root, "8")
+			}
+		case 4, 5:
+			members, tag := comms[comm], strconv.Itoa(ev)
+			n := len(members)
+			if n < 2 {
+				continue
+			}
+			for i, r := range members {
+				emit(r, trace.LayerMPI, "MPI_Send", comm, strconv.Itoa((i+1)%n), tag, "8")
+			}
+			for i, r := range members {
+				left := strconv.Itoa((i + n - 1) % n)
+				emit(r, trace.LayerMPI, "MPI_Recv", comm, left, tag, "8", left, tag)
+			}
+		}
+	}
+	return tr
+}
+
 // equivExhaustiveLimit: traces up to this many records get the full V×V
 // query matrix; larger ones get sampled queries.
 const (
@@ -129,7 +201,7 @@ const (
 
 // TestOracleEquivalenceCorpus is the corpus-wide cross-validation of the
 // sync-skeleton rework: on every corpus trace and one large synthetic one,
-// skeleton vector clocks (serial and wavefront-parallel), BFS reachability,
+// skeleton vector clocks (serial and column-block parallel), BFS reachability,
 // segment reachability (the skeleton's transitive closure), and the
 // on-the-fly oracle must answer through Graph.HB exactly like full-graph
 // vector clocks — exhaustively on small traces, on 10k sampled queries on
@@ -143,10 +215,13 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 		name string
 		gen  func() (*trace.Trace, error)
 	}
-	// One synthetic trace beside the corpus: 8 ranks, 33 024 records, a
-	// barrier every 64 ops.
+	// Two synthetic traces beside the corpus: 8 ranks, 33 024 records, a
+	// barrier every 64 ops; and a random MPI program on 40 ranks, three
+	// clock column blocks (corpus traces have 2–4 ranks, one block).
 	inputs := []input{{"scaling-large", func() (*trace.Trace, error) {
 		return ScalingTrace(8, 4000, 1<<18, 7), nil
+	}}, {"random-40-ranks", func() (*trace.Trace, error) {
+		return randomMPITrace(rand.New(rand.NewSource(3)), 40), nil
 	}}}
 	for _, tc := range Tests() {
 		inputs = append(inputs, input{tc.Name, func() (*trace.Trace, error) { return Run(tc) }})

@@ -67,18 +67,22 @@ func BenchmarkOracleConstruction(b *testing.B) {
 }
 
 // BenchmarkVectorClocks measures skeleton clock construction on a
-// sync-sparse graph (S ≪ V — the common Recorder-trace shape) and a
-// sync-dense one, serial and at GOMAXPROCS.
+// sync-sparse graph (S ≪ V — the common Recorder-trace shape), a sync-dense
+// one and a 256-rank one, serial and at GOMAXPROCS. At 8 ranks the clocks
+// are one column block, so the GOMAXPROCS cell is the serial pass again
+// (its speedup is "n/a", not 1); at 256 ranks there are 16 blocks to split.
 func BenchmarkVectorClocks(b *testing.B) {
 	shapes := []struct {
-		name    string
-		density float64
+		name        string
+		nranks, ops int
+		density     float64
 	}{
-		{"sparse", 0.005},
-		{"dense", 0.5},
+		{"sparse", 8, 4000, 0.005},
+		{"dense", 8, 4000, 0.5},
+		{"wide256", 256, 250, 0.1},
 	}
 	for _, sh := range shapes {
-		tr, edges := synthGraph(8, 4000, sh.density, 13)
+		tr, edges := synthGraph(sh.nranks, sh.ops, sh.density, 13)
 		g, err := BuildCounts(rankCounts(tr), edges)
 		if err != nil {
 			b.Fatal(err)

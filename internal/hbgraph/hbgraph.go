@@ -117,19 +117,13 @@ func (g *Graph) SyncEdges() int { return g.syncPairs }
 func (g *Graph) SkeletonNodes() int { return g.skel.n }
 
 // SkeletonLevels returns the number of topological levels in the skeleton's
-// Kahn wavefront schedule (0 for an empty or cyclic skeleton).
+// Kahn schedule (0 for an empty or cyclic skeleton).
 func (g *Graph) SkeletonLevels() int {
 	if g.skel.cycleErr != nil {
 		return 0
 	}
 	return len(g.skel.levelOff) - 1
 }
-
-// SkeletonMaxLevelWidth returns the widest wavefront level — the available
-// parallelism of the level-synchronized vector-clock pass. It is bounded by
-// the rank count: skeleton nodes on one rank are chained by program order,
-// so each level holds at most one node per rank.
-func (g *Graph) SkeletonMaxLevelWidth() int { return g.skel.maxWidth }
 
 // inRange reports whether ref names a record of the trace; queries outside
 // the trace are never hb-related.

@@ -255,38 +255,34 @@ func TestSkeletonMapping(t *testing.T) {
 	if lv := g.SkeletonLevels(); lv <= 0 {
 		t.Errorf("SkeletonLevels = %d, want > 0", lv)
 	}
-	if w := g.SkeletonMaxLevelWidth(); w < 1 || w > tr.NumRanks() {
-		t.Errorf("SkeletonMaxLevelWidth = %d, want within [1, %d]", w, tr.NumRanks())
-	}
 }
 
-// TestVectorClockWavefrontDeterministic asserts the level-parallel clock
-// pass produces bit-identical clocks at every worker count — max-merge is
-// order-independent within a level.
-func TestVectorClockWavefrontDeterministic(t *testing.T) {
-	// 16 ranks: level 0 holds 16 rank-first sentinels, comfortably past the
-	// parallel-width threshold, so workers > 1 genuinely exercises the
-	// concurrent path.
-	tr, es := synthGraph(16, 200, 0.2, 5)
-	g, err := BuildCounts(rankCounts(tr), es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SkeletonMaxLevelWidth() < vcMinParallelWidth {
-		t.Fatalf("max level width %d below parallel threshold %d; test graph too narrow",
-			g.SkeletonMaxLevelWidth(), vcMinParallelWidth)
-	}
-	base, err := g.VectorClocksOpts(VCOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		vc, err := g.VectorClocksOpts(VCOptions{Workers: w})
+// TestVectorClockColumnBlocksDeterministic asserts the column-block clock
+// pass produces bit-identical clocks at every worker count. At 40 ranks the
+// blocks are ragged (16, 16, 8 columns), at 100 ranks there are seven; at
+// workers 2, 3 and 7 the tasks split them unevenly.
+func TestVectorClockColumnBlocksDeterministic(t *testing.T) {
+	for _, nranks := range []int{40, 100} {
+		tr, es := synthGraph(nranks, 60, 0.2, 5)
+		g, err := BuildCounts(rankCounts(tr), es)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(vc.clocks, base.clocks) {
-			t.Errorf("workers=%d: wavefront clocks differ from serial clocks", w)
+		if blocks := (nranks + vcBlock - 1) / vcBlock; blocks < 3 {
+			t.Fatalf("%d ranks give %d column blocks; the test needs several", nranks, blocks)
+		}
+		base, err := g.VectorClocksOpts(VCOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)} {
+			vc, err := g.VectorClocksOpts(VCOptions{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(vc.clocks, base.clocks) {
+				t.Errorf("ranks=%d workers=%d: column-block clocks differ from serial clocks", nranks, w)
+			}
 		}
 	}
 }

@@ -230,9 +230,6 @@ func checkJoinsAgainstPairwise(t *testing.T, tr *trace.Trace, exhaustive bool) i
 		if a, b := got.g.SkeletonLevels(), want.g.SkeletonLevels(); a != b {
 			t.Errorf("skeleton levels %d, pairwise graph %d", a, b)
 		}
-		if a, b := got.g.SkeletonMaxLevelWidth(), want.g.SkeletonMaxLevelWidth(); a != b {
-			t.Errorf("max level width %d, pairwise graph %d", a, b)
-		}
 		if a, b := got.g.SyncEdges(), len(pairs); a != b {
 			t.Errorf("SyncEdges = %d, Pairwise lists %d pairs", a, b)
 		}
@@ -298,18 +295,15 @@ func TestPropertyJoinsEqualPairwise(t *testing.T) {
 	}
 }
 
-// TestJoinWavefrontParallelLevels repeats the check at 16 ranks, where
-// levels are wide enough for the clock wavefront to really fan out at
-// workers 2 and 7 (queries sampled).
-func TestJoinWavefrontParallelLevels(t *testing.T) {
+// TestJoinColumnBlocksParallel repeats the check at 33 and 40 ranks, three
+// column blocks, so the clock pass really splits at workers 2 and 7
+// (queries sampled).
+func TestJoinColumnBlocksParallel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		tr := randomProgram(rand.New(rand.NewSource(seed)), 16)
-		g, err := BuildCounts(rankCounts(tr), mustMatchEdges(t, tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w := g.SkeletonMaxLevelWidth(); w < vcMinParallelWidth {
-			t.Fatalf("seed %d: max level width %d below the parallel threshold", seed, w)
+		nranks := 33 + 7*int(seed%2)
+		tr := randomProgram(rand.New(rand.NewSource(seed)), nranks)
+		if blocks := (nranks + vcBlock - 1) / vcBlock; blocks < 3 {
+			t.Fatalf("%d ranks give %d column blocks", nranks, blocks)
 		}
 		checkJoinsAgainstPairwise(t, tr, false)
 	}

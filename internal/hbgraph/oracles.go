@@ -32,22 +32,23 @@ type VCOracle struct {
 
 // VCOptions configures vector-clock construction.
 type VCOptions struct {
-	// Workers bounds the wavefront parallelism; 0 means GOMAXPROCS, 1 forces
-	// the serial path. The clocks are identical at every worker count:
-	// within a level no node depends on another, and max-merge is
-	// order-independent.
+	// Workers bounds the column-block tasks; 0 means GOMAXPROCS, 1 forces
+	// the serial pass. The clocks are identical at every worker count: a
+	// clock column depends only on the same column of the predecessors.
 	Workers int
 }
 
-// vcMinParallelWidth is the level width below which the wavefront pass stays
-// on the calling goroutine: a level holds at most one node per rank, so
-// narrow levels (few ranks) never amortize the handoff.
-const vcMinParallelWidth = 8
+// vcBlock is the column-block width of the clock pass: the int32 entries of
+// one 64-byte cache line.
+const vcBlock = 64 / 4
 
 // VectorClocksOpts computes skeleton vector clocks — O(S·P + E·P) once,
-// O(1) per query — with level-synchronized (Kahn wavefront) propagation:
-// levels are processed in order, and the nodes within one level — whose
-// predecessors all sit in earlier levels — update their clocks concurrently.
+// O(1) per query — in one walk of the topological order (the Kahn levels,
+// each followed by the joins it fires). Clock entry (v, r) depends only on
+// entry r of v's predecessors, so the P columns split into blocks of vcBlock
+// and up to Workers tasks walk the whole order at once, each over its own
+// run of blocks, with no barrier between levels. At P ≤ vcBlock that is one
+// task: the serial pass.
 func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 	s := &g.skel
 	if s.cycleErr != nil {
@@ -58,50 +59,53 @@ func (g *Graph) VectorClocksOpts(opts VCOptions) (*VCOracle, error) {
 	// Join clocks are scratch: targets read them one level later and no
 	// query ever does, so they are dropped with this call.
 	joinClocks := make([]int32, s.joins*nranks)
-	row := func(v int32) []int32 {
-		if int(v) < s.n {
-			return clocks[int(v)*nranks : (int(v)+1)*nranks]
+	// cols returns columns [lo, hi) of v's clock row.
+	cols := func(v int32, lo, hi int) []int32 {
+		arena, off := clocks, int(v)*nranks
+		if int(v) >= s.n {
+			arena, off = joinClocks, (int(v)-s.n)*nranks
 		}
-		j := int(v) - s.n
-		return joinClocks[j*nranks : (j+1)*nranks]
+		return arena[off+lo : off+hi]
 	}
-	// fill computes v's clock from its po predecessor (if any) and its sync
-	// predecessors, all final by the time v's turn comes.
-	fill := func(v int32) {
-		c := row(v)
-		for r := range c {
-			c[r] = -1
+	// fill computes columns [lo, hi) of v's clock from its po predecessor
+	// (if any) and its sync predecessors, whose columns are final by the
+	// time v's turn comes in the walk: a copy of the first, max-merged with
+	// the rest.
+	fill := func(v int32, lo, hi int) {
+		c, preds := cols(v, lo, hi), s.pred(v)
+		switch {
+		case int(v) < s.n && v > s.base[s.rankOf[v]]:
+			copy(c, cols(v-1, lo, hi))
+		case len(preds) > 0:
+			copy(c, cols(preds[0], lo, hi))
+			preds = preds[1:]
+		default:
+			for r := range c {
+				c[r] = -1
+			}
 		}
-		if int(v) < s.n && v > s.base[s.rankOf[v]] {
-			mergeClock(c, row(v-1))
-		}
-		for _, p := range s.pred(v) {
-			mergeClock(c, row(p))
+		for _, p := range preds {
+			mergeClock(c, cols(p, lo, hi))
 		}
 		if int(v) < s.n {
-			if r, sq := s.rankOf[v], s.seqs[v]; sq > c[r] {
-				c[r] = sq
+			if r, sq := int(s.rankOf[v]), s.seqs[v]; r >= lo && r < hi && sq > c[r-lo] {
+				c[r-lo] = sq
 			}
 		}
 	}
-	// One closure reused across levels (levels run strictly in sequence):
-	// step(i) fills the clock row of the i-th node of the current level.
-	var nodes []int32
-	step := func(i int) { fill(nodes[i]) }
-	workers := par.Resolve(opts.Workers)
-	for l := 0; l+1 < len(s.levelOff); l++ {
-		nodes = s.levelOrder[s.levelOff[l]:s.levelOff[l+1]]
-		if workers > 1 && len(nodes) >= vcMinParallelWidth {
-			par.Do(workers, len(nodes), step)
-		} else {
-			for i := range nodes {
-				step(i)
+	blocks := (nranks + vcBlock - 1) / vcBlock
+	tasks := min(par.Resolve(opts.Workers), blocks)
+	par.Do(tasks, tasks, func(t int) {
+		lo, hi := t*blocks/tasks*vcBlock, min((t+1)*blocks/tasks*vcBlock, nranks)
+		for l := 0; l+1 < len(s.levelOff); l++ {
+			for _, v := range s.levelOrder[s.levelOff[l]:s.levelOff[l+1]] {
+				fill(v, lo, hi)
+			}
+			for _, j := range s.joinsAfter(l) {
+				fill(j, lo, hi)
 			}
 		}
-		for _, j := range s.joinsAfter(l) {
-			fill(j)
-		}
-	}
+	})
 	return &VCOracle{nranks: nranks, clocks: clocks}, nil
 }
 

@@ -61,12 +61,11 @@ type skeleton struct {
 	predOff []int32
 	predAdj []int32
 
-	// Kahn wavefront schedule: levelOrder[levelOff[l]:levelOff[l+1]] holds
-	// the skeleton nodes of level l; every node's predecessors sit in
-	// earlier levels, so one level's clocks can be computed concurrently.
+	// Kahn level schedule: levelOrder[levelOff[l]:levelOff[l+1]] holds the
+	// skeleton nodes of level l; every node's predecessors sit in earlier
+	// levels, so walking the levels in order is a topological order.
 	levelOrder []int32
 	levelOff   []int32
-	maxWidth   int
 	// joinOrder[joinOff[l]:joinOff[l+1]] holds the joins that fire once
 	// level l is placed: every source sits in a level ≤ l, every target in
 	// a level > l.
@@ -251,9 +250,6 @@ func (s *skeleton) computeLevels() {
 	for len(frontier) > 0 {
 		s.levelOrder = append(s.levelOrder, frontier...)
 		s.levelOff = append(s.levelOff, int32(len(s.levelOrder)))
-		if len(frontier) > s.maxWidth {
-			s.maxWidth = len(frontier)
-		}
 		next = next[:0]
 		for _, v := range frontier {
 			s.forEachSkelSucc(v, func(w int32) {
@@ -283,7 +279,6 @@ func (s *skeleton) computeLevels() {
 		s.levelOff = s.levelOff[:1]
 		s.joinOrder = s.joinOrder[:0]
 		s.joinOff = s.joinOff[:1]
-		s.maxWidth = 0
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"verifyio/internal/trace"
 )
@@ -238,28 +239,103 @@ func (m *matcher) matchP2P() {
 	}
 }
 
-// sortEdges orders edges by (From, To); join nodes (rank -1) sort first.
-func sortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if c := refCompare(a.From, b.From); c != 0 {
-			return c
+// sortEdges orders edges over nranks ranks by (From, To) under refCompare —
+// join nodes (rank -1) by Seq first, then records rank-major — without a
+// comparator. Every endpoint gets a dense id in that order (join k is k;
+// record (r, s) is the join count plus the id extents of the ranks below r
+// plus s), every edge the key from<<32 | to, so key order is edge order; the
+// keys are radix sorted and the edges unpacked from them. It fails, leaving
+// edges as they were, when an endpoint is neither a join nor a record
+// position on one of the ranks or the ids need more than 32 bits.
+func sortEdges(edges []Edge, nranks int) error {
+	// base[r+1] is the id of record (r, 0), base[0] = 0 that of join 0, and
+	// base[nranks+1] the id count: each rank's extent — its highest Seq in
+	// the list plus one, the joins' at index 0 — then exclusive prefix sums.
+	base := make([]int, nranks+2)
+	for _, e := range edges {
+		for _, ref := range [2]trace.Ref{e.From, e.To} {
+			if ref.Seq < 0 || ref.Rank < joinRank || ref.Rank >= nranks {
+				return fmt.Errorf("match: edge %v→%v has an endpoint outside the edge-key space", e.From, e.To)
+			}
+			base[ref.Rank+1] = max(base[ref.Rank+1], ref.Seq+1)
 		}
-		return refCompare(a.To, b.To)
-	})
+	}
+	ids := 0
+	for i, n := range base {
+		base[i] = ids
+		ids += n
+	}
+	if ids >= 1<<32 {
+		return fmt.Errorf("match: %d edge endpoint ids exceed the 32-bit edge-key space", ids)
+	}
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		keys[i] = uint64(base[e.From.Rank+1]+e.From.Seq)<<32 | uint64(base[e.To.Rank+1]+e.To.Seq)
+	}
+	from := 0 // base index of the current From id; From ids ascend
+	for i, k := range radixSort(keys) {
+		f, t := int(k>>32), int(k&(1<<32-1))
+		for base[from+1] <= f {
+			from++
+		}
+		to := sort.Search(nranks+1, func(j int) bool { return base[j] > t }) - 1
+		edges[i] = Edge{
+			From: trace.Ref{Rank: from - 1, Seq: f - base[from]},
+			To:   trace.Ref{Rank: to - 1, Seq: t - base[to]},
+		}
+	}
+	return nil
 }
 
-func (m *matcher) sortOutputs() {
-	sortEdges(m.res.Edges)
+// radixSort sorts keys with a byte-wise LSD radix sort that skips every byte
+// position on which all keys agree, and returns the sorted slice: keys itself
+// or a scratch slice of the same length.
+func radixSort(keys []uint64) []uint64 {
+	var at [8][256]int // per byte position: bucket counts, then bucket starts
+	for _, k := range keys {
+		for d := range at {
+			at[d][k>>(8*d)&0xff]++
+		}
+	}
+	src, dst := keys, []uint64(nil)
+	for d := range at {
+		next, shift := &at[d], 8*d
+		if len(keys) == 0 || next[keys[0]>>shift&0xff] == len(keys) {
+			continue
+		}
+		if dst == nil {
+			dst = make([]uint64, len(keys))
+		}
+		start := 0
+		for b, n := range next {
+			next[b] = start
+			start += n
+		}
+		for _, k := range src {
+			b := k >> shift & 0xff
+			dst[next[b]] = k
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+func (m *matcher) sortOutputs(nranks int) error {
+	if err := sortEdges(m.res.Edges, nranks); err != nil {
+		return err
+	}
 	slices.SortFunc(m.res.Problems, func(a, b Problem) int {
 		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Detail, b.Detail)
 	})
+	return nil
 }
 
 // refCompare orders refs by rank, then program order — trace.Ref.Less as a
-// three-way comparison for slices.SortFunc.
+// three-way comparison for slices.SortFunc; sortEdges' order.
 func refCompare(a, b trace.Ref) int {
 	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
 		return c

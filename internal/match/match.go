@@ -85,11 +85,14 @@ const joinRank = -1
 // synchronization order they stand for — source → target for every source
 // and every target of a join on different ranks — and returns it with the
 // plain edges, sorted like Result.Edges. The expansion is quadratic in the
-// communicator size; it exists for the reference oracles and for tests.
+// communicator size; it exists for the reference oracles and for tests. It
+// panics on endpoints Matcher.Finish would have refused to sort.
 func Pairwise(edges []Edge) []Edge {
 	out := make([]Edge, 0, len(edges))
 	srcs, dsts := map[int][]trace.Ref{}, map[int][]trace.Ref{}
+	nranks := 0
 	for _, e := range edges {
+		nranks = max(nranks, e.From.Rank+1, e.To.Rank+1)
 		switch {
 		case e.To.Rank == joinRank:
 			srcs[e.To.Seq] = append(srcs[e.To.Seq], e.From)
@@ -108,7 +111,10 @@ func Pairwise(edges []Edge) []Edge {
 			}
 		}
 	}
-	sortEdges(out)
+	// The endpoints are the input's, whose ids Matcher.Finish has checked.
+	if err := sortEdges(out, nranks); err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -330,7 +336,9 @@ func (m *Matcher) Finish(opts Options) (*Result, error) {
 	_, p2pSpan := oc.Start("p2p")
 	mm.matchP2P()
 	p2pSpan.End()
-	mm.sortOutputs()
+	if err := mm.sortOutputs(len(m.scanners)); err != nil {
+		return nil, err
+	}
 	return mm.res, nil
 }
 

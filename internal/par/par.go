@@ -2,8 +2,8 @@
 // independent tasks on a bounded number of goroutines. Every parallel stage
 // of the analysis goes through it — the trace directory's per-rank decode,
 // the per-rank read/replay/scan tasks and the overlapping detect and match
-// finish phases of verify.Analyze, the per-file conflict sweep, the oracles'
-// wavefront passes, the verification batches of the chunk plan, and the
+// finish phases of verify.Analyze, the per-file conflict sweep, the vector
+// clocks' column blocks, the verification batches of the chunk plan, and the
 // model passes of VerifyAll.
 //
 // The contract that keeps results worker-count-independent lives here: the

@@ -132,10 +132,10 @@ func (a *Analysis) salvaged() bool {
 type AnalyzeOptions struct {
 	// Workers bounds the ranks read, replayed and scanned at once, and the
 	// goroutines inside the cross-rank phases (the per-file sweep, the
-	// oracle build); with Workers != 1 conflict detection's and matching's
-	// cross-rank phases additionally run concurrently with each other. 0
-	// means GOMAXPROCS; 1 forces the fully serial path. The analysis is
-	// identical at every worker count.
+	// clock column blocks); with Workers != 1 conflict detection's
+	// cross-rank phase additionally runs concurrently with matching's and
+	// the oracle build behind it. 0 means GOMAXPROCS; 1 forces the fully
+	// serial path. The analysis is identical at every worker count.
 	Workers int
 	// Digest makes the pass also digest every rank's records (SHA-256 block
 	// chains, unlink positions) — what a verdict cache attached at Verify
@@ -151,8 +151,9 @@ type AnalyzeOptions struct {
 // record batches from the source and, on the same goroutine, steps the
 // rank's conflict replay and matcher scan (and the cache digest, when asked
 // for) — records never cross a goroutine or outlive their batch, so memory
-// is the source's. Then come the two cross-rank finish phases and the oracle
-// build. The first five rows of the Analysis' Ledger time and count them.
+// is the source's. Then come the two cross-rank finish phases, the oracle
+// build chained behind matching's. The first five rows of the Analysis'
+// Ledger time and count them.
 func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
@@ -205,16 +206,21 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 		a.Ledger.Match.Time += times[rank].scan
 	}
 
-	// The finish phases share nothing, so they can overlap.
-	var confErr, matErr error
+	// The finish phases share nothing, so they can overlap; the graph and
+	// oracle need only the rank counts and the match edges, so they follow
+	// the match finish in its task. The errors keep the serial order.
+	var confErr, matErr, oracleErr error
 	par.Do(workers, 2, func(i int) {
 		start := time.Now()
 		if i == 0 {
 			a.Conflicts, confErr = det.Finish(conflict.Options{Workers: opts.Workers, Obs: oc})
 			a.Ledger.Detect.Time += time.Since(start)
-		} else {
-			a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
-			a.Ledger.Match.Time += time.Since(start)
+			return
+		}
+		a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
+		a.Ledger.Match.Time += time.Since(start)
+		if matErr == nil {
+			oracleErr = a.buildOracle(algo, opts.Workers, oc)
 		}
 	})
 	if confErr != nil {
@@ -223,14 +229,14 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 	if matErr != nil {
 		return nil, fmt.Errorf("verify: MPI matching: %w", matErr)
 	}
+	if oracleErr != nil {
+		return nil, oracleErr
+	}
 	a.Ledger.Read.Out = int64(a.NumRecords())
 	a.Ledger.Detect.In = int64(len(a.Conflicts.Ops))
 	a.Ledger.Detect.Out = a.Conflicts.Pairs
 	a.Ledger.Detect.Bytes = a.Conflicts.ScratchBytes
 	a.Ledger.Match.Out = int64(len(a.Match.Edges))
-	if err := a.buildOracle(algo, opts.Workers, oc); err != nil {
-		return nil, err
-	}
 	return a, nil
 }
 
@@ -276,8 +282,9 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 }
 
 // buildOracle builds the happens-before graph and then the oracle, for an
-// analysis whose Conflicts, Match and counts are already set. Only positional
-// facts (the per-rank counts) are consumed, never the records.
+// analysis whose Match and counts are already set; Conflicts may still be in
+// the making. Only positional facts (the per-rank counts) are consumed, never
+// the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
 	a.Algorithm = algo
@@ -301,8 +308,7 @@ func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	case AlgoVectorClock:
 		_, vcSpan := oc.Start("vector-clocks",
 			obs.Int("skeleton_nodes", g.SkeletonNodes()),
-			obs.Int("levels", g.SkeletonLevels()),
-			obs.Int("max_level_width", g.SkeletonMaxLevelWidth()))
+			obs.Int("levels", g.SkeletonLevels()))
 		vc, err := g.VectorClocksOpts(hbgraph.VCOptions{Workers: workers})
 		vcSpan.End()
 		if err != nil {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,5 +77,51 @@ func TestPropertyPipelineNeverPanics(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(2))}
 	if err := quick.Check(run, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAnalyzeOracleErrorBesideDetection: the oracle build runs in the
+// matching task, beside conflict detection's finish. On two ranks that reach
+// the barriers of two communicators in opposite order (a cycle through two
+// join nodes) Analyze returns the same vector-clock error at Workers 1 and 4,
+// and when matching fails too, its error still wins.
+func TestAnalyzeOracleErrorBesideDetection(t *testing.T) {
+	crossed := func() *ioProgram {
+		p := newIOProgram(2, "f")
+		dup := p.split([]int{0, 0})[0]
+		for rank, order := range [][]string{{"comm-world", dup}, {dup, "comm-world"}} {
+			for _, comm := range order {
+				p.emit(rank, trace.LayerMPI, "MPI_Barrier", comm)
+			}
+			p.access(rank, 0, 0, true)
+		}
+		return p
+	}
+	errAt := func(tr *trace.Trace, workers int) string {
+		t.Helper()
+		a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: analysis of %d conflict pairs succeeded on a cyclic trace", workers, a.Conflicts.Pairs)
+		}
+		return err.Error()
+	}
+	tr := crossed().tr
+	serial := errAt(tr, 1)
+	if !strings.HasPrefix(serial, "verify: vector clocks:") || !strings.Contains(serial, "cycle") {
+		t.Fatalf("err = %q, want the vector-clock cycle error", serial)
+	}
+	if got := errAt(tr, 4); got != serial {
+		t.Errorf("workers=4: err = %q, workers=1: %q", got, serial)
+	}
+
+	// A send whose position needs 33 bits overflows matching's edge keys.
+	p := crossed()
+	p.emit(1, trace.LayerMPI, "MPI_Recv", "comm-world", "0", "0", "8", "0", "0")
+	p.tr.Ranks[0] = append(p.tr.Ranks[0], trace.Record{Rank: 0, Seq: 1 << 32, Func: "MPI_Send",
+		Layer: trace.LayerMPI, Args: []string{"comm-world", "1", "0", "8"}})
+	for _, workers := range []int{1, 4} {
+		if got := errAt(p.tr, workers); !strings.HasPrefix(got, "verify: MPI matching:") {
+			t.Errorf("workers=%d: err = %q, want the matching error", workers, got)
+		}
 	}
 }

@@ -125,8 +125,8 @@ type Report struct {
 	GraphSyncEdges int
 	// SkeletonNodes / SkeletonLevels describe the sync skeleton the
 	// graph-based oracles computed on: S nodes (sync-edge endpoints plus
-	// per-rank sentinels, S ≤ GraphNodes) scheduled across the given number
-	// of wavefront levels.
+	// per-rank sentinels, S ≤ GraphNodes) in the given number of
+	// topological levels.
 	SkeletonNodes  int
 	SkeletonLevels int
 	// Ledger is the analysis' stage rows plus this pass's verify row: In is

@@ -430,8 +430,8 @@ type Report struct {
 	GraphNodes     int
 	GraphSyncEdges int
 	// SkeletonNodes / SkeletonLevels describe the sync skeleton the
-	// happens-before oracle computed on (S ≤ GraphNodes nodes, scheduled
-	// across the given number of wavefront levels).
+	// happens-before oracle computed on (S ≤ GraphNodes nodes in the given
+	// number of topological levels).
 	SkeletonNodes  int
 	SkeletonLevels int
 	Ledger         Ledger

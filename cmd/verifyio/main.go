@@ -136,7 +136,6 @@ func run() int {
 	}
 	ropts := verifyio.ReadOptions{
 		Tolerate:    *tolerate,
-		Telemetry:   tel,
 		WindowBytes: *window,
 	}
 

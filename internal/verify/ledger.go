@@ -4,7 +4,7 @@ import "time"
 
 // Ledger is the run record: one row per stage of Table IV, always filled.
 // Analyze fills the first five rows; each Report copies them and adds its
-// own verify row. DESIGN §11 gives each row's In, Out and Bytes.
+// own verify row. DESIGN §9 gives each row's In, Out and Bytes.
 type Ledger struct {
 	// Read is the source producing record batches: decoding, for a trace
 	// directory; next to nothing for a trace already in memory.

@@ -103,11 +103,10 @@ func TestPruningMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestPositionClassesAnswerMostChecks is the gate CI's obs-smoke job used to
-// run on a metrics file: pmulti_dset is 220 groups of fan-out 220 in one sync
-// neighbourhood, so over the four model passes at least half of the
-// properly-synchronized checks must be answered from a position class's
-// monotone bounds instead of being evaluated. Workers is pinned: both
+// TestPositionClassesAnswerMostChecks: pmulti_dset is 220 groups of fan-out
+// 220 in one sync neighbourhood, so over the four model passes at least half
+// of the properly-synchronized checks must be answered from a position
+// class's monotone bounds instead of being evaluated. Workers is pinned: both
 // counters are the chunk plan's, equal at every worker count.
 func TestPositionClassesAnswerMostChecks(t *testing.T) {
 	tc, err := corpus.ByName("pmulti_dset")

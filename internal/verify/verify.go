@@ -115,8 +115,8 @@ type Report struct {
 	ChecksPerformed int64
 	// ClassHits counts the checks answered from a position class's bounds,
 	// Classes the class changes, and HBQueries the happens-before probes
-	// actually made (§14). Cache-served chunks add to none of the three;
-	// all three are the same at every worker count.
+	// actually made (DESIGN §8). Cache-served chunks add to none of the
+	// three; all three are the same at every worker count.
 	ClassHits, Classes, HBQueries int64
 	// Workers is the worker count the verification stage actually ran
 	// with (after the GOMAXPROCS default is resolved).

@@ -120,7 +120,7 @@ func TestVerifyAllStreamReadsTraceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := NewTelemetry()
-	reps, _, err := VerifyAllStream(dir, ReadOptions{Telemetry: tel}, &Options{Telemetry: tel})
+	reps, _, err := VerifyAllStream(dir, ReadOptions{}, &Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,11 @@ import (
 )
 
 // Telemetry collects tracing spans from a verification run. Attach one
-// instance to ReadOptions and Options across the calls of a run, then export
-// with WriteChromeTrace: a Chrome trace_event JSON flamegraph
-// (chrome://tracing, Perfetto). A nil *Telemetry disables tracing at
-// near-zero cost. What each stage took and counted needs no Telemetry: every
-// Report carries it in its Ledger.
+// instance to Options across the calls of a run, then export with
+// WriteChromeTrace: a Chrome trace_event JSON flamegraph (chrome://tracing,
+// Perfetto). A nil *Telemetry disables tracing at near-zero cost. What each
+// stage took and counted needs no Telemetry: every Report carries it in its
+// Ledger.
 //
 // Span content is deterministic: at a fixed worker count the exported spans
 // (names, attributes, track assignment, ids, nesting) are identical across
@@ -205,9 +205,6 @@ type ReadOptions struct {
 	// execution that stopped where the trace breaks off — partial evidence,
 	// reported honestly.
 	Tolerate bool
-	// Telemetry traces the load (a "read-trace" span with per-rank
-	// children). Nil disables.
-	Telemetry *Telemetry
 	// WindowBytes bounds the decoded records resident at once when a
 	// directory is verified as it is read (VerifyStream, VerifyAllStream): 0
 	// means the default window (trace.DefaultWindowBytes), negative means
@@ -219,10 +216,7 @@ type ReadOptions struct {
 // ReadTraceDirOpts loads a trace directory with explicit options; with zero
 // options it is ReadTraceDir. The Recovery is non-nil only in tolerate mode.
 func ReadTraceDirOpts(dir string, opts ReadOptions) (*Trace, *Recovery, error) {
-	tr, stats, err := trace.ReadDirWithOptions(dir, trace.DecodeOptions{
-		Tolerate: opts.Tolerate,
-		Obs:      opts.Telemetry.ctx(),
-	})
+	tr, stats, err := trace.ReadDirWithOptions(dir, trace.DecodeOptions{Tolerate: opts.Tolerate})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -582,7 +576,7 @@ func verifyDir(dir string, models []semantics.Model, read ReadOptions, opts *Opt
 	reps, stats, err := verifyModels(func(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
 		return verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
 			AnalyzeOptions: ao,
-			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate, Obs: read.Telemetry.ctx()},
+			Decode:         trace.DecodeOptions{Tolerate: read.Tolerate},
 			WindowBytes:    read.WindowBytes,
 		})
 	}, models, opts)

@@ -1,10 +1,10 @@
 // Package par provides the one worker-pool primitive of the pipeline: run n
-// independent tasks on a bounded number of goroutines. Every parallel stage
-// of the analysis goes through it — the trace directory's per-rank decode,
-// the per-rank read/replay/scan tasks and the overlapping detect and match
-// finish phases of verify.Analyze, the per-file conflict sweep, the vector
-// clocks' column blocks, the verification batches of the chunk plan, and the
-// model passes of VerifyAll.
+// independent tasks on a bounded number of goroutines, the calling goroutine
+// among them. Every parallel stage of the analysis goes through it — the
+// trace directory's per-rank decode, the per-rank read/replay/scan tasks and
+// the overlapping detect and match finish phases of verify.Analyze, the
+// per-file conflict sweep, the vector clocks' column blocks, the verification
+// batches of the chunk plan, and the model passes of VerifyAll.
 //
 // The contract that keeps results worker-count-independent lives here: the
 // serial and parallel paths execute the same task function over the same
@@ -29,14 +29,13 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// TaskPanic is what Do re-panics with when a task panicked on a pool
-// goroutine: it carries the panic value and the stack of the goroutine that
-// actually failed, which a bare re-panic on the caller's goroutine would
-// lose.
+// TaskPanic is what Do re-panics with when a task panicked: it carries the
+// panic value and the stack of the goroutine that actually failed, which a
+// bare re-panic on the caller's goroutine would lose.
 type TaskPanic struct {
 	Index int    // task index that panicked
 	Value any    // original panic value
-	Stack []byte // stack of the panicking pool goroutine
+	Stack []byte // stack of the panicking goroutine
 }
 
 func (p *TaskPanic) Error() string {
@@ -57,12 +56,16 @@ var panicRecorded func()
 
 // Do runs fn(i) for every i in [0, n) on up to workers goroutines, claiming
 // indices from an atomic cursor (cheap dynamic load balancing — task costs
-// vary wildly across ranks and files). With workers <= 1 or n <= 1 it
-// degenerates to a plain loop on the calling goroutine.
+// vary wildly across ranks and files). The calling goroutine is one of the
+// workers: Do starts workers−1 goroutines and claims indices itself, on a
+// stack the caller has already grown, and none of them outlives the call.
+// With workers <= 1 or n <= 1 it degenerates to a plain loop on the calling
+// goroutine.
 //
-// If a task panics on a pool goroutine, the pool drains (no new indices are
-// claimed), and Do re-panics on the calling goroutine with a *TaskPanic
-// carrying the first panic's value and original stack.
+// If a task panics, the pool drains (no new indices are claimed), and Do
+// re-panics on the calling goroutine, once every goroutine it started has
+// returned, with a *TaskPanic carrying the first panic's value and the stack
+// of the goroutine it happened on.
 func Do(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -79,35 +82,39 @@ func Do(workers, n int, fn func(i int)) {
 	var panicOnce sync.Once
 	var panicked atomic.Bool
 	var firstPanic *TaskPanic
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	run := func() {
+		for {
+			if panicked.Load() {
+				return
+			}
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						panicOnce.Do(func() {
+							firstPanic = &TaskPanic{Index: i, Value: r, Stack: debug.Stack()}
+							panicked.Store(true)
+							if panicRecorded != nil {
+								panicRecorded()
+							}
+						})
+					}
+				}()
+				fn(i)
+			}()
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if panicked.Load() {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() {
-								firstPanic = &TaskPanic{Index: i, Value: r, Stack: debug.Stack()}
-								panicked.Store(true)
-								if panicRecorded != nil {
-									panicRecorded()
-								}
-							})
-						}
-					}()
-					fn(i)
-				}()
-			}
+			run()
 		}()
 	}
+	run()
 	wg.Wait()
 	if firstPanic != nil {
 		panic(firstPanic)

@@ -1,11 +1,14 @@
 package par
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoCoversIndexSpace(t *testing.T) {
@@ -58,16 +61,85 @@ func TestDoPanicPropagatesOriginalStack(t *testing.T) {
 // into TaskPanic.Stack.
 func explodingTask(err error) { panic(err) }
 
+// goroutineID returns the id of the calling goroutine, from its stack header
+// ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := bytes.Cut(bytes.TrimPrefix(buf, []byte("goroutine ")), []byte(" "))
+	return string(id)
+}
+
+// TestDoCallerSharePanics: the calling goroutine runs a share of the tasks,
+// and a panic there is reported like one on a started goroutine — a
+// *TaskPanic with the task's index and a stack that names the task.
+func TestDoCallerSharePanics(t *testing.T) {
+	caller := goroutineID()
+	sentinel := errors.New("caller's task exploded")
+	// Two tasks on two goroutines that wait for each other: each goroutine
+	// claims exactly one index, so the caller runs one of them.
+	var started sync.WaitGroup
+	started.Add(2)
+	var callerTask atomic.Int64
+	callerTask.Store(-1)
+	defer func() {
+		tp, ok := recover().(*TaskPanic)
+		if !ok {
+			t.Fatal("no *TaskPanic from the caller's share")
+		}
+		if want := callerTask.Load(); want < 0 || int64(tp.Index) != want {
+			t.Fatalf("panic index = %d, the caller ran task %d", tp.Index, want)
+		}
+		if tp.Value != sentinel || !strings.Contains(string(tp.Stack), "explodingTask") {
+			t.Fatalf("panic %v lost its value or its stack:\n%s", tp.Value, tp.Stack)
+		}
+	}()
+	Do(2, 2, func(i int) {
+		started.Done()
+		started.Wait()
+		if goroutineID() == caller {
+			callerTask.Store(int64(i))
+			explodingTask(sentinel)
+		}
+	})
+}
+
+// TestDoLeavesNoGoroutine: every goroutine Do starts is gone once it returns,
+// whether the tasks finished or one panicked.
+func TestDoLeavesNoGoroutine(t *testing.T) {
+	for _, workers := range []int{2, 4, 16} {
+		before := runtime.NumGoroutine()
+		Do(workers, 100, func(int) {})
+		func() {
+			defer func() { recover() }()
+			Do(workers, 100, func(i int) {
+				if i == 50 {
+					panic("stop")
+				}
+			})
+		}()
+		for wait := time.Millisecond; runtime.NumGoroutine() > before; wait *= 2 {
+			if wait > time.Second {
+				t.Fatalf("workers=%d: %d goroutines before Do, %d after", workers, before, runtime.NumGoroutine())
+			}
+			time.Sleep(wait)
+		}
+	}
+}
+
 func TestDoPanicDrainsPool(t *testing.T) {
 	// After the first panic the pool must stop claiming new indices (drain),
 	// not run the remaining tasks. Non-panicking tasks block until the panic
 	// has been recorded, so the claimed count does not depend on which
-	// worker the scheduler favours: each worker claims at most one index.
+	// worker the scheduler favours: each worker — the calling goroutine
+	// included — claims at most one index.
 	const workers, n = 2, 1000
 	recorded := make(chan struct{})
 	panicRecorded = func() { close(recorded) }
 	defer func() { panicRecorded = nil }()
 	var claimed atomic.Int64
+	var mu sync.Mutex
+	perGoroutine := make(map[string]int)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -76,6 +148,9 @@ func TestDoPanicDrainsPool(t *testing.T) {
 		}()
 		Do(workers, n, func(i int) {
 			claimed.Add(1)
+			mu.Lock()
+			perGoroutine[goroutineID()]++
+			mu.Unlock()
 			if i == 0 {
 				panic("stop")
 			}
@@ -84,6 +159,11 @@ func TestDoPanicDrainsPool(t *testing.T) {
 	}()
 	if got := claimed.Load(); got < 1 || got > workers {
 		t.Fatalf("pool claimed %d of %d tasks around the panic, want 1..%d", got, n, workers)
+	}
+	for id, got := range perGoroutine {
+		if got > 1 {
+			t.Fatalf("goroutine %s claimed %d tasks around the panic, want at most 1", id, got)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Binary trace format.
@@ -179,7 +180,9 @@ func DecodeWithOptions(r io.Reader, opts DecodeOptions) (*Trace, *DecodeStats, e
 // section being decoded, and the remaining allocation budget, so every
 // failure can be classified and located.
 type decoder struct {
-	src io.Reader // the (decompressed) payload
+	src io.Reader     // the (decompressed) payload
+	fr  io.ReadCloser // the inflater, for a compressed payload
+	st  *readerState  // the pooled state src and buf come from
 	// buf[r:w] is the decoder's window on the payload: read from src, not yet
 	// consumed. Varints decode straight out of it.
 	buf    []byte
@@ -412,43 +415,80 @@ func (d *decoder) span(name string, rank, index int, start int64) {
 	}
 }
 
-// openPayload checks the 6-byte header and sets up decompression. The
-// returned reader yields the raw payload; fr is non-nil when the payload is
-// flate-compressed (the caller owns closing it).
-func openPayload(r io.Reader) (io.Reader, io.ReadCloser, error) {
+// readerState is what decoding a stream needs before its first record: the
+// decoder's window on the payload and, for a compressed stream, the inflater
+// with the buffered reader that feeds it. Built afresh it costs about 45 KiB
+// — the inflater's 32 KiB history and Huffman tables, two 4 KiB buffers —
+// which is more than a corpus rank file's records, so it is pooled and reset
+// for each stream. A reset keeps nothing of the stream before: the window
+// starts empty, and the inflater and its reader are reset to the new input.
+type readerState struct {
+	win []byte
+	br  *bufio.Reader
+	fr  io.ReadCloser // a flate.Resetter
+}
+
+var readerStates = &sync.Pool{New: func() any { return &readerState{win: make([]byte, windowSize)} }}
+
+// openDecoder checks the 6-byte header and returns a decoder over the
+// payload, inflating it when it is compressed, on pooled reader state; the
+// caller gives the state back with release.
+func openDecoder(r io.Reader, lim Limits, wantSpans bool) (*decoder, error) {
 	hdrErr := func(kind ErrKind, cause error) error {
 		return &DecodeError{Kind: kind, Section: "header", Rank: -1, Record: -1, Err: cause}
 	}
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, hdrErr(Truncated, fmt.Errorf("reading header: %w", err))
+		return nil, hdrErr(Truncated, fmt.Errorf("reading header: %w", err))
 	}
 	if string(hdr[:4]) != magic {
-		return nil, nil, hdrErr(Corrupt, errors.New("bad magic, not a VerifyIO trace"))
+		return nil, hdrErr(Corrupt, errors.New("bad magic, not a VerifyIO trace"))
 	}
 	if hdr[4] != formatVer {
-		return nil, nil, hdrErr(Corrupt, fmt.Errorf("unsupported format version %d", hdr[4]))
+		return nil, hdrErr(Corrupt, fmt.Errorf("unsupported format version %d", hdr[4]))
 	}
-	var payload io.Reader = r
-	var fr io.ReadCloser
-	if hdr[5]&flagCompress != 0 {
-		fr = flate.NewReader(r)
-		payload = fr
-	}
-	return payload, fr, nil
-}
-
-func newDecoder(payload io.Reader, lim Limits, wantSpans bool) *decoder {
+	st := readerStates.Get().(*readerState)
 	d := &decoder{
-		src:    payload,
-		buf:    make([]byte, windowSize),
-		lim:    lim.withDefaults(),
-		rank:   -1,
-		record: -1,
-		spans:  wantSpans,
+		src: r, st: st, buf: st.win,
+		lim: lim.withDefaults(), rank: -1, record: -1, spans: wantSpans,
 	}
 	d.budget = d.lim.MaxPayload
-	return d
+	if hdr[5]&flagCompress != 0 {
+		// The inflater reads its input a byte at a time: like
+		// flate.NewReader, hand it r itself when r can do that, and a
+		// buffered reader on r otherwise.
+		br, ok := r.(flate.Reader)
+		if !ok {
+			if st.br == nil {
+				st.br = bufio.NewReader(r)
+			} else {
+				st.br.Reset(r)
+			}
+			br = st.br
+		}
+		if st.fr == nil {
+			st.fr = flate.NewReader(br)
+		} else if err := st.fr.(flate.Resetter).Reset(br, nil); err != nil {
+			d.release()
+			return nil, err
+		}
+		d.src, d.fr = st.fr, st.fr
+	}
+	return d, nil
+}
+
+// release gives the decoder's pooled reader state back; the decoder reads
+// nothing after it. Idempotent.
+func (d *decoder) release() {
+	st := d.st
+	if st == nil {
+		return
+	}
+	d.st, d.src, d.fr, d.buf, d.r, d.w = nil, nil, nil, nil, 0, 0
+	if st.br != nil {
+		st.br.Reset(nil) // the pool must not keep the file alive
+	}
+	readerStates.Put(st)
 }
 
 // checkTrailer verifies a fully decoded strict stream ends cleanly: a
@@ -456,7 +496,7 @@ func newDecoder(payload io.Reader, lim Limits, wantSpans bool) *decoder {
 // its final-block terminator (a DEFLATE payload chopped after the last
 // record would otherwise pass unnoticed — the classic killed-job artifact).
 // Tolerate mode never calls this: the decoded prefix is the trace.
-func (d *decoder) checkTrailer(fr io.ReadCloser) error {
+func (d *decoder) checkTrailer() error {
 	d.section, d.rank, d.record = "trailer", -1, -1
 	var err error
 	if d.r == d.w {
@@ -467,8 +507,8 @@ func (d *decoder) checkTrailer(fr io.ReadCloser) error {
 	} else if err != io.EOF {
 		return d.fail(classifyIO(err), fmt.Errorf("stream end: %w", err))
 	}
-	if fr != nil {
-		if err := fr.Close(); err != nil {
+	if d.fr != nil {
+		if err := d.fr.Close(); err != nil {
 			return d.fail(classifyIO(err), fmt.Errorf("closing compressed payload: %w", err))
 		}
 	}
@@ -478,20 +518,17 @@ func (d *decoder) checkTrailer(fr io.ReadCloser) error {
 // decodeStream is the shared implementation behind DecodeWithOptions and
 // Layout: header, optional decompression, payload, end-of-stream checks.
 func decodeStream(r io.Reader, opts DecodeOptions, wantSpans bool) (*Trace, *DecodeStats, []Span, error) {
-	payload, fr, err := openPayload(r)
+	d, err := openDecoder(r, opts.Limits, wantSpans)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if fr != nil {
-		defer fr.Close()
-	}
-	d := newDecoder(payload, opts.Limits, wantSpans)
+	defer d.release()
 	t, stats, err := d.decodeTrace(opts.Tolerate)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if !opts.Tolerate {
-		if err := d.checkTrailer(fr); err != nil {
+		if err := d.checkTrailer(); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -536,7 +573,10 @@ func (d *decoder) decodeMetaSection() (map[string]string, error) {
 // owned outright by the resulting Trace. The streaming API shares the same
 // core, so the two ingestion modes cannot drift apart.
 func (d *decoder) decodeTrace(tolerate bool) (*Trace, *DecodeStats, error) {
-	ps, err := newPayloadStream(d, tolerate)
+	ps, err := newPayloadStream(d)
+	if err == nil {
+		err = ps.start(tolerate)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

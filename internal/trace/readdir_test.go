@@ -338,15 +338,15 @@ func TestRankCountMetadataParsing(t *testing.T) {
 // payload shrunk to n bytes, so that every n-th payload offset is a refill
 // boundary and a varint lying across one takes the byte-at-a-time path.
 func decodeWindowed(data []byte, opts DecodeOptions, n int) (*Trace, *DecodeStats, error) {
-	payload, fr, err := openPayload(bytes.NewReader(data))
+	d, err := openDecoder(bytes.NewReader(data), opts.Limits, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	d := newDecoder(payload, opts.Limits, false)
+	defer d.release()
 	d.buf = make([]byte, n)
 	tr, stats, err := d.decodeTrace(opts.Tolerate)
 	if err == nil && !opts.Tolerate {
-		err = d.checkTrailer(fr)
+		err = d.checkTrailer()
 	}
 	if err != nil {
 		return nil, nil, err

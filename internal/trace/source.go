@@ -52,6 +52,11 @@ type Dir struct {
 	recov  [][]RankRecovery // tolerate: the rank's salvage entries so far
 	counts []int            // records emitted
 
+	// pre is the scanned rank's file (preRank), open past its metadata
+	// section, until that rank's reader takes it over or Close drops it.
+	pre     atomic.Pointer[streamSource]
+	preRank int
+
 	res    residency
 	pool   bufPool
 	unread atomic.Int32 // ranks ReadRank has yet to finish
@@ -75,6 +80,7 @@ func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
 		oc: oc, span: span,
 	}
 	if err := d.scan(); err != nil {
+		d.dropPre()
 		span.End()
 		return nil, err
 	}
@@ -89,10 +95,11 @@ func OpenDir(dir string, opts StreamOptions, readers int) (*Dir, error) {
 // scan resolves the directory's shape: which ranks have a file comes from the
 // file names, the world rank count and the trace-level metadata from the
 // metadata section (a few bytes) of the lowest rank file that has a readable
-// one. No other file is opened here — a damaged header on a later rank
-// surfaces from openRank, classified the same way — so every file but the one
-// scanned is inflated once and opening a directory costs the same at any rank
-// count.
+// one. That file stays open where the scan stopped (Dir.pre), and its rank's
+// reader carries on from there. No other file is opened here — a damaged
+// header on a later rank surfaces from openRank, classified the same way — so
+// every file is opened and inflated once and opening a directory costs the
+// same at any rank count.
 func (d *Dir) scan() error {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -118,7 +125,7 @@ func (d *Dir) scan() error {
 	nranks := -1
 	failed := make(map[int]error)
 	for _, rank := range ranks {
-		meta, err := d.prescan(d.names[rank])
+		src, err := d.prescan(d.names[rank])
 		if err != nil {
 			remapErr(err, rank)
 			if !d.opts.Tolerate {
@@ -127,6 +134,9 @@ func (d *Dir) scan() error {
 			failed[rank] = err
 			continue
 		}
+		d.pre.Store(src)
+		d.preRank = rank
+		meta := src.ps.meta
 		// A malformed rank count is an absent one.
 		if n, ok := parseCount(meta["verifyio.nranks"]); ok {
 			nranks = n
@@ -193,21 +203,26 @@ func (d *Dir) lost(rank int, err error) {
 	d.recov[rank] = []RankRecovery{{Rank: rank, Salvaged: 0, Dropped: -1, Err: err}}
 }
 
-// prescan decodes the header and metadata section of one rank file.
-func (d *Dir) prescan(name string) (map[string]string, error) {
+// prescan opens one rank file and decodes its header and metadata section.
+func (d *Dir) prescan(name string) (*streamSource, error) {
 	f, err := os.Open(filepath.Join(d.dir, name))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	payload, fr, err := openPayload(f)
+	src, err := openMeta(f, d.opts.Limits)
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	if fr != nil {
-		defer fr.Close()
+	src.f = f
+	return src, nil
+}
+
+// dropPre closes the scanned rank's file if its reader never took it over.
+func (d *Dir) dropPre() {
+	if src := d.pre.Swap(nil); src != nil {
+		src.close()
 	}
-	return newDecoder(payload, d.opts.Limits, false).decodeMetaSection()
 }
 
 // NumRanks returns the world rank count.
@@ -301,13 +316,14 @@ func (d *Dir) Stats() *DecodeStats {
 	return stats
 }
 
-// Close ends the read-trace span. Call it once the readers are done; it is
-// idempotent.
+// Close ends the read-trace span and closes the scanned rank's file if that
+// rank was never read. Call it once the readers are done; it is idempotent.
 func (d *Dir) Close() {
 	if d.closed {
 		return
 	}
 	d.closed = true
+	d.dropPre()
 	d.span.End()
 }
 
@@ -338,21 +354,33 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 		}
 		return nil, strict
 	}
-	f, err := os.Open(filepath.Join(d.dir, name))
-	if err != nil {
-		// Gone since the scan: the directory is missing a piece.
-		err = &DecodeError{Kind: Truncated, Section: "directory", Rank: rank, Record: -1, Err: err}
-		return fail(err, err)
+	// The scanned rank carries on from the scan: its file is open past the
+	// metadata section.
+	var src *streamSource
+	if rank == d.preRank {
+		src = d.pre.Swap(nil)
+	}
+	if src == nil {
+		f, err := os.Open(filepath.Join(d.dir, name))
+		if err != nil {
+			// Gone since the scan: the directory is missing a piece.
+			err = &DecodeError{Kind: Truncated, Section: "directory", Rank: rank, Record: -1, Err: err}
+			return fail(err, err)
+		}
+		if src, err = openMeta(f, d.opts.Limits); err != nil {
+			f.Close()
+			remapErr(err, rank)
+			return fail(err, fmt.Errorf("trace: %s: %w", name, err))
+		}
+		src.f = f
 	}
 	_, span := d.oc.StartLane("rank-"+strconv.Itoa(rank), "read-rank", obs.Int("rank", rank))
-	src, err := openSource(f, d.opts)
-	if err != nil {
+	if err := src.ps.start(d.opts.Tolerate); err != nil {
 		span.End()
-		f.Close()
+		src.close()
 		remapErr(err, rank)
 		return fail(err, fmt.Errorf("trace: %s: %w", name, err))
 	}
-	src.f = f
 	src.ps.rankOff = rank
 	if d.window == 0 {
 		// Whole ranks as batches, which a reader may keep (ReadDir does): the

@@ -96,7 +96,6 @@ type Stream struct {
 // streamSource is one open payload being decoded.
 type streamSource struct {
 	f  *os.File
-	fr io.ReadCloser
 	d  *decoder
 	ps *payloadStream
 }
@@ -107,16 +106,14 @@ type streamSource struct {
 func (src *streamSource) finish(tolerate bool) (*DecodeStats, error) {
 	stats, err := src.ps.finish()
 	if err == nil && !tolerate {
-		err = src.d.checkTrailer(src.fr)
+		err = src.d.checkTrailer()
 	}
 	return stats, err
 }
 
+// close releases the file and the reader state; idempotent.
 func (src *streamSource) close() {
-	if src.fr != nil {
-		src.fr.Close()
-		src.fr = nil
-	}
+	src.d.release()
 	if src.f != nil {
 		src.f.Close()
 		src.f = nil
@@ -147,19 +144,30 @@ func resolveWindow(w int64) int64 {
 // openSource opens one encoded stream: header checks, decompression, and the
 // eager sections (metadata, string table, rank count).
 func openSource(r io.Reader, opts DecodeOptions) (*streamSource, error) {
-	payload, fr, err := openPayload(r)
+	src, err := openMeta(r, opts.Limits)
 	if err != nil {
 		return nil, err
 	}
-	d := newDecoder(payload, opts.Limits, false)
-	ps, err := newPayloadStream(d, opts.Tolerate)
-	if err != nil {
-		if fr != nil {
-			fr.Close()
-		}
+	if err := src.ps.start(opts.Tolerate); err != nil {
+		src.close()
 		return nil, err
 	}
-	return &streamSource{fr: fr, d: d, ps: ps}, nil
+	return src, nil
+}
+
+// openMeta opens one encoded stream up to the end of its metadata section,
+// the first of the eager sections; ps.start decodes the others.
+func openMeta(r io.Reader, lim Limits) (*streamSource, error) {
+	d, err := openDecoder(r, lim, false)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := newPayloadStream(d)
+	if err != nil {
+		d.release()
+		return nil, err
+	}
+	return &streamSource{d: d, ps: ps}, nil
 }
 
 // NumRanks returns the world rank count (known before any batch decodes).
@@ -262,9 +270,10 @@ type pendingTrim struct{ rank, keep, total int }
 
 // payloadStream decodes the payload of one encoded trace incrementally. It
 // is the single implementation behind both the materializing decodeTrace and
-// the streaming API: newPayloadStream eagerly decodes the metadata, string
-// table, and rank count; nextBatch then decodes records on demand; finish
-// runs the deferred validation and assembles the salvage stats.
+// the streaming API: newPayloadStream decodes the metadata section and start
+// the other eager sections (string table, rank count); nextBatch then decodes
+// records on demand; finish runs the deferred validation and assembles the
+// salvage stats.
 type payloadStream struct {
 	d        *decoder
 	tolerate bool
@@ -305,30 +314,37 @@ type payloadStream struct {
 	done    bool
 }
 
-// newPayloadStream decodes the eager sections. Damage here fails in both
-// modes: nothing downstream is interpretable without them.
-func newPayloadStream(d *decoder, tolerate bool) (*payloadStream, error) {
-	ps := &payloadStream{d: d, tolerate: tolerate}
+// newPayloadStream decodes the metadata section. Damage here, and in start,
+// fails in both modes: nothing downstream is interpretable without the eager
+// sections.
+func newPayloadStream(d *decoder) (*payloadStream, error) {
+	meta, err := d.decodeMetaSection()
+	if err != nil {
+		return nil, err
+	}
+	return &payloadStream{d: d, meta: meta}, nil
+}
+
+// start decodes the eager sections after the metadata: the string table and
+// the rank count.
+func (ps *payloadStream) start(tolerate bool) error {
+	d := ps.d
+	ps.tolerate = tolerate
 	if tolerate {
 		ps.damaged = make(map[int]bool)
 	}
-	var err error
-	if ps.meta, err = d.decodeMetaSection(); err != nil {
-		return nil, err
-	}
-
 	d.section = "string-table"
 	sectionStart := d.off
 	nstrs, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nstrs > uint64(d.lim.MaxStrings) {
-		return nil, d.fail(LimitExceeded, fmt.Errorf("string table size %d exceeds limit %d", nstrs, d.lim.MaxStrings))
+		return d.fail(LimitExceeded, fmt.Errorf("string table size %d exceeds limit %d", nstrs, d.lim.MaxStrings))
 	}
 	d.span("string-count", -1, -1, sectionStart)
 	if ps.strs, err = d.strTable(int(nstrs)); err != nil {
-		return nil, err
+		return err
 	}
 	d.span("string-table", -1, -1, sectionStart)
 
@@ -336,17 +352,17 @@ func newPayloadStream(d *decoder, tolerate bool) (*payloadStream, error) {
 	sectionStart = d.off
 	nranks, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nranks > uint64(d.lim.MaxRanks) {
-		return nil, d.fail(LimitExceeded, fmt.Errorf("rank count %d exceeds limit %d", nranks, d.lim.MaxRanks))
+		return d.fail(LimitExceeded, fmt.Errorf("rank count %d exceeds limit %d", nranks, d.lim.MaxRanks))
 	}
 	if err := d.charge(int64(nranks) * rankOverhead); err != nil {
-		return nil, err
+		return err
 	}
 	d.span("nranks", -1, -1, sectionStart)
 	ps.nranks = int(nranks)
-	return ps, nil
+	return nil
 }
 
 // markLost records that every rank from `from` on is gone with its record

@@ -65,12 +65,23 @@ type Race struct {
 	// direction — the one fact Report.Diagnose needs that the fields above
 	// do not carry.
 	ordered bool
+	// level is Level's answer, computed once when the verifier builds the
+	// race; empty for a Race built elsewhere.
+	level string
 }
 
 // Level classifies where a race originates, from its call chains: the
 // outermost frame of the deeper chain tells which layer issued the
 // conflicting operation.
 func (r Race) Level() string {
+	if r.level != "" {
+		return r.level
+	}
+	return chainLevel(r.ChainX, r.ChainY)
+}
+
+// chainLevel is Level computed from the two call chains.
+func chainLevel(chainX, chainY []string) string {
 	pick := func(chain []string) string {
 		if len(chain) <= 1 {
 			return "application"
@@ -81,7 +92,7 @@ func (r Race) Level() string {
 		}
 		return fr.Layer.String()
 	}
-	lx, ly := pick(r.ChainX), pick(r.ChainY)
+	lx, ly := pick(chainX), pick(chainY)
 	if lx == ly {
 		return lx
 	}
@@ -194,8 +205,11 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		rep.Cache = cs.stats()
 	}
 	rep.RaceCount = v.raceCount
-	for _, p := range v.pairs {
-		rep.Races = append(rep.Races, v.makeRace(p))
+	if len(v.pairs) > 0 {
+		rep.Races = make([]Race, len(v.pairs))
+		for i, p := range v.pairs {
+			rep.Races[i] = v.makeRace(p)
+		}
 	}
 	rep.ChecksPerformed = v.checks
 	rep.ClassHits, rep.Classes, rep.HBQueries = v.classHits, v.classes, v.hbQueries
@@ -688,14 +702,16 @@ func (v *verifier) makeRace(p racePair) Race {
 	conf := v.a.Conflicts
 	x, y := conf.Ops[p.x], conf.Ops[p.y]
 	sx, sy := &conf.Sigs[conf.OpSig[p.x]], &conf.Sigs[conf.OpSig[p.y]]
+	chainX, chainY := fullChain(sx), fullChain(sy)
 	return Race{
 		X: x, Y: y,
 		File:    conf.PathOf(x.FID),
 		FuncX:   sx.Func,
 		FuncY:   sy.Func,
-		ChainX:  fullChain(sx),
-		ChainY:  fullChain(sy),
+		ChainX:  chainX,
+		ChainY:  chainY,
 		ordered: v.a.Graph.HB(v.a.Oracle, x.Ref, y.Ref) || v.a.Graph.HB(v.a.Oracle, y.Ref, x.Ref),
+		level:   chainLevel(chainX, chainY),
 	}
 }
 

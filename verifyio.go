@@ -474,7 +474,11 @@ func wrapReport(rep *verify.Report) *Report {
 			DirtyChunks: rep.Cache.DirtyChunks,
 		}
 	}
-	for _, race := range rep.Races {
+	if len(rep.Races) > 0 {
+		out.Races = make([]Race, 0, len(rep.Races))
+	}
+	for i := range rep.Races {
+		race := &rep.Races[i]
 		out.Races = append(out.Races, Race{
 			File:  race.File,
 			FuncX: race.FuncX, FuncY: race.FuncY,

@@ -30,23 +30,26 @@ func synthTrace(nranks, ops int, window int64, seed int64) *trace.Trace {
 
 // BenchmarkDetectScaling measures the sort-and-sweep over increasing
 // operation counts at two overlap densities, up to the one-shared-file shape
-// of the repo benchmark's sparse workload (4 ranks × 65 536 ops in a 32 MiB
-// window), where replay storage and the start-offset sort dominate.
+// of the repo benchmark's sparse workload (8 ranks × 32 000 ops in a 32 MiB
+// window), where the replay, the offset partition and the bucket sorts
+// dominate.
 func BenchmarkDetectScaling(b *testing.B) {
 	for _, cfg := range []struct {
-		ops    int
 		name   string
+		ranks  int
+		ops    int // per rank
 		window int64
 	}{
-		{1000, "sparse", 1 << 20},
-		{1000, "dense", 1 << 10},
-		{10000, "sparse", 1 << 20},
+		{"ops=1000/sparse", 4, 1000, 1 << 20},
+		{"ops=1000/dense", 4, 1000, 1 << 10},
+		{"ops=10000/sparse", 4, 10000, 1 << 20},
 		// dense × 10000 is omitted: ~1.8×10⁷ pairs make the benchmark
 		// measure pair materialization, not the sweep.
-		{65536, "shared-file", 32 << 20},
+		{"ops=65536/shared-file", 4, 65536, 32 << 20},
+		{"8-ranks/shared-file", 8, 32000, 32 << 20},
 	} {
-		tr := synthTrace(4, cfg.ops, cfg.window, 42)
-		b.Run(fmt.Sprintf("ops=%d/%s", cfg.ops, cfg.name), func(b *testing.B) {
+		tr := synthTrace(cfg.ranks, cfg.ops, cfg.window, 42)
+		b.Run(cfg.name, func(b *testing.B) {
 			var pairs int64
 			for i := 0; i < b.N; i++ {
 				res, err := Detect(tr)
@@ -56,7 +59,7 @@ func BenchmarkDetectScaling(b *testing.B) {
 				pairs = res.Pairs
 			}
 			b.ReportMetric(float64(pairs), "pairs")
-			b.ReportMetric(float64(4*cfg.ops), "ops")
+			b.ReportMetric(float64(cfg.ranks*cfg.ops), "ops")
 		})
 	}
 }

@@ -14,11 +14,12 @@
 // The replay state is per-rank by construction, so the detector shards it:
 // each rank replays independently with rank-local file identities, and a
 // serial merge canonicalizes those identities into exactly the ids a
-// rank-major serial scan would assign (see mergeShards). The sort-and-sweep
-// over per-file interval lists is likewise sharded — per file, and within a
-// file into contiguous offset-range slices, so detection scales even when
-// every rank targets one shared file (see detectPairs). Both shardings are
-// exact — the result is identical at every worker count.
+// rank-major serial scan would assign, then moves each rank's ops on a task
+// of its own (see mergeShards). The sort-and-sweep over per-file interval
+// lists is likewise sharded — the sort per offset bucket, the sweep per file
+// and within a file into contiguous offset-range slices — so detection
+// scales even when every rank targets one shared file (see detectPairs).
+// Every sharding is exact — the result is identical at every worker count.
 //
 // The detector reports conflict groups (X, ζ): for each data operation X,
 // the operations on higher ranks that conflict with X, partitioned by rank
@@ -32,6 +33,7 @@ package conflict
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"verifyio/internal/obs"
@@ -100,9 +102,9 @@ type Result struct {
 
 // Options configures the detector.
 type Options struct {
-	// Workers bounds the goroutines used for the per-rank metadata replay
-	// and the per-file conflict sweep. 0 means GOMAXPROCS; 1 forces the
-	// serial path. The result is identical at every worker count.
+	// Workers bounds the goroutines used for the merge's per-rank passes,
+	// the bucket sorts and the conflict sweep. 0 means GOMAXPROCS; 1 forces
+	// the serial path. The result is identical at every worker count.
 	Workers int
 	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
@@ -175,12 +177,12 @@ func (d *Detector) Finish(opts Options) (*Result, error) {
 		shards[rank] = rp.sh
 	}
 	_, mergeSpan := oc.Start("merge")
-	res := mergeShards(shards)
+	res, ix, err := mergeShards(shards, workers)
 	mergeSpan.End()
-	if len(res.Ops) > math.MaxInt32 {
-		return nil, fmt.Errorf("conflict: %d data operations exceed the int32 group index space", len(res.Ops))
+	if err != nil {
+		return nil, err
 	}
-	detectPairs(res, workers, oc)
+	detectPairs(res, ix, workers, oc)
 	return res, nil
 }
 
@@ -211,16 +213,26 @@ type opBlock struct {
 	sig [opBlockLen]int32
 }
 
-// rankShard is one rank's replay output. Op/Sync FIDs index keys; the merge
+// rankShard is one rank's replay output. Op/Sync FIDs index files; the merge
 // rewrites them to canonical file ids.
 type rankShard struct {
 	blocks  []*opBlock // all full but the last; mergeShards releases them
 	nops    int
 	sigs    *sigTable // the rank's signatures
 	syncs   []SyncPoint
-	keys    []localKey     // local fid -> identity, in first-use order
+	files   []localFile    // local fid -> identity and op summary, in first-use order
 	unlinks map[string]int // path -> total unlinks on this rank
 	skipped int
+}
+
+// localFile is one rank-local file identity and the replay's summary of the
+// data operations on it — their count and the least and greatest Start —
+// from which the merge sizes its offset partition without a pass over the
+// operations.
+type localFile struct {
+	key    localKey
+	ops    int
+	lo, hi int64
 }
 
 // rankReplayer holds one rank's in-progress metadata replay: the replay is
@@ -230,7 +242,12 @@ type rankReplayer struct {
 	sh      *rankShard
 	fids    map[localKey]int
 	handles map[string]*handleState // handle arg -> state
-	eof     map[int]int64           // local fid -> EOF estimate
+	eof     []int64                 // local fid -> EOF estimate
+	// memoHandle and memo are the last handle lookup resolved: consecutive
+	// records of a rank mostly name one handle. Every record that rebinds
+	// or drops a handle (open, fopen, close, fclose) clears memo.
+	memoHandle string
+	memo       *handleState
 }
 
 func newRankReplayer() *rankReplayer {
@@ -238,7 +255,6 @@ func newRankReplayer() *rankReplayer {
 		sh:      &rankShard{unlinks: make(map[string]int), sigs: newSigTable()},
 		fids:    make(map[localKey]int),
 		handles: make(map[string]*handleState),
-		eof:     make(map[int]int64),
 	}
 }
 
@@ -248,17 +264,12 @@ func (rp *rankReplayer) fidOf(path string) int {
 	k := localKey{path: path, gen: rp.sh.unlinks[path]}
 	id, ok := rp.fids[k]
 	if !ok {
-		id = len(rp.sh.keys)
+		id = len(rp.sh.files)
 		rp.fids[k] = id
-		rp.sh.keys = append(rp.sh.keys, k)
+		rp.sh.files = append(rp.sh.files, localFile{key: k})
+		rp.eof = append(rp.eof, 0)
 	}
 	return id
-}
-
-func (rp *rankReplayer) growEOF(fid int, end int64) {
-	if end > rp.eof[fid] {
-		rp.eof[fid] = end
-	}
 }
 
 // addOp records the data operation [start, start+n) and reports whether the
@@ -274,22 +285,31 @@ func (rp *rankReplayer) addOp(rec *trace.Record, fid int, write bool, start, n i
 	if n <= 0 {
 		return true
 	}
+	sh.push(Op{
+		Ref: trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
+		FID: fid, Write: write, Start: start, End: start + n,
+	}, sh.sigs.intern(Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain}))
+	if write && start+n > rp.eof[fid] {
+		rp.eof[fid] = start + n
+	}
+	return true
+}
+
+// push appends op, whose FID is a local file id, and its signature index.
+func (sh *rankShard) push(op Op, sig int32) {
 	k := sh.nops % opBlockLen
 	if k == 0 {
 		sh.blocks = append(sh.blocks, new(opBlock))
 	}
 	b := sh.blocks[len(sh.blocks)-1]
-	b.ops[k] = Op{
-		Ref: trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
-		FID: fid, Write: write, Start: start, End: start + n,
-	}
-	b.sig[k] = sh.sigs.intern(
-		Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain})
+	b.ops[k], b.sig[k] = op, sig
 	sh.nops++
-	if write {
-		rp.growEOF(fid, start+n)
+	lf := &sh.files[op.FID]
+	if lf.ops == 0 {
+		lf.lo, lf.hi = op.Start, op.Start
 	}
-	return true
+	lf.lo, lf.hi = min(lf.lo, op.Start), max(lf.hi, op.Start)
+	lf.ops++
 }
 
 func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
@@ -300,14 +320,21 @@ func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
 }
 
 func (rp *rankReplayer) lookup(handle string) *handleState {
-	return rp.handles[handle]
+	if rp.memo != nil && handle == rp.memoHandle {
+		return rp.memo
+	}
+	st := rp.handles[handle]
+	if st != nil {
+		rp.memoHandle, rp.memo = handle, st
+	}
+	return st
 }
 
 // step folds the next record into the replay.
 func (rp *rankReplayer) step(rec *trace.Record) {
 	sh := rp.sh
 	fidOf, addOp, addSync, lookup := rp.fidOf, rp.addOp, rp.addSync, rp.lookup
-	eof, handles := rp.eof, rp.handles
+	handles := rp.handles
 	switch rec.Func {
 	case "open":
 		fd := rec.Arg(2)
@@ -319,12 +346,13 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		st := &handleState{fid: fid}
 		flags := rec.Arg(1)
 		if strings.Contains(flags, "trunc") {
-			eof[fid] = 0
+			rp.eof[fid] = 0
 		}
 		if strings.Contains(flags, "append") {
-			st.pos = eof[fid]
+			st.pos = rp.eof[fid]
 		}
 		handles[fd] = st
+		rp.memo = nil
 		addSync(rec, fid)
 
 	case "fopen":
@@ -337,11 +365,12 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		st := &handleState{fid: fid}
 		switch rec.Arg(1) {
 		case "w", "w+":
-			eof[fid] = 0
+			rp.eof[fid] = 0
 		case "a", "a+":
-			st.pos = eof[fid]
+			st.pos = rp.eof[fid]
 		}
 		handles[id] = st
+		rp.memo = nil
 		addSync(rec, fid)
 
 	case "close", "fclose":
@@ -352,6 +381,7 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		}
 		addSync(rec, st.fid)
 		delete(handles, rec.Arg(0))
+		rp.memo = nil
 
 	case "fsync", "fdatasync":
 		st := lookup(rec.Arg(0))
@@ -450,7 +480,7 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		case 1: // SEEK_CUR
 			st.pos += off
 		case 2: // SEEK_END
-			st.pos = eof[st.fid] + off
+			st.pos = rp.eof[st.fid] + off
 		}
 
 	case "ftruncate":
@@ -462,13 +492,13 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		}
 		// Truncation rewrites the affected range: shrink
 		// clobbers [size, EOF), growth zero-fills [EOF, size).
-		old := eof[st.fid]
+		old := rp.eof[st.fid]
 		lo, hi := size, old
 		if size > old {
 			lo, hi = old, size
 		}
 		if addOp(rec, st.fid, true, lo, hi-lo) {
-			eof[st.fid] = size
+			rp.eof[st.fid] = size
 		}
 
 	case "unlink":
@@ -526,9 +556,116 @@ func lastClosedFID(syncs []SyncPoint, beforeSeq int) (int, bool) {
 	return 0, false
 }
 
+// route sends a rank's operations on one of its local files to the canonical
+// file id and to the file's offset buckets: an op starting at s counts in
+// (rank, bucket) entry at + (s − base) >> shift. A one-bucket file has shift
+// 64, which Go defines to shift every bit out.
+type route struct {
+	base  int64
+	fid   int32
+	at    int32
+	shift uint8
+}
+
+func (rt *route) entry(start int64) int32 {
+	return rt.at + int32((uint64(start)-uint64(rt.base))>>rt.shift)
+}
+
+// fileSpan is what the merge learns of a canonical file before it moves an
+// op: how many ops, over which Starts, from how many ranks, and the offset
+// buckets that makes — nb of them from the file's first bucket, each 2^shift
+// offsets wide from lo.
+type fileSpan struct {
+	lo, hi int64
+	ops    int
+	ranks  int
+	first  int // global index of the file's first bucket
+	nb     int
+	shift  uint8
+}
+
+// rankPart is one rank's share of the merge: where its n ops land in
+// Result.Ops, its file routes and signature remap, and whether any of its
+// files has more than one bucket (only then are its ops counted one by one).
+type rankPart struct {
+	first  int
+	n      int
+	routes []route
+	sigMap []int32
+	multi  bool
+}
+
+// copyOps copies the rank's blocks into its window of ops and sigs, each op
+// still naming its local file, and releases each block once copied.
+func (p *rankPart) copyOps(sh *rankShard, ops []Op, sigs []int32) {
+	at := p.first
+	for bi, b := range sh.blocks {
+		k := min(opBlockLen, sh.nops-bi*opBlockLen)
+		copy(ops[at:at+k], b.ops[:k])
+		for i, sg := range b.sig[:k] {
+			sigs[at+i] = p.sigMap[sg]
+		}
+		at += k
+		sh.blocks[bi] = nil // copied: the block is garbage from here on
+	}
+}
+
+// count adds the rank's ops on its multi-bucket files to their (rank,
+// bucket) entries of deg.
+func (p *rankPart) count(all []Op, deg []int32) {
+	if !p.multi {
+		return
+	}
+	ops := all[p.first : p.first+p.n]
+	for i := range ops {
+		if rt := &p.routes[ops[i].FID]; rt.shift < 64 {
+			deg[rt.entry(ops[i].Start)]++
+		}
+	}
+}
+
+// scatter writes each of the rank's ops into its slot of iv as a packed
+// interval, advancing the slot cursors in deg, and gives the op its
+// canonical file id.
+func (p *rankPart) scatter(all []Op, deg []int32, iv []interval) {
+	ops := all[p.first : p.first+p.n]
+	for i := range ops {
+		op := &ops[i]
+		rt := &p.routes[op.FID]
+		e := rt.entry(op.Start)
+		slot := deg[e]
+		deg[e]++
+		rw := int32(op.Ref.Rank) << 1
+		if op.Write {
+			rw |= 1
+		}
+		iv[slot] = interval{start: op.Start, end: op.End, idx: int32(p.first + i), rw: rw}
+		op.FID = int(rt.fid)
+	}
+}
+
+// bucketOps is the aimed-for number of intervals per offset bucket.
+const bucketOps = 1024
+
+// bucketBits gives a file of m ops on the given number of ranks 2^k offset
+// buckets: the power of two at or above m/bucketOps, none for a file below
+// two buckets' worth, and few enough that the file's (rank, bucket) entries
+// stay within its op count.
+func bucketBits(m, ranks int) int {
+	if m < 2*bucketOps {
+		return 0
+	}
+	k := bits.Len(uint((m - 1) / bucketOps))
+	for k > 0 && ranks<<k > m {
+		k--
+	}
+	return k
+}
+
 // mergeShards canonicalizes file identities and concatenates the per-rank
 // outputs in rank order, reproducing exactly the ids and ordering of a
-// single rank-major scan with one global path table.
+// single rank-major scan with one global path table. On the way it scatters
+// every op into the sweep's offset partition.
 //
 // The equivalence: in a serial scan, two fidOf calls resolve to the same id
 // iff they name the same path with no unlink of that path between them. A
@@ -539,59 +676,181 @@ func lastClosedFID(syncs []SyncPoint, beforeSeq int) (int, bool) {
 // Canonical ids are assigned on first sight walking the ranks' key tables
 // in order, which is each identity's first-use position in the rank-major
 // scan, so the numbering matches too.
-func mergeShards(shards []*rankShard) *Result {
+//
+// The partition: each file's Start range, known from the replay's per-file
+// summaries, is cut into power-of-two-wide offset buckets (bucketBits).
+// Three passes over the ranks follow, a rank per task, each task writing
+// only its rank's ops, entries and slots: one copies the rank's blocks into
+// Ops/OpSig, one counts its ops per (rank, bucket) — only ranks with a
+// multi-bucket file need it — and, after a serial prefix sum over buckets,
+// ranks within a bucket in rank order, has turned counts into slots, one
+// writes each op as a packed interval into its slot. A bucket therefore
+// holds its ops ascending by index, and the buckets of a file tile its
+// window in offset order: sorting each bucket (sweepIndex.sortFile) sorts
+// the file.
+func mergeShards(shards []*rankShard, workers int) (*Result, *sweepIndex, error) {
 	res := &Result{}
-	nops, nsyncs := 0, 0
+	n, nsyncs, nfiles, nsigs := 0, 0, 0, 0
 	for _, sh := range shards {
-		nops += sh.nops
+		n += sh.nops
 		nsyncs += len(sh.syncs)
+		nfiles += len(sh.files)
+		nsigs += len(sh.sigs.sigs)
 		res.Skipped += sh.skipped
 	}
-	res.Ops = make([]Op, nops)
-	res.OpSig = make([]int32, nops)
+	if n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("conflict: %d data operations exceed the int32 group index space", n)
+	}
 	res.Syncs = make([]SyncPoint, 0, nsyncs)
 	sigs := newSigTable()
-	at := 0 // next free position of res.Ops / res.OpSig
+	parts := make([]rankPart, len(shards))
+	routes, sigMaps := make([]route, nfiles), make([]int32, nsigs)
+	var spans []fileSpan
 
 	canon := make(map[localKey]int)
 	genBefore := make(map[string]int)
-	for _, sh := range shards {
-		remap := make([]int, len(sh.keys))
-		for i, k := range sh.keys {
-			gk := localKey{path: k.path, gen: k.gen + genBefore[k.path]}
+	at := 0 // first position of the rank's ops in Result.Ops
+	for r, sh := range shards {
+		p := &parts[r]
+		p.first, p.n, at = at, sh.nops, at+sh.nops
+		p.routes, routes = routes[:len(sh.files):len(sh.files)], routes[len(sh.files):]
+		for i, lf := range sh.files {
+			gk := localKey{path: lf.key.path, gen: lf.key.gen + genBefore[lf.key.path]}
 			id, ok := canon[gk]
 			if !ok {
 				id = len(res.Files)
 				canon[gk] = id
-				res.Files = append(res.Files, k.path)
+				res.Files = append(res.Files, lf.key.path)
+				spans = append(spans, fileSpan{})
 			}
-			remap[i] = id
+			p.routes[i].fid = int32(id)
+			if lf.ops == 0 {
+				continue
+			}
+			sp := &spans[id]
+			if sp.ops == 0 {
+				sp.lo, sp.hi = lf.lo, lf.hi
+			}
+			sp.lo, sp.hi = min(sp.lo, lf.lo), max(sp.hi, lf.hi)
+			sp.ops += lf.ops
+			sp.ranks++
 		}
-		for p, n := range sh.unlinks {
-			genBefore[p] += n
+		for path, c := range sh.unlinks {
+			genBefore[path] += c
 		}
-		for _, sp := range sh.syncs {
-			sp.FID = remap[sp.FID]
-			res.Syncs = append(res.Syncs, sp)
+		for _, sy := range sh.syncs {
+			sy.FID = int(p.routes[sy.FID].fid)
+			res.Syncs = append(res.Syncs, sy)
 		}
 		// Signatures canonicalize like file ids: numbered on first sight in
 		// the rank-major walk.
-		sigMap := make([]int32, len(sh.sigs.sigs))
+		p.sigMap, sigMaps = sigMaps[:len(sh.sigs.sigs):len(sh.sigs.sigs)], sigMaps[len(sh.sigs.sigs):]
 		for i, sg := range sh.sigs.sigs {
-			sigMap[i] = sigs.intern(sg)
-		}
-		for bi, b := range sh.blocks {
-			for i := range min(opBlockLen, sh.nops-bi*opBlockLen) {
-				op := b.ops[i]
-				op.FID = remap[op.FID]
-				res.Ops[at], res.OpSig[at] = op, sigMap[b.sig[i]]
-				at++
-			}
-			sh.blocks[bi] = nil // copied: the block is garbage from here on
+			p.sigMap[i] = sigs.intern(sg)
 		}
 	}
 	res.Sigs = sigs.sigs
-	return res
+
+	// Bucket geometry and file windows. Span arithmetic is unsigned: exact
+	// for any pair of int64 starts.
+	ix := &sweepIndex{fileOff: make([]int32, len(spans)+1)}
+	for f := range spans {
+		sp := &spans[f]
+		ix.fileOff[f+1] = ix.fileOff[f] + int32(sp.ops)
+		sp.first = ix.buckets
+		if sp.ops == 0 {
+			continue
+		}
+		sp.shift, sp.nb = 64, 1
+		width := uint64(sp.hi) - uint64(sp.lo)
+		if k := bucketBits(sp.ops, sp.ranks); k > 0 && width > 0 {
+			sp.shift = uint8(max(bits.Len64(width)-k, 0))
+			sp.nb = int(width>>sp.shift) + 1
+		}
+		ix.buckets += sp.nb
+	}
+
+	// Each rank's blocks are copied out and released before the sweep's
+	// arrays are allocated, so the two are never live at once.
+	res.Ops, res.OpSig = make([]Op, n), make([]int32, n)
+	par.Do(workers, len(shards), func(r int) {
+		parts[r].copyOps(shards[r], res.Ops, res.OpSig)
+	})
+
+	// (rank, bucket) entries, rank-major, a rank's files in local order: at
+	// most one per op, so the count table fits in the sweep's degree table,
+	// which is free until the sweep counts pairs. A one-bucket file's entry
+	// is its op count, known already.
+	ix.deg = make([]int32, n)
+	deg := ix.deg
+	counting := false
+	for r, sh := range shards {
+		p := &parts[r]
+		for i, lf := range sh.files {
+			rt := &p.routes[i]
+			if lf.ops == 0 {
+				continue
+			}
+			sp := &spans[rt.fid]
+			rt.base, rt.shift, rt.at = sp.lo, sp.shift, int32(ix.entries)
+			ix.entries += sp.nb
+			if sp.nb == 1 {
+				deg[rt.at] = int32(lf.ops)
+			} else {
+				p.multi, counting = true, true
+			}
+		}
+	}
+	// The allocator zeroes the packed intervals and the offset table, so a
+	// count runs their allocation on tasks of its own beside it.
+	if counting {
+		par.Do(workers, 2+len(shards), func(t int) {
+			switch t {
+			case 0:
+				ix.iv = make([]interval, n)
+			case 1:
+				ix.off = make([]int64, n+2)
+			default:
+				parts[t-2].count(res.Ops, deg)
+			}
+		})
+	} else {
+		ix.iv, ix.off = make([]interval, n), make([]int64, n+2)
+	}
+	off := ix.off
+
+	// Slots: bucket g's total lands in off[g+2], the prefix sum leaves
+	// bucket g's start in off[g+1], and handing out slots rank by rank
+	// advances it to bucket g's end — so off[g] is bucket g's start for every
+	// g ≤ buckets, and deg[e] becomes the first slot of entry e.
+	walk := func(visit func(e int32, g int)) {
+		for r, sh := range shards {
+			for i, lf := range sh.files {
+				if lf.ops == 0 {
+					continue
+				}
+				rt := &parts[r].routes[i]
+				sp := &spans[rt.fid]
+				for b := range sp.nb {
+					visit(rt.at+int32(b), sp.first+b)
+				}
+			}
+		}
+	}
+	walk(func(e int32, g int) { off[g+2] += int64(deg[e]) })
+	for g := 0; g < ix.buckets; g++ {
+		off[g+2] += off[g+1]
+	}
+	walk(func(e int32, g int) {
+		c := int64(deg[e])
+		deg[e] = int32(off[g+1])
+		off[g+1] += c
+	})
+
+	par.Do(workers, len(shards), func(r int) {
+		parts[r].scatter(res.Ops, deg, ix.iv)
+	})
+	return res, ix, nil
 }
 
 // PathOf returns the path for a file id.

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -91,53 +92,130 @@ func (t *sweepSlice) lane() string {
 	return fmt.Sprintf("detect/sweep-%d.%d", t.fid, t.sub)
 }
 
-// sortByStart orders a file's interval index w by (Start, op index) with a
-// stable LSD radix sort, 8 bits per pass, over key = Start − min Start of the
-// file (exact as an unsigned subtraction for any int64 pair, spans ≥ 2⁶³
-// included). w is ascending on entry — the counting partition fills it in op
-// order — so stability alone yields the index tie-break, and only the
-// bits.Len64(max − min) low key bits are visited. k0, k1 and w1 are scratch
-// windows of len(w).
-func sortByStart(ops []Op, w, w1 []int32, k0, k1 []uint64) {
-	if len(w) < 2 {
+// interval is one data operation as the sweep reads it, packed into 24
+// bytes: its byte range, its index into Result.Ops, and rank<<1 | write.
+type interval struct {
+	start, end int64
+	idx        int32
+	rw         int32
+}
+
+// conflicts reports whether two overlapping intervals conflict: at least one
+// writes, and they lie on different ranks.
+func conflicts(a, b *interval) bool {
+	return (a.rw|b.rw)&1 != 0 && (a.rw^b.rw)>>1 != 0
+}
+
+// sweepIndex is what the merge hands the sweep: every data operation as a
+// packed interval, file by file, each file's window tiled by its offset
+// buckets in offset order.
+type sweepIndex struct {
+	iv      []interval
+	fileOff []int32 // file f's window is iv[fileOff[f]:fileOff[f+1]]
+	// Bucket g is iv[off[g]:off[g+1]]; off is the sweep's offset table,
+	// lent to the partition until the pair count needs it.
+	off     []int64
+	buckets int
+	// deg is the sweep's degree table; its first entries hold the merge's
+	// (rank, bucket) slot cursors until the sweep clears them.
+	deg     []int32
+	entries int
+}
+
+// insertionMax is the largest bucket, or radix digit run, sorted by
+// insertion.
+const insertionMax = 32
+
+// sortFile puts file f's window in (Start, index) order, one task per
+// bucket of the file. Its buckets are those starting inside its window (an
+// empty one at a border may be counted to either neighbour; it needs no
+// sorting).
+func (ix *sweepIndex) sortFile(f, workers int) {
+	lo, hi := int64(ix.fileOff[f]), int64(ix.fileOff[f+1])
+	g0 := sort.Search(ix.buckets, func(g int) bool { return ix.off[g] >= lo })
+	g1 := sort.Search(ix.buckets, func(g int) bool { return ix.off[g] >= hi })
+	par.Do(workers, g1-g0, func(k int) {
+		g := g0 + k
+		sortBucket(ix.iv[ix.off[g]:ix.off[g+1]])
+	})
+}
+
+// sortBucket orders one bucket by (Start, index). The merge scatters ranks in
+// rank order and each rank's ops in index order, so a bucket arrives
+// ascending by index: a stable insertion on Start alone orders a small one.
+// A larger one takes an in-place radix sort on Start − its least Start.
+func sortBucket(b []interval) {
+	if len(b) <= insertionMax {
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && b[j].start < b[j-1].start; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
 		return
 	}
-	lo, hi := ops[w[0]].Start, ops[w[0]].Start
-	for i, oi := range w {
-		s := ops[oi].Start
-		k0[i] = uint64(s)
-		lo, hi = min(lo, s), max(hi, s)
+	lo, hi := b[0].start, b[0].start
+	for i := range b {
+		lo, hi = min(lo, b[i].start), max(hi, b[i].start)
 	}
-	for i := range k0 {
-		k0[i] -= uint64(lo)
+	radixSort(b, uint64(lo), bits.Len64(uint64(hi)-uint64(lo)))
+}
+
+// radixSort orders b, whose keys Start − base (unsigned) lie below 2^width,
+// by (Start, index): one in-place MSD pass over the top 8 key bits (an
+// American flag sort: count the digits, then swap each element into its
+// digit's run), then each run on its own. The swaps do not keep arrival
+// order, so ties are broken by index explicitly: a small run is finished by
+// insertion on the whole key, a run of equal starts by a sort on the index.
+func radixSort(b []interval, base uint64, width int) {
+	switch {
+	case len(b) <= insertionMax:
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && less(&b[j], &b[j-1]); j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+		return
+	case width == 0:
+		slices.SortFunc(b, func(x, y interval) int { return cmp.Compare(x.idx, y.idx) })
+		return
 	}
-	nbits := bits.Len64(uint64(hi) - uint64(lo))
-	src, dst := w, w1
-	for shift := 0; shift < nbits; shift += 8 {
-		var pos [256]int32
-		for _, k := range k0 {
-			pos[uint8(k>>shift)]++
-		}
-		at := int32(0)
-		for d, c := range pos {
-			pos[d], at = at, at+c
-		}
-		for i, k := range k0 {
-			p := pos[uint8(k>>shift)]
-			pos[uint8(k>>shift)] = p + 1
-			k1[p], dst[p] = k, src[i]
-		}
-		k0, k1, src, dst = k1, k0, dst, src
+	shift := max(width-8, 0)
+	digit := func(x *interval) int { return int(uint8((uint64(x.start) - base) >> shift)) }
+	var next, end [256]int32
+	for i := range b {
+		end[digit(&b[i])]++
 	}
-	if (nbits+7)/8%2 == 1 {
-		copy(w, w1) // an odd number of passes leaves the order in w1
+	at := int32(0)
+	for d := range end {
+		next[d], at = at, at+end[d]
+		end[d] = at
+	}
+	for d := range next {
+		for i := next[d]; i < end[d]; i = next[d] {
+			if e := digit(&b[i]); e == d {
+				next[d]++
+			} else {
+				b[i], b[next[e]] = b[next[e]], b[i]
+				next[e]++
+			}
+		}
+	}
+	from := int32(0)
+	for d := range end {
+		radixSort(b[from:end[d]], base+uint64(d)<<shift, shift)
+		from = end[d]
 	}
 }
 
+// less orders intervals by (Start, index).
+func less(x, y *interval) bool {
+	return x.start < y.start || x.start == y.start && x.idx < y.idx
+}
+
 // sliceFile fills out (one entry per slice) with the file's fixed slice
-// plan and computes each slice's carry-in set. w is the file's interval
-// index, already sorted by (Start, index).
-func sliceFile(ops []Op, w []int32, fid int, out []sweepSlice) {
+// plan and computes each slice's carry-in set. w is the file's window,
+// already sorted by (Start, index).
+func sliceFile(w []interval, fid int, out []sweepSlice) {
 	m, S := len(w), len(out)
 	for s := 0; s < S; s++ {
 		out[s] = sweepSlice{
@@ -152,7 +230,7 @@ func sliceFile(ops []Op, w []int32, fid int, out []sweepSlice) {
 	// with s because w is start-sorted.
 	bStart := make([]int64, S)
 	for s := 0; s < S; s++ {
-		bStart[s] = ops[w[out[s].lo]].Start
+		bStart[s] = w[out[s].lo].start
 	}
 	// Interval i straddles into every later slice whose boundary start it
 	// covers: exactly the slices t > sliceOf(i) with End_i > bStart[t].
@@ -167,7 +245,7 @@ func sliceFile(ops []Op, w []int32, fid int, out []sweepSlice) {
 			for s+1 < S && i >= int(out[s+1].lo) {
 				s++
 			}
-			end := ops[w[i]].End
+			end := w[i].end
 			if s+1 >= S || end <= bStart[s+1] {
 				continue
 			}
@@ -203,32 +281,30 @@ func sliceFile(ops []Op, w []int32, fid int, out []sweepSlice) {
 // pair's lower op index — the group the pair will live in. Degrees are
 // order-free sums, so the atomic adds from concurrently swept slices cannot
 // perturb the result.
-func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) {
+func (t *sweepSlice) count(w []interval, deg []int32) {
 	lo, hi := int(t.lo), int(t.hi)
 	for _, ci := range t.carry {
-		I := &ops[w[ci]]
+		I := &w[ci]
 		for j := lo; j < hi; j++ {
-			J := &ops[w[j]]
-			if J.Start >= I.End {
+			J := &w[j]
+			if J.start >= I.end {
 				break // sorted by start: no later interval overlaps I either
 			}
-			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
-				continue
+			if conflicts(I, J) {
+				atomic.AddInt32(&deg[min(I.idx, J.idx)], 1)
 			}
-			atomic.AddInt32(&deg[min(w[ci], w[j])], 1)
 		}
 	}
 	for i := lo; i < hi; i++ {
-		I := &ops[w[i]]
+		I := &w[i]
 		for j := i + 1; j < hi; j++ {
-			J := &ops[w[j]]
-			if J.Start >= I.End {
+			J := &w[j]
+			if J.start >= I.end {
 				break
 			}
-			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
-				continue
+			if conflicts(I, J) {
+				atomic.AddInt32(&deg[min(I.idx, J.idx)], 1)
 			}
-			atomic.AddInt32(&deg[min(w[i], w[j])], 1)
 		}
 	}
 }
@@ -237,36 +313,34 @@ func (t *sweepSlice) count(ops []Op, w []int32, deg []int32) {
 // the bucket of its lower one: bucket x is ys[off[x]:off[x+1]], and the
 // degrees count back down to zero as the cursors. The intra-bucket order is
 // scheduling-dependent; detectPairs sorts every bucket afterwards.
-func (t *sweepSlice) fill(ops []Op, w []int32, off []int64, deg, ys []int32) {
+func (t *sweepSlice) fill(w []interval, off []int64, deg, ys []int32) {
 	lo, hi := int(t.lo), int(t.hi)
 	put := func(a, b int32) {
 		x, y := min(a, b), max(a, b)
 		ys[off[x]+int64(atomic.AddInt32(&deg[x], -1))] = y
 	}
 	for _, ci := range t.carry {
-		I := &ops[w[ci]]
+		I := &w[ci]
 		for j := lo; j < hi; j++ {
-			J := &ops[w[j]]
-			if J.Start >= I.End {
+			J := &w[j]
+			if J.start >= I.end {
 				break
 			}
-			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
-				continue
+			if conflicts(I, J) {
+				put(I.idx, J.idx)
 			}
-			put(w[ci], w[j])
 		}
 	}
 	for i := lo; i < hi; i++ {
-		I := &ops[w[i]]
+		I := &w[i]
 		for j := i + 1; j < hi; j++ {
-			J := &ops[w[j]]
-			if J.Start >= I.End {
+			J := &w[j]
+			if J.start >= I.end {
 				break
 			}
-			if (!I.Write && !J.Write) || I.Ref.Rank == J.Ref.Rank {
-				continue
+			if conflicts(I, J) {
+				put(I.idx, J.idx)
 			}
-			put(w[i], w[j])
 		}
 	}
 }
@@ -288,20 +362,22 @@ func rangeBounds(off []int64, n, K int) []int {
 // paper's conflict_detection pseudocode) and builds the conflict groups
 // without ever materializing a pair list.
 //
-// Parallel structure: after the per-file start-offset sort, each file's
-// interval list is partitioned into contiguous slices sized by op count
-// (sliceFile), so the sweep scales within a single shared file — the
-// canonical N-ranks-to-one-file HPC pattern — not just across files. The
-// sweep runs twice over the (file, slice) tasks: a counting pass accumulates
-// per op the number of later ops it conflicts with, a prefix sum turns those
-// degrees into bucket offsets into the Result-wide ys arena, and a fill pass
-// writes each pair once, as its higher index in the bucket of its lower one.
-// Each bucket is then sorted in place, which lands every group's ys ascending
-// — the CSR layout — whatever order the slices filled it in, and the per-rank
+// Parallel structure: the merge has already partitioned every file's packed
+// intervals into offset buckets, so the per-file start-offset sort is one
+// task per bucket (sortFile) and runs on every core even when every rank
+// targets one shared file — the canonical N-ranks-to-one-file HPC pattern.
+// Each file's sorted window is then cut into contiguous slices sized by op
+// count (sliceFile), so the sweep scales within a file too. The sweep runs
+// twice over the (file, slice) tasks: a counting pass accumulates per op the
+// number of later ops it conflicts with, a prefix sum turns those degrees
+// into bucket offsets into the Result-wide ys arena, and a fill pass writes
+// each pair once, as its higher index in the bucket of its lower one. Each
+// bucket is then sorted in place, which lands every group's ys ascending —
+// the CSR layout — whatever order the slices filled it in, and the per-rank
 // runs fall out of one rank-monotone walk. Groups emerge already sorted by X.
 // Every output byte is a function of the trace alone: the Result is identical
 // at every worker count.
-func detectPairs(res *Result, workers int, oc obs.Ctx) {
+func detectPairs(res *Result, ix *sweepIndex, workers int, oc obs.Ctx) {
 	sc, sweepSpan := oc.Start("sweep", obs.Int("files", len(res.Files)))
 	defer sweepSpan.End()
 
@@ -311,41 +387,22 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	if n == 0 || nfiles == 0 {
 		return
 	}
-
-	// Per-file interval index arena, built by counting so the partition
-	// costs two passes and three allocations however many files there are;
-	// likewise the sort's ping-pong scratch, windowed by fileOff.
-	fileOff := make([]int32, nfiles+1)
-	for i := range ops {
-		fileOff[ops[i].FID+1]++
-	}
-	for f := 0; f < nfiles; f++ {
-		fileOff[f+1] += fileOff[f]
-	}
-	idx := make([]int32, n)
-	next := append([]int32(nil), fileOff[:nfiles]...)
-	for i := range ops {
-		f := ops[i].FID
-		idx[next[f]] = int32(i)
-		next[f]++
-	}
+	iv, fileOff := ix.iv, ix.fileOff
 
 	taskOff := make([]int32, nfiles+1)
 	for f := 0; f < nfiles; f++ {
 		taskOff[f+1] = taskOff[f] + int32(numSlices(int(fileOff[f+1]-fileOff[f])))
 	}
 	tasks := make([]sweepSlice, taskOff[nfiles])
-	idx1, keys0, keys1 := make([]int32, n), make([]uint64, n), make([]uint64, n)
 
+	// One task per file, whose bucket sorts fan out again: a file of many
+	// buckets — one shared file — sorts on every core.
 	_, sortSpan := sc.Start("sweep-sort", obs.Int("tasks", len(tasks)))
 	par.Do(workers, nfiles, func(f int) {
-		lo, hi := fileOff[f], fileOff[f+1]
-		if lo == hi {
-			return
+		if lo, hi := fileOff[f], fileOff[f+1]; lo < hi {
+			ix.sortFile(f, workers)
+			sliceFile(iv[lo:hi], f, tasks[taskOff[f]:taskOff[f+1]])
 		}
-		w := idx[lo:hi]
-		sortByStart(ops, w, idx1[lo:hi], keys0[lo:hi], keys1[lo:hi])
-		sliceFile(ops, w, f, tasks[taskOff[f]:taskOff[f+1]])
 	})
 	sortSpan.End()
 
@@ -354,11 +411,12 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 		carryOps += int64(len(tasks[i].carry))
 	}
 
-	deg := make([]int32, n)
+	deg := ix.deg
+	clear(deg[:ix.entries])
 	countCtx, countSpan := sc.Start("sweep-count", obs.Int("slices", len(tasks)))
 	par.Do(workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
-		w := idx[fileOff[t.fid]:fileOff[t.fid+1]]
+		w := iv[fileOff[t.fid]:fileOff[t.fid+1]]
 		// Single-op files cannot conflict; skip their spans so traces on
 		// wide file sets stay readable. The Enabled guard keeps the lane
 		// name and attrs from being built on uninstrumented runs.
@@ -368,25 +426,26 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 				obs.Int("carry", len(t.carry)))
 			defer sp.End()
 		}
-		t.count(ops, w, deg)
+		t.count(w, deg)
 	})
 	countSpan.End()
 
-	off := make([]int64, n+1)
+	off := ix.off[:n+1]
 	for i := 0; i < n; i++ {
 		off[i+1] = off[i] + int64(deg[i])
 	}
 	res.Pairs = off[n]
 
 	// The transient footprint of the sweep, O(n) tables whatever the pair
-	// count: index + sort scratch + slice plan + degree / offset / rank
-	// tables. The output arenas (ys — filled in place — runs, groups) are
-	// retained and excluded. A tier-1 test gates this against the op count.
+	// count: packed intervals + slice plan + degree / offset / rank tables.
+	// The partition's (rank, bucket) counts lived in deg and its bucket
+	// bounds in off, and the bucket sorts work in place, so they add nothing.
+	// The output arenas (ys — filled in place — runs, groups) are retained
+	// and excluded. A tier-1 test gates this against the op count.
 	res.slices, res.carryOps = len(tasks), carryOps
-	res.ScratchBytes = 4*int64(n) /* idx */ + 20*int64(n) /* idx1, keys0, keys1 */ +
-		4*int64(3*nfiles+2) /* fileOff, next, taskOff */ +
+	res.ScratchBytes = 24*int64(n) /* iv */ + 4*int64(2*nfiles+2) /* fileOff, taskOff */ +
 		40*int64(len(tasks)) /* tasks */ +
-		4*carryOps + 4*int64(n) /* deg */ + 8*int64(n+1) /* off */
+		4*carryOps + 4*int64(n) /* deg */ + 8*int64(n+2) /* off */
 	if res.Pairs == 0 {
 		return
 	}
@@ -396,12 +455,12 @@ func detectPairs(res *Result, workers int, oc obs.Ctx) {
 	fillCtx, fillSpan := sc.Start("sweep-fill", obs.Int("entries", len(ys)))
 	par.Do(workers, len(tasks), func(ti int) {
 		t := &tasks[ti]
-		w := idx[fileOff[t.fid]:fileOff[t.fid+1]]
+		w := iv[fileOff[t.fid]:fileOff[t.fid+1]]
 		if len(w) > 1 && fillCtx.Enabled() {
 			_, sp := fillCtx.StartLane(t.lane(), "fill-slice", obs.Int("fid", int(t.fid)))
 			defer sp.End()
 		}
-		t.fill(ops, w, off, deg, ys)
+		t.fill(w, off, deg, ys)
 	})
 	fillSpan.End()
 

@@ -437,11 +437,15 @@ func TestStreamDetectorMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestSortByStartMatchesReference holds the radix sort to a comparison sort
-// on (Start, op index) that lives here: files of every awkward size and
-// distribution, several sharing one index and scratch arena the way
-// detectPairs lays them out. Ties are everywhere, so a pass that is not
-// stable fails.
+// TestSortByStartMatchesReference holds the merge's offset partition and its
+// bucket sorts to a comparison sort on (Start, op index) that lives here:
+// files of every awkward size and distribution, their ops spread over ranks,
+// through mergeShards and sweepIndex.sortFile at several worker counts.
+// Every bucket must arrive in index order, and every file window must list
+// its ops in (Start, index) order, each interval carrying its op's range,
+// rank and kind. Ties are everywhere, and they span ranks, so a scatter out
+// of rank order, or a sort that breaks a tie by anything but the index,
+// fails.
 func TestSortByStartMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gen := func(n int, start func(i int) int64) []int64 {
@@ -454,56 +458,165 @@ func TestSortByStartMatchesReference(t *testing.T) {
 	narrow := func(int) int64 { return rng.Int63n(1 << 12) }
 	anywhere := func(int) int64 { return int64(rng.Uint64()) }
 	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	cases := map[string][][]int64{
-		"all-equal":  {gen(1000, func(int) int64 { return 42 })},
-		"ascending":  {gen(1000, func(i int) int64 { return int64(3 * i) })},
-		"descending": {gen(1000, func(i int) int64 { return int64(-3 * i) })},
-		"extremes":   {gen(5000, func(int) int64 { return extremes[rng.Intn(len(extremes))] })},
-		"any-int64":  {gen(5000, anywhere)},
-		"min-max":    {{math.MaxInt64, math.MinInt64, math.MaxInt64, math.MinInt64}},
-		// One pass for the first file, eight for the second, none for the
-		// third, out of one arena.
-		"mixed-spans": {gen(3000, func(int) int64 { return rng.Int63n(16) }), gen(700, anywhere), {5}},
+	// A case is one trace's files (each a list of Starts, in op order) over
+	// nranks ranks (0: four); op i of file f goes to rank rankOf(f, i) (nil:
+	// i mod nranks).
+	type sortCase struct {
+		files  [][]int64
+		nranks int
+		rankOf func(f, i int) int
+	}
+	plain := func(files ...[]int64) sortCase { return sortCase{files: files} }
+	cases := map[string]sortCase{
+		"all-equal":  plain(gen(1000, func(int) int64 { return 42 })),
+		"ascending":  plain(gen(1000, func(i int) int64 { return int64(3 * i) })),
+		"descending": plain(gen(1000, func(i int) int64 { return int64(-3 * i) })),
+		"extremes":   plain(gen(5000, func(int) int64 { return extremes[rng.Intn(len(extremes))] })),
+		"any-int64":  plain(gen(5000, anywhere)),
+		"min-max":    plain([]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, math.MinInt64}),
+		// One bucket for the first file, several for the second, one op in
+		// the third.
+		"mixed-spans": plain(gen(3000, func(int) int64 { return rng.Int63n(16) }), gen(7000, anywhere), []int64{5}),
+		// Skewed partitions: one bucket holding a file of many buckets'
+		// worth, two clusters with empty buckets between them, spans of the
+		// whole int64 range, a file of one rank among eight, a thousand
+		// one-op files, ranks without an op.
+		"skew/all-starts-equal": plain(gen(9000, func(int) int64 { return 1 << 40 })),
+		"skew/clusters-2^60-apart": plain(gen(9000, func(i int) int64 {
+			return int64(i%2)<<60 + rng.Int63n(1<<10)
+		})),
+		"skew/minint-maxint-spans": plain(gen(9000, func(i int) int64 {
+			switch i % 3 {
+			case 0:
+				return math.MinInt64 + rng.Int63n(1<<10)
+			case 1:
+				return math.MaxInt64 - rng.Int63n(1<<10)
+			}
+			return anywhere(i)
+		})),
+		"skew/one-rank-of-eight": {
+			files:  [][]int64{gen(6000, narrow), gen(6000, narrow)},
+			nranks: 8,
+			rankOf: func(f, i int) int { return []int{5, i % 8}[f] },
+		},
+		"skew/1024-one-op-files": {
+			files:  onePerFile(1024, func() int64 { return rng.Int63n(4) }),
+			nranks: 8,
+			rankOf: func(f, _ int) int { return f % 8 },
+		},
+		"skew/idle-ranks": {
+			files:  [][]int64{gen(5000, narrow), gen(40, narrow)},
+			nranks: 8,
+			rankOf: func(_, i int) int { return []int{2, 6}[i%2] },
+		},
+		// Small buckets whose ties span ranks: the insertion sort's order.
+		"ties-across-ranks": {
+			files:  [][]int64{gen(24, func(int) int64 { return rng.Int63n(3) }), gen(9, func(int) int64 { return 0 })},
+			nranks: 8,
+		},
 	}
 	for _, n := range []int{0, 1, 2, 255, 256, 257, 100000} {
-		cases[fmt.Sprintf("n=%d", n)] = [][]int64{gen(n, narrow), gen(n, anywhere)}
+		cases[fmt.Sprintf("n=%d", n)] = plain(gen(n, narrow), gen(n, anywhere))
 	}
-	for name, files := range cases {
-		// Interleave the files' ops so every index window ascends with gaps.
-		var ops []Op
+	for name, c := range cases {
+		if c.nranks == 0 {
+			c.nranks = 4
+		}
+		if c.rankOf == nil {
+			c.rankOf = func(_, i int) int { return i % c.nranks }
+		}
+		// Interleave the files' ops within each rank; the ranks' op lists,
+		// concatenated, are the Result's op order.
+		perRank := make([][]Op, c.nranks)
 		for i, more := 0, true; more; i++ {
 			more = false
-			for f, starts := range files {
+			for f, starts := range c.files {
 				if i < len(starts) {
-					ops = append(ops, Op{FID: f, Start: starts[i]})
+					r := c.rankOf(f, i)
+					end := starts[i] + 1 + int64(i%5)
+					if end < starts[i] {
+						end = math.MaxInt64
+					}
+					perRank[r] = append(perRank[r], Op{
+						Ref: trace.Ref{Rank: r, Seq: len(perRank[r])},
+						FID: f, Write: (i+f)%3 == 0, Start: starts[i], End: end,
+					})
 					more = true
 				}
 			}
 		}
-		idx := make([][]int32, len(files))
+		ops := slices.Concat(perRank...)
+		want := make([][]int32, len(c.files))
 		for i := range ops {
-			idx[ops[i].FID] = append(idx[ops[i].FID], int32(i))
+			want[ops[i].FID] = append(want[ops[i].FID], int32(i))
 		}
-		n := len(ops)
-		arena, idx1, k0, k1 := make([]int32, 0, n), make([]int32, n), make([]uint64, n), make([]uint64, n)
-		for f := range files {
-			lo := len(arena)
-			arena = append(arena, idx[f]...)
-			hi := len(arena)
-			w := arena[lo:hi]
-			sortByStart(ops, w, idx1[lo:hi], k0[lo:hi], k1[lo:hi])
-			want := slices.Clone(idx[f])
-			slices.SortFunc(want, func(a, b int32) int {
+		for f := range want {
+			slices.SortFunc(want[f], func(a, b int32) int {
 				if c := cmp.Compare(ops[a].Start, ops[b].Start); c != 0 {
 					return c
 				}
 				return cmp.Compare(a, b)
 			})
-			if !slices.Equal(w, want) {
-				t.Errorf("%s: file %d (%d ops) is not in (Start, index) order", name, f, len(w))
+		}
+		for _, workers := range []int{1, 2, 7} {
+			shards := make([]*rankShard, c.nranks)
+			for r := range shards {
+				sh := &rankShard{sigs: newSigTable()}
+				for f := range c.files {
+					sh.files = append(sh.files, localFile{key: localKey{path: fmt.Sprint("f", f)}})
+				}
+				sig := sh.sigs.intern(Sig{Func: "pwrite"})
+				for _, op := range perRank[r] {
+					sh.push(op, sig)
+				}
+				shards[r] = sh
+			}
+			res, ix, err := mergeShards(shards, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < ix.buckets; g++ {
+				b := ix.iv[ix.off[g]:ix.off[g+1]]
+				if !slices.IsSortedFunc(b, func(x, y interval) int { return cmp.Compare(x.idx, y.idx) }) {
+					t.Fatalf("%s workers=%d: bucket %d of %d does not arrive in index order", name, workers, g, ix.buckets)
+				}
+			}
+			for f := range c.files {
+				ix.sortFile(f, workers)
+			}
+			if !slices.Equal(res.Ops, ops) {
+				t.Fatalf("%s workers=%d: merged ops differ from the ranks' ops in rank order", name, workers)
+			}
+			for f := range c.files {
+				w := ix.iv[ix.fileOff[f]:ix.fileOff[f+1]]
+				got := make([]int32, len(w))
+				for k := range w {
+					got[k] = w[k].idx
+					op := &ops[w[k].idx]
+					rw := int32(op.Ref.Rank) << 1
+					if op.Write {
+						rw |= 1
+					}
+					if w[k].start != op.Start || w[k].end != op.End || w[k].rw != rw {
+						t.Fatalf("%s workers=%d: file %d position %d is %+v, op %d is %+v", name, workers, f, k, w[k], w[k].idx, *op)
+					}
+				}
+				if !slices.Equal(got, want[f]) {
+					t.Errorf("%s workers=%d: file %d (%d ops, %d buckets in the trace) is not in (Start, index) order",
+						name, workers, f, len(w), ix.buckets)
+				}
 			}
 		}
 	}
+}
+
+// onePerFile returns n files of one op each, starting where start says.
+func onePerFile(n int, start func() int64) [][]int64 {
+	files := make([][]int64, n)
+	for f := range files {
+		files[f] = []int64{start()}
+	}
+	return files
 }
 
 // TestDetectOpStorageNotDoubled bounds the bytes a detection allocates, by

@@ -320,8 +320,15 @@ func (d *decoder) strLen() (int, error) {
 	return int(n), nil
 }
 
-// strBody fills buf with the next len(buf) payload bytes.
+// strBody fills buf with the next len(buf) payload bytes. A body that lies
+// whole inside the window is copied straight out of it; only the io.ReadFull
+// path refills the window and fails, as with uvarint.
 func (d *decoder) strBody(buf []byte) error {
+	if len(buf) <= d.w-d.r {
+		d.r += copy(buf, d.buf[d.r:d.w])
+		d.off += int64(len(buf))
+		return nil
+	}
 	if _, err := io.ReadFull(d, buf); err != nil {
 		return d.fail(classifyIO(err), fmt.Errorf("string body: %w", err))
 	}

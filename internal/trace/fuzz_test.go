@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -198,4 +199,46 @@ func salvaged(s *DecodeStats) int {
 		}
 	}
 	return n
+}
+
+// intArgTable is the IntArg equivalence table: plain digits of every length
+// the fast path takes and the first it leaves to strconv, the int64 edge,
+// signs, and strings strconv rejects.
+var intArgTable = []string{
+	"", "0", "7", "007", "+5", "-5", "-0", "+", "-",
+	"123456789012345678", "999999999999999999", // 18 digits
+	"1234567890123456789", "9223372036854775807", // 19 digits
+	"9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+	"00000000000000000000042", "1e3", "0x10", " 5", "5 ", "1_000", "٣", "12a",
+}
+
+// checkIntArg holds Record.IntArg to strconv.ParseInt on one string.
+func checkIntArg(t *testing.T, s string) {
+	t.Helper()
+	rec := Record{Args: []string{s}}
+	got, ok := rec.IntArg(0)
+	want, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		want = 0
+	}
+	if ok != (err == nil) || got != want {
+		t.Errorf("IntArg(%q) = %d, %v; strconv.ParseInt gives %d, %v", s, got, ok, want, err)
+	}
+}
+
+func TestIntArgMatchesParseInt(t *testing.T) {
+	for _, s := range intArgTable {
+		checkIntArg(t, s)
+	}
+	if v, ok := (&Record{}).IntArg(0); ok || v != 0 {
+		t.Errorf("missing argument: IntArg = %d, %v; want 0, false", v, ok)
+	}
+}
+
+// FuzzIntArg checks Record.IntArg against strconv.ParseInt on any string.
+func FuzzIntArg(f *testing.F) {
+	for _, s := range intArgTable {
+		f.Add(s)
+	}
+	f.Fuzz(checkIntArg)
 }

@@ -134,14 +134,38 @@ func (r *Record) Arg(i int) string {
 	return r.Args[i]
 }
 
-// IntArg returns argument i parsed as int64. Missing or malformed arguments
+// IntArg returns argument i parsed as int64, exactly as
+// strconv.ParseInt(arg, 10, 64) parses it. Missing or malformed arguments
 // return ok=false; analysis code treats those records as unusable rather
 // than failing the whole run, matching VerifyIO's tolerance of partial
 // traces from the legacy Recorder.
 func (r *Record) IntArg(i int) (int64, bool) {
-	v, err := strconv.ParseInt(r.Arg(i), 10, 64)
+	s := r.Arg(i)
+	if v, ok := plainDigits(s); ok {
+		return v, true
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, false
+	}
+	return v, true
+}
+
+// plainDigits parses the common argument, a count or offset of 1 to 18
+// plain decimal digits, which cannot overflow an int64. Anything else — a
+// sign, 19 digits or more, any other byte — reports false and is left to
+// strconv.
+func plainDigits(s string) (int64, bool) {
+	if len(s) == 0 || len(s) > 18 {
+		return 0, false
+	}
+	v := int64(0)
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(c)
 	}
 	return v, true
 }

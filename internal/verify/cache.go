@@ -154,9 +154,6 @@ type cacheArtifacts struct {
 	edges        []vcache.Edge
 	unlinkTotals []int
 
-	refOnce sync.Once
-	refIdx  map[trace.Ref]int32
-
 	// Dirty-state memo, keyed by the (store, trace id) it was resolved
 	// against; model passes share it.
 	dirtyMu   sync.Mutex
@@ -420,19 +417,6 @@ func cacheTraceID(opts Options, art *cacheArtifacts) string {
 	return fmt.Sprintf("auto-%x", h.Sum(nil)[:12])
 }
 
-// refIndex resolves record identities back to op arena indices (cached
-// verdict pairs store refs, which — unlike indices — survive trace growth).
-func (art *cacheArtifacts) refIndex(a *Analysis) map[trace.Ref]int32 {
-	art.refOnce.Do(func() {
-		idx := make(map[trace.Ref]int32, len(a.Conflicts.Ops))
-		for i := range a.Conflicts.Ops {
-			idx[a.Conflicts.Ops[i].Ref] = int32(i)
-		}
-		art.refIdx = idx
-	})
-	return art.refIdx
-}
-
 // dirtyState resolves (once per store and trace id) the incremental mapping:
 // load the old manifest, compute the stable-region cuts, apply the unlink
 // guard, and precompute per-chunk stability. Nil when the store holds no
@@ -494,11 +478,11 @@ func (art *cacheArtifacts) dirtyState(store *vcache.Store, id string, a *Analysi
 	return d
 }
 
-// tryApply resolves chunk c from the cache into sh; false means the caller
-// must verify (a miss, counted here).
-func (cs *cacheSession) tryApply(c int, sh *tally) bool {
+// tryApply resolves chunk c from the cache into sh, keeping need race
+// pairs; false means the caller must verify (a miss, counted here).
+func (cs *cacheSession) tryApply(c int, sh *tally, need int) bool {
 	k := vcache.Key{Chunk: cs.art.chunks[c], Model: cs.model, Epoch: cs.art.epoch}
-	if v, ok := cs.store.Get(k); ok && cs.apply(v, sh) {
+	if v, ok := cs.store.Get(k); ok && cs.apply(c, v, sh, need) {
 		cs.hits.Add(1)
 		cs.store.CountHit()
 		return true
@@ -515,7 +499,7 @@ func (cs *cacheSession) tryApply(c int, sh *tally) bool {
 	d := cs.art.dirtyState(cs.store, cs.id, cs.a)
 	if d != nil && d.promote && d.stable[c] {
 		old := vcache.Key{Chunk: cs.art.chunks[c], Model: cs.model, Epoch: d.oldEpoch}
-		if v, ok := cs.store.Get(old); ok && cs.apply(v, sh) {
+		if v, ok := cs.store.Get(old); ok && cs.apply(c, v, sh, need) {
 			cs.store.Put(k, v) // promote to the current epoch
 			cs.hits.Add(1)
 			cs.store.CountHit()
@@ -531,22 +515,38 @@ func (cs *cacheSession) tryApply(c int, sh *tally) bool {
 	return false
 }
 
-// apply loads a cached verdict into the chunk's tally, resolving pair refs to
-// op indices. Any inconsistency — unresolvable ref, out-of-contract counts —
+// apply loads a cached verdict into chunk c's tally, resolving the first
+// need pair refs to op indices. Every stored pair is checked in one forward
+// walk over the chunk's groups: it must be a group's X and one of that
+// group's Ys, in discovery order (group order, then ascending Y), and a
+// sealed verdict holds min(Races, MaxRaceDetails) of them. Anything else
 // rejects the verdict (treat as miss) rather than trusting it.
-func (cs *cacheSession) apply(v vcache.Verdict, sh *tally) bool {
-	if v.Checks < 0 || v.Races < int64(len(v.Pairs)) || len(v.Pairs) > cs.opts.MaxRaceDetails {
+func (cs *cacheSession) apply(c int, v vcache.Verdict, sh *tally, need int) bool {
+	if v.Checks < 0 || int64(len(v.Pairs)) != min(v.Races, int64(cs.opts.MaxRaceDetails)) {
 		return false
 	}
-	idx := cs.art.refIndex(cs.a)
-	var pairs []racePair
+	conf, span := cs.a.Conflicts, cs.a.queryPlan().chunks[c]
+	pairs := make([]racePair, 0, min(need, len(v.Pairs)))
+	gi, k := span.lo, 0 // where the next pair may start: group gi, its k-th Y
 	for _, p := range v.Pairs {
-		xi, okx := idx[trace.Ref{Rank: int(p.XRank), Seq: int(p.XSeq)}]
-		yi, oky := idx[trace.Ref{Rank: int(p.YRank), Seq: int(p.YSeq)}]
-		if !okx || !oky {
+		x := trace.Ref{Rank: int(p.XRank), Seq: int(p.XSeq)}
+		for gi < span.hi && conf.Ops[conf.Groups[gi].X].Ref != x {
+			gi, k = gi+1, 0
+		}
+		if gi == span.hi {
 			return false
 		}
-		pairs = append(pairs, racePair{x: xi, y: yi})
+		y, ys := trace.Ref{Rank: int(p.YRank), Seq: int(p.YSeq)}, conf.Groups[gi].Ys()
+		for k < len(ys) && conf.Ops[ys[k]].Ref != y {
+			k++
+		}
+		if k == len(ys) {
+			return false
+		}
+		if len(pairs) < need {
+			pairs = append(pairs, racePair{x: int32(conf.Groups[gi].X), y: ys[k]})
+		}
+		k++
 	}
 	sh.checks, sh.raceCount, sh.pairs = v.Checks, v.Races, pairs
 	return true

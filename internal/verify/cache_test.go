@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"verifyio/internal/obs"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
 	"verifyio/internal/vcache"
@@ -216,5 +219,99 @@ func TestCacheModelsKeyedSeparately(t *testing.T) {
 	if repP.RaceCount != 0 || repS.RaceCount != 1 {
 		t.Fatalf("fig2 verdicts: POSIX %d races (want 0), Session %d (want 1)",
 			repP.RaceCount, repS.RaceCount)
+	}
+}
+
+// TestForgedVerdictsMiss: a cached verdict whose pairs are not its chunk's
+// races in discovery order, or that holds more pairs than races, is a miss,
+// and the pass reports the races and checks a cacheless one does — also when
+// the bad pair lies past the detail the chunk's batch still needs. The
+// genuine verdict, sealed back by the miss, hits again.
+func TestForgedVerdictsMiss(t *testing.T) {
+	a, err := Analyze(planTrace(3, 400), AlgoVectorClock, AnalyzeOptions{Digest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Model: semantics.SessionModel(), Workers: 1, MaxRaceDetails: 5}
+	cacheless, err := a.Verify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cache-served chunks add to none of the walk counters.
+	noWalk := func(rep *Report) []byte {
+		cp := *rep
+		cp.Cache, cp.ClassHits, cp.Classes, cp.HBQueries = nil, 0, 0, 0
+		return reportJSON(t, &cp)
+	}
+	want := noWalk(cacheless)
+	store := vcache.NewMemory()
+	opts.Cache = store
+	if _, err := a.Verify(opts); err != nil { // seals every chunk
+		t.Fatal(err)
+	}
+	cs := newCacheSession(a, opts, obs.Ctx{})
+	key := func(c int) vcache.Key {
+		return vcache.Key{Chunk: cs.art.chunks[c], Model: cs.model, Epoch: cs.art.epoch}
+	}
+	get := func(c int) vcache.Verdict {
+		v, ok := store.Get(key(c))
+		if !ok {
+			t.Fatalf("chunk %d was not sealed", c)
+		}
+		return v
+	}
+	// c0 opens a batch, so it is applied with the full cap; c1 follows it
+	// with a budget smaller than the pairs it stores.
+	c0, c1 := -1, -1
+	for _, b := range a.queryPlan().batches {
+		if b.hi-b.lo >= 2 && len(get(b.lo).Pairs) >= 2 &&
+			len(get(b.lo+1).Pairs) > max(opts.MaxRaceDetails-int(get(b.lo).Races), 0) {
+			c0, c1 = b.lo, b.lo+1
+			break
+		}
+	}
+	if c0 < 0 {
+		t.Fatal("no batch opens with two racy chunks")
+	}
+	v0, v1 := get(c0), get(c1)
+	edit := func(v vcache.Verdict, f func(p []vcache.RefPair)) vcache.Verdict {
+		v.Pairs = slices.Clone(v.Pairs)
+		f(v.Pairs)
+		return v
+	}
+	onX := func(p vcache.RefPair) vcache.RefPair { // X is in none of its own group's Ys
+		p.YRank, p.YSeq = p.XRank, p.XSeq
+		return p
+	}
+	for _, f := range []struct {
+		name string
+		c    int
+		v    vcache.Verdict
+	}{
+		{"pair of another chunk", c0, edit(v0, func(p []vcache.RefPair) { p[0] = v1.Pairs[0] })},
+		{"pairs out of discovery order", c0, edit(v0, func(p []vcache.RefPair) { p[0], p[1] = p[1], p[0] })},
+		{"Y outside its X's group", c0, edit(v0, func(p []vcache.RefPair) { p[0] = onX(p[0]) })},
+		{"bad pair past the needed detail", c1, edit(v1, func(p []vcache.RefPair) { p[len(p)-1] = onX(p[len(p)-1]) })},
+		{"duplicated pair", c0, edit(v0, func(p []vcache.RefPair) { p[1] = p[0] })},
+		{"fewer races than pairs", c0, vcache.Verdict{Checks: v0.Checks, Races: int64(len(v0.Pairs) - 1), Pairs: v0.Pairs}},
+	} {
+		store.Put(key(f.c), f.v)
+		rep, err := a.Verify(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cache.Misses != 1 || rep.Cache.Hits != int64(len(cs.art.chunks)-1) {
+			t.Errorf("%s: cache %+v, want exactly the forged chunk to miss", f.name, *rep.Cache)
+		}
+		if got := noWalk(rep); !bytes.Equal(got, want) {
+			t.Errorf("%s: report differs from the cacheless one\ngot:  %s\nwant: %s", f.name, got, want)
+		}
+	}
+	rep, err := a.Verify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cache.Misses != 0 {
+		t.Errorf("genuine verdicts: %d misses, want none", rep.Cache.Misses)
 	}
 }

@@ -92,35 +92,6 @@ func TestParallelVerifyDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelMaxRaceDetailsPrefix asserts the parallel merge picks the
-// same detailed-race prefix as the serial walk when the cap truncates.
-func TestParallelMaxRaceDetailsPrefix(t *testing.T) {
-	tr := runTraced(t, 4, racyProgram)
-	a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cap := range []int{1, 3, 7} {
-		serial, err := a.Verify(Options{Model: semantics.POSIXModel(), Workers: 1, MaxRaceDetails: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := a.Verify(Options{Model: semantics.POSIXModel(), Workers: 8, MaxRaceDetails: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.RaceCount != parallel.RaceCount {
-			t.Errorf("cap %d: race count %d vs %d", cap, serial.RaceCount, parallel.RaceCount)
-		}
-		if len(serial.Races) != cap || len(parallel.Races) != cap {
-			t.Fatalf("cap %d: details %d vs %d, want both %d", cap, len(serial.Races), len(parallel.Races), cap)
-		}
-		if sj, pj := reportJSON(t, serial), reportJSON(t, parallel); !bytes.Equal(sj, pj) {
-			t.Errorf("cap %d: detailed prefixes differ", cap)
-		}
-	}
-}
-
 // TestVerifyAllConcurrentMatchesSerial runs the four models concurrently
 // over one shared analysis and compares every report to the serial pass.
 func TestVerifyAllConcurrentMatchesSerial(t *testing.T) {

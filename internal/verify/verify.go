@@ -192,8 +192,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 
 	start := time.Now()
 	_, idxSpan := oc.Start("sync-index")
-	plan := a.queryPlan()
-	v := &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, a.Graph), plan: plan}
+	v := newVerifier(a, opts, oc)
 	idxSpan.End()
 	var cs *cacheSession
 	if opts.Cache != nil {
@@ -225,15 +224,18 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// verifier checks conflict groups. The shared fields (a, opts, idx, plan) are
-// read-only during verification; each worker of verifyChunks copies them
-// and owns its scratch and the tally of the chunk it is verifying.
+// verifier checks conflict groups. The shared fields (a, opts, idx, plan,
+// plainHB) are read-only during verification; each worker of verifyChunks
+// copies them and owns its scratch and the tally of the chunk it is verifying.
 type verifier struct {
 	a    *Analysis
 	opts Options
 	oc   obs.Ctx
 	idx  *syncIndex
 	plan *opPlan
+	// plainHB is set when the model's MSC is one plain hb edge (POSIX's), so
+	// a write Y and a read Y face the same test.
+	plainHB bool
 
 	// Class-scoped scratch. X ps Y and Y ps X depend on X only through its
 	// position class: the conflicting file, X's rank and skeleton fringe
@@ -260,7 +262,18 @@ type verifier struct {
 	// bounds[r] brackets, per check shape, the threshold among rank r's ops.
 	bounds []rankBounds
 
+	// keep is the current chunk's detail budget: how many of its races
+	// its tally's pairs may hold.
+	keep int
 	tally
+}
+
+// newVerifier prepares one model pass over a: the shared op plan and the
+// model's sync index.
+func newVerifier(a *Analysis, opts Options, oc obs.Ctx) *verifier {
+	msc := opts.Model.MSC
+	return &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, a.Graph),
+		plan: a.queryPlan(), plainHB: msc.K() == 0 && msc.Edges[0] == semantics.HB}
 }
 
 // tally is what verifying one chunk produces: the merged tallies make the
@@ -273,7 +286,9 @@ type tally struct {
 	classes   int64 // class changes, i.e. scratch resets
 	hbQueries int64 // happens-before evaluations actually performed
 	raceCount int64
-	pairs     []racePair // first opts.MaxRaceDetails races, discovery order
+	// pairs are the chunk's first races in discovery order, as many as its
+	// detail budget (verifier.keep) allowed.
+	pairs []racePair
 }
 
 // racePair is a raced conflict pair awaiting detail materialization, as
@@ -608,12 +623,15 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 	}
 	iF := flip(false, xw)
 	kind := v.plan.isWrite(ys[0])
-	msc := v.opts.Model.MSC
-	if !xw || (msc.K() == 0 && msc.Edges[0] == semantics.HB) ||
+	if !xw || v.plainHB ||
 		!slices.ContainsFunc(ys, func(yi int32) bool { return v.plan.isWrite(yi) != kind }) {
 		// One kind: pairs in [iG, iF) are synchronized in neither direction.
-		for i := flip(true, kind); i < iF; i++ {
-			v.recordRace(v.xi, ys[i])
+		// They are counted at once; only the budget's share is kept.
+		if iG := flip(true, kind); iG < iF {
+			v.raceCount += int64(iF - iG)
+			for _, yi := range ys[iG : iG+min(iF-iG, v.keep-len(v.pairs))] {
+				v.pairs = append(v.pairs, racePair{x: v.xi, y: yi})
+			}
 		}
 		return
 	}
@@ -627,17 +645,18 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 }
 
 // verifyChunks runs the chunk plan — the shared unit of parallel work and
-// of verdict caching — one par task per batch. A batch takes a worker's
-// scratch, starts it in no class and carries it across its chunks, so a
-// position class that spans chunks is evaluated once; every chunk still gets
-// its own tally, merged in chunk order = group order, so the detailed-race
-// prefix, the race count and the check count are exactly what one walk over
-// the groups in order produces, at every worker count and for any mix of
-// cached and recomputed chunks. Batches are the plan's, the same at every
-// worker count, which keeps the hb and class counters worker-independent
-// too. A non-nil cs resolves chunks from the verdict cache first and seals
-// fresh verdicts after.
-func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
+// of verdict caching — one par task per batch, and returns the chunks'
+// tallies after merging them into v's. A batch takes a worker's scratch,
+// starts it in no class and carries it across its chunks, so a position
+// class that spans chunks is evaluated once; every chunk still gets its own
+// tally, merged in chunk order = group order, so the detailed-race prefix,
+// the race count and the check count are exactly what one walk over the
+// groups in order produces, at every worker count and for any mix of cached
+// and recomputed chunks. Batches are the plan's, the same at every worker
+// count, which keeps the hb and class counters, and the detail each chunk
+// keeps, worker-independent too. A non-nil cs resolves chunks from the
+// verdict cache first and seals fresh verdicts after.
+func (v *verifier) verifyChunks(workers int, cs *cacheSession) []tally {
 	chunks, batches := v.plan.chunks, v.plan.batches
 	tallies := make([]tally, len(chunks))
 	// One scratch per worker, so a pass allocates per worker, not per batch:
@@ -653,29 +672,21 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 		w := <-free
 		defer func() { free <- w }()
 		w.cFID = -1 // a batch starts in no class
+		// room is the detail budget the batch's earlier chunks left: the
+		// global prefix takes from chunk c only what the chunks before c
+		// leave room for, and those include the batch's earlier ones.
+		room := v.opts.MaxRaceDetails
 		for c := batches[b].lo; c < batches[b].hi; c++ {
 			t := &tallies[c]
-			if cs != nil && cs.tryApply(c, t) {
-				continue
+			if cs == nil || !cs.tryApply(c, t, room) {
+				w.verifyChunk(c, t, room, cs)
 			}
-			var sp *obs.Span
-			if v.oc.T != nil {
-				_, sp = v.oc.StartLane(
-					"verify/"+v.opts.Model.Name+"/chunk-"+fmt.Sprint(c),
-					"chunk", obs.Int("chunk", c), obs.Int("groups", chunks[c].hi-chunks[c].lo))
-			}
-			w.tally = tally{}
-			w.verifyGroups(chunks[c].lo, chunks[c].hi)
-			*t = w.tally
-			sp.End()
-			if cs != nil {
-				cs.seal(c, t)
-			}
+			room -= int(min(t.raceCount, int64(room)))
 		}
 	})
-	// Merge in chunk order = group order: each tally capped its detail at
-	// MaxRaceDetails, which is enough because the global detail prefix
-	// draws at most that many races from any chunk's own prefix.
+	// Merge in chunk order = group order: each tally kept what its batch's
+	// budget allowed, which is enough because the global detail prefix
+	// draws no more from any chunk.
 	v.tally = tally{}
 	for c := range tallies {
 		t := &tallies[c]
@@ -686,14 +697,39 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) {
 		v.raceCount += t.raceCount
 		v.pairs = append(v.pairs, t.pairs[:min(len(t.pairs), v.opts.MaxRaceDetails-len(v.pairs))]...)
 	}
+	return tallies
 }
 
+// verifyChunk verifies chunk c into t, keeping at most keep race pairs, and
+// seals the verdict when cs is set — with the chunk's own full detail
+// prefix, because a sealed verdict must stand on its own.
+func (v *verifier) verifyChunk(c int, t *tally, keep int, cs *cacheSession) {
+	span := v.plan.chunks[c]
+	var sp *obs.Span
+	if v.oc.T != nil {
+		_, sp = v.oc.StartLane(
+			"verify/"+v.opts.Model.Name+"/chunk-"+fmt.Sprint(c),
+			"chunk", obs.Int("chunk", c), obs.Int("groups", span.hi-span.lo))
+	}
+	v.tally, v.keep = tally{}, keep
+	if cs != nil {
+		v.keep = v.opts.MaxRaceDetails
+	}
+	v.verifyGroups(span.lo, span.hi)
+	*t = v.tally
+	sp.End()
+	if cs != nil {
+		cs.seal(c, t)
+	}
+}
+
+// recordRace counts one raced pair and keeps it while the chunk's detail
+// budget lasts.
 func (v *verifier) recordRace(xi, yi int32) {
 	v.raceCount++
-	if len(v.pairs) >= v.opts.MaxRaceDetails {
-		return
+	if len(v.pairs) < v.keep {
+		v.pairs = append(v.pairs, racePair{x: xi, y: yi})
 	}
-	v.pairs = append(v.pairs, racePair{x: xi, y: yi})
 }
 
 // makeRace materializes the reported detail (paths, call chains) for one

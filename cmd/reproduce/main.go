@@ -14,8 +14,7 @@
 //
 // Usage:
 //
-//	reproduce [-out DIR] [-only table1,fig4,...] [-workers N]
-//	          [-cache-dir DIR] [-trace-out FILE]
+//	reproduce [-out DIR] [-only table1,fig4,...] [-workers N] [-trace-out FILE]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // The stored-trace pass (table4) writes each trace to a directory and
@@ -38,7 +37,6 @@ import (
 	"verifyio/internal/recorder"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
-	"verifyio/internal/vcache"
 	"verifyio/internal/verify"
 )
 
@@ -53,10 +51,9 @@ type artifact struct {
 
 func run() int {
 	var (
-		out      = flag.String("out", "results", "output directory for the artifacts")
-		only     = flag.String("only", "", "comma-separated subset (table1,table2,table3,table4,fig3,fig4)")
-		workers  = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
-		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory shared across reproduce runs (warm reruns skip unchanged verification work)")
+		out     = flag.String("out", "results", "output directory for the artifacts")
+		only    = flag.String("only", "", "comma-separated subset (table1,table2,table3,table4,fig3,fig4)")
+		workers = flag.Int("workers", 0, "analysis+verification worker goroutines for steps 2–4 (0 = GOMAXPROCS, 1 = serial); conflict detection shards across files and within single shared files")
 
 		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		prof     obs.Profiling
@@ -83,21 +80,6 @@ func run() int {
 		}
 	}()
 	vopts := verify.Options{Workers: *workers, Obs: oc}
-	if *cacheDir != "" {
-		store, err := vcache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: open -cache-dir: %v\n", err)
-			return 2
-		}
-		defer func() {
-			if err := store.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: close -cache-dir: %v\n", err)
-			}
-		}()
-		// CacheID is left empty: corpus.VerifyOpts names each test's
-		// manifest after the test, and other passes derive a content id.
-		vopts.Cache = store
-	}
 
 	// fig4 is computed once and shared with table3/table4.
 	var rows []*corpus.Row
@@ -280,7 +262,7 @@ func table4(w io.Writer, vopts verify.Options) error {
 		}
 		start := time.Now()
 		a, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
-			AnalyzeOptions: verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs},
+			AnalyzeOptions: verify.AnalyzeOptions{Workers: vopts.Workers, Obs: vopts.Obs},
 		})
 		wall := time.Since(start)
 		if err != nil {
@@ -358,7 +340,7 @@ func fig3(w io.Writer, vopts verify.Options) error {
 			return err
 		}
 		a, err := verify.Analyze(tr, verify.AlgoVectorClock,
-			verify.AnalyzeOptions{Workers: vopts.Workers, Digest: vopts.Cache != nil, Obs: vopts.Obs})
+			verify.AnalyzeOptions{Workers: vopts.Workers, Obs: vopts.Obs})
 		if err != nil {
 			return err
 		}

@@ -6,22 +6,14 @@
 //
 //	verifyio -trace DIR [-model posix|commit|session|mpi-io|all]
 //	         [-workers N] [-no-pruning] [-max-races N] [-details] [-diagnose]
-//	         [-tolerate] [-window BYTES] [-dump] [-json]
-//	         [-cache-dir DIR] [-trace-out FILE]
+//	         [-tolerate] [-window BYTES] [-dump] [-json] [-trace-out FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The trace is verified while it is decoded, never loaded whole: up to
-// -workers rank files are read at once, and conflict detection, MPI matching
-// and (with -cache-dir) the cache digests consume each record batch as it
-// decodes, so peak memory is bounded by the decode window (-window BYTES,
-// default 4 MiB, negative = unbounded) rather than the trace size. Only
-// -dump materializes the trace.
-//
-// -cache-dir attaches a persistent verdict cache: chunks of the verification
-// plan are memoized by content digest, so re-running over an unchanged trace
-// is served from cache (zero misses) and re-running after an append
-// re-verifies only the chunks the change dirtied. Reports carry the hit,
-// miss, and dirty-chunk counts.
+// -workers rank files are read at once, and conflict detection and MPI
+// matching consume each record batch as it decodes, so peak memory is
+// bounded by the decode window (-window BYTES, default 4 MiB, negative =
+// unbounded) rather than the trace size. Only -dump materializes the trace.
 //
 // -trace-out writes the run's telemetry spans as Chrome trace_event JSON
 // (load in chrome://tracing or https://ui.perfetto.dev).
@@ -67,7 +59,6 @@ func run() int {
 		jsonOut  = flag.Bool("json", false, "emit the reports as JSON")
 		tolerate = flag.Bool("tolerate", false, "salvage damaged or truncated rank streams instead of failing")
 		window   = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
-		cacheDir = flag.String("cache-dir", "", "persistent verdict-cache directory: re-verifying an unchanged trace is served from cache, an appended trace re-verifies only the dirtied chunks")
 
 		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		prof     obs.Profiling
@@ -117,22 +108,6 @@ func run() int {
 		MaxRaceDetails: *maxRaces,
 		Workers:        *workers,
 		Telemetry:      tel,
-	}
-	if *cacheDir != "" {
-		cache, err := verifyio.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "verifyio: open -cache-dir: %v\n", err)
-			return 2
-		}
-		defer func() {
-			if err := cache.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "verifyio: close -cache-dir: %v\n", err)
-			}
-		}()
-		opts.Cache = cache
-		// The trace directory names the manifest, so re-runs against the
-		// same (possibly grown) directory find their incremental baseline.
-		opts.CacheID = *traceDir
 	}
 	ropts := verifyio.ReadOptions{
 		Tolerate:    *tolerate,
@@ -203,10 +178,6 @@ func run() int {
 		case !rep.ProperlySynchronized && status == 0:
 			status = 1
 		}
-	}
-	if opts.Cache != nil {
-		hits, misses, dirty := opts.Cache.Stats()
-		fmt.Printf("verdict cache: %d hits, %d misses (%d dirty chunks)\n", hits, misses, dirty)
 	}
 	return status
 }

@@ -127,12 +127,7 @@ func VerifyOpts(t Test, algo verify.Algo, opts verify.Options) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Cache != nil && opts.CacheID == "" {
-		// Name the verdict-cache manifest after the corpus test so warm
-		// reruns of the same test find their incremental baseline.
-		opts.CacheID = "corpus/" + t.Name
-	}
-	a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{Workers: opts.Workers, Digest: opts.Cache != nil, Obs: opts.Obs})
+	a, err := verify.Analyze(tr, algo, verify.AnalyzeOptions{Workers: opts.Workers, Obs: opts.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", t.Name, err)
 	}

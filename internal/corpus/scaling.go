@@ -16,27 +16,9 @@ import (
 // MPI structure to give the matcher and happens-before construction real
 // work. The same arguments always produce the identical trace.
 func ScalingTrace(nranks, ops int, window int64, seed int64) *trace.Trace {
-	return scalingTrace(nranks, ops, 0, window, seed)
-}
-
-// ScalingTraceAppend synthesizes ScalingTrace(nranks, ops, window, seed)
-// with extra additional data operations appended per rank: the incremental
-// re-verification workload. The first 2+ops+2*(ops/64) records of every
-// rank — everything up to where the base trace would close the file — are
-// byte-identical to the base trace (same rng stream, same cadence), so the
-// verdict cache's block-chain manifest can certify the common prefix as
-// stable. Appended operations land in the disjoint offset region
-// [window, 2*window): they conflict among themselves, never with the
-// prefix, keeping the prefix's conflict groups (and hence chunk digests)
-// unchanged.
-func ScalingTraceAppend(nranks, ops, extra int, window int64, seed int64) *trace.Trace {
-	return scalingTrace(nranks, ops, extra, window, seed)
-}
-
-func scalingTrace(nranks, ops, extra int, window int64, seed int64) *trace.Trace {
 	tr := trace.New(nranks)
 	for rank := 0; rank < nranks; rank++ {
-		tr.Ranks[rank] = scalingRank(rank, rank, ops, extra, window, seed)
+		tr.Ranks[rank] = scalingRank(rank, rank, ops, window, seed)
 	}
 	return tr
 }
@@ -46,9 +28,9 @@ func scalingTrace(nranks, ops, extra int, window int64, seed int64) *trace.Trace
 // the records so a stream can be emitted pre-renumbered to rank 0 (the
 // single-rank layout trace.WriteDir stores) without changing its content.
 // Seeding per rank keeps a rank's stream independent of nranks.
-func scalingRank(rank, seedRank, ops, extra int, window int64, seed int64) []trace.Record {
+func scalingRank(rank, seedRank, ops int, window int64, seed int64) []trace.Record {
 	const barrierEvery = 64
-	recs := make([]trace.Record, 0, ScalingRankRecords(ops+extra))
+	recs := make([]trace.Record, 0, ScalingRankRecords(ops))
 	rng := rand.New(rand.NewSource(seed + int64(seedRank)))
 	tick := int64(2)
 	emit := func(layer trace.Layer, fn string, args ...string) {
@@ -58,12 +40,8 @@ func scalingRank(rank, seedRank, ops, extra int, window int64, seed int64) []tra
 	}
 	emit(trace.LayerMPI, "MPI_Barrier", "comm-world")
 	emit(trace.LayerPOSIX, "open", "scaling.dat", "rw|creat", "3")
-	for i := 0; i < ops+extra; i++ {
-		o := rng.Int63n(window)
-		if i >= ops {
-			o += window // appended region: disjoint from the prefix
-		}
-		off := fmt.Sprint(o)
+	for i := 0; i < ops; i++ {
+		off := fmt.Sprint(rng.Int63n(window))
 		if rng.Intn(4) == 0 {
 			emit(trace.LayerPOSIX, "pread", "3", "16", off)
 		} else {
@@ -98,7 +76,7 @@ func WriteScalingDir(dir string, nranks, ops int, window int64, seed int64, opts
 	}
 	for rank := 0; rank < nranks; rank++ {
 		sub := trace.New(1)
-		sub.Ranks[0] = scalingRank(0, rank, ops, 0, window, seed)
+		sub.Ranks[0] = scalingRank(0, rank, ops, window, seed)
 		sub.Meta["verifyio.rank"] = fmt.Sprint(rank)
 		sub.Meta["verifyio.nranks"] = fmt.Sprint(nranks)
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("rank-%d.viot", rank)))

@@ -48,7 +48,7 @@ func TestWriteScalingDirMatchesWriteDir(t *testing.T) {
 // sizing contract tests use to state how many records they staged.
 func TestScalingRankRecords(t *testing.T) {
 	for _, ops := range []int{1, 63, 64, 65, 1000} {
-		got := len(scalingRank(0, 0, ops, 0, 1<<14, 7))
+		got := len(scalingRank(0, 0, ops, 1<<14, 7))
 		if want := ScalingRankRecords(ops); got != want {
 			t.Errorf("ops=%d: generated %d records, ScalingRankRecords says %d", ops, got, want)
 		}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -278,52 +277,6 @@ func TestStreamStrictErrorsMatchReadDir(t *testing.T) {
 	}
 	if _, err := OpenStream(dir, StreamOptions{}); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("OpenStream error = %v, want %v", err, wantErr)
-	}
-}
-
-// blockChain is the chain's definition, over a whole rank at once: block k's
-// digest is H(block k-1's digest ‖ the canonical encoding of its records).
-func blockChain(recs []Record) [][sha256.Size]byte {
-	var chain [][sha256.Size]byte
-	var prev [sha256.Size]byte
-	for lo := 0; lo < len(recs); lo += DigestBlock {
-		h := sha256.New()
-		h.Write(prev[:])
-		for i := lo; i < min(lo+DigestBlock, len(recs)); i++ {
-			h.Write(AppendRecordKey(nil, &recs[i]))
-		}
-		h.Sum(prev[:0])
-		chain = append(chain, prev)
-	}
-	return chain
-}
-
-func TestChainBuilderMatchesBlockChain(t *testing.T) {
-	tr := streamTestTrace(t, 1, 3*DigestBlock+17)
-	recs := tr.Ranks[0]
-	for _, n := range []int{0, 1, DigestBlock - 1, DigestBlock, DigestBlock + 1, 2*DigestBlock + 5, len(recs)} {
-		want := blockChain(recs[:n])
-		for _, step := range []int{1, 7, DigestBlock, n + 1} {
-			var b ChainBuilder
-			for lo := 0; lo < n; lo += step {
-				hi := lo + step
-				if hi > n {
-					hi = n
-				}
-				b.Add(recs[lo:hi])
-			}
-			if got := b.Chain(); len(got) != len(want) || (n > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("n=%d step=%d: ChainBuilder diverges from the definition", n, step)
-			}
-		}
-	}
-	// Chain must be re-callable mid-stream without corrupting later blocks.
-	var b ChainBuilder
-	b.Add(recs[:DigestBlock/2])
-	_ = b.Chain()
-	b.Add(recs[DigestBlock/2:])
-	if !reflect.DeepEqual(b.Chain(), blockChain(recs)) {
-		t.Fatal("mid-stream Chain() corrupted the builder")
 	}
 }
 

@@ -76,22 +76,11 @@ type Analysis struct {
 	Ledger Ledger
 
 	// counts are the per-rank record counts — the positional facts reports
-	// and cache manifests need.
+	// need.
 	counts []int
-	// salvage is the decode salvage state of the ingested trace (nil or
-	// clean for an intact trace). A salvaged analysis runs on partial
-	// evidence: the verdict cache salts its epoch with the salvage extents
-	// and publishes no incremental manifest (see cache.go).
+	// salvage is the decode salvage state of a directory analyzed with
+	// AnalyzeStream (nil or clean for an intact trace).
 	salvage *trace.DecodeStats
-	// digests are the per-rank content digests the verdict cache keys on;
-	// nil unless AnalyzeOptions.Digest asked for them.
-	digests []rankDigest
-
-	// cacheArt memoizes the verdict-cache digests (chunk plan, content
-	// digests, sync epoch, block chains): they are model independent, so
-	// the four passes of VerifyAll share one computation.
-	cacheMu  sync.Mutex
-	cacheArt *cacheArtifacts
 
 	// plan memoizes the resolved query plan (per-op skeleton coordinates
 	// and the chunk plan); model independent, shared by every pass.
@@ -111,22 +100,9 @@ func (a *Analysis) NumRecords() int {
 	return n
 }
 
-// Salvage returns the decode salvage state attached to this analysis; nil
-// when none was recorded.
+// Salvage returns the decode salvage state of the directory AnalyzeStream
+// read; nil for an analysis of a trace in memory.
 func (a *Analysis) Salvage() *trace.DecodeStats { return a.salvage }
-
-// SetSalvage attaches the decode salvage state of the trace this analysis
-// was built from. Callers that loaded a trace into memory leniently
-// (tolerate mode) should pass the decode stats through so the verdict cache
-// can tell a salvaged trace from its repaired original; AnalyzeStream does
-// this itself.
-func (a *Analysis) SetSalvage(stats *trace.DecodeStats) { a.salvage = stats }
-
-// salvaged reports whether the analyzed trace lost records to decoding
-// damage — the analysis ran on partial evidence.
-func (a *Analysis) salvaged() bool {
-	return a.salvage != nil && !a.salvage.Clean()
-}
 
 // AnalyzeOptions tunes Analyze.
 type AnalyzeOptions struct {
@@ -137,10 +113,6 @@ type AnalyzeOptions struct {
 	// the oracle build behind it. 0 means GOMAXPROCS; 1 forces the fully
 	// serial path. The analysis is identical at every worker count.
 	Workers int
-	// Digest makes the pass also digest every rank's records (SHA-256 block
-	// chains, unlink positions) — what a verdict cache attached at Verify
-	// time (Options.Cache) identifies the trace by.
-	Digest bool
 	// Obs carries the tracer through the whole analysis; the zero Ctx
 	// disables tracing.
 	Obs obs.Ctx
@@ -149,9 +121,8 @@ type AnalyzeOptions struct {
 // Analyze runs steps 2 and 3 on the source and prepares the happens-before
 // oracle. The rank is the unit of flow: one task per rank pulls that rank's
 // record batches from the source and, on the same goroutine, steps the
-// rank's conflict replay and matcher scan (and the cache digest, when asked
-// for) — records never cross a goroutine or outlive their batch, so memory
-// is the source's. Then come the two cross-rank finish phases, the oracle
+// rank's conflict replay and matcher scan — records never cross a goroutine
+// or outlive their batch, so memory is the source's. Then come the two cross-rank finish phases, the oracle
 // build chained behind matching's. The first five rows of the Analysis'
 // Ledger time and count them.
 func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
@@ -163,9 +134,6 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 
 	nranks := src.NumRanks()
 	a.counts = make([]int, nranks)
-	if opts.Digest {
-		a.digests = make([]rankDigest, nranks)
-	}
 	det, mat := conflict.NewDetector(nranks), match.NewMatcher(nranks)
 	type rankTimes struct{ read, replay, scan time.Duration }
 	times := make([]rankTimes, nranks)
@@ -176,9 +144,6 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 		last := time.Now()
 		errs[rank] = src.ReadRank(rank, func(recs []trace.Record) {
 			a.counts[rank] += len(recs)
-			if a.digests != nil {
-				a.digests[rank].add(recs)
-			}
 			produced := time.Now()
 			_, sp := oc.StartLane(lane, "replay", attr)
 			det.Feed(rank, recs)

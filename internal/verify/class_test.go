@@ -10,7 +10,6 @@ import (
 
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
-	"verifyio/internal/vcache"
 )
 
 // The tests below hold the class-scoped verifier — scratch and monotone
@@ -274,9 +273,9 @@ func randomMSC(rng *rand.Rand) semantics.Model {
 
 // TestClassVerdictsMatchExhaustive is the property test of the class-scoped
 // walk: on random programs, under the four models, the double-commit model
-// and two random MSCs, with each kind of oracle, at several worker counts
-// and with a verdict cache cold and warm, the races are the exhaustive
-// walk's, and checks and races do not depend on workers or cache state.
+// and two random MSCs, with each kind of oracle and at several worker
+// counts, the races are the exhaustive walk's, and checks and races do not
+// depend on workers.
 func TestClassVerdictsMatchExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	mscs := rand.New(rand.NewSource(30))
@@ -291,7 +290,7 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 			algos = append(algos, AlgoReachability)
 		}
 		for _, algo := range algos {
-			a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1, Digest: true})
+			a, err := AnalyzeOpts(tr, algo, AnalyzeOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,32 +311,23 @@ func TestClassVerdictsMatchExhaustive(t *testing.T) {
 				}
 				var first *Report
 				for _, workers := range []int{1, 2, 7} {
-					store := vcache.NewMemory() // cold on its first use, warm on its second
-					for _, cache := range []string{"none", "cold", "warm"} {
-						opts := base
-						opts.Workers = workers
-						if cache != "none" {
-							opts.Cache, opts.CacheID = store, "t"
-						}
-						rep, err := a.Verify(opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cell := fmt.Sprintf("%s/workers=%d/cache=%s", name, workers, cache)
-						if rep.RaceCount != exhaustive.RaceCount || !reflect.DeepEqual(rep.Races, exhaustive.Races) {
-							t.Errorf("%s: %d races, exhaustive walk %d (or details differ)",
-								cell, rep.RaceCount, exhaustive.RaceCount)
-						}
-						if first == nil {
-							first = rep
-						}
-						if cache == "warm" && rep.Cache.Misses != 0 {
-							t.Errorf("%s: %d chunks missed a warm cache", cell, rep.Cache.Misses)
-						}
-						if rep.ChecksPerformed != first.ChecksPerformed {
-							t.Errorf("%s: %d checks, %d at workers=1 without cache",
-								cell, rep.ChecksPerformed, first.ChecksPerformed)
-						}
+					opts := base
+					opts.Workers = workers
+					rep, err := a.Verify(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cell := fmt.Sprintf("%s/workers=%d", name, workers)
+					if rep.RaceCount != exhaustive.RaceCount || !reflect.DeepEqual(rep.Races, exhaustive.Races) {
+						t.Errorf("%s: %d races, exhaustive walk %d (or details differ)",
+							cell, rep.RaceCount, exhaustive.RaceCount)
+					}
+					if first == nil {
+						first = rep
+					}
+					if rep.ChecksPerformed != first.ChecksPerformed {
+						t.Errorf("%s: %d checks, %d at workers=1",
+							cell, rep.ChecksPerformed, first.ChecksPerformed)
 					}
 				}
 				if algo == AlgoVectorClock {

@@ -15,7 +15,7 @@ var (
 // the merge, and the plan's batch count.
 func RetainedPairs(a *Analysis, opts Options) (pairs, batches int) {
 	v := newVerifier(a, opts, obs.Ctx{})
-	for _, t := range v.verifyChunks(opts.Workers, nil) {
+	for _, t := range v.verifyChunks(opts.Workers) {
 		pairs += len(t.pairs)
 	}
 	return pairs, len(v.plan.batches)

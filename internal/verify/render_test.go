@@ -46,10 +46,6 @@ func renderReference(r *verify.Report, w io.Writer) {
 		fmt.Fprintf(w, "result:           %d DATA RACES\n", r.RaceCount)
 	}
 	fmt.Fprintf(w, "ps checks:        %d\n", r.ChecksPerformed)
-	if r.Cache != nil {
-		fmt.Fprintf(w, "verdict cache:    %d hits, %d misses (%d dirty chunks)\n",
-			r.Cache.Hits, r.Cache.Misses, r.Cache.DirtyChunks)
-	}
 	if len(r.Races) > 0 {
 		fmt.Fprintf(w, "races (%d shown):\n", len(r.Races))
 		for i, race := range r.Races {
@@ -113,7 +109,7 @@ func TestRenderMatchesReferenceCorpus(t *testing.T) {
 }
 
 // TestRenderMatchesReferenceBranches: reports built to reach every branch the
-// corpus may not — the verdict-cache line, an aborted report with problems,
+// corpus may not — an aborted report with problems,
 // Workers 0, no races, and 256 races with multi-frame chains — render as the
 // fmt reference does.
 func TestRenderMatchesReferenceBranches(t *testing.T) {
@@ -169,11 +165,6 @@ func TestRenderMatchesReferenceBranches(t *testing.T) {
 	cases["workers 0, no graph"] = rep
 
 	rep = base()
-	rep.ProperlySynchronized = true
-	rep.Cache = &verify.CacheStats{Hits: 12, Misses: 3, DirtyChunks: 1}
-	cases["verdict cache"] = rep
-
-	rep = base()
 	rep.Verified = false
 	rep.Problems = []match.Problem{
 		{Kind: match.ProblemKind(0), Detail: "rank 1: MPI_Send to 2 tag 7 has no receive"},
@@ -188,7 +179,6 @@ func TestRenderMatchesReferenceBranches(t *testing.T) {
 
 	rep = base()
 	rep.RaceCount, rep.Races = 1<<33, races
-	rep.Cache = &verify.CacheStats{}
 	cases["256 races"] = rep
 
 	rep = base()

@@ -55,12 +55,6 @@ func (r *Report) appendText(b []byte) []byte {
 		b = append(b, " DATA RACES\n"...)
 	}
 	b = line(b, "ps checks:        ", r.ChecksPerformed)
-	if r.Cache != nil {
-		b = strconv.AppendInt(append(b, "verdict cache:    "...), r.Cache.Hits, 10)
-		b = strconv.AppendInt(append(b, " hits, "...), r.Cache.Misses, 10)
-		b = strconv.AppendInt(append(b, " misses ("...), r.Cache.DirtyChunks, 10)
-		b = append(b, " dirty chunks)\n"...)
-	}
 	if len(r.Races) > 0 {
 		b = strconv.AppendInt(append(b, "races ("...), int64(len(r.Races)), 10)
 		b = append(b, " shown):\n"...)

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -15,7 +14,6 @@ import (
 	"verifyio/internal/par"
 	"verifyio/internal/semantics"
 	"verifyio/internal/trace"
-	"verifyio/internal/vcache"
 )
 
 // Options controls a verification pass.
@@ -37,15 +35,6 @@ type Options struct {
 	// GOMAXPROCS; 1 verifies every batch on the calling goroutine. Results
 	// are independent of the worker count.
 	Workers int
-	// Cache attaches a verdict store: every chunk of the verification plan
-	// is looked up by content digest before being verified and sealed into
-	// the store after. Reports gain Cache statistics. Nil disables caching.
-	// The analysis must have been built with AnalyzeOptions.Digest.
-	Cache *vcache.Store
-	// CacheID names the logical trace for the incremental manifest the
-	// cache keeps (e.g. the trace directory path). Empty derives a stable
-	// identity from the trace content. Only meaningful with Cache set.
-	CacheID string
 	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
 }
@@ -126,8 +115,8 @@ type Report struct {
 	ChecksPerformed int64
 	// ClassHits counts the checks answered from a position class's bounds,
 	// Classes the class changes, and HBQueries the happens-before probes
-	// actually made (DESIGN §8). Cache-served chunks add to none of the
-	// three; all three are the same at every worker count.
+	// actually made (DESIGN §8); all three are the same at every worker
+	// count.
 	ClassHits, Classes, HBQueries int64
 	// Workers is the worker count the verification stage actually ran
 	// with (after the GOMAXPROCS default is resolved).
@@ -143,19 +132,12 @@ type Report struct {
 	// Ledger is the analysis' stage rows plus this pass's verify row: In is
 	// the conflict pairs, Out ChecksPerformed.
 	Ledger Ledger
-	// Cache reports verdict-cache effectiveness for this pass. Nil unless
-	// Options.Cache was set — so cacheless reports are byte-identical to
-	// those of builds that predate the cache.
-	Cache *CacheStats `json:",omitempty"`
 }
 
 // Verify checks every conflict of the analysis under opts.Model.
 func (a *Analysis) Verify(opts Options) (*Report, error) {
 	if err := opts.Model.MSC.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Cache != nil && a.digests == nil {
-		return nil, errors.New("verify: Options.Cache needs an analysis built with AnalyzeOptions.Digest")
 	}
 	if opts.MaxRaceDetails == 0 {
 		opts.MaxRaceDetails = 256
@@ -194,15 +176,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	_, idxSpan := oc.Start("sync-index")
 	v := newVerifier(a, opts, oc)
 	idxSpan.End()
-	var cs *cacheSession
-	if opts.Cache != nil {
-		cs = newCacheSession(a, opts, oc)
-	}
-	v.verifyChunks(opts.Workers, cs)
-	if cs != nil {
-		cs.finish()
-		rep.Cache = cs.stats()
-	}
+	v.verifyChunks(opts.Workers)
 	rep.RaceCount = v.raceCount
 	if len(v.pairs) > 0 {
 		rep.Races = make([]Race, len(v.pairs))
@@ -276,9 +250,8 @@ func newVerifier(a *Analysis, opts Options, oc obs.Ctx) *verifier {
 		plan: a.queryPlan(), plainHB: msc.K() == 0 && msc.Edges[0] == semantics.HB}
 }
 
-// tally is what verifying one chunk produces: the merged tallies make the
-// Report, and one tally's checks, raceCount and pairs are the chunk's cached
-// verdict. Pairs carry no call-chain detail — that is materialized once, for
+// tally is what verifying one chunk produces; the merged tallies make the
+// Report. Pairs carry no call-chain detail — that is materialized once, for
 // the merged prefix only.
 type tally struct {
 	checks    int64
@@ -644,19 +617,17 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 	}
 }
 
-// verifyChunks runs the chunk plan — the shared unit of parallel work and
-// of verdict caching — one par task per batch, and returns the chunks'
-// tallies after merging them into v's. A batch takes a worker's scratch,
-// starts it in no class and carries it across its chunks, so a position
-// class that spans chunks is evaluated once; every chunk still gets its own
-// tally, merged in chunk order = group order, so the detailed-race prefix,
-// the race count and the check count are exactly what one walk over the
-// groups in order produces, at every worker count and for any mix of cached
-// and recomputed chunks. Batches are the plan's, the same at every worker
-// count, which keeps the hb and class counters, and the detail each chunk
-// keeps, worker-independent too. A non-nil cs resolves chunks from the
-// verdict cache first and seals fresh verdicts after.
-func (v *verifier) verifyChunks(workers int, cs *cacheSession) []tally {
+// verifyChunks runs the chunk plan — the unit of parallel work — one par
+// task per batch, and returns the chunks' tallies after merging them into
+// v's. A batch takes a worker's scratch, starts it in no class and carries
+// it across its chunks, so a position class that spans chunks is evaluated
+// once; every chunk still gets its own tally, merged in chunk order = group
+// order, so the detailed-race prefix, the race count and the check count
+// are exactly what one walk over the groups in order produces, at every
+// worker count. Batches are the plan's, the same at every worker count,
+// which keeps the hb and class counters, and the detail each chunk keeps,
+// worker-independent too.
+func (v *verifier) verifyChunks(workers int) []tally {
 	chunks, batches := v.plan.chunks, v.plan.batches
 	tallies := make([]tally, len(chunks))
 	// One scratch per worker, so a pass allocates per worker, not per batch:
@@ -678,9 +649,7 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) []tally {
 		room := v.opts.MaxRaceDetails
 		for c := batches[b].lo; c < batches[b].hi; c++ {
 			t := &tallies[c]
-			if cs == nil || !cs.tryApply(c, t, room) {
-				w.verifyChunk(c, t, room, cs)
-			}
+			w.verifyChunk(c, t, room)
 			room -= int(min(t.raceCount, int64(room)))
 		}
 	})
@@ -700,10 +669,8 @@ func (v *verifier) verifyChunks(workers int, cs *cacheSession) []tally {
 	return tallies
 }
 
-// verifyChunk verifies chunk c into t, keeping at most keep race pairs, and
-// seals the verdict when cs is set — with the chunk's own full detail
-// prefix, because a sealed verdict must stand on its own.
-func (v *verifier) verifyChunk(c int, t *tally, keep int, cs *cacheSession) {
+// verifyChunk verifies chunk c into t, keeping at most keep race pairs.
+func (v *verifier) verifyChunk(c int, t *tally, keep int) {
 	span := v.plan.chunks[c]
 	var sp *obs.Span
 	if v.oc.T != nil {
@@ -712,15 +679,9 @@ func (v *verifier) verifyChunk(c int, t *tally, keep int, cs *cacheSession) {
 			"chunk", obs.Int("chunk", c), obs.Int("groups", span.hi-span.lo))
 	}
 	v.tally, v.keep = tally{}, keep
-	if cs != nil {
-		v.keep = v.opts.MaxRaceDetails
-	}
 	v.verifyGroups(span.lo, span.hi)
 	*t = v.tally
 	sp.End()
-	if cs != nil {
-		cs.seal(c, t)
-	}
 }
 
 // recordRace counts one raced pair and keeps it while the chunk's detail

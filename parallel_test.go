@@ -29,16 +29,14 @@ func corpusTraceT(t *testing.T, name string) *trace.Trace {
 }
 
 // reportFingerprint marshals a report with its run-varying fields (the
-// ledger, worker count, cache effectiveness and the class and probe counts
-// cache-served chunks skip) zeroed, leaving races, counts and ordering — the
-// quantities parallel verification and the verdict cache must reproduce
-// bit-for-bit.
+// ledger and worker count) and the class and probe counts zeroed, leaving
+// races, counts and ordering — the quantities every source, oracle and
+// worker count must reproduce bit-for-bit.
 func reportFingerprint(t *testing.T, rep *verify.Report) []byte {
 	t.Helper()
 	cp := *rep
 	cp.Ledger = verify.Ledger{}
 	cp.Workers = 0
-	cp.Cache = nil
 	cp.ClassHits, cp.Classes, cp.HBQueries = 0, 0, 0
 	b, err := json.Marshal(&cp)
 	if err != nil {

@@ -23,7 +23,6 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 		cp := *rep
 		cp.Ledger = Ledger{}
 		cp.Workers = 0
-		cp.Cache = nil
 		b, err := json.Marshal(&cp)
 		if err != nil {
 			t.Fatal(err)

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"verifyio/internal/corpus"
 	"verifyio/internal/obs"
@@ -41,7 +42,6 @@ import (
 	"verifyio/internal/semantics"
 	"verifyio/internal/sim/posixfs"
 	"verifyio/internal/trace"
-	"verifyio/internal/vcache"
 	"verifyio/internal/verify"
 )
 
@@ -81,61 +81,34 @@ func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
 	return t.tracer.WriteChromeTrace(w)
 }
 
-// Cache is a verdict cache for incremental re-verification: chunks of the
-// verification plan are memoized by content digest, so re-verifying an
-// unchanged trace is served entirely from cache and an appended trace
-// re-verifies only the chunks the change dirtied. One Cache may back many
-// runs (and many traces — entries are content addressed). Safe for
-// concurrent use.
-type Cache struct {
-	s *vcache.Store
-}
+// Cache is an old verdict-cache handle.
+//
+// Deprecated: it changes nothing (every run recomputes) and is kept only
+// while benchmark/ passes it.
+type Cache struct{}
 
-// NewMemoryCache returns a process-lifetime in-memory verdict cache.
-func NewMemoryCache() *Cache { return &Cache{s: vcache.NewMemory()} }
-
-// OpenCache opens (creating if needed) a persistent verdict cache in dir —
-// what the verifyio command's -cache-dir flag uses. A corrupt or torn cache
-// file never fails the open: damaged entries are discarded and recomputed.
-// Close flushes and releases the store.
+// OpenCache creates dir (a benchmark reads its size) and returns a Cache. It
+// writes nothing into dir.
+//
+// Deprecated: it changes nothing and is kept only while benchmark/ calls it.
 func OpenCache(dir string) (*Cache, error) {
-	s, err := vcache.Open(dir)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Cache{s: s}, nil
+	return &Cache{}, nil
 }
 
-// Close releases the cache, flushing any pending on-disk state.
-func (c *Cache) Close() error {
-	if c == nil || c.s == nil {
-		return nil
-	}
-	return c.s.Close()
-}
+// Close returns nil, also on a nil *Cache.
+//
+// Deprecated: it changes nothing and is kept only while benchmark/ calls it.
+func (c *Cache) Close() error { return nil }
 
-// Stats returns the cache's cumulative chunk counters across every run it
-// backed: hits (chunks served from cache, including verdicts promoted
-// across a trace change), misses (chunks verified and sealed), and dirty
-// (misses charged to a trace change rather than a cold start).
-func (c *Cache) Stats() (hits, misses, dirty int64) {
-	if c == nil || c.s == nil {
-		return 0, 0, 0
-	}
-	return c.s.Stats()
-}
-
-// CacheStats reports verdict-cache effectiveness for one verification pass
-// (see verify.CacheStats).
+// CacheStats is an old per-pass verdict-cache count; Report.Cache is always
+// nil.
+//
+// Deprecated: it changes nothing and is kept only while benchmark/ reads it.
 type CacheStats struct {
-	// Hits counts chunks resolved from the cache, including verdicts
-	// promoted across a trace change by the incremental dirtiness pass.
-	Hits int64
-	// Misses counts chunks verified from scratch and sealed.
-	Misses int64
-	// DirtyChunks counts misses charged to a trace change: chunks
-	// re-verified while an incremental manifest for the trace existed.
-	DirtyChunks int64
+	Hits, Misses, DirtyChunks int64
 }
 
 // Rank is the traced per-process handle programs receive under the tracer:
@@ -165,10 +138,6 @@ func (m Model) resolve() (semantics.Model, error) {
 // Trace is a collected execution trace.
 type Trace struct {
 	t *trace.Trace
-	// salvage records what lenient loading did to damaged ranks (nil for an
-	// intact load); verification folds it into verdict-cache identity so a
-	// salvaged trace can never serve stale verdicts to its repaired form.
-	salvage *trace.DecodeStats
 }
 
 // NumRanks returns the number of MPI ranks in the trace.
@@ -223,7 +192,7 @@ func ReadTraceDirOpts(dir string, opts ReadOptions) (*Trace, *Recovery, error) {
 	if !opts.Tolerate {
 		return &Trace{t: tr}, nil, nil
 	}
-	return &Trace{t: tr, salvage: stats}, recoveryFromStats(stats), nil
+	return &Trace{t: tr}, recoveryFromStats(stats), nil
 }
 
 // recoveryFromStats converts internal decode salvage stats to the public
@@ -333,13 +302,15 @@ type Options struct {
 	// Telemetry traces the run's stages as spans (see Telemetry). Nil
 	// disables tracing; the disabled path costs near zero.
 	Telemetry *Telemetry
-	// Cache attaches a verdict cache (see Cache): verification consults it
-	// per chunk before computing and seals fresh verdicts after, and the
-	// Report gains Cache statistics. Nil disables caching.
+	// Cache is ignored.
+	//
+	// Deprecated: it changes nothing and is kept only while benchmark/
+	// sets it.
 	Cache *Cache
-	// CacheID names the logical trace for the cache's incremental manifest
-	// (e.g. the trace directory path). Empty derives a stable identity from
-	// the trace content. Only meaningful with Cache set.
+	// CacheID is ignored.
+	//
+	// Deprecated: it changes nothing and is kept only while benchmark/
+	// sets it.
 	CacheID string
 }
 
@@ -347,7 +318,7 @@ func (o *Options) analyzeOptions() verify.AnalyzeOptions {
 	if o == nil {
 		return verify.AnalyzeOptions{}
 	}
-	return verify.AnalyzeOptions{Workers: o.Workers, Digest: o.Cache != nil, Obs: o.Telemetry.ctx()}
+	return verify.AnalyzeOptions{Workers: o.Workers, Obs: o.Telemetry.ctx()}
 }
 
 func (o *Options) verifyOptions() verify.Options {
@@ -358,10 +329,6 @@ func (o *Options) verifyOptions() verify.Options {
 		vo.ContinueOnUnmatched = o.ContinueOnUnmatched
 		vo.Workers = o.Workers
 		vo.Obs = o.Telemetry.ctx()
-		if o.Cache != nil {
-			vo.Cache = o.Cache.s
-			vo.CacheID = o.CacheID
-		}
 	}
 	return vo
 }
@@ -430,8 +397,9 @@ type Report struct {
 	SkeletonLevels int
 	Ledger         Ledger
 
-	// Cache reports verdict-cache effectiveness for this pass. Nil unless
-	// Options.Cache was set.
+	// Cache is always nil.
+	//
+	// Deprecated: it is kept only while benchmark/ reads it.
 	Cache *CacheStats `json:",omitempty"`
 
 	inner *verify.Report
@@ -466,13 +434,6 @@ func wrapReport(rep *verify.Report) *Report {
 		SkeletonLevels:       rep.SkeletonLevels,
 		Ledger:               rep.Ledger,
 		inner:                rep,
-	}
-	if rep.Cache != nil {
-		out.Cache = &CacheStats{
-			Hits:        rep.Cache.Hits,
-			Misses:      rep.Cache.Misses,
-			DirtyChunks: rep.Cache.DirtyChunks,
-		}
 	}
 	if len(rep.Races) > 0 {
 		out.Races = make([]Race, 0, len(rep.Races))
@@ -542,15 +503,9 @@ func (r *Report) Diagnose() []Diagnosis {
 	return out
 }
 
-// analyze analyzes the trace from memory, carrying its salvage state into
-// verdict-cache identity.
+// analyze analyzes the trace from memory.
 func (t *Trace) analyze(ao verify.AnalyzeOptions) (*verify.Analysis, error) {
-	a, err := verify.Analyze(t.t, verify.AlgoVectorClock, ao)
-	if err != nil {
-		return nil, err
-	}
-	a.SetSalvage(t.salvage)
-	return a, nil
+	return verify.Analyze(t.t, verify.AlgoVectorClock, ao)
 }
 
 // verifyModels is the body of every entry point: analyze the source once
@@ -614,8 +569,8 @@ func VerifyAll(t *Trace, opts *Options) ([]*Report, error) {
 
 // VerifyStream verifies the trace directory against one model while
 // decoding it, holding at most ReadOptions.WindowBytes of decoded records at
-// a time instead of the whole trace (conflict detection, MPI matching and
-// the cache digests consume each record batch as it decodes). The report is
+// a time instead of the whole trace (conflict detection and MPI matching
+// consume each record batch as it decodes). The report is
 // the one ReadTraceDirOpts + Verify give on the same directory — it is the
 // same pipeline reading a different source — with the decode time and the
 // most decoded record bytes resident at once in its Ledger's read row. The Recovery is non-nil only in tolerate mode.

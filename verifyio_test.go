@@ -2,11 +2,14 @@ package verifyio
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"verifyio/internal/corpus"
 	itrace "verifyio/internal/trace"
 )
 
@@ -244,23 +247,184 @@ func TestTolerantReadMatchesIntactPrefix(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("report counts differ: %d vs %d", len(got), len(want))
 	}
-	stripTiming := func(rep *Report) string {
-		var buf bytes.Buffer
-		rep.Render(&buf)
-		var kept []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "timing:") {
-				continue
-			}
-			kept = append(kept, line)
-		}
-		return strings.Join(kept, "\n")
-	}
 	for i := range got {
-		g, w := stripTiming(got[i]), stripTiming(want[i])
+		g, w := renderUntimed(got[i]), renderUntimed(want[i])
 		if g != w {
 			t.Errorf("%s: salvaged-trace report differs from intact-prefix report:\n--- salvaged\n%s\n--- intact\n%s",
 				got[i].Model, g, w)
 		}
+	}
+}
+
+// renderUntimed renders a report without its timing line, the one line two
+// runs of the same verification may differ in.
+func renderUntimed(rep *Report) string {
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	var kept []string
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "timing:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
+// renderAllUntimed is renderUntimed over one report per model.
+func renderAllUntimed(reps []*Report) string {
+	var out strings.Builder
+	for _, rep := range reps {
+		out.WriteString(renderUntimed(rep))
+	}
+	return out.String()
+}
+
+// TestRepairedTraceReportsMatchIntact: a rank file truncated at two
+// different cuts loads leniently with a Recovery naming that rank, from
+// memory and off the directory alike, and once repaired the trace loads
+// clean and verifies to exactly the reports it had before it was damaged —
+// verifying a damaged trace leaves nothing behind for the next run.
+func TestRepairedTraceReportsMatchIntact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := itrace.WriteDir(dir, corpus.ScalingTrace(4, 500, 1<<12, 3), itrace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(dir, "rank-2.viot")
+	orig, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{ContinueOnUnmatched: true}
+	// verifyBoth verifies the directory from memory and off the directory,
+	// both read leniently, and requires the two to agree.
+	verifyBoth := func(what string) (string, *Recovery) {
+		t.Helper()
+		tr, rec, err := ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := VerifyAll(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, srec, err := VerifyAllStream(dir, ReadOptions{Tolerate: true}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec, srec) {
+			t.Errorf("%s: recovery %+v in memory, %+v off the directory", what, rec, srec)
+		}
+		got := renderAllUntimed(reps)
+		if s := renderAllUntimed(streamed); s != got {
+			t.Errorf("%s: reports differ between memory and directory:\n%s\n---\n%s", what, got, s)
+		}
+		return got, rec
+	}
+
+	intact, rec := verifyBoth("intact")
+	if !rec.Clean() {
+		t.Fatalf("intact trace reports damage: %+v", rec.Ranks)
+	}
+	// A half cut dies in the string table and salvages nothing; a
+	// two-thirds cut recovers real records.
+	for _, keep := range []int{len(orig) / 2, len(orig) * 2 / 3} {
+		what := fmt.Sprintf("cut at %d of %d bytes", keep, len(orig))
+		if err := os.WriteFile(victim, orig[:keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged, rec := verifyBoth(what)
+		if rec.Clean() || len(rec.Ranks) != 1 || rec.Ranks[0].Rank != 2 {
+			t.Fatalf("%s: recovery %+v, want rank 2 alone damaged", what, rec)
+		}
+		if damaged == intact {
+			t.Errorf("%s: the salvaged trace verifies exactly as the intact one", what)
+		}
+
+		if err := os.WriteFile(victim, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		repaired, rec := verifyBoth(what + ", repaired")
+		if !rec.Clean() {
+			t.Fatalf("%s: repaired trace still reports damage: %+v", what, rec.Ranks)
+		}
+		if repaired != intact {
+			t.Errorf("%s: repaired trace verifies differently from the intact one:\n%s\n---\n%s", what, repaired, intact)
+		}
+	}
+}
+
+// TestCacheShimInert: the deprecated cache names change nothing. OpenCache
+// creates its directory and writes nothing into it, a run given the Cache
+// renders exactly what a run without one renders and carries no Report.Cache,
+// and Close returns nil, on a nil *Cache too.
+func TestCacheShimInert(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache", "nested")
+	cache, err := OpenCache(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(cacheDir); err != nil || !info.IsDir() {
+		t.Fatalf("OpenCache left no directory: %v", err)
+	}
+	flexible, err := RunCorpusTest("flexible")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+	}{
+		{"flexible", flexible},
+		{"scaling", &Trace{t: corpus.ScalingTrace(4, 500, 4<<10, 3)}},
+	} {
+		dir := filepath.Join(t.TempDir(), tc.name)
+		if err := tc.tr.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			plain := &Options{Workers: workers}
+			cached := &Options{Workers: workers, Cache: cache, CacheID: dir}
+			what := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			for _, run := range []struct {
+				path   string
+				verify func(*Options) ([]*Report, error)
+			}{
+				{"VerifyAll", func(o *Options) ([]*Report, error) { return VerifyAll(tc.tr, o) }},
+				{"VerifyAllStream", func(o *Options) ([]*Report, error) {
+					reps, _, err := VerifyAllStream(dir, ReadOptions{}, o)
+					return reps, err
+				}},
+			} {
+				want, err := run.verify(plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run.verify(cached)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, rep := range got {
+					if rep.Cache != nil {
+						t.Errorf("%s %s %s: Report.Cache = %+v, want nil", what, run.path, rep.Model, rep.Cache)
+					}
+					if g, w := renderUntimed(rep), renderUntimed(want[i]); g != w {
+						t.Errorf("%s %s %s: the Cache changed the report:\n%s\n---\n%s", what, run.path, rep.Model, g, w)
+					}
+				}
+			}
+		}
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("the cache directory holds %d entries after Close, want none", len(ents))
+	}
+	if err := (*Cache)(nil).Close(); err != nil {
+		t.Errorf("(*Cache)(nil).Close() = %v, want nil", err)
 	}
 }

@@ -79,9 +79,42 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "reproduce: write -trace-out: %v\n", err)
 		}
 	}()
-	vopts := verify.Options{Workers: *workers, Obs: oc}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, n := range strings.Split(*only, ",") {
+			want[strings.TrimSpace(n)] = true
+		}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		return 2
+	}
+	for _, a := range artifacts(verify.Options{Workers: *workers, Obs: oc}) {
+		if len(want) > 0 && !want[a.name] {
+			continue
+		}
+		path := filepath.Join(*out, a.name+".txt")
+		f, err := os.Create(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+			return 2
+		}
+		if err := a.write(io.MultiWriter(os.Stdout, f)); err != nil {
+			fmt.Fprintf(os.Stderr, "reproduce: %s: %v\n", a.name, err)
+			f.Close()
+			return 2
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+			return 2
+		}
+	}
+	return 0
+}
 
-	// fig4 is computed once and shared with table3/table4.
+// artifacts returns every artifact in output order; fig4 is computed once and
+// shared with table3.
+func artifacts(vopts verify.Options) []artifact {
 	var rows []*corpus.Row
 	rowsOnce := func() ([]*corpus.Row, error) {
 		if rows != nil {
@@ -96,8 +129,7 @@ func run() int {
 		}
 		return rows, nil
 	}
-
-	artifacts := []artifact{
+	return []artifact{
 		{"table1", table1},
 		{"table2", table2},
 		{"fig4", func(w io.Writer) error { return fig4(w, rowsOnce) }},
@@ -105,41 +137,17 @@ func run() int {
 		{"table4", func(w io.Writer) error { return table4(w, vopts) }},
 		{"fig3", func(w io.Writer) error { return fig3(w, vopts) }},
 	}
+}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
+// write renders the artifact as its results file holds it: a header line,
+// the body and a blank line.
+func (a artifact) write(w io.Writer) error {
+	fmt.Fprintf(w, "==== %s ====\n", a.name)
+	if err := a.fn(w); err != nil {
+		return err
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-		return 2
-	}
-	for _, a := range artifacts {
-		if len(want) > 0 && !want[a.name] {
-			continue
-		}
-		path := filepath.Join(*out, a.name+".txt")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			return 2
-		}
-		w := io.MultiWriter(os.Stdout, f)
-		fmt.Fprintf(w, "==== %s ====\n", a.name)
-		if err := a.fn(w); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %s: %v\n", a.name, err)
-			f.Close()
-			return 2
-		}
-		fmt.Fprintln(w)
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			return 2
-		}
-	}
-	return 0
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 // table1 prints the synchronization-operation set S and the MSC per model.

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"verifyio/internal/corpus"
+	itrace "verifyio/internal/trace"
 	"verifyio/internal/verify"
 )
 
@@ -45,6 +47,8 @@ var (
 	titleRefs = regexp.MustCompile(`((?:"[^"]+",? (?:and |or )?)+)in DESIGN\.md`)
 	quoted    = regexp.MustCompile(`"([^"]+)"`)
 	artifact  = regexp.MustCompile(`^==== ([a-z0-9]+) ====\n`)
+	laneRow   = regexp.MustCompile("^\\| `([^`]+)` +\\|(.*)\\|$")
+	lanePart  = regexp.MustCompile(`<\w+>|\bN\b`)
 )
 
 // tree is what the repository declares, as the doc checks read it.
@@ -320,6 +324,95 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 			if !hasPath(m[1]) {
 				t.Errorf("%s mentions %s, which names no file", doc, m[1])
 			}
+		}
+	}
+}
+
+// laneSpan is one (lane, span) pairing of DESIGN.md's lane table.
+type laneSpan struct {
+	lane *regexp.Regexp
+	span string
+}
+
+// designLanes reads the lane table of DESIGN.md's ledger section: a lane
+// pattern (`<model>`, `<F>`, `N` stand for any name or number) and the span
+// names quoted beside it.
+func designLanes(t *testing.T) []laneSpan {
+	t.Helper()
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ledger, _ := strings.Cut(string(raw), ". "+ledgerSection+"\n")
+	_, lanes, ok := strings.Cut(ledger, "\n| Lane (track)")
+	if !ok {
+		t.Fatalf("DESIGN.md %q has no lane table", ledgerSection)
+	}
+	var table []laneSpan
+	for _, line := range strings.Split(lanes, "\n")[2:] {
+		m := laneRow.FindStringSubmatch(line)
+		if m == nil {
+			break
+		}
+		lane := regexp.MustCompile("^" + lanePart.ReplaceAllString(regexp.QuoteMeta(m[1]), `[^/]+`) + "$")
+		for _, span := range codeSpan.FindAllStringSubmatch(m[2], -1) {
+			table = append(table, laneSpan{lane, span[1]})
+		}
+	}
+	return table
+}
+
+// TestSpanVocabularyMatchesDesign pins the span vocabulary both ways: traced
+// VerifyAllStream runs at Workers 2 on written directories emit only the
+// (lane, span) pairs DESIGN.md's lane table lists, and every listed pair is
+// emitted by at least one of them. The traces reach the conditional spans:
+// the per-slice sweeps need a shared file with conflicts, the batch lanes
+// conflict groups to verify.
+func TestSpanVocabularyMatchesDesign(t *testing.T) {
+	table := designLanes(t)
+	seen := make([]bool, len(table))
+	flexible, err := corpus.ByName("flexible")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flex, err := corpus.Run(flexible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*itrace.Trace{corpus.ScalingTrace(4, 500, 1<<12, 3), flex} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		if err := itrace.WriteDir(dir, tr, itrace.DefaultEncodeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		tel := NewTelemetry()
+		if _, _, err := VerifyAllStream(dir, ReadOptions{}, &Options{Workers: 2, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		events := tel.tracer.Events()
+		lanes := map[int]string{}
+		for _, e := range events {
+			if e.Ph == "M" {
+				lanes[e.TID] = e.Args["name"]
+			}
+		}
+		for _, e := range events {
+			if e.Ph != "X" {
+				continue
+			}
+			listed := false
+			for i, ls := range table {
+				if ls.span == e.Name && ls.lane.MatchString(lanes[e.TID]) {
+					seen[i], listed = true, true
+				}
+			}
+			if !listed {
+				t.Errorf("span %q on lane %q is not in DESIGN.md's lane table", e.Name, lanes[e.TID])
+			}
+		}
+	}
+	for i, ls := range table {
+		if !seen[i] {
+			t.Errorf("DESIGN.md lists span %q on lane %s, which no run emitted", ls.span, ls.lane)
 		}
 	}
 }

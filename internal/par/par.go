@@ -4,7 +4,7 @@
 // trace directory's per-rank decode, the per-rank read/replay/scan tasks and
 // the overlapping detect and match finish phases of verify.Analyze, the
 // per-file conflict sweep, the vector clocks' column blocks, the verification
-// batches of the chunk plan, and the model passes of VerifyAll.
+// batches of conflict groups, and the model passes of VerifyAll.
 //
 // The contract that keeps results worker-count-independent lives here: the
 // serial and parallel paths execute the same task function over the same

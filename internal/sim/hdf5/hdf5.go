@@ -200,13 +200,6 @@ func (f *File) Flush() error {
 	}, func() error { return f.mf.Sync() })
 }
 
-// CreateGroup is the traced H5Gcreate2. Groups are namespace-only here.
-func (f *File) CreateGroup(name string) error {
-	return f.r.Record(trace.LayerHDF5, "H5Gcreate2", func() []string {
-		return []string{f.path, name}
-	}, func() error { return nil })
-}
-
 // Dataset is an open HDF5 dataset backed by a contiguous file extent.
 type Dataset struct {
 	f    *File
@@ -270,9 +263,6 @@ func (d *Dataset) Close() error {
 		return []string{d.name}
 	}, func() error { return nil })
 }
-
-// Dims returns the dataset's dataspace dimensions.
-func (d *Dataset) Dims() []int64 { return d.ext.dims }
 
 // Hyperslab is a regular selection: start and count per dimension.
 type Hyperslab struct {

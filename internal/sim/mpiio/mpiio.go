@@ -370,31 +370,6 @@ func (f *File) ReadAtAll(off int64, n int) ([]byte, error) {
 	return out, err
 }
 
-// ReadAll is the traced, collective MPI_File_read_all at the individual file
-// pointer.
-func (f *File) ReadAll(n int) ([]byte, error) {
-	if f.closed {
-		return nil, ErrClosed
-	}
-	var out []byte
-	err := f.r.Record(trace.LayerMPIIO, "MPI_File_read_all", func() []string {
-		return []string{itoa(int64(f.fd)), itoa(int64(n))}
-	}, func() error {
-		buf, err := f.collectiveRead(f.abs(f.pos), n)
-		out = buf
-		f.pos += int64(len(buf))
-		return err
-	})
-	return out, err
-}
-
-// Delete is the traced MPI_File_delete.
-func Delete(r *recorder.Rank, path string) error {
-	return r.Record(trace.LayerMPIIO, "MPI_File_delete", func() []string {
-		return []string{path}
-	}, func() error { return nil })
-}
-
 // abs translates a view-relative offset to an absolute file offset.
 func (f *File) abs(off int64) int64 {
 	if f.viewSet {

@@ -385,36 +385,17 @@ func (f *File) getVara(fn string, v *Var, start, count []int64) ([]byte, error) 
 // PutVarSchar is the traced nc_put_var_schar — the parallel5 call.
 func (f *File) PutVarSchar(v *Var, data []byte) error { return f.putVar("nc_put_var_schar", v, data) }
 
-// PutVarText is the traced nc_put_var_text.
-func (f *File) PutVarText(v *Var, data []byte) error { return f.putVar("nc_put_var_text", v, data) }
-
-// PutVarInt is the traced nc_put_var_int.
-func (f *File) PutVarInt(v *Var, data []byte) error { return f.putVar("nc_put_var_int", v, data) }
-
 // GetVarSchar is the traced nc_get_var_schar.
 func (f *File) GetVarSchar(v *Var) ([]byte, error) { return f.getVar("nc_get_var_schar", v) }
-
-// GetVarInt is the traced nc_get_var_int.
-func (f *File) GetVarInt(v *Var) ([]byte, error) { return f.getVar("nc_get_var_int", v) }
 
 // PutVaraInt is the traced nc_put_vara_int.
 func (f *File) PutVaraInt(v *Var, start, count []int64, data []byte) error {
 	return f.putVara("nc_put_vara_int", v, start, count, data)
 }
 
-// PutVaraText is the traced nc_put_vara_text.
-func (f *File) PutVaraText(v *Var, start, count []int64, data []byte) error {
-	return f.putVara("nc_put_vara_text", v, start, count, data)
-}
-
 // GetVaraInt is the traced nc_get_vara_int.
 func (f *File) GetVaraInt(v *Var, start, count []int64) ([]byte, error) {
 	return f.getVara("nc_get_vara_int", v, start, count)
-}
-
-// GetVaraText is the traced nc_get_vara_text.
-func (f *File) GetVaraText(v *Var, start, count []int64) ([]byte, error) {
-	return f.getVara("nc_get_vara_text", v, start, count)
 }
 
 func itoa(v int64) string { return fmt.Sprint(v) }

@@ -10,19 +10,9 @@ import (
 // paths. Variables are byte-element arrays; the type suffix only changes the
 // recorded function name (see the package comment).
 
-// PutVaraTextAll is the traced ncmpi_put_vara_text_all.
-func (f *File) PutVaraTextAll(v *Var, start, count []int64, data []byte) error {
-	return f.collectivePut("ncmpi_put_vara_text_all", v, start, count, data, false)
-}
-
 // PutVaraIntAll is the traced ncmpi_put_vara_int_all.
 func (f *File) PutVaraIntAll(v *Var, start, count []int64, data []byte) error {
 	return f.collectivePut("ncmpi_put_vara_int_all", v, start, count, data, false)
-}
-
-// PutVaraUcharAll is the traced ncmpi_put_vara_uchar_all.
-func (f *File) PutVaraUcharAll(v *Var, start, count []int64, data []byte) error {
-	return f.collectivePut("ncmpi_put_vara_uchar_all", v, start, count, data, false)
 }
 
 // PutVar1TextAll is the traced ncmpi_put_var1_text_all: a single-element
@@ -43,12 +33,6 @@ func (f *File) PutVarUcharAll(v *Var, data []byte) error {
 	return f.collectivePut("ncmpi_put_var_uchar_all", v, start, count, data, false)
 }
 
-// PutVarTextAll is the traced ncmpi_put_var_text_all.
-func (f *File) PutVarTextAll(v *Var, data []byte) error {
-	start, count := v.wholeSel()
-	return f.collectivePut("ncmpi_put_var_text_all", v, start, count, data, false)
-}
-
 // PutVaraAll is the traced flexible ncmpi_put_vara_all (MPI-datatype
 // argument in real PnetCDF). The flexible path modifies the MPI file view
 // before writing, arming collective buffering — the behaviour behind the
@@ -57,36 +41,15 @@ func (f *File) PutVaraAll(v *Var, start, count []int64, data []byte) error {
 	return f.collectivePut("ncmpi_put_vara_all", v, start, count, data, true)
 }
 
-// GetVaraAll is the traced flexible ncmpi_get_vara_all.
-func (f *File) GetVaraAll(v *Var, start, count []int64) ([]byte, error) {
-	return f.collectiveGet("ncmpi_get_vara_all", v, start, count, true)
-}
-
 // GetVaraIntAll is the traced ncmpi_get_vara_int_all.
 func (f *File) GetVaraIntAll(v *Var, start, count []int64) ([]byte, error) {
 	return f.collectiveGet("ncmpi_get_vara_int_all", v, start, count, false)
-}
-
-// GetVaraTextAll is the traced ncmpi_get_vara_text_all.
-func (f *File) GetVaraTextAll(v *Var, start, count []int64) ([]byte, error) {
-	return f.collectiveGet("ncmpi_get_vara_text_all", v, start, count, false)
-}
-
-// GetVarTextAll is the traced ncmpi_get_var_text_all.
-func (f *File) GetVarTextAll(v *Var) ([]byte, error) {
-	start, count := v.wholeSel()
-	return f.collectiveGet("ncmpi_get_var_text_all", v, start, count, false)
 }
 
 // PutVaraInt is the traced independent ncmpi_put_vara_int (requires
 // independent data mode).
 func (f *File) PutVaraInt(v *Var, start, count []int64, data []byte) error {
 	return f.independentPut("ncmpi_put_vara_int", v, start, count, data)
-}
-
-// PutVaraText is the traced independent ncmpi_put_vara_text.
-func (f *File) PutVaraText(v *Var, start, count []int64, data []byte) error {
-	return f.independentPut("ncmpi_put_vara_text", v, start, count, data)
 }
 
 // IputVara is the traced non-blocking ncmpi_iput_vara_<type>: the operation

@@ -179,17 +179,6 @@ func (fs *FS) CommittedSize(path string) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
-// Paths returns the names of all files that exist in the committed store.
-func (fs *FS) Paths() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Unlink removes path from the committed namespace. Open descriptors keep
 // working on the orphaned contents (POSIX semantics); a subsequent create
 // produces a fresh file.

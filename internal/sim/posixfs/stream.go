@@ -97,12 +97,6 @@ func (s *Stream) Ftell() (int64, error) {
 	return s.p.Tell(s.fd)
 }
 
-// Fflush flushes the stream's userspace buffer. Visibility-wise this model
-// buffers at the process level, so fflush alone does not publish under
-// relaxed modes — matching real systems, where fflush moves data to the
-// kernel but fsync/close controls cross-node visibility.
-func (s *Stream) Fflush() error { return s.ok() }
-
 // Fclose closes the stream (and publishes under session consistency, like
 // close).
 func (s *Stream) Fclose() error {

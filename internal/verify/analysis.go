@@ -12,7 +12,6 @@ package verify
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"verifyio/internal/conflict"
@@ -81,11 +80,9 @@ type Analysis struct {
 	// salvage is the decode salvage state of a directory analyzed with
 	// AnalyzeStream (nil or clean for an intact trace).
 	salvage *trace.DecodeStats
-
-	// plan memoizes the resolved query plan (per-op skeleton coordinates
-	// and the chunk plan); model independent, shared by every pass.
-	planMu sync.Mutex
-	plan   *opPlan
+	// plan is the resolved query plan (per-op skeleton coordinates and the
+	// batch plan); model independent, shared by every pass.
+	plan *opPlan
 }
 
 // NumRanks returns the number of ranks analyzed.
@@ -122,9 +119,10 @@ type AnalyzeOptions struct {
 // oracle. The rank is the unit of flow: one task per rank pulls that rank's
 // record batches from the source and, on the same goroutine, steps the
 // rank's conflict replay and matcher scan — records never cross a goroutine
-// or outlive their batch, so memory is the source's. Then come the two cross-rank finish phases, the oracle
-// build chained behind matching's. The first five rows of the Analysis'
-// Ledger time and count them.
+// or outlive their batch, so memory is the source's. Then come the two
+// cross-rank finish phases, the oracle build chained behind matching's, and
+// the op plan, which needs both. The first five rows of the Analysis' Ledger
+// time and count them; the oracle row includes the op plan.
 func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
@@ -197,6 +195,9 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 	if oracleErr != nil {
 		return nil, oracleErr
 	}
+	start := time.Now()
+	a.plan = newOpPlan(a)
+	a.Ledger.Oracle.Time += time.Since(start)
 	a.Ledger.Read.Out = int64(a.NumRecords())
 	a.Ledger.Detect.In = int64(len(a.Conflicts.Ops))
 	a.Ledger.Detect.Out = a.Conflicts.Pairs

@@ -9,14 +9,15 @@ var (
 	RandomMSC       = randomMSC
 )
 
-// RetainedPairs runs one pass of opts.Model over a's chunk plan, with
+// RetainedPairs runs one pass of opts.Model over a's batch plan, with
 // opts.MaxRaceDetails and opts.Workers taken as given (both must be
-// positive), and returns the race pairs held over all chunk tallies before
-// the merge, and the plan's batch count.
-func RetainedPairs(a *Analysis, opts Options) (pairs, batches int) {
-	v := newVerifier(a, opts, obs.Ctx{})
-	for _, t := range v.verifyChunks(opts.Workers) {
-		pairs += len(t.pairs)
+// positive), and returns the race pairs each batch's tally held before the
+// merge, in batch order.
+func RetainedPairs(a *Analysis, opts Options) []int {
+	tallies := newVerifier(a, opts, obs.Ctx{}).verifyBatches(opts.Workers)
+	pairs := make([]int, len(tallies))
+	for b, t := range tallies {
+		pairs[b] = len(t.pairs)
 	}
-	return pairs, len(v.plan.batches)
+	return pairs
 }

@@ -71,7 +71,7 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 // HBQueries, read the same at Workers 1, 2 and 7. The batches along which
 // the verifier carries its class scratch, and so how many checks it
 // evaluates and how many happens-before probes those cost, are the plan's,
-// not the pool's. The trace has position classes spanning many chunks, so
+// not the pool's. The trace has position classes spanning many groups, so
 // batches cut by worker count would show.
 func TestPipelineStableMetricsDeterministic(t *testing.T) {
 	tr := planTrace(4, 900)
@@ -102,10 +102,10 @@ func TestPipelineStableMetricsDeterministic(t *testing.T) {
 
 // TestVerifyAllocationsIndependentOfOps is TestDisabledPathAllocatesNothing
 // (internal/obs) one level up: with telemetry off, a pass allocates per pass
-// and per worker, never per chunk or per group — no lane names and attributes
-// built for spans nobody records, no per-chunk scratch. Quadrupling the ops
-// of a race-free trace at a fixed number of sync points must not add
-// allocations.
+// and per worker, never per batch or per group — no lane names and
+// attributes built for spans nobody records, no per-batch scratch.
+// Quadrupling the ops of a race-free trace at a fixed number of sync points
+// must not add allocations.
 func TestVerifyAllocationsIndependentOfOps(t *testing.T) {
 	allocs := func(ops int, model semantics.Model) (float64, int) {
 		a, err := AnalyzeOpts(orderedTrace(4, ops), AlgoVectorClock, AnalyzeOptions{Workers: 1})
@@ -118,19 +118,20 @@ func TestVerifyAllocationsIndependentOfOps(t *testing.T) {
 			t.Fatalf("ops=%d %s: err=%v, %d races over %d pairs; want a race-free trace with conflicts",
 				ops, model.Name, err, rep.RaceCount, rep.ConflictPairs)
 		}
-		return testing.AllocsPerRun(10, func() { a.Verify(opts) }), len(a.queryPlan().chunks)
+		return testing.AllocsPerRun(10, func() { a.Verify(opts) }), len(a.plan.batches)
 	}
 	for _, model := range []semantics.Model{semantics.POSIXModel(), semantics.CommitModel()} {
-		small, smallChunks := allocs(512, model)
-		large, largeChunks := allocs(2048, model)
-		if smallChunks < 4 || largeChunks < 3*smallChunks {
-			t.Fatalf("chunk counts %d and %d: want several, and about four times as many", smallChunks, largeChunks)
+		small, smallBatches := allocs(512, model)
+		large, largeBatches := allocs(2048, model)
+		// Batches grow with the square root of the pairs.
+		if smallBatches < 4 || 2*largeBatches < 3*smallBatches {
+			t.Fatalf("batch counts %d and %d: want several, and about twice as many", smallBatches, largeBatches)
 		}
 		// Which worker grows its witness sets is up to the scheduler, so a
-		// handful either way is noise; one allocation per chunk is not.
-		if large-small > float64(largeChunks-smallChunks)/4 {
-			t.Errorf("%s: %.0f allocations per pass over %d chunks, %.0f over %d",
-				model.Name, large, largeChunks, small, smallChunks)
+		// handful either way is noise; one allocation per batch is not.
+		if large-small > float64(largeBatches-smallBatches)/4 {
+			t.Errorf("%s: %.0f allocations per pass over %d batches, %.0f over %d",
+				model.Name, large, largeBatches, small, smallBatches)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func TestVerifyWorkerPanicReachesCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(a.queryPlan().batches); n < 2 {
+	if n := len(a.plan.batches); n < 2 {
 		t.Fatalf("%d batches; the pool would run inline", n)
 	}
 	a.Oracle = panicOracle{a.Oracle}

@@ -19,12 +19,12 @@ import (
 // single Oracle.Probe (for the production oracle one clock compare), and a
 // same-rank query is a sequence compare.
 //
-// The op plan is model independent and shared by every model pass of
-// VerifyAll; the sync index depends on the model's sync-op classes and is
-// built once per model pass.
+// The op plan is model independent: Analyze builds it once and every model
+// pass of VerifyAll shares it. The sync index depends on the model's sync-op
+// classes and is built once per model pass.
 
-// opPlan carries the resolved conflict-op operands and the chunk/batch plan
-// for one analysis.
+// opPlan carries the resolved conflict-op operands and the batch plan for one
+// analysis.
 type opPlan struct {
 	// res holds one resolved operand per op, aligned with Conflicts.Ops.
 	res []hbgraph.Coord
@@ -34,9 +34,8 @@ type opPlan struct {
 	// rankEnd[r] is one past the last op index of rank r: Ops is rank-major,
 	// so a rank is an index range.
 	rankEnd []int32
-	// chunks partitions the conflict groups (planChunks); batches partitions
-	// the chunks, as index spans into chunks (planBatches).
-	chunks, batches []chunkSpan
+	// batches partitions the conflict groups (planBatches).
+	batches []groupSpan
 }
 
 func (p *opPlan) isWrite(i int32) bool { return p.write[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -56,97 +55,38 @@ func (p *opPlan) rankOf(i int32, from int) int {
 	return lo
 }
 
-// chunkSpan is one unit of the verification plan: groups [lo, hi).
-type chunkSpan struct{ lo, hi int }
+// groupSpan is one batch of the verification plan: groups [lo, hi).
+type groupSpan struct{ lo, hi int }
 
-// Chunk plan geometry. Chunks are sized by total run length (the quantity
-// verification cost tracks), not group count, and boundaries are content
-// defined — a group becomes a boundary when the hash of its X ref selects it
-// — so the plan is a pure function of the conflict content, identical at
-// every worker count.
-const (
-	// chunkMinWeight is the minimum accumulated run length before a content
-	// boundary may cut; with chunkCutMask accepting 1 in 4 groups, expected
-	// chunk weight is chunkMinWeight plus a few groups.
-	chunkMinWeight = 128
-	// chunkMaxWeight forces a cut regardless of the boundary hash, and any
-	// single group at least this heavy is isolated into its own chunk so a
-	// dense group cannot straggle the neighbors sharing its chunk.
-	chunkMaxWeight = 4096
-	// chunkCutMask selects boundary groups: cut when hash&mask == 0.
-	chunkCutMask = 3
-)
+// batchUnit scales the batch weight: a batch closes once its run length
+// reaches ⌈√(batchUnit·W)⌉ of the total W, so a trace has about √(W/batchUnit)
+// batches and the carry-over and the parallel slack both grow with it.
+const batchUnit = 128
 
-// chunkBoundary hashes the group's X record identity (FNV-1a). The
-// boundaries stay as they are because batches are cut from the chunk plan:
-// re-cutting it would move the class and hb counters every report carries
-// (Classes, ClassHits, HBQueries), which depend on that batch geometry.
-func chunkBoundary(conf *conflict.Result, gi int) bool {
-	x := &conf.Ops[conf.Groups[gi].X]
-	h := uint32(2166136261)
-	mix := func(v uint32) {
-		for i := 0; i < 4; i++ {
-			h ^= v & 0xff
-			h *= 16777619
-			v >>= 8
-		}
-	}
-	mix(uint32(x.Ref.Rank))
-	mix(uint32(x.Ref.Seq))
-	return h&chunkCutMask == 0
-}
-
-// planChunks partitions the conflict groups into contiguous weight-balanced
-// chunks — the work unit of parallel verification.
-func planChunks(conf *conflict.Result) []chunkSpan {
-	n := len(conf.Groups)
-	var plan []chunkSpan
+// planBatches partitions the conflict groups into contiguous batches: the
+// unit a worker claims, along which the verifier carries its class scratch.
+// Batches are weighted by run length, the quantity verification cost tracks,
+// so a heavy group closes its batch at once. The plan is a function of the
+// conflicts alone — never of Workers.
+func planBatches(conf *conflict.Result) []groupSpan {
+	target := int(math.Ceil(math.Sqrt(float64(conf.Pairs) * batchUnit)))
+	var batches []groupSpan
 	lo, w := 0, 0
-	for gi := 0; gi < n; gi++ {
-		gw := len(conf.Groups[gi].Ys())
-		if gw >= chunkMaxWeight {
-			if lo < gi {
-				plan = append(plan, chunkSpan{lo, gi})
-			}
-			plan = append(plan, chunkSpan{gi, gi + 1})
-			lo, w = gi+1, 0
-			continue
-		}
-		w += gw
-		if w >= chunkMaxWeight || (w >= chunkMinWeight && chunkBoundary(conf, gi)) {
-			plan = append(plan, chunkSpan{lo, gi + 1})
+	for gi := range conf.Groups {
+		if w += len(conf.Groups[gi].Ys()); w >= target {
+			batches = append(batches, groupSpan{lo, gi + 1})
 			lo, w = gi+1, 0
 		}
 	}
-	if lo < n {
-		plan = append(plan, chunkSpan{lo, n})
-	}
-	return plan
-}
-
-// planBatches partitions nchunks chunks into contiguous batches, as index
-// spans: the unit a worker claims, along which the verifier carries its
-// class scratch (a position class usually spans several chunks). ⌈√n⌉ chunks
-// per batch leaves about as many batches as a batch has chunks, so the
-// carry-over and the parallel slack both grow with the trace. A function of
-// the chunk count alone — never of Workers.
-func planBatches(nchunks int) []chunkSpan {
-	per := int(math.Ceil(math.Sqrt(float64(nchunks))))
-	var batches []chunkSpan
-	for lo := 0; lo < nchunks; lo += per {
-		batches = append(batches, chunkSpan{lo, min(lo+per, nchunks)})
+	if lo < len(conf.Groups) {
+		batches = append(batches, groupSpan{lo, len(conf.Groups)})
 	}
 	return batches
 }
 
-// queryPlan returns the memoized resolved op plan, computing it on first
-// use. Model passes running concurrently in VerifyAll share one plan.
-func (a *Analysis) queryPlan() *opPlan {
-	a.planMu.Lock()
-	defer a.planMu.Unlock()
-	if a.plan != nil {
-		return a.plan
-	}
+// newOpPlan resolves every conflict op of a, whose graph is built, and cuts
+// the batch plan.
+func newOpPlan(a *Analysis) *opPlan {
 	p := &opPlan{}
 	ops := a.Conflicts.Ops
 	p.res = make([]hbgraph.Coord, len(ops))
@@ -162,9 +102,7 @@ func (a *Analysis) queryPlan() *opPlan {
 	for r := 1; r < len(p.rankEnd); r++ {
 		p.rankEnd[r] = max(p.rankEnd[r], p.rankEnd[r-1]) // a rank without ops
 	}
-	p.chunks = planChunks(a.Conflicts)
-	p.batches = planBatches(len(p.chunks))
-	a.plan = p
+	p.batches = planBatches(a.Conflicts)
 	return p
 }
 

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // planTrace synthesizes a trace with enough conflict groups, of skewed
-// sizes, to exercise the chunk planner (same shape as the scaling corpus:
+// sizes, to exercise the batch planner (same shape as the scaling corpus:
 // pseudo-random 16-byte accesses in a shared window).
 func planTrace(nranks, ops int) *trace.Trace {
 	tr := trace.New(nranks)
@@ -41,10 +42,11 @@ func planTrace(nranks, ops int) *trace.Trace {
 	return tr
 }
 
-// TestPlanChunksPartition: the plan must be a contiguous partition of the
-// groups, weight-bounded, with every over-weight group isolated — the
+// TestPlanBatchesPartition: the plan must be a contiguous partition of the
+// groups, deterministic, and every batch but the last must reach the target
+// run length without having reached it before its last group — the
 // invariants parallel verification relies on.
-func TestPlanChunksPartition(t *testing.T) {
+func TestPlanBatchesPartition(t *testing.T) {
 	a, err := Analyze(planTrace(4, 900), AlgoVectorClock, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,34 +55,33 @@ func TestPlanChunksPartition(t *testing.T) {
 	if len(conf.Groups) < 100 {
 		t.Fatalf("trace too tame: only %d conflict groups", len(conf.Groups))
 	}
-	plan := planChunks(conf)
+	plan := planBatches(conf)
 	if len(plan) < 2 {
-		t.Fatalf("plan has %d chunks; want several (groups=%d)", len(plan), len(conf.Groups))
+		t.Fatalf("plan has %d batches; want several (groups=%d)", len(plan), len(conf.Groups))
 	}
+	target := int(math.Ceil(math.Sqrt(float64(conf.Pairs) * batchUnit)))
 	next := 0
-	for ci, span := range plan {
+	for b, span := range plan {
 		if span.lo != next || span.hi <= span.lo {
-			t.Fatalf("chunk %d = [%d,%d): not a contiguous partition (expected lo=%d)",
-				ci, span.lo, span.hi, next)
+			t.Fatalf("batch %d = [%d,%d): not a contiguous partition (expected lo=%d)",
+				b, span.lo, span.hi, next)
 		}
 		next = span.hi
 		w := 0
 		for gi := span.lo; gi < span.hi; gi++ {
-			gw := len(conf.Groups[gi].Ys())
-			if gw >= chunkMaxWeight && span.hi-span.lo != 1 {
-				t.Fatalf("group %d (weight %d) shares chunk %d with %d neighbors",
-					gi, gw, ci, span.hi-span.lo-1)
+			if w >= target {
+				t.Fatalf("batch %d reaches the target %d before its group %d", b, target, gi)
 			}
-			w += gw
+			w += len(conf.Groups[gi].Ys())
 		}
-		if span.hi-span.lo > 1 && w >= 2*chunkMaxWeight {
-			t.Fatalf("chunk %d weight %d exceeds the planner bound", ci, w)
+		if b < len(plan)-1 && w < target {
+			t.Fatalf("batch %d weighs %d, under the target %d", b, w, target)
 		}
 	}
 	if next != len(conf.Groups) {
 		t.Fatalf("plan covers %d of %d groups", next, len(conf.Groups))
 	}
-	if !reflect.DeepEqual(plan, planChunks(conf)) {
-		t.Fatal("planChunks is not deterministic")
+	if !reflect.DeepEqual(plan, planBatches(conf)) {
+		t.Fatal("planBatches is not deterministic")
 	}
 }

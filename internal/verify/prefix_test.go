@@ -12,9 +12,9 @@ import (
 
 // TestParallelMaxRaceDetailsPrefix: at every cap and worker count the
 // report's races are exactly the first N of the uncapped report's, and its
-// counts are the uncapped run's, on a trace whose chunk plan has many
-// batches, so the prefix is merged across batch boundaries. The chunk
-// tallies hold at most MaxRaceDetails pairs per batch between them.
+// counts are the uncapped run's, on a trace whose plan has many batches, so
+// the prefix is merged across batch boundaries. Each batch's tally holds at
+// most MaxRaceDetails pairs.
 func TestParallelMaxRaceDetailsPrefix(t *testing.T) {
 	a, err := verify.Analyze(corpus.ScalingTrace(8, 6000, 256<<10, 1), verify.AlgoVectorClock, verify.AnalyzeOptions{})
 	if err != nil {
@@ -53,13 +53,15 @@ func TestParallelMaxRaceDetailsPrefix(t *testing.T) {
 				if cap <= 0 || cap > 257 {
 					continue
 				}
-				pairs, batches := verify.RetainedPairs(a, verify.Options{Model: m, Workers: workers, MaxRaceDetails: cap})
-				if batches < 2 {
-					t.Fatalf("plan has %d batches; the prefix never crosses one", batches)
+				pairs := verify.RetainedPairs(a, verify.Options{Model: m, Workers: workers, MaxRaceDetails: cap})
+				if len(pairs) < 2 {
+					t.Fatalf("plan has %d batches; the prefix never crosses one", len(pairs))
 				}
-				if pairs > cap*batches {
-					t.Errorf("%s workers %d cap %d: chunk tallies hold %d pairs, over %d per batch × %d batches",
-						m.Name, workers, cap, pairs, cap, batches)
+				for b, n := range pairs {
+					if n > cap {
+						t.Errorf("%s workers %d cap %d: batch %d's tally holds %d pairs",
+							m.Name, workers, cap, b, n)
+					}
 				}
 			}
 		}
@@ -74,10 +76,7 @@ func BenchmarkVerifyModels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The op plan is memoized on the analysis: build it before the first cell.
-	if _, err := a.Verify(verify.Options{Model: semantics.POSIXModel()}); err != nil {
-		b.Fatal(err)
-	}
+	// Analyze built the op plan, so every cell times the model pass alone.
 	for _, m := range semantics.All() {
 		b.Run(m.Name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -17,7 +17,7 @@ import (
 // The synthetic trace is the shape the pruning used to under-count (a run holding
 // an unsynchronized write before a synchronized read, both before X); it is
 // also verified at Workers 2 and 7, which holds the batched walk — class
-// scratch carried across chunks, reset per batch — to the exhaustive one.
+// scratch carried across groups, reset per batch — to the exhaustive one.
 //
 // Everything runs at Workers pinned to 1 and to 4, and the exhaustive walk is
 // held to what "each pair is verified once" means: a conflicting pair lives
@@ -106,8 +106,8 @@ func TestPruningMatchesExhaustive(t *testing.T) {
 // TestPositionClassesAnswerMostChecks: pmulti_dset is 220 groups of fan-out
 // 220 in one sync neighbourhood, so over the four model passes at least half
 // of the properly-synchronized checks must be answered from a position
-// class's monotone bounds instead of being evaluated. Workers is pinned: both
-// counters are the chunk plan's, equal at every worker count.
+// class's monotone bounds instead of being evaluated. Both counters follow
+// the batch plan, so they are equal at every worker count.
 func TestPositionClassesAnswerMostChecks(t *testing.T) {
 	tc, err := corpus.ByName("pmulti_dset")
 	if err != nil {

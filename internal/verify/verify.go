@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"verifyio/internal/conflict"
@@ -30,10 +31,10 @@ type Options struct {
 	// problems. By default, unmatched MPI calls abort verification —
 	// the gray rows of Fig. 4.
 	ContinueOnUnmatched bool
-	// Workers is the number of goroutines used to verify the batches of the
-	// chunk plan (and, in VerifyAll, to run models concurrently). 0 means
-	// GOMAXPROCS; 1 verifies every batch on the calling goroutine. Results
-	// are independent of the worker count.
+	// Workers is the number of goroutines used to verify the plan's batches
+	// of conflict groups (and, in VerifyAll, to run models concurrently). 0
+	// means GOMAXPROCS; 1 verifies every batch on the calling goroutine.
+	// Results are independent of the worker count.
 	Workers int
 	// Obs carries the tracer; the zero Ctx disables tracing.
 	Obs obs.Ctx
@@ -166,7 +167,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 		return rep, nil
 	}
 	// Model passes run concurrently in VerifyAll, so each pass gets its own
-	// lane; per-chunk shard spans fork off it below.
+	// lane; per-batch shard spans fork off it below.
 	oc, span := opts.Obs.StartLane("verify/"+opts.Model.Name, "verify",
 		obs.String("model", opts.Model.Name), obs.String("algorithm", rep.Algorithm))
 	span.SetCat("verify")
@@ -176,7 +177,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	_, idxSpan := oc.Start("sync-index")
 	v := newVerifier(a, opts, oc)
 	idxSpan.End()
-	v.verifyChunks(opts.Workers)
+	v.verifyBatches(opts.Workers)
 	rep.RaceCount = v.raceCount
 	if len(v.pairs) > 0 {
 		rep.Races = make([]Race, len(v.pairs))
@@ -199,8 +200,8 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 }
 
 // verifier checks conflict groups. The shared fields (a, opts, idx, plan,
-// plainHB) are read-only during verification; each worker of verifyChunks
-// copies them and owns its scratch and the tally of the chunk it is verifying.
+// plainHB) are read-only during verification; each worker of verifyBatches
+// copies them and owns its scratch and the tally of the batch it is verifying.
 type verifier struct {
 	a    *Analysis
 	opts Options
@@ -236,9 +237,6 @@ type verifier struct {
 	// bounds[r] brackets, per check shape, the threshold among rank r's ops.
 	bounds []rankBounds
 
-	// keep is the current chunk's detail budget: how many of its races
-	// its tally's pairs may hold.
-	keep int
 	tally
 }
 
@@ -247,10 +245,10 @@ type verifier struct {
 func newVerifier(a *Analysis, opts Options, oc obs.Ctx) *verifier {
 	msc := opts.Model.MSC
 	return &verifier{a: a, opts: opts, oc: oc, idx: buildSyncIndex(a.Conflicts, opts.Model, a.Graph),
-		plan: a.queryPlan(), plainHB: msc.K() == 0 && msc.Edges[0] == semantics.HB}
+		plan: a.plan, plainHB: msc.K() == 0 && msc.Edges[0] == semantics.HB}
 }
 
-// tally is what verifying one chunk produces; the merged tallies make the
+// tally is what verifying one batch produces; the merged tallies make the
 // Report. Pairs carry no call-chain detail — that is materialized once, for
 // the merged prefix only.
 type tally struct {
@@ -259,8 +257,8 @@ type tally struct {
 	classes   int64 // class changes, i.e. scratch resets
 	hbQueries int64 // happens-before evaluations actually performed
 	raceCount int64
-	// pairs are the chunk's first races in discovery order, as many as its
-	// detail budget (verifier.keep) allowed.
+	// pairs are the batch's first races in discovery order, at most
+	// MaxRaceDetails.
 	pairs []racePair
 }
 
@@ -599,10 +597,10 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 	if !xw || v.plainHB ||
 		!slices.ContainsFunc(ys, func(yi int32) bool { return v.plan.isWrite(yi) != kind }) {
 		// One kind: pairs in [iG, iF) are synchronized in neither direction.
-		// They are counted at once; only the budget's share is kept.
+		// They are counted at once; only the detail cap's share is kept.
 		if iG := flip(true, kind); iG < iF {
 			v.raceCount += int64(iF - iG)
-			for _, yi := range ys[iG : iG+min(iF-iG, v.keep-len(v.pairs))] {
+			for _, yi := range ys[iG : iG+min(iF-iG, v.opts.MaxRaceDetails-len(v.pairs))] {
 				v.pairs = append(v.pairs, racePair{x: v.xi, y: yi})
 			}
 		}
@@ -617,19 +615,17 @@ func (v *verifier) verifyRun(xw bool, b *[4]bound, ys []int32) {
 	}
 }
 
-// verifyChunks runs the chunk plan — the unit of parallel work — one par
-// task per batch, and returns the chunks' tallies after merging them into
-// v's. A batch takes a worker's scratch, starts it in no class and carries
-// it across its chunks, so a position class that spans chunks is evaluated
-// once; every chunk still gets its own tally, merged in chunk order = group
-// order, so the detailed-race prefix, the race count and the check count
-// are exactly what one walk over the groups in order produces, at every
-// worker count. Batches are the plan's, the same at every worker count,
-// which keeps the hb and class counters, and the detail each chunk keeps,
-// worker-independent too.
-func (v *verifier) verifyChunks(workers int) []tally {
-	chunks, batches := v.plan.chunks, v.plan.batches
-	tallies := make([]tally, len(chunks))
+// verifyBatches runs the batch plan — the unit of parallel work — one par
+// task per batch, and returns the batches' tallies after merging them into
+// v's. A batch takes a worker's scratch and starts it in no class; it keeps
+// at most MaxRaceDetails race pairs, and tallies merge in batch order = group
+// order, so the detailed-race prefix, the race count and the check count are
+// exactly what one walk over the groups in order produces, at every worker
+// count. Batches are the plan's, the same at every worker count, which keeps
+// the hb and class counters worker-independent too.
+func (v *verifier) verifyBatches(workers int) []tally {
+	batches := v.plan.batches
+	tallies := make([]tally, len(batches))
 	// One scratch per worker, so a pass allocates per worker, not per batch:
 	// at most workers tasks run at once, so one is always free.
 	workers = min(workers, len(batches))
@@ -642,23 +638,11 @@ func (v *verifier) verifyChunks(workers int) []tally {
 	par.Do(workers, len(batches), func(b int) {
 		w := <-free
 		defer func() { free <- w }()
-		w.cFID = -1 // a batch starts in no class
-		// room is the detail budget the batch's earlier chunks left: the
-		// global prefix takes from chunk c only what the chunks before c
-		// leave room for, and those include the batch's earlier ones.
-		room := v.opts.MaxRaceDetails
-		for c := batches[b].lo; c < batches[b].hi; c++ {
-			t := &tallies[c]
-			w.verifyChunk(c, t, room)
-			room -= int(min(t.raceCount, int64(room)))
-		}
+		w.verifyBatch(b, &tallies[b])
 	})
-	// Merge in chunk order = group order: each tally kept what its batch's
-	// budget allowed, which is enough because the global detail prefix
-	// draws no more from any chunk.
 	v.tally = tally{}
-	for c := range tallies {
-		t := &tallies[c]
+	for b := range tallies {
+		t := &tallies[b]
 		v.checks += t.checks
 		v.classHits += t.classHits
 		v.classes += t.classes
@@ -669,26 +653,26 @@ func (v *verifier) verifyChunks(workers int) []tally {
 	return tallies
 }
 
-// verifyChunk verifies chunk c into t, keeping at most keep race pairs.
-func (v *verifier) verifyChunk(c int, t *tally, keep int) {
-	span := v.plan.chunks[c]
+// verifyBatch verifies batch b into t.
+func (v *verifier) verifyBatch(b int, t *tally) {
+	span := v.plan.batches[b]
 	var sp *obs.Span
 	if v.oc.T != nil {
-		_, sp = v.oc.StartLane(
-			"verify/"+v.opts.Model.Name+"/chunk-"+fmt.Sprint(c),
-			"chunk", obs.Int("chunk", c), obs.Int("groups", span.hi-span.lo))
+		_, sp = v.oc.StartLane("verify/"+v.opts.Model.Name+"/batch-"+strconv.Itoa(b),
+			"batch", obs.Int("batch", b), obs.Int("groups", span.hi-span.lo))
 	}
-	v.tally, v.keep = tally{}, keep
+	v.cFID = -1 // a batch starts in no class
+	v.tally = tally{}
 	v.verifyGroups(span.lo, span.hi)
 	*t = v.tally
 	sp.End()
 }
 
-// recordRace counts one raced pair and keeps it while the chunk's detail
-// budget lasts.
+// recordRace counts one raced pair and keeps it while the batch's detail
+// cap lasts.
 func (v *verifier) recordRace(xi, yi int32) {
 	v.raceCount++
-	if len(v.pairs) < v.keep {
+	if len(v.pairs) < v.opts.MaxRaceDetails {
 		v.pairs = append(v.pairs, racePair{x: xi, y: yi})
 	}
 }

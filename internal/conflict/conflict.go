@@ -42,12 +42,13 @@ import (
 	"verifyio/internal/trace"
 )
 
-// Op is one data operation with its resolved byte range.
+// Op is one data operation with its resolved byte range. A trace holds
+// millions, so it is kept to 32 bytes.
 type Op struct {
 	// Ref locates the trace record.
 	Ref trace.Ref
 	// FID is the unique file identifier.
-	FID int
+	FID int32
 	// Write is true for write-type operations.
 	Write bool
 	// Start and End delimit the accessed byte range [Start, End).
@@ -61,7 +62,7 @@ type Op struct {
 type SyncPoint struct {
 	Ref  trace.Ref
 	Func string
-	FID  int
+	FID  int32
 }
 
 // Result is the detector's output.
@@ -218,7 +219,7 @@ type opBlock struct {
 type rankShard struct {
 	blocks  []*opBlock // all full but the last; mergeShards releases them
 	nops    int
-	sigs    *sigTable // the rank's signatures
+	sigs    rankSigs // the rank's signatures
 	syncs   []SyncPoint
 	files   []localFile    // local fid -> identity and op summary, in first-use order
 	unlinks map[string]int // path -> total unlinks on this rank
@@ -252,7 +253,7 @@ type rankReplayer struct {
 
 func newRankReplayer() *rankReplayer {
 	return &rankReplayer{
-		sh:      &rankShard{unlinks: make(map[string]int), sigs: newSigTable()},
+		sh:      &rankShard{unlinks: make(map[string]int)},
 		fids:    make(map[localKey]int),
 		handles: make(map[string]*handleState),
 	}
@@ -286,9 +287,8 @@ func (rp *rankReplayer) addOp(rec *trace.Record, fid int, write bool, start, n i
 		return true
 	}
 	sh.push(Op{
-		Ref: trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
-		FID: fid, Write: write, Start: start, End: start + n,
-	}, sh.sigs.intern(Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site, Chain: rec.Chain}))
+		Ref: rec.Ref(), FID: int32(fid), Write: write, Start: start, End: start + n,
+	}, sh.sigs.intern(rec))
 	if write && start+n > rp.eof[fid] {
 		rp.eof[fid] = start + n
 	}
@@ -313,10 +313,7 @@ func (sh *rankShard) push(op Op, sig int32) {
 }
 
 func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
-	rp.sh.syncs = append(rp.sh.syncs, SyncPoint{
-		Ref:  trace.Ref{Rank: rec.Rank, Seq: rec.Seq},
-		Func: rec.Func, FID: fid,
-	})
+	rp.sh.syncs = append(rp.sh.syncs, SyncPoint{Ref: rec.Ref(), Func: rec.Func, FID: int32(fid)})
 }
 
 func (rp *rankReplayer) lookup(handle string) *handleState {
@@ -544,12 +541,12 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 func lastClosedFID(syncs []SyncPoint, beforeSeq int) (int, bool) {
 	for i := len(syncs) - 1; i >= 0; i-- {
 		sp := syncs[i]
-		if sp.Ref.Seq >= beforeSeq {
+		if int(sp.Ref.Seq) >= beforeSeq {
 			continue
 		}
 		switch sp.Func {
 		case "close", "fclose", "fsync", "fdatasync":
-			return sp.FID, true
+			return int(sp.FID), true
 		}
 		return 0, false
 	}
@@ -635,12 +632,12 @@ func (p *rankPart) scatter(all []Op, deg []int32, iv []interval) {
 		e := rt.entry(op.Start)
 		slot := deg[e]
 		deg[e]++
-		rw := int32(op.Ref.Rank) << 1
+		rw := op.Ref.Rank << 1
 		if op.Write {
 			rw |= 1
 		}
 		iv[slot] = interval{start: op.Start, end: op.End, idx: int32(p.first + i), rw: rw}
-		op.FID = int(rt.fid)
+		op.FID = rt.fid
 	}
 }
 
@@ -739,7 +736,7 @@ func mergeShards(shards []*rankShard, workers int) (*Result, *sweepIndex, error)
 			genBefore[path] += c
 		}
 		for _, sy := range sh.syncs {
-			sy.FID = int(p.routes[sy.FID].fid)
+			sy.FID = p.routes[sy.FID].fid
 			res.Syncs = append(res.Syncs, sy)
 		}
 		// Signatures canonicalize like file ids: numbered on first sight in

@@ -318,8 +318,8 @@ func TestEndToEndWithRecorder(t *testing.T) {
 	byFunc := map[string]int{}
 	for _, sp := range res.Syncs {
 		byFunc[sp.Func]++
-		if res.PathOf(sp.FID) != "fig2.bin" {
-			t.Errorf("sync %s resolved to %s", sp.Func, res.PathOf(sp.FID))
+		if res.PathOf(int(sp.FID)) != "fig2.bin" {
+			t.Errorf("sync %s resolved to %s", sp.Func, res.PathOf(int(sp.FID)))
 		}
 	}
 	if byFunc["MPI_File_open"] != 2 || byFunc["MPI_File_close"] != 2 {

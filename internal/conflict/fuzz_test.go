@@ -99,8 +99,8 @@ func FuzzDetectOffsets(f *testing.F) {
 			case off < 0 || n > math.MaxInt64-off:
 				skipped++
 			case n > 0:
-				want[rank] = append(want[rank], Op{Ref: trace.Ref{Rank: rank, Seq: seq},
-					FID: file, Write: write, Start: off, End: off + n})
+				want[rank] = append(want[rank], Op{Ref: trace.Ref{Rank: int32(rank), Seq: int32(seq)},
+					FID: int32(file), Write: write, Start: off, End: off + n})
 			}
 		}
 

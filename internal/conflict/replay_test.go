@@ -111,11 +111,11 @@ func TestReplayHandleMemoMatchesMemoFree(t *testing.T) {
 		}
 		var last Op // Ops ascend by (rank, seq): the rank's last wins
 		for _, op := range got.Ops {
-			if op.Ref.Rank == c.lastRank {
+			if int(op.Ref.Rank) == c.lastRank {
 				last = op
 			}
 		}
-		if path := got.PathOf(last.FID); path != c.lastFile {
+		if path := got.PathOf(int(last.FID)); path != c.lastFile {
 			t.Errorf("%s: rank %d's last data operation resolved to %q, want %q", name, c.lastRank, path, c.lastFile)
 		}
 	}

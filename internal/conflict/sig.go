@@ -25,15 +25,58 @@ func (s *Sig) equal(o *Sig) bool {
 	return s.Layer == o.Layer && s.Func == o.Func && s.Site == o.Site && slices.Equal(s.Chain, o.Chain)
 }
 
-// sigTable interns signatures in first-use order. A hit allocates nothing:
-// the previous hit is compared first (runs of one call are the common case),
-// then a hash of the strings finds the candidates.
+// sigTable interns signatures by content in first-use order: the merge
+// numbers the ranks' signatures through one. A hit allocates nothing: the
+// previous hit is compared first, then a hash of the strings finds the
+// candidates.
 type sigTable struct {
 	sigs []Sig
 	seed maphash.Seed
 	head map[uint64]int32 // hash -> latest signature with that hash
 	next []int32          // next[i]: an earlier signature sharing sigs[i]'s hash, or -1
 	last int32            // the previous hit
+}
+
+// rankSigs is one rank's signature table as the replay builds it: an entry
+// per distinct (Func, Layer, Ctx) key, in first-use order. The records of a
+// rank share interned Contexts (the decoder's and the recorder's), so the
+// key names a signature by a string and a pointer, without reading the
+// chain; a rank whose equal contexts were not interned together gets an
+// entry per pointer, and the merge's content table (sigTable) gives them one
+// index. Entries keep the records' strings — a few string-table chunks per
+// signature — until the merge copies them into Result.Sigs.
+type rankSigs struct {
+	sigs    []Sig
+	byKey   map[sigKey]int32
+	lastKey sigKey // the previous record's key, and its index
+	last    int32
+}
+
+type sigKey struct {
+	fn    string
+	layer trace.Layer
+	ctx   *trace.Context
+}
+
+// intern returns the index of rec's signature, adding it when new. The
+// previous record's key is compared first (runs of one call are the common
+// case), then the map.
+func (t *rankSigs) intern(rec *trace.Record) int32 {
+	k := sigKey{fn: rec.Func, layer: rec.Layer, ctx: rec.Ctx}
+	if len(t.sigs) > 0 && k == t.lastKey {
+		return t.last
+	}
+	i, ok := t.byKey[k]
+	if !ok {
+		i = int32(len(t.sigs))
+		t.sigs = append(t.sigs, Sig{Func: rec.Func, Layer: rec.Layer, Site: rec.Site(), Chain: rec.Chain()})
+		if t.byKey == nil {
+			t.byKey = make(map[sigKey]int32)
+		}
+		t.byKey[k] = i
+	}
+	t.lastKey, t.last = k, i
+	return i
 }
 
 func newSigTable() *sigTable {

@@ -32,11 +32,11 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 		for i, op := range base.Ops {
 			rec := tr.Record(op.Ref)
 			got := base.Sigs[base.OpSig[i]]
-			if got.Func != rec.Func || got.Layer != rec.Layer || got.Site != rec.Site || !slices.Equal(got.Chain, rec.Chain) {
+			if got.Func != rec.Func || got.Layer != rec.Layer || got.Site != rec.Site() || !slices.Equal(got.Chain, rec.Chain()) {
 				t.Fatalf("%s: op %d (%v) has signature %+v, its record says %s %v @%q chain %q",
-					tc.Name, i, op.Ref, got, rec.Func, rec.Layer, rec.Site, rec.Chain)
+					tc.Name, i, op.Ref, got, rec.Func, rec.Layer, rec.Site(), rec.Chain())
 			}
-			distinct[fmt.Sprintf("%q %d %q %q", rec.Func, rec.Layer, rec.Site, rec.Chain)] = true
+			distinct[fmt.Sprintf("%q %d %q %q", rec.Func, rec.Layer, rec.Site(), rec.Chain())] = true
 		}
 		if len(base.Sigs) != len(distinct) {
 			t.Errorf("%s: table holds %d signatures, the ops have %d distinct ones", tc.Name, len(base.Sigs), len(distinct))

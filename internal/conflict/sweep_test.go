@@ -538,8 +538,8 @@ func TestSortByStartMatchesReference(t *testing.T) {
 						end = math.MaxInt64
 					}
 					perRank[r] = append(perRank[r], Op{
-						Ref: trace.Ref{Rank: r, Seq: len(perRank[r])},
-						FID: f, Write: (i+f)%3 == 0, Start: starts[i], End: end,
+						Ref: trace.Ref{Rank: int32(r), Seq: int32(len(perRank[r]))},
+						FID: int32(f), Write: (i+f)%3 == 0, Start: starts[i], End: end,
 					})
 					more = true
 				}
@@ -561,11 +561,11 @@ func TestSortByStartMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 7} {
 			shards := make([]*rankShard, c.nranks)
 			for r := range shards {
-				sh := &rankShard{sigs: newSigTable()}
+				sh := &rankShard{}
 				for f := range c.files {
 					sh.files = append(sh.files, localFile{key: localKey{path: fmt.Sprint("f", f)}})
 				}
-				sig := sh.sigs.intern(Sig{Func: "pwrite"})
+				sig := sh.sigs.intern(&trace.Record{Func: "pwrite"})
 				for _, op := range perRank[r] {
 					sh.push(op, sig)
 				}

@@ -38,7 +38,7 @@ func buildRef(t *testing.T, tr *trace.Trace, edges []match.Edge) *refOracle {
 		o.base[rank+1] = o.base[rank] + len(recs)
 	}
 	n := o.base[o.nranks]
-	id := func(r trace.Ref) int { return o.base[r.Rank] + r.Seq }
+	id := func(r trace.Ref) int { return o.base[r.Rank] + int(r.Seq) }
 
 	succ := make(map[int][]int, len(edges))
 	pred := make(map[int][]int, len(edges))
@@ -116,11 +116,11 @@ func (o *refOracle) HB(a, b trace.Ref) bool {
 		return a.Seq < b.Seq
 	}
 	for _, r := range []trace.Ref{a, b} {
-		if r.Rank < 0 || r.Rank >= o.nranks || r.Seq < 0 || r.Seq >= o.counts[r.Rank] {
+		if r.Rank < 0 || int(r.Rank) >= o.nranks || r.Seq < 0 || int(r.Seq) >= o.counts[r.Rank] {
 			return false
 		}
 	}
-	return o.clocks[(o.base[b.Rank]+b.Seq)*o.nranks+a.Rank] >= int32(a.Seq)
+	return o.clocks[(o.base[b.Rank]+int(b.Seq))*o.nranks+int(a.Rank)] >= a.Seq
 }
 
 // randomMPITrace draws a program of nranks ranks sharing one file: 16-byte
@@ -276,7 +276,7 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 					for s1 := 0; s1 < ref.counts[r1]; s1++ {
 						for r2 := 0; r2 < ref.nranks; r2++ {
 							for s2 := 0; s2 < ref.counts[r2]; s2++ {
-								check(trace.Ref{Rank: r1, Seq: s1}, trace.Ref{Rank: r2, Seq: s2})
+								check(trace.Ref{Rank: int32(r1), Seq: int32(s1)}, trace.Ref{Rank: int32(r2), Seq: int32(s2)})
 							}
 						}
 					}
@@ -288,13 +288,14 @@ func TestOracleEquivalenceCorpus(t *testing.T) {
 					if ref.counts[r1] == 0 || ref.counts[r2] == 0 {
 						continue
 					}
-					check(trace.Ref{Rank: r1, Seq: rng.Intn(ref.counts[r1])},
-						trace.Ref{Rank: r2, Seq: rng.Intn(ref.counts[r2])})
+					check(trace.Ref{Rank: int32(r1), Seq: int32(rng.Intn(ref.counts[r1]))},
+						trace.Ref{Rank: int32(r2), Seq: int32(rng.Intn(ref.counts[r2]))})
 				}
 			}
 			// Out-of-range probes round out the shared bounds check.
-			check(trace.Ref{Rank: 0, Seq: 0}, trace.Ref{Rank: ref.nranks + 3, Seq: 0})
-			check(trace.Ref{Rank: ref.nranks + 3, Seq: 0}, trace.Ref{Rank: 0, Seq: 0})
+			far := trace.Ref{Rank: int32(ref.nranks + 3), Seq: 0}
+			check(trace.Ref{Rank: 0, Seq: 0}, far)
+			check(far, trace.Ref{Rank: 0, Seq: 0})
 
 			// Arena: the skeleton clock arena (the oracle row's bytes) must
 			// never exceed what the full-graph layout would have allocated,

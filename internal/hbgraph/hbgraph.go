@@ -86,10 +86,10 @@ func BuildCounts(counts []int, edges []match.Edge) (*Graph, error) {
 			}
 			// A dense numbering leaves every join at least two edges, which
 			// bounds Seq before anything is sized by it.
-			if ref.Seq < 0 || ref.Seq >= len(edges)/2 {
+			if ref.Seq < 0 || int(ref.Seq) >= len(edges)/2 {
 				return nil, fmt.Errorf("hbgraph: edge %v→%v: join nodes are not numbered densely", e.From, e.To)
 			}
-			joins = max(joins, ref.Seq+1)
+			joins = max(joins, int(ref.Seq)+1)
 		}
 		if e.From.Rank == joinRank && e.To.Rank == joinRank {
 			return nil, fmt.Errorf("hbgraph: edge %v→%v connects two join nodes", e.From, e.To)
@@ -128,8 +128,8 @@ func (g *Graph) SkeletonLevels() int {
 // inRange reports whether ref names a record of the trace; queries outside
 // the trace are never hb-related.
 func (g *Graph) inRange(ref trace.Ref) bool {
-	return ref.Rank >= 0 && ref.Rank < len(g.counts) &&
-		ref.Seq >= 0 && ref.Seq < g.counts[ref.Rank]
+	return ref.Rank >= 0 && int(ref.Rank) < len(g.counts) &&
+		ref.Seq >= 0 && int(ref.Seq) < g.counts[ref.Rank]
 }
 
 // Coord is a query operand resolved onto the graph (Graph.Resolve): the
@@ -143,10 +143,10 @@ type Coord struct {
 // Resolve maps an in-range ref onto its Coord. The per-rank sentinels
 // guarantee that both fringe nodes exist.
 func (g *Graph) Resolve(ref trace.Ref) Coord {
-	c := Coord{Rank: int32(ref.Rank), Seq: int32(ref.Seq)}
-	c.Prev = g.skel.prev[g.base[ref.Rank]+ref.Seq]
+	c := Coord{Rank: ref.Rank, Seq: ref.Seq}
+	c.Prev = g.skel.prev[g.base[ref.Rank]+int(ref.Seq)]
 	c.Next = c.Prev
-	if int(g.skel.seqs[c.Prev]) != ref.Seq {
+	if g.skel.seqs[c.Prev] != ref.Seq {
 		c.Next++
 	}
 	return c

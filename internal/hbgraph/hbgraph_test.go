@@ -26,7 +26,7 @@ func mkTrace(counts ...int) *trace.Trace {
 	return tr
 }
 
-func ref(rank, seq int) trace.Ref { return trace.Ref{Rank: rank, Seq: seq} }
+func ref(rank, seq int) trace.Ref { return trace.Ref{Rank: int32(rank), Seq: int32(seq)} }
 
 func edges(pairs ...[4]int) []match.Edge {
 	out := make([]match.Edge, len(pairs))

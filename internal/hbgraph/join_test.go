@@ -384,7 +384,7 @@ func TestBarrierEdgesLinearInRanks(t *testing.T) {
 
 // TestBuildRejectsMalformedJoins: hostile edge lists stay classified errors.
 func TestBuildRejectsMalformedJoins(t *testing.T) {
-	join := func(k int) trace.Ref { return trace.Ref{Rank: -1, Seq: k} }
+	join := func(k int) trace.Ref { return trace.Ref{Rank: -1, Seq: int32(k)} }
 	in := func(k int) []match.Edge {
 		return []match.Edge{{From: ref(0, 0), To: join(k)}, {From: join(k), To: ref(1, 1)}}
 	}

@@ -207,7 +207,7 @@ func NewOnTheFly(tr *trace.Trace, edges []match.Edge) *OTFOracle {
 func NewOnTheFlyCounts(counts []int, edges []match.Edge) *OTFOracle {
 	o := &OTFOracle{edgesByRank: make([][]match.Edge, len(counts))}
 	for _, e := range match.Pairwise(edges) {
-		if e.From.Rank >= 0 && e.From.Rank < len(counts) {
+		if e.From.Rank >= 0 && int(e.From.Rank) < len(counts) {
 			o.edgesByRank[e.From.Rank] = append(o.edgesByRank[e.From.Rank], e)
 		}
 	}
@@ -245,10 +245,10 @@ func (o *OTFOracle) Probe(a, b Coord) bool {
 			}
 			es := o.edgesByRank[r]
 			at := earliest[r]
-			i := sort.Search(len(es), func(i int) bool { return es[i].From.Seq >= at })
+			i := sort.Search(len(es), func(i int) bool { return int(es[i].From.Seq) >= at })
 			for _, e := range es[i:] {
-				if e.To.Seq < earliest[e.To.Rank] {
-					earliest[e.To.Rank] = e.To.Seq
+				if int(e.To.Seq) < earliest[e.To.Rank] {
+					earliest[e.To.Rank] = int(e.To.Seq)
 					changed = true
 				}
 			}

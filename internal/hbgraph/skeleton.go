@@ -97,7 +97,7 @@ func (g *Graph) buildSkeleton(edges []match.Edge, joins int) error {
 	for _, e := range edges {
 		for _, ref := range [2]trace.Ref{e.From, e.To} {
 			if ref.Rank != joinRank {
-				perRank[ref.Rank] = append(perRank[ref.Rank], int32(ref.Seq))
+				perRank[ref.Rank] = append(perRank[ref.Rank], ref.Seq)
 			}
 		}
 	}
@@ -137,9 +137,9 @@ func (g *Graph) buildSkeleton(edges []match.Edge, joins int) error {
 	// members, so prev resolves them exactly.
 	id := func(ref trace.Ref) int32 {
 		if ref.Rank == joinRank {
-			return int32(s.n + ref.Seq)
+			return int32(s.n) + ref.Seq
 		}
-		return s.prev[g.base[ref.Rank]+ref.Seq]
+		return s.prev[g.base[ref.Rank]+int(ref.Seq)]
 	}
 	ids := s.n + joins
 	s.succOff = make([]int32, ids+1)

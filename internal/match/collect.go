@@ -124,7 +124,7 @@ func (m *matcher) collectiveEdges(name string, root int, entries []*collEntry) {
 		// The endpoints are exactly the clique's: a member whose call is
 		// its first record has no predecessor to order, and a completion is
 		// a target only when some other rank has one.
-		srcRank, spread := -1, false // first source's rank; sources on more than one rank
+		srcRank, spread := int32(-1), false // first source's rank; sources on more than one rank
 		for _, e := range entries {
 			if e.init.Seq == 0 {
 				continue
@@ -254,10 +254,10 @@ func sortEdges(edges []Edge, nranks int) error {
 	base := make([]int, nranks+2)
 	for _, e := range edges {
 		for _, ref := range [2]trace.Ref{e.From, e.To} {
-			if ref.Seq < 0 || ref.Rank < joinRank || ref.Rank >= nranks {
+			if ref.Seq < 0 || ref.Rank < joinRank || int(ref.Rank) >= nranks {
 				return fmt.Errorf("match: edge %v→%v has an endpoint outside the edge-key space", e.From, e.To)
 			}
-			base[ref.Rank+1] = max(base[ref.Rank+1], ref.Seq+1)
+			base[ref.Rank+1] = max(base[ref.Rank+1], int(ref.Seq)+1)
 		}
 	}
 	ids := 0
@@ -270,7 +270,7 @@ func sortEdges(edges []Edge, nranks int) error {
 	}
 	keys := make([]uint64, len(edges))
 	for i, e := range edges {
-		keys[i] = uint64(base[e.From.Rank+1]+e.From.Seq)<<32 | uint64(base[e.To.Rank+1]+e.To.Seq)
+		keys[i] = uint64(base[e.From.Rank+1]+int(e.From.Seq))<<32 | uint64(base[e.To.Rank+1]+int(e.To.Seq))
 	}
 	from := 0 // base index of the current From id; From ids ascend
 	for i, k := range radixSort(keys) {
@@ -280,8 +280,8 @@ func sortEdges(edges []Edge, nranks int) error {
 		}
 		to := sort.Search(nranks+1, func(j int) bool { return base[j] > t }) - 1
 		edges[i] = Edge{
-			From: trace.Ref{Rank: from - 1, Seq: f - base[from]},
-			To:   trace.Ref{Rank: to - 1, Seq: t - base[to]},
+			From: trace.Ref{Rank: int32(from - 1), Seq: int32(f - base[from])},
+			To:   trace.Ref{Rank: int32(to - 1), Seq: int32(t - base[to])},
 		}
 	}
 	return nil

@@ -89,10 +89,10 @@ const joinRank = -1
 // panics on endpoints Matcher.Finish would have refused to sort.
 func Pairwise(edges []Edge) []Edge {
 	out := make([]Edge, 0, len(edges))
-	srcs, dsts := map[int][]trace.Ref{}, map[int][]trace.Ref{}
+	srcs, dsts := map[int32][]trace.Ref{}, map[int32][]trace.Ref{}
 	nranks := 0
 	for _, e := range edges {
-		nranks = max(nranks, e.From.Rank+1, e.To.Rank+1)
+		nranks = max(nranks, int(e.From.Rank)+1, int(e.To.Rank)+1)
 		switch {
 		case e.To.Rank == joinRank:
 			srcs[e.To.Seq] = append(srcs[e.To.Seq], e.From)
@@ -351,7 +351,7 @@ type p2pKey struct {
 type matcher struct {
 	res *Result
 	// joins counts the join nodes emitted so far; the next one's Seq.
-	joins int
+	joins int32
 
 	// members: communicator gid -> world ranks.
 	members map[string][]int
@@ -466,7 +466,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 	if rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
 		return
 	}
-	ref := trace.Ref{Rank: rank, Seq: rec.Seq}
+	ref := trace.Ref{Rank: int32(rank), Seq: int32(rec.Seq)}
 	malformed := func(why string) {
 		out.problem(MalformedRecord, fmt.Sprintf("%s: %s", rec.Func, why), ref)
 	}

@@ -217,10 +217,10 @@ func TestBarrierStoredAsJoin(t *testing.T) {
 	// The Allreduce is every rank's first record: no predecessors, no edges.
 	join := trace.Ref{Rank: -1, Seq: 0}
 	var want []Edge
-	for rank := 0; rank < nranks; rank++ {
+	for rank := range int32(nranks) {
 		want = append(want, Edge{From: join, To: trace.Ref{Rank: rank, Seq: 1}})
 	}
-	for rank := 0; rank < nranks; rank++ {
+	for rank := range int32(nranks) {
 		want = append(want, Edge{From: trace.Ref{Rank: rank, Seq: 0}, To: join})
 	}
 	if !reflect.DeepEqual(res.Edges, want) {

@@ -73,7 +73,7 @@ func TestPrefixCollectiveEdges(t *testing.T) {
 				for rank, recs := range tr.Ranks {
 					for seq := range recs {
 						if recs[seq].Func == fn {
-							calls[rank] = trace.Ref{Rank: rank, Seq: seq}
+							calls[rank] = recs[seq].Ref()
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -24,9 +25,9 @@ func refSortEdges(edges []Edge) {
 func randomEdges(rng *rand.Rand, n, nranks, joins, maxSeq int) []Edge {
 	end := func() trace.Ref {
 		if joins > 0 && rng.Intn(4) == 0 {
-			return trace.Ref{Rank: joinRank, Seq: rng.Intn(joins)}
+			return trace.Ref{Rank: joinRank, Seq: int32(rng.Intn(joins))}
 		}
-		return trace.Ref{Rank: rng.Intn(nranks), Seq: rng.Intn(maxSeq + 1)}
+		return trace.Ref{Rank: int32(rng.Intn(nranks)), Seq: int32(rng.Intn(maxSeq + 1))}
 	}
 	edges := make([]Edge, 0, n)
 	for len(edges) < n {
@@ -77,8 +78,9 @@ func TestSortEdgesMatchesComparator(t *testing.T) {
 	}
 }
 
-// TestSortEdgesIDSpaceError: endpoint ids that need 33 bits, or an endpoint
-// that is neither a join nor a record position on one of the ranks, are a
+// TestSortEdgesIDSpaceError: endpoint ids that need 33 bits — each Seq fits
+// 31, but the joins' and the ranks' extents add up — or an endpoint that is
+// neither a join nor a record position on one of the ranks, are a
 // classified error, and the list is left as it was.
 func TestSortEdgesIDSpaceError(t *testing.T) {
 	cases := []struct {
@@ -86,9 +88,8 @@ func TestSortEdgesIDSpaceError(t *testing.T) {
 		edges []Edge
 		want  string
 	}{
-		{"record Seq past 2^32", []Edge{{From: trace.Ref{Rank: 0, Seq: 0}, To: trace.Ref{Rank: 1, Seq: 1 << 32}}}, "32-bit"},
-		{"ranks sum past 2^32", []Edge{{From: trace.Ref{Rank: 0, Seq: 1<<31 + 5}, To: trace.Ref{Rank: 1, Seq: 1 << 31}}}, "32-bit"},
-		{"join Seq past 2^32", []Edge{{From: trace.Ref{Rank: joinRank, Seq: 1 << 32}, To: trace.Ref{Rank: 0, Seq: 1}}}, "32-bit"},
+		{"ranks sum past 2^32", []Edge{{From: trace.Ref{Rank: 0, Seq: math.MaxInt32}, To: trace.Ref{Rank: 1, Seq: math.MaxInt32}}}, "32-bit"},
+		{"join Seq and ranks past 2^32", []Edge{{From: trace.Ref{Rank: joinRank, Seq: math.MaxInt32}, To: trace.Ref{Rank: 0, Seq: math.MaxInt32}}}, "32-bit"},
 		{"negative Seq", []Edge{{From: trace.Ref{Rank: 0, Seq: -1}, To: trace.Ref{Rank: 1, Seq: 0}}}, "outside"},
 		{"rank -2", []Edge{{From: trace.Ref{Rank: -2, Seq: 0}, To: trace.Ref{Rank: 1, Seq: 0}}}, "outside"},
 		{"rank past the count", []Edge{{From: trace.Ref{Rank: 0, Seq: 0}, To: trace.Ref{Rank: 2, Seq: 0}}}, "outside"},
@@ -107,8 +108,8 @@ func TestSortEdgesIDSpaceError(t *testing.T) {
 		})
 	}
 	// Just inside the space: 2^32 − 1 ids sort.
-	edges := []Edge{{From: trace.Ref{Rank: 1, Seq: 1<<32 - 3}, To: trace.Ref{Rank: 0, Seq: 0}},
-		{From: trace.Ref{Rank: 0, Seq: 0}, To: trace.Ref{Rank: 1, Seq: 0}}}
+	edges := []Edge{{From: trace.Ref{Rank: 1, Seq: math.MaxInt32 - 1}, To: trace.Ref{Rank: 0, Seq: 0}},
+		{From: trace.Ref{Rank: 0, Seq: math.MaxInt32}, To: trace.Ref{Rank: 1, Seq: 0}}}
 	if err := sortEdges(edges, 2); err != nil || edges[0].From.Rank != 0 {
 		t.Fatalf("2^32−1 ids: err = %v, edges %v", err, edges)
 	}
@@ -118,9 +119,9 @@ func TestSortEdgesIDSpaceError(t *testing.T) {
 // caller.
 func TestFinishRefusesOversizedIDSpace(t *testing.T) {
 	m := NewMatcher(2)
-	m.Feed(0, []trace.Record{{Rank: 0, Seq: 1 << 32, Func: "MPI_Send", Layer: trace.LayerMPI,
+	m.Feed(0, []trace.Record{{Rank: 0, Seq: math.MaxInt32, Func: "MPI_Send", Layer: trace.LayerMPI,
 		Args: []string{"comm-world", "1", "0", "8"}}})
-	m.Feed(1, []trace.Record{{Rank: 1, Seq: 0, Func: "MPI_Recv", Layer: trace.LayerMPI,
+	m.Feed(1, []trace.Record{{Rank: 1, Seq: math.MaxInt32, Func: "MPI_Recv", Layer: trace.LayerMPI,
 		Args: []string{"comm-world", "0", "0", "8", "0", "0"}}})
 	res, err := m.Finish(Options{})
 	if err == nil || !strings.Contains(err.Error(), "32-bit") {

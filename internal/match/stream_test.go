@@ -195,7 +195,7 @@ func TestCommunicatorResolutionRankSymmetric(t *testing.T) {
 		res := mustMatch(t, tr)
 		unknown := 0
 		for _, p := range problems(res, MalformedRecord) {
-			if strings.Contains(p.Detail, "unknown communicator comm-x") && p.Refs[0].Rank == a {
+			if strings.Contains(p.Detail, "unknown communicator comm-x") && int(p.Refs[0].Rank) == a {
 				unknown++
 			}
 		}

@@ -22,7 +22,9 @@
 package recorder
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"verifyio/internal/sim/mpi"
@@ -117,6 +119,10 @@ type Rank struct {
 	tick  int64
 	chain []string
 	site  string
+	// ctxs holds the rank's call contexts, one per distinct (chain, site)
+	// recorded so far, keyed as context builds ctxKey.
+	ctxs   map[string]*trace.Context
+	ctxKey []byte
 }
 
 // Rank returns the MPI world rank.
@@ -161,20 +167,41 @@ func (r *Rank) Record(layer trace.Layer, fn string, args func() []string, body f
 	if args != nil {
 		argv = args()
 	}
-	chain := make([]string, len(r.chain))
-	copy(chain, r.chain)
 	r.env.tr.Append(trace.Record{
 		Rank:  r.Rank(),
 		Func:  fn,
 		Layer: layer,
-		Depth: len(chain),
 		Args:  argv,
 		Tick:  entry,
 		Ret:   ret,
-		Chain: chain,
-		Site:  r.site,
+		Ctx:   r.context(),
 	})
 	return err
+}
+
+// context returns the rank's Context for the current frame stack and site,
+// adding it on first use: records share it instead of each copying the
+// chain. The key is every string length-prefixed, site first.
+func (r *Rank) context() *trace.Context {
+	if len(r.chain) == 0 && r.site == "" {
+		return nil
+	}
+	k := binary.AppendUvarint(r.ctxKey[:0], uint64(len(r.site)))
+	k = append(k, r.site...)
+	for _, f := range r.chain {
+		k = binary.AppendUvarint(k, uint64(len(f)))
+		k = append(k, f...)
+	}
+	r.ctxKey = k
+	c := r.ctxs[string(k)]
+	if c == nil {
+		c = trace.NewContext(slices.Clone(r.chain), r.site)
+		if r.ctxs == nil {
+			r.ctxs = make(map[string]*trace.Context)
+		}
+		r.ctxs[string(k)] = c
+	}
+	return c
 }
 
 func (r *Rank) nextTick() int64 {

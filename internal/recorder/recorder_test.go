@@ -262,17 +262,69 @@ func TestNestedRecordsCarryCallChain(t *testing.T) {
 		byFunc[rec.Func] = rec
 	}
 	pw := byFunc["pwrite"]
-	if pw.Depth != 2 || len(pw.Chain) != 2 {
-		t.Fatalf("pwrite depth=%d chain=%v", pw.Depth, pw.Chain)
+	chain := pw.Chain()
+	if pw.Depth() != 2 || len(chain) != 2 {
+		t.Fatalf("pwrite depth=%d chain=%v", pw.Depth(), chain)
 	}
-	if !strings.Contains(pw.Chain[0], "H5Dwrite") || !strings.Contains(pw.Chain[1], "MPI_File_write_at") {
-		t.Errorf("pwrite chain = %v", pw.Chain)
+	if !strings.Contains(chain[0], "H5Dwrite") || !strings.Contains(chain[1], "MPI_File_write_at") {
+		t.Errorf("pwrite chain = %v", chain)
 	}
-	if !strings.Contains(pw.Chain[0], "test.c:10") {
-		t.Errorf("chain missing call site: %v", pw.Chain)
+	if !strings.Contains(chain[0], "test.c:10") {
+		t.Errorf("chain missing call site: %v", chain)
 	}
-	if byFunc["H5Dwrite"].Depth != 0 {
-		t.Errorf("H5Dwrite depth = %d", byFunc["H5Dwrite"].Depth)
+	if h5 := byFunc["H5Dwrite"]; h5.Depth() != 0 {
+		t.Errorf("H5Dwrite depth = %d", h5.Depth())
+	}
+}
+
+// TestRecordsShareInternedContexts: records made under one frame stack and
+// site share one Context, a different stack or site gets its own, and a
+// context is not the recorder's live frame stack.
+func TestRecordsShareInternedContexts(t *testing.T) {
+	env := NewEnv(1, Options{FSMode: posixfs.ModePOSIX})
+	err := env.Run(func(r *Rank) error {
+		fd, err := r.Open("f", posixfs.OWronly|posixfs.OCreate)
+		if err != nil {
+			return err
+		}
+		write := func(off int64) error {
+			return r.Record(trace.LayerMPIIO, "MPI_File_write_at", nil, func() error {
+				_, err := r.Pwrite(fd, []byte("x"), off)
+				return err
+			})
+		}
+		for _, site := range []string{"a.c:1", "a.c:1", "b.c:2"} {
+			r.SetSite(site)
+			if err := write(0); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pw []*trace.Record
+	recs := env.Trace().Ranks[0]
+	for i := range recs {
+		if recs[i].Func == "pwrite" {
+			pw = append(pw, &recs[i])
+		}
+	}
+	if len(pw) != 3 {
+		t.Fatalf("%d pwrite records, want 3", len(pw))
+	}
+	if pw[0].Ctx == nil || pw[0].Ctx != pw[1].Ctx {
+		t.Errorf("two pwrites under one stack and site hold contexts %p and %p", pw[0].Ctx, pw[1].Ctx)
+	}
+	if pw[2].Ctx == pw[0].Ctx || pw[2].Site() != "b.c:2" {
+		t.Errorf("a new site kept the old context: %+v", pw[2].Ctx)
+	}
+	if got := pw[0].Chain(); len(got) != 1 || got[0] != "mpi-io:MPI_File_write_at@a.c:1" {
+		t.Errorf("first pwrite chain = %q", got)
+	}
+	if recs[0].Func != "open" || recs[0].Ctx != nil {
+		t.Errorf("an application-level call without a site has context %+v", recs[0].Ctx)
 	}
 }
 

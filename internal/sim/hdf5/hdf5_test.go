@@ -273,10 +273,10 @@ func TestFlushMapsToFileSync(t *testing.T) {
 	for _, rec := range tr.Ranks[0] {
 		if rec.Func == "MPI_File_sync" {
 			foundSync = true
-			if len(rec.Chain) != 1 {
-				t.Errorf("MPI_File_sync chain = %v", rec.Chain)
-			} else if fr, _ := trace.ParseFrame(rec.Chain[0]); fr.Func != "H5Fflush" {
-				t.Errorf("MPI_File_sync caller = %v", rec.Chain[0])
+			if chain := rec.Chain(); len(chain) != 1 {
+				t.Errorf("MPI_File_sync chain = %v", chain)
+			} else if fr, _ := trace.ParseFrame(chain[0]); fr.Func != "H5Fflush" {
+				t.Errorf("MPI_File_sync caller = %v", chain[0])
 			}
 		}
 	}

@@ -369,10 +369,10 @@ func TestTraceShowsNestedPosixCalls(t *testing.T) {
 	if pw == nil {
 		t.Fatal("no pwrite record")
 	}
-	if pw.Depth != 1 || len(pw.Chain) != 1 {
-		t.Fatalf("pwrite depth=%d chain=%v", pw.Depth, pw.Chain)
+	if pw.Depth() != 1 {
+		t.Fatalf("pwrite depth=%d chain=%v", pw.Depth(), pw.Chain())
 	}
-	fr, err := trace.ParseFrame(pw.Chain[0])
+	fr, err := trace.ParseFrame(pw.Chain()[0])
 	if err != nil || fr.Func != "MPI_File_write_at" || fr.Layer != trace.LayerMPIIO {
 		t.Errorf("chain frame = %+v, %v", fr, err)
 	}

@@ -94,13 +94,14 @@ func TestPutVarWholeVariableCallChain(t *testing.T) {
 		t.Fatal("no pwrite")
 	}
 	wantChain := []string{"nc_put_var_schar", "H5Dwrite", "MPI_File_write_at"}
-	if len(pw.Chain) != len(wantChain) {
-		t.Fatalf("chain = %v", pw.Chain)
+	chain := pw.Chain()
+	if len(chain) != len(wantChain) {
+		t.Fatalf("chain = %v", chain)
 	}
 	for i, fn := range wantChain {
-		fr, err := trace.ParseFrame(pw.Chain[i])
+		fr, err := trace.ParseFrame(chain[i])
 		if err != nil || fr.Func != fn {
-			t.Errorf("chain[%d] = %v, want %s", i, pw.Chain[i], fn)
+			t.Errorf("chain[%d] = %v, want %s", i, chain[i], fn)
 		}
 	}
 }

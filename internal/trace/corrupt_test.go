@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -374,6 +375,50 @@ func TestDecodeErrorRendering(t *testing.T) {
 	}
 	if !errors.Is(e, e.Err) {
 		t.Error("DecodeError does not unwrap to its cause")
+	}
+}
+
+// TestLimitsClampedToRefSpace: a Ref holds 32-bit ranks and sequence
+// numbers, so no Limits lets a decoder produce more ranks, or more records
+// on a rank, than that; a count past it is LimitExceeded. The defaults sit
+// below the clamp and stay as they are.
+func TestLimitsClampedToRefSpace(t *testing.T) {
+	if d := DefaultLimits(); d.MaxRanks != 1<<20 || d.MaxRecords != 1<<28 {
+		t.Fatalf("defaults moved: %+v", d)
+	}
+	wide := Limits{MaxRanks: math.MaxInt, MaxRecords: math.MaxInt}
+	if l := wide.withDefaults(); l.MaxRanks != math.MaxInt32 || l.MaxRecords != math.MaxInt32 {
+		t.Fatalf("withDefaults() = %+v, want ranks and records clamped to MaxInt32", l)
+	}
+	data := encodeBytes(t, sampleTrace(t), false)
+	for _, span := range []string{"nranks", "rank-count"} {
+		rank := -1
+		if span == "rank-count" {
+			rank = 0
+		}
+		bad := spliceVarint(data, mustSpan(t, data, span, rank, -1), math.MaxInt32+1)
+		_, _, err := DecodeWithOptions(bytes.NewReader(bad), DecodeOptions{Limits: wide})
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Kind != LimitExceeded || !strings.Contains(err.Error(), "exceeds limit 2147483647") {
+			t.Errorf("%s of MaxInt32+1 under unbounded limits: err = %v, want LimitExceeded at the clamp", span, err)
+		}
+	}
+}
+
+// TestValidateRejectsRankPastRefSpace: a rank of more than MaxInt32 records
+// has records no Ref addresses. No test can hold one, so the check Validate
+// makes per rank is exercised on the count alone.
+func TestValidateRejectsRankPastRefSpace(t *testing.T) {
+	n := math.MaxInt32
+	if err := checkRankLen(2, n); err != nil {
+		t.Fatalf("MaxInt32 records: %v", err)
+	}
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("an int cannot count past MaxInt32 here")
+	}
+	n++
+	if err := checkRankLen(2, n); err == nil || !strings.Contains(err.Error(), "rank 2 holds 2147483648 records") {
+		t.Fatalf("MaxInt32+1 records: err = %v", err)
 	}
 }
 

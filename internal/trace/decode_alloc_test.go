@@ -32,8 +32,9 @@ func uniqueOffsetTrace(t testing.TB, nranks, nops int) *Trace {
 
 // TestDecodeAllocationsPerRecord gates the decoder's allocation count, which
 // unlike its speed is the same on every host: records decode in place into a
-// buffer that grows geometrically toward the declared count, Args and Chain come from
-// slabs and the string table from chunks, so a directory costs a few dozen
+// buffer that grows geometrically toward the declared count, Args come from
+// slabs, call contexts are interned and the string table comes in chunks, so
+// a directory costs a few dozen
 // allocations per rank file however many records it holds. (Two per string
 // table entry plus one per record's Args — 2.9 per record on this input —
 // is what the gate keeps from coming back.)

@@ -110,11 +110,11 @@ func encodePayload(w *bufio.Writer, t *Trace) error {
 		for i := range rs {
 			r := &rs[i]
 			intern(r.Func)
-			intern(r.Site)
+			intern(r.Site())
 			for _, a := range r.Args {
 				intern(a)
 			}
-			for _, c := range r.Chain {
+			for _, c := range r.Chain() {
 				intern(c)
 			}
 		}
@@ -142,16 +142,16 @@ func encodePayload(w *bufio.Writer, t *Trace) error {
 			r := &rs[i]
 			putUvarint(w, table[r.Func])
 			w.WriteByte(byte(r.Layer))
-			putUvarint(w, uint64(r.Depth))
+			putUvarint(w, uint64(r.Depth()))
 			putUvarint(w, uint64(r.Ret-lastRet))
 			putUvarint(w, uint64(r.Ret-r.Tick))
 			lastRet = r.Ret
-			putUvarint(w, table[r.Site])
+			putUvarint(w, table[r.Site()])
 			putUvarint(w, uint64(len(r.Args)))
 			for _, a := range r.Args {
 				putUvarint(w, table[a])
 			}
-			for _, c := range r.Chain {
+			for _, c := range r.Chain() {
 				putUvarint(w, table[c])
 			}
 		}
@@ -197,9 +197,11 @@ type decoder struct {
 	record  int
 
 	// slab is the unused tail of the current string-slice slab; records'
-	// Args and Chain are carved from it (see strSlice).
+	// Args are carved from it (see strSlice).
 	slab    []string
 	slabCap int
+	// ctxs interns the stream's call contexts (see context).
+	ctxs ctxTable
 
 	spans bool // record layout spans (Layout)
 	marks []Span
@@ -207,11 +209,15 @@ type decoder struct {
 
 // Approximate decoded-memory cost per entity, charged against the payload
 // budget: a corrupt count field costs at most its charge, never a huge
-// upfront allocation.
+// upfront allocation. The charges are budget units, not struct sizes:
+// recordOverhead and the per-chain-frame sliceEntryOverhead price a record
+// as if it owned its Chain and Site, which an interned Context makes an
+// upper bound. Changing them would move LimitExceeded offsets, streamed
+// batch boundaries and PeakResidentBytes, so they stay put.
 const (
 	stringOverhead     = 16  // string header
 	sliceEntryOverhead = 16  // one slice element (string header / map slot)
-	recordOverhead     = 136 // Record struct incl. slice headers
+	recordOverhead     = 136 // one record, counted with its own chain and site
 	rankOverhead       = 24  // one Ranks[] slice header
 )
 
@@ -395,8 +401,8 @@ func (d *decoder) strAt(strs []string, i uint64) (string, error) {
 	return strs[i], nil
 }
 
-// strSlice returns a zeroed []string of length n for one record's Args or
-// Chain, carved from a slab so a record costs no allocation of its own. The
+// strSlice returns a zeroed []string of length n for one record's Args,
+// carved from a slab so a record costs no allocation of its own. The
 // slab is never reused — a carved slice stays valid for as long as anything
 // references it, whatever happens to the batch buffer its record sat in —
 // and the three-index slice keeps an append from running into a neighbour.
@@ -638,7 +644,6 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 		return d.fail(LimitExceeded, fmt.Errorf("call depth %d exceeds limit %d", depth, d.lim.MaxDepth))
 	}
 	d.span("depth", d.rank, seq, depthStart)
-	rec.Depth = int(depth)
 	dt, err := d.uvarint()
 	if err != nil {
 		return err
@@ -654,7 +659,8 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 	if err != nil {
 		return err
 	}
-	if rec.Site, err = d.strAt(strs, si); err != nil {
+	site, err := d.strAt(strs, si)
+	if err != nil {
 		return err
 	}
 	nargs, err := d.uvarint()
@@ -670,7 +676,7 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 	if rec.Args, err = d.strRefs(strs, int(nargs)); err != nil {
 		return err
 	}
-	rec.Chain, err = d.strRefs(strs, rec.Depth)
+	rec.Ctx, err = d.context(strs, si, site, int(depth))
 	return err
 }
 
@@ -690,6 +696,59 @@ func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// ctxTable interns a stream's call contexts by their string-table indices:
+// the site's, then the chain's frames', as varints. Consecutive records
+// mostly share one context, so the previous one is compared first.
+type ctxTable struct {
+	byKey   map[string]*Context
+	key     []byte // the record being decoded
+	lastKey []byte
+	last    *Context
+	frames  []uint64 // the record's chain indices
+}
+
+// context decodes the record's depth chain indices, following its site
+// (string-table index si, resolved to site), and returns the stream's one
+// Context for them: nil, without a lookup, at depth 0 with an empty site.
+func (d *decoder) context(strs []string, si uint64, site string, depth int) (*Context, error) {
+	if depth == 0 && site == "" {
+		return nil, nil
+	}
+	t := &d.ctxs
+	t.key = binary.AppendUvarint(t.key[:0], si)
+	t.frames = t.frames[:0]
+	for range depth {
+		ci, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := d.strAt(strs, ci); err != nil {
+			return nil, err
+		}
+		t.key = binary.AppendUvarint(t.key, ci)
+		t.frames = append(t.frames, ci)
+	}
+	if t.last != nil && string(t.key) == string(t.lastKey) {
+		return t.last, nil
+	}
+	c := t.byKey[string(t.key)]
+	if c == nil {
+		c = &Context{Site: site}
+		if depth > 0 {
+			c.Chain = make([]string, depth)
+			for i, ci := range t.frames {
+				c.Chain[i] = strs[ci]
+			}
+		}
+		if t.byKey == nil {
+			t.byKey = make(map[string]*Context)
+		}
+		t.byKey[string(t.key)] = c
+	}
+	t.last, t.lastKey = c, append(t.lastKey[:0], t.key...)
+	return c, nil
 }
 
 // capHint bounds an attacker-controlled count to a sane initial slice or

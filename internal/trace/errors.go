@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"verifyio/internal/obs"
 )
@@ -118,9 +119,10 @@ type Limits struct {
 	MaxStrings int
 	// MaxStringLen caps the byte length of any single string.
 	MaxStringLen int
-	// MaxRanks caps the rank-stream count.
-	MaxRanks int
-	// MaxRecords caps the per-rank record count.
+	// MaxRanks caps the rank-stream count, and MaxRecords the per-rank
+	// record count. Both are clamped to MaxInt32: a Ref holds 32-bit ranks
+	// and sequence numbers.
+	MaxRanks   int
 	MaxRecords int
 	// MaxArgs caps the argument count of one record.
 	MaxArgs int
@@ -166,6 +168,7 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxRecords <= 0 {
 		l.MaxRecords = d.MaxRecords
 	}
+	l.MaxRanks, l.MaxRecords = min(l.MaxRanks, math.MaxInt32), min(l.MaxRecords, math.MaxInt32)
 	if l.MaxArgs <= 0 {
 		l.MaxArgs = d.MaxArgs
 	}

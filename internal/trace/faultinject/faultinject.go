@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"verifyio/internal/trace"
 )
@@ -74,13 +75,20 @@ func Truncations(data []byte) []Case {
 			cuts[off] = fmt.Sprintf("byte%d", off)
 		}
 	}
+	// In offset order, so the corpus — and a seed picked from it — is the
+	// same on every run.
+	offs := make([]int64, 0, len(cuts))
+	for off := range cuts {
+		offs = append(offs, off)
+	}
+	slices.Sort(offs)
 	var cases []Case
-	for off, label := range cuts {
+	for _, off := range offs {
 		if off < 0 || off >= int64(len(data)) {
 			continue
 		}
 		cases = append(cases, Case{
-			Name: "truncate@" + label,
+			Name: "truncate@" + cuts[off],
 			Data: bytes.Clone(data[:off]),
 		})
 	}
@@ -89,7 +97,8 @@ func Truncations(data []byte) []Case {
 
 // Bombs splices a maximal varint over every size-bearing field the layout
 // exposes: metadata/string/rank/record counts, the per-record call depth
-// (the Chain allocation), and the first record's leading string-table index.
+// (the call chain's length), and the first record's leading string-table
+// index.
 func Bombs(data []byte) []Case {
 	spans, err := trace.Layout(data)
 	if err != nil {

@@ -26,22 +26,22 @@ func seedTrace() *trace.Trace {
 	tr.Meta["program"] = "corpus-seed"
 	tr.Meta["fs.mode"] = "posix"
 	tick := []int64{0, 0}
-	add := func(rank int, layer trace.Layer, fn string, depth int, chain []string, args ...string) {
+	add := func(rank int, layer trace.Layer, fn string, chain []string, args ...string) {
 		tick[rank] += 2
 		tr.Append(trace.Record{
-			Rank: rank, Func: fn, Layer: layer, Depth: depth,
+			Rank: rank, Func: fn, Layer: layer,
 			Args: args, Tick: tick[rank], Ret: tick[rank] + 1,
-			Chain: chain, Site: fmt.Sprintf("site%d", rank),
+			Ctx: trace.NewContext(chain, fmt.Sprintf("site%d", rank)),
 		})
 	}
 	for rank := 0; rank < 2; rank++ {
-		add(rank, trace.LayerMPIIO, "MPI_File_open", 0, nil, "comm0", "f.bin", "rw")
-		add(rank, trace.LayerPOSIX, "open", 1, []string{"mpi-io:MPI_File_open@m"}, "f.bin", "rw", "3")
+		add(rank, trace.LayerMPIIO, "MPI_File_open", nil, "comm0", "f.bin", "rw")
+		add(rank, trace.LayerPOSIX, "open", []string{"mpi-io:MPI_File_open@m"}, "f.bin", "rw", "3")
 		for i := 0; i < 4; i++ {
-			add(rank, trace.LayerPOSIX, "pwrite", 1,
+			add(rank, trace.LayerPOSIX, "pwrite",
 				[]string{"mpi-io:MPI_File_write_at@m"}, "3", "8", fmt.Sprint(8*i))
 		}
-		add(rank, trace.LayerPOSIX, "close", 0, nil, "3")
+		add(rank, trace.LayerPOSIX, "close", nil, "3")
 	}
 	if err := tr.Validate(); err != nil {
 		log.Fatalf("seed trace invalid: %v", err)

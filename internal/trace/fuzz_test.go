@@ -24,20 +24,20 @@ func fuzzSeedTrace() *Trace {
 	tr := New(2)
 	tr.Meta["program"] = "fuzz-seed"
 	tick := []int64{0, 0}
-	add := func(rank int, layer Layer, fn string, depth int, chain []string, args ...string) {
+	add := func(rank int, layer Layer, fn string, chain []string, args ...string) {
 		tick[rank] += 2
 		tr.Append(Record{
-			Rank: rank, Func: fn, Layer: layer, Depth: depth,
-			Args: args, Tick: tick[rank], Ret: tick[rank] + 1, Chain: chain,
+			Rank: rank, Func: fn, Layer: layer,
+			Args: args, Tick: tick[rank], Ret: tick[rank] + 1, Ctx: NewContext(chain, ""),
 		})
 	}
 	for rank := 0; rank < 2; rank++ {
-		add(rank, LayerPOSIX, "open", 0, nil, "f.bin", "rw", "3")
+		add(rank, LayerPOSIX, "open", nil, "f.bin", "rw", "3")
 		for i := 0; i < 4; i++ {
-			add(rank, LayerPOSIX, "pwrite", 1,
+			add(rank, LayerPOSIX, "pwrite",
 				[]string{"mpi-io:MPI_File_write_at"}, "3", "8", fmt.Sprint(8*i))
 		}
-		add(rank, LayerPOSIX, "close", 0, nil, "3")
+		add(rank, LayerPOSIX, "close", nil, "3")
 	}
 	return tr
 }

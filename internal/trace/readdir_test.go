@@ -376,10 +376,10 @@ func wideVarintTrace() *Trace {
 		for i := 0; i < 48; i++ {
 			tick += int64(1 + 20_000*(i%3))
 			tr.Append(Record{
-				Rank: rank, Func: "pwrite", Layer: LayerPOSIX, Depth: 1,
-				Chain: []string{"mpi-io:MPI_File_write_at"},
-				Args:  []string{"3", fmt.Sprint(1_000_000*rank + 16*i), fmt.Sprintf("%0*d", 100+i, i)},
-				Tick:  tick, Ret: tick + 300,
+				Rank: rank, Func: "pwrite", Layer: LayerPOSIX,
+				Ctx:  NewContext([]string{"mpi-io:MPI_File_write_at"}, ""),
+				Args: []string{"3", fmt.Sprint(1_000_000*rank + 16*i), fmt.Sprintf("%0*d", 100+i, i)},
+				Tick: tick, Ret: tick + 300,
 			})
 			tick += 300
 		}

@@ -27,7 +27,7 @@ func streamTestTrace(t *testing.T, nranks, nrecs int) *Trace {
 				Rank: rank, Func: "pwrite", Layer: LayerPOSIX,
 				Args: []string{"3", fmt.Sprint(8 * i), "8"},
 				Tick: tick, Ret: tick + 1,
-				Site: fmt.Sprintf("site%d", i%17),
+				Ctx: NewContext(nil, fmt.Sprintf("site%d", i%17)),
 			}
 			if i%5 == 0 {
 				rec.Func = "MPI_File_write_at"

@@ -35,7 +35,7 @@ func WriteText(w io.Writer, t *Trace) error {
 		for i := range recs {
 			r := &recs[i]
 			fmt.Fprintf(bw, "[%d]%s %s(%s)\n",
-				r.Seq, strings.Repeat("  ", r.Depth), r.Func, strings.Join(r.Args, ", "))
+				r.Seq, strings.Repeat("  ", r.Depth()), r.Func, strings.Join(r.Args, ", "))
 		}
 	}
 	return bw.Flush()

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -64,10 +65,6 @@ type Record struct {
 	Func string
 	// Layer is the stack level Func belongs to.
 	Layer Layer
-	// Depth is the call-nesting depth: 0 for calls issued directly by the
-	// application, 1 for calls those made internally, and so on. The call
-	// chain of a record is the sequence of enclosing records.
-	Depth int
 	// Args holds every runtime argument, stringified. Argument layout is
 	// function specific and interpreted by the analysis steps (package
 	// conflict and package match), mirroring how VerifyIO post-processes
@@ -78,12 +75,57 @@ type Record struct {
 	// records within a rank and delimit nesting.
 	Tick int64
 	Ret  int64
-	// Chain is the call chain, outermost frame first, not including Func
-	// itself. Frames are "layer:func@site" strings; see FormatFrame.
+	// Ctx is the call context: the enclosing calls and the call site. It
+	// is shared by every record of a rank with the same context, and nil
+	// for a call issued directly by the application with no site label.
+	Ctx *Context
+}
+
+// Context is the call context of a record. A rank repeats a handful of
+// contexts, so — as Recorder keeps each call signature once — the decoder
+// and the recorder keep one Context per distinct (chain, site) of a rank and
+// its records point at it. A Context is shared: never modify one.
+type Context struct {
+	// Chain is the call chain, outermost frame first, not including the
+	// record's own call. Frames are "layer:func@site" strings; see
+	// FormatFrame.
 	Chain []string
-	// Site labels the call site of this record inside its caller; the
+	// Site labels the call site of the record inside its caller; the
 	// paper's future-work "backtrace" feature. Optional.
 	Site string
+}
+
+// NewContext returns the context of a record with the given call chain and
+// call site: nil when both are empty, the form a decoded record takes.
+func NewContext(chain []string, site string) *Context {
+	if len(chain) == 0 && site == "" {
+		return nil
+	}
+	if len(chain) == 0 {
+		chain = nil
+	}
+	return &Context{Chain: chain, Site: site}
+}
+
+// Depth is the call-nesting depth: 0 for calls issued directly by the
+// application, 1 for calls those made internally, and so on — the length of
+// the call chain.
+func (r *Record) Depth() int { return len(r.Chain()) }
+
+// Chain returns the call chain (see Context.Chain); nil at depth 0.
+func (r *Record) Chain() []string {
+	if r.Ctx == nil {
+		return nil
+	}
+	return r.Ctx.Chain
+}
+
+// Site returns the call-site label (see Context.Site).
+func (r *Record) Site() string {
+	if r.Ctx == nil {
+		return ""
+	}
+	return r.Ctx.Site
 }
 
 // FormatFrame renders one call-chain frame.
@@ -120,11 +162,14 @@ func (r *Record) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%d:%d] %s %s(%s)", r.Rank, r.Seq, r.Layer, r.Func,
 		strings.Join(r.Args, ", "))
-	if r.Depth > 0 {
-		fmt.Fprintf(&b, " depth=%d", r.Depth)
+	if d := r.Depth(); d > 0 {
+		fmt.Fprintf(&b, " depth=%d", d)
 	}
 	return b.String()
 }
+
+// Ref returns the record's Ref.
+func (r *Record) Ref() Ref { return Ref{Rank: int32(r.Rank), Seq: int32(r.Seq)} }
 
 // Arg returns argument i, or "" when absent.
 func (r *Record) Arg(i int) string {
@@ -170,10 +215,13 @@ func plainDigits(s string) (int64, bool) {
 	return v, true
 }
 
-// Ref identifies a record inside a trace by rank and per-rank sequence.
+// Ref identifies a record inside a trace by rank and per-rank sequence. The
+// analyses hold one or two per data operation, sync point and edge, so it is
+// two 32-bit halves: Limits and Trace.Validate keep rank counts and per-rank
+// record counts within int32.
 type Ref struct {
-	Rank int
-	Seq  int
+	Rank int32
+	Seq  int32
 }
 
 func (ref Ref) String() string { return fmt.Sprintf("%d:%d", ref.Rank, ref.Seq) }
@@ -215,11 +263,11 @@ func (t *Trace) NumRecords() int {
 
 // Record resolves a Ref. It returns nil when the ref is out of range.
 func (t *Trace) Record(ref Ref) *Record {
-	if ref.Rank < 0 || ref.Rank >= len(t.Ranks) {
+	if ref.Rank < 0 || int(ref.Rank) >= len(t.Ranks) {
 		return nil
 	}
 	rs := t.Ranks[ref.Rank]
-	if ref.Seq < 0 || ref.Seq >= len(rs) {
+	if ref.Seq < 0 || int(ref.Seq) >= len(rs) {
 		return nil
 	}
 	return &rs[ref.Seq]
@@ -230,16 +278,23 @@ func (t *Trace) Record(ref Ref) *Record {
 func (t *Trace) Append(rec Record) Ref {
 	rec.Seq = len(t.Ranks[rec.Rank])
 	t.Ranks[rec.Rank] = append(t.Ranks[rec.Rank], rec)
-	return Ref{Rank: rec.Rank, Seq: rec.Seq}
+	return rec.Ref()
 }
 
-// Validate performs structural checks: sequence numbers must be dense and
-// per-rank ticks strictly increasing. It reports the first problem found.
+// Validate performs structural checks: sequence numbers must be dense,
+// per-rank ticks strictly increasing, and every record addressable by a Ref.
+// It reports the first problem found.
 func (t *Trace) Validate() error {
+	if len(t.Ranks) > math.MaxInt32 {
+		return fmt.Errorf("trace: %d ranks, more than a 32-bit ref addresses", len(t.Ranks))
+	}
 	// Records are appended when a call returns (post-order for nested
 	// calls), so the return timestamp is the strictly increasing field;
 	// an enclosing call's entry tick precedes its nested records' ticks.
 	for rank, rs := range t.Ranks {
+		if err := checkRankLen(rank, len(rs)); err != nil {
+			return err
+		}
 		lastRet := int64(-1)
 		for i := range rs {
 			r := &rs[i]
@@ -259,10 +314,16 @@ func (t *Trace) Validate() error {
 				return fmt.Errorf("trace: rank %d record %d negative entry tick %d", rank, i, r.Tick)
 			}
 			lastRet = r.Ret
-			if r.Depth < 0 || len(r.Chain) != r.Depth {
-				return fmt.Errorf("trace: rank %d record %d depth %d does not match chain length %d", rank, i, r.Depth, len(r.Chain))
-			}
 		}
+	}
+	return nil
+}
+
+// checkRankLen reports a rank a Ref cannot address: one of more than
+// MaxInt32 records.
+func checkRankLen(rank, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("trace: rank %d holds %d records, more than a 32-bit ref addresses", rank, n)
 	}
 	return nil
 }

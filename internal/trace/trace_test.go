@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,20 +18,20 @@ func sampleTrace(t *testing.T) *Trace {
 	tr.Meta["program"] = "quickstart"
 	tr.Meta["fs.mode"] = "posix"
 	tick := []int64{0, 0}
-	add := func(rank int, layer Layer, fn string, depth int, chain []string, args ...string) Ref {
+	add := func(rank int, layer Layer, fn string, chain []string, args ...string) Ref {
 		tick[rank] += 2
 		return tr.Append(Record{
-			Rank: rank, Func: fn, Layer: layer, Depth: depth,
+			Rank: rank, Func: fn, Layer: layer,
 			Args: args, Tick: tick[rank], Ret: tick[rank] + 1,
-			Chain: chain, Site: fmt.Sprintf("site%d", rank),
+			Ctx: NewContext(chain, fmt.Sprintf("site%d", rank)),
 		})
 	}
-	add(0, LayerMPIIO, "MPI_File_open", 0, nil, "comm0", "f.bin", "rw")
-	add(0, LayerPOSIX, "open", 1, []string{"mpi-io:MPI_File_open@m"}, "f.bin", "rw", "3")
-	add(0, LayerMPIIO, "MPI_File_write_at", 0, nil, "0", "0", "4")
-	add(0, LayerPOSIX, "pwrite", 1, []string{"mpi-io:MPI_File_write_at@m"}, "3", "4", "0")
-	add(1, LayerMPI, "MPI_Barrier", 0, nil, "comm0")
-	add(1, LayerPOSIX, "pread", 0, nil, "3", "4", "0")
+	add(0, LayerMPIIO, "MPI_File_open", nil, "comm0", "f.bin", "rw")
+	add(0, LayerPOSIX, "open", []string{"mpi-io:MPI_File_open@m"}, "f.bin", "rw", "3")
+	add(0, LayerMPIIO, "MPI_File_write_at", nil, "0", "0", "4")
+	add(0, LayerPOSIX, "pwrite", []string{"mpi-io:MPI_File_write_at@m"}, "3", "4", "0")
+	add(1, LayerMPI, "MPI_Barrier", nil, "comm0")
+	add(1, LayerPOSIX, "pread", nil, "3", "4", "0")
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("sample trace invalid: %v", err)
 	}
@@ -50,7 +51,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			tr.Ranks[0][1].Tick = tr.Ranks[0][0].Ret
 		}, "not increasing"},
 		{"returns before entry", func(tr *Trace) { tr.Ranks[0][1].Tick = tr.Ranks[0][1].Ret + 1 }, "before entry"},
-		{"chain/depth mismatch", func(tr *Trace) { tr.Ranks[0][1].Chain = nil }, "does not match chain length"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,6 +81,67 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeInternsContexts: a decoded rank holds one Context per distinct
+// (chain, site) — records share it, also across batches of a windowed read
+// — and a record at depth 0 with no site holds none.
+func TestDecodeInternsContexts(t *testing.T) {
+	tr := New(1)
+	chains := [][]string{nil, {"mpi-io:MPI_File_write_at@m"}, {"hdf5:H5Dwrite@a", "mpi-io:MPI_File_write_at@m"}}
+	for i := 0; i < 300; i++ {
+		site := ""
+		if i%4 == 3 {
+			site = "io.c:7"
+		}
+		tick := int64(2*i + 1)
+		tr.Append(Record{Rank: 0, Func: "pwrite", Layer: LayerPOSIX, Args: []string{"3", "8", fmt.Sprint(8 * i)},
+			Tick: tick, Ret: tick + 1, Ctx: NewContext(chains[i%3], site)})
+	}
+	data := encodeBytes(t, tr, true)
+	check := func(name string, recs []Record) {
+		t.Helper()
+		byKey := map[string]*Context{}
+		for i := range recs {
+			r := &recs[i]
+			if !slices.Equal(r.Chain(), tr.Ranks[0][i].Chain()) || r.Site() != tr.Ranks[0][i].Site() {
+				t.Fatalf("%s: record %d decoded chain %q site %q", name, i, r.Chain(), r.Site())
+			}
+			if r.Depth() == 0 && r.Site() == "" {
+				if r.Ctx != nil {
+					t.Fatalf("%s: record %d has an empty context %+v, want nil", name, i, r.Ctx)
+				}
+				continue
+			}
+			key := fmt.Sprintf("%q %q", r.Chain(), r.Site())
+			if c, ok := byKey[key]; ok && c != r.Ctx {
+				t.Fatalf("%s: record %d holds a second Context for %s", name, i, key)
+			}
+			byKey[key] = r.Ctx
+		}
+		if len(byKey) != 5 {
+			t.Errorf("%s: %d distinct contexts, want 5", name, len(byKey))
+		}
+	}
+	got, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Decode", got.Ranks[0])
+	dir := t.TempDir()
+	if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStream(dir, StreamOptions{WindowBytes: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ranks, batches := drainStream(t, s)
+	if batches < 2 {
+		t.Fatalf("a 4 KiB window read the rank in %d batch", batches)
+	}
+	check("streamed", ranks[0])
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
@@ -254,9 +315,9 @@ func randomTrace(rng *rand.Rand) *Trace {
 			lastRet = ret
 			tr.Append(Record{
 				Rank: rank, Func: funcs[rng.Intn(len(funcs))],
-				Layer: Layer(rng.Intn(int(numLayers))), Depth: depth,
-				Args: args, Tick: tick, Ret: ret,
-				Chain: chain,
+				Layer: Layer(rng.Intn(int(numLayers))),
+				Args:  args, Tick: tick, Ret: ret,
+				Ctx: NewContext(chain, ""),
 			})
 		}
 	}

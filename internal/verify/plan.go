@@ -129,12 +129,12 @@ func buildSyncIndex(conf *conflict.Result, model semantics.Model, g *hbgraph.Gra
 				continue
 			}
 			rr := g.Resolve(sp.Ref)
-			byRank, ok := idx.perRank[c][sp.FID]
+			byRank, ok := idx.perRank[c][int(sp.FID)]
 			if !ok {
 				byRank = make(map[int][]hbgraph.Coord)
-				idx.perRank[c][sp.FID] = byRank
+				idx.perRank[c][int(sp.FID)] = byRank
 			}
-			byRank[sp.Ref.Rank] = append(byRank[sp.Ref.Rank], rr)
+			byRank[int(sp.Ref.Rank)] = append(byRank[int(sp.Ref.Rank)], rr)
 		}
 	}
 	// conflict.Result.Syncs is produced rank-major in seq order, so the

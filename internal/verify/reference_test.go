@@ -30,7 +30,7 @@ func bruteRaces(a *verify.Analysis, model semantics.Model) [][2]trace.Ref {
 		cands[c] = map[int][]trace.Ref{}
 		for _, sp := range conf.Syncs {
 			if msc.Ops[c].Contains(sp.Func) {
-				cands[c][sp.FID] = append(cands[c][sp.FID], sp.Ref)
+				cands[c][int(sp.FID)] = append(cands[c][int(sp.FID)], sp.Ref)
 			}
 		}
 	}
@@ -56,7 +56,7 @@ func bruteRaces(a *verify.Analysis, model semantics.Model) [][2]trace.Ref {
 		if !x.Write {
 			return g.HB(o, x.Ref, y.Ref)
 		}
-		return chain(0, x.FID, x.Ref, y.Ref)
+		return chain(0, int(x.FID), x.Ref, y.Ref)
 	}
 	var races [][2]trace.Ref
 	for gi := range conf.Groups {
@@ -79,9 +79,9 @@ func bruteRaces(a *verify.Analysis, model semantics.Model) [][2]trace.Ref {
 
 func refCmp(a, b trace.Ref) int {
 	if a.Rank != b.Rank {
-		return a.Rank - b.Rank
+		return int(a.Rank - b.Rank)
 	}
-	return a.Seq - b.Seq
+	return int(a.Seq - b.Seq)
 }
 
 // checkAgainstBrute verifies a under model with every race detailed and

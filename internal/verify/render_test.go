@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -117,8 +118,8 @@ func TestRenderMatchesReferenceBranches(t *testing.T) {
 	races := make([]verify.Race, 256)
 	for i := range races {
 		races[i] = verify.Race{
-			X:     conflict.Op{Ref: trace.Ref{Rank: i % 7, Seq: 3 * i}, Start: int64(i) << 20, End: int64(i+1) << 20},
-			Y:     conflict.Op{Ref: trace.Ref{Rank: 1 + i%5, Seq: 1<<31 + i}, Start: -1, End: 1<<62 + int64(i)},
+			X:     conflict.Op{Ref: trace.Ref{Rank: int32(i % 7), Seq: int32(3 * i)}, Start: int64(i) << 20, End: int64(i+1) << 20},
+			Y:     conflict.Op{Ref: trace.Ref{Rank: int32(1 + i%5), Seq: math.MaxInt32 - int32(i)}, Start: -1, End: 1<<62 + int64(i)},
 			File:  fmt.Sprintf("/scratch/run-%d/out.h5", i%3),
 			FuncX: "pwrite", FuncY: "MPI_File_read_at_all",
 			ChainX: []string{

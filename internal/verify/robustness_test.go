@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -114,11 +115,13 @@ func TestAnalyzeOracleErrorBesideDetection(t *testing.T) {
 		t.Errorf("workers=4: err = %q, workers=1: %q", got, serial)
 	}
 
-	// A send whose position needs 33 bits overflows matching's edge keys.
+	// A send and a receive whose positions add up to 33 bits of edge-key
+	// ids overflow matching's edge keys.
 	p := crossed()
-	p.emit(1, trace.LayerMPI, "MPI_Recv", "comm-world", "0", "0", "8", "0", "0")
-	p.tr.Ranks[0] = append(p.tr.Ranks[0], trace.Record{Rank: 0, Seq: 1 << 32, Func: "MPI_Send",
+	p.tr.Ranks[0] = append(p.tr.Ranks[0], trace.Record{Rank: 0, Seq: math.MaxInt32, Func: "MPI_Send",
 		Layer: trace.LayerMPI, Args: []string{"comm-world", "1", "0", "8"}})
+	p.tr.Ranks[1] = append(p.tr.Ranks[1], trace.Record{Rank: 1, Seq: math.MaxInt32, Func: "MPI_Recv",
+		Layer: trace.LayerMPI, Args: []string{"comm-world", "0", "0", "8", "0", "0"}})
 	for _, workers := range []int{1, 4} {
 		if got := errAt(p.tr, workers); !strings.HasPrefix(got, "verify: MPI matching:") {
 			t.Errorf("workers=%d: err = %q, want the matching error", workers, got)

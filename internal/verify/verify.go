@@ -221,7 +221,7 @@ type verifier struct {
 	xi   int32         // op index of the current group's X
 	xr   hbgraph.Coord // its resolved operand
 	cX   hbgraph.Coord // the class's first X: its rank, prev and next are the class's
-	cFID int           // the class's file; -1 when no later group may share the class
+	cFID int32         // the class's file; -1 when no later group may share the class
 	cEnd int32         // the X.Seq at which the preceding-candidate counts change
 	// class numbers the classes this scratch has held; a rank's bounds and
 	// the frontiers' entries are reset on their first use in a class.
@@ -349,8 +349,8 @@ func (v *verifier) setGroup(g *conflict.Group) {
 		return
 	}
 	for c := range v.gRank {
-		v.gRank[c] = v.idx.perRank[c][fid]
-		v.gRanks[c] = v.idx.ranks[c][fid]
+		v.gRank[c] = v.idx.perRank[c][int(fid)]
+		v.gRanks[c] = v.idx.ranks[c][int(fid)]
 	}
 	// A candidate that X passes changes the first step of a frontier: the
 	// class ends at the next class-0 or class-(k-1) one on X's rank.
@@ -686,7 +686,7 @@ func (v *verifier) makeRace(p racePair) Race {
 	chainX, chainY := fullChain(sx), fullChain(sy)
 	return Race{
 		X: x, Y: y,
-		File:    conf.PathOf(x.FID),
+		File:    conf.PathOf(int(x.FID)),
 		FuncX:   sx.Func,
 		FuncY:   sy.Func,
 		ChainX:  chainX,

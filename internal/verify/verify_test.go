@@ -343,7 +343,7 @@ func TestClosureOverBudgetFallsBackToVectorClocks(t *testing.T) {
 	const per = 1<<14 + 1
 	edges := make([]match.Edge, 0, per-1)
 	for i := 0; i+1 < per; i++ {
-		edges = append(edges, match.Edge{From: trace.Ref{Rank: 0, Seq: i}, To: trace.Ref{Rank: 1, Seq: i + 1}})
+		edges = append(edges, match.Edge{From: trace.Ref{Rank: 0, Seq: int32(i)}, To: trace.Ref{Rank: 1, Seq: int32(i + 1)}})
 	}
 	analysis := func() *Analysis {
 		return &Analysis{counts: []int{per, per}, Conflicts: &conflict.Result{}, Match: &match.Result{Edges: edges}}

@@ -443,7 +443,7 @@ func wrapReport(rep *verify.Report) *Report {
 		out.Races = append(out.Races, Race{
 			File:  race.File,
 			FuncX: race.FuncX, FuncY: race.FuncY,
-			RankX: race.X.Ref.Rank, RankY: race.Y.Ref.Rank,
+			RankX: int(race.X.Ref.Rank), RankY: int(race.Y.Ref.Rank),
 			StartX: race.X.Start, EndX: race.X.End,
 			StartY: race.Y.Start, EndY: race.Y.End,
 			ChainX: race.ChainX, ChainY: race.ChainY,

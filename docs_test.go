@@ -253,7 +253,9 @@ func TestDocsQuoteKnownNames(t *testing.T) {
 		}
 		text := string(raw)
 		// Names no rule can tell from English words.
-		for _, gone := range []string{"obscheck", "obs-smoke", "dfg-smoke", "verifyio-dfg", "divergent-rank", "seg-reach"} {
+		for _, gone := range []string{"obscheck", "obs-smoke", "dfg-smoke", "verifyio-dfg", "divergent-rank", "seg-reach",
+			"ReadTraceDirOpts", "verifyio.Verify(", "Report.Algorithm", "Analysis.Algorithm", "algorithm:",
+			"Stream.NumRanks", "Stream.Meta", "Stream.Counts", "Stream.Stats"} {
 			if strings.Contains(text, gone) {
 				t.Errorf("%s mentions %q, which no longer exists", doc, gone)
 			}

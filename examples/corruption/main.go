@@ -101,11 +101,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := verifyio.Verify(tr, verifyio.MPIIO, nil)
+		reps, err := verifyio.VerifyAll(tr, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  VerifyIO (MPI-IO model): %s\n\n", rep.Summary())
+		for _, rep := range reps {
+			if rep.Model == verifyio.MPIIO {
+				fmt.Printf("  VerifyIO (MPI-IO model): %s\n\n", rep.Summary())
+			}
+		}
 	}
 	fmt.Println("The verdicts match the observed behaviour: the execution VerifyIO")
 	fmt.Println("flags is the one that silently reads stale data on a relaxed file")

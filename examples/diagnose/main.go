@@ -43,19 +43,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := verifyio.Verify(tr, sc.model, nil)
+		reps, err := verifyio.VerifyAll(tr, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("== %s ==\n", sc.name)
-		fmt.Printf("   verdict under %s: %s\n", sc.model, rep.Summary())
-		if diagnoses := rep.Diagnose(); len(diagnoses) > 0 {
-			d := diagnoses[0]
-			fmt.Printf("   category:    %s\n", d.Category)
-			fmt.Printf("   responsible: %s\n", d.Responsible)
-			fmt.Printf("   fix:         %s\n", d.Suggestion)
+		for _, rep := range reps {
+			if rep.Model != sc.model {
+				continue
+			}
+			fmt.Printf("== %s ==\n", sc.name)
+			fmt.Printf("   verdict under %s: %s\n", sc.model, rep.Summary())
+			if diagnoses := rep.Diagnose(); len(diagnoses) > 0 {
+				d := diagnoses[0]
+				fmt.Printf("   category:    %s\n", d.Category)
+				fmt.Printf("   responsible: %s\n", d.Responsible)
+				fmt.Printf("   fix:         %s\n", d.Suggestion)
+			}
+			fmt.Println()
 		}
-		fmt.Println()
 	}
 }
 

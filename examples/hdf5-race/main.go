@@ -72,10 +72,13 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", variant.name)
-		for _, model := range []verifyio.Model{verifyio.POSIX, verifyio.MPIIO} {
-			rep, err := verifyio.Verify(tr, model, nil)
-			if err != nil {
-				log.Fatal(err)
+		reps, err := verifyio.VerifyAll(tr, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, rep := range reps {
+			if rep.Model != verifyio.POSIX && rep.Model != verifyio.MPIIO {
+				continue
 			}
 			fmt.Printf("  %s\n", rep.Summary())
 			if rep.RaceCount > 0 && len(rep.Races) > 0 {

@@ -44,9 +44,16 @@ func corpusReports(t *testing.T, name string, tr *Trace, algo verify.Algo, analy
 	if err != nil {
 		t.Fatalf("%s/%v: %v", name, algo, err)
 	}
+	return verifyEveryModel(t, name+"/"+algo.String(), a, o)
+}
+
+// verifyEveryModel verifies the analysis under every model with o and wraps
+// the reports.
+func verifyEveryModel(t *testing.T, what string, a *verify.Analysis, o verify.Options) []*Report {
+	t.Helper()
 	reps, err := a.VerifyAll(semantics.All(), o)
 	if err != nil {
-		t.Fatalf("%s/%v: %v", name, algo, err)
+		t.Fatalf("%s: %v", what, err)
 	}
 	wrapped := make([]*Report, len(reps))
 	for i, rep := range reps {
@@ -68,23 +75,14 @@ func forEachCorpusTrace(t *testing.T, fn func(name string, tr *Trace)) {
 }
 
 // sameReports reports every model whose report in got differs from the one
-// in want by reportFingerprint: races, counts, problems and ordering. Across
-// oracles the algorithm label is masked too — the only field in which two
-// algorithms' reports of one trace may differ.
-func sameReports(t *testing.T, what string, want, got []*Report, acrossOracles bool) {
+// in want by reportFingerprint: races, counts, problems and ordering.
+func sameReports(t *testing.T, what string, want, got []*Report) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d reports, want %d", what, len(got), len(want))
 	}
-	fingerprint := func(rep *Report) []byte {
-		cp := *rep.inner
-		if acrossOracles {
-			cp.Algorithm = ""
-		}
-		return reportFingerprint(t, &cp)
-	}
 	for i := range want {
-		if w, g := fingerprint(want[i]), fingerprint(got[i]); !bytes.Equal(w, g) {
+		if w, g := reportFingerprint(t, want[i].inner), reportFingerprint(t, got[i].inner); !bytes.Equal(w, g) {
 			t.Errorf("%s %s: report differs\nwant: %s\ngot:  %s", what, want[i].Model, w, g)
 		}
 	}
@@ -179,7 +177,7 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				sameReports(t, fmt.Sprintf("%s directory Workers=%d tolerate=%v", name, workers, tolerate), want, got, false)
+				sameReports(t, fmt.Sprintf("%s directory Workers=%d tolerate=%v", name, workers, tolerate), want, got)
 			}
 		}
 	})
@@ -189,18 +187,15 @@ func TestStreamEquivalenceCorpus(t *testing.T) {
 // — the segment closure, reachability and on-the-fly — to the production
 // oracle (vector clocks, what auto is) through the same resolved query plan
 // and walk: on every corpus trace at Workers 1 and 3, their reports must
-// match the production reports apart from the algorithm label.
+// match the production reports.
 func TestSegmentOracleReportEquivalenceCorpus(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		for _, workers := range corpusWorkers {
 			o := verify.Options{Workers: workers, ContinueOnUnmatched: true}
 			want := corpusReports(t, name, tr, verify.AlgoVectorClock, workers, o)
-			if want[0].Algorithm != "vector-clock" {
-				t.Fatalf("%s: auto resolved to %q, want vector-clock", name, want[0].Algorithm)
-			}
 			for _, algo := range referenceAlgos {
 				sameReports(t, fmt.Sprintf("%s %v Workers=%d", name, algo, workers), want,
-					corpusReports(t, name, tr, algo, workers, o), true)
+					corpusReports(t, name, tr, algo, workers, o))
 			}
 		}
 	})
@@ -225,16 +220,12 @@ func TestParallelCorpusDeterminism(t *testing.T) {
 			}
 			var reps [2][]*Report
 			for i, workers := range corpusWorkers {
-				vr, err := a.VerifyAll(semantics.All(), verify.Options{Workers: workers, ContinueOnUnmatched: true})
-				if err != nil {
-					t.Fatalf("%s/%v: %v", name, algo, err)
-				}
-				for _, rep := range vr {
-					reps[i] = append(reps[i], wrapReport(rep))
+				reps[i] = verifyEveryModel(t, name+"/"+algo.String(), a, verify.Options{Workers: workers, ContinueOnUnmatched: true})
+				for _, rep := range reps[i] {
 					sawRace = sawRace || rep.RaceCount > 0
 				}
 			}
-			sameReports(t, fmt.Sprintf("%s %v verified at Workers=3", name, algo), reps[0], reps[1], false)
+			sameReports(t, fmt.Sprintf("%s %v verified at Workers=3", name, algo), reps[0], reps[1])
 		}
 	})
 	if !sawRace {
@@ -250,6 +241,6 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	forEachCorpusTrace(t, func(name string, tr *Trace) {
 		o := verify.Options{Workers: 1, ContinueOnUnmatched: true}
 		sameReports(t, name+" analyzed at Workers=3", corpusReports(t, name, tr, verify.AlgoVectorClock, 1, o),
-			corpusReports(t, name, tr, verify.AlgoVectorClock, 3, o), false)
+			corpusReports(t, name, tr, verify.AlgoVectorClock, 3, o))
 	})
 }

@@ -251,16 +251,16 @@ func sortEdges(edges []Edge, nranks int) error {
 	// base[r+1] is the id of record (r, 0), base[0] = 0 that of join 0, and
 	// base[nranks+1] the id count: each rank's extent — its highest Seq in
 	// the list plus one, the joins' at index 0 — then exclusive prefix sums.
-	base := make([]int, nranks+2)
+	base := make([]uint64, nranks+2)
 	for _, e := range edges {
 		for _, ref := range [2]trace.Ref{e.From, e.To} {
 			if ref.Seq < 0 || ref.Rank < joinRank || int(ref.Rank) >= nranks {
 				return fmt.Errorf("match: edge %v→%v has an endpoint outside the edge-key space", e.From, e.To)
 			}
-			base[ref.Rank+1] = max(base[ref.Rank+1], int(ref.Seq)+1)
+			base[ref.Rank+1] = max(base[ref.Rank+1], uint64(ref.Seq)+1)
 		}
 	}
-	ids := 0
+	var ids uint64 // at most 2³¹ ranks of 2³¹ ids each: no overflow
 	for i, n := range base {
 		base[i] = ids
 		ids += n
@@ -270,11 +270,11 @@ func sortEdges(edges []Edge, nranks int) error {
 	}
 	keys := make([]uint64, len(edges))
 	for i, e := range edges {
-		keys[i] = uint64(base[e.From.Rank+1]+int(e.From.Seq))<<32 | uint64(base[e.To.Rank+1]+int(e.To.Seq))
+		keys[i] = (base[e.From.Rank+1]+uint64(e.From.Seq))<<32 | (base[e.To.Rank+1] + uint64(e.To.Seq))
 	}
 	from := 0 // base index of the current From id; From ids ascend
 	for i, k := range radixSort(keys) {
-		f, t := int(k>>32), int(k&(1<<32-1))
+		f, t := k>>32, k&(1<<32-1)
 		for base[from+1] <= f {
 			from++
 		}

@@ -84,8 +84,6 @@ type fileMeta struct {
 type extent struct {
 	off  int64
 	dims []int64
-	// chunked is non-nil for chunked datasets (see chunk.go).
-	chunked *chunkedExtent
 }
 
 func (e *extent) size() int64 {
@@ -289,9 +287,6 @@ func (d *Dataset) rowExtents(hs Hyperslab) ([][2]int64, error) {
 	}
 	switch len(d.ext.dims) {
 	case 1:
-		if d.ext.chunked != nil {
-			return d.ext.chunked.chunkExtents(hs.Start[0], hs.Count[0])
-		}
 		return [][2]int64{{d.ext.off + hs.Start[0], hs.Count[0]}}, nil
 	default:
 		rowLen := d.ext.dims[1]

@@ -316,72 +316,3 @@ func TestAttrSlotValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChunkedDataset(t *testing.T) {
-	env := newEnv(t, 1, posixfs.ModePOSIX)
-	err := env.Run(func(r *recorder.Rank) error {
-		f, err := Create(r, r.Proc().CommWorld(), "c.h5", mpiio.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		// 20 elements in chunks of 8 → chunks of 8, 8, 4.
-		ds, err := f.CreateChunkedDataset("ck", 20, 8)
-		if err != nil {
-			return err
-		}
-		// A write spanning two chunk boundaries becomes three extents.
-		hs := Hyperslab{Start: []int64{4}, Count: []int64{14}} // [4,18)
-		if err := ds.Write(Independent, hs, []byte("ABCDEFGHIJKLMN")); err != nil {
-			return err
-		}
-		got, err := ds.Read(Independent, hs)
-		if err != nil {
-			return err
-		}
-		if string(got) != "ABCDEFGHIJKLMN" {
-			return fmt.Errorf("chunked read back %q", got)
-		}
-		// Out-of-bounds chunked selections are rejected.
-		if err := ds.Write(Independent, Hyperslab{Start: []int64{18}, Count: []int64{4}}, make([]byte, 4)); !errors.Is(err, ErrBounds) {
-			return fmt.Errorf("oob chunked write = %v", err)
-		}
-		// Collective transfers reject multi-extent chunked selections.
-		if err := ds.Write(Collective, hs, make([]byte, 14)); err == nil {
-			return errors.New("collective write accepted chunk-spanning selection")
-		}
-		return f.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The spanning write produced one pwrite per touched chunk fragment.
-	pwrites := 0
-	for _, rec := range env.Trace().Ranks[0] {
-		if rec.Func == "pwrite" {
-			pwrites++
-		}
-	}
-	if pwrites != 3 {
-		t.Errorf("pwrites = %d, want 3 (chunk fragments)", pwrites)
-	}
-}
-
-func TestChunkedDatasetValidation(t *testing.T) {
-	env := newEnv(t, 1, posixfs.ModePOSIX)
-	err := env.Run(func(r *recorder.Rank) error {
-		f, err := Create(r, r.Proc().CommWorld(), "cv.h5", mpiio.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if _, err := f.CreateChunkedDataset("bad", 0, 8); err == nil {
-			return errors.New("zero-length chunked dataset accepted")
-		}
-		if _, err := f.CreateChunkedDataset("bad2", 8, 0); err == nil {
-			return errors.New("zero chunk size accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -253,16 +253,6 @@ func (f *File) FileSeek(off int64, whence int) error {
 	})
 }
 
-// SetSize is the traced, collective MPI_File_set_size.
-func (f *File) SetSize(size int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	return f.r.Record(trace.LayerMPIIO, "MPI_File_set_size", func() []string {
-		return []string{itoa(int64(f.fd)), itoa(size)}
-	}, func() error { return f.r.Ftruncate(f.fd, size) })
-}
-
 // WriteAt is the traced, independent MPI_File_write_at.
 func (f *File) WriteAt(off int64, data []byte) error {
 	if f.closed {

@@ -1,7 +1,6 @@
 package mpiio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -321,27 +320,6 @@ func TestUseAfterClose(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSetSizeTruncates(t *testing.T) {
-	env := newEnv(1, posixfs.ModePOSIX)
-	err := env.Run(func(r *recorder.Rank) error {
-		f, err := Open(r, r.Proc().CommWorld(), "f", ModeRdwr|ModeCreate, Config{})
-		if err != nil {
-			return err
-		}
-		if err := f.WriteAt(0, []byte("0123456789")); err != nil {
-			return err
-		}
-		return f.SetSize(3)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := env.FS().CommittedData("f")
-	if !bytes.Equal(data, []byte("012")) {
-		t.Errorf("after set_size = %q", data)
 	}
 }
 

@@ -335,22 +335,6 @@ func (f *File) putVar(fn string, v *Var, data []byte) error {
 	})
 }
 
-// getVar reads the whole variable.
-func (f *File) getVar(fn string, v *Var) ([]byte, error) {
-	var out []byte
-	err := f.r.Record(trace.LayerNetCDF, fn, func() []string {
-		return []string{v.name, itoa(v.size())}
-	}, func() error {
-		if err := f.checkDataMode(); err != nil {
-			return err
-		}
-		buf, err := v.ds.Read(v.xfer, v.ds.All())
-		out = buf
-		return err
-	})
-	return out, err
-}
-
 // putVara writes a subarray.
 func (f *File) putVara(fn string, v *Var, start, count []int64, data []byte) error {
 	return f.r.Record(trace.LayerNetCDF, fn, func() []string {
@@ -384,9 +368,6 @@ func (f *File) getVara(fn string, v *Var, start, count []int64) ([]byte, error) 
 
 // PutVarSchar is the traced nc_put_var_schar — the parallel5 call.
 func (f *File) PutVarSchar(v *Var, data []byte) error { return f.putVar("nc_put_var_schar", v, data) }
-
-// GetVarSchar is the traced nc_get_var_schar.
-func (f *File) GetVarSchar(v *Var) ([]byte, error) { return f.getVar("nc_get_var_schar", v) }
 
 // PutVaraInt is the traced nc_put_vara_int.
 func (f *File) PutVaraInt(v *Var, start, count []int64, data []byte) error {

@@ -47,7 +47,7 @@ func TestDefineModeLifecycle(t *testing.T) {
 		if err := f.PutVarSchar(v, []byte("12345678")); err != nil {
 			return err
 		}
-		got, err := f.GetVarSchar(v)
+		got, err := f.GetVaraInt(v, []int64{0}, []int64{8})
 		if err != nil {
 			return err
 		}

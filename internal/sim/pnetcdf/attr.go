@@ -65,22 +65,6 @@ func (f *File) GetAttText(v *Var, name string) ([]byte, error) {
 	return out, err
 }
 
-// InqNatts is the traced ncmpi_inq_natts (global attribute count).
-func (f *File) InqNatts() (int, error) {
-	n := 0
-	err := f.r.Record(trace.LayerPnetCDF, "ncmpi_inq_natts", func() []string {
-		return []string{itoa(int64(n))}
-	}, func() error {
-		for _, a := range f.attrs {
-			if a.varid == GlobalAttr {
-				n++
-			}
-		}
-		return nil
-	})
-	return n, err
-}
-
 func varName(v *Var) string {
 	if v == nil {
 		return "NC_GLOBAL"

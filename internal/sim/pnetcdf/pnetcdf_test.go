@@ -442,10 +442,6 @@ func TestAttributesAndHeader(t *testing.T) {
 		if _, err := f.GetAttText(v, "missing"); !errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("missing att = %v", err)
 		}
-		n, err := f.InqNatts()
-		if err != nil || n != 1 {
-			return fmt.Errorf("InqNatts = %d, %v", n, err)
-		}
 		return f.Close()
 	})
 	if err != nil {

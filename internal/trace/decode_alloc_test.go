@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -58,29 +57,23 @@ func TestDecodeAllocationsPerRecord(t *testing.T) {
 	}
 
 	perRecord = testing.AllocsPerRun(3, func() {
-		s, err := OpenStream(dir, StreamOptions{WindowBytes: 64 << 10})
+		d, err := OpenDir(dir, StreamOptions{WindowBytes: 64 << 10}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
+		defer d.Close()
 		n := 0
-		for {
-			b, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
+		for rank := 0; rank < d.NumRanks(); rank++ {
+			if err := d.ReadRank(rank, func(recs []Record) { n += len(recs) }); err != nil {
 				t.Fatal(err)
 			}
-			n += len(b.Recs)
-			b.Release()
 		}
 		if n != tr.NumRecords() {
-			t.Fatalf("stream yielded %d records, want %d", n, tr.NumRecords())
+			t.Fatalf("windowed read yielded %d records, want %d", n, tr.NumRecords())
 		}
 	}) / records
 	if perRecord > maxPerRecord {
-		t.Errorf("windowed OpenStream: %.3f allocations per record, want <= %.2f", perRecord, maxPerRecord)
+		t.Errorf("windowed Dir.ReadRank: %.3f allocations per record, want <= %.2f", perRecord, maxPerRecord)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // keeps peak decoded memory bounded by the window (plus the current file's
 // string table), not by the trace. The analysis and ReadDir read a directory
 // rank by rank through Dir (source.go) instead, several ranks at once; Stream
-// is the one-goroutine view of the same readers.
+// is the one-goroutine view of the same readers, kept for decode-only
+// consumers that drain a directory and read its PeakResidentBytes.
 //
 // Every decoder shares one record-decoding core (payloadStream), so they are
 // behaviorally identical: the same Limits bound every allocation, the same
@@ -170,24 +171,9 @@ func openMeta(r io.Reader, lim Limits) (*streamSource, error) {
 	return &streamSource{d: d, ps: ps}, nil
 }
 
-// NumRanks returns the world rank count (known before any batch decodes).
-func (s *Stream) NumRanks() int { return len(s.dir.counts) }
-
-// Meta returns the trace-level metadata: rank 0's file, minus the verifyio.*
-// bookkeeping keys — what the materialized Trace.Meta holds.
-func (s *Stream) Meta() map[string]string { return s.dir.meta }
-
-// Counts returns the per-rank emitted record counts so far; after Next has
-// returned io.EOF it is the full per-rank record count of the trace.
-func (s *Stream) Counts() []int { return s.dir.counts }
-
-// Stats returns the tolerate-mode salvage stats. It is only complete after
-// Next has returned io.EOF.
-func (s *Stream) Stats() *DecodeStats { return s.dir.Stats() }
-
-// Next returns the next batch, or io.EOF when the trace is exhausted (after
-// which Stats and Counts are final). Errors are classified like the
-// materializing decoders'; after an error the stream is dead.
+// Next returns the next batch, or io.EOF when the trace is exhausted. Errors
+// are classified like the materializing decoders'; after an error the stream
+// is dead.
 func (s *Stream) Next() (*Batch, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -216,7 +202,7 @@ func (s *Stream) Next() (*Batch, error) {
 func (s *Stream) nextDir() (rawBatch, error) {
 	for {
 		if s.cur == nil {
-			if s.next >= len(s.dir.counts) {
+			if s.next >= s.dir.NumRanks() {
 				return rawBatch{}, io.EOF
 			}
 			rr, err := s.dir.openRank(s.next)

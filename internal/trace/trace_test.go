@@ -132,16 +132,11 @@ func TestDecodeInternsContexts(t *testing.T) {
 	if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStream(dir, StreamOptions{WindowBytes: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ranks, batches := drainStream(t, s)
+	ranks, batches := readEveryRank(t, openDir(t, dir, StreamOptions{WindowBytes: 1 << 12}))
 	if batches < 2 {
 		t.Fatalf("a 4 KiB window read the rank in %d batch", batches)
 	}
-	check("streamed", ranks[0])
+	check("windowed", ranks[0])
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {

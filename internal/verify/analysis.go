@@ -68,8 +68,6 @@ type Analysis struct {
 	Oracle    hbgraph.Oracle
 	// Graph is the happens-before graph Oracle is probed on.
 	Graph *hbgraph.Graph
-	// Algorithm is the algorithm the oracle was built with.
-	Algorithm Algo
 	// Ledger holds the read, detect, match, graph and oracle rows; the
 	// verify row is each Report's.
 	Ledger Ledger
@@ -253,9 +251,7 @@ func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis,
 // the records.
 func (a *Analysis) buildOracle(algo Algo, workers int, oc obs.Ctx) error {
 	start := time.Now()
-	a.Algorithm = algo
-
-	_, buildSpan := oc.Start("build-graph", obs.String("algorithm", algo.String()))
+	_, buildSpan := oc.Start("build-graph")
 	g, err := hbgraph.BuildCounts(a.counts, a.Match.Edges)
 	if err != nil {
 		buildSpan.End()

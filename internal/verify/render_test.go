@@ -21,7 +21,6 @@ import (
 // specification its output is held to byte for byte.
 func renderReference(r *verify.Report, w io.Writer) {
 	fmt.Fprintf(w, "model:            %s\n", r.Model)
-	fmt.Fprintf(w, "algorithm:        %s\n", r.Algorithm)
 	if r.Workers > 0 {
 		fmt.Fprintf(w, "workers:          %d\n", r.Workers)
 	}
@@ -148,7 +147,7 @@ func TestRenderMatchesReferenceBranches(t *testing.T) {
 	}
 	base := func() *verify.Report {
 		return &verify.Report{
-			Model: "MPI-IO", Algorithm: "vector-clock", Ranks: 8, Records: 123456,
+			Model: "MPI-IO", Ranks: 8, Records: 123456,
 			ConflictPairs: 1 << 40, Workers: 4, GraphNodes: 99, GraphSyncEdges: 12,
 			SkeletonNodes: 20, SkeletonLevels: 5, Verified: true, ChecksPerformed: 77,
 			Ledger: ledger,

@@ -23,7 +23,6 @@ func (r *Report) appendText(b []byte) []byte {
 		return append(strconv.AppendInt(b, n, 10), '\n')
 	}
 	b = append(append(append(b, "model:            "...), r.Model...), '\n')
-	b = append(append(append(b, "algorithm:        "...), r.Algorithm...), '\n')
 	if r.Workers > 0 {
 		b = line(b, "workers:          ", int64(r.Workers))
 	}

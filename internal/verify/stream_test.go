@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"verifyio/internal/corpus"
@@ -62,6 +63,38 @@ func TestStreamedAnalysisOutlivesItsTrace(t *testing.T) {
 		}
 		if chains == 0 {
 			t.Errorf("%s: no race carried a nested call chain; the test compares nothing", name)
+		}
+	}
+}
+
+// TestAnalysisBytesPerOp bounds what AnalyzeStream allocates per data
+// operation on a sparse-shaped directory (8 ranks of 4 000 data operations in
+// a 32 MiB window, 427 conflict pairs): decode, conflict replay and sweep,
+// matching, graph, oracle and op plan together, at one worker and at two. It
+// read 242 B/op at one worker and 257 at two; the bound leaves about 15 %.
+func TestAnalysisBytesPerOp(t *testing.T) {
+	const budget = 300 // bytes per data operation
+	dir := t.TempDir()
+	if err := trace.WriteDir(dir, corpus.ScalingTrace(8, 4000, 32<<20, 1), trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		least, ops := ^uint64(0), 0
+		for range 5 { // the least of five, as TestReadDirDecodedBytesPerRecord takes
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a, err := verify.AnalyzeStream(dir, verify.AlgoVectorClock, verify.StreamAnalyzeOptions{
+				AnalyzeOptions: verify.AnalyzeOptions{Workers: workers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least, ops = min(least, after.TotalAlloc-before.TotalAlloc), len(a.Conflicts.Ops)
+		}
+		perOp := float64(least) / float64(ops)
+		t.Logf("Workers=%d: %d ops, %.1f bytes allocated per op", workers, ops, perOp)
+		if perOp > budget {
+			t.Errorf("Workers=%d: AnalyzeStream allocated %.1f bytes per op, want <= %d", workers, perOp, budget)
 		}
 	}
 }

@@ -91,10 +91,9 @@ func chainLevel(chainX, chainY []string) string {
 
 // Report is the outcome of verifying one trace against one model.
 type Report struct {
-	Model     string
-	Algorithm string
-	Ranks     int
-	Records   int
+	Model   string
+	Ranks   int
+	Records int
 
 	// ConflictPairs is the step-2 conflict count (model independent).
 	ConflictPairs int64
@@ -148,7 +147,6 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	opts.Workers = par.Resolve(opts.Workers)
 	rep := &Report{
 		Model:          opts.Model.Name,
-		Algorithm:      a.Algorithm.String(),
 		Ranks:          a.NumRanks(),
 		Records:        a.NumRecords(),
 		ConflictPairs:  a.Conflicts.Pairs,
@@ -169,7 +167,7 @@ func (a *Analysis) Verify(opts Options) (*Report, error) {
 	// Model passes run concurrently in VerifyAll, so each pass gets its own
 	// lane; per-batch shard spans fork off it below.
 	oc, span := opts.Obs.StartLane("verify/"+opts.Model.Name, "verify",
-		obs.String("model", opts.Model.Name), obs.String("algorithm", rep.Algorithm))
+		obs.String("model", opts.Model.Name))
 	span.SetCat("verify")
 	defer span.End()
 

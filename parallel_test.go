@@ -166,5 +166,5 @@ func TestNegativeMaxRaceDetails(t *testing.T) {
 			}
 		}
 	}
-	sameReports(t, "MaxRaceDetails=-1 at Workers=4", reps[0], reps[1], false)
+	sameReports(t, "MaxRaceDetails=-1 at Workers=4", reps[0], reps[1])
 }

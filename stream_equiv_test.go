@@ -35,7 +35,7 @@ func TestVerifyAllStreamPublicAPI(t *testing.T) {
 		if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
 			t.Fatal(err)
 		}
-		mt, _, err := ReadTraceDirOpts(dir, ReadOptions{})
+		mt, err := ReadTraceDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,20 +235,13 @@ func TestDamagedHeaderReportedAsBefore(t *testing.T) {
 		{Rank: 0, Salvaged: 0, Dropped: -1, Reason: "trace: header at payload offset 0: corrupt: bad magic, not a VerifyIO trace"},
 		{Rank: 3, Salvaged: 0, Dropped: -1, Reason: "trace: directory: rank 3 at payload offset 0: truncated: missing rank file"},
 	}
-	tr, rec, err := ReadTraceDirOpts(dir, ReadOptions{Tolerate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumRanks() != 4 || !reflect.DeepEqual(rec.Ranks, want) {
-		t.Errorf("ReadTraceDirOpts: %d ranks, recovery %+v; want 4 ranks, %+v", tr.NumRanks(), rec.Ranks, want)
-	}
 	for _, workers := range []int{1, 4} {
-		_, rec, err := VerifyAllStream(dir, ReadOptions{Tolerate: true}, &Options{Workers: workers})
+		reps, rec, err := VerifyAllStream(dir, ReadOptions{Tolerate: true}, &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rec.Ranks, want) {
-			t.Errorf("VerifyAllStream, Workers=%d: recovery %+v, want %+v", workers, rec.Ranks, want)
+		if reps[0].Ranks != 4 || !reflect.DeepEqual(rec.Ranks, want) {
+			t.Errorf("VerifyAllStream, Workers=%d: %d ranks, recovery %+v; want 4 ranks, %+v", workers, reps[0].Ranks, rec.Ranks, want)
 		}
 	}
 }

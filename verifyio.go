@@ -165,7 +165,7 @@ func ReadTraceDir(dir string) (*Trace, error) {
 	return &Trace{t: tr}, nil
 }
 
-// ReadOptions tunes trace loading.
+// ReadOptions tunes how VerifyStream and VerifyAllStream read a directory.
 type ReadOptions struct {
 	// Tolerate enables lenient loading: damaged or missing rank streams are
 	// salvaged to their longest well-formed prefix instead of failing the
@@ -174,25 +174,9 @@ type ReadOptions struct {
 	// execution that stopped where the trace breaks off — partial evidence,
 	// reported honestly.
 	Tolerate bool
-	// WindowBytes bounds the decoded records resident at once when a
-	// directory is verified as it is read (VerifyStream, VerifyAllStream): 0
-	// means the default window (trace.DefaultWindowBytes), negative means
-	// unbounded. Loads into memory ignore it — they hold the whole trace by
-	// design, and decode its rank files on every core.
+	// WindowBytes bounds the decoded records resident at once: 0 means the
+	// default window (trace.DefaultWindowBytes), negative means unbounded.
 	WindowBytes int64
-}
-
-// ReadTraceDirOpts loads a trace directory with explicit options; with zero
-// options it is ReadTraceDir. The Recovery is non-nil only in tolerate mode.
-func ReadTraceDirOpts(dir string, opts ReadOptions) (*Trace, *Recovery, error) {
-	tr, stats, err := trace.ReadDirWithOptions(dir, trace.DecodeOptions{Tolerate: opts.Tolerate})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !opts.Tolerate {
-		return &Trace{t: tr}, nil, nil
-	}
-	return &Trace{t: tr}, recoveryFromStats(stats), nil
 }
 
 // recoveryFromStats converts internal decode salvage stats to the public
@@ -361,15 +345,12 @@ type Problem struct {
 // the stage held. Each Report carries the shared analysis' five rows and its
 // own model's verify row; at Workers = 1 the rows add up to the run's wall
 // time. A trace already in memory was loaded before the run, so its load
-// (ReadTraceDir and its variants) is in no row.
+// (ReadTraceDir) is in no row.
 type Ledger = verify.Ledger
 
 // Report is the outcome of verifying a trace against one model.
 type Report struct {
 	Model Model
-	// Algorithm is the happens-before oracle that ran: "vector-clock"
-	// (§IV-D1's clocks over the sync skeleton).
-	Algorithm string
 
 	ConflictPairs int64
 	RaceCount     int64
@@ -420,7 +401,6 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 func wrapReport(rep *verify.Report) *Report {
 	out := &Report{
 		Model:                Model(normalizeModel(rep.Model)),
-		Algorithm:            rep.Algorithm,
 		ConflictPairs:        rep.ConflictPairs,
 		RaceCount:            rep.RaceCount,
 		Verified:             rep.Verified,
@@ -545,19 +525,6 @@ func verifyDir(dir string, models []semantics.Model, read ReadOptions, opts *Opt
 	return reps, recoveryFromStats(stats), nil
 }
 
-// Verify runs steps 2–4 of the workflow on a trace for one model.
-func Verify(t *Trace, model Model, opts *Options) (*Report, error) {
-	m, err := model.resolve()
-	if err != nil {
-		return nil, err
-	}
-	reps, _, err := verifyModels(t.analyze, []semantics.Model{m}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
-}
-
 // VerifyAll verifies a trace against all four models, sharing the conflict
 // detection, MPI matching and happens-before construction across them. With
 // Options.Workers != 1 the four model passes run concurrently over the
@@ -570,10 +537,11 @@ func VerifyAll(t *Trace, opts *Options) ([]*Report, error) {
 // VerifyStream verifies the trace directory against one model while
 // decoding it, holding at most ReadOptions.WindowBytes of decoded records at
 // a time instead of the whole trace (conflict detection and MPI matching
-// consume each record batch as it decodes). The report is
-// the one ReadTraceDirOpts + Verify give on the same directory — it is the
-// same pipeline reading a different source — with the decode time and the
-// most decoded record bytes resident at once in its Ledger's read row. The Recovery is non-nil only in tolerate mode.
+// consume each record batch as it decodes). The report is the one VerifyAll
+// gives for the model on the trace the directory holds — the same pipeline
+// reading a different source — with the decode time and the most decoded
+// record bytes resident at once in its Ledger's read row. The Recovery is
+// non-nil only in tolerate mode.
 func VerifyStream(dir string, model Model, read ReadOptions, opts *Options) (*Report, *Recovery, error) {
 	m, err := model.resolve()
 	if err != nil {

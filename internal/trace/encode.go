@@ -2,17 +2,22 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
+
+	"verifyio/internal/par"
 )
 
 // Binary trace format.
@@ -63,100 +68,128 @@ func Encode(w io.Writer, t *Trace, opts EncodeOptions) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("trace: refusing to encode invalid trace: %w", err)
 	}
-	hdr := [6]byte{magic[0], magic[1], magic[2], magic[3], formatVer, 0}
-	if opts.Compress {
-		hdr[5] |= flagCompress
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var payload io.Writer = w
-	var fw *flate.Writer
-	if opts.Compress {
-		var err error
-		fw, err = flate.NewWriter(w, flate.DefaultCompression)
-		if err != nil {
-			return err
-		}
-		payload = fw
-	}
-	bw := bufio.NewWriter(payload)
-	if err := encodePayload(bw, t); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if fw != nil {
-		return fw.Close()
-	}
-	return nil
+	return encode(w, t.Meta, t.Ranks, opts)
 }
 
-func encodePayload(w *bufio.Writer, t *Trace) error {
-	// Build the string table.
-	table := make(map[string]uint64)
-	var strs []string
-	intern := func(s string) uint64 {
-		if i, ok := table[s]; ok {
-			return i
-		}
-		i := uint64(len(strs))
-		table[s] = i
-		strs = append(strs, s)
-		return i
+// encode writes a stream of the given ranks on a pooled encoder.
+func encode(w io.Writer, meta map[string]string, ranks [][]Record, opts EncodeOptions) error {
+	e := encoders.Get().(*encoder)
+	defer e.release()
+	for _, rs := range ranks {
+		e.rank(rs)
 	}
-	for _, rs := range t.Ranks {
-		for i := range rs {
-			r := &rs[i]
-			intern(r.Func)
-			intern(r.Site())
-			for _, a := range r.Args {
-				intern(a)
-			}
-			for _, c := range r.Chain() {
-				intern(c)
-			}
-		}
-	}
-	metaKeys := make([]string, 0, len(t.Meta))
-	for k := range t.Meta {
-		metaKeys = append(metaKeys, k)
-	}
-	sort.Strings(metaKeys)
+	return e.write(w, meta, len(ranks), opts)
+}
 
-	putUvarint(w, uint64(len(metaKeys)))
-	for _, k := range metaKeys {
-		putString(w, k)
-		putString(w, t.Meta[k])
+// encoder is what writing one stream needs: the string table, the payload
+// encoded into memory while the table is built, and the output buffer and
+// DEFLATE compressor. The compressor is about 0.7 MB of window and hash
+// chains, more than most rank files' payloads, so encoders are pooled and
+// reset for each stream.
+type encoder struct {
+	index map[string]uint64 // string-table index of each string seen
+	strs  []string          // the table, in the order the records first refer to each string
+	buf   []byte            // the payload's rank sections, then its head (see write)
+	out   *bufio.Writer
+	fw    *flate.Writer
+}
+
+var encoders = &sync.Pool{New: func() any {
+	return &encoder{index: make(map[string]uint64), out: bufio.NewWriterSize(nil, 64<<10)}
+}}
+
+// release empties the encoder, keeping its capacity, and pools it.
+func (e *encoder) release() {
+	clear(e.index)
+	clear(e.strs) // the pool must not keep the trace's strings alive
+	e.strs, e.buf = e.strs[:0], e.buf[:0]
+	e.out.Reset(nil)
+	encoders.Put(e)
+}
+
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+// ref appends the string-table index of s, interning s on first sight.
+func (e *encoder) ref(s string) {
+	i, ok := e.index[s]
+	if !ok {
+		i = uint64(len(e.strs))
+		e.index[s] = i
+		e.strs = append(e.strs, s)
 	}
-	putUvarint(w, uint64(len(strs)))
-	for _, s := range strs {
-		putString(w, s)
-	}
-	putUvarint(w, uint64(len(t.Ranks)))
-	for _, rs := range t.Ranks {
-		putUvarint(w, uint64(len(rs)))
-		lastRet := int64(0)
-		for i := range rs {
-			r := &rs[i]
-			putUvarint(w, table[r.Func])
-			w.WriteByte(byte(r.Layer))
-			putUvarint(w, uint64(r.Depth()))
-			putUvarint(w, uint64(r.Ret-lastRet))
-			putUvarint(w, uint64(r.Ret-r.Tick))
-			lastRet = r.Ret
-			putUvarint(w, table[r.Site()])
-			putUvarint(w, uint64(len(r.Args)))
-			for _, a := range r.Args {
-				putUvarint(w, table[a])
-			}
-			for _, c := range r.Chain() {
-				putUvarint(w, table[c])
-			}
+	e.uvarint(i)
+}
+
+// rank appends one rank's section: its record count, then the records.
+func (e *encoder) rank(rs []Record) {
+	e.uvarint(uint64(len(rs)))
+	lastRet := int64(0)
+	for i := range rs {
+		r := &rs[i]
+		e.ref(r.Func)
+		e.buf = append(e.buf, byte(r.Layer))
+		e.uvarint(uint64(r.Depth()))
+		e.uvarint(uint64(r.Ret - lastRet))
+		e.uvarint(uint64(r.Ret - r.Tick))
+		lastRet = r.Ret
+		e.ref(r.Site())
+		e.uvarint(uint64(len(r.Args)))
+		for _, a := range r.Args {
+			e.ref(a)
+		}
+		for _, c := range r.Chain() {
+			e.ref(c)
 		}
 	}
-	return nil
+}
+
+// write writes the header and the payload: metadata in key order, the
+// string table, the rank count, then the rank sections already in buf. The
+// head is appended to buf behind the sections and written before them.
+func (e *encoder) write(w io.Writer, meta map[string]string, nranks int, opts EncodeOptions) error {
+	sections := len(e.buf)
+	keys := make([]string, 0, len(meta))
+	for k := range meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	e.uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.str(k)
+		e.str(meta[k])
+	}
+	e.uvarint(uint64(len(e.strs)))
+	for _, s := range e.strs {
+		e.str(s)
+	}
+	e.uvarint(uint64(nranks))
+	e.out.Reset(w)
+	hdr := [6]byte{magic[0], magic[1], magic[2], magic[3], formatVer, 0}
+	var payload io.Writer = e.out
+	if opts.Compress {
+		hdr[5] |= flagCompress
+		if e.fw == nil {
+			e.fw, _ = flate.NewWriter(e.out, flate.DefaultCompression) // fails only on a bad level
+		} else {
+			e.fw.Reset(e.out)
+		}
+		payload = e.fw
+	}
+	// Both writers keep their first error and return it from Close and Flush.
+	e.out.Write(hdr[:])
+	payload.Write(e.buf[sections:])
+	payload.Write(e.buf[:sections])
+	if opts.Compress {
+		if err := e.fw.Close(); err != nil {
+			return err
+		}
+	}
+	return e.out.Flush()
 }
 
 // Decode reads a trace previously written by Encode, with default options
@@ -774,36 +807,45 @@ func (d *decoder) hintMax(perEntry int64, max int) int {
 }
 
 // WriteDir stores the trace as a directory: one file per rank plus metadata,
-// the on-disk layout Recorder uses (one stream per process).
+// the on-disk layout Recorder uses (one stream per process). The rank files
+// are encoded and written concurrently, on up to GOMAXPROCS goroutines.
 func WriteDir(dir string, t *Trace, opts EncodeOptions) error {
+	return writeDir(dir, t, opts, runtime.GOMAXPROCS(0))
+}
+
+// writeDir is WriteDir on up to writers goroutines. Each rank file is a
+// complete single-rank trace, encoded straight from the rank's records;
+// metadata travels in rank 0's file plus a rank-count entry. The format
+// stores no record's Rank or Seq, so only the tick invariants are checked,
+// every rank's before any file is created. A failed write returns the
+// lowest failing rank's error.
+func writeDir(dir string, t *Trace, opts EncodeOptions, writers int) error {
+	for rank, rs := range t.Ranks {
+		if err := validateRank(rank, rs, false); err != nil {
+			return fmt.Errorf("trace: refusing to encode invalid trace: %w", err)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Each rank file is a complete single-rank trace; metadata travels in
-	// rank 0's file plus a rank-count entry.
-	for rank, rs := range t.Ranks {
-		sub := New(1)
-		sub.Ranks[0] = renumber(rs, 0)
+	nranks := strconv.Itoa(len(t.Ranks))
+	errs := make([]error, len(t.Ranks))
+	par.Do(writers, len(t.Ranks), func(rank int) {
+		meta := make(map[string]string, 2)
 		if rank == 0 {
-			for k, v := range t.Meta {
-				sub.Meta[k] = v
+			maps.Copy(meta, t.Meta)
+		}
+		meta["verifyio.rank"], meta["verifyio.nranks"] = strconv.Itoa(rank), nranks
+		f, err := os.Create(filepath.Join(dir, rankFileName(rank)))
+		if err == nil {
+			err = encode(f, meta, t.Ranks[rank:rank+1], opts)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}
-		sub.Meta["verifyio.rank"] = fmt.Sprint(rank)
-		sub.Meta["verifyio.nranks"] = fmt.Sprint(len(t.Ranks))
-		f, err := os.Create(filepath.Join(dir, rankFileName(rank)))
-		if err != nil {
-			return err
-		}
-		if err := Encode(f, sub, opts); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+		errs[rank] = err
+	})
+	return cmp.Or(errs...)
 }
 
 // rankFileName is the name of a rank's file inside a trace directory.
@@ -832,25 +874,4 @@ func readDir(dir string, opts DecodeOptions, readers int) (*Trace, *DecodeStats,
 	}
 	defer d.Close()
 	return d.materialize(readers)
-}
-
-func renumber(rs []Record, rank int) []Record {
-	out := make([]Record, len(rs))
-	copy(out, rs)
-	for i := range out {
-		out[i].Rank = rank
-		out[i].Seq = i
-	}
-	return out
-}
-
-func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func putString(w *bufio.Writer, s string) {
-	putUvarint(w, uint64(len(s)))
-	w.WriteString(s)
 }

@@ -288,33 +288,41 @@ func (t *Trace) Validate() error {
 	if len(t.Ranks) > math.MaxInt32 {
 		return fmt.Errorf("trace: %d ranks, more than a 32-bit ref addresses", len(t.Ranks))
 	}
-	// Records are appended when a call returns (post-order for nested
-	// calls), so the return timestamp is the strictly increasing field;
-	// an enclosing call's entry tick precedes its nested records' ticks.
 	for rank, rs := range t.Ranks {
-		if err := checkRankLen(rank, len(rs)); err != nil {
+		if err := validateRank(rank, rs, true); err != nil {
 			return err
 		}
-		lastRet := int64(-1)
-		for i := range rs {
-			r := &rs[i]
-			if r.Rank != rank {
-				return fmt.Errorf("trace: rank %d stream holds record for rank %d at seq %d", rank, r.Rank, i)
-			}
-			if r.Seq != i {
-				return fmt.Errorf("trace: rank %d record %d has seq %d", rank, i, r.Seq)
-			}
-			if r.Ret <= lastRet {
-				return fmt.Errorf("trace: rank %d record %d return tick %d not increasing (prev %d)", rank, i, r.Ret, lastRet)
-			}
-			if r.Ret < r.Tick {
-				return fmt.Errorf("trace: rank %d record %d returns (%d) before entry (%d)", rank, i, r.Ret, r.Tick)
-			}
-			if r.Tick < 0 {
-				return fmt.Errorf("trace: rank %d record %d negative entry tick %d", rank, i, r.Tick)
-			}
-			lastRet = r.Ret
+	}
+	return nil
+}
+
+// validateRank checks a rank's stream; Rank and Seq only when refs is set.
+// Records are appended when a call returns (post-order for nested calls), so
+// the return tick strictly increases; an enclosing call's entry tick
+// precedes its nested records' ticks.
+func validateRank(rank int, rs []Record, refs bool) error {
+	if err := checkRankLen(rank, len(rs)); err != nil {
+		return err
+	}
+	lastRet := int64(-1)
+	for i := range rs {
+		r := &rs[i]
+		if refs && r.Rank != rank {
+			return fmt.Errorf("trace: rank %d stream holds record for rank %d at seq %d", rank, r.Rank, i)
 		}
+		if refs && r.Seq != i {
+			return fmt.Errorf("trace: rank %d record %d has seq %d", rank, i, r.Seq)
+		}
+		if r.Ret <= lastRet {
+			return fmt.Errorf("trace: rank %d record %d return tick %d not increasing (prev %d)", rank, i, r.Ret, lastRet)
+		}
+		if r.Ret < r.Tick {
+			return fmt.Errorf("trace: rank %d record %d returns (%d) before entry (%d)", rank, i, r.Ret, r.Tick)
+		}
+		if r.Tick < 0 {
+			return fmt.Errorf("trace: rank %d record %d negative entry tick %d", rank, i, r.Tick)
+		}
+		lastRet = r.Ret
 	}
 	return nil
 }

@@ -415,3 +415,64 @@ func TestCacheShimInert(t *testing.T) {
 		t.Errorf("(*Cache)(nil).Close() = %v, want nil", err)
 	}
 }
+
+// TestTracedFtruncateRaces drives the traced ftruncate end to end: rank 0
+// writes [0,10) and rank 1 truncates the file to 4 bytes. Unordered, the
+// truncation races with the write under POSIX; after a barrier it does not.
+// This holds the recorder's [fd, size] arguments to what the conflict replay
+// parses. The truncation's range is only required to end at the size on one
+// side: rank 1's replay knows its own EOF estimate, not rank 0's write.
+func TestTracedFtruncateRaces(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		tr, err := TraceProgram(2, POSIX, func(r *Rank) error {
+			fd, err := r.Open("trunc.bin", 0x2|0x40) // O_RDWR|O_CREAT
+			if err != nil {
+				return err
+			}
+			if r.Rank() == 0 {
+				if _, err := r.Pwrite(fd, []byte("0123456789"), 0); err != nil {
+					return err
+				}
+			}
+			if barrier {
+				if err := r.Barrier(r.Proc().CommWorld()); err != nil {
+					return err
+				}
+			}
+			if r.Rank() == 1 {
+				if err := r.Ftruncate(fd, 4); err != nil {
+					return err
+				}
+			}
+			return r.Close(fd)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := VerifyAll(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		posix := reports[0]
+		if posix.Model != POSIX || posix.ConflictPairs != 1 {
+			t.Fatalf("barrier=%v: %s report with %d conflict pairs, want POSIX with 1", barrier, posix.Model, posix.ConflictPairs)
+		}
+		if barrier {
+			if posix.RaceCount != 0 {
+				t.Errorf("barrier=true: %d POSIX races, want 0", posix.RaceCount)
+			}
+			continue
+		}
+		if posix.RaceCount != 1 || len(posix.Races) != 1 {
+			t.Fatalf("barrier=false: %d POSIX races, want 1", posix.RaceCount)
+		}
+		race := posix.Races[0]
+		ops := map[string][3]int64{ // rank, start, end
+			race.FuncX: {int64(race.RankX), race.StartX, race.EndX},
+			race.FuncY: {int64(race.RankY), race.StartY, race.EndY},
+		}
+		if w, tc := ops["pwrite"], ops["ftruncate"]; w != [3]int64{0, 0, 10} || tc[0] != 1 || (tc[1] != 4 && tc[2] != 4) {
+			t.Errorf("barrier=false: race %+v, want rank 0's pwrite of [0,10) against rank 1's ftruncate at size 4", race)
+		}
+	}
+}

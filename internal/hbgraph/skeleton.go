@@ -2,7 +2,7 @@ package hbgraph
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"verifyio/internal/match"
 	"verifyio/internal/trace"
@@ -83,54 +83,42 @@ func (g *Graph) buildSkeleton(edges []match.Edge, joins int) error {
 	s.nranks = nranks
 	s.joins = joins
 
-	// Membership: first/last sentinels plus all sync endpoints that are
-	// records, deduplicated per rank.
-	perRank := make([][]int32, nranks)
+	// Membership: one bit per record, set for the first/last sentinels and
+	// every sync endpoint that is a record.
+	member := make([]uint64, (g.n+63)/64)
+	mark := func(id int) { member[id/64] |= 1 << (id % 64) }
 	for r, cnt := range g.counts {
 		if cnt > 0 {
-			perRank[r] = append(perRank[r], 0)
-			if cnt > 1 {
-				perRank[r] = append(perRank[r], int32(cnt-1))
-			}
+			mark(g.base[r])
+			mark(g.base[r] + cnt - 1)
 		}
 	}
 	for _, e := range edges {
 		for _, ref := range [2]trace.Ref{e.From, e.To} {
 			if ref.Rank != joinRank {
-				perRank[ref.Rank] = append(perRank[ref.Rank], ref.Seq)
+				mark(g.base[ref.Rank] + int(ref.Seq))
 			}
 		}
 	}
-	s.base = make([]int32, nranks+1)
+	// Each rank's members in seq order, and the prev map, in one pass.
 	total := 0
-	for r := range perRank {
-		slices.Sort(perRank[r])
-		perRank[r] = slices.Compact(perRank[r])
-		total += len(perRank[r])
-		s.base[r+1] = int32(total)
+	for _, w := range member {
+		total += bits.OnesCount64(w)
 	}
 	s.n = total
+	s.base = make([]int32, nranks+1)
 	s.seqs = make([]int32, 0, total)
 	s.rankOf = make([]int32, 0, total)
-	for r, seqs := range perRank {
-		s.seqs = append(s.seqs, seqs...)
-		for range seqs {
-			s.rankOf = append(s.rankOf, int32(r))
-		}
-	}
-
-	// prev map: walk each rank once, advancing a cursor over its skeleton
-	// seqs.
 	s.prev = make([]int32, g.n)
-	for r := 0; r < nranks; r++ {
-		seqs := s.seqs[s.base[r]:s.base[r+1]]
-		cur := 0
-		for j := 0; j < g.counts[r]; j++ {
-			for cur+1 < len(seqs) && int(seqs[cur+1]) <= j {
-				cur++
+	for r, cnt := range g.counts {
+		for j := range cnt {
+			if id := g.base[r] + j; member[id/64]&(1<<(id%64)) != 0 {
+				s.seqs = append(s.seqs, int32(j))
+				s.rankOf = append(s.rankOf, int32(r))
 			}
-			s.prev[g.base[r]+j] = s.base[r] + int32(cur)
+			s.prev[g.base[r]+j] = int32(len(s.seqs) - 1)
 		}
+		s.base[r+1] = int32(len(s.seqs))
 	}
 
 	// Sync CSR over skeleton and join ids. Record endpoints are skeleton
@@ -145,23 +133,23 @@ func (g *Graph) buildSkeleton(edges []match.Edge, joins int) error {
 	s.succOff = make([]int32, ids+1)
 	s.predOff = make([]int32, ids+1)
 	for _, e := range edges {
-		s.succOff[id(e.From)+1]++
-		s.predOff[id(e.To)+1]++
+		s.succOff[id(e.From)]++
+		s.predOff[id(e.To)]++
 	}
 	for i := 0; i < ids; i++ {
 		s.succOff[i+1] += s.succOff[i]
 		s.predOff[i+1] += s.predOff[i]
 	}
+	// Each offset now ends its node's run; placing the edges back to front
+	// moves it to the run's start and keeps every run in edge order.
 	s.succAdj = make([]int32, len(edges))
 	s.predAdj = make([]int32, len(edges))
-	scur := slices.Clone(s.succOff[:ids])
-	pcur := slices.Clone(s.predOff[:ids])
-	for _, e := range edges {
-		from, to := id(e.From), id(e.To)
-		s.succAdj[scur[from]] = to
-		scur[from]++
-		s.predAdj[pcur[to]] = from
-		pcur[to]++
+	for i := len(edges) - 1; i >= 0; i-- {
+		from, to := id(edges[i].From), id(edges[i].To)
+		s.succOff[from]--
+		s.succAdj[s.succOff[from]] = to
+		s.predOff[to]--
+		s.predAdj[s.predOff[to]] = from
 	}
 
 	// Joins: each needs a way in and a way out (this is also what makes the

@@ -84,15 +84,12 @@ const joinRank = -1
 // Pairwise expands the join nodes of a matcher edge list into the pairwise
 // synchronization order they stand for — source → target for every source
 // and every target of a join on different ranks — and returns it with the
-// plain edges, sorted like Result.Edges. The expansion is quadratic in the
-// communicator size; it exists for the reference oracles and for tests. It
-// panics on endpoints Matcher.Finish would have refused to sort.
+// plain edges, sorted by (From, To). The expansion is quadratic in the
+// communicator size; it exists for the reference oracles and for tests.
 func Pairwise(edges []Edge) []Edge {
 	out := make([]Edge, 0, len(edges))
 	srcs, dsts := map[int32][]trace.Ref{}, map[int32][]trace.Ref{}
-	nranks := 0
 	for _, e := range edges {
-		nranks = max(nranks, int(e.From.Rank)+1, int(e.To.Rank)+1)
 		switch {
 		case e.To.Rank == joinRank:
 			srcs[e.To.Seq] = append(srcs[e.To.Seq], e.From)
@@ -111,10 +108,9 @@ func Pairwise(edges []Edge) []Edge {
 			}
 		}
 	}
-	// The endpoints are the input's, whose ids Matcher.Finish has checked.
-	if err := sortEdges(out, nranks); err != nil {
-		panic(err)
-	}
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(refCompare(a.From, b.From), refCompare(a.To, b.To))
+	})
 	return out
 }
 
@@ -171,7 +167,7 @@ func (k ProblemKind) String() string {
 // Result is the matcher's output.
 type Result struct {
 	// Edges are the synchronization-order edges, barrier-like collectives
-	// as join nodes, sorted by (From, To).
+	// as join nodes, in generation order (see Matcher.Finish).
 	Edges []Edge
 	// Problems are the unmatched/mismatched calls. A non-empty list means
 	// the verification step cannot trust the happens-before order (the
@@ -204,15 +200,18 @@ var (
 	}
 )
 
-// isCollective reports whether fn participates in slot matching, and how.
-func collectiveClass(fn string) (sync bool, ok bool) {
-	if barrierLike[fn] || scatterLike[fn] || gatherLike[fn] || prefixLike[fn] {
-		return true, true
+// collectiveClass reports whether fn participates in slot matching and, if
+// so, at most how many edges per member a matched slot of it emits: two for
+// a barrier-like join, one for the other synchronizing classes, none for an
+// MPI-IO collective.
+func collectiveClass(fn string) (perMember int, ok bool) {
+	switch {
+	case barrierLike[fn]:
+		return 2, true
+	case scatterLike[fn] || gatherLike[fn] || prefixLike[fn]:
+		return 1, true
 	}
-	if fileCollective[fn] {
-		return false, true
-	}
-	return false, false
+	return 0, fileCollective[fn]
 }
 
 // collEntry is one rank's participation in a collective slot.
@@ -249,12 +248,14 @@ type Options struct {
 }
 
 // MatchOpts replays the MPI records of tr: a Matcher fed every rank whole.
+// The error is always nil; the signature stays while benchmark/ reads two
+// results.
 func MatchOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	m := NewMatcher(tr.NumRanks())
 	for rank, recs := range tr.Ranks {
 		m.Feed(rank, recs)
 	}
-	return m.Finish(opts)
+	return m.Finish(opts), nil
 }
 
 // Matcher runs matching over records as they arrive. Each rank's scan keeps
@@ -293,7 +294,12 @@ func (m *Matcher) Feed(rank int, recs []trace.Record) {
 // (per-key send/recv buckets and per-rank collective entry lists all grow
 // rank by rank there too) — builds the membership table, and runs the
 // cross-rank collective and point-to-point matching.
-func (m *Matcher) Finish(opts Options) (*Result, error) {
+//
+// The edge list is sized once, from the scans' bounds, and left in
+// generation order: communicators by id, slots in call order, members in
+// communicator order, then point-to-point keys in key order — a pure
+// function of the trace, like the join numbering.
+func (m *Matcher) Finish(opts Options) *Result {
 	oc, span := opts.Obs.StartLane("match", "match", obs.Int("ranks", len(m.scanners)))
 	span.SetCat("match")
 	defer span.End()
@@ -306,8 +312,10 @@ func (m *Matcher) Finish(opts Options) (*Result, error) {
 		sends:   map[p2pKey][]sendEntry{},
 		recvs:   map[p2pKey][]recvEntry{},
 	}
+	edges := 0
 	for rank, sc := range m.scanners {
 		out := sc.finish()
+		edges += sc.edges
 		// A malformed registration was reported by the rank that made it.
 		for _, reg := range sc.regs {
 			_ = registerComm(mm.members, reg[0], reg[1])
@@ -328,6 +336,7 @@ func (m *Matcher) Finish(opts Options) (*Result, error) {
 			mm.recvs[key] = append(mm.recvs[key], entries...)
 		}
 	}
+	mm.res.Edges = make([]Edge, 0, edges)
 	mergeSpan.End()
 
 	_, collSpan := oc.Start("collectives")
@@ -336,10 +345,10 @@ func (m *Matcher) Finish(opts Options) (*Result, error) {
 	_, p2pSpan := oc.Start("p2p")
 	mm.matchP2P()
 	p2pSpan.End()
-	if err := mm.sortOutputs(len(m.scanners)); err != nil {
-		return nil, err
-	}
-	return mm.res, nil
+	slices.SortFunc(mm.res.Problems, func(a, b Problem) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Detail, b.Detail))
+	})
+	return mm.res
 }
 
 type p2pKey struct {
@@ -415,6 +424,9 @@ type rankScanner struct {
 	openByFd map[string]string
 	lastOpen string
 	anyOpen  bool
+	// edges bounds the edges the rank's calls can emit: one per send, and
+	// collectiveClass's count per synchronizing collective.
+	edges int
 }
 
 func newRankScanner(rank int, world []int) *rankScanner {
@@ -431,7 +443,10 @@ func newRankScanner(rank int, world []int) *rankScanner {
 	}
 }
 
-func (sc *rankScanner) addColl(gid string, e collEntry) int {
+// addColl appends the rank's next call on communicator gid, which can emit
+// up to perMember edges once matched.
+func (sc *rankScanner) addColl(gid string, e collEntry, perMember int) int {
+	sc.edges += perMember
 	sc.out.colls[gid] = append(sc.out.colls[gid], e)
 	return len(sc.out.colls[gid]) - 1
 }
@@ -486,6 +501,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		srcComm, _ := commRank(members, comm, rank)
 		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
 		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
+		sc.edges++
 
 	case "MPI_Sendrecv":
 		// [comm, dst, stag, scount, src, rtag, nrecv, aSrc, aTag]
@@ -505,6 +521,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		srcComm, _ := commRank(members, comm, rank)
 		sKey := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: stag}
 		out.sends[sKey] = append(out.sends[sKey], sendEntry{init: ref, tag: stag})
+		sc.edges++
 		rKey := p2pKey{comm: comm, src: int(aSrc), dst: rank, tag: int(aTag)}
 		out.recvs[rKey] = append(out.recvs[rKey], recvEntry{
 			init: ref, completion: ref, src: int(aSrc), tag: int(aTag), resolved: true,
@@ -525,6 +542,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		srcComm, _ := commRank(members, comm, rank)
 		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
 		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
+		sc.edges++
 		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, peer: dst, tag: tag}
 
 	case "MPI_Recv":
@@ -630,7 +648,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		if err := registerComm(members, rec.Arg(1), rec.Arg(2)); err != nil {
 			malformed(err.Error())
 		}
-		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1})
+		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
 
 	case "MPI_Comm_split":
 		// [parent, color, key, new, members]
@@ -638,7 +656,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		if err := registerComm(members, rec.Arg(3), rec.Arg(4)); err != nil {
 			malformed(err.Error())
 		}
-		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1})
+		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
 
 	case "MPI_Ibarrier", "MPI_Iallreduce":
 		// [comm, (op,) req]
@@ -648,11 +666,12 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			malformed("bad arguments")
 			return
 		}
-		idx := sc.addColl(comm, collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1})
+		idx := sc.addColl(comm, collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
 		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, collGID: comm, collIdx: idx}
 
 	default:
-		if _, isColl := collectiveClass(rec.Func); !isColl {
+		perMember, isColl := collectiveClass(rec.Func)
+		if !isColl {
 			return
 		}
 		root := -1
@@ -679,7 +698,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			sc.lastOpen = rec.Arg(0)
 			sc.anyOpen = true
 		}
-		sc.addColl(sc.fileComm(rec, comm), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: root})
+		sc.addColl(sc.fileComm(rec, comm), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: root}, perMember)
 	}
 }
 

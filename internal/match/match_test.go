@@ -202,7 +202,8 @@ func TestBarrierEdgesUsePredecessors(t *testing.T) {
 
 // TestBarrierStoredAsJoin pins the stored shape of a barrier-like slot: one
 // join node with an edge in from every member's predecessor and an edge out
-// to every member's call — linear in the communicator size — and its
+// to every member's call — linear in the communicator size — in generation
+// order (member by member, each one's edge in before its edge out), and its
 // Pairwise expansion, the pred(call_i) → call_j clique.
 func TestBarrierStoredAsJoin(t *testing.T) {
 	const nranks = 5
@@ -218,10 +219,8 @@ func TestBarrierStoredAsJoin(t *testing.T) {
 	join := trace.Ref{Rank: -1, Seq: 0}
 	var want []Edge
 	for rank := range int32(nranks) {
-		want = append(want, Edge{From: join, To: trace.Ref{Rank: rank, Seq: 1}})
-	}
-	for rank := range int32(nranks) {
-		want = append(want, Edge{From: trace.Ref{Rank: rank, Seq: 0}, To: join})
+		want = append(want, Edge{From: trace.Ref{Rank: rank, Seq: 0}, To: join},
+			Edge{From: join, To: trace.Ref{Rank: rank, Seq: 1}})
 	}
 	if !reflect.DeepEqual(res.Edges, want) {
 		t.Fatalf("stored edges = %v\nwant %v", res.Edges, want)

@@ -37,11 +37,7 @@ func feedMatcher(t *testing.T, tr *trace.Trace, order []int, batch int, concurre
 		}()
 	}
 	wg.Wait()
-	res, err := m.Finish(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return m.Finish(Options{})
 }
 
 // streamFeed feeds the ranks in ascending order.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -434,12 +435,13 @@ func (d *decoder) strAt(strs []string, i uint64) (string, error) {
 	return strs[i], nil
 }
 
-// strSlice returns a zeroed []string of length n for one record's Args,
-// carved from a slab so a record costs no allocation of its own. The
-// slab is never reused — a carved slice stays valid for as long as anything
-// references it, whatever happens to the batch buffer its record sat in —
-// and the three-index slice keeps an append from running into a neighbour.
-// Slabs double up to slabMax strings, so a short trace pays for a short slab.
+// strSlice returns room for one record's n Args: the head of a slab, so a
+// record costs no allocation of its own; strRefs moves the slab past it once
+// the record keeps it. A kept slice is never reused — it stays valid for as
+// long as anything references it, whatever happens to the batch buffer its
+// record sat in — and the three-index slice keeps an append from running
+// into a neighbour. Slabs double up to slabMax strings, so a short trace
+// pays for a short slab.
 func (d *decoder) strSlice(n int) []string {
 	if n > slabMax/4 {
 		return make([]string, n)
@@ -448,9 +450,7 @@ func (d *decoder) strSlice(n int) []string {
 		d.slabCap = min(max(2*d.slabCap, 64, n), slabMax)
 		d.slab = make([]string, d.slabCap)
 	}
-	out := d.slab[:n:n]
-	d.slab = d.slab[n:]
-	return out
+	return d.slab[:n:n]
 }
 
 const slabMax = 4096
@@ -472,6 +472,9 @@ type readerState struct {
 	win []byte
 	br  *bufio.Reader
 	fr  io.ReadCloser // a flate.Resetter
+	// tuples are the stream's recent argument tuples (see strRefs). The same
+	// indices name other strings in the next stream, so release empties it.
+	tuples [1 << tupleBits]tuple
 }
 
 var readerStates = &sync.Pool{New: func() any { return &readerState{win: make([]byte, windowSize)} }}
@@ -534,6 +537,7 @@ func (d *decoder) release() {
 	if st.br != nil {
 		st.br.Reset(nil) // the pool must not keep the file alive
 	}
+	clear(st.tuples[:])
 	readerStates.Put(st)
 }
 
@@ -713,12 +717,20 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 	return err
 }
 
-// strRefs decodes n string-table references; nil when n is zero.
+// strRefs decodes n string-table references; nil when n is zero. A tuple
+// of at most tupleMax references that repeats one in the stream's tuple
+// table gets that record's slice, shared and read-only like a Context, and
+// leaves the slab room it was read into for the next record; any other
+// keeps the room. Every index is read and range-checked either way, so
+// errors and their offsets do not depend on the table.
 func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	out := d.strSlice(n)
+	keyed := n <= tupleMax && uint64(len(strs)) <= math.MaxUint32
+	var key [tupleMax]uint32
+	h := uint64(n)
 	for i := range out {
 		si, err := d.uvarint()
 		if err != nil {
@@ -727,9 +739,37 @@ func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 		if out[i], err = d.strAt(strs, si); err != nil {
 			return nil, err
 		}
+		if keyed {
+			key[i] = uint32(si)
+			h = (h ^ si) * 0x9e3779b97f4a7c15
+		}
+	}
+	if keyed {
+		t := &d.st.tuples[h>>(64-tupleBits)]
+		if len(t.args) == n && t.key == key {
+			return t.args, nil
+		}
+		*t = tuple{key: key, args: out}
+	}
+	if n <= slabMax/4 {
+		d.slab = d.slab[n:]
 	}
 	return out, nil
 }
+
+// tuple is one entry of a stream's direct-mapped argument-tuple table: a
+// record's Args and the string-table indices they were decoded from, zero
+// past len(args).
+type tuple struct {
+	key  [tupleMax]uint32
+	args []string
+}
+
+// A tuple table has 1<<tupleBits entries; longer tuples bypass it.
+const (
+	tupleBits = 6
+	tupleMax  = 8
+)
 
 // ctxTable interns a stream's call contexts by their string-table indices:
 // the site's, then the chain's frames', as varints. Consecutive records

@@ -12,6 +12,7 @@ package verify
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"verifyio/internal/conflict"
@@ -81,6 +82,10 @@ type Analysis struct {
 	// plan is the resolved query plan (per-op skeleton coordinates and the
 	// batch plan); model independent, shared by every pass.
 	plan *opPlan
+	// chains holds the race detail of every signature a race has used so
+	// far (see raceChain); the model passes share it.
+	chainsMu sync.Mutex
+	chains   map[int32]sigChain
 }
 
 // NumRanks returns the number of ranks analyzed.
@@ -170,7 +175,7 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 	// The finish phases share nothing, so they can overlap; the graph and
 	// oracle need only the rank counts and the match edges, so they follow
 	// the match finish in its task. The errors keep the serial order.
-	var confErr, matErr, oracleErr error
+	var confErr, oracleErr error
 	par.Do(workers, 2, func(i int) {
 		start := time.Now()
 		if i == 0 {
@@ -178,17 +183,12 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 			a.Ledger.Detect.Time += time.Since(start)
 			return
 		}
-		a.Match, matErr = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
+		a.Match = mat.Finish(match.Options{Workers: opts.Workers, Obs: oc})
 		a.Ledger.Match.Time += time.Since(start)
-		if matErr == nil {
-			oracleErr = a.buildOracle(algo, opts.Workers, oc)
-		}
+		oracleErr = a.buildOracle(algo, opts.Workers, oc)
 	})
 	if confErr != nil {
 		return nil, fmt.Errorf("verify: conflict detection: %w", confErr)
-	}
-	if matErr != nil {
-		return nil, fmt.Errorf("verify: MPI matching: %w", matErr)
 	}
 	if oracleErr != nil {
 		return nil, oracleErr

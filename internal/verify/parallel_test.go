@@ -164,19 +164,19 @@ func TestSyncIndexSortGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := buildSyncIndex(res, semantics.CommitModel(), g)
-	for c := range idx.perRank {
-		for fid, byRank := range idx.perRank[c] {
-			for rank, cands := range byRank {
+	for c := range idx.files {
+		for fid, f := range idx.files[c] {
+			for i, cands := range f.cands {
 				sorted := sort.SliceIsSorted(cands, func(i, j int) bool {
 					return cands[i].Seq < cands[j].Seq
 				})
 				if !sorted {
-					t.Errorf("class %d file %d rank %d: candidates %v not sorted", c, fid, rank, cands)
+					t.Errorf("class %d file %d rank %d: candidates %v not sorted", c, fid, f.ranks[i], cands)
 				}
 			}
 		}
 	}
-	got := idx.perRank[0][0][0]
+	got := idx.files[0][0].on(0)
 	if len(got) != 3 || got[0].Seq != 2 || got[1].Seq != 5 || got[2].Seq != 9 {
 		t.Errorf("rank 0 seqs = %v, want [2 5 9]", got)
 	}

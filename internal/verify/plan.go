@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/hbgraph"
@@ -110,51 +109,74 @@ func newOpPlan(a *Analysis) *opPlan {
 // pre-resolved into the plan's coordinate space: for each MSC op class, per
 // (file, rank) seq-sorted candidate lists.
 type syncIndex struct {
-	// perRank[class][fid][rank] = candidates in ascending seq order.
-	perRank []map[int]map[int][]hbgraph.Coord
-	// ranks[class][fid] = the ranks present in perRank, ascending — the
-	// deterministic iteration order for per-rank witness searches.
-	ranks []map[int][]int
+	// files[class][fid] are the class's candidates on file fid.
+	files [][]fileCands
+}
+
+// fileCands are one MSC op class's candidates on one file: ranks holds the
+// ranks that have any, ascending — the deterministic iteration order for
+// per-rank witness searches — and cands[i] rank ranks[i]'s, ascending by seq.
+type fileCands struct {
+	ranks []int
+	cands [][]hbgraph.Coord
+}
+
+// on returns rank q's candidates; nil when it has none.
+func (f *fileCands) on(q int) []hbgraph.Coord {
+	if i, ok := slices.BinarySearch(f.ranks, q); ok {
+		return f.cands[i]
+	}
+	return nil
 }
 
 func buildSyncIndex(conf *conflict.Result, model semantics.Model, g *hbgraph.Graph) *syncIndex {
 	k := model.MSC.K()
-	idx := &syncIndex{perRank: make([]map[int]map[int][]hbgraph.Coord, k)}
-	for c := 0; c < k; c++ {
-		idx.perRank[c] = make(map[int]map[int][]hbgraph.Coord)
+	idx := &syncIndex{files: make([][]fileCands, k)}
+	// conflict.Result.Syncs is produced rank-major in seq order, so a stable
+	// placement by file leaves every file's candidates in (rank, seq) order;
+	// the guard keeps the invariant cheap to hold and safe if a future
+	// producer violates it.
+	byRankSeq := func(a, b hbgraph.Coord) int {
+		return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Seq, b.Seq))
 	}
-	for _, sp := range conf.Syncs {
-		for c := 0; c < k; c++ {
-			if !model.MSC.Ops[c].Contains(sp.Func) {
-				continue
+	var sel []int32
+	for c := range k {
+		sel = sel[:0]
+		end := make([]int, len(conf.Files)+1) // end[fid+1]: where file fid's candidates end
+		for i, sp := range conf.Syncs {
+			if model.MSC.Ops[c].Contains(sp.Func) {
+				sel = append(sel, int32(i))
+				end[sp.FID+1]++
 			}
-			rr := g.Resolve(sp.Ref)
-			byRank, ok := idx.perRank[c][int(sp.FID)]
-			if !ok {
-				byRank = make(map[int][]hbgraph.Coord)
-				idx.perRank[c][int(sp.FID)] = byRank
-			}
-			byRank[int(sp.Ref.Rank)] = append(byRank[int(sp.Ref.Rank)], rr)
 		}
-	}
-	// conflict.Result.Syncs is produced rank-major in seq order, so the
-	// per-rank lists are already sorted; the guard keeps the invariant
-	// cheap to hold and safe if a future producer violates it.
-	bySeq := func(a, b hbgraph.Coord) int { return int(a.Seq) - int(b.Seq) }
-	idx.ranks = make([]map[int][]int, k)
-	for c := 0; c < k; c++ {
-		idx.ranks[c] = make(map[int][]int)
-		for fid, byRank := range idx.perRank[c] {
-			ranks := make([]int, 0, len(byRank))
-			for rank, cands := range byRank {
-				if !slices.IsSortedFunc(cands, bySeq) {
-					slices.SortFunc(cands, bySeq)
+		for fid := range conf.Files {
+			end[fid+1] += end[fid]
+		}
+		flat := make([]hbgraph.Coord, len(sel))
+		next := slices.Clone(end[:len(conf.Files)])
+		for _, i := range sel {
+			sp := &conf.Syncs[i]
+			flat[next[sp.FID]] = g.Resolve(sp.Ref)
+			next[sp.FID]++
+		}
+		files := make([]fileCands, len(conf.Files))
+		for fid := range files {
+			cands := flat[end[fid]:end[fid+1]]
+			if !slices.IsSortedFunc(cands, byRankSeq) {
+				slices.SortFunc(cands, byRankSeq)
+			}
+			f := &files[fid]
+			for lo := 0; lo < len(cands); {
+				hi := lo + 1
+				for hi < len(cands) && cands[hi].Rank == cands[lo].Rank {
+					hi++
 				}
-				ranks = append(ranks, rank)
+				f.ranks = append(f.ranks, int(cands[lo].Rank))
+				f.cands = append(f.cands, cands[lo:hi:hi])
+				lo = hi
 			}
-			sort.Ints(ranks)
-			idx.ranks[c][fid] = ranks
 		}
+		idx.files[c] = files
 	}
 	return idx
 }

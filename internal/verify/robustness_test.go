@@ -1,7 +1,7 @@
 package verify
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -85,46 +85,45 @@ func TestPropertyPipelineNeverPanics(t *testing.T) {
 // matching task, beside conflict detection's finish. On two ranks that reach
 // the barriers of two communicators in opposite order (a cycle through two
 // join nodes) Analyze returns the same vector-clock error at Workers 1 and 4,
-// and when matching fails too, its error still wins.
+// and when reading fails too — on both ranks, whichever task fails first —
+// the lowest rank's read error still wins.
 func TestAnalyzeOracleErrorBesideDetection(t *testing.T) {
-	crossed := func() *ioProgram {
-		p := newIOProgram(2, "f")
-		dup := p.split([]int{0, 0})[0]
-		for rank, order := range [][]string{{"comm-world", dup}, {dup, "comm-world"}} {
-			for _, comm := range order {
-				p.emit(rank, trace.LayerMPI, "MPI_Barrier", comm)
-			}
-			p.access(rank, 0, 0, true)
+	p := newIOProgram(2, "f")
+	dup := p.split([]int{0, 0})[0]
+	for rank, order := range [][]string{{"comm-world", dup}, {dup, "comm-world"}} {
+		for _, comm := range order {
+			p.emit(rank, trace.LayerMPI, "MPI_Barrier", comm)
 		}
-		return p
+		p.access(rank, 0, 0, true)
 	}
-	errAt := func(tr *trace.Trace, workers int) string {
+	errAt := func(src trace.Source, workers int) string {
 		t.Helper()
-		a, err := Analyze(tr, AlgoVectorClock, AnalyzeOptions{Workers: workers})
+		a, err := Analyze(src, AlgoVectorClock, AnalyzeOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: analysis of %d conflict pairs succeeded on a cyclic trace", workers, a.Conflicts.Pairs)
 		}
 		return err.Error()
 	}
-	tr := crossed().tr
-	serial := errAt(tr, 1)
+	serial := errAt(p.tr, 1)
 	if !strings.HasPrefix(serial, "verify: vector clocks:") || !strings.Contains(serial, "cycle") {
 		t.Fatalf("err = %q, want the vector-clock cycle error", serial)
 	}
-	if got := errAt(tr, 4); got != serial {
+	if got := errAt(p.tr, 4); got != serial {
 		t.Errorf("workers=4: err = %q, workers=1: %q", got, serial)
 	}
 
-	// A send and a receive whose positions add up to 33 bits of edge-key
-	// ids overflow matching's edge keys.
-	p := crossed()
-	p.tr.Ranks[0] = append(p.tr.Ranks[0], trace.Record{Rank: 0, Seq: math.MaxInt32, Func: "MPI_Send",
-		Layer: trace.LayerMPI, Args: []string{"comm-world", "1", "0", "8"}})
-	p.tr.Ranks[1] = append(p.tr.Ranks[1], trace.Record{Rank: 1, Seq: math.MaxInt32, Func: "MPI_Recv",
-		Layer: trace.LayerMPI, Args: []string{"comm-world", "0", "0", "8", "0", "0"}})
 	for _, workers := range []int{1, 4} {
-		if got := errAt(p.tr, workers); !strings.HasPrefix(got, "verify: MPI matching:") {
-			t.Errorf("workers=%d: err = %q, want the matching error", workers, got)
+		want := "verify: read trace: rank 0 unreadable"
+		if got := errAt(failingSource{p.tr}, workers); got != want {
+			t.Errorf("workers=%d: err = %q, want %q", workers, got, want)
 		}
 	}
+}
+
+// failingSource passes each rank's records on and then fails the read.
+type failingSource struct{ *trace.Trace }
+
+func (s failingSource) ReadRank(rank int, fn func([]trace.Record)) error {
+	s.Trace.ReadRank(rank, fn)
+	return fmt.Errorf("rank %d unreadable", rank)
 }

@@ -49,7 +49,8 @@ type Race struct {
 	FuncY string
 	// ChainX/ChainY are the call chains (outermost first, the operation
 	// itself last) — what the paper uses to attribute a race to the
-	// application or to a library layer.
+	// application or to a library layer. Races of one call signature share
+	// them: they are read-only.
 	ChainX, ChainY []string
 	// ordered records whether X and Y are happens-before ordered in either
 	// direction — the one fact Report.Diagnose needs that the fields above
@@ -72,17 +73,24 @@ func (r Race) Level() string {
 
 // chainLevel is Level computed from the two call chains.
 func chainLevel(chainX, chainY []string) string {
-	pick := func(chain []string) string {
-		if len(chain) <= 1 {
-			return "application"
-		}
-		fr, err := trace.ParseFrame(chain[0])
-		if err != nil {
-			return "application"
-		}
-		return fr.Layer.String()
+	return joinLevels(chainLayer(chainX), chainLayer(chainY))
+}
+
+// chainLayer is the layer that issued a chain's operation: its outermost
+// frame's, or the application's.
+func chainLayer(chain []string) string {
+	if len(chain) <= 1 {
+		return "application"
 	}
-	lx, ly := pick(chainX), pick(chainY)
+	fr, err := trace.ParseFrame(chain[0])
+	if err != nil {
+		return "application"
+	}
+	return fr.Layer.String()
+}
+
+// joinLevels is Level's answer for a pair whose chains have layers lx and ly.
+func joinLevels(lx, ly string) string {
 	if lx == ly {
 		return lx
 	}
@@ -224,11 +232,9 @@ type verifier struct {
 	// class numbers the classes this scratch has held; a rank's bounds and
 	// the frontiers' entries are reset on their first use in a class.
 	class int32
-	xs    [1]hbgraph.Coord          // the current X: step 0 of both frontiers
-	gRank []map[int][]hbgraph.Coord // per MSC op class: rank → candidates on the file
-	// gRanks are the file's candidate ranks per MSC op class, ascending — the
-	// witness searches' deterministic order.
-	gRanks [][]int
+	xs    [1]hbgraph.Coord // the current X: step 0 of both frontiers
+	// gFile holds, per MSC op class, the candidates on the class's file.
+	gFile []*fileCands
 	// fwd and bwd are the class's witness frontiers: what X reaches through
 	// a prefix of the MSC, and what reaches X through a suffix of it.
 	fwd, bwd frontier
@@ -315,9 +321,8 @@ type frontier struct {
 
 // initScratch sizes the scratch to the model's MSC arity and the rank count.
 func (v *verifier) initScratch() {
-	k, nranks := len(v.idx.perRank), len(v.plan.rankEnd)
-	v.gRank = make([]map[int][]hbgraph.Coord, k)
-	v.gRanks = make([][]int, k)
+	k, nranks := len(v.idx.files), len(v.plan.rankEnd)
+	v.gFile = make([]*fileCands, k)
 	for _, f := range []*frontier{&v.fwd, &v.bwd} {
 		*f = frontier{at: make([]witness, k*nranks), full: make([]int32, k), list: make([][]hbgraph.Coord, k)}
 	}
@@ -342,17 +347,16 @@ func (v *verifier) setGroup(g *conflict.Group) {
 	if v.opts.DisablePruning {
 		v.cFID = -1
 	}
-	k := len(v.gRank)
+	k := len(v.gFile)
 	if k == 0 {
 		return
 	}
-	for c := range v.gRank {
-		v.gRank[c] = v.idx.perRank[c][int(fid)]
-		v.gRanks[c] = v.idx.ranks[c][int(fid)]
+	for c := range v.gFile {
+		v.gFile[c] = &v.idx.files[c][fid]
 	}
 	// A candidate that X passes changes the first step of a frontier: the
 	// class ends at the next class-0 or class-(k-1) one on X's rank.
-	c0, ck := v.gRank[0][int(xr.Rank)], v.gRank[k-1][int(xr.Rank)]
+	c0, ck := v.gFile[0].on(int(xr.Rank)), v.gFile[k-1].on(int(xr.Rank))
 	if i := seqBound(c0, xr.Seq+1); i < len(c0) {
 		v.cEnd = c0[i].Seq
 	}
@@ -448,7 +452,7 @@ func (v *verifier) witnessAt(rev bool, s, q int) (hbgraph.Coord, bool) {
 	w := &v.frontier(rev).at[(s-1)*len(v.plan.rankEnd)+q]
 	if w.class != v.class {
 		c, edge := v.step(rev, s)
-		cands := v.gRank[c][q]
+		cands := v.gFile[c].on(q)
 		i := -1 // the entry's index in cands
 		switch {
 		case edge == semantics.HB && rev:
@@ -499,7 +503,7 @@ func (v *verifier) layer(rev bool, s int) []hbgraph.Coord {
 				add(int(e.Rank))
 			}
 		} else {
-			for _, q := range v.gRanks[c] {
+			for _, q := range v.gFile[c].ranks {
 				add(q)
 			}
 		}
@@ -680,26 +684,43 @@ func (v *verifier) recordRace(xi, yi int32) {
 func (v *verifier) makeRace(p racePair) Race {
 	conf := v.a.Conflicts
 	x, y := conf.Ops[p.x], conf.Ops[p.y]
-	sx, sy := &conf.Sigs[conf.OpSig[p.x]], &conf.Sigs[conf.OpSig[p.y]]
-	chainX, chainY := fullChain(sx), fullChain(sy)
+	sx, sy := conf.OpSig[p.x], conf.OpSig[p.y]
+	cx, cy := v.a.raceChain(sx), v.a.raceChain(sy)
 	return Race{
 		X: x, Y: y,
 		File:    conf.PathOf(int(x.FID)),
-		FuncX:   sx.Func,
-		FuncY:   sy.Func,
-		ChainX:  chainX,
-		ChainY:  chainY,
+		FuncX:   conf.Sigs[sx].Func,
+		FuncY:   conf.Sigs[sy].Func,
+		ChainX:  cx.chain,
+		ChainY:  cy.chain,
 		ordered: v.a.Graph.HB(v.a.Oracle, x.Ref, y.Ref) || v.a.Graph.HB(v.a.Oracle, y.Ref, x.Ref),
-		level:   chainLevel(chainX, chainY),
+		level:   joinLevels(cx.layer, cy.layer),
 	}
 }
 
-// fullChain returns the call chain with the operation itself appended.
-func fullChain(sg *conflict.Sig) []string {
-	out := make([]string, 0, len(sg.Chain)+1)
-	out = append(out, sg.Chain...)
-	out = append(out, trace.FormatFrame(sg.Layer, sg.Func, sg.Site))
-	return out
+// sigChain is one signature's race detail: its call chain with the
+// operation itself appended, and the layer that issued it.
+type sigChain struct {
+	chain []string
+	layer string
+}
+
+// raceChain returns signature sig's detail, built on its first race in any
+// model pass and shared, read-only, by every race and report after it.
+func (a *Analysis) raceChain(sig int32) sigChain {
+	a.chainsMu.Lock()
+	defer a.chainsMu.Unlock()
+	c, ok := a.chains[sig]
+	if !ok {
+		sg := &a.Conflicts.Sigs[sig]
+		c.chain = append(slices.Clip(sg.Chain), trace.FormatFrame(sg.Layer, sg.Func, sg.Site))
+		c.layer = chainLayer(c.chain)
+		if a.chains == nil {
+			a.chains = make(map[int32]sigChain)
+		}
+		a.chains[sig] = c
+	}
+	return c
 }
 
 // VerifyAll verifies the analysis against every given model, reusing the

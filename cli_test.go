@@ -206,9 +206,9 @@ func TestCLIDiagnoseRunsThePipelineOnce(t *testing.T) {
 			t.Errorf("no %q span among %d events", stage, len(events))
 		}
 	}
-	// flexible has 4 ranks: at least one replay and one scan span each.
-	if count["replay"] < 4 || count["scan"] < 4 {
-		t.Errorf("shard spans: %d replay, %d scan; want at least 4 of each", count["replay"], count["scan"])
+	// flexible has 4 ranks: one rank-task span each.
+	if count["rank"] != 4 {
+		t.Errorf("rank-task spans: %d, want 4", count["rank"])
 	}
 
 	out, _ = runCLISplit(t, bin, 1, "verifyio", "-trace", dir, "-model", "all", "-json", "-workers", "4")

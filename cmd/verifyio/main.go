@@ -10,10 +10,13 @@
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The trace is verified while it is decoded, never loaded whole: up to
-// -workers rank files are read at once, and conflict detection and MPI
-// matching consume each record batch as it decodes, so peak memory is
-// bounded by the decode window (-window BYTES, default 4 MiB, negative =
-// unbounded) rather than the trace size. Only -dump materializes the trace.
+// -workers rank files are read at once, each decoded one slot of about 350
+// records (64 KiB of decode cost) at a time, and conflict detection and MPI
+// matching consume each slot before the next one reuses its memory. The
+// decoded records resident are at most one slot per reader, and never more
+// than the decode window (-window BYTES, divided among the readers; default
+// 4 MiB, negative = unbounded), which at its default no longer binds. Only
+// -dump materializes the trace.
 //
 // -trace-out writes the run's telemetry spans as Chrome trace_event JSON
 // (load in chrome://tracing or https://ui.perfetto.dev).
@@ -21,8 +24,8 @@
 // -json writes the reports as one JSON document, and nothing else, to
 // stdout; the "trace:" banner goes to stderr then. Each report carries its
 // stage ledger: per stage (read, detect, match, graph, oracle, verify) the
-// time, the items in and out, and the most bytes held — the window's
-// high-water mark, for the read row. -details renders the ledger's times
+// time, the items in and out, and the most bytes held — the decoded
+// records' high-water mark, for the read row. -details renders the ledger's times
 // as each report's "timing:" line.
 //
 // Exit status: 0 when every verified model is properly synchronized, 1 when
@@ -58,7 +61,7 @@ func run() int {
 		dump     = flag.Bool("dump", false, "print the trace as text and exit")
 		jsonOut  = flag.Bool("json", false, "emit the reports as JSON")
 		tolerate = flag.Bool("tolerate", false, "salvage damaged or truncated rank streams instead of failing")
-		window   = flag.Int64("window", 0, "bytes of decoded records resident at once (0 = default 4 MiB, negative = unbounded)")
+		window   = flag.Int64("window", 0, "upper bound on the bytes of decoded records resident at once, divided among the readers; each holds at most a 64 KiB slot (0 = default 4 MiB, negative = unbounded)")
 
 		traceOut = flag.String("trace-out", "", "write telemetry spans as Chrome trace_event JSON to this file")
 		prof     obs.Profiling

@@ -487,14 +487,13 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 			sh.skipped++
 			return
 		}
-		// Truncation rewrites the affected range: shrink
-		// clobbers [size, EOF), growth zero-fills [EOF, size).
-		old := rp.eof[st.fid]
-		lo, hi := size, old
-		if size > old {
-			lo, hi = old, size
-		}
-		if addOp(rec, st.fid, true, lo, hi-lo) {
+		// Truncation rewrites everything from min(size, EOF)
+		// on: shrinking clobbers [size, EOF), growth zero-fills
+		// [EOF, size). One rank's EOF is only what it wrote
+		// itself — bytes another rank wrote past it are cut off
+		// too — so the range runs to the end of the offset space.
+		lo := min(size, rp.eof[st.fid])
+		if addOp(rec, st.fid, true, lo, math.MaxInt64-lo) {
 			rp.eof[st.fid] = size
 		}
 

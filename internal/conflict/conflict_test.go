@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -200,7 +201,7 @@ func TestTruncateProducesWriteRange(t *testing.T) {
 	tr := buildTrace(2,
 		[]string{"0", "open", "f", "rw|creat", "3"},
 		[]string{"0", "pwrite", "3", "10", "0"}, // EOF=10
-		[]string{"0", "ftruncate", "3", "4"},    // clobbers [4,10)
+		[]string{"0", "ftruncate", "3", "4"},    // clobbers [4,10) and whatever lies past it
 		[]string{"1", "open", "f", "r", "3"},
 		[]string{"1", "pread", "3", "2", "5"}, // [5,7) — hits truncated range
 	)
@@ -208,6 +209,11 @@ func TestTruncateProducesWriteRange(t *testing.T) {
 	// pread conflicts with both the pwrite and the truncate.
 	if res.Pairs != 2 {
 		t.Errorf("pairs = %d, want 2", res.Pairs)
+	}
+	// Rank 0 cannot know what other ranks wrote past its EOF estimate, so the
+	// truncation's range runs to the end of the offset space.
+	if trunc := res.Ops[1]; trunc.Start != 4 || trunc.End != math.MaxInt64 || !trunc.Write {
+		t.Errorf("ftruncate op %+v, want a write of [4, MaxInt64)", trunc)
 	}
 }
 

@@ -234,6 +234,14 @@ type decoder struct {
 	// Args are carved from it (see strSlice).
 	slab    []string
 	slabCap int
+	// lent, set for Dir.ReadRank's slots, makes each record valid only
+	// until the next recycleArgs: its Args are carved from scratch, the
+	// whole of the latest slab, which the next slot carves again, so a rank
+	// allocates no slabs past its first few slots. The argument-tuple table
+	// is bypassed: it only saves slab room, and a tuple it kept would point
+	// into scratch a later slot overwrites.
+	lent    bool
+	scratch []string
 	// ctxs interns the stream's call contexts (see context).
 	ctxs ctxTable
 
@@ -441,7 +449,7 @@ func (d *decoder) strAt(strs []string, i uint64) (string, error) {
 // long as anything references it, whatever happens to the batch buffer its
 // record sat in — and the three-index slice keeps an append from running
 // into a neighbour. Slabs double up to slabMax strings, so a short trace
-// pays for a short slab.
+// pays for a short slab. Lent records are the exception (see lent).
 func (d *decoder) strSlice(n int) []string {
 	if n > slabMax/4 {
 		return make([]string, n)
@@ -449,11 +457,24 @@ func (d *decoder) strSlice(n int) []string {
 	if len(d.slab) < n {
 		d.slabCap = min(max(2*d.slabCap, 64, n), slabMax)
 		d.slab = make([]string, d.slabCap)
+		if d.lent {
+			d.scratch = d.slab
+		}
 	}
 	return d.slab[:n:n]
 }
 
+// slabMax is 64 KiB of string headers: the Args of a slot of lent records
+// (slotBytes of decode cost, 16 per argument) fit one slab.
 const slabMax = 4096
+
+// recycleArgs makes the scratch slab whole again for the next slot: every
+// Args slice carved since the last call is dead.
+func (d *decoder) recycleArgs() {
+	if d.lent {
+		d.slab = d.scratch
+	}
+}
 
 func (d *decoder) span(name string, rank, index int, start int64) {
 	if d.spans {
@@ -722,13 +743,14 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 // table gets that record's slice, shared and read-only like a Context, and
 // leaves the slab room it was read into for the next record; any other
 // keeps the room. Every index is read and range-checked either way, so
-// errors and their offsets do not depend on the table.
+// errors and their offsets do not depend on the table. Lent records never
+// use the table.
 func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	out := d.strSlice(n)
-	keyed := n <= tupleMax && uint64(len(strs)) <= math.MaxUint32
+	keyed := !d.lent && n <= tupleMax && uint64(len(strs)) <= math.MaxUint32
 	var key [tupleMax]uint32
 	h := uint64(n)
 	for i := range out {

@@ -157,7 +157,7 @@ func readRanks(t *testing.T, dir string, opts StreamOptions, readers int, ranks 
 	out := make([]rankRead, len(ranks))
 	par.Do(readers, len(ranks), func(i int) {
 		r := &out[i]
-		r.Err = factsOf(d.ReadRank(ranks[i], func(recs []Record) { r.Recs = append(r.Recs, recs...) }))
+		r.Err = factsOf(d.ReadRank(ranks[i], func(recs []Record) { r.Recs = appendOwned(r.Recs, recs) }))
 	})
 	got := make(map[int]rankRead, len(ranks))
 	for i, rank := range ranks {

@@ -23,8 +23,9 @@ import (
 type Source interface {
 	NumRanks() int
 	// ReadRank passes the rank's records to fn, in program order, as one or
-	// more batches. A batch is valid only during the call: copy what must
-	// outlive it. Distinct ranks may be read concurrently.
+	// more batches. The records and their Args slices are valid only during
+	// the call: copy what must outlive it. Their strings and contexts may be
+	// kept. Distinct ranks may be read concurrently.
 	ReadRank(rank int, fn func(recs []Record)) error
 }
 
@@ -37,10 +38,10 @@ func (t *Trace) ReadRank(rank int, fn func(recs []Record)) error {
 }
 
 // Dir is a trace directory written by WriteDir, opened as a Source: each
-// ReadRank opens that rank's file, decodes it in batches bounded by the
-// window, and runs the end-of-stream checks. Limits, DecodeErrors and
-// tolerate-mode salvage are those of the materializing decoders — one
-// record-decoding core (payloadStream) serves them all.
+// ReadRank opens that rank's file, decodes it one slot at a time, and runs
+// the end-of-stream checks. Limits, DecodeErrors and tolerate-mode salvage
+// are those of the materializing decoders — one record-decoding core
+// (payloadStream) serves them all.
 type Dir struct {
 	dir    string
 	opts   DecodeOptions
@@ -228,20 +229,30 @@ func (d *Dir) dropPre() {
 // NumRanks returns the world rank count.
 func (d *Dir) NumRanks() int { return len(d.counts) }
 
-// ReadRank decodes the rank's file, passing each batch to fn; the batch
-// buffer is reused for the next one.
+// slotBytes bounds the decoded cost of a slot, the batch ReadRank lends: at
+// about 350 records of a sparse trace, a slot's records and Args stay in
+// cache while the replay and the scan step over them, and the readers hold
+// a few hundred KiB of records however large the window.
+const slotBytes = 64 << 10
+
+// ReadRank decodes the rank's file one slot at a time: a batch of at most
+// the reader's share of the window or slotBytes of decoded cost, whichever
+// is less (plus the record that reaches it). The slot is lent to fn — its
+// record buffer and the scratch its Args are carved from are reused for the
+// next slot — and its strings and contexts may be kept.
 func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
-	return d.readRank(rank, func(recs []Record) bool {
+	return d.readRank(rank, true, func(recs []Record) bool {
 		fn(recs)
 		return false
 	})
 }
 
-// readRank is ReadRank with the buffer's fate left to fn: a batch fn reports
-// kept is the caller's, buffer and all, and stays counted as resident. The
-// buffers left in the pool go with the last rank: the analysis' cross-rank
-// phases, its memory peak, should not find them in the heap.
-func (d *Dir) readRank(rank int, fn func(recs []Record) (kept bool)) error {
+// readRank is ReadRank with the buffer's fate left to fn: unless the batches
+// are lent slots, a batch fn reports kept is the caller's, buffer and all,
+// and stays counted as resident. The buffers left in the pool go with the
+// last rank: the analysis' cross-rank phases, its memory peak, should not
+// find them in the heap.
+func (d *Dir) readRank(rank int, lend bool, fn func(recs []Record) (kept bool)) error {
 	defer func() {
 		if d.unread.Add(-1) == 0 {
 			d.pool.drop()
@@ -252,6 +263,9 @@ func (d *Dir) readRank(rank int, fn func(recs []Record) (kept bool)) error {
 		return err
 	}
 	defer rr.close()
+	if lend {
+		rr.lend()
+	}
 	for {
 		b, err := rr.next()
 		if err == io.EOF {
@@ -283,7 +297,7 @@ func (d *Dir) materialize(readers int) (*Trace, *DecodeStats, error) {
 		if int64(rank) > failed.Load() {
 			return
 		}
-		errs[rank] = d.readRank(rank, func(recs []Record) bool {
+		errs[rank] = d.readRank(rank, false, func(recs []Record) bool {
 			// A buffer a larger rank grew out of would stay pinned at its
 			// full size, so a rank that fills less than half of one takes a
 			// copy and hands the buffer on.
@@ -333,10 +347,11 @@ func (d *Dir) PeakResidentBytes() int64 { return d.res.peak.Load() }
 
 // rankReader is one open rank file of a Dir.
 type rankReader struct {
-	d    *Dir
-	rank int
-	src  *streamSource
-	span *obs.Span // "read-rank"
+	d       *Dir
+	rank    int
+	src     *streamSource
+	span    *obs.Span // "read-rank"
+	maxCost int64     // decoded-cost bound of one batch; 0 = unbounded
 }
 
 // openRank opens the rank's file and decodes its eager sections. A nil
@@ -387,17 +402,27 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 		// next rank starts from the buffers this one grew out of.
 		src.ps.outgrown = d.pool.put
 	}
-	return &rankReader{d: d, rank: rank, src: src, span: span}, nil
+	return &rankReader{d: d, rank: rank, src: src, span: span, maxCost: d.window}, nil
+}
+
+// lend makes the reader's batches slots (see ReadRank).
+func (rr *rankReader) lend() {
+	if rr.maxCost == 0 || rr.maxCost > slotBytes {
+		rr.maxCost = slotBytes
+	}
+	rr.src.d.lent = true
 }
 
 // next decodes the rank's next batch into a pooled buffer, which the caller
-// gives back (Dir.pool) when done with the batch. After the last batch it
-// runs the file's end-of-stream checks and returns io.EOF.
+// gives back (Dir.pool) when done with the batch; a lent batch's Args are
+// dead from here on. After the last batch it runs the file's end-of-stream
+// checks and returns io.EOF.
 func (rr *rankReader) next() (rawBatch, error) {
 	d, ps := rr.d, rr.src.ps
 	for {
+		ps.d.recycleArgs()
 		buf := d.pool.take()
-		b, err := ps.nextBatch(buf, d.window)
+		b, err := ps.nextBatch(buf, rr.maxCost)
 		if err == io.EOF {
 			d.pool.put(buf) // the end of a payload uses no buffer
 			if err := rr.finish(); err != nil {

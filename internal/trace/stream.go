@@ -45,6 +45,8 @@ type StreamOptions struct {
 	// the payload budget (Limits.MaxPayload) is charged: string bytes plus
 	// per-entity bookkeeping overhead. Zero selects DefaultWindowBytes;
 	// WindowUnbounded (or any negative value) disables windowing.
+	// Dir.ReadRank cuts its slots at 64 KiB when the window (a reader's
+	// share of it) is larger, so there the default no longer binds.
 	WindowBytes int64
 }
 

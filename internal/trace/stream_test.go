@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -43,6 +44,16 @@ func streamTestTrace(t *testing.T, nranks, nrecs int) *Trace {
 	return tr
 }
 
+// appendOwned appends copies of a lent slot's records to dst: records and
+// their Args, which ReadRank reuses for the next slot.
+func appendOwned(dst, recs []Record) []Record {
+	for _, rec := range recs {
+		rec.Args = slices.Clone(rec.Args)
+		dst = append(dst, rec)
+	}
+	return dst
+}
+
 // readEveryRank reads every rank of d in rank order through ReadRank,
 // copying each batch out, and returns the records and the batch count.
 func readEveryRank(t *testing.T, d *Dir) ([][]Record, int) {
@@ -52,7 +63,7 @@ func readEveryRank(t *testing.T, d *Dir) ([][]Record, int) {
 	for rank := range ranks {
 		err := d.ReadRank(rank, func(recs []Record) {
 			batches++
-			ranks[rank] = append(ranks[rank], recs...)
+			ranks[rank] = appendOwned(ranks[rank], recs)
 		})
 		if err != nil {
 			t.Fatalf("ReadRank(%d): %v", rank, err)
@@ -219,6 +230,47 @@ func TestStreamWindowBound(t *testing.T) {
 	}
 	if whole.PeakResidentBytes() < 10*d.PeakResidentBytes() {
 		t.Fatalf("unbounded peak %d not >> windowed peak %d", whole.PeakResidentBytes(), d.PeakResidentBytes())
+	}
+}
+
+// TestReadRankLendsSlots: ReadRank cuts every rank into slots of at most
+// slotBytes of decoded cost (plus the record that reaches it) whether the
+// window is unbounded, the default or larger than a slot, and lends them:
+// once the scratch slab has grown to a slot's Args, each slot's Args start
+// where the previous slot's did. The records are the materializing read's.
+func TestReadRankLendsSlots(t *testing.T) {
+	tr := streamTestTrace(t, 2, 6000)
+	dir := t.TempDir()
+	if err := WriteDir(dir, tr, DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int64{WindowUnbounded, 0, 1 << 20} {
+		d := openDir(t, dir, StreamOptions{WindowBytes: window})
+		ranks := make([][]Record, d.NumRanks())
+		slots, starts := 0, map[*string]bool{}
+		for rank := range ranks {
+			err := d.ReadRank(rank, func(recs []Record) {
+				slots++
+				starts[&recs[0].Args[0]] = true
+				ranks[rank] = appendOwned(ranks[rank], recs)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(ranks, tr.Ranks) {
+			t.Fatalf("window=%d: slotted records differ from the trace written", window)
+		}
+		const slack = 1 << 10 // one record far exceeds this
+		if peak := d.PeakResidentBytes(); peak <= 0 || peak > slotBytes+slack {
+			t.Errorf("window=%d: peak resident %d outside (0, %d]", window, peak, slotBytes+slack)
+		}
+		// 6 000 records of about 190 bytes of decode cost: 17 or 18 slots a
+		// rank, whose Args start in a few slabs, not one slab each.
+		t.Logf("window=%d: %d slots, Args starting at %d places", window, slots, len(starts))
+		if slots < 30 || len(starts) > slots/3 {
+			t.Errorf("window=%d: %d slots whose Args start at %d places, want at least 30 slots sharing a few", window, slots, len(starts))
+		}
 	}
 }
 

@@ -122,10 +122,11 @@ type AnalyzeOptions struct {
 // oracle. The rank is the unit of flow: one task per rank pulls that rank's
 // record batches from the source and, on the same goroutine, steps the
 // rank's conflict replay and matcher scan — records never cross a goroutine
-// or outlive their batch, so memory is the source's. Then come the two
-// cross-rank finish phases, the oracle build chained behind matching's, and
-// the op plan, which needs both. The first five rows of the Analysis' Ledger
-// time and count them; the oracle row includes the op plan.
+// or outlive their batch, so memory is the source's: a directory lends each
+// reader one cache-sized slot at a time. Then come the two cross-rank finish
+// phases, the oracle build chained behind matching's, and the op plan, which
+// needs both. The first five rows of the Analysis' Ledger time and count
+// them; the oracle row includes the op plan.
 func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error) {
 	workers := par.Resolve(opts.Workers)
 	oc, span := opts.Obs.Start("analyze", obs.Int("workers", workers))
@@ -140,19 +141,18 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 	times := make([]rankTimes, nranks)
 	errs := make([]error, nranks)
 	par.Do(workers, nranks, func(rank int) {
-		lane, attr := "rank-"+strconv.Itoa(rank), obs.Int("rank", rank)
+		// One span per rank task, however many batches the source lends:
+		// the ledger splits its time among read, replay and scan.
+		_, sp := oc.StartLane("rank-"+strconv.Itoa(rank), "rank", obs.Int("rank", rank))
+		defer sp.End()
 		t := &times[rank]
 		last := time.Now()
 		errs[rank] = src.ReadRank(rank, func(recs []trace.Record) {
 			a.counts[rank] += len(recs)
 			produced := time.Now()
-			_, sp := oc.StartLane(lane, "replay", attr)
 			det.Feed(rank, recs)
-			sp.End()
 			replayed := time.Now()
-			_, sp = oc.StartLane(lane, "scan", attr)
 			mat.Feed(rank, recs)
-			sp.End()
 			scanned := time.Now()
 			t.read += produced.Sub(last)
 			t.replay += replayed.Sub(produced)
@@ -219,14 +219,17 @@ type StreamAnalyzeOptions struct {
 	// WindowBytes bounds the decoded records resident at once — divided
 	// among the ranks read concurrently — exactly as
 	// trace.StreamOptions.WindowBytes: 0 means the default window, negative
-	// means unbounded.
+	// means unbounded. Each reader holds one slot of at most 64 KiB of
+	// decoded cost, or its share of the window if that is less, so the
+	// default window and any larger one no longer bind.
 	WindowBytes int64
 }
 
 // AnalyzeStream is Analyze on a trace directory, decoded while it is
-// analyzed: peak memory is bounded by the decode window instead of the trace
-// size, and the Analysis carries the directory's salvage state and, in its
-// read row's Bytes, the most decoded record bytes resident at once.
+// analyzed: the decoded records resident are one slot per reader, bounded
+// by the window instead of the trace size, and the Analysis carries the
+// directory's salvage state and, in its read row's Bytes, the most decoded
+// record bytes resident at once.
 func AnalyzeStream(dir string, algo Algo, opts StreamAnalyzeOptions) (*Analysis, error) {
 	dopts := opts.Decode
 	dopts.Obs = opts.Obs

@@ -49,13 +49,10 @@ func TestPipelineSpansCoverAllStages(t *testing.T) {
 			t.Errorf("no %q span emitted; spans: %v", stage, counts)
 		}
 	}
-	// Shard spans: per-rank replay and scan (2 ranks, each one batch from
-	// memory), per-model verify lanes (4 models).
-	if counts["replay"] != 2 {
-		t.Errorf("replay shard spans = %d, want 2", counts["replay"])
-	}
-	if counts["scan"] != 2 {
-		t.Errorf("scan shard spans = %d, want 2", counts["scan"])
+	// Shard spans: one per rank task (2 ranks), per-model verify lanes (4
+	// models).
+	if counts["rank"] != 2 {
+		t.Errorf("rank-task spans = %d, want 2", counts["rank"])
 	}
 	if counts["verify"] != 4 {
 		t.Errorf("verify model spans = %d, want 4", counts["verify"])

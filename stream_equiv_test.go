@@ -3,6 +3,7 @@ package verifyio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,5 +286,79 @@ func TestStageLedgerSumsToWall(t *testing.T) {
 			t.Errorf("%s: stage rows sum to %v of a %v run (%.3f), want 0.95–1", run.name, sum, wall, ratio)
 		}
 		t.Logf("%s: stage rows sum to %v of a %v run (%.3f)", run.name, sum, wall, ratio)
+	}
+}
+
+// TestStreamSlotResidency: off a directory, each rank reader holds one slot
+// of at most 64 KiB of decoded cost (trace's slotBytes), plus the record
+// that reaches it, whatever window it was given above that. At the default
+// window and at 8 MiB, at Workers 1 and 4, the read row's peak stays within
+// the readers' slots on ranks of about 17 slots each; window-sized batches
+// held a rank whole at one worker and a quarter of the window per reader at
+// four.
+func TestStreamSlotResidency(t *testing.T) {
+	const (
+		ranks = 8
+		slot  = int64(64 << 10) // trace's slotBytes
+		slack = int64(1 << 10)  // one record's cost is far less
+	)
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := corpus.WriteScalingDir(dir, ranks, 6000, 32<<20, 1, trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int64{0, 8 << 20} {
+		for _, workers := range []int{1, 4} {
+			reps, _, err := VerifyAllStream(dir, ReadOptions{WindowBytes: window}, &Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers := int64(min(workers, ranks))
+			if peak := reps[0].Ledger.Read.Bytes; peak <= 0 || peak > readers*(slot+slack) {
+				t.Errorf("window=%d, Workers=%d: %d decoded bytes resident at peak, want in (0, %d]",
+					window, workers, peak, readers*(slot+slack))
+			}
+		}
+	}
+}
+
+// TestStreamEquivalenceSyncHeavy holds the directory path to the in-memory
+// reports, and the ledger's item counts, on the syncheavy shape (16 ranks of
+// 1 602 records: writes, fsyncs, a message ring and world barriers), at the
+// default window, where every rank spans several slots, and at 4 KiB, at
+// Workers 1 and 4. Its MPI records repeat their argument tuples thousands of
+// times: a record handed the tuple of an earlier slot, whose Args scratch a
+// later slot has overwritten, would carry another record's arguments.
+func TestStreamEquivalenceSyncHeavy(t *testing.T) {
+	tr, err := TraceProgram(16, POSIX, syncHeavyProgram(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "trace")
+	if err := tr.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.t.Ranks[0]); int64(n)*136 < 3*(64<<10) { // trace's recordOverhead, slotBytes
+		t.Fatalf("rank 0 has %d records, fewer than three slots' worth", n)
+	}
+	counts := func(l Ledger) [6]int64 {
+		return [6]int64{l.Read.Out, l.Detect.In, l.Detect.Out, l.Match.Out, l.Graph.Out, l.Oracle.In}
+	}
+	for _, workers := range []int{1, 4} {
+		opts := &Options{Workers: workers}
+		want, err := VerifyAll(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, window := range []int64{0, 4 << 10} {
+			got, _, err := VerifyAllStream(dir, ReadOptions{WindowBytes: window}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("syncheavy window=%d Workers=%d", window, workers)
+			sameReports(t, what, want, got)
+			if w, g := counts(want[0].Ledger), counts(got[0].Ledger); w != g {
+				t.Errorf("%s: ledger counts %v, want %v", what, g, w)
+			}
+		}
 	}
 }

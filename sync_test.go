@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"verifyio/internal/hbgraph"
@@ -100,11 +101,23 @@ type barrierProgram struct {
 	ranks [][][]access // rank → segment → accesses
 }
 
-// access is one step inside a segment: a 4-byte write or read at off, or an
-// fsync when sync is set.
+// access is one step inside a segment: a 4-byte write or read at off, an
+// fsync when sync is set, or one half of a point-to-point message when msg
+// is set.
 type access struct {
 	write, sync bool
 	off         int64
+	msg         *message
+}
+
+// message is one half of a matched MPI_Send/MPI_Recv pair: the send to, or
+// the receive from, rank peer. Tags are unique in a program and, on every
+// rank, a segment's message steps come in ascending tag order, so the
+// lowest-tagged pending message always has both halves next in line and no
+// program deadlocks, whether sends block or not.
+type message struct {
+	send      bool
+	peer, tag int
 }
 
 func randomBarrierProgram(rng *rand.Rand) barrierProgram {
@@ -164,6 +177,10 @@ func (p barrierProgram) races(t *testing.T) [4]int64 {
 			}
 			for _, a := range seg {
 				switch {
+				case a.msg != nil && a.msg.send:
+					err = r.Send(r.Proc().CommWorld(), a.msg.peer, a.msg.tag, []byte("m"))
+				case a.msg != nil:
+					_, _, err = r.Recv(r.Proc().CommWorld(), a.msg.peer, a.msg.tag)
 				case a.sync:
 					err = r.Fsync(fd)
 				case a.write:
@@ -235,9 +252,122 @@ func TestMetamorphicBarriers(t *testing.T) {
 func (p barrierProgram) String() string {
 	s := ""
 	for rank, segs := range p.ranks {
-		s += fmt.Sprintf("rank %d: %v\n", rank, segs)
+		s += fmt.Sprintf("rank %d:", rank)
+		for _, seg := range segs {
+			s += " ["
+			for i, a := range seg {
+				if i > 0 {
+					s += " "
+				}
+				switch {
+				case a.msg != nil && a.msg.send:
+					s += fmt.Sprintf("send(%d,tag %d)", a.msg.peer, a.msg.tag)
+				case a.msg != nil:
+					s += fmt.Sprintf("recv(%d,tag %d)", a.msg.peer, a.msg.tag)
+				case a.sync:
+					s += "fsync"
+				case a.write:
+					s += fmt.Sprintf("write@%d", a.off)
+				default:
+					s += fmt.Sprintf("read@%d", a.off)
+				}
+			}
+			s += "]"
+		}
+		s += "\n"
 	}
 	return s
+}
+
+// TestMetamorphicMessages holds the verifier to the point-to-point
+// relations: adding one matched MPI_Send/MPI_Recv pair between two ranks
+// never adds a race under any model, and removing one never removes a race.
+// The programs are 100 of TestMetamorphicBarriers' random programs, each
+// with up to two messages added.
+func TestMetamorphicMessages(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const programs = 100
+	lowered, raised := 0, 0 // programs where the message changed a count
+	for i := range programs {
+		p := randomBarrierProgram(rng)
+		tags := rng.Intn(3)
+		for tag := 1; tag <= tags; tag++ {
+			p = p.withMessage(rng, tag)
+		}
+		base := p.races(t)
+		more := p.withMessage(rng, tags+1).races(t)
+		for m, model := range Models() {
+			if more[m] > base[m] {
+				t.Errorf("program %d, %s: an added message raised the races from %d to %d\n%s", i, model, base[m], more[m], p)
+			}
+		}
+		if more != base {
+			lowered++
+		}
+		if tags == 0 {
+			continue
+		}
+		fewer := p.withoutMessage(1 + rng.Intn(tags)).races(t)
+		for m, model := range Models() {
+			if fewer[m] < base[m] {
+				t.Errorf("program %d, %s: a removed message lowered the races from %d to %d\n%s", i, model, base[m], fewer[m], p)
+			}
+		}
+		if fewer != base {
+			raised++
+		}
+	}
+	// Relations that never bite would pass on a verifier that ignores
+	// messages.
+	t.Logf("an added message changed %d of %d programs, a removed one %d", lowered, programs, raised)
+	if lowered == 0 || raised == 0 {
+		t.Errorf("messages changed no race count: added %d, removed %d programs", lowered, raised)
+	}
+}
+
+// withMessage adds a message with the given tag, above every tag in p, from
+// one random rank to another, both halves in the same random segment, each
+// at a random point after the rank's last message step there.
+func (p barrierProgram) withMessage(rng *rand.Rand, tag int) barrierProgram {
+	from := rng.Intn(len(p.ranks))
+	to := (from + 1 + rng.Intn(len(p.ranks)-1)) % len(p.ranks)
+	seg := rng.Intn(len(p.ranks[0]))
+	q := barrierProgram{ranks: make([][][]access, len(p.ranks))}
+	for rank, segs := range p.ranks {
+		q.ranks[rank] = append([][]access(nil), segs...)
+		var half *message
+		switch rank {
+		case from:
+			half = &message{send: true, peer: to, tag: tag}
+		case to:
+			half = &message{peer: from, tag: tag}
+		default:
+			continue
+		}
+		steps := segs[seg]
+		after := 0 // past the last message step: tags ascend
+		for k, a := range steps {
+			if a.msg != nil {
+				after = k + 1
+			}
+		}
+		at := after + rng.Intn(len(steps)-after+1)
+		q.ranks[rank][seg] = slices.Insert(slices.Clone(steps), at, access{msg: half})
+	}
+	return q
+}
+
+// withoutMessage removes both halves of the message with the given tag.
+func (p barrierProgram) withoutMessage(tag int) barrierProgram {
+	q := barrierProgram{ranks: make([][][]access, len(p.ranks))}
+	for rank, segs := range p.ranks {
+		for _, seg := range segs {
+			q.ranks[rank] = append(q.ranks[rank], slices.DeleteFunc(slices.Clone(seg), func(a access) bool {
+				return a.msg != nil && a.msg.tag == tag
+			}))
+		}
+	}
+	return q
 }
 
 // BenchmarkSyncChain times the sync path of a syncheavy-shaped trace (16

@@ -174,8 +174,12 @@ type ReadOptions struct {
 	// execution that stopped where the trace breaks off — partial evidence,
 	// reported honestly.
 	Tolerate bool
-	// WindowBytes bounds the decoded records resident at once: 0 means the
-	// default window (trace.DefaultWindowBytes), negative means unbounded.
+	// WindowBytes bounds the decoded records resident at once, divided
+	// among the ranks read concurrently: 0 means the default window
+	// (trace.DefaultWindowBytes), negative means unbounded. Each reader
+	// holds one slot of at most 64 KiB of decoded cost, or its share of the
+	// window if that is less, so the default window and any larger one no
+	// longer bind.
 	WindowBytes int64
 }
 

@@ -3,6 +3,7 @@ package verifyio
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -420,8 +421,9 @@ func TestCacheShimInert(t *testing.T) {
 // writes [0,10) and rank 1 truncates the file to 4 bytes. Unordered, the
 // truncation races with the write under POSIX; after a barrier it does not.
 // This holds the recorder's [fd, size] arguments to what the conflict replay
-// parses. The truncation's range is only required to end at the size on one
-// side: rank 1's replay knows its own EOF estimate, not rank 0's write.
+// parses. Rank 1 wrote nothing, so its EOF estimate is 0 and the truncation
+// is a write of [0, MaxInt64): one rank's replay cannot know the file's
+// global size, so the range covers whatever other ranks wrote.
 func TestTracedFtruncateRaces(t *testing.T) {
 	for _, barrier := range []bool{false, true} {
 		tr, err := TraceProgram(2, POSIX, func(r *Rank) error {
@@ -471,8 +473,59 @@ func TestTracedFtruncateRaces(t *testing.T) {
 			race.FuncX: {int64(race.RankX), race.StartX, race.EndX},
 			race.FuncY: {int64(race.RankY), race.StartY, race.EndY},
 		}
-		if w, tc := ops["pwrite"], ops["ftruncate"]; w != [3]int64{0, 0, 10} || tc[0] != 1 || (tc[1] != 4 && tc[2] != 4) {
-			t.Errorf("barrier=false: race %+v, want rank 0's pwrite of [0,10) against rank 1's ftruncate at size 4", race)
+		if w, tc := ops["pwrite"], ops["ftruncate"]; w != [3]int64{0, 0, 10} || tc != [3]int64{1, 0, math.MaxInt64} {
+			t.Errorf("barrier=false: race %+v, want rank 0's pwrite of [0,10) against rank 1's ftruncate of [0, MaxInt64)", race)
+		}
+	}
+}
+
+// TestFtruncateClobbersOtherRanksBytes: rank 0 writes [6,10) and rank 1
+// truncates the file to 4 bytes, destroying them. Rank 1's own EOF estimate
+// is 0, below the size, so a range built from it alone ([0,4)) would miss
+// the write; the truncation's range runs to the end of the offset space
+// instead. Unordered, the pair races under every model; after a world
+// barrier it is properly synchronized under POSIX only, since no commit,
+// session or MPI-IO sync op separates the two.
+func TestFtruncateClobbersOtherRanksBytes(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		tr, err := TraceProgram(2, POSIX, func(r *Rank) error {
+			fd, err := r.Open("trunc.bin", 0x2|0x40) // O_RDWR|O_CREAT
+			if err != nil {
+				return err
+			}
+			if r.Rank() == 0 {
+				if _, err := r.Pwrite(fd, []byte("6789"), 6); err != nil {
+					return err
+				}
+			}
+			if barrier {
+				if err := r.Barrier(r.Proc().CommWorld()); err != nil {
+					return err
+				}
+			}
+			if r.Rank() == 1 {
+				if err := r.Ftruncate(fd, 4); err != nil {
+					return err
+				}
+			}
+			return r.Close(fd)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := VerifyAll(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reports {
+			want := int64(1)
+			if barrier && rep.Model == POSIX {
+				want = 0
+			}
+			if rep.ConflictPairs != 1 || rep.RaceCount != want {
+				t.Errorf("barrier=%v, %s: %d conflict pairs, %d races; want 1 and %d",
+					barrier, rep.Model, rep.ConflictPairs, rep.RaceCount, want)
+			}
 		}
 	}
 }

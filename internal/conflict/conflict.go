@@ -38,7 +38,6 @@ import (
 
 	"verifyio/internal/obs"
 	"verifyio/internal/par"
-	"verifyio/internal/recorder"
 	"verifyio/internal/trace"
 )
 
@@ -249,6 +248,10 @@ type rankReplayer struct {
 	// or drops a handle (open, fopen, close, fclose) clears memo.
 	memoHandle string
 	memo       *handleState
+	calls      trace.CallCache
+	// nested is the file of the last sync point when a POSIX close or sync
+	// made it, else -1.
+	nested int
 }
 
 func newRankReplayer() *rankReplayer {
@@ -256,6 +259,7 @@ func newRankReplayer() *rankReplayer {
 		sh:      &rankShard{unlinks: make(map[string]int)},
 		fids:    make(map[localKey]int),
 		handles: make(map[string]*handleState),
+		nested:  -1,
 	}
 }
 
@@ -312,8 +316,15 @@ func (sh *rankShard) push(op Op, sig int32) {
 	lf.ops++
 }
 
-func (rp *rankReplayer) addSync(rec *trace.Record, fid int) {
+// addSync records the sync point rec of call c on file fid. A POSIX close
+// or sync is what a following MPI-IO close or sync of the same call resolves
+// through (see step).
+func (rp *rankReplayer) addSync(rec *trace.Record, c *trace.Call, fid int) {
 	rp.sh.syncs = append(rp.sh.syncs, SyncPoint{Ref: rec.Ref(), Func: rec.Func, FID: int32(fid)})
+	rp.nested = -1
+	if c.Kind == trace.KindClose || c.Kind == trace.KindSync {
+		rp.nested = fid
+	}
 }
 
 func (rp *rankReplayer) lookup(handle string) *handleState {
@@ -327,229 +338,177 @@ func (rp *rankReplayer) lookup(handle string) *handleState {
 	return st
 }
 
-// step folds the next record into the replay.
+// step folds the next record into the replay. It reads each call through
+// its row of the call table, so the calls of one kind share one path. A
+// record whose fields do not give a usable handle, path or range counts as
+// skipped.
 func (rp *rankReplayer) step(rec *trace.Record) {
-	sh := rp.sh
-	fidOf, addOp, addSync, lookup := rp.fidOf, rp.addOp, rp.addSync, rp.lookup
-	handles := rp.handles
-	switch rec.Func {
-	case "open":
-		fd := rec.Arg(2)
-		if rec.Arg(0) == "" || fd == "" {
-			sh.skipped++
-			return
-		}
-		fid := fidOf(rec.Arg(0))
-		st := &handleState{fid: fid}
-		flags := rec.Arg(1)
-		if strings.Contains(flags, "trunc") {
-			rp.eof[fid] = 0
-		}
-		if strings.Contains(flags, "append") {
-			st.pos = rp.eof[fid]
-		}
-		handles[fd] = st
-		rp.memo = nil
-		addSync(rec, fid)
-
-	case "fopen":
-		id := rec.Arg(2)
-		if rec.Arg(0) == "" || id == "" {
-			sh.skipped++
-			return
-		}
-		fid := fidOf(rec.Arg(0))
-		st := &handleState{fid: fid}
-		switch rec.Arg(1) {
-		case "w", "w+":
-			rp.eof[fid] = 0
-		case "a", "a+":
-			st.pos = rp.eof[fid]
-		}
-		handles[id] = st
-		rp.memo = nil
-		addSync(rec, fid)
-
-	case "close", "fclose":
-		st := lookup(rec.Arg(0))
-		if st == nil {
-			sh.skipped++
-			return
-		}
-		addSync(rec, st.fid)
-		delete(handles, rec.Arg(0))
-		rp.memo = nil
-
-	case "fsync", "fdatasync":
-		st := lookup(rec.Arg(0))
-		if st == nil {
-			sh.skipped++
-			return
-		}
-		addSync(rec, st.fid)
-
-	case "read", "write":
-		st := lookup(rec.Arg(0))
-		n, ok := rec.IntArg(1)
-		if st == nil || !ok {
-			sh.skipped++
-			return
-		}
-		addOp(rec, st.fid, rec.Func == "write", st.pos, n)
-		st.pos += n
-
-	case "pread", "pwrite":
-		st := lookup(rec.Arg(0))
-		n, okN := rec.IntArg(1)
-		off, okO := rec.IntArg(2)
-		if st == nil || !okN || !okO {
-			sh.skipped++
-			return
-		}
-		addOp(rec, st.fid, rec.Func == "pwrite", off, n)
-
-	case "fread", "fwrite":
-		st := lookup(rec.Arg(0))
-		size, okS := rec.IntArg(1)
-		count, okC := rec.IntArg(2)
-		// A corrupt record can carry negative fields or a
-		// size*count product past int64: both would poison the
-		// interval index with nonsense ranges.
-		if st == nil || !okS || !okC || size < 0 || count < 0 ||
-			(size > 0 && count > math.MaxInt64/size) {
-			sh.skipped++
-			return
-		}
-		// Access size = size * count (the paper's fwrite
-		// example).
-		n := size * count
-		addOp(rec, st.fid, rec.Func == "fwrite", st.pos, n)
-		st.pos += n
-
-	case "readv", "writev":
-		// [fd, iovcnt, len...] — contiguous in the file, so
-		// one range of the summed lengths at the current
-		// position.
-		st := lookup(rec.Arg(0))
-		cnt, okC := rec.IntArg(1)
-		if st == nil || !okC || cnt < 0 || cnt > int64(len(rec.Args)) {
-			sh.skipped++
-			return
-		}
-		total := int64(0)
-		bad := false
-		for k := 0; k < int(cnt); k++ {
-			n, ok := rec.IntArg(2 + k)
-			if !ok {
-				bad = true
-				break
+	c := rp.calls.Of(rec.Func)
+	if c == nil {
+		return
+	}
+	h := rec.Arg(c.Pos(rec, trace.Handle))
+	var st *handleState
+	if c.Kind != trace.KindOpen && c.Has(trace.Handle) {
+		st = rp.lookup(h)
+	}
+	usable := st != nil
+	switch c.Kind {
+	case trace.KindRead, trace.KindWrite:
+		n, ok := dataBytes(c, rec)
+		var start int64
+		positional := c.Has(trace.Offset)
+		switch {
+		case positional:
+			var okO bool
+			start, okO = rec.IntArg(c.Pos(rec, trace.Offset))
+			ok = ok && okO
+		case usable:
+			// An append-mode write records where it landed: the end of the
+			// file, which other ranks' writes move.
+			start = st.pos
+			if pos, has := rec.IntArg(c.Pos(rec, trace.Pos)); has {
+				start = pos
 			}
-			total += n
 		}
-		if bad {
-			sh.skipped++
-			return
+		if usable = usable && ok; usable {
+			rp.addOp(rec, st.fid, c.Kind == trace.KindWrite, start, n)
+			if !positional {
+				st.pos = start + n
+			}
 		}
-		addOp(rec, st.fid, rec.Func == "writev", st.pos, total)
-		st.pos += total
 
-	case "lseek", "fseek":
-		st := lookup(rec.Arg(0))
-		if st == nil {
-			sh.skipped++
-			return
+	case trace.KindOpen:
+		path := rec.Arg(c.Pos(rec, trace.Path))
+		if usable = path != "" && h != ""; usable {
+			fid := rp.fidOf(path)
+			st = &handleState{fid: fid}
+			trunc, app := openFlags(c, rec)
+			if trunc {
+				rp.eof[fid] = 0
+			}
+			if app {
+				st.pos = rp.eof[fid]
+			}
+			rp.handles[h], rp.memo = st, nil
+			rp.addSync(rec, c, fid)
 		}
-		// Prefer the recorded resulting position; fall back
-		// to replaying the whence rule against (FP, EOF).
-		if pos, ok := rec.IntArg(3); ok {
+
+	case trace.KindClose:
+		if usable {
+			rp.addSync(rec, c, st.fid)
+			delete(rp.handles, h)
+			rp.memo = nil
+		}
+
+	case trace.KindSync, trace.KindFileSync:
+		switch path := rec.Arg(c.Pos(rec, trace.Path)); {
+		case c.Has(trace.Path):
+			if usable = path != ""; usable {
+				rp.addSync(rec, c, rp.fidOf(path))
+			}
+		case usable:
+			rp.addSync(rec, c, st.fid)
+		case c.Kind == trace.KindFileSync && rp.nested >= 0:
+			// The nested POSIX close has already removed the handle when
+			// the MPI-IO record is emitted (records appear at call return,
+			// innermost first): resolve through that close.
+			usable = true
+			rp.addSync(rec, c, rp.nested)
+		}
+
+	case trace.KindSeek:
+		// Prefer the recorded resulting position; fall back to replaying
+		// the whence rule against (FP, EOF).
+		if pos, ok := rec.IntArg(c.Pos(rec, trace.Pos)); ok && usable {
 			st.pos = pos
-			return
+			break
 		}
-		off, okO := rec.IntArg(1)
-		whence, errW := recorder.ParseWhence(rec.Arg(2))
-		if !okO || errW != nil {
-			sh.skipped++
-			return
-		}
-		switch whence {
-		case 0: // SEEK_SET
+		off, okO := rec.IntArg(c.Pos(rec, trace.Offset))
+		whence, errW := trace.ParseWhence(rec.Arg(c.Pos(rec, trace.Whence)))
+		switch {
+		case !usable:
+		case !okO || errW != nil:
+			usable = false
+		case whence == 0: // SEEK_SET
 			st.pos = off
-		case 1: // SEEK_CUR
+		case whence == 1: // SEEK_CUR
 			st.pos += off
-		case 2: // SEEK_END
+		default: // SEEK_END
 			st.pos = rp.eof[st.fid] + off
 		}
 
-	case "ftruncate":
-		st := lookup(rec.Arg(0))
-		size, ok := rec.IntArg(1)
-		if st == nil || !ok {
-			sh.skipped++
-			return
-		}
-		// Truncation rewrites everything from min(size, EOF)
-		// on: shrinking clobbers [size, EOF), growth zero-fills
-		// [EOF, size). One rank's EOF is only what it wrote
-		// itself — bytes another rank wrote past it are cut off
-		// too — so the range runs to the end of the offset space.
-		lo := min(size, rp.eof[st.fid])
-		if addOp(rec, st.fid, true, lo, math.MaxInt64-lo) {
-			rp.eof[st.fid] = size
-		}
-
-	case "unlink":
-		// Bumping the generation retires the path's current
-		// identity: the next fidOf at this path resolves to a
-		// fresh key.
-		if rec.Arg(0) == "" {
-			sh.skipped++
-			return
-		}
-		sh.unlinks[rec.Arg(0)]++
-
-	case "MPI_File_open":
-		// [comm, path, amode, fd] — the fd aliases the nested
-		// POSIX open, giving the MPI-IO sync op its file.
-		if rec.Arg(1) == "" {
-			sh.skipped++
-			return
-		}
-		addSync(rec, fidOf(rec.Arg(1)))
-
-	case "MPI_File_close", "MPI_File_sync":
-		st := lookup(rec.Arg(0))
-		if st == nil {
-			// The nested POSIX close has already removed the
-			// handle when the MPI-IO record is emitted
-			// (records appear at call return, innermost
-			// first). Resolve through the close that just
-			// happened instead.
-			if fid, ok := lastClosedFID(sh.syncs, rec.Seq); ok {
-				addSync(rec, fid)
-				return
+	case trace.KindTruncate:
+		// Truncation rewrites everything from min(size, EOF) on: shrinking
+		// clobbers [size, EOF), growth zero-fills [EOF, size). One rank's
+		// EOF is only what it wrote itself — bytes another rank wrote past
+		// it are cut off too — so the range runs to the end of the offset
+		// space.
+		size, ok := rec.IntArg(c.Pos(rec, trace.Size))
+		if usable = usable && ok; usable {
+			lo := min(size, rp.eof[st.fid])
+			if rp.addOp(rec, st.fid, true, lo, math.MaxInt64-lo) {
+				rp.eof[st.fid] = size
 			}
-			sh.skipped++
-			return
 		}
-		addSync(rec, st.fid)
+
+	case trace.KindUnlink:
+		// Bumping the generation retires the path's current identity: the
+		// next fidOf at this path resolves to a fresh key.
+		path := rec.Arg(c.Pos(rec, trace.Path))
+		if usable = path != ""; usable {
+			rp.sh.unlinks[path]++
+		}
+
+	default:
+		return
+	}
+	if !usable {
+		rp.sh.skipped++
 	}
 }
 
-// lastClosedFID finds the fid of the most recent close/fsync sync point on
-// this rank (the nested POSIX record of the enclosing MPI-IO call).
-func lastClosedFID(syncs []SyncPoint, beforeSeq int) (int, bool) {
-	for i := len(syncs) - 1; i >= 0; i-- {
-		sp := syncs[i]
-		if int(sp.Ref.Seq) >= beforeSeq {
-			continue
+// dataBytes is the length of a data call's range: its count, size × count
+// items, or the sum of its iovec lengths (contiguous in the file). A corrupt
+// record can carry negative fields or a size × count product past int64:
+// both would poison the interval index with nonsense ranges.
+func dataBytes(c *trace.Call, rec *trace.Record) (int64, bool) {
+	if c.Has(trace.IOVCount) {
+		cnt, ok := rec.IntArg(c.Pos(rec, trace.IOVCount))
+		if !ok || cnt < 0 || cnt > int64(len(rec.Args)) {
+			return 0, false
 		}
-		switch sp.Func {
-		case "close", "fclose", "fsync", "fdatasync":
-			return int(sp.FID), true
+		at, total := c.Pos(rec, trace.IOVLen), int64(0)
+		for k := range int(cnt) {
+			n, ok := rec.IntArg(at + k)
+			if !ok {
+				return 0, false
+			}
+			total += n
 		}
+		return total, true
+	}
+	count, ok := rec.IntArg(c.Pos(rec, trace.Count))
+	if !c.Has(trace.Size) || !ok {
+		return count, ok
+	}
+	size, ok := rec.IntArg(c.Pos(rec, trace.Size))
+	if !ok || size < 0 || count < 0 || (size > 0 && count > math.MaxInt64/size) {
 		return 0, false
 	}
-	return 0, false
+	return size * count, true
+}
+
+// openFlags reports whether an open truncates the file and whether its
+// handle appends: open(2)'s flags read "rw|creat|trunc", fopen(3)'s mode
+// "w+" or "a".
+func openFlags(c *trace.Call, rec *trace.Record) (trunc, app bool) {
+	if c.Has(trace.Mode) {
+		m := rec.Arg(c.Pos(rec, trace.Mode))
+		return m == "w" || m == "w+", m == "a" || m == "a+"
+	}
+	f := rec.Arg(c.Pos(rec, trace.Flags))
+	return strings.Contains(f, "trunc"), strings.Contains(f, "append")
 }
 
 // route sends a rank's operations on one of its local files to the canonical

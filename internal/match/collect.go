@@ -67,32 +67,32 @@ func (m *matcher) matchCollectives() {
 			for _, rank := range members {
 				e := &byRank[rank][slot]
 				if len(entries) > 0 {
-					sameName = sameName && e.fn == entries[0].fn
+					sameName = sameName && e.call == entries[0].call
 					sameRoot = sameRoot && e.rootArg == entries[0].rootArg
 				}
 				entries = append(entries, e)
 			}
-			name, root := entries[0].fn, entries[0].rootArg
+			call, root := entries[0].call, entries[0].rootArg
 			if !sameName || !sameRoot {
 				detail := fmt.Sprintf("collective slot %d on %s mixes calls:", slot, gid)
 				for i, rank := range members {
-					detail += fmt.Sprintf(" rank%d=%s", rank, entries[i].fn)
+					detail += fmt.Sprintf(" rank%d=%s", rank, entries[i].call.Name)
 				}
 				m.problem(MismatchedCollective, detail, initRefs(entries)...)
 				continue
 			}
-			if (scatterLike[name] || gatherLike[name]) && (root < 0 || root >= len(members)) {
+			if call.Has(trace.Root) && (root < 0 || root >= len(members)) {
 				// Every member agrees on a root that names no member: the
 				// slot matches, but its data flow — hence its sync order —
 				// is unknown, and silence would leave the report saying
 				// "verified" on an incomplete happens-before order.
 				m.problem(MalformedRecord,
-					fmt.Sprintf("%s: root %d is not a rank of %s (size %d)", name, root, gid, len(members)),
+					fmt.Sprintf("%s: root %d is not a rank of %s (size %d)", call.Name, root, gid, len(members)),
 					initRefs(entries)...)
 				continue
 			}
 			m.res.Collectives++
-			m.collectiveEdges(name, root, entries)
+			m.collectiveEdges(call.Kind, root, entries)
 		}
 	}
 }
@@ -109,9 +109,9 @@ func initRefs(entries []*collEntry) []trace.Ref {
 // collectiveEdges emits the synchronization edges for one matched slot.
 // entries holds the members' calls in communicator-rank order; root is a
 // valid index into it for the rooted classes.
-func (m *matcher) collectiveEdges(name string, root int, entries []*collEntry) {
-	switch {
-	case barrierLike[name]:
+func (m *matcher) collectiveEdges(kind trace.CallKind, root int, entries []*collEntry) {
+	switch kind {
+	case trace.KindBarrier:
 		// Everything before the collective on any member happens-before
 		// everything after it on every other member. Stored as one join
 		// node J per slot — pred(call_i) → J → completion_j, at most two
@@ -154,21 +154,21 @@ func (m *matcher) collectiveEdges(name string, root int, entries []*collEntry) {
 			return
 		}
 		m.joins++
-	case scatterLike[name]:
+	case trace.KindScatter:
 		er := entries[root]
 		for j, e := range entries {
 			if j != root {
 				m.res.Edges = append(m.res.Edges, Edge{From: er.init, To: e.completion})
 			}
 		}
-	case gatherLike[name]:
+	case trace.KindGather:
 		er := entries[root]
 		for j, e := range entries {
 			if j != root {
 				m.res.Edges = append(m.res.Edges, Edge{From: e.init, To: er.completion})
 			}
 		}
-	case prefixLike[name]:
+	case trace.KindPrefix:
 		// Prefix reductions: rank i's completion depends on every lower
 		// comm rank's contribution (and on nothing above it). Both calls are
 		// blocking, so init is completion and a chain through consecutive
@@ -222,13 +222,13 @@ func (m *matcher) matchP2P() {
 			n = len(recvs)
 		}
 		for k := 0; k < n; k++ {
-			m.res.Edges = append(m.res.Edges, Edge{From: sends[k].init, To: recvs[k].completion})
+			m.res.Edges = append(m.res.Edges, Edge{From: sends[k], To: recvs[k].completion})
 			m.res.P2P++
 		}
 		for k := n; k < len(sends); k++ {
 			m.problem(UnmatchedSend,
 				fmt.Sprintf("send on %s to world rank %d tag %d has no matching receive", key.comm, key.dst, key.tag),
-				sends[k].init)
+				sends[k])
 		}
 		for k := n; k < len(recvs); k++ {
 			m.problem(UnmatchedRecv,

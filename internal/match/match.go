@@ -179,61 +179,30 @@ type Result struct {
 	P2P int
 }
 
-// classification of MPI functions.
-var (
-	barrierLike = map[string]bool{
-		"MPI_Barrier": true, "MPI_Allreduce": true, "MPI_Allgather": true,
-		"MPI_Alltoall": true, "MPI_Comm_dup": true, "MPI_Comm_split": true,
-		"MPI_Comm_free": true, "MPI_Ibarrier": true, "MPI_Iallreduce": true,
+// edgesPerMember is at most how many edges a matched slot of a collective
+// of class k emits per member: two for a barrier-like join, one for the
+// other synchronizing classes, none for an MPI-IO collective.
+func edgesPerMember(k trace.CallKind) int {
+	switch k {
+	case trace.KindBarrier:
+		return 2
+	case trace.KindFile, trace.KindFileSync:
+		return 0
 	}
-	scatterLike = map[string]bool{"MPI_Bcast": true, "MPI_Scatter": true}
-	gatherLike  = map[string]bool{"MPI_Reduce": true, "MPI_Gather": true}
-	// prefixLike collectives order lower comm ranks before higher ones:
-	// rank i's result depends on every rank j < i.
-	prefixLike = map[string]bool{"MPI_Scan": true, "MPI_Exscan": true}
-	// fileCollective calls are matched for error detection only.
-	fileCollective = map[string]bool{
-		"MPI_File_open": true, "MPI_File_close": true, "MPI_File_sync": true,
-		"MPI_File_set_view": true, "MPI_File_set_size": true,
-		"MPI_File_read_all": true, "MPI_File_write_all": true,
-		"MPI_File_read_at_all": true, "MPI_File_write_at_all": true,
-	}
-)
-
-// collectiveClass reports whether fn participates in slot matching and, if
-// so, at most how many edges per member a matched slot of it emits: two for
-// a barrier-like join, one for the other synchronizing classes, none for an
-// MPI-IO collective.
-func collectiveClass(fn string) (perMember int, ok bool) {
-	switch {
-	case barrierLike[fn]:
-		return 2, true
-	case scatterLike[fn] || gatherLike[fn] || prefixLike[fn]:
-		return 1, true
-	}
-	return 0, fileCollective[fn]
+	return 1
 }
 
 // collEntry is one rank's participation in a collective slot.
 type collEntry struct {
-	fn         string
+	call       *trace.Call
 	init       trace.Ref
 	completion trace.Ref // == init for blocking calls
 	rootArg    int       // root for rooted collectives, else -1
 }
 
-// sendEntry is an unmatched send.
-type sendEntry struct {
-	init trace.Ref
-	tag  int
-}
-
-// recvEntry is an unmatched receive (with resolved actual src/tag).
+// recvEntry is an unmatched receive; sends are their initiation records.
 type recvEntry struct {
-	init       trace.Ref
-	completion trace.Ref
-	src, tag   int // actual values from the status
-	resolved   bool
+	init, completion trace.Ref
 }
 
 // Options configures the matcher.
@@ -309,7 +278,7 @@ func (m *Matcher) Finish(opts Options) *Result {
 		res:     &Result{},
 		members: map[string][]int{"comm-world": m.world},
 		colls:   map[string]map[int][]collEntry{},
-		sends:   map[p2pKey][]sendEntry{},
+		sends:   map[p2pKey][]trace.Ref{},
 		recvs:   map[p2pKey][]recvEntry{},
 	}
 	edges := 0
@@ -367,7 +336,7 @@ type matcher struct {
 	// colls: gid -> world rank -> ordered collective entries.
 	colls map[string]map[int][]collEntry
 	// sends/recvs: matching buckets.
-	sends map[p2pKey][]sendEntry
+	sends map[p2pKey][]trace.Ref
 	recvs map[p2pKey][]recvEntry
 }
 
@@ -378,11 +347,9 @@ func (m *matcher) problem(kind ProblemKind, detail string, refs ...trace.Ref) {
 // pendingReq tracks a not-yet-completed non-blocking operation during the
 // per-rank scan.
 type pendingReq struct {
-	fn   string
+	call *trace.Call
 	init trace.Ref
 	comm string
-	peer int // dst for isend, requested src for irecv (may be -1)
-	tag  int // requested tag (may be -1)
 	// collGID/collIdx locate a non-blocking collective's entry so its
 	// completion record can be filled in (indices, not pointers: the
 	// per-rank entry slice may be reallocated by later appends).
@@ -395,7 +362,7 @@ type rankOut struct {
 	// colls: gid -> this rank's ordered collective entries.
 	colls map[string][]collEntry
 	// sends/recvs: this rank's contributions to the matching buckets.
-	sends    map[p2pKey][]sendEntry
+	sends    map[p2pKey][]trace.Ref
 	recvs    map[p2pKey][]recvEntry
 	problems []Problem
 }
@@ -425,8 +392,9 @@ type rankScanner struct {
 	lastOpen string
 	anyOpen  bool
 	// edges bounds the edges the rank's calls can emit: one per send, and
-	// collectiveClass's count per synchronizing collective.
+	// edgesPerMember per collective.
 	edges int
+	calls trace.CallCache
 }
 
 func newRankScanner(rank int, world []int) *rankScanner {
@@ -435,7 +403,7 @@ func newRankScanner(rank int, world []int) *rankScanner {
 		members: map[string][]int{"comm-world": world},
 		out: &rankOut{
 			colls: map[string][]collEntry{},
-			sends: map[p2pKey][]sendEntry{},
+			sends: map[p2pKey][]trace.Ref{},
 			recvs: map[p2pKey][]recvEntry{},
 		},
 		pending:  map[string]*pendingReq{},
@@ -451,9 +419,9 @@ func (sc *rankScanner) addColl(gid string, e collEntry, perMember int) int {
 	return len(sc.out.colls[gid]) - 1
 }
 
-// complete retires a request id at the given completion record with the
-// given actual (src, tag) status.
-func (sc *rankScanner) complete(req string, at trace.Ref, src, tag int) {
+// complete retires request req of the completion record rec with the
+// (src, tag) status read for it.
+func (sc *rankScanner) complete(rec *trace.Record, req string, src, tag int, statusOK bool) {
 	p, ok := sc.pending[req]
 	if !ok {
 		// Completing an unknown/already-done request: tolerated
@@ -461,244 +429,166 @@ func (sc *rankScanner) complete(req string, at trace.Ref, src, tag int) {
 		return
 	}
 	delete(sc.pending, req)
+	at := sc.ref(rec)
 	switch {
 	case p.collGID != "":
 		sc.out.colls[p.collGID][p.collIdx].completion = at
-	case p.fn == "MPI_Isend":
-		// The send edge uses the initiation record; nothing to do
-		// at completion.
-	case p.fn == "MPI_Irecv":
-		key := p2pKey{comm: p.comm, src: src, dst: sc.rank, tag: tag}
-		sc.out.recvs[key] = append(sc.out.recvs[key], recvEntry{
-			init: p.init, completion: at, src: src, tag: tag, resolved: true,
-		})
+	case p.call.Kind != trace.KindRecv:
+		// The send edge uses the initiation record; nothing to do at
+		// completion.
+	case !statusOK:
+		sc.malformed(rec, "bad status")
+	default:
+		sc.received(p.comm, p.init, at, src, tag)
 	}
 }
 
-// step scans one record.
+// received adds a receive completed at completion, with its actual source
+// and tag resolved from the recorded status.
+func (sc *rankScanner) received(comm string, init, completion trace.Ref, src, tag int) {
+	key := p2pKey{comm: comm, src: src, dst: sc.rank, tag: tag}
+	sc.out.recvs[key] = append(sc.out.recvs[key], recvEntry{init: init, completion: completion})
+}
+
+func (sc *rankScanner) ref(rec *trace.Record) trace.Ref {
+	return trace.Ref{Rank: int32(sc.rank), Seq: int32(rec.Seq)}
+}
+
+func (sc *rankScanner) malformed(rec *trace.Record, why string) {
+	sc.out.problem(MalformedRecord, fmt.Sprintf("%s: %s", rec.Func, why), sc.ref(rec))
+}
+
+// status reads the (source, tag) pair at position at.
+func status(rec *trace.Record, at int) (src, tag int, ok bool) {
+	src, ok1 := rec.Int32Arg(at)
+	tag, ok2 := rec.Int32Arg(at + 1)
+	return src, tag, ok1 && ok2
+}
+
+// step scans one record. Calls are read through the call table, so calls of
+// one kind share one path: Send, Isend and Sendrecv send; Sendrecv and Recv
+// carry a completed receive's status; Isend, Irecv and the non-blocking
+// collectives a request.
 func (sc *rankScanner) step(rec *trace.Record) {
-	rank, out, members, pending := sc.rank, sc.out, sc.members, sc.pending
 	if rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
 		return
 	}
-	ref := trace.Ref{Rank: int32(rank), Seq: int32(rec.Seq)}
-	malformed := func(why string) {
-		out.problem(MalformedRecord, fmt.Sprintf("%s: %s", rec.Func, why), ref)
+	c := sc.calls.Of(rec.Func)
+	if c == nil {
+		return
 	}
-
-	switch rec.Func {
-	case "MPI_Send":
-		comm, dst, tag, ok := commPeerTag(rec)
+	ref := sc.ref(rec)
+	comm, req := rec.Arg(c.Pos(rec, trace.Comm)), rec.Arg(c.Pos(rec, trace.Request))
+	switch {
+	case c.Kind == trace.KindSend || c.Kind == trace.KindRecv:
+		ok := comm != "" && (req != "" || !c.Has(trace.Request))
+		// A blocking receive is matched on its status alone.
+		var peer, tag int
+		if c.Kind == trace.KindSend || c.Has(trace.Request) {
+			var okP, okT bool
+			peer, okP = rec.Int32Arg(c.Pos(rec, trace.Peer))
+			tag, okT = rec.Int32Arg(c.Pos(rec, trace.Tag))
+			ok = ok && okP && okT
+		}
+		var src, stag int
+		if c.Has(trace.Status) {
+			var okS bool
+			src, stag, okS = status(rec, c.Pos(rec, trace.Status))
+			ok = ok && okS
+		}
 		if !ok {
-			malformed("bad arguments")
+			sc.malformed(rec, "bad arguments")
 			return
 		}
-		dstWorld, ok := worldRank(members, comm, dst)
-		if !ok {
-			malformed("unknown communicator " + comm)
-			return
-		}
-		srcComm, _ := commRank(members, comm, rank)
-		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
-		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
-		sc.edges++
-
-	case "MPI_Sendrecv":
-		// [comm, dst, stag, scount, src, rtag, nrecv, aSrc, aTag]
-		// — one record, two events: a send and a completed receive.
-		comm, dst, stag, ok := commPeerTag(rec)
-		aSrc, ok1 := rec.IntArg(7)
-		aTag, ok2 := rec.IntArg(8)
-		if !ok || !ok1 || !ok2 {
-			malformed("bad arguments")
-			return
-		}
-		dstWorld, okD := worldRank(members, comm, dst)
-		if !okD {
-			malformed("unknown communicator " + comm)
-			return
-		}
-		srcComm, _ := commRank(members, comm, rank)
-		sKey := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: stag}
-		out.sends[sKey] = append(out.sends[sKey], sendEntry{init: ref, tag: stag})
-		sc.edges++
-		rKey := p2pKey{comm: comm, src: int(aSrc), dst: rank, tag: int(aTag)}
-		out.recvs[rKey] = append(out.recvs[rKey], recvEntry{
-			init: ref, completion: ref, src: int(aSrc), tag: int(aTag), resolved: true,
-		})
-
-	case "MPI_Isend":
-		comm, dst, tag, ok := commPeerTag(rec)
-		req := rec.Arg(4)
-		if !ok || req == "" {
-			malformed("bad arguments")
-			return
-		}
-		dstWorld, ok := worldRank(members, comm, dst)
-		if !ok {
-			malformed("unknown communicator " + comm)
-			return
-		}
-		srcComm, _ := commRank(members, comm, rank)
-		key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
-		out.sends[key] = append(out.sends[key], sendEntry{init: ref, tag: tag})
-		sc.edges++
-		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, peer: dst, tag: tag}
-
-	case "MPI_Recv":
-		// [comm, src, tag, n, actualSrc, actualTag]
-		comm := rec.Arg(0)
-		aSrc, ok1 := rec.IntArg(4)
-		aTag, ok2 := rec.IntArg(5)
-		if comm == "" || !ok1 || !ok2 {
-			malformed("bad arguments")
-			return
-		}
-		key := p2pKey{comm: comm, src: int(aSrc), dst: rank, tag: int(aTag)}
-		out.recvs[key] = append(out.recvs[key], recvEntry{
-			init: ref, completion: ref, src: int(aSrc), tag: int(aTag), resolved: true,
-		})
-
-	case "MPI_Irecv":
-		comm, src, tag, ok := commPeerTag(rec)
-		req := rec.Arg(3)
-		if !ok || req == "" {
-			malformed("bad arguments")
-			return
-		}
-		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, peer: src, tag: tag}
-
-	case "MPI_Wait":
-		// [req, src, tag]
-		src, _ := rec.IntArg(1)
-		tag, _ := rec.IntArg(2)
-		sc.complete(rec.Arg(0), ref, int(src), int(tag))
-
-	case "MPI_Waitall", "MPI_Testall":
-		n, ok := rec.IntArg(0)
-		if !ok || n < 0 || n > int64(len(rec.Args)) {
-			malformed("bad count")
-			return
-		}
-		statusBase := 1 + int(n)
-		if rec.Func == "MPI_Testall" {
-			if rec.Arg(statusBase) != "1" {
-				return // flag=0: nothing completed
+		if c.Kind == trace.KindSend {
+			dstWorld, known := worldRank(sc.members, comm, peer)
+			if !known {
+				sc.malformed(rec, "unknown communicator "+comm)
+				return
 			}
-			statusBase++
+			srcComm, _ := commRank(sc.members, comm, sc.rank)
+			key := p2pKey{comm: comm, src: srcComm, dst: dstWorld, tag: tag}
+			sc.out.sends[key] = append(sc.out.sends[key], ref)
+			sc.edges++
 		}
-		for k := 0; k < int(n); k++ {
-			src, _ := rec.IntArg(statusBase + 2*k)
-			tag, _ := rec.IntArg(statusBase + 2*k + 1)
-			sc.complete(rec.Arg(1+k), ref, int(src), int(tag))
+		if c.Has(trace.Status) {
+			sc.received(comm, ref, ref, src, stag)
+		}
+		if c.Has(trace.Request) {
+			sc.pend(req, &pendingReq{call: c, init: ref, comm: comm})
 		}
 
-	case "MPI_Test":
-		// [req, flag, src, tag]
-		if rec.Arg(1) != "1" {
-			return
-		}
-		src, _ := rec.IntArg(2)
-		tag, _ := rec.IntArg(3)
-		sc.complete(rec.Arg(0), ref, int(src), int(tag))
-
-	case "MPI_Waitany":
-		// [n, reqs..., idx, src, tag]
-		n, ok := rec.IntArg(0)
-		if !ok || n < 0 || n > int64(len(rec.Args)) {
-			malformed("bad count")
-			return
-		}
-		idx, okI := rec.IntArg(1 + int(n))
-		if !okI || idx < 0 || idx >= n {
-			malformed("bad completion index")
-			return
-		}
-		src, _ := rec.IntArg(1 + int(n) + 1)
-		tag, _ := rec.IntArg(1 + int(n) + 2)
-		sc.complete(rec.Arg(1+int(idx)), ref, int(src), int(tag))
-
-	case "MPI_Waitsome", "MPI_Testsome":
-		// [n, reqs..., outcount, indices..., (src,tag)...]
-		n, ok := rec.IntArg(0)
-		if !ok || n < 0 || n > int64(len(rec.Args)) {
-			malformed("bad count")
-			return
-		}
-		base := 1 + int(n)
-		outc, okC := rec.IntArg(base)
-		if !okC || outc < 0 || outc > n {
-			malformed("bad outcount")
-			return
-		}
-		for k := 0; k < int(outc); k++ {
-			idx, okI := rec.IntArg(base + 1 + k)
-			if !okI || idx < 0 || idx >= n {
-				malformed("bad completion index")
-				continue
+	case c.Kind == trace.KindComplete:
+		// One request or a run of nreq; a Test*'s flag says whether they
+		// completed; all of them complete, or the one or outcount at the
+		// recorded indices, each with a status in completion order.
+		n := 1
+		if c.Has(trace.NumRequests) {
+			v, ok := rec.IntArg(c.Pos(rec, trace.NumRequests))
+			if !ok || v < 0 || v > int64(len(rec.Args)) {
+				sc.malformed(rec, "bad count")
+				return
 			}
-			src, _ := rec.IntArg(base + 1 + int(outc) + 2*k)
-			tag, _ := rec.IntArg(base + 1 + int(outc) + 2*k + 1)
-			sc.complete(rec.Arg(1+int(idx)), ref, int(src), int(tag))
+			n = int(v)
+		}
+		if c.Has(trace.Flag) && rec.Arg(c.Pos(rec, trace.Flag)) != "1" {
+			return // nothing completed
+		}
+		done := n
+		if c.Has(trace.OutCount) {
+			v, ok := rec.Int32Arg(c.Pos(rec, trace.OutCount))
+			if !ok || v < 0 || v > n {
+				sc.malformed(rec, "bad outcount")
+				return
+			}
+			done = v
+		} else if c.Has(trace.Index) {
+			done = 1
+		}
+		reqs, idx, st := c.Pos(rec, trace.Request), c.Pos(rec, trace.Index), c.Pos(rec, trace.Status)
+		for k := range done {
+			i := k
+			if idx >= 0 {
+				v, ok := rec.Int32Arg(idx + k)
+				if !ok || v < 0 || v >= n {
+					sc.malformed(rec, "bad completion index")
+					continue
+				}
+				i = v
+			}
+			src, tag, ok := status(rec, st+2*k)
+			sc.complete(rec, rec.Arg(reqs+i), src, tag, ok)
 		}
 
-	case "MPI_Comm_dup":
-		// [parent, new, members]
-		sc.regs = append(sc.regs, [2]string{rec.Arg(1), rec.Arg(2)})
-		if err := registerComm(members, rec.Arg(1), rec.Arg(2)); err != nil {
-			malformed(err.Error())
+	case c.Kind >= trace.KindBarrier: // a collective
+		if c.Has(trace.NewComm) {
+			gid, list := rec.Arg(c.Pos(rec, trace.NewComm)), rec.Arg(c.Pos(rec, trace.Members))
+			sc.regs = append(sc.regs, [2]string{gid, list})
+			if err := registerComm(sc.members, gid, list); err != nil {
+				sc.malformed(rec, err.Error())
+			}
 		}
-		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
-
-	case "MPI_Comm_split":
-		// [parent, color, key, new, members]
-		sc.regs = append(sc.regs, [2]string{rec.Arg(3), rec.Arg(4)})
-		if err := registerComm(members, rec.Arg(3), rec.Arg(4)); err != nil {
-			malformed(err.Error())
-		}
-		sc.addColl(rec.Arg(0), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
-
-	case "MPI_Ibarrier", "MPI_Iallreduce":
-		// [comm, (op,) req]
-		comm := rec.Arg(0)
-		req := rec.Arg(len(rec.Args) - 1)
-		if comm == "" || req == "" {
-			malformed("bad arguments")
-			return
-		}
-		idx := sc.addColl(comm, collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: -1}, 2)
-		pending[req] = &pendingReq{fn: rec.Func, init: ref, comm: comm, collGID: comm, collIdx: idx}
-
-	default:
-		perMember, isColl := collectiveClass(rec.Func)
-		if !isColl {
+		if c.Kind >= trace.KindFile {
+			// An MPI-IO collective names its file handle: it is matched on
+			// the communicator of the open that made the handle.
+			h := rec.Arg(c.Pos(rec, trace.Handle))
+			if c.Has(trace.Comm) {
+				sc.openByFd[h], sc.lastOpen, sc.anyOpen = comm, comm, true
+			} else {
+				comm = sc.fileComm(h)
+			}
+		} else if comm == "" || (req == "" && c.Has(trace.Request)) {
+			sc.malformed(rec, "bad arguments")
 			return
 		}
 		root := -1
-		if scatterLike[rec.Func] || gatherLike[rec.Func] {
-			if v, ok := rec.IntArg(1); ok {
-				root = int(v)
-			}
+		if v, ok := rec.Int32Arg(c.Pos(rec, trace.Root)); ok {
+			root = v
 		}
-		comm := rec.Arg(0)
-		if rec.Func == "MPI_File_close" || rec.Func == "MPI_File_sync" ||
-			rec.Func == "MPI_File_set_view" || rec.Func == "MPI_File_set_size" ||
-			strings.HasPrefix(rec.Func, "MPI_File_read") || strings.HasPrefix(rec.Func, "MPI_File_write") {
-			// MPI-IO collectives carry an fh, not a comm; they are
-			// matched on the communicator of the enclosing open —
-			// recovered from the open-file table.
-			comm = ""
+		k := sc.addColl(comm, collEntry{call: c, init: ref, completion: ref, rootArg: root}, edgesPerMember(c.Kind))
+		if c.Has(trace.Request) {
+			sc.pend(req, &pendingReq{call: c, init: ref, comm: comm, collGID: comm, collIdx: k})
 		}
-		if rec.Func == "MPI_File_open" {
-			comm = rec.Arg(0)
-			// Record the open before resolving, so an open with an
-			// empty comm resolves through itself like the backward
-			// scan did.
-			sc.openByFd[rec.Arg(3)] = rec.Arg(0)
-			sc.lastOpen = rec.Arg(0)
-			sc.anyOpen = true
-		}
-		sc.addColl(sc.fileComm(rec, comm), collEntry{fn: rec.Func, init: ref, completion: ref, rootArg: root}, perMember)
 	}
 }
 
@@ -718,11 +608,23 @@ func (sc *rankScanner) finish() *rankOut {
 		return cmp.Compare(a, b)
 	})
 	for _, req := range dangling {
-		p := pending[req]
-		sc.out.problem(DanglingRequest,
-			fmt.Sprintf("%s request %s never completed by MPI_Wait*/MPI_Test*", p.fn, req), p.init)
+		sc.dangling(req, pending[req])
 	}
 	return sc.out
+}
+
+// pend registers request req. An id still pending is a corrupt trace: the
+// earlier request can no longer complete, so it is dangling from here.
+func (sc *rankScanner) pend(req string, p *pendingReq) {
+	if old := sc.pending[req]; old != nil {
+		sc.dangling(req, old)
+	}
+	sc.pending[req] = p
+}
+
+func (sc *rankScanner) dangling(req string, p *pendingReq) {
+	sc.out.problem(DanglingRequest,
+		fmt.Sprintf("%s request %s never completed by MPI_Wait*/MPI_Test*", p.call.Name, req), p.init)
 }
 
 // fileComm resolves the communicator for MPI-IO collective records: the comm
@@ -732,11 +634,8 @@ func (sc *rankScanner) finish() *rankOut {
 // one. (A single open file per rank at a time covers this simulation's
 // programs; the fh→comm table also handles interleaved opens on different
 // communicators.)
-func (sc *rankScanner) fileComm(rec *trace.Record, explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	if comm, ok := sc.openByFd[rec.Arg(0)]; ok {
+func (sc *rankScanner) fileComm(handle string) string {
+	if comm, ok := sc.openByFd[handle]; ok {
 		return comm
 	}
 	// Fall back to the last open of any fd.
@@ -786,14 +685,4 @@ func commRank(members map[string][]int, gid string, world int) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-func commPeerTag(rec *trace.Record) (comm string, peer, tag int, ok bool) {
-	comm = rec.Arg(0)
-	p, ok1 := rec.IntArg(1)
-	t, ok2 := rec.IntArg(2)
-	if comm == "" || !ok1 || !ok2 {
-		return "", 0, 0, false
-	}
-	return comm, int(p), int(t), true
 }

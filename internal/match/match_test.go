@@ -639,3 +639,51 @@ func TestWellFormedCommCreationNotReported(t *testing.T) {
 		t.Fatalf("unexpected MalformedRecord problems: %v", probs)
 	}
 }
+
+// TestOutOfRangeValuesMalformed: a rank, tag, root or index beyond int32 is
+// a MalformedRecord naming its record on every architecture. Truncated to a
+// 32-bit int instead, a send to 1<<32+1 would match rank 1 on 386 and name
+// no rank on amd64.
+func TestOutOfRangeValuesMalformed(t *testing.T) {
+	const huge = "4294967297" // 1<<32 + 1
+	type rec struct {
+		rank int
+		fn   string
+		args []string
+	}
+	cases := map[string][]rec{
+		"send peer": {{0, "MPI_Send", []string{"comm-world", huge, "1", "4"}}},
+		"send tag": {{0, "MPI_Send", []string{"comm-world", "1", huge, "4"}},
+			{1, "MPI_Recv", []string{"comm-world", "0", "1", "4", "0", "1"}}},
+		"isend peer": {{0, "MPI_Isend", []string{"comm-world", huge, "1", "4", "req-0.0"}}},
+		"irecv tag":  {{0, "MPI_Irecv", []string{"comm-world", "1", huge, "req-0.0"}}},
+		"recv status source": {{1, "MPI_Send", []string{"comm-world", "0", "1", "4"}},
+			{0, "MPI_Recv", []string{"comm-world", "-1", "1", "4", huge, "1"}}},
+		"wait status tag": {{0, "MPI_Irecv", []string{"comm-world", "1", "1", "req-0.0"}},
+			{1, "MPI_Send", []string{"comm-world", "0", "1", "4"}},
+			{0, "MPI_Wait", []string{"req-0.0", "1", huge}}},
+		"waitany index": {{0, "MPI_Isend", []string{"comm-world", "1", "1", "4", "req-0.0"}},
+			{1, "MPI_Recv", []string{"comm-world", "0", "1", "4", "0", "1"}},
+			{0, "MPI_Waitany", []string{"1", "req-0.0", "4294967296", "0", "0"}}},
+		"waitsome index": {{0, "MPI_Isend", []string{"comm-world", "1", "1", "4", "req-0.0"}},
+			{1, "MPI_Recv", []string{"comm-world", "0", "1", "4", "0", "1"}},
+			{0, "MPI_Waitsome", []string{"1", "req-0.0", "1", huge, "0", "0"}}},
+		"bcast root": {{0, "MPI_Bcast", []string{"comm-world", huge, "4"}},
+			{1, "MPI_Bcast", []string{"comm-world", huge, "4"}}},
+	}
+	for name, recs := range cases {
+		tr := trace.New(2)
+		bad := trace.Ref{Rank: -1} // the first record holding an out-of-range value
+		for _, r := range recs {
+			tick := int64(2*len(tr.Ranks[r.rank]) + 1)
+			ref := tr.Append(trace.Record{Rank: r.rank, Func: r.fn, Layer: trace.LayerMPI, Args: r.args, Tick: tick, Ret: tick + 1})
+			if bad.Rank < 0 && slices.ContainsFunc(r.args, func(a string) bool { return strings.HasPrefix(a, "42949672") }) {
+				bad = ref
+			}
+		}
+		probs := problems(mustMatch(t, tr), MalformedRecord)
+		if len(probs) != 1 || !slices.Contains(probs[0].Refs, bad) {
+			t.Errorf("%s: MalformedRecord problems %v, want one naming record %v", name, probs, bad)
+		}
+	}
+}

@@ -8,38 +8,12 @@ import (
 	"verifyio/internal/trace"
 )
 
-// Traced MPI wrappers. Argument layouts are a contract with the MPI matcher
-// (package match); keep the two in sync:
-//
-//	MPI_Send        [comm, dst, tag, count]
-//	MPI_Recv        [comm, src, tag, nrecv, actualSrc, actualTag]
-//	MPI_Isend       [comm, dst, tag, count, req]
-//	MPI_Irecv       [comm, src, tag, req]
-//	MPI_Wait        [req, actualSrc, actualTag]
-//	MPI_Waitall     [n, req..., (src,tag)...]
-//	MPI_Waitany     [n, req..., outIndex, src, tag]
-//	MPI_Waitsome    [n, req..., outCount, outIndex..., (src,tag)...]
-//	MPI_Test        [req, flag, src, tag]
-//	MPI_Testall     [n, req..., flag, (src,tag)...]
-//	MPI_Testsome    [n, req..., outCount, outIndex..., (src,tag)...]
-//	MPI_Barrier     [comm]
-//	MPI_Bcast       [comm, root, count]
-//	MPI_Reduce      [comm, root, op]
-//	MPI_Allreduce   [comm, op]
-//	MPI_Gather      [comm, root]
-//	MPI_Allgather   [comm]
-//	MPI_Scatter     [comm, root]
-//	MPI_Alltoall    [comm]
-//	MPI_Ibarrier    [comm, req]
-//	MPI_Iallreduce  [comm, op, req]
-//	MPI_Comm_dup    [parent, new, members]
-//	MPI_Comm_split  [parent, color, key, new, members]
-//	MPI_Comm_free   [comm]
-//
-// Wildcard receives record the requested src/tag (-1) *and* the actual
-// values from the returned MPI_Status — the information the paper's matcher
-// uses to resolve MPI_ANY_SOURCE / MPI_ANY_TAG offline. Request ids tie
-// non-blocking initiations to their completing Wait*/Test* calls.
+// Traced MPI wrappers. Each records its arguments in the order its row of
+// the call table in package trace gives. Wildcard receives record the
+// requested src/tag (-1) *and* the actual values from the returned
+// MPI_Status — the information the paper's matcher uses to resolve
+// MPI_ANY_SOURCE / MPI_ANY_TAG offline. Request ids tie non-blocking
+// initiations to their completing Wait*/Test* calls.
 
 // Send is the traced MPI_Send.
 func (r *Rank) Send(comm *mpi.Comm, dst, tag int, data []byte) error {
@@ -50,167 +24,115 @@ func (r *Rank) Send(comm *mpi.Comm, dst, tag int, data []byte) error {
 
 // Recv is the traced MPI_Recv.
 func (r *Rank) Recv(comm *mpi.Comm, src, tag int) ([]byte, mpi.Status, error) {
-	var data []byte
-	var st mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Recv", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Recv", func() ([]byte, mpi.Status, error) {
+		return r.proc.Recv(comm, src, tag)
+	}, func(data []byte, st mpi.Status) []string {
 		return []string{comm.GID(), itoa(int64(src)), itoa(int64(tag)),
 			itoa(int64(len(data))), itoa(int64(st.Source)), itoa(int64(st.Tag))}
-	}, func() error {
-		data, st, err = r.proc.Recv(comm, src, tag)
-		return err
 	})
-	return data, st, err
 }
 
-// Sendrecv is the traced MPI_Sendrecv. The record carries both halves:
-// [comm, dst, sendTag, sendCount, src, recvTag, nrecv, actualSrc,
-// actualTag]; the matcher treats it as a send event and a receive event.
+// Sendrecv is the traced MPI_Sendrecv. The record carries both halves; the
+// matcher treats it as a send event and a receive event.
 func (r *Rank) Sendrecv(comm *mpi.Comm, dst, sendTag int, data []byte, src, recvTag int) ([]byte, mpi.Status, error) {
-	var out []byte
-	var st mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Sendrecv", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Sendrecv", func() ([]byte, mpi.Status, error) {
+		return r.proc.Sendrecv(comm, dst, sendTag, data, src, recvTag)
+	}, func(out []byte, st mpi.Status) []string {
 		return []string{comm.GID(), itoa(int64(dst)), itoa(int64(sendTag)),
 			itoa(int64(len(data))), itoa(int64(src)), itoa(int64(recvTag)),
 			itoa(int64(len(out))), itoa(int64(st.Source)), itoa(int64(st.Tag))}
-	}, func() error {
-		out, st, err = r.proc.Sendrecv(comm, dst, sendTag, data, src, recvTag)
-		return err
 	})
-	return out, st, err
 }
 
 // Isend is the traced MPI_Isend.
 func (r *Rank) Isend(comm *mpi.Comm, dst, tag int, data []byte) (*mpi.Request, error) {
-	var req *mpi.Request
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Isend", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Isend", func() (*mpi.Request, error) {
+		return r.proc.Isend(comm, dst, tag, data)
+	}, func(req *mpi.Request) []string {
 		return []string{comm.GID(), itoa(int64(dst)), itoa(int64(tag)),
 			itoa(int64(len(data))), reqID(req)}
-	}, func() error {
-		req, err = r.proc.Isend(comm, dst, tag, data)
-		return err
 	})
-	return req, err
 }
 
 // Irecv is the traced MPI_Irecv.
 func (r *Rank) Irecv(comm *mpi.Comm, src, tag int) (*mpi.Request, error) {
-	var req *mpi.Request
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Irecv", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Irecv", func() (*mpi.Request, error) {
+		return r.proc.Irecv(comm, src, tag)
+	}, func(req *mpi.Request) []string {
 		return []string{comm.GID(), itoa(int64(src)), itoa(int64(tag)), reqID(req)}
-	}, func() error {
-		req, err = r.proc.Irecv(comm, src, tag)
-		return err
 	})
-	return req, err
 }
 
 // Wait is the traced MPI_Wait.
 func (r *Rank) Wait(req *mpi.Request) (mpi.Status, error) {
-	var st mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Wait", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Wait", func() (mpi.Status, error) {
+		return r.proc.Wait(req)
+	}, func(st mpi.Status) []string {
 		return []string{reqID(req), itoa(int64(st.Source)), itoa(int64(st.Tag))}
-	}, func() error {
-		st, err = r.proc.Wait(req)
-		return err
 	})
-	return st, err
 }
 
 // Waitall is the traced MPI_Waitall.
 func (r *Rank) Waitall(reqs []*mpi.Request) ([]mpi.Status, error) {
-	var sts []mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Waitall", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Waitall", func() ([]mpi.Status, error) {
+		return r.proc.Waitall(reqs)
+	}, func(sts []mpi.Status) []string {
 		args := reqListArgs(reqs)
 		for _, st := range sts {
 			args = append(args, itoa(int64(st.Source)), itoa(int64(st.Tag)))
 		}
 		return args
-	}, func() error {
-		sts, err = r.proc.Waitall(reqs)
-		return err
 	})
-	return sts, err
 }
 
 // Waitany is the traced MPI_Waitany.
 func (r *Rank) Waitany(reqs []*mpi.Request) (int, mpi.Status, error) {
-	idx := -1
-	var st mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Waitany", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Waitany", func() (int, mpi.Status, error) {
+		return r.proc.Waitany(reqs)
+	}, func(idx int, st mpi.Status) []string {
 		args := reqListArgs(reqs)
 		return append(args, itoa(int64(idx)), itoa(int64(st.Source)), itoa(int64(st.Tag)))
-	}, func() error {
-		idx, st, err = r.proc.Waitany(reqs)
-		return err
 	})
-	return idx, st, err
 }
 
 // Waitsome is the traced MPI_Waitsome.
 func (r *Rank) Waitsome(reqs []*mpi.Request) ([]int, []mpi.Status, error) {
-	var idx []int
-	var sts []mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Waitsome", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Waitsome", func() ([]int, []mpi.Status, error) {
+		return r.proc.Waitsome(reqs)
+	}, func(idx []int, sts []mpi.Status) []string {
 		return completionListArgs(reqs, idx, sts)
-	}, func() error {
-		idx, sts, err = r.proc.Waitsome(reqs)
-		return err
 	})
-	return idx, sts, err
 }
 
 // Test is the traced MPI_Test.
 func (r *Rank) Test(req *mpi.Request) (bool, mpi.Status, error) {
-	var done bool
-	var st mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Test", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Test", func() (bool, mpi.Status, error) {
+		return r.proc.Test(req)
+	}, func(done bool, st mpi.Status) []string {
 		return []string{reqID(req), boolArg(done), itoa(int64(st.Source)), itoa(int64(st.Tag))}
-	}, func() error {
-		done, st, err = r.proc.Test(req)
-		return err
 	})
-	return done, st, err
 }
 
 // Testall is the traced MPI_Testall.
 func (r *Rank) Testall(reqs []*mpi.Request) (bool, []mpi.Status, error) {
-	var done bool
-	var sts []mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Testall", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Testall", func() (bool, []mpi.Status, error) {
+		return r.proc.Testall(reqs)
+	}, func(done bool, sts []mpi.Status) []string {
 		args := append(reqListArgs(reqs), boolArg(done))
 		for _, st := range sts {
 			args = append(args, itoa(int64(st.Source)), itoa(int64(st.Tag)))
 		}
 		return args
-	}, func() error {
-		done, sts, err = r.proc.Testall(reqs)
-		return err
 	})
-	return done, sts, err
 }
 
 // Testsome is the traced MPI_Testsome.
 func (r *Rank) Testsome(reqs []*mpi.Request) ([]int, []mpi.Status, error) {
-	var idx []int
-	var sts []mpi.Status
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Testsome", func() []string {
+	return record2(r, trace.LayerMPI, "MPI_Testsome", func() ([]int, []mpi.Status, error) {
+		return r.proc.Testsome(reqs)
+	}, func(idx []int, sts []mpi.Status) []string {
 		return completionListArgs(reqs, idx, sts)
-	}, func() error {
-		idx, sts, err = r.proc.Testsome(reqs)
-		return err
 	})
-	return idx, sts, err
 }
 
 // Barrier is the traced MPI_Barrier.
@@ -222,173 +144,121 @@ func (r *Rank) Barrier(comm *mpi.Comm) error {
 
 // Bcast is the traced MPI_Bcast.
 func (r *Rank) Bcast(comm *mpi.Comm, root int, data []byte) ([]byte, error) {
-	var out []byte
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Bcast", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Bcast", func() ([]byte, error) {
+		return r.proc.Bcast(comm, root, data)
+	}, func(out []byte) []string {
 		return []string{comm.GID(), itoa(int64(root)), itoa(int64(len(out)))}
-	}, func() error {
-		out, err = r.proc.Bcast(comm, root, data)
-		return err
 	})
-	return out, err
 }
 
 // Reduce is the traced MPI_Reduce.
 func (r *Rank) Reduce(comm *mpi.Comm, root int, val int64, op mpi.Op) (int64, error) {
-	var out int64
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Reduce", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Reduce", func() (int64, error) {
+		return r.proc.Reduce(comm, root, val, op)
+	}, func(out int64) []string {
 		return []string{comm.GID(), itoa(int64(root)), op.String()}
-	}, func() error {
-		out, err = r.proc.Reduce(comm, root, val, op)
-		return err
 	})
-	return out, err
 }
 
 // Allreduce is the traced MPI_Allreduce.
 func (r *Rank) Allreduce(comm *mpi.Comm, val int64, op mpi.Op) (int64, error) {
-	var out int64
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Allreduce", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Allreduce", func() (int64, error) {
+		return r.proc.Allreduce(comm, val, op)
+	}, func(out int64) []string {
 		return []string{comm.GID(), op.String()}
-	}, func() error {
-		out, err = r.proc.Allreduce(comm, val, op)
-		return err
 	})
-	return out, err
 }
 
 // Scan is the traced MPI_Scan (inclusive prefix reduction).
 func (r *Rank) Scan(comm *mpi.Comm, val int64, op mpi.Op) (int64, error) {
-	var out int64
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Scan", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Scan", func() (int64, error) {
+		return r.proc.Scan(comm, val, op)
+	}, func(out int64) []string {
 		return []string{comm.GID(), op.String()}
-	}, func() error {
-		out, err = r.proc.Scan(comm, val, op)
-		return err
 	})
-	return out, err
 }
 
 // Exscan is the traced MPI_Exscan (exclusive prefix reduction).
 func (r *Rank) Exscan(comm *mpi.Comm, val int64, op mpi.Op) (int64, error) {
-	var out int64
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Exscan", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Exscan", func() (int64, error) {
+		return r.proc.Exscan(comm, val, op)
+	}, func(out int64) []string {
 		return []string{comm.GID(), op.String()}
-	}, func() error {
-		out, err = r.proc.Exscan(comm, val, op)
-		return err
 	})
-	return out, err
 }
 
 // Gather is the traced MPI_Gather.
 func (r *Rank) Gather(comm *mpi.Comm, root int, data []byte) ([][]byte, error) {
-	var out [][]byte
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Gather", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Gather", func() ([][]byte, error) {
+		return r.proc.Gather(comm, root, data)
+	}, func(out [][]byte) []string {
 		return []string{comm.GID(), itoa(int64(root))}
-	}, func() error {
-		out, err = r.proc.Gather(comm, root, data)
-		return err
 	})
-	return out, err
 }
 
 // Allgather is the traced MPI_Allgather.
 func (r *Rank) Allgather(comm *mpi.Comm, data []byte) ([][]byte, error) {
-	var out [][]byte
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Allgather", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Allgather", func() ([][]byte, error) {
+		return r.proc.Allgather(comm, data)
+	}, func(out [][]byte) []string {
 		return []string{comm.GID()}
-	}, func() error {
-		out, err = r.proc.Allgather(comm, data)
-		return err
 	})
-	return out, err
 }
 
 // Scatter is the traced MPI_Scatter.
 func (r *Rank) Scatter(comm *mpi.Comm, root int, parts [][]byte) ([]byte, error) {
-	var out []byte
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Scatter", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Scatter", func() ([]byte, error) {
+		return r.proc.Scatter(comm, root, parts)
+	}, func(out []byte) []string {
 		return []string{comm.GID(), itoa(int64(root))}
-	}, func() error {
-		out, err = r.proc.Scatter(comm, root, parts)
-		return err
 	})
-	return out, err
 }
 
 // Alltoall is the traced MPI_Alltoall.
 func (r *Rank) Alltoall(comm *mpi.Comm, parts [][]byte) ([][]byte, error) {
-	var out [][]byte
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Alltoall", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Alltoall", func() ([][]byte, error) {
+		return r.proc.Alltoall(comm, parts)
+	}, func(out [][]byte) []string {
 		return []string{comm.GID()}
-	}, func() error {
-		out, err = r.proc.Alltoall(comm, parts)
-		return err
 	})
-	return out, err
 }
 
 // Ibarrier is the traced MPI_Ibarrier.
 func (r *Rank) Ibarrier(comm *mpi.Comm) (*mpi.Request, error) {
-	var req *mpi.Request
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Ibarrier", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Ibarrier", func() (*mpi.Request, error) {
+		return r.proc.Ibarrier(comm)
+	}, func(req *mpi.Request) []string {
 		return []string{comm.GID(), reqID(req)}
-	}, func() error {
-		req, err = r.proc.Ibarrier(comm)
-		return err
 	})
-	return req, err
 }
 
 // Iallreduce is the traced MPI_Iallreduce.
 func (r *Rank) Iallreduce(comm *mpi.Comm, val int64, op mpi.Op) (*mpi.Request, error) {
-	var req *mpi.Request
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Iallreduce", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Iallreduce", func() (*mpi.Request, error) {
+		return r.proc.Iallreduce(comm, val, op)
+	}, func(req *mpi.Request) []string {
 		return []string{comm.GID(), op.String(), reqID(req)}
-	}, func() error {
-		req, err = r.proc.Iallreduce(comm, val, op)
-		return err
 	})
-	return req, err
 }
 
 // CommDup is the traced MPI_Comm_dup. The new communicator's globally unique
 // id and membership are recorded at creation time, which is how the offline
 // matcher pairs collectives on user-created communicators (§IV-C).
 func (r *Rank) CommDup(comm *mpi.Comm) (*mpi.Comm, error) {
-	var nc *mpi.Comm
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Comm_dup", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Comm_dup", func() (*mpi.Comm, error) {
+		return r.proc.CommDup(comm)
+	}, func(nc *mpi.Comm) []string {
 		return []string{comm.GID(), commGID(nc), commMembers(nc)}
-	}, func() error {
-		nc, err = r.proc.CommDup(comm)
-		return err
 	})
-	return nc, err
 }
 
 // CommSplit is the traced MPI_Comm_split.
 func (r *Rank) CommSplit(comm *mpi.Comm, color, key int) (*mpi.Comm, error) {
-	var nc *mpi.Comm
-	var err error
-	r.Record(trace.LayerMPI, "MPI_Comm_split", func() []string {
+	return record(r, trace.LayerMPI, "MPI_Comm_split", func() (*mpi.Comm, error) {
+		return r.proc.CommSplit(comm, color, key)
+	}, func(nc *mpi.Comm) []string {
 		return []string{comm.GID(), itoa(int64(color)), itoa(int64(key)), commGID(nc), commMembers(nc)}
-	}, func() error {
-		nc, err = r.proc.CommSplit(comm, color, key)
-		return err
 	})
-	return nc, err
 }
 
 // CommFree is the traced MPI_Comm_free.

@@ -5,41 +5,22 @@ import (
 	"verifyio/internal/trace"
 )
 
-// Traced POSIX wrappers. Argument layouts are a contract with the conflict
-// detector (package conflict); keep the two in sync:
-//
-//	open      [path, flags, fd]
-//	close     [fd]
-//	fsync     [fd]
-//	read      [fd, count]
-//	write     [fd, count]
-//	pread     [fd, count, offset]
-//	pwrite    [fd, count, offset]
-//	lseek     [fd, offset, whence, newpos]
-//	ftruncate [fd, size]
-//	fopen     [path, mode, stream]
-//	fclose    [stream]
-//	fread     [stream, size, count]
-//	fwrite    [stream, size, count]
-//	fseek     [stream, offset, whence, newpos]
+// Traced POSIX wrappers. Each records its arguments in the order its row of
+// the call table in package trace gives.
 //
 // Offsets are deliberately NOT recorded for read/write/fread/fwrite — those
 // POSIX functions have no offset argument, so the detector must reconstruct
 // positions from open/lseek/fseek history exactly as the paper describes
-// (§IV-B, the (FP, EOF) tracking).
+// (§IV-B, the (FP, EOF) tracking). The one exception is a write through an
+// append-mode handle (see appendPos).
 
 // Open is the traced open(2).
 func (r *Rank) Open(path string, flags posixfs.OpenFlag) (int, error) {
-	fd := -1
-	var err error
-	rerr := r.Record(trace.LayerPOSIX, "open", func() []string {
+	return record(r, trace.LayerPOSIX, "open", func() (int, error) {
+		return r.fs.Open(path, flags)
+	}, func(fd int) []string {
 		return []string{path, flags.String(), itoa(int64(fd))}
-	}, func() error {
-		fd, err = r.fs.Open(path, flags)
-		return err
 	})
-	_ = rerr
-	return fd, err
 }
 
 // Close is the traced close(2).
@@ -63,68 +44,61 @@ func (r *Rank) Fsync(fd int) error {
 // trace independent of scheduling-dependent short reads.
 func (r *Rank) Read(fd int, count int) ([]byte, error) {
 	buf := make([]byte, count)
-	n := 0
-	var err error
-	r.Record(trace.LayerPOSIX, "read", func() []string {
+	n, err := record(r, trace.LayerPOSIX, "read", func() (int, error) {
+		return r.fs.Read(fd, buf)
+	}, func(n int) []string {
 		return []string{itoa(int64(fd)), itoa(int64(count))}
-	}, func() error {
-		n, err = r.fs.Read(fd, buf)
-		return err
 	})
 	return buf[:n], err
 }
 
 // Write is the traced write(2).
 func (r *Rank) Write(fd int, data []byte) (int, error) {
-	n := 0
-	var err error
-	r.Record(trace.LayerPOSIX, "write", func() []string {
-		return []string{itoa(int64(fd)), itoa(int64(len(data)))}
-	}, func() error {
-		n, err = r.fs.Write(fd, data)
-		return err
+	return record(r, trace.LayerPOSIX, "write", func() (int, error) {
+		return r.fs.Write(fd, data)
+	}, func(n int) []string {
+		return r.appendPos([]string{itoa(int64(fd)), itoa(int64(len(data)))}, fd, n)
 	})
-	return n, err
+}
+
+// appendPos appends to a write's args, when fd is in append mode, the
+// position its n bytes landed at: the end of the file, which other ranks may
+// have moved, so the replay cannot rebuild it from this rank's records.
+func (r *Rank) appendPos(args []string, fd, n int) []string {
+	if !r.fs.Appending(fd) {
+		return args
+	}
+	pos, _ := r.fs.Tell(fd)
+	return append(args, itoa(pos-int64(n)))
 }
 
 // Pread is the traced pread(2).
 func (r *Rank) Pread(fd int, count int, off int64) ([]byte, error) {
 	buf := make([]byte, count)
-	n := 0
-	var err error
-	r.Record(trace.LayerPOSIX, "pread", func() []string {
+	n, err := record(r, trace.LayerPOSIX, "pread", func() (int, error) {
+		return r.fs.Pread(fd, buf, off)
+	}, func(n int) []string {
 		return []string{itoa(int64(fd)), itoa(int64(count)), itoa(off)}
-	}, func() error {
-		n, err = r.fs.Pread(fd, buf, off)
-		return err
 	})
 	return buf[:n], err
 }
 
 // Pwrite is the traced pwrite(2).
 func (r *Rank) Pwrite(fd int, data []byte, off int64) (int, error) {
-	n := 0
-	var err error
-	r.Record(trace.LayerPOSIX, "pwrite", func() []string {
+	return record(r, trace.LayerPOSIX, "pwrite", func() (int, error) {
+		return r.fs.Pwrite(fd, data, off)
+	}, func(n int) []string {
 		return []string{itoa(int64(fd)), itoa(int64(len(data))), itoa(off)}
-	}, func() error {
-		n, err = r.fs.Pwrite(fd, data, off)
-		return err
 	})
-	return n, err
 }
 
 // Lseek is the traced lseek(2).
 func (r *Rank) Lseek(fd int, off int64, whence int) (int64, error) {
-	var pos int64
-	var err error
-	r.Record(trace.LayerPOSIX, "lseek", func() []string {
-		return []string{itoa(int64(fd)), itoa(off), whenceName(whence), itoa(pos)}
-	}, func() error {
-		pos, err = r.fs.Lseek(fd, off, whence)
-		return err
+	return record(r, trace.LayerPOSIX, "lseek", func() (int64, error) {
+		return r.fs.Lseek(fd, off, whence)
+	}, func(pos int64) []string {
+		return []string{itoa(int64(fd)), itoa(off), trace.WhenceName(whence), itoa(pos)}
 	})
-	return pos, err
 }
 
 // Ftruncate is the traced ftruncate(2).
@@ -134,40 +108,31 @@ func (r *Rank) Ftruncate(fd int, size int64) error {
 	}, func() error { return r.fs.Ftruncate(fd, size) })
 }
 
-// Writev is the traced writev(2): [fd, iovcnt, len1, len2, ...]. The file
-// range is contiguous at the current position (vector I/O scatters in
-// memory, not in the file).
+// Writev is the traced writev(2). The file range is contiguous at the
+// current position (vector I/O scatters in memory, not in the file).
 func (r *Rank) Writev(fd int, bufs [][]byte) (int, error) {
-	n := 0
-	var err error
-	r.Record(trace.LayerPOSIX, "writev", func() []string {
+	return record(r, trace.LayerPOSIX, "writev", func() (int, error) {
+		return r.fs.Writev(fd, bufs)
+	}, func(n int) []string {
 		args := []string{itoa(int64(fd)), itoa(int64(len(bufs)))}
 		for _, b := range bufs {
 			args = append(args, itoa(int64(len(b))))
 		}
-		return args
-	}, func() error {
-		n, err = r.fs.Writev(fd, bufs)
-		return err
+		return r.appendPos(args, fd, n)
 	})
-	return n, err
 }
 
-// Readv is the traced readv(2): [fd, iovcnt, len1, len2, ...].
+// Readv is the traced readv(2).
 func (r *Rank) Readv(fd int, lens []int) ([]byte, error) {
-	var out []byte
-	var err error
-	r.Record(trace.LayerPOSIX, "readv", func() []string {
+	return record(r, trace.LayerPOSIX, "readv", func() ([]byte, error) {
+		return r.fs.Readv(fd, lens)
+	}, func(out []byte) []string {
 		args := []string{itoa(int64(fd)), itoa(int64(len(lens)))}
 		for _, n := range lens {
 			args = append(args, itoa(int64(n)))
 		}
 		return args
-	}, func() error {
-		out, err = r.fs.Readv(fd, lens)
-		return err
 	})
-	return out, err
 }
 
 // Unlink is the traced unlink(2). The conflict detector retires the path's
@@ -181,15 +146,11 @@ func (r *Rank) Unlink(path string) error {
 
 // Stat is the traced stat(2); it returns the committed file size.
 func (r *Rank) Stat(path string) (int64, error) {
-	var size int64
-	var err error
-	r.Record(trace.LayerPOSIX, "stat", func() []string {
+	return record(r, trace.LayerPOSIX, "stat", func() (int64, error) {
+		return r.fs.FS().Stat(path)
+	}, func(size int64) []string {
 		return []string{path, itoa(size)}
-	}, func() error {
-		size, err = r.fs.FS().Stat(path)
-		return err
 	})
-	return size, err
 }
 
 // Stream is a traced FILE* handle.
@@ -200,17 +161,14 @@ type Stream struct {
 
 // Fopen is the traced fopen(3).
 func (r *Rank) Fopen(path, mode string) (*Stream, error) {
-	var st *posixfs.Stream
-	var err error
-	r.Record(trace.LayerPOSIX, "fopen", func() []string {
+	st, err := record(r, trace.LayerPOSIX, "fopen", func() (*posixfs.Stream, error) {
+		return r.fs.Fopen(path, mode)
+	}, func(st *posixfs.Stream) []string {
 		id := int64(-1)
 		if st != nil {
 			id = int64(st.ID())
 		}
 		return []string{path, mode, itoa(id)}
-	}, func() error {
-		st, err = r.fs.Fopen(path, mode)
-		return err
 	})
 	if err != nil {
 		return nil, err
@@ -220,46 +178,38 @@ func (r *Rank) Fopen(path, mode string) (*Stream, error) {
 
 // Fwrite is the traced fwrite(3).
 func (s *Stream) Fwrite(data []byte, size, count int) (int, error) {
-	n := 0
-	var err error
-	s.r.Record(trace.LayerPOSIX, "fwrite", func() []string {
-		return []string{itoa(int64(s.st.ID())), itoa(int64(size)), itoa(int64(count))}
-	}, func() error {
-		n, err = s.st.Fwrite(data, size, count)
-		return err
+	return record(s.r, trace.LayerPOSIX, "fwrite", func() (int, error) {
+		return s.st.Fwrite(data, size, count)
+	}, func(n int) []string {
+		args := []string{itoa(int64(s.st.ID())), itoa(int64(size)), itoa(int64(count))}
+		return s.r.appendPos(args, s.st.ID(), n*size)
 	})
-	return n, err
 }
 
 // Fread is the traced fread(3). The recorded item count is the requested
 // count (the call argument), like the other read wrappers.
 func (s *Stream) Fread(size, count int) ([]byte, error) {
 	buf := make([]byte, size*count)
-	n := 0
-	var err error
-	s.r.Record(trace.LayerPOSIX, "fread", func() []string {
+	n, err := record(s.r, trace.LayerPOSIX, "fread", func() (int, error) {
+		return s.st.Fread(buf, size, count)
+	}, func(n int) []string {
 		return []string{itoa(int64(s.st.ID())), itoa(int64(size)), itoa(int64(count))}
-	}, func() error {
-		n, err = s.st.Fread(buf, size, count)
-		return err
 	})
 	return buf[:n*size], err
 }
 
 // Fseek is the traced fseek(3).
 func (s *Stream) Fseek(off int64, whence int) error {
-	var err error
-	s.r.Record(trace.LayerPOSIX, "fseek", func() []string {
-		pos := int64(-1)
+	pos := int64(-1)
+	return s.r.Record(trace.LayerPOSIX, "fseek", func() []string {
+		return []string{itoa(int64(s.st.ID())), itoa(off), trace.WhenceName(whence), itoa(pos)}
+	}, func() error {
+		err := s.st.Fseek(off, whence)
 		if err == nil {
 			pos, _ = s.st.Ftell()
 		}
-		return []string{itoa(int64(s.st.ID())), itoa(off), whenceName(whence), itoa(pos)}
-	}, func() error {
-		err = s.st.Fseek(off, whence)
 		return err
 	})
-	return err
 }
 
 // Fclose is the traced fclose(3).

@@ -23,7 +23,6 @@ package recorder
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -179,6 +178,27 @@ func (r *Rank) Record(layer trace.Layer, fn string, args func() []string, body f
 	return err
 }
 
+// record is Record for a call with one result, which its args may read.
+func record[T any](r *Rank, layer trace.Layer, fn string, call func() (T, error), args func(T) []string) (T, error) {
+	var out T
+	err := r.Record(layer, fn, func() []string { return args(out) }, func() (err error) {
+		out, err = call()
+		return err
+	})
+	return out, err
+}
+
+// record2 is record for a call with two results.
+func record2[T, U any](r *Rank, layer trace.Layer, fn string, call func() (T, U, error), args func(T, U) []string) (T, U, error) {
+	var a T
+	var b U
+	err := r.Record(layer, fn, func() []string { return args(a, b) }, func() (err error) {
+		a, b, err = call()
+		return err
+	})
+	return a, b, err
+}
+
 // context returns the rank's Context for the current frame stack and site,
 // adding it on first use: records share it instead of each copying the
 // chain. The key is every string length-prefixed, site first.
@@ -210,29 +230,3 @@ func (r *Rank) nextTick() int64 {
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
-
-func whenceName(whence int) string {
-	switch whence {
-	case posixfs.SeekSet:
-		return "SEEK_SET"
-	case posixfs.SeekCur:
-		return "SEEK_CUR"
-	case posixfs.SeekEnd:
-		return "SEEK_END"
-	}
-	return fmt.Sprintf("whence(%d)", whence)
-}
-
-// ParseWhence is the inverse of the whence encoding used in lseek/fseek
-// records; the conflict detector uses it to replay file positions.
-func ParseWhence(s string) (int, error) {
-	switch s {
-	case "SEEK_SET":
-		return posixfs.SeekSet, nil
-	case "SEEK_CUR":
-		return posixfs.SeekCur, nil
-	case "SEEK_END":
-		return posixfs.SeekEnd, nil
-	}
-	return 0, fmt.Errorf("recorder: unknown whence %q", s)
-}

@@ -372,12 +372,12 @@ func TestEnvMetaRecordsModeAndTracer(t *testing.T) {
 
 func TestParseWhenceRoundTrip(t *testing.T) {
 	for _, w := range []int{posixfs.SeekSet, posixfs.SeekCur, posixfs.SeekEnd} {
-		got, err := ParseWhence(whenceName(w))
+		got, err := trace.ParseWhence(trace.WhenceName(w))
 		if err != nil || got != w {
-			t.Errorf("ParseWhence(whenceName(%d)) = %d, %v", w, got, err)
+			t.Errorf("ParseWhence(WhenceName(%d)) = %d, %v", w, got, err)
 		}
 	}
-	if _, err := ParseWhence("SEEK_BOGUS"); err == nil {
+	if _, err := trace.ParseWhence("SEEK_BOGUS"); err == nil {
 		t.Error("ParseWhence accepted junk")
 	}
 }

@@ -261,6 +261,12 @@ func (p *Proc) Tell(fd int) (int64, error) {
 	return of.pos, nil
 }
 
+// Appending reports whether fd was opened with OAppend.
+func (p *Proc) Appending(fd int) bool {
+	of, err := p.file(fd)
+	return err == nil && of.flags&OAppend != 0
+}
+
 // Path reports the path fd refers to.
 func (p *Proc) Path(fd int) (string, error) {
 	of, err := p.file(fd)

@@ -235,13 +235,13 @@ type decoder struct {
 	slab    []string
 	slabCap int
 	// lent, set for Dir.ReadRank's slots, makes each record valid only
-	// until the next recycleArgs: its Args are carved from scratch, the
-	// whole of the latest slab, which the next slot carves again, so a rank
-	// allocates no slabs past its first few slots. The argument-tuple table
-	// is bypassed: it only saves slab room, and a tuple it kept would point
-	// into scratch a later slot overwrites.
-	lent    bool
-	scratch []string
+	// until the next recycleArgs: its Args are carved from the reader
+	// state's scratch, the whole of the latest slab, which the next slot
+	// carves again, so a reader allocates no slabs past its first rank
+	// file's first few slots. The argument-tuple table is bypassed: it only
+	// saves slab room, and a tuple it kept would point into scratch a later
+	// slot overwrites.
+	lent bool
 	// ctxs interns the stream's call contexts (see context).
 	ctxs ctxTable
 
@@ -458,7 +458,7 @@ func (d *decoder) strSlice(n int) []string {
 		d.slabCap = min(max(2*d.slabCap, 64, n), slabMax)
 		d.slab = make([]string, d.slabCap)
 		if d.lent {
-			d.scratch = d.slab
+			d.st.scratch = d.slab
 		}
 	}
 	return d.slab[:n:n]
@@ -472,7 +472,7 @@ const slabMax = 4096
 // Args slice carved since the last call is dead.
 func (d *decoder) recycleArgs() {
 	if d.lent {
-		d.slab = d.scratch
+		d.slab = d.st.scratch
 	}
 }
 
@@ -496,6 +496,10 @@ type readerState struct {
 	// tuples are the stream's recent argument tuples (see strRefs). The same
 	// indices name other strings in the next stream, so release empties it.
 	tuples [1 << tupleBits]tuple
+	// scratch is the slab lent records' Args are carved from (see
+	// decoder.lent), kept for the next rank file; release clears it, so
+	// the pool keeps no string table alive.
+	scratch []string
 }
 
 var readerStates = &sync.Pool{New: func() any { return &readerState{win: make([]byte, windowSize)} }}
@@ -559,6 +563,7 @@ func (d *decoder) release() {
 		st.br.Reset(nil) // the pool must not keep the file alive
 	}
 	clear(st.tuples[:])
+	clear(st.scratch)
 	readerStates.Put(st)
 }
 

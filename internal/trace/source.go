@@ -405,12 +405,14 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 	return &rankReader{d: d, rank: rank, src: src, span: span, maxCost: d.window}, nil
 }
 
-// lend makes the reader's batches slots (see ReadRank).
+// lend makes the reader's batches slots (see ReadRank), their Args carved
+// from the scratch an earlier rank file left in the reader state.
 func (rr *rankReader) lend() {
 	if rr.maxCost == 0 || rr.maxCost > slotBytes {
 		rr.maxCost = slotBytes
 	}
-	rr.src.d.lent = true
+	d := rr.src.d
+	d.lent, d.slab, d.slabCap = true, d.st.scratch, len(d.st.scratch)
 }
 
 // next decodes the rank's next batch into a pooled buffer, which the caller

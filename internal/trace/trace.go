@@ -65,10 +65,10 @@ type Record struct {
 	Func string
 	// Layer is the stack level Func belongs to.
 	Layer Layer
-	// Args holds every runtime argument, stringified. Argument layout is
-	// function specific and interpreted by the analysis steps (package
-	// conflict and package match), mirroring how VerifyIO post-processes
-	// Recorder traces.
+	// Args holds every runtime argument, stringified, in the order the
+	// function's row of the call table gives (see Calls); the analysis
+	// steps read them by field name through it, mirroring how VerifyIO
+	// post-processes Recorder traces.
 	Args []string
 	// Tick and Ret are the logical entry and return timestamps (a per-rank
 	// monotonic counter advanced on every record boundary). They order
@@ -186,14 +186,26 @@ func (r *Record) Arg(i int) string {
 // traces from the legacy Recorder.
 func (r *Record) IntArg(i int) (int64, bool) {
 	s := r.Arg(i)
-	if v, ok := plainDigits(s); ok {
-		return v, true
+	// An absent argument, such as an optional field left out, is not asked
+	// of strconv, whose error allocates.
+	if v, ok := plainDigits(s); ok || s == "" {
+		return v, ok
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, false
 	}
 	return v, true
+}
+
+// Int32Arg is IntArg for a rank, tag, root or index: a value outside int32
+// is unusable, so that 32- and 64-bit builds read a record alike.
+func (r *Record) Int32Arg(i int) (int, bool) {
+	v, ok := r.IntArg(i)
+	if !ok || v != int64(int32(v)) {
+		return 0, false
+	}
+	return int(v), true
 }
 
 // plainDigits parses the common argument, a count or offset of 1 to 18

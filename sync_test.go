@@ -249,6 +249,56 @@ func TestMetamorphicBarriers(t *testing.T) {
 	}
 }
 
+// TestMetamorphicRankRelabelling holds the verifier to the rank relabelling
+// relation: renumbering the ranks of a program, with every message's peer
+// renumbered alike, leaves each model's race count as it was. The programs
+// are TestMetamorphicBarriers' random programs, each with up to two messages
+// added so that the peers have something to follow.
+func TestMetamorphicRankRelabelling(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	racy := 0 // programs with messages and a race under some model
+	for i := range 40 {
+		p := randomBarrierProgram(rng)
+		tags := rng.Intn(3)
+		for tag := 1; tag <= tags; tag++ {
+			p = p.withMessage(rng, tag)
+		}
+		perm := rng.Perm(len(p.ranks))
+		base, relabelled := p.races(t), p.relabelled(perm).races(t)
+		if relabelled != base {
+			t.Errorf("program %d: ranks renumbered %v changed the races from %v to %v\n%s", i, perm, base, relabelled, p)
+		}
+		if tags > 0 && base != [4]int64{} {
+			racy++
+		}
+	}
+	// A relation over race-free programs would hold on a verifier that
+	// reports nothing.
+	t.Logf("%d of 40 programs have messages and races", racy)
+	if racy == 0 {
+		t.Error("no program has both messages and races")
+	}
+}
+
+// relabelled returns p with rank r renumbered perm[r], message peers too.
+func (p barrierProgram) relabelled(perm []int) barrierProgram {
+	q := barrierProgram{ranks: make([][][]access, len(p.ranks))}
+	for rank, segs := range p.ranks {
+		for _, seg := range segs {
+			seg = slices.Clone(seg)
+			for k, a := range seg {
+				if a.msg != nil {
+					m := *a.msg
+					m.peer = perm[m.peer]
+					seg[k].msg = &m
+				}
+			}
+			q.ranks[perm[rank]] = append(q.ranks[perm[rank]], seg)
+		}
+	}
+	return q
+}
+
 func (p barrierProgram) String() string {
 	s := ""
 	for rank, segs := range p.ranks {

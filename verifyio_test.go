@@ -479,6 +479,84 @@ func TestTracedFtruncateRaces(t *testing.T) {
 	}
 }
 
+// TestAppendWriteLandsAtOtherRanksEnd: rank 0 writes [0,10), a world
+// barrier orders that before rank 1's O_APPEND open, and rank 1's 3-byte
+// write lands at the file's end, [10,13). Rank 1's own EOF estimate is 0, so
+// a range built from it alone ([0,3)) would miss rank 0's read of [10,13)
+// and conflict with its write instead; the write records where it landed.
+// Unordered, the read and the write race under every model; after a second
+// world barrier they are properly synchronized under POSIX only.
+func TestAppendWriteLandsAtOtherRanksEnd(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		tr, err := TraceProgram(2, POSIX, func(r *Rank) error {
+			world := r.Proc().CommWorld()
+			fd, err := r.Open("append.bin", 0x2|0x40) // O_RDWR|O_CREAT
+			if err != nil {
+				return err
+			}
+			if r.Rank() == 0 {
+				if _, err := r.Pwrite(fd, []byte("0123456789"), 0); err != nil {
+					return err
+				}
+			}
+			if err := r.Barrier(world); err != nil {
+				return err
+			}
+			if r.Rank() == 1 {
+				afd, err := r.Open("append.bin", 0x1|0x400) // O_WRONLY|O_APPEND
+				if err != nil {
+					return err
+				}
+				if _, err := r.Write(afd, []byte("abc")); err != nil {
+					return err
+				}
+				if err := r.Close(afd); err != nil {
+					return err
+				}
+			}
+			if barrier {
+				if err := r.Barrier(world); err != nil {
+					return err
+				}
+			}
+			if r.Rank() == 0 {
+				if _, err := r.Pread(fd, 3, 10); err != nil {
+					return err
+				}
+			}
+			return r.Close(fd)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := VerifyAll(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reports {
+			want := int64(1)
+			if barrier && rep.Model == POSIX {
+				want = 0
+			}
+			if rep.ConflictPairs != 1 || rep.RaceCount != want {
+				t.Errorf("barrier=%v, %s: %d conflict pairs, %d races; want 1 and %d",
+					barrier, rep.Model, rep.ConflictPairs, rep.RaceCount, want)
+			}
+			if barrier || len(rep.Races) != 1 {
+				continue
+			}
+			race := rep.Races[0]
+			ops := map[string][3]int64{ // rank, start, end
+				race.FuncX: {int64(race.RankX), race.StartX, race.EndX},
+				race.FuncY: {int64(race.RankY), race.StartY, race.EndY},
+			}
+			if w, rd := ops["write"], ops["pread"]; w != [3]int64{1, 10, 13} || rd != [3]int64{0, 10, 13} {
+				t.Errorf("%s: race %+v, want rank 1's write of [10,13) against rank 0's pread of [10,13)", rep.Model, race)
+			}
+		}
+	}
+}
+
 // TestFtruncateClobbersOtherRanksBytes: rank 0 writes [6,10) and rank 1
 // truncates the file to 4 bytes, destroying them. Rank 1's own EOF estimate
 // is 0, below the size, so a range built from it alone ([0,4)) would miss

@@ -29,16 +29,16 @@ var mpiRows = slices.DeleteFunc(slices.Clone(trace.Calls), func(c *trace.Call) b
 })
 
 // hostile are values no rank, tag, count, index or status field can use:
-// none is an int32.
-var hostile = []string{"x", "", "4294967297", "-4294967297", "99999999999999999999"}
+// none is an int32 of -1 or more. (-1 is a receive's wildcard source or
+// tag, and an index or outcount of MPI_UNDEFINED.)
+var hostile = []string{"x", "", "4294967297", "-4294967297", "99999999999999999999", "-2", "-2147483648"}
 
 // poisonable reports whether the scan must read field f of a record of row
 // c, so that it must report the record when f is unusable, and picks a
 // value that makes it unusable there: counts run to three requests, so an
 // outcount of 4 or an index of 3 names none.
 func poisonable(c *trace.Call, f trace.Field, pick int) (string, bool) {
-	sends := c.Kind == trace.KindSend
-	requested := c.Kind == trace.KindRecv && c.Has(trace.Request)
+	sends, recvs := c.Kind == trace.KindSend, c.Kind == trace.KindRecv
 	of := func(extra ...string) string {
 		vs := append(slices.Clone(hostile), extra...)
 		return vs[pick%len(vs)]
@@ -54,14 +54,17 @@ func poisonable(c *trace.Call, f trace.Field, pick int) (string, bool) {
 	case trace.Peer:
 		switch {
 		case sends:
-			return of("2"), true
-		case requested:
+			return of("2", "-1"), true
+		case recvs:
 			return of(), true
 		}
 	case trace.Tag:
-		return of(), sends || requested
+		if sends {
+			return of("-1"), true
+		}
+		return of(), recvs
 	case trace.Status:
-		return of(), c.Kind == trace.KindSend || c.Kind == trace.KindRecv
+		return of("-1"), sends || recvs
 	case trace.Request:
 		return "", c.Kind != trace.KindComplete
 	case trace.NumRequests:

@@ -81,6 +81,15 @@ type Edge struct {
 // joinRank marks a trace.Ref as a join node rather than a record.
 const joinRank = -1
 
+// The MPI constants a trace records as -1: a receive's wildcard source and
+// tag, and a completion's index or outcount when no listed request was
+// active.
+const (
+	anySource    = -1
+	anyTag       = -1
+	mpiUndefined = -1
+)
+
 // Pairwise expands the join nodes of a matcher edge list into the pairwise
 // synchronization order they stand for — source → target for every source
 // and every target of a join on different ranks — and returns it with the
@@ -458,11 +467,12 @@ func (sc *rankScanner) malformed(rec *trace.Record, why string) {
 	sc.out.problem(MalformedRecord, fmt.Sprintf("%s: %s", rec.Func, why), sc.ref(rec))
 }
 
-// status reads the (source, tag) pair at position at.
+// status reads the (source, tag) pair of a completed receive at position
+// at: the actual sender and tag, so neither is a wildcard.
 func status(rec *trace.Record, at int) (src, tag int, ok bool) {
 	src, ok1 := rec.Int32Arg(at)
 	tag, ok2 := rec.Int32Arg(at + 1)
-	return src, tag, ok1 && ok2
+	return src, tag, ok1 && ok2 && src >= 0 && tag >= 0
 }
 
 // step scans one record. Calls are read through the call table, so calls of
@@ -482,13 +492,15 @@ func (sc *rankScanner) step(rec *trace.Record) {
 	switch {
 	case c.Kind == trace.KindSend || c.Kind == trace.KindRecv:
 		ok := comm != "" && (req != "" || !c.Has(trace.Request))
-		// A blocking receive is matched on its status alone.
-		var peer, tag int
-		if c.Kind == trace.KindSend || c.Has(trace.Request) {
-			var okP, okT bool
-			peer, okP = rec.Int32Arg(c.Pos(rec, trace.Peer))
-			tag, okT = rec.Int32Arg(c.Pos(rec, trace.Tag))
-			ok = ok && okP && okT
+		// A send names a rank and a tag of at least 0; a receive may
+		// instead request any source or any tag. A blocking receive is
+		// matched on its status alone.
+		peer, okP := rec.Int32Arg(c.Pos(rec, trace.Peer))
+		tag, okT := rec.Int32Arg(c.Pos(rec, trace.Tag))
+		if c.Kind == trace.KindSend {
+			ok = ok && okP && okT && peer >= 0 && tag >= 0
+		} else {
+			ok = ok && okP && okT && peer >= anySource && tag >= anyTag
 		}
 		var src, stag int
 		if c.Has(trace.Status) {
@@ -534,18 +546,37 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		if c.Has(trace.Flag) && rec.Arg(c.Pos(rec, trace.Flag)) != "1" {
 			return // nothing completed
 		}
+		reqs, idx, st := c.Pos(rec, trace.Request), c.Pos(rec, trace.Index), c.Pos(rec, trace.Status)
+		// An index or outcount of MPI_UNDEFINED completes nothing: MPI
+		// returns it when no listed request is active.
+		undefined := func(v int, ok bool) bool {
+			if !ok || v != mpiUndefined {
+				return false
+			}
+			for i := range n {
+				if _, pending := sc.pending[rec.Arg(reqs+i)]; pending {
+					return false
+				}
+			}
+			return true
+		}
 		done := n
 		if c.Has(trace.OutCount) {
 			v, ok := rec.Int32Arg(c.Pos(rec, trace.OutCount))
+			if undefined(v, ok) {
+				return
+			}
 			if !ok || v < 0 || v > n {
 				sc.malformed(rec, "bad outcount")
 				return
 			}
 			done = v
 		} else if c.Has(trace.Index) {
+			if undefined(rec.Int32Arg(idx)) {
+				return
+			}
 			done = 1
 		}
-		reqs, idx, st := c.Pos(rec, trace.Request), c.Pos(rec, trace.Index), c.Pos(rec, trace.Status)
 		for k := range done {
 			i := k
 			if idx >= 0 {
@@ -654,9 +685,6 @@ func registerComm(members map[string][]int, gid, list string) error {
 	if gid == "" || list == "" {
 		return fmt.Errorf("communicator creation missing group id or member list")
 	}
-	if _, ok := members[gid]; ok {
-		return nil
-	}
 	parts := strings.Split(list, ",")
 	ranks := make([]int, 0, len(parts))
 	for _, p := range parts {
@@ -666,7 +694,10 @@ func registerComm(members map[string][]int, gid, list string) error {
 		}
 		ranks = append(ranks, v)
 	}
-	members[gid] = ranks
+	// A well-formed re-registration keeps the first membership.
+	if _, ok := members[gid]; !ok {
+		members[gid] = ranks
+	}
 	return nil
 }
 

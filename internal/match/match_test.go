@@ -687,3 +687,115 @@ func TestOutOfRangeValuesMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestUndefinedCompletionIndex: an index or outcount of -1 (MPI_UNDEFINED)
+// is what MPI_Waitany and MPI_Waitsome/Testsome return when no listed request
+// is active, so it completes nothing and is no problem, down to the
+// [0, -1, 0, 0] Waitany over no requests. While a listed request is pending,
+// -1 names none of them and stays a MalformedRecord.
+func TestUndefinedCompletionIndex(t *testing.T) {
+	irecv := trace.Record{Func: "MPI_Irecv", Args: []string{"comm-world", "-1", "-1", "req-0.0"}}
+	cases := []struct {
+		name      string
+		recs      []trace.Record
+		malformed bool
+	}{
+		{"waitany of none", []trace.Record{{Func: "MPI_Waitany", Args: []string{"0", "-1", "0", "0"}}}, false},
+		{"waitany of inactive", []trace.Record{{Func: "MPI_Waitany", Args: []string{"1", "req-9.0", "-1", "0", "0"}}}, false},
+		{"waitsome of none", []trace.Record{{Func: "MPI_Waitsome", Args: []string{"0", "-1"}}}, false},
+		{"testsome of inactive", []trace.Record{{Func: "MPI_Testsome", Args: []string{"2", "req-8.0", "req-9.0", "-1"}}}, false},
+		{"waitany of pending", []trace.Record{irecv, {Func: "MPI_Waitany", Args: []string{"2", "req-9.0", "req-0.0", "-1", "0", "0"}}}, true},
+		{"waitsome of pending", []trace.Record{irecv, {Func: "MPI_Waitsome", Args: []string{"1", "req-0.0", "-1"}}}, true},
+	}
+	for _, tc := range cases {
+		tr := trace.New(1)
+		var last trace.Ref
+		for _, r := range tc.recs {
+			tick := int64(2*len(tr.Ranks[0]) + 1)
+			r.Layer, r.Tick, r.Ret = trace.LayerMPI, tick, tick+1
+			last = tr.Append(r)
+		}
+		res := mustMatch(t, tr)
+		probs := problems(res, MalformedRecord)
+		switch {
+		case !tc.malformed && len(res.Problems) != 0:
+			t.Errorf("%s: problems %v, want none", tc.name, res.Problems)
+		case tc.malformed && (len(probs) != 1 || !slices.Equal(probs[0].Refs, []trace.Ref{last})):
+			t.Errorf("%s: MalformedRecord problems %v, want one naming the completion %v", tc.name, probs, last)
+		}
+	}
+}
+
+// TestNegativePeersAndTagsMalformed: a send's tag, a receive's requested
+// source or tag below -1 (MPI_ANY_SOURCE, MPI_ANY_TAG) and a completed
+// receive's status source or tag below 0 are MalformedRecords naming their
+// record; a receive requesting any source and any tag is not.
+func TestNegativePeersAndTagsMalformed(t *testing.T) {
+	type rec struct {
+		rank int
+		fn   string
+		args []string
+		bad  bool
+	}
+	send := rec{1, "MPI_Send", []string{"comm-world", "0", "1", "4"}, false}
+	cases := map[string][]rec{
+		"send tag":           {{0, "MPI_Send", []string{"comm-world", "1", "-7", "4"}, true}},
+		"send peer":          {{0, "MPI_Send", []string{"comm-world", "-1", "1", "4"}, true}},
+		"isend tag":          {{0, "MPI_Isend", []string{"comm-world", "1", "-1", "4", "req-0.0"}, true}},
+		"irecv source":       {{0, "MPI_Irecv", []string{"comm-world", "-7", "1", "req-0.0"}, true}},
+		"irecv tag":          {{0, "MPI_Irecv", []string{"comm-world", "1", "-2147483648", "req-0.0"}, true}},
+		"recv source":        {send, {0, "MPI_Recv", []string{"comm-world", "-2", "1", "4", "1", "1"}, true}},
+		"recv status source": {send, {0, "MPI_Recv", []string{"comm-world", "-1", "-1", "4", "-1", "1"}, true}},
+		"wait status tag": {send, {0, "MPI_Irecv", []string{"comm-world", "-1", "-1", "req-0.0"}, false},
+			{0, "MPI_Wait", []string{"req-0.0", "1", "-1"}, true}},
+		"wildcards": {send, {0, "MPI_Irecv", []string{"comm-world", "-1", "-1", "req-0.0"}, false},
+			{0, "MPI_Wait", []string{"req-0.0", "1", "1"}, false}},
+	}
+	for name, recs := range cases {
+		tr := trace.New(2)
+		var bad []trace.Ref
+		for _, r := range recs {
+			tick := int64(2*len(tr.Ranks[r.rank]) + 1)
+			ref := tr.Append(trace.Record{Rank: r.rank, Func: r.fn, Layer: trace.LayerMPI, Args: r.args, Tick: tick, Ret: tick + 1})
+			if r.bad {
+				bad = append(bad, ref)
+			}
+		}
+		var got []trace.Ref
+		for _, p := range problems(mustMatch(t, tr), MalformedRecord) {
+			got = append(got, p.Refs...)
+		}
+		if !slices.Equal(got, bad) {
+			t.Errorf("%s: MalformedRecord problems name %v, want %v", name, got, bad)
+		}
+	}
+}
+
+// TestCommReRegistration: a creation record naming a communicator its rank
+// already registered is still checked, so a malformed member list is a
+// MalformedRecord; a well-formed one keeps the first membership.
+func TestCommReRegistration(t *testing.T) {
+	tr := trace.New(1)
+	for _, members := range []string{"0", "0,x"} {
+		tick := int64(2*len(tr.Ranks[0]) + 1)
+		tr.Append(trace.Record{Func: "MPI_Comm_dup", Layer: trace.LayerMPI, Args: []string{"comm-world", "comm-d", members}, Tick: tick, Ret: tick + 1})
+	}
+	probs := problems(mustMatch(t, tr), MalformedRecord)
+	if len(probs) != 1 || !slices.Equal(probs[0].Refs, []trace.Ref{{Rank: 0, Seq: 1}}) || !strings.Contains(probs[0].Detail, "not a rank") {
+		t.Errorf("MalformedRecord problems %v, want one naming the second MPI_Comm_dup's member list", probs)
+	}
+
+	// Both ranks register comm-d as {0}, then again as {0, 1}; only rank 0
+	// calls a barrier on it, which matches under the first membership.
+	tr = trace.New(2)
+	for rank := range 2 {
+		for _, members := range []string{"0", "0,1"} {
+			tick := int64(2*len(tr.Ranks[rank]) + 1)
+			tr.Append(trace.Record{Rank: rank, Func: "MPI_Comm_dup", Layer: trace.LayerMPI, Args: []string{"comm-world", "comm-d", members}, Tick: tick, Ret: tick + 1})
+		}
+	}
+	tr.Append(trace.Record{Rank: 0, Func: "MPI_Barrier", Layer: trace.LayerMPI, Args: []string{"comm-d"}, Tick: 5, Ret: 6})
+	if res := mustMatch(t, tr); len(res.Problems) != 0 || res.Collectives != 3 {
+		t.Errorf("problems %v, %d collective slots; want none and 3", res.Problems, res.Collectives)
+	}
+}

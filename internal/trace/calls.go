@@ -40,11 +40,15 @@ var callRows = []struct {
 	{"unlink", KindUnlink, "path"},
 	{"stat", KindNone, "path filesize"},
 
+	// A receive's peer and tag of -1 are MPI_ANY_SOURCE and MPI_ANY_TAG; its
+	// status holds the actual source and tag.
 	{"MPI_Send", KindSend, "comm peer tag count"},
 	{"MPI_Isend", KindSend, "comm peer tag count request"},
 	{"MPI_Sendrecv", KindSend, "comm peer tag count source rtag rcount status"},
 	{"MPI_Recv", KindRecv, "comm peer tag count status"},
 	{"MPI_Irecv", KindRecv, "comm peer tag request"},
+	// An index or outcount of -1 is MPI_UNDEFINED: no listed request was
+	// active, so nothing completed and no status is read.
 	{"MPI_Wait", KindComplete, "request status"},
 	{"MPI_Test", KindComplete, "request flag status"},
 	{"MPI_Waitall", KindComplete, "nreq request*nreq status*nreq"},

@@ -27,7 +27,8 @@ import (
 // unchanged in Recorder⁺). We mirror that with a simple self-contained
 // format: a header, a string table (function names, layers and arguments are
 // highly repetitive across records), then per-rank record streams with
-// varint-encoded fields, optionally DEFLATE-compressed.
+// varint-encoded fields, optionally DEFLATE-compressed. The encoder deflates
+// at flate.BestSpeed; the decoder reads a payload deflated at any level.
 //
 // Layout (all integers unsigned varints unless noted):
 //
@@ -84,8 +85,13 @@ func encode(w io.Writer, meta map[string]string, ranks [][]Record, opts EncodeOp
 
 // encoder is what writing one stream needs: the string table, the payload
 // encoded into memory while the table is built, and the output buffer and
-// DEFLATE compressor. The compressor is about 0.7 MB of window and hash
-// chains, more than most rank files' payloads, so encoders are pooled and
+// DEFLATE compressor. The compressor runs at flate.BestSpeed, which deflates
+// the repo benchmark's synthetic traces 3–6× faster than
+// flate.DefaultCompression for files 5–10 % larger (19 % on
+// corpus.ScalingTrace's); files deflated at any other level read alike
+// (TestReadsEveryDeflateLevel), and TestCompressedBytesPerRecordCap holds the
+// size. The compressor is about 1.2 MB of window, hash tables and token
+// buffer, more than most rank files' payloads, so encoders are pooled and
 // reset for each stream.
 type encoder struct {
 	index map[string]uint64 // string-table index of each string seen
@@ -175,7 +181,7 @@ func (e *encoder) write(w io.Writer, meta map[string]string, nranks int, opts En
 	if opts.Compress {
 		hdr[5] |= flagCompress
 		if e.fw == nil {
-			e.fw, _ = flate.NewWriter(e.out, flate.DefaultCompression) // fails only on a bad level
+			e.fw, _ = flate.NewWriter(e.out, flate.BestSpeed) // fails only on a bad level
 		} else {
 			e.fw.Reset(e.out)
 		}

@@ -26,15 +26,7 @@ const rawDirDigest = "6d53d65b46cd434195397b0e0a540d9837fb05bda8b4a7e5b2f175acc5
 // change in what that encoder writes (the string table's order, say) shows
 // too.
 func TestWriteDirMatchesPerRankEncode(t *testing.T) {
-	var traces []*trace.Trace
-	for _, tc := range corpus.Tests() {
-		tr, err := corpus.Run(tc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.Name, err)
-		}
-		traces = append(traces, tr)
-	}
-	traces = append(traces, corpus.ScalingTrace(8, 4000, 32<<20, 1), corpus.ScalingTrace(3, 10000, 1<<12, 2))
+	traces := append(corpusTraces(t), corpus.ScalingTrace(8, 4000, 32<<20, 1), corpus.ScalingTrace(3, 10000, 1<<12, 2))
 	digest := sha256.New()
 	for i, tr := range traces {
 		for _, compress := range []bool{false, true} {

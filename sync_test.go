@@ -94,19 +94,22 @@ func TestSyncChainBytesPerEdge(t *testing.T) {
 	}
 }
 
-// barrierProgram is a random program of world barriers and accesses to one
-// shared file. Each rank's steps are a list of segments, one more than the
+// barrierProgram is a random program of world barriers and accesses to
+// shared files. Each rank's steps are a list of segments, one more than the
 // barriers, and every rank passes the same barrier between two segments.
 type barrierProgram struct {
 	ranks [][][]access // rank → segment → accesses
+	// files names the files by access.file; nil is one file, meta.dat.
+	files []string
 }
 
 // access is one step inside a segment: a 4-byte write or read at off, an
 // fsync when sync is set, or one half of a point-to-point message when msg
-// is set.
+// is set. Data steps go to file number file.
 type access struct {
 	write, sync bool
 	off         int64
+	file        int
 	msg         *message
 }
 
@@ -164,10 +167,18 @@ func (p barrierProgram) withoutBarrier(k int) barrierProgram {
 // races traces p and returns its race count under each built-in model.
 func (p barrierProgram) races(t *testing.T) [4]int64 {
 	t.Helper()
+	files := p.files
+	if files == nil {
+		files = []string{"meta.dat"}
+	}
 	tr, err := TraceProgram(len(p.ranks), POSIX, func(r *Rank) error {
-		fd, err := r.Open("meta.dat", 0x2|0x40) // O_RDWR|O_CREAT
-		if err != nil {
-			return err
+		fds := make([]int, len(files))
+		for i, name := range files {
+			fd, err := r.Open(name, 0x2|0x40) // O_RDWR|O_CREAT
+			if err != nil {
+				return err
+			}
+			fds[i] = fd
 		}
 		for i, seg := range p.ranks[r.Rank()] {
 			if i > 0 {
@@ -176,6 +187,8 @@ func (p barrierProgram) races(t *testing.T) [4]int64 {
 				}
 			}
 			for _, a := range seg {
+				var err error
+				fd := fds[a.file]
 				switch {
 				case a.msg != nil && a.msg.send:
 					err = r.Send(r.Proc().CommWorld(), a.msg.peer, a.msg.tag, []byte("m"))
@@ -193,7 +206,12 @@ func (p barrierProgram) races(t *testing.T) [4]int64 {
 				}
 			}
 		}
-		return r.Close(fd)
+		for _, fd := range fds {
+			if err := r.Close(fd); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,12 +339,67 @@ func (p barrierProgram) String() string {
 				default:
 					s += fmt.Sprintf("read@%d", a.off)
 				}
+				if a.msg == nil && p.files != nil {
+					s += ":" + p.files[a.file]
+				}
 			}
 			s += "]"
 		}
 		s += "\n"
 	}
 	return s
+}
+
+// TestMetamorphicFileRenaming holds the verifier to the file renaming
+// relation: renaming the files of a program consistently, to fresh names or
+// by swapping the two names it has, leaves each model's race count as it
+// was. The programs are TestMetamorphicRankRelabelling's random programs,
+// messages included, with their data steps spread over two files at random
+// after generation.
+func TestMetamorphicFileRenaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	racy := 0 // programs with a race under some model
+	for i := range 40 {
+		p := randomBarrierProgram(rng)
+		tags := rng.Intn(3)
+		for tag := 1; tag <= tags; tag++ {
+			p = p.withMessage(rng, tag)
+		}
+		p = p.spread(rng, "meta.dat", "data.dat")
+		base := p.races(t)
+		for _, names := range [][]string{{"out.nc", "a.h5"}, {"data.dat", "meta.dat"}} {
+			renamed := p
+			renamed.files = names
+			if got := renamed.races(t); got != base {
+				t.Errorf("program %d: files renamed %v changed the races from %v to %v\n%s", i, names, base, got, p)
+			}
+		}
+		if base != [4]int64{} {
+			racy++
+		}
+	}
+	// A relation over race-free programs would hold on a verifier that
+	// reports nothing.
+	t.Logf("%d of 40 programs have races", racy)
+	if racy == 0 {
+		t.Error("no program has races")
+	}
+}
+
+// spread returns p with each step assigned one of two files, named a and b,
+// at random.
+func (p barrierProgram) spread(rng *rand.Rand, a, b string) barrierProgram {
+	q := barrierProgram{ranks: make([][][]access, len(p.ranks)), files: []string{a, b}}
+	for rank, segs := range p.ranks {
+		for _, seg := range segs {
+			seg = slices.Clone(seg)
+			for k := range seg {
+				seg[k].file = rng.Intn(2)
+			}
+			q.ranks[rank] = append(q.ranks[rank], seg)
+		}
+	}
+	return q
 }
 
 // TestMetamorphicMessages holds the verifier to the point-to-point

@@ -124,12 +124,11 @@ func Detect(tr *trace.Trace) (*Result, error) {
 }
 
 // DetectOpts scans the trace and returns all data operations,
-// synchronization points, and conflict groups: a Detector fed every rank
-// whole.
+// synchronization points, and conflict groups: a Detector fed every rank.
 func DetectOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	d := NewDetector(len(tr.Ranks))
-	for rank, recs := range tr.Ranks {
-		d.Feed(rank, recs)
+	for rank := range tr.Ranks {
+		tr.ReadRank(rank, func(steps []trace.Step) { d.Feed(rank, steps) })
 	}
 	return d.Finish(opts)
 }
@@ -153,13 +152,13 @@ func NewDetector(nranks int) *Detector {
 	return d
 }
 
-// Feed replays the next records of one rank. Records must arrive in program
-// order per rank; the batch is not retained. Safe for distinct ranks
-// concurrently.
-func (d *Detector) Feed(rank int, recs []trace.Record) {
+// Feed replays the next records of one rank, as steps (see trace.Source).
+// Records must arrive in program order per rank; the batch is not retained.
+// Safe for distinct ranks concurrently.
+func (d *Detector) Feed(rank int, steps []trace.Step) {
 	rp := d.replayers[rank]
-	for i := range recs {
-		rp.step(&recs[i])
+	for i := range steps {
+		rp.step(&steps[i])
 	}
 }
 
@@ -248,7 +247,6 @@ type rankReplayer struct {
 	// or drops a handle (open, fopen, close, fclose) clears memo.
 	memoHandle string
 	memo       *handleState
-	calls      trace.CallCache
 	// nested is the file of the last sync point when a POSIX close or sync
 	// made it, else -1.
 	nested int
@@ -342,12 +340,12 @@ func (rp *rankReplayer) lookup(handle string) *handleState {
 // its row of the call table, so the calls of one kind share one path. A
 // record whose fields do not give a usable handle, path or range counts as
 // skipped.
-func (rp *rankReplayer) step(rec *trace.Record) {
-	c := rp.calls.Of(rec.Func)
+func (rp *rankReplayer) step(s *trace.Step) {
+	c, rec := s.Call, s.Rec
 	if c == nil {
 		return
 	}
-	h := rec.Arg(c.Pos(rec, trace.Handle))
+	h := s.Arg(c.Pos(s, trace.Handle))
 	var st *handleState
 	if c.Kind != trace.KindOpen && c.Has(trace.Handle) {
 		st = rp.lookup(h)
@@ -355,19 +353,19 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 	usable := st != nil
 	switch c.Kind {
 	case trace.KindRead, trace.KindWrite:
-		n, ok := dataBytes(c, rec)
+		n, ok := dataBytes(c, s)
 		var start int64
 		positional := c.Has(trace.Offset)
 		switch {
 		case positional:
 			var okO bool
-			start, okO = rec.IntArg(c.Pos(rec, trace.Offset))
+			start, okO = s.Int(c.Pos(s, trace.Offset))
 			ok = ok && okO
 		case usable:
 			// An append-mode write records where it landed: the end of the
 			// file, which other ranks' writes move.
 			start = st.pos
-			if pos, has := rec.IntArg(c.Pos(rec, trace.Pos)); has {
+			if pos, has := s.Int(c.Pos(s, trace.Pos)); has {
 				start = pos
 			}
 		}
@@ -379,11 +377,11 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		}
 
 	case trace.KindOpen:
-		path := rec.Arg(c.Pos(rec, trace.Path))
+		path := s.Arg(c.Pos(s, trace.Path))
 		if usable = path != "" && h != ""; usable {
 			fid := rp.fidOf(path)
 			st = &handleState{fid: fid}
-			trunc, app := openFlags(c, rec)
+			trunc, app := openFlags(c, s)
 			if trunc {
 				rp.eof[fid] = 0
 			}
@@ -402,7 +400,7 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		}
 
 	case trace.KindSync, trace.KindFileSync:
-		switch path := rec.Arg(c.Pos(rec, trace.Path)); {
+		switch path := s.Arg(c.Pos(s, trace.Path)); {
 		case c.Has(trace.Path):
 			if usable = path != ""; usable {
 				rp.addSync(rec, c, rp.fidOf(path))
@@ -420,12 +418,12 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 	case trace.KindSeek:
 		// Prefer the recorded resulting position; fall back to replaying
 		// the whence rule against (FP, EOF).
-		if pos, ok := rec.IntArg(c.Pos(rec, trace.Pos)); ok && usable {
+		if pos, ok := s.Int(c.Pos(s, trace.Pos)); ok && usable {
 			st.pos = pos
 			break
 		}
-		off, okO := rec.IntArg(c.Pos(rec, trace.Offset))
-		whence, errW := trace.ParseWhence(rec.Arg(c.Pos(rec, trace.Whence)))
+		off, okO := s.Int(c.Pos(s, trace.Offset))
+		whence, errW := trace.ParseWhence(s.Arg(c.Pos(s, trace.Whence)))
 		switch {
 		case !usable:
 		case !okO || errW != nil:
@@ -444,7 +442,7 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 		// EOF is only what it wrote itself — bytes another rank wrote past
 		// it are cut off too — so the range runs to the end of the offset
 		// space.
-		size, ok := rec.IntArg(c.Pos(rec, trace.Size))
+		size, ok := s.Int(c.Pos(s, trace.Size))
 		if usable = usable && ok; usable {
 			lo := min(size, rp.eof[st.fid])
 			if rp.addOp(rec, st.fid, true, lo, math.MaxInt64-lo) {
@@ -455,7 +453,7 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 	case trace.KindUnlink:
 		// Bumping the generation retires the path's current identity: the
 		// next fidOf at this path resolves to a fresh key.
-		path := rec.Arg(c.Pos(rec, trace.Path))
+		path := s.Arg(c.Pos(s, trace.Path))
 		if usable = path != ""; usable {
 			rp.sh.unlinks[path]++
 		}
@@ -472,15 +470,15 @@ func (rp *rankReplayer) step(rec *trace.Record) {
 // items, or the sum of its iovec lengths (contiguous in the file). A corrupt
 // record can carry negative fields or a size × count product past int64:
 // both would poison the interval index with nonsense ranges.
-func dataBytes(c *trace.Call, rec *trace.Record) (int64, bool) {
+func dataBytes(c *trace.Call, s *trace.Step) (int64, bool) {
 	if c.Has(trace.IOVCount) {
-		cnt, ok := rec.IntArg(c.Pos(rec, trace.IOVCount))
-		if !ok || cnt < 0 || cnt > int64(len(rec.Args)) {
+		cnt, ok := s.Int(c.Pos(s, trace.IOVCount))
+		if !ok || cnt < 0 || cnt > int64(s.NumArgs()) {
 			return 0, false
 		}
-		at, total := c.Pos(rec, trace.IOVLen), int64(0)
+		at, total := c.Pos(s, trace.IOVLen), int64(0)
 		for k := range int(cnt) {
-			n, ok := rec.IntArg(at + k)
+			n, ok := s.Int(at + k)
 			if !ok {
 				return 0, false
 			}
@@ -488,11 +486,11 @@ func dataBytes(c *trace.Call, rec *trace.Record) (int64, bool) {
 		}
 		return total, true
 	}
-	count, ok := rec.IntArg(c.Pos(rec, trace.Count))
+	count, ok := s.Int(c.Pos(s, trace.Count))
 	if !c.Has(trace.Size) || !ok {
 		return count, ok
 	}
-	size, ok := rec.IntArg(c.Pos(rec, trace.Size))
+	size, ok := s.Int(c.Pos(s, trace.Size))
 	if !ok || size < 0 || count < 0 || (size > 0 && count > math.MaxInt64/size) {
 		return 0, false
 	}
@@ -502,12 +500,12 @@ func dataBytes(c *trace.Call, rec *trace.Record) (int64, bool) {
 // openFlags reports whether an open truncates the file and whether its
 // handle appends: open(2)'s flags read "rw|creat|trunc", fopen(3)'s mode
 // "w+" or "a".
-func openFlags(c *trace.Call, rec *trace.Record) (trunc, app bool) {
+func openFlags(c *trace.Call, s *trace.Step) (trunc, app bool) {
 	if c.Has(trace.Mode) {
-		m := rec.Arg(c.Pos(rec, trace.Mode))
+		m := s.Arg(c.Pos(s, trace.Mode))
 		return m == "w" || m == "w+", m == "a" || m == "a+"
 	}
-	f := rec.Arg(c.Pos(rec, trace.Flags))
+	f := s.Arg(c.Pos(s, trace.Flags))
 	return strings.Contains(f, "trunc"), strings.Contains(f, "append")
 }
 

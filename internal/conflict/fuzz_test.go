@@ -5,16 +5,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"verifyio/internal/match"
 	"verifyio/internal/trace"
 )
 
 // fuzzOpBytes is the size of one operation as FuzzDetectOffsets reads it: a
 // byte of rank (2 bits), write (1 bit) and file (2 bits, mod 3); a byte
-// selecting how the offset and the length are derived (2 bits each); then the
-// two raw little-endian int64s. The derivations steer random bytes toward the
-// edges of the offset space and toward overlapping small ranges.
+// selecting how the offset and the length are derived (2 bits each) and
+// spelled (2 bits each, see fuzzSpell); then the two raw little-endian
+// int64s. The derivations steer random bytes toward the edges of the offset
+// space and toward overlapping small ranges.
 const fuzzOpBytes = 18
 
 func fuzzOffset(mode byte, raw int64) int64 {
@@ -41,6 +46,24 @@ func fuzzLength(mode byte, raw int64) int64 {
 	return raw
 }
 
+// fuzzSpell spells v as strconv.ParseInt reads it, but not always as the
+// tracer writes it: canonical (0), with a '+' sign (1), with leading zeros
+// (2), or both (3); a negative value takes the zeros after its sign and no
+// '+'.
+func fuzzSpell(v int64, spelling byte) string {
+	digits, neg := strings.CutPrefix(strconv.FormatInt(v, 10), "-")
+	if spelling&2 != 0 {
+		digits = "00" + digits
+	}
+	switch {
+	case neg:
+		return "-" + digits
+	case spelling&1 != 0:
+		return "+" + digits
+	}
+	return digits
+}
+
 // fuzzOp encodes one operation for the seed corpus.
 func fuzzOp(rank, file int, write bool, offMode, lenMode byte, off, n int64) []byte {
 	b := make([]byte, fuzzOpBytes)
@@ -59,8 +82,9 @@ func fuzzOp(rank, file int, write bool, offMode, lenMode byte, off, n int64) []b
 // the detector to a reference that shares nothing with it: the kept ops are
 // those an independent application of the skip rule keeps, the conflict
 // groups are the O(n²) definition's, and the Result is the same at every
-// worker count and when the ranks are fed in ragged batches, out of order.
-// Nothing may panic.
+// worker count, when the ranks are fed in ragged batches, out of order, and
+// when the records are read back from a written directory. Nothing may
+// panic.
 func FuzzDetectOffsets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Join([][]byte{
@@ -94,7 +118,7 @@ func FuzzDetectOffsets(f *testing.F) {
 				fn = "pwrite"
 			}
 			seq := len(tr.Ranks[rank])
-			emit(rank, fn, fmt.Sprint(3+file), fmt.Sprint(n), fmt.Sprint(off))
+			emit(rank, fn, fmt.Sprint(3+file), fuzzSpell(n, data[1]>>6), fuzzSpell(off, data[1]>>4))
 			switch {
 			case off < 0 || n > math.MaxInt64-off:
 				skipped++
@@ -143,5 +167,53 @@ func FuzzDetectOffsets(f *testing.F) {
 		if !bytes.Equal(resultFingerprint(t, batched), fp) {
 			t.Fatalf("Result of ranks %v fed in batches differs from whole ranks in order", order)
 		}
+		sameFromDir(t, tr)
 	})
+}
+
+// analyzeSource runs detection and matching over src as verify.Analyze
+// does: each rank's steps, in order, fed to one Detector and one Matcher.
+func analyzeSource(t *testing.T, src trace.Source) (*Result, *match.Result) {
+	t.Helper()
+	det, mat := NewDetector(src.NumRanks()), match.NewMatcher(src.NumRanks())
+	for rank := range src.NumRanks() {
+		err := src.ReadRank(rank, func(steps []trace.Step) {
+			det.Feed(rank, steps)
+			mat.Feed(rank, steps)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := det.Finish(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, mat.Finish(match.Options{})
+}
+
+// sameFromDir writes tr as a trace directory and requires the analysis of
+// the directory, its steps read over each rank file's string table, to
+// equal the analysis of the trace in memory: ops, skipped records, pairs
+// and groups, edges and problems.
+func sameFromDir(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.OpenDir(dir, trace.StreamOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	want, wantM := analyzeSource(t, tr)
+	got, gotM := analyzeSource(t, d)
+	if !bytes.Equal(resultFingerprint(t, got), resultFingerprint(t, want)) {
+		t.Fatalf("directory: %d ops, %d skipped, %d pairs; trace in memory: %d, %d, %d",
+			len(got.Ops), got.Skipped, got.Pairs, len(want.Ops), want.Skipped, want.Pairs)
+	}
+	if !reflect.DeepEqual(gotM, wantM) {
+		t.Fatalf("directory: edges %v, problems %v; trace in memory: %v, %v", gotM.Edges, gotM.Problems, wantM.Edges, wantM.Problems)
+	}
 }

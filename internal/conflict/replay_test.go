@@ -11,12 +11,14 @@ import (
 // so every handle resolves through the handle table.
 func detectMemoFree(tr *trace.Trace) (*Result, error) {
 	d := NewDetector(len(tr.Ranks))
-	for rank, recs := range tr.Ranks {
+	for rank := range tr.Ranks {
 		rp := d.replayers[rank]
-		for i := range recs {
-			rp.step(&recs[i])
-			rp.memo = nil
-		}
+		tr.ReadRank(rank, func(steps []trace.Step) {
+			for i := range steps {
+				rp.step(&steps[i])
+				rp.memo = nil
+			}
+		})
 	}
 	return d.Finish(Options{Workers: 1})
 }

@@ -8,6 +8,7 @@ import (
 
 	"verifyio/internal/conflict"
 	"verifyio/internal/corpus"
+	"verifyio/internal/trace"
 )
 
 // TestSignatureTableExactAndSmall holds the signature table to the records
@@ -53,10 +54,10 @@ func TestSignatureTableExactAndSmall(t *testing.T) {
 			for rank, recs := range tr.Ranks {
 				for lo := 0; lo < len(recs); {
 					hi := min(lo+1+lo%13, len(recs))
-					// A batch buffer is recycled once fed: hand the detector a
-					// copy and scribble over it afterwards.
+					// A batch buffer is recycled once fed: hand the detector
+					// steps of a copy and scribble over it afterwards.
 					batch := slices.Clone(recs[lo:hi])
-					sd.Feed(rank, batch)
+					trace.Steps(batch, func(steps []trace.Step) { sd.Feed(rank, steps) })
 					clear(batch)
 					lo = hi
 				}

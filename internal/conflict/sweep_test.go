@@ -356,7 +356,7 @@ func feedDetect(tr *trace.Trace, workers int, order []int, concurrent bool, batc
 		recs := tr.Ranks[rank]
 		for lo := 0; lo < len(recs); {
 			hi := min(batchEnd(rank, lo), len(recs))
-			d.Feed(rank, recs[lo:hi])
+			trace.Steps(recs[lo:hi], func(steps []trace.Step) { d.Feed(rank, steps) })
 			lo = hi
 		}
 	}

@@ -2,11 +2,13 @@ package match
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"verifyio/internal/conflict"
 	"verifyio/internal/trace"
 )
 
@@ -72,7 +74,9 @@ func poisonable(c *trace.Call, f trace.Field, pick int) (string, bool) {
 	case trace.OutCount:
 		return of("-7", "4"), true
 	case trace.Index:
-		return of("-7", "3"), true
+		// MPI_Testany's index means nothing when its flag says nothing
+		// completed.
+		return of("-7", "3"), !c.Has(trace.Flag)
 	case trace.NewComm, trace.Members:
 		return "", true
 	}
@@ -83,10 +87,12 @@ func poisonable(c *trace.Call, f trace.Field, pick int) (string, bool) {
 // and MPI-IO rows on two ranks, each laid out by its row: counts of up to
 // three requests, indices, peers, tags and request ids from small pools, so
 // that ids collide and requests complete or not. A record may have one field
-// the scan must read replaced by a hostile value. The scan must never panic;
+// the scan must read replaced by a hostile value, or its integers spelled
+// as the tracer never spells them (respell). The scan must never panic;
 // every poisoned record must be named by a MalformedRecord or
 // DanglingRequest problem, and so must every non-blocking initiation that no
-// completion names before its id is initiated again.
+// completion names before its id is initiated again. Read back from a
+// written directory, the records must analyze exactly as in memory.
 func FuzzScanRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -116,6 +122,8 @@ func FuzzScanRecords(f *testing.F) {
 							if pv, ok := poisonable(c, e.Field, pick); ok {
 								v, bad = pv, true
 							}
+						} else if poison%8 > 1 && e.Field.Integer() {
+							v = respell(v, poison%8)
 						}
 						args = append(args, v)
 					}
@@ -151,7 +159,72 @@ func FuzzScanRecords(f *testing.F) {
 				t.Errorf("%s is never completed, and named by no DanglingRequest or MalformedRecord problem: %v", tr.Record(ref), res.Problems)
 			}
 		}
+		sameFromDir(t, tr)
 	})
+}
+
+// respell spells the decimal v as strconv.ParseInt reads it but the tracer
+// never writes it: with a '+' sign, with a leading zero, or both, by how.
+func respell(v string, how int) string {
+	digits, neg := strings.CutPrefix(v, "-")
+	if how%3 != 2 {
+		digits = "0" + digits
+	}
+	switch {
+	case neg:
+		return "-" + digits
+	case how%3 != 0:
+		return "+" + digits
+	}
+	return digits
+}
+
+// analyzeSource runs detection and matching over src as verify.Analyze
+// does: each rank's steps, in order, fed to one Detector and one Matcher.
+func analyzeSource(t *testing.T, src trace.Source) (*conflict.Result, *Result) {
+	t.Helper()
+	det, mat := conflict.NewDetector(src.NumRanks()), NewMatcher(src.NumRanks())
+	for rank := range src.NumRanks() {
+		err := src.ReadRank(rank, func(steps []trace.Step) {
+			det.Feed(rank, steps)
+			mat.Feed(rank, steps)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := det.Finish(conflict.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, mat.Finish(Options{})
+}
+
+// sameFromDir writes tr as a trace directory and requires the analysis of
+// the directory, its steps read over each rank file's string table, to
+// equal the analysis of the trace in memory: ops, skipped records, pairs,
+// edges and problems.
+func sameFromDir(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.OpenDir(dir, trace.StreamOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	want, wantM := analyzeSource(t, tr)
+	got, gotM := analyzeSource(t, d)
+	if !reflect.DeepEqual(got.Ops, want.Ops) || got.Skipped != want.Skipped || got.Pairs != want.Pairs ||
+		!reflect.DeepEqual(got.Syncs, want.Syncs) {
+		t.Fatalf("directory: %d ops, %d skipped, %d pairs, %d syncs; trace in memory: %d, %d, %d, %d",
+			len(got.Ops), got.Skipped, got.Pairs, len(got.Syncs), len(want.Ops), want.Skipped, want.Pairs, len(want.Syncs))
+	}
+	if !reflect.DeepEqual(gotM, wantM) {
+		t.Fatalf("directory: edges %v, problems %v; trace in memory: %v, %v", gotM.Edges, gotM.Problems, wantM.Edges, wantM.Problems)
+	}
 }
 
 // fuzzValue draws the k-th argument of one value of field f of row c,
@@ -197,25 +270,26 @@ func fuzzValue(c *trace.Call, f trace.Field, k int, in *fuzzBytes, counts map[tr
 // reuse an id.
 func abandoned(tr *trace.Trace, poisoned []trace.Ref) []trace.Ref {
 	var out []trace.Ref
-	var calls trace.CallCache
-	for _, recs := range tr.Ranks {
+	for rank := range tr.Ranks {
 		open := map[string]trace.Ref{} // id -> initiation no completion named yet
-		for i := range recs {
-			rec := &recs[i]
-			c := calls.Of(rec.Func)
-			switch {
-			case c.Kind == trace.KindComplete:
-				for _, a := range rec.Args {
-					delete(open, a)
+		tr.ReadRank(rank, func(steps []trace.Step) {
+			for i := range steps {
+				s := &steps[i]
+				rec, c := s.Rec, s.Call
+				switch {
+				case c.Kind == trace.KindComplete:
+					for _, a := range rec.Args {
+						delete(open, a)
+					}
+				case c.Has(trace.Request) && !slices.Contains(poisoned, rec.Ref()):
+					req := s.Arg(c.Pos(s, trace.Request))
+					if ref, ok := open[req]; ok {
+						out = append(out, ref)
+					}
+					open[req] = rec.Ref()
 				}
-			case c.Has(trace.Request) && !slices.Contains(poisoned, rec.Ref()):
-				req := rec.Arg(c.Pos(rec, trace.Request))
-				if ref, ok := open[req]; ok {
-					out = append(out, ref)
-				}
-				open[req] = rec.Ref()
 			}
-		}
+		})
 		for _, ref := range open {
 			out = append(out, ref)
 		}

@@ -225,13 +225,13 @@ type Options struct {
 	Obs obs.Ctx
 }
 
-// MatchOpts replays the MPI records of tr: a Matcher fed every rank whole.
+// MatchOpts replays the MPI records of tr: a Matcher fed every rank.
 // The error is always nil; the signature stays while benchmark/ reads two
 // results.
 func MatchOpts(tr *trace.Trace, opts Options) (*Result, error) {
 	m := NewMatcher(tr.NumRanks())
-	for rank, recs := range tr.Ranks {
-		m.Feed(rank, recs)
+	for rank := range tr.Ranks {
+		tr.ReadRank(rank, func(steps []trace.Step) { m.Feed(rank, steps) })
 	}
 	return m.Finish(opts), nil
 }
@@ -258,12 +258,12 @@ func NewMatcher(nranks int) *Matcher {
 	return m
 }
 
-// Feed scans the next records of one rank. The batch is not retained. Safe
-// for distinct ranks concurrently.
-func (m *Matcher) Feed(rank int, recs []trace.Record) {
+// Feed scans the next records of one rank, as steps (see trace.Source). The
+// batch is not retained. Safe for distinct ranks concurrently.
+func (m *Matcher) Feed(rank int, steps []trace.Step) {
 	sc := m.scanners[rank]
-	for i := range recs {
-		sc.step(&recs[i])
+	for i := range steps {
+		sc.step(&steps[i])
 	}
 }
 
@@ -403,7 +403,6 @@ type rankScanner struct {
 	// edges bounds the edges the rank's calls can emit: one per send, and
 	// edgesPerMember per collective.
 	edges int
-	calls trace.CallCache
 }
 
 func newRankScanner(rank int, world []int) *rankScanner {
@@ -469,9 +468,9 @@ func (sc *rankScanner) malformed(rec *trace.Record, why string) {
 
 // status reads the (source, tag) pair of a completed receive at position
 // at: the actual sender and tag, so neither is a wildcard.
-func status(rec *trace.Record, at int) (src, tag int, ok bool) {
-	src, ok1 := rec.Int32Arg(at)
-	tag, ok2 := rec.Int32Arg(at + 1)
+func status(s *trace.Step, at int) (src, tag int, ok bool) {
+	src, ok1 := s.Int32(at)
+	tag, ok2 := s.Int32(at + 1)
 	return src, tag, ok1 && ok2 && src >= 0 && tag >= 0
 }
 
@@ -479,24 +478,21 @@ func status(rec *trace.Record, at int) (src, tag int, ok bool) {
 // one kind share one path: Send, Isend and Sendrecv send; Sendrecv and Recv
 // carry a completed receive's status; Isend, Irecv and the non-blocking
 // collectives a request.
-func (sc *rankScanner) step(rec *trace.Record) {
-	if rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
-		return
-	}
-	c := sc.calls.Of(rec.Func)
-	if c == nil {
+func (sc *rankScanner) step(s *trace.Step) {
+	c, rec := s.Call, s.Rec
+	if c == nil || (rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO) {
 		return
 	}
 	ref := sc.ref(rec)
-	comm, req := rec.Arg(c.Pos(rec, trace.Comm)), rec.Arg(c.Pos(rec, trace.Request))
+	comm, req := s.Arg(c.Pos(s, trace.Comm)), s.Arg(c.Pos(s, trace.Request))
 	switch {
 	case c.Kind == trace.KindSend || c.Kind == trace.KindRecv:
 		ok := comm != "" && (req != "" || !c.Has(trace.Request))
 		// A send names a rank and a tag of at least 0; a receive may
 		// instead request any source or any tag. A blocking receive is
 		// matched on its status alone.
-		peer, okP := rec.Int32Arg(c.Pos(rec, trace.Peer))
-		tag, okT := rec.Int32Arg(c.Pos(rec, trace.Tag))
+		peer, okP := s.Int32(c.Pos(s, trace.Peer))
+		tag, okT := s.Int32(c.Pos(s, trace.Tag))
 		if c.Kind == trace.KindSend {
 			ok = ok && okP && okT && peer >= 0 && tag >= 0
 		} else {
@@ -505,7 +501,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		var src, stag int
 		if c.Has(trace.Status) {
 			var okS bool
-			src, stag, okS = status(rec, c.Pos(rec, trace.Status))
+			src, stag, okS = status(s, c.Pos(s, trace.Status))
 			ok = ok && okS
 		}
 		if !ok {
@@ -536,17 +532,17 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		// recorded indices, each with a status in completion order.
 		n := 1
 		if c.Has(trace.NumRequests) {
-			v, ok := rec.IntArg(c.Pos(rec, trace.NumRequests))
-			if !ok || v < 0 || v > int64(len(rec.Args)) {
+			v, ok := s.Int(c.Pos(s, trace.NumRequests))
+			if !ok || v < 0 || v > int64(s.NumArgs()) {
 				sc.malformed(rec, "bad count")
 				return
 			}
 			n = int(v)
 		}
-		if c.Has(trace.Flag) && rec.Arg(c.Pos(rec, trace.Flag)) != "1" {
+		if c.Has(trace.Flag) && s.Arg(c.Pos(s, trace.Flag)) != "1" {
 			return // nothing completed
 		}
-		reqs, idx, st := c.Pos(rec, trace.Request), c.Pos(rec, trace.Index), c.Pos(rec, trace.Status)
+		reqs, idx, st := c.Pos(s, trace.Request), c.Pos(s, trace.Index), c.Pos(s, trace.Status)
 		// An index or outcount of MPI_UNDEFINED completes nothing: MPI
 		// returns it when no listed request is active.
 		undefined := func(v int, ok bool) bool {
@@ -554,7 +550,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 				return false
 			}
 			for i := range n {
-				if _, pending := sc.pending[rec.Arg(reqs+i)]; pending {
+				if _, pending := sc.pending[s.Arg(reqs+i)]; pending {
 					return false
 				}
 			}
@@ -562,7 +558,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		}
 		done := n
 		if c.Has(trace.OutCount) {
-			v, ok := rec.Int32Arg(c.Pos(rec, trace.OutCount))
+			v, ok := s.Int32(c.Pos(s, trace.OutCount))
 			if undefined(v, ok) {
 				return
 			}
@@ -572,7 +568,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			}
 			done = v
 		} else if c.Has(trace.Index) {
-			if undefined(rec.Int32Arg(idx)) {
+			if undefined(s.Int32(idx)) {
 				return
 			}
 			done = 1
@@ -580,20 +576,20 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		for k := range done {
 			i := k
 			if idx >= 0 {
-				v, ok := rec.Int32Arg(idx + k)
+				v, ok := s.Int32(idx + k)
 				if !ok || v < 0 || v >= n {
 					sc.malformed(rec, "bad completion index")
 					continue
 				}
 				i = v
 			}
-			src, tag, ok := status(rec, st+2*k)
-			sc.complete(rec, rec.Arg(reqs+i), src, tag, ok)
+			src, tag, ok := status(s, st+2*k)
+			sc.complete(rec, s.Arg(reqs+i), src, tag, ok)
 		}
 
 	case c.Kind >= trace.KindBarrier: // a collective
 		if c.Has(trace.NewComm) {
-			gid, list := rec.Arg(c.Pos(rec, trace.NewComm)), rec.Arg(c.Pos(rec, trace.Members))
+			gid, list := s.Arg(c.Pos(s, trace.NewComm)), s.Arg(c.Pos(s, trace.Members))
 			sc.regs = append(sc.regs, [2]string{gid, list})
 			if err := registerComm(sc.members, gid, list); err != nil {
 				sc.malformed(rec, err.Error())
@@ -602,7 +598,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 		if c.Kind >= trace.KindFile {
 			// An MPI-IO collective names its file handle: it is matched on
 			// the communicator of the open that made the handle.
-			h := rec.Arg(c.Pos(rec, trace.Handle))
+			h := s.Arg(c.Pos(s, trace.Handle))
 			if c.Has(trace.Comm) {
 				sc.openByFd[h], sc.lastOpen, sc.anyOpen = comm, comm, true
 			} else {
@@ -613,7 +609,7 @@ func (sc *rankScanner) step(rec *trace.Record) {
 			return
 		}
 		root := -1
-		if v, ok := rec.Int32Arg(c.Pos(rec, trace.Root)); ok {
+		if v, ok := s.Int32(c.Pos(s, trace.Root)); ok {
 			root = v
 		}
 		k := sc.addColl(comm, collEntry{call: c, init: ref, completion: ref, rootArg: root}, edgesPerMember(c.Kind))

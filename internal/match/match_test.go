@@ -799,3 +799,82 @@ func TestCommReRegistration(t *testing.T) {
 		t.Errorf("problems %v, %d collective slots; want none and 3", res.Problems, res.Collectives)
 	}
 }
+
+// matchSource matches a source as the analysis reads one: each rank's
+// steps, in order, fed to one Matcher.
+func matchSource(t testing.TB, src trace.Source) *Result {
+	t.Helper()
+	m := NewMatcher(src.NumRanks())
+	for rank := range src.NumRanks() {
+		if err := src.ReadRank(rank, func(steps []trace.Step) { m.Feed(rank, steps) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.Finish(Options{})
+}
+
+// matchDir writes tr as a trace directory and matches the directory, read
+// as the analysis reads it: the steps each rank reader lends.
+func matchDir(t testing.TB, tr *trace.Trace) *Result {
+	t.Helper()
+	dir := t.TempDir()
+	if err := trace.WriteDir(dir, tr, trace.DefaultEncodeOptions()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.OpenDir(dir, trace.StreamOptions{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	return matchSource(t, d)
+}
+
+// TestTestanyCompletesItsRequest: MPI_Testany (nreq request*nreq index flag
+// status) retires the request at its index when its flag is 1, so an
+// MPI_Irecv it completes matches its message instead of dangling; with flag
+// 0 it completes nothing, and its index -1 (MPI_UNDEFINED) over no pending
+// request is no problem, as Waitany's is. The trace in memory and its
+// written directory read alike.
+func TestTestanyCompletesItsRequest(t *testing.T) {
+	irecv := []string{"comm-world", "1", "1", "req-0.0"}
+	send := []string{"comm-world", "0", "1", "4"}
+	type rec struct {
+		rank int
+		fn   string
+		args []string
+	}
+	cases := []struct {
+		name      string
+		recs      []rec
+		malformed bool
+	}{
+		{"completes", []rec{{0, "MPI_Irecv", irecv}, {0, "MPI_Testany", []string{"1", "req-0.0", "0", "1", "1", "1"}}, {1, "MPI_Send", send}}, false},
+		{"completes nothing", []rec{{0, "MPI_Irecv", irecv}, {0, "MPI_Testany", []string{"1", "req-0.0", "-1", "0", "0", "0"}},
+			{0, "MPI_Wait", []string{"req-0.0", "1", "1"}}, {1, "MPI_Send", send}}, false},
+		{"none active", []rec{{0, "MPI_Testany", []string{"0", "-1", "1", "0", "0"}}}, false},
+		{"undefined while pending", []rec{{0, "MPI_Irecv", irecv}, {0, "MPI_Testany", []string{"1", "req-0.0", "-1", "1", "0", "0"}},
+			{0, "MPI_Wait", []string{"req-0.0", "1", "1"}}, {1, "MPI_Send", send}}, true},
+	}
+	for _, tc := range cases {
+		tr := trace.New(2)
+		for _, r := range tc.recs {
+			tick := int64(2*len(tr.Ranks[r.rank]) + 1)
+			tr.Append(trace.Record{Rank: r.rank, Func: r.fn, Layer: trace.LayerMPI, Args: r.args, Tick: tick, Ret: tick + 1})
+		}
+		testany := trace.Ref{Rank: 0, Seq: 1}
+		for from, res := range map[string]*Result{"trace": mustMatch(t, tr), "directory": matchDir(t, tr)} {
+			probs := problems(res, MalformedRecord)
+			switch {
+			case tc.malformed:
+				if len(probs) != 1 || !slices.Equal(probs[0].Refs, []trace.Ref{testany}) {
+					t.Errorf("%s (%s): MalformedRecord problems %v, want one naming the MPI_Testany", tc.name, from, probs)
+				}
+			case len(res.Problems) != 0:
+				t.Errorf("%s (%s): problems %v, want none", tc.name, from, res.Problems)
+			}
+			if tc.name == "completes" && (res.P2P != 1 || !hasEdge(res, trace.Ref{Rank: 1, Seq: 0}, testany)) {
+				t.Errorf("%s (%s): %d messages matched, want the send to reach the MPI_Testany", tc.name, from, res.P2P)
+			}
+		}
+	}
+}

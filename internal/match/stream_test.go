@@ -21,7 +21,7 @@ func feedMatcher(t *testing.T, tr *trace.Trace, order []int, batch int, concurre
 	feed := func(rank int) {
 		recs := tr.Ranks[rank]
 		for lo := 0; lo < len(recs); lo += batch {
-			m.Feed(rank, recs[lo:min(lo+batch, len(recs))])
+			trace.Steps(recs[lo:min(lo+batch, len(recs))], func(steps []trace.Step) { m.Feed(rank, steps) })
 		}
 	}
 	var wg sync.WaitGroup

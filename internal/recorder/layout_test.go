@@ -15,11 +15,6 @@ import (
 	"verifyio/internal/trace"
 )
 
-// intFields hold decimal integers in every row that has them.
-var intFields = []trace.Field{trace.Count, trace.Size, trace.Offset, trace.Pos, trace.IOVCount,
-	trace.IOVLen, trace.Peer, trace.Tag, trace.NumRequests, trace.Index, trace.OutCount,
-	trace.Status, trace.Root}
-
 // nameFields name a handle, file, communicator or request: never empty.
 var nameFields = []trace.Field{trace.Handle, trace.Path, trace.Comm, trace.Request, trace.NewComm}
 
@@ -78,27 +73,28 @@ func TestEveryWrapperMatchesItsCallRow(t *testing.T) {
 	tr := env.Trace()
 
 	seen := map[string]bool{}
-	var calls trace.CallCache
-	for rank, recs := range tr.Ranks {
+	for rank := range tr.Ranks {
 		nth := map[string]int{}
-		for i := range recs {
-			rec := &recs[i]
-			if rec.Layer != trace.LayerPOSIX && rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
-				continue
+		tr.ReadRank(rank, func(steps []trace.Step) {
+			for i := range steps {
+				s := &steps[i]
+				rec, c := s.Rec, s.Call
+				if rec.Layer != trace.LayerPOSIX && rec.Layer != trace.LayerMPI && rec.Layer != trace.LayerMPIIO {
+					continue
+				}
+				if c == nil {
+					t.Errorf("%s: no row in the call table", rec)
+					continue
+				}
+				seen[rec.Func] = true
+				var want map[string]string
+				if w := exp.fns[rec.Func]; rank == 0 && nth[rec.Func] < len(w) {
+					want = w[nth[rec.Func]]
+				}
+				nth[rec.Func]++
+				checkRow(t, s, want)
 			}
-			c := calls.Of(rec.Func)
-			if c == nil {
-				t.Errorf("%s: no row in the call table", rec)
-				continue
-			}
-			seen[rec.Func] = true
-			var want map[string]string
-			if w := exp.fns[rec.Func]; rank == 0 && nth[rec.Func] < len(w) {
-				want = w[nth[rec.Func]]
-			}
-			nth[rec.Func]++
-			checkRow(t, rec, c, want)
-		}
+		})
 	}
 	for _, c := range trace.Calls {
 		if !seen[c.Name] && !slices.Contains(unwrapped, c.Name) {
@@ -112,10 +108,12 @@ func TestEveryWrapperMatchesItsCallRow(t *testing.T) {
 	}
 }
 
-// checkRow walks rec's arguments along the row c, reading each run's length
-// off its counting field, and holds each token to want.
-func checkRow(t *testing.T, rec *trace.Record, c *trace.Call, want map[string]string) {
+// checkRow walks the arguments of s's record along its row, reading each
+// run's length off its counting field, and holds each token to want: an
+// integer field must hold a decimal, a name field no empty name.
+func checkRow(t *testing.T, s *trace.Step, want map[string]string) {
 	t.Helper()
+	rec, c := s.Rec, s.Call
 	p := 0
 	for i, e := range c.Elems {
 		if e.Optional && i == len(c.Elems)-1 && p == len(rec.Args) {
@@ -123,9 +121,9 @@ func checkRow(t *testing.T, rec *trace.Record, c *trace.Call, want map[string]st
 		}
 		n := 1
 		if e.By != 0 {
-			v, ok := rec.IntArg(c.Pos(rec, e.By))
+			v, ok := s.Int(c.Pos(s, e.By))
 			if !ok || v < 0 {
-				t.Errorf("%s: the count of %s is %q", rec, e.Name, rec.Arg(c.Pos(rec, e.By)))
+				t.Errorf("%s: the count of %s is %q", rec, e.Name, s.Arg(c.Pos(s, e.By)))
 				return
 			}
 			n = int(v)
@@ -137,12 +135,12 @@ func checkRow(t *testing.T, rec *trace.Record, c *trace.Call, want map[string]st
 		}
 		vals := rec.Args[p:end]
 		if e.Field != 0 {
-			if at := c.Pos(rec, e.Field); at != p {
+			if at := c.Pos(s, e.Field); at != p {
 				t.Errorf("%s: the row reads %s at %d, its layout puts it at %d", rec, e.Name, at, p)
 			}
 		}
 		for _, v := range vals {
-			if slices.Contains(intFields, e.Field) {
+			if e.Field.Integer() {
 				if _, err := strconv.ParseInt(v, 10, 64); err != nil {
 					t.Errorf("%s: %s %q is not an integer", rec, e.Name, v)
 				}
@@ -348,7 +346,7 @@ func mpiCalls(r *recorder.Rank, exp *expectations) error {
 	// Rank 1 sends rank 0 a message for each receive it posts below, before
 	// a barrier, so every later poll finds its message.
 	if me == 1 {
-		for tag := 80; tag < 88; tag++ {
+		for tag := 80; tag < 89; tag++ {
 			if err := r.Send(world, 0, tag, make([]byte, 3)); err != nil {
 				return err
 			}
@@ -363,7 +361,7 @@ func mpiCalls(r *recorder.Rank, exp *expectations) error {
 		}
 	}
 	if me == 2 {
-		for tag := 90; tag < 94; tag++ {
+		for tag := 90; tag < 96; tag++ {
 			if _, _, err := r.Recv(world, 0, tag); err != nil {
 				return err
 			}
@@ -559,7 +557,27 @@ func requestCalls(r *recorder.Rank, exp *expectations, world *mpi.Comm) error {
 		return fmt.Errorf("MPI_Testsome of completed requests: %v, %v", some, err)
 	}
 	exp.add(r, "MPI_Testsome", "nreq", 2, "request", ids(k, l), "outcount", 2, "index", ints(some), "status", statuses(sts...))
-	return nil
+	m, _ := isend()
+	n, err := isend()
+	if err != nil {
+		return err
+	}
+	idx, done, st, err = r.Testany([]*mpi.Request{m, n})
+	if err != nil || !done || idx != 0 {
+		return fmt.Errorf("MPI_Testany of completed requests: index=%d, done=%v, %v", idx, done, err)
+	}
+	exp.add(r, "MPI_Testany", "nreq", 2, "request", ids(m, n), "index", 0, "flag", 1, "status", statuses(st))
+	o, err := irecv()
+	if err != nil {
+		return err
+	}
+	idx, done, st, err = r.Testany([]*mpi.Request{nil, o})
+	if err != nil || !done || idx != 1 {
+		return fmt.Errorf("MPI_Testany of a delivered message: index=%d, done=%v, %v", idx, done, err)
+	}
+	exp.add(r, "MPI_Testany", "nreq", 2, "request", "req-nil,"+o.ID(), "index", 1, "flag", 1, "status", statuses(st))
+	_, err = r.Waitall([]*mpi.Request{n})
+	return err
 }
 
 // mpiioCalls drives every MPI-IO wrapper on every rank.

@@ -113,6 +113,18 @@ func (r *Rank) Test(req *mpi.Request) (bool, mpi.Status, error) {
 	})
 }
 
+// Testany is the traced MPI_Testany.
+func (r *Rank) Testany(reqs []*mpi.Request) (index int, done bool, st mpi.Status, err error) {
+	err = r.Record(trace.LayerMPI, "MPI_Testany", func() []string {
+		args := append(reqListArgs(reqs), itoa(int64(index)), boolArg(done))
+		return append(args, itoa(int64(st.Source)), itoa(int64(st.Tag)))
+	}, func() (err error) {
+		index, done, st, err = r.proc.Testany(reqs)
+		return err
+	})
+	return index, done, st, err
+}
+
 // Testall is the traced MPI_Testall.
 func (r *Rank) Testall(reqs []*mpi.Request) (bool, []mpi.Status, error) {
 	return record2(r, trace.LayerMPI, "MPI_Testall", func() (bool, []mpi.Status, error) {

@@ -286,6 +286,29 @@ func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
 	}
 }
 
+// Testany polls the requests once, in order, and completes the first one
+// done: its index, with done true. When none is done it reports done false;
+// when none is active (every one nil) done true, as MPI_Testany does. Both
+// give index -1, MPI_UNDEFINED.
+func (p *Proc) Testany(reqs []*Request) (index int, done bool, st Status, err error) {
+	active := false
+	for i, r := range reqs {
+		if r == nil {
+			continue
+		}
+		active = true
+		ok, err := p.tryComplete(r, false)
+		if err != nil {
+			return -1, false, Status{}, err
+		}
+		if ok {
+			delete(p.reqs, r.id)
+			return i, true, r.status, nil
+		}
+	}
+	return -1, !active, Status{}, nil
+}
+
 // Waitsome blocks until at least one request completes, then returns the
 // indices of all currently complete requests.
 func (p *Proc) Waitsome(reqs []*Request) ([]int, []Status, error) {

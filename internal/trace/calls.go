@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"unsafe"
 )
 
 // Call layouts. The tracer records every argument of a call as a string, in
@@ -15,6 +14,14 @@ import (
 // "status" is a (source, tag) pair; "x*n" is a run of field n's value of x,
 // and the fields after it sit where it ends; "x?" is optional: older traces,
 // and calls it does not apply to, leave it out.
+//
+// A field is an integer or a name (Field.Integer). An integer — count,
+// size, offset, pos, iovcnt, iovlen, peer, tag, nreq, index, outcount,
+// status, root — is a decimal that Step.Int reads as strconv.ParseInt does,
+// parsed once per string-table entry on a directory's analysis path. A name
+// — handle, path, flags, mode, comm, request, newcomm, members — is read as
+// the string it is (Step.Arg); so are whence, the name of its value
+// (WhenceName), and flag, "1" when an MPI_Test* completed.
 var callRows = []struct {
 	name   string
 	kind   CallKind
@@ -54,6 +61,7 @@ var callRows = []struct {
 	{"MPI_Waitall", KindComplete, "nreq request*nreq status*nreq"},
 	{"MPI_Testall", KindComplete, "nreq request*nreq flag status*nreq"},
 	{"MPI_Waitany", KindComplete, "nreq request*nreq index status"},
+	{"MPI_Testany", KindComplete, "nreq request*nreq index flag status"},
 	{"MPI_Waitsome", KindComplete, "nreq request*nreq outcount index*outcount status*outcount"},
 	{"MPI_Testsome", KindComplete, "nreq request*nreq outcount index*outcount status*outcount"},
 	{"MPI_Barrier", KindBarrier, "comm"},
@@ -149,6 +157,13 @@ const (
 	numFields
 )
 
+// intFields are the integer fields (see Call layouts).
+const intFields uint32 = 1<<Count | 1<<Size | 1<<Offset | 1<<Pos | 1<<IOVCount | 1<<IOVLen | 1<<Peer |
+	1<<Tag | 1<<NumRequests | 1<<Index | 1<<OutCount | 1<<Status | 1<<Root
+
+// Integer reports whether f holds a decimal integer rather than a name.
+func (f Field) Integer() bool { return intFields>>f&1 != 0 }
+
 var fieldNames = [numFields]string{"", "handle", "path", "flags", "mode", "count", "size", "offset",
 	"whence", "pos", "iovcnt", "iovlen", "comm", "peer", "tag", "request", "nreq", "flag",
 	"index", "outcount", "status", "root", "newcomm", "members"}
@@ -159,6 +174,7 @@ type Call struct {
 	Kind  CallKind
 	Elems []Elem
 	at    [numFields]int8 // a field's position, or absent, or afterRun
+	row   uint8           // the row's index in Calls
 }
 
 // Elem is one layout token: its name and field (noField for filler), the
@@ -182,15 +198,19 @@ const (
 	afterRun = -2
 )
 
-// Calls are the table's rows in table order.
+// Calls are the table's rows in table order; a side table's byte per entry
+// (argTable.rows) names up to 255 of them.
 var (
 	Calls       = make([]*Call, len(callRows))
 	callsByName = make(map[string]*Call, len(callRows))
+	// maxCallName is the longest function name a row has.
+	maxCallName int
 )
 
 func init() {
 	for i, r := range callRows {
-		c := &Call{Name: r.name, Kind: r.kind}
+		c := &Call{Name: r.name, Kind: r.kind, row: uint8(i)}
+		maxCallName = max(maxCallName, len(c.Name))
 		for f := range c.at {
 			c.at[f] = absent
 		}
@@ -217,45 +237,22 @@ func fieldOf(tok string) Field {
 	return Field(max(slices.Index(fieldNames[:], tok), 0))
 }
 
-// CallCache looks rows up by function name, remembering its last few
-// answers by the address of the name's bytes: a rank's records mostly call
-// a handful of functions over and over, and a decoded trace names each by
-// one string-table entry, so a repeat costs a pointer comparison or two.
-type CallCache struct {
-	names [4]string
-	calls [4]*Call
-	next  int
-}
-
-// Of returns fn's row, or nil when the table has none.
-func (cc *CallCache) Of(fn string) *Call {
-	for i, name := range cc.names {
-		if unsafe.StringData(name) == unsafe.StringData(fn) && len(name) == len(fn) {
-			return cc.calls[i]
-		}
-	}
-	c := callsByName[fn]
-	i := cc.next % len(cc.names)
-	cc.names[i], cc.calls[i], cc.next = fn, c, cc.next+1
-	return c
-}
-
 // Has reports whether the row has field f.
 func (c *Call) Has(f Field) bool { return c.at[f] != absent }
 
-// Pos returns the index in rec.Args at which field f starts, or -1 when the
-// row has no f or a count before it is not a count of at most len(rec.Args):
-// rec.Arg, rec.IntArg and rec.Int32Arg read the field there, "" or not ok
+// Pos returns the index among s's arguments at which field f starts, or -1
+// when the row has no f or a count before it is not a count of at most
+// s.NumArgs(): s.Arg, s.Int and s.Int32 read the field there, "" or not ok
 // when it is absent. The k-th value of a run starts at Pos + k × its width.
-func (c *Call) Pos(rec *Record, f Field) int {
+func (c *Call) Pos(s *Step, f Field) int {
 	if p := c.at[f]; p != afterRun {
 		return int(p)
 	}
-	return c.walk(rec, f)
+	return c.walk(s, f)
 }
 
 // walk is Pos for a field after a run.
-func (c *Call) walk(rec *Record, f Field) int {
+func (c *Call) walk(s *Step, f Field) int {
 	p := 0
 	for _, e := range c.Elems {
 		if e.Field == f {
@@ -263,8 +260,8 @@ func (c *Call) walk(rec *Record, f Field) int {
 		}
 		w := e.Width()
 		if e.By != noField {
-			n, ok := rec.IntArg(c.Pos(rec, e.By))
-			if !ok || n < 0 || n > int64(len(rec.Args)) {
+			n, ok := s.Int(c.Pos(s, e.By))
+			if !ok || n < 0 || n > int64(s.NumArgs()) {
 				return -1
 			}
 			w *= int(n)

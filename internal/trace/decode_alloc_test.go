@@ -64,7 +64,7 @@ func TestDecodeAllocationsPerRecord(t *testing.T) {
 		defer d.Close()
 		n := 0
 		for rank := 0; rank < d.NumRanks(); rank++ {
-			if err := d.ReadRank(rank, func(recs []Record) { n += len(recs) }); err != nil {
+			if err := d.ReadRank(rank, func(steps []Step) { n += len(steps) }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -240,14 +240,17 @@ type decoder struct {
 	// Args are carved from it (see strSlice).
 	slab    []string
 	slabCap int
-	// lent, set for Dir.ReadRank's slots, makes each record valid only
-	// until the next recycleArgs: its Args are carved from the reader
-	// state's scratch, the whole of the latest slab, which the next slot
-	// carves again, so a reader allocates no slabs past its first rank
-	// file's first few slots. The argument-tuple table is bypassed: it only
-	// saves slab room, and a tuple it kept would point into scratch a later
-	// slot overwrites.
+	// lent, set for Dir.ReadRank's slots, decodes each record for a step
+	// valid until the next recycle: the record gets no Args, and its step
+	// reads the arguments through tab, the string table with the side
+	// table strTable builds beside it, by indices in tab's index scratch,
+	// which the next slot overwrites. mark is the record being decoded:
+	// its function's string-table index and its arguments' span of that
+	// scratch.
 	lent bool
+	tab  *argTable
+	mark argMark
+	nidx int // the slot's argument indices in tab.idx so far
 	// ctxs interns the stream's call contexts (see context).
 	ctxs ctxTable
 
@@ -333,11 +336,22 @@ func (d *decoder) byteField() (byte, error) {
 }
 
 // uvarint reads one varint. One that lies whole inside the window is decoded
-// straight from it; anything else (a varint cut by the window's end, an
-// over-long one) takes the byte-at-a-time path, which alone refills the
-// window and alone produces errors — so offsets and error classes do not
-// depend on which path ran.
+// straight from it — a one-byte one, most of a record's, without a call;
+// anything else (a varint cut by the window's end, an over-long one) takes
+// the byte-at-a-time path, which alone refills the window and alone produces
+// errors — so offsets and error classes do not depend on which path ran.
 func (d *decoder) uvarint() (uint64, error) {
+	if r := d.r; r < d.w {
+		if b := d.buf[r]; b < 0x80 {
+			d.r, d.off = r+1, d.off+1
+			return uint64(b), nil
+		}
+	}
+	return d.uvarintSlow()
+}
+
+// uvarintSlow is uvarint past its one-byte case.
+func (d *decoder) uvarintSlow() (uint64, error) {
 	if v, n := binary.Uvarint(d.buf[d.r:d.w]); n > 0 {
 		d.r += n
 		d.off += int64(n)
@@ -409,16 +423,26 @@ func (d *decoder) str() (string, error) {
 // get a chunk of their own.
 const strChunk = 4 << 10
 
-// strTable decodes n string-table entries.
+// strTable decodes n string-table entries. In lent mode it also fills the
+// side table (d.tab): each entry's value as an integer, and the row it names
+// as a function. A decimal there becomes no string: its entry is "" until a
+// step reads it as one (see Step.Arg).
 func (d *decoder) strTable(n int) ([]string, error) {
-	strs := make([]string, 0, capHint(uint64(n), d.hintMax(stringOverhead, 1<<16)))
+	hint := capHint(uint64(n), d.hintMax(stringOverhead, 1<<16))
+	var strs []string
+	if d.lent {
+		d.tab.reset(hint)
+		strs = d.tab.strs
+	} else {
+		strs = make([]string, 0, hint)
+	}
 	var chunk []byte
-	var ends []int // end offset in chunk of each entry since the last seal
+	var ends [][2]int // index and end offset in chunk of each entry since the last seal
 	seal := func() {
 		whole, start := string(chunk), 0
-		for _, end := range ends {
-			strs = append(strs, whole[start:end])
-			start = end
+		for _, e := range ends {
+			strs[e[0]] = whole[start:e[1]]
+			start = e[1]
 		}
 		chunk, ends = chunk[:0], ends[:0]
 	}
@@ -435,9 +459,17 @@ func (d *decoder) strTable(n int) ([]string, error) {
 		if err := d.strBody(chunk[at:]); err != nil {
 			return nil, err
 		}
-		ends = append(ends, at+sz)
+		strs = append(strs, "")
+		if d.lent && d.tab.addEntry(chunk[at:]) {
+			chunk = chunk[:at]
+			continue
+		}
+		ends = append(ends, [2]int{len(strs) - 1, at + sz})
 	}
 	seal()
+	if d.lent {
+		d.tab.strs = strs
+	}
 	return strs, nil
 }
 
@@ -446,7 +478,16 @@ func (d *decoder) strAt(strs []string, i uint64) (string, error) {
 	if i >= uint64(len(strs)) {
 		return "", d.fail(Corrupt, fmt.Errorf("string index %d out of table (%d entries)", i, len(strs)))
 	}
-	return strs[i], nil
+	return d.entry(strs, i), nil
+}
+
+// entry is string-table entry i, which must be in range: in lent mode
+// through the side table, whose decimals keep no string of their own.
+func (d *decoder) entry(strs []string, i uint64) string {
+	if d.lent {
+		return d.tab.str(uint32(i))
+	}
+	return strs[i]
 }
 
 // strSlice returns room for one record's n Args: the head of a slab, so a
@@ -455,7 +496,7 @@ func (d *decoder) strAt(strs []string, i uint64) (string, error) {
 // long as anything references it, whatever happens to the batch buffer its
 // record sat in — and the three-index slice keeps an append from running
 // into a neighbour. Slabs double up to slabMax strings, so a short trace
-// pays for a short slab. Lent records are the exception (see lent).
+// pays for a short slab.
 func (d *decoder) strSlice(n int) []string {
 	if n > slabMax/4 {
 		return make([]string, n)
@@ -463,23 +504,86 @@ func (d *decoder) strSlice(n int) []string {
 	if len(d.slab) < n {
 		d.slabCap = min(max(2*d.slabCap, 64, n), slabMax)
 		d.slab = make([]string, d.slabCap)
-		if d.lent {
-			d.st.scratch = d.slab
-		}
 	}
 	return d.slab[:n:n]
 }
 
-// slabMax is 64 KiB of string headers: the Args of a slot of lent records
-// (slotBytes of decode cost, 16 per argument) fit one slab.
+// slabMax is 64 KiB of string headers.
 const slabMax = 4096
 
-// recycleArgs makes the scratch slab whole again for the next slot: every
-// Args slice carved since the last call is dead.
-func (d *decoder) recycleArgs() {
-	if d.lent {
-		d.slab = d.st.scratch
+// argMark is where a lent record's function and arguments are: its
+// function's string-table index, and its arguments' span of the index
+// scratch.
+type argMark struct{ fn, lo, hi uint32 }
+
+// argIndices reads n string-table references, each range-checked, into the
+// index scratch (tab.idx) after the slot's earlier records', and marks the
+// record's span of it.
+func (d *decoder) argIndices(strs []string, n int) error {
+	t, lo := d.tab, d.nidx
+	if lo+n > len(t.idx) {
+		idx := make([]uint32, max(lo+n, 2*len(t.idx), 1024))
+		copy(idx, t.idx[:lo])
+		t.idx = idx
 	}
+	idx := t.idx[lo : lo+n]
+	for k := range idx {
+		si, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if si >= uint64(len(strs)) {
+			_, err := d.strAt(strs, si)
+			return err
+		}
+		idx[k] = uint32(si)
+	}
+	d.nidx = lo + n
+	d.mark.lo, d.mark.hi = uint32(lo), uint32(lo+n)
+	return nil
+}
+
+// keep marks the record just decoded as record k of the slot (lent mode).
+func (d *decoder) keep(k int) {
+	st := d.st
+	if k >= len(st.marks) {
+		st.marks = append(st.marks, make([]argMark, k+1-len(st.marks))...)
+		st.marks = st.marks[:cap(st.marks)]
+	}
+	st.marks[k] = d.mark
+}
+
+// slotSteps returns the steps of the slot's records, recs, which are where
+// they will stay until the next recycle. A slot's steps mostly point where
+// the last slot's did — the same record buffer, the same table — so only
+// the pointers that changed are written: a pointer store, while the
+// collector marks, goes through its write barrier.
+func (d *decoder) slotSteps(recs []Record) []Step {
+	st := d.st
+	if len(recs) > cap(st.steps) {
+		st.steps = make([]Step, len(recs))
+	}
+	steps := st.steps[:len(recs)]
+	for k := range steps {
+		s, m := &steps[k], st.marks[k]
+		if c := d.tab.rowOf(m.fn); s.Call != c {
+			s.Call = c
+		}
+		if rec := &recs[k]; s.Rec != rec {
+			s.Rec = rec
+		}
+		if s.tab != d.tab {
+			s.tab = d.tab
+		}
+		s.lo, s.hi = m.lo, m.hi
+	}
+	return steps
+}
+
+// recycle makes the scratch whole again for the next slot: every step, and
+// every index span, handed out since the last call is dead.
+func (d *decoder) recycle() {
+	d.nidx = 0
 }
 
 func (d *decoder) span(name string, rank, index int, start int64) {
@@ -502,10 +606,11 @@ type readerState struct {
 	// tuples are the stream's recent argument tuples (see strRefs). The same
 	// indices name other strings in the next stream, so release empties it.
 	tuples [1 << tupleBits]tuple
-	// scratch is the slab lent records' Args are carved from (see
-	// decoder.lent), kept for the next rank file; release clears it, so
-	// the pool keeps no string table alive.
-	scratch []string
+	// In lent mode (see decoder.lent): each record's marks and the slot's
+	// steps, kept for the next rank file; release clears the steps, so the
+	// pool keeps no string table alive.
+	marks []argMark
+	steps []Step
 }
 
 var readerStates = &sync.Pool{New: func() any { return &readerState{win: make([]byte, windowSize)} }}
@@ -569,7 +674,7 @@ func (d *decoder) release() {
 		st.br.Reset(nil) // the pool must not keep the file alive
 	}
 	clear(st.tuples[:])
-	clear(st.scratch)
+	clear(st.steps)
 	readerStates.Put(st)
 }
 
@@ -742,7 +847,16 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 	if err := d.charge(recordOverhead + int64(nargs+depth)*sliceEntryOverhead); err != nil {
 		return err
 	}
-	if rec.Args, err = d.strRefs(strs, int(nargs)); err != nil {
+	if d.lent {
+		if rec.Args != nil {
+			rec.Args = nil
+		}
+		d.mark.fn = uint32(fi)
+		err = d.argIndices(strs, int(nargs))
+	} else {
+		rec.Args, err = d.strRefs(strs, int(nargs))
+	}
+	if err != nil {
 		return err
 	}
 	rec.Ctx, err = d.context(strs, si, site, int(depth))
@@ -754,14 +868,13 @@ func (d *decoder) decodeRecord(rec *Record, strs []string, rank, seq int, lastRe
 // table gets that record's slice, shared and read-only like a Context, and
 // leaves the slab room it was read into for the next record; any other
 // keeps the room. Every index is read and range-checked either way, so
-// errors and their offsets do not depend on the table. Lent records never
-// use the table.
+// errors and their offsets do not depend on the table.
 func (d *decoder) strRefs(strs []string, n int) ([]string, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	out := d.strSlice(n)
-	keyed := !d.lent && n <= tupleMax && uint64(len(strs)) <= math.MaxUint32
+	keyed := n <= tupleMax && uint64(len(strs)) <= math.MaxUint32
 	var key [tupleMax]uint32
 	h := uint64(n)
 	for i := range out {
@@ -845,7 +958,7 @@ func (d *decoder) context(strs []string, si uint64, site string, depth int) (*Co
 		if depth > 0 {
 			c.Chain = make([]string, depth)
 			for i, ci := range t.frames {
-				c.Chain[i] = strs[ci]
+				c.Chain[i] = d.entry(strs, ci)
 			}
 		}
 		if t.byKey == nil {

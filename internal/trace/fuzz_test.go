@@ -202,17 +202,21 @@ func salvaged(s *DecodeStats) int {
 }
 
 // intArgTable is the IntArg equivalence table: plain digits of every length
-// the fast path takes and the first it leaves to strconv, the int64 edge,
-// signs, and strings strconv rejects.
+// the fast path takes and the first it leaves to strconv, the int64 and
+// int32 edges, signs, and strings strconv rejects.
 var intArgTable = []string{
-	"", "0", "7", "007", "+5", "-5", "-0", "+", "-",
+	"", "0", "7", "007", "+5", "-5", "-0", "-1", "+", "-",
 	"123456789012345678", "999999999999999999", // 18 digits
 	"1234567890123456789", "9223372036854775807", // 19 digits
 	"9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+	"2147483647", "2147483648", "-2147483648", "-2147483649",
 	"00000000000000000000042", "1e3", "0x10", " 5", "5 ", "1_000", "٣", "12a",
 }
 
-// checkIntArg holds Record.IntArg to strconv.ParseInt on one string.
+// checkIntArg holds Record.IntArg, and the side table a rank file's string
+// table gets on the analysis path (argTable.addEntry), to strconv.ParseInt
+// on one string: the side table keeps no string of exactly the decimals
+// strconv.FormatInt spells as they are.
 func checkIntArg(t *testing.T, s string) {
 	t.Helper()
 	rec := Record{Args: []string{s}}
@@ -223,6 +227,14 @@ func checkIntArg(t *testing.T, s string) {
 	}
 	if ok != (err == nil) || got != want {
 		t.Errorf("IntArg(%q) = %d, %v; strconv.ParseInt gives %d, %v", s, got, ok, want, err)
+	}
+	var tab argTable
+	spelled := tab.addEntry([]byte(s))
+	if v, isInt := tab.ints[0], tab.integer(0); isInt != (err == nil) || (isInt && v != want) {
+		t.Errorf("side table of %q: %d, integer %v; strconv.ParseInt gives %d, %v", s, v, isInt, want, err)
+	}
+	if wantSpelled := err == nil && strconv.FormatInt(want, 10) == s; spelled != wantSpelled {
+		t.Errorf("side table of %q keeps a string: %v, want %v", s, !spelled, !wantSpelled)
 	}
 }
 
@@ -235,7 +247,8 @@ func TestIntArgMatchesParseInt(t *testing.T) {
 	}
 }
 
-// FuzzIntArg checks Record.IntArg against strconv.ParseInt on any string.
+// FuzzIntArg checks Record.IntArg and the side-table parser against
+// strconv.ParseInt on any string.
 func FuzzIntArg(f *testing.F) {
 	for _, s := range intArgTable {
 		f.Add(s)

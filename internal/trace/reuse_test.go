@@ -60,7 +60,7 @@ func TestPerFileAllocationBudget(t *testing.T) {
 			}
 			defer d.Close()
 			for rank := 0; rank < d.NumRanks(); rank++ {
-				if err := d.ReadRank(rank, func([]Record) {}); err != nil {
+				if err := d.ReadRank(rank, func([]Step) {}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -157,7 +157,7 @@ func readRanks(t *testing.T, dir string, opts StreamOptions, readers int, ranks 
 	out := make([]rankRead, len(ranks))
 	par.Do(readers, len(ranks), func(i int) {
 		r := &out[i]
-		r.Err = factsOf(d.ReadRank(ranks[i], func(recs []Record) { r.Recs = appendOwned(r.Recs, recs) }))
+		r.Err = factsOf(d.ReadRank(ranks[i], func(steps []Step) { r.Recs = appendOwned(r.Recs, steps) }))
 	})
 	got := make(map[int]rankRead, len(ranks))
 	for i, rank := range ranks {

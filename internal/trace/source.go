@@ -22,18 +22,18 @@ import (
 // the records in memory, and *Dir, a trace directory decoded as it is read.
 type Source interface {
 	NumRanks() int
-	// ReadRank passes the rank's records to fn, in program order, as one or
-	// more batches. The records and their Args slices are valid only during
-	// the call: copy what must outlive it. Their strings and contexts may be
-	// kept. Distinct ranks may be read concurrently.
-	ReadRank(rank int, fn func(recs []Record)) error
+	// ReadRank passes the rank's records to fn as steps, in program order,
+	// in one or more batches. The steps and their records are valid only
+	// during the call: copy what must outlive it. The strings the steps
+	// read, and the records' strings and contexts, may be kept. Distinct
+	// ranks may be read concurrently.
+	ReadRank(rank int, fn func(steps []Step)) error
 }
 
-// ReadRank passes the rank's records to fn as one batch, uncopied.
-func (t *Trace) ReadRank(rank int, fn func(recs []Record)) error {
-	if recs := t.Ranks[rank]; len(recs) > 0 {
-		fn(recs)
-	}
+// ReadRank passes the rank's records to fn as steps built from their Args
+// (see Steps).
+func (t *Trace) ReadRank(rank int, fn func(steps []Step)) error {
+	Steps(t.Ranks[rank], fn)
 	return nil
 }
 
@@ -60,6 +60,7 @@ type Dir struct {
 
 	res    residency
 	pool   bufPool
+	tabs   tabPool
 	unread atomic.Int32 // ranks ReadRank has yet to finish
 	oc     obs.Ctx
 	span   *obs.Span // "read-trace"
@@ -230,19 +231,20 @@ func (d *Dir) dropPre() {
 func (d *Dir) NumRanks() int { return len(d.counts) }
 
 // slotBytes bounds the decoded cost of a slot, the batch ReadRank lends: at
-// about 350 records of a sparse trace, a slot's records and Args stay in
+// about 350 records of a sparse trace, a slot's records and steps stay in
 // cache while the replay and the scan step over them, and the readers hold
 // a few hundred KiB of records however large the window.
 const slotBytes = 64 << 10
 
 // ReadRank decodes the rank's file one slot at a time: a batch of at most
 // the reader's share of the window or slotBytes of decoded cost, whichever
-// is less (plus the record that reaches it). The slot is lent to fn — its
-// record buffer and the scratch its Args are carved from are reused for the
-// next slot — and its strings and contexts may be kept.
-func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
-	return d.readRank(rank, true, func(recs []Record) bool {
-		fn(recs)
+// is less (plus the record that reaches it). The slot is lent to fn as
+// steps over the file's string table — their records, which have no Args,
+// and the scratch their argument indices sit in are reused for the next
+// slot — and the strings and contexts may be kept.
+func (d *Dir) ReadRank(rank int, fn func(steps []Step)) error {
+	return d.readRank(rank, true, func(b rawBatch) bool {
+		fn(b.steps)
 		return false
 	})
 }
@@ -252,20 +254,18 @@ func (d *Dir) ReadRank(rank int, fn func(recs []Record)) error {
 // and stays counted as resident. The buffers left in the pool go with the
 // last rank: the analysis' cross-rank phases, its memory peak, should not
 // find them in the heap.
-func (d *Dir) readRank(rank int, lend bool, fn func(recs []Record) (kept bool)) error {
+func (d *Dir) readRank(rank int, lend bool, fn func(b rawBatch) (kept bool)) error {
 	defer func() {
 		if d.unread.Add(-1) == 0 {
 			d.pool.drop()
+			d.tabs.drop()
 		}
 	}()
-	rr, err := d.openRank(rank)
+	rr, err := d.openRank(rank, lend)
 	if rr == nil {
 		return err
 	}
 	defer rr.close()
-	if lend {
-		rr.lend()
-	}
 	for {
 		b, err := rr.next()
 		if err == io.EOF {
@@ -275,7 +275,7 @@ func (d *Dir) readRank(rank int, lend bool, fn func(recs []Record) (kept bool)) 
 			return err
 		}
 		d.res.add(b.cost)
-		if !fn(b.recs) {
+		if !fn(b) {
 			d.res.add(-b.cost)
 			d.pool.put(b.recs)
 		}
@@ -297,7 +297,8 @@ func (d *Dir) materialize(readers int) (*Trace, *DecodeStats, error) {
 		if int64(rank) > failed.Load() {
 			return
 		}
-		errs[rank] = d.readRank(rank, false, func(recs []Record) bool {
+		errs[rank] = d.readRank(rank, false, func(b rawBatch) bool {
+			recs := b.recs
 			// A buffer a larger rank grew out of would stay pinned at its
 			// full size, so a rank that fills less than half of one takes a
 			// copy and hands the buffer on.
@@ -354,10 +355,11 @@ type rankReader struct {
 	maxCost int64     // decoded-cost bound of one batch; 0 = unbounded
 }
 
-// openRank opens the rank's file and decodes its eager sections. A nil
-// reader with a nil error is tolerate mode with nothing to read: no file, or
-// one that salvages nothing (recorded for Stats).
-func (d *Dir) openRank(rank int) (*rankReader, error) {
+// openRank opens the rank's file and decodes its eager sections, lending its
+// batches as slots of steps (see ReadRank) when lend is set. A nil reader
+// with a nil error is tolerate mode with nothing to read: no file, or one
+// that salvages nothing (recorded for Stats).
+func (d *Dir) openRank(rank int, lend bool) (*rankReader, error) {
 	if len(d.recov[rank]) > 0 {
 		return nil, nil
 	}
@@ -390,6 +392,15 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 		src.f = f
 	}
 	_, span := d.oc.StartLane("rank-"+strconv.Itoa(rank), "read-rank", obs.Int("rank", rank))
+	maxCost := d.window
+	if lend {
+		// The table a finished rank file left, if any: its arrays fit a
+		// table like this one.
+		src.d.lent, src.d.tab = true, d.tabs.take()
+		if maxCost == 0 || maxCost > slotBytes {
+			maxCost = slotBytes
+		}
+	}
 	if err := src.ps.start(d.opts.Tolerate); err != nil {
 		span.End()
 		src.close()
@@ -402,27 +413,17 @@ func (d *Dir) openRank(rank int) (*rankReader, error) {
 		// next rank starts from the buffers this one grew out of.
 		src.ps.outgrown = d.pool.put
 	}
-	return &rankReader{d: d, rank: rank, src: src, span: span, maxCost: d.window}, nil
-}
-
-// lend makes the reader's batches slots (see ReadRank), their Args carved
-// from the scratch an earlier rank file left in the reader state.
-func (rr *rankReader) lend() {
-	if rr.maxCost == 0 || rr.maxCost > slotBytes {
-		rr.maxCost = slotBytes
-	}
-	d := rr.src.d
-	d.lent, d.slab, d.slabCap = true, d.st.scratch, len(d.st.scratch)
+	return &rankReader{d: d, rank: rank, src: src, span: span, maxCost: maxCost}, nil
 }
 
 // next decodes the rank's next batch into a pooled buffer, which the caller
-// gives back (Dir.pool) when done with the batch; a lent batch's Args are
+// gives back (Dir.pool) when done with the batch; a lent batch's steps are
 // dead from here on. After the last batch it runs the file's end-of-stream
 // checks and returns io.EOF.
 func (rr *rankReader) next() (rawBatch, error) {
 	d, ps := rr.d, rr.src.ps
 	for {
-		ps.d.recycleArgs()
+		ps.d.recycle()
 		buf := d.pool.take()
 		b, err := ps.nextBatch(buf, rr.maxCost)
 		if err == io.EOF {
@@ -447,6 +448,9 @@ func (rr *rankReader) next() (rawBatch, error) {
 			continue
 		}
 		d.counts[rr.rank] += len(b.recs)
+		if ps.d.lent {
+			b.steps = ps.d.slotSteps(b.recs)
+		}
 		return b, nil
 	}
 }
@@ -470,8 +474,13 @@ func (rr *rankReader) finish() error {
 	return nil
 }
 
-// close releases the file; idempotent.
+// close releases the file and hands its side table on; idempotent.
 func (rr *rankReader) close() {
+	if dec := rr.src.d; dec.tab != nil {
+		dec.tab.release()
+		rr.d.tabs.put(dec.tab)
+		dec.tab = nil
+	}
 	rr.src.close()
 	rr.span.End()
 }
@@ -521,5 +530,38 @@ func (p *bufPool) take() []Record {
 func (p *bufPool) drop() {
 	p.mu.Lock()
 	p.bufs = nil
+	p.mu.Unlock()
+}
+
+// tabPool recycles lent side tables between rank files: a reader's next
+// file fills the arrays its last one grew.
+type tabPool struct {
+	mu   sync.Mutex
+	tabs []*argTable
+}
+
+func (p *tabPool) put(t *argTable) {
+	p.mu.Lock()
+	p.tabs = append(p.tabs, t)
+	p.mu.Unlock()
+}
+
+// take returns a pooled table, or a new one.
+func (p *tabPool) take() *argTable {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.tabs); n > 0 {
+		t := p.tabs[n-1]
+		p.tabs = p.tabs[:n-1]
+		return t
+	}
+	return new(argTable)
+}
+
+// drop releases the pooled tables, and the strings they hold, to the
+// collector.
+func (p *tabPool) drop() {
+	p.mu.Lock()
+	p.tabs = nil
 	p.mu.Unlock()
 }

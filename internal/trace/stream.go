@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -207,7 +208,7 @@ func (s *Stream) nextDir() (rawBatch, error) {
 			if s.next >= s.dir.NumRanks() {
 				return rawBatch{}, io.EOF
 			}
-			rr, err := s.dir.openRank(s.next)
+			rr, err := s.dir.openRank(s.next, false)
 			s.next++
 			if err != nil {
 				return rawBatch{}, err
@@ -246,11 +247,13 @@ func (s *Stream) Close() error {
 // ---------------------------------------------------------------------------
 // payloadStream: the shared incremental record-decoding core.
 
-// rawBatch is one decoded run of records before any world-rank renumbering.
+// rawBatch is one decoded run of records before any world-rank renumbering,
+// and in lent mode their steps.
 type rawBatch struct {
 	rank  int
 	start int
 	recs  []Record
+	steps []Step
 	cost  int64
 }
 
@@ -329,6 +332,10 @@ func (ps *payloadStream) start(tolerate bool) error {
 	}
 	if nstrs > uint64(d.lim.MaxStrings) {
 		return d.fail(LimitExceeded, fmt.Errorf("string table size %d exceeds limit %d", nstrs, d.lim.MaxStrings))
+	}
+	if d.lent && nstrs > math.MaxUint32 {
+		// A step reads its arguments by 32-bit index.
+		return d.fail(LimitExceeded, fmt.Errorf("string table size %d exceeds a lent step's 32-bit index", nstrs))
 	}
 	d.span("string-count", -1, -1, sectionStart)
 	if ps.strs, err = d.strTable(int(nstrs)); err != nil {
@@ -460,6 +467,9 @@ func (ps *payloadStream) nextBatch(buf []Record, maxCost int64) (rawBatch, error
 					ps.validRet = rec.Ret
 					b.recs = b.recs[:n+1]
 					b.cost += cost
+					if d.lent {
+						d.keep(n)
+					}
 				}
 			}
 			if maxCost > 0 && b.cost >= maxCost {

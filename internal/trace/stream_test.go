@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"testing"
 )
 
@@ -46,11 +45,17 @@ func streamTestTrace(t *testing.T, nranks, nrecs int) *Trace {
 	return tr
 }
 
-// appendOwned appends copies of a lent slot's records to dst: records and
-// their Args, which ReadRank reuses for the next slot.
-func appendOwned(dst, recs []Record) []Record {
-	for _, rec := range recs {
-		rec.Args = slices.Clone(rec.Args)
+// appendOwned appends copies of a lent slot's records to dst, each with the
+// Args its step reads: ReadRank reuses the records for the next slot and
+// gives them no Args.
+func appendOwned(dst []Record, steps []Step) []Record {
+	for i := range steps {
+		s := &steps[i]
+		rec := *s.Rec
+		rec.Args = nil
+		for a := range s.NumArgs() {
+			rec.Args = append(rec.Args, s.Arg(a))
+		}
 		dst = append(dst, rec)
 	}
 	return dst
@@ -63,9 +68,9 @@ func readEveryRank(t *testing.T, d *Dir) ([][]Record, int) {
 	ranks := make([][]Record, d.NumRanks())
 	batches := 0
 	for rank := range ranks {
-		err := d.ReadRank(rank, func(recs []Record) {
+		err := d.ReadRank(rank, func(steps []Step) {
 			batches++
-			ranks[rank] = appendOwned(ranks[rank], recs)
+			ranks[rank] = appendOwned(ranks[rank], steps)
 		})
 		if err != nil {
 			t.Fatalf("ReadRank(%d): %v", rank, err)
@@ -237,11 +242,11 @@ func TestStreamWindowBound(t *testing.T) {
 
 // TestReadRankLendsSlots: ReadRank cuts every rank into slots of at most
 // slotBytes of decoded cost (plus the record that reaches it) whether the
-// window is unbounded, the default or larger than a slot, and lends them:
-// once the scratch slab has grown to a slot's Args, each slot's Args start
-// where the previous slot's did, and the reader state keeps that slab for
-// the next rank file, whose slots all start in it. The records are the
-// materializing read's.
+// window is unbounded, the default or larger than a slot, and lends them as
+// steps: once the index scratch has grown to a slot's arguments, each
+// slot's argument indices start where the previous slot's did, and the
+// directory keeps that scratch, with the side table, for the next rank file,
+// whose slots all start in it. The records are the materializing read's.
 func TestReadRankLendsSlots(t *testing.T) {
 	// One P and no collection between rank files: the reader state the last
 	// rank file gave back is the one the next takes from the pool.
@@ -256,13 +261,13 @@ func TestReadRankLendsSlots(t *testing.T) {
 		d := openDir(t, dir, StreamOptions{WindowBytes: window})
 		ranks := make([][]Record, d.NumRanks())
 		slots := 0
-		starts := make([]map[*string]bool, d.NumRanks())
+		starts := make([]map[*uint32]bool, d.NumRanks())
 		for rank := range ranks {
-			starts[rank] = map[*string]bool{}
-			err := d.ReadRank(rank, func(recs []Record) {
+			starts[rank] = map[*uint32]bool{}
+			err := d.ReadRank(rank, func(steps []Step) {
 				slots++
-				starts[rank][&recs[0].Args[0]] = true
-				ranks[rank] = appendOwned(ranks[rank], recs)
+				starts[rank][&steps[0].tab.idx[steps[0].lo]] = true
+				ranks[rank] = appendOwned(ranks[rank], steps)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -276,16 +281,16 @@ func TestReadRankLendsSlots(t *testing.T) {
 			t.Errorf("window=%d: peak resident %d outside (0, %d]", window, peak, slotBytes+slack)
 		}
 		// 6 000 records of about 190 bytes of decode cost: 17 or 18 slots a
-		// rank, whose Args start in a few slabs on the first rank file and
-		// in one on the next.
-		t.Logf("window=%d: %d slots, Args of rank 0 starting at %d places", window, slots, len(starts[0]))
+		// rank, whose indices start in a few places on the first rank file
+		// and in one on the next.
+		t.Logf("window=%d: %d slots, indices of rank 0 starting at %d places", window, slots, len(starts[0]))
 		if slots < 45 || len(starts[0]) > slots/9 {
-			t.Errorf("window=%d: %d slots, rank 0's Args starting at %d places, want at least 45 slots sharing a few", window, slots, len(starts[0]))
+			t.Errorf("window=%d: %d slots, rank 0's indices starting at %d places, want at least 45 slots sharing a few", window, slots, len(starts[0]))
 		}
 		// The race detector makes sync.Pool drop reader state at random.
 		for rank := 1; rank < len(starts) && !raceEnabled; rank++ {
 			if len(starts[rank]) != 1 {
-				t.Errorf("window=%d: rank %d's slots start their Args in %d slabs, want the 1 rank %d left", window, rank, len(starts[rank]), rank-1)
+				t.Errorf("window=%d: rank %d's slots start their indices in %d places, want the 1 rank %d left", window, rank, len(starts[rank]), rank-1)
 			}
 		}
 	}

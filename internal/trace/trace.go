@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -66,9 +65,10 @@ type Record struct {
 	// Layer is the stack level Func belongs to.
 	Layer Layer
 	// Args holds every runtime argument, stringified, in the order the
-	// function's row of the call table gives (see Calls); the analysis
-	// steps read them by field name through it, mirroring how VerifyIO
-	// post-processes Recorder traces.
+	// function's row of the call table gives (see Calls), mirroring how
+	// VerifyIO post-processes Recorder traces. The analysis reads them by
+	// field name through a Step, integers parsed once; the records a
+	// directory lends as steps (Dir.ReadRank) have no Args.
 	Args []string
 	// Tick and Ret are the logical entry and return timestamps (a per-rank
 	// monotonic counter advanced on every record boundary). They order
@@ -185,17 +185,7 @@ func (r *Record) Arg(i int) string {
 // than failing the whole run, matching VerifyIO's tolerance of partial
 // traces from the legacy Recorder.
 func (r *Record) IntArg(i int) (int64, bool) {
-	s := r.Arg(i)
-	// An absent argument, such as an optional field left out, is not asked
-	// of strconv, whose error allocates.
-	if v, ok := plainDigits(s); ok || s == "" {
-		return v, ok
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	return parseInt(r.Arg(i))
 }
 
 // Int32Arg is IntArg for a rank, tag, root or index: a value outside int32
@@ -206,25 +196,6 @@ func (r *Record) Int32Arg(i int) (int, bool) {
 		return 0, false
 	}
 	return int(v), true
-}
-
-// plainDigits parses the common argument, a count or offset of 1 to 18
-// plain decimal digits, which cannot overflow an int64. Anything else — a
-// sign, 19 digits or more, any other byte — reports false and is left to
-// strconv.
-func plainDigits(s string) (int64, bool) {
-	if len(s) == 0 || len(s) > 18 {
-		return 0, false
-	}
-	v := int64(0)
-	for i := 0; i < len(s); i++ {
-		c := s[i] - '0'
-		if c > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(c)
-	}
-	return v, true
 }
 
 // Ref identifies a record inside a trace by rank and per-rank sequence. The

@@ -147,12 +147,12 @@ func Analyze(src trace.Source, algo Algo, opts AnalyzeOptions) (*Analysis, error
 		defer sp.End()
 		t := &times[rank]
 		last := time.Now()
-		errs[rank] = src.ReadRank(rank, func(recs []trace.Record) {
-			a.counts[rank] += len(recs)
+		errs[rank] = src.ReadRank(rank, func(steps []trace.Step) {
+			a.counts[rank] += len(steps)
 			produced := time.Now()
-			det.Feed(rank, recs)
+			det.Feed(rank, steps)
 			replayed := time.Now()
-			mat.Feed(rank, recs)
+			mat.Feed(rank, steps)
 			scanned := time.Now()
 			t.read += produced.Sub(last)
 			t.replay += replayed.Sub(produced)

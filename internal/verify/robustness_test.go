@@ -123,7 +123,7 @@ func TestAnalyzeOracleErrorBesideDetection(t *testing.T) {
 // failingSource passes each rank's records on and then fails the read.
 type failingSource struct{ *trace.Trace }
 
-func (s failingSource) ReadRank(rank int, fn func([]trace.Record)) error {
+func (s failingSource) ReadRank(rank int, fn func([]trace.Step)) error {
 	s.Trace.ReadRank(rank, fn)
 	return fmt.Errorf("rank %d unreadable", rank)
 }

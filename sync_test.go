@@ -75,8 +75,8 @@ func TestSyncChainBytesPerEdge(t *testing.T) {
 	least, edges := ^uint64(0), 0
 	for range 3 {
 		m := match.NewMatcher(len(counts))
-		for rank, recs := range tr.t.Ranks {
-			m.Feed(rank, recs)
+		for rank := range tr.t.Ranks {
+			tr.t.ReadRank(rank, func(steps []itrace.Step) { m.Feed(rank, steps) })
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -524,8 +524,8 @@ func BenchmarkSyncChain(b *testing.B) {
 		for range b.N {
 			b.StopTimer()
 			m := match.NewMatcher(len(counts))
-			for rank, recs := range tr.t.Ranks {
-				m.Feed(rank, recs)
+			for rank := range tr.t.Ranks {
+				tr.t.ReadRank(rank, func(steps []itrace.Step) { m.Feed(rank, steps) })
 			}
 			b.StartTimer()
 			edges = m.Finish(match.Options{}).Edges
